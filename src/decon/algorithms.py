@@ -9,11 +9,14 @@ Variants:
 
 All steppers are pure: state in, state out, single gradient evaluation per
 step (the previous gradient is carried in the state for the two-step forms).
+`iterate` is the one loop that advances them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -32,6 +35,7 @@ __all__ = [
     "nids_step",
     "nids_dx_step",
     "step",
+    "iterate",
     "trajectory",
     "fixed_point",
     "stepsize_bounds",
@@ -143,6 +147,15 @@ def step(state: AlgoState, w, wt, grad) -> AlgoState:
     raise ValueError(f"unknown variant {state.variant!r}")
 
 
+def iterate(variant: str, x0: np.ndarray, alpha: float, w, wt, grad) -> Iterator[AlgoState]:
+    """Yield the initial state, then each successive state, for as long as the
+    caller keeps asking: a state is computed only when it is requested."""
+    state = init_state(variant, x0, alpha, w=w, wt=wt)
+    while True:
+        yield state
+        state = step(state, w, wt, grad)
+
+
 def trajectory(variant: str, x0: np.ndarray, alpha: float, w, wt, grad,
                n_steps: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Run n_steps iterations and stack the iterates.
@@ -150,21 +163,10 @@ def trajectory(variant: str, x0: np.ndarray, alpha: float, w, wt, grad,
     Returns (xs, aux) where xs[k] is the k-th iterate (xs[0] = x0) and aux is
     the matching y-sequence for extra_xy, the d-sequence for nids_dx, else None.
     """
-    state = init_state(variant, x0, alpha, w=w, wt=wt)
-    xs = [state.x]
-    aux = None
-    if variant == "extra_xy":
-        aux = [state.y]
-    elif variant == "nids_dx":
-        aux = [state.d]
-    for _ in range(n_steps):
-        state = step(state, w, wt, grad)
-        xs.append(state.x)
-        if variant == "extra_xy":
-            aux.append(state.y)
-        elif variant == "nids_dx":
-            aux.append(state.d)
-    return np.array(xs), None if aux is None else np.array(aux)
+    states = list(islice(iterate(variant, x0, alpha, w, wt, grad), n_steps + 1))
+    aux = {"extra_xy": "y", "nids_dx": "d"}.get(variant)
+    xs = np.array([s.x for s in states])
+    return xs, None if aux is None else np.array([getattr(s, aux) for s in states])
 
 
 @dataclass(frozen=True)
@@ -205,13 +207,7 @@ class StepsizeBounds:
     shi_convex: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "extra_new": self.extra_new,
-            "extra_special": self.extra_special,
-            "nids": self.nids,
-            "shi_linear": self.shi_linear,
-            "shi_convex": self.shi_convex,
-        }
+        return asdict(self)
 
 
 def stepsize_bounds(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,

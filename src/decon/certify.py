@@ -3,7 +3,7 @@
 For each algorithm this module computes every constant appearing in its
 Q-linear convergence guarantee (coupling coefficients r1..r5, the small
 parameters xi / eta / r4, the contraction factor, and the Lyapunov weight
-matrices), then audits recorded trajectories: the proved equalities must hold
+matrices), then audits trajectories in one pass: the proved equalities must hold
 to relative 1e-9 and the proved inequalities, including the Lyapunov
 contraction itself, must hold with slack no worse than -1e-8 scaled by the
 current Lyapunov value.
@@ -136,7 +136,8 @@ def extra_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
     if not 0.0 < alpha < bound:
         raise CertificateError(
             f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
-            f"= (0, 2 lambda_min(w_bar)/L)"
+            f"= (0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; extra-special, "
+            f"its theta -> 3/4 limit when w_tilde = (I + w)/2, is never certified"
         )
 
     eye = np.eye(mp.n)
@@ -284,80 +285,105 @@ def _rel_err_mat(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a) + np.linalg.norm(b)))
 
 
-def audit_extra(xs: np.ndarray, ys: np.ndarray, mp: MixingPair, derived: DerivedMatrices,
-                cert: ExtraCertificate, fp, grad) -> AuditReport:
-    """Audit an (x, y) trajectory: norm equality, key inequality, contraction.
+class _Tally:
+    """Worst margin per named check of one audit, plus one message per violation."""
 
-    xs, ys are (K+1, n, p) arrays from the reformulated iteration run at the
-    certificate's stepsize. Violations are reported, never raised.
+    def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
+        self.worst = {name: 0.0 for name in equalities}
+        self.worst.update({name: math.inf for name in inequalities})
+        self.violations: list[str] = []
+
+    def equality(self, name: str, what: str, k: int, err: float) -> None:
+        self.worst[name] = max(self.worst[name], err)
+        if err > EQ_TOL:
+            self.violations.append(f"{what} violated at k={k}: relative error {err:.3e}")
+
+    def inequality(self, name: str, what: str, k: int, slack: float) -> float:
+        self.worst[name] = min(self.worst[name], slack)
+        if slack < INEQ_TOL:
+            self.violations.append(f"{what} violated at k={k}: normalized slack {slack:.3e}")
+        return slack
+
+
+def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
+                  tally: _Tally) -> AuditReport:
+    """One pass over consecutive states, holding only the previous one.
+
+    `lyapunov(state)` is the state's Lyapunov value; `transition(k, cur, nxt)`
+    checks the step from row k to row k+1 and returns its worst slack, which
+    is combined with the certified contraction by the factor rho.
     """
-    n_steps = xs.shape[0] - 1
-    eye = np.eye(mp.n)
-    diff = mp.wt.a - mp.w.a
-    i_minus_wt = eye - mp.wt.a
-    alpha = cert.alpha
-    theta = cert.theta
-    gstar = grad(fp.xstar)
-
-    lyap = np.empty(n_steps + 1)
-    for k in range(n_steps + 1):
-        lyap[k] = wnorm_sq(xs[k] - fp.xstar, cert.p_mat) + wnorm_sq(ys[k] - fp.ystar, cert.q_mat)
-
+    lyap: list[float] = []
     ratio: list[float | None] = [None]
     slack_col: list[float | None] = [None]
-    violations: list[str] = []
-    worst = {"norm_equality_rel_err": 0.0, "key_inequality_slack": math.inf,
-             "contraction_slack": math.inf}
-
-    g_prev = grad(xs[0])
-    for k in range(n_steps):
-        x_cur, x_nxt = xs[k], xs[k + 1]
-        y_cur, y_nxt = ys[k], ys[k + 1]
-        dx_nxt = x_nxt - fp.xstar
-        g_cur, g_prev = g_prev, grad(x_nxt)
-
-        # Norm equality between the consensus defect of x+ and the y decrement.
-        a = wnorm_sq(dx_nxt, diff)
-        b = wnorm_sq(y_cur - y_nxt, derived.m)
-        err = _rel_err(a, b)
-        worst["norm_equality_rel_err"] = max(worst["norm_equality_rel_err"], err)
-        if err > EQ_TOL:
-            violations.append(f"norm equality violated at k={k}: relative error {err:.3e}")
-
-        # Key inequality: the h/m distance decreases by the listed amounts.
-        base_prev = wnorm_sq(x_cur - fp.xstar, derived.h) + wnorm_sq(y_cur - fp.ystar, derived.m)
-        lhs = wnorm_sq(dx_nxt, derived.h) + wnorm_sq(y_nxt - fp.ystar, derived.m)
-        rhs = (
-            base_prev
-            - wnorm_sq(x_cur - x_nxt, derived.wbar)
-            - (theta - 0.75) * wnorm_sq(x_cur - x_nxt, i_minus_wt)
-            - wnorm_sq(dx_nxt, derived.g)
-            - 2.0 * alpha * float(np.sum(dx_nxt * (g_cur - gstar)))
-        )
-        s = (rhs - lhs) / (1.0 + base_prev)
-        worst["key_inequality_slack"] = min(worst["key_inequality_slack"], s)
-        if s < INEQ_TOL:
-            violations.append(f"key inequality violated at k={k}: normalized slack {s:.3e}")
-
-        # Lyapunov contraction with the certified factor.
-        cs = (cert.rho * lyap[k] - lyap[k + 1]) / (1.0 + lyap[k])
-        worst["contraction_slack"] = min(worst["contraction_slack"], cs)
-        if cs < INEQ_TOL:
-            violations.append(f"contraction violated at k={k}: normalized slack {cs:.3e}")
-        ratio.append(lyap[k + 1] / lyap[k] if lyap[k] > 0.0 else None)
-        slack_col.append(min(s, cs))
-
+    prev = None
+    for state in states:
+        lyap.append(lyapunov(state))
+        if prev is not None:
+            k = len(lyap) - 2
+            s = transition(k, prev, state)
+            cs = tally.inequality("contraction_slack", "contraction", k,
+                                  (rho * lyap[k] - lyap[k + 1]) / (1.0 + lyap[k]))
+            ratio.append(lyap[k + 1] / lyap[k] if lyap[k] > 0.0 else None)
+            slack_col.append(min(s, cs))
+        prev = state
     return AuditReport(
-        algorithm="extra_xy", transitions=n_steps, lyapunov=lyap, ratio=ratio,
-        slack=slack_col, checks=worst, violations=violations,
+        algorithm=algorithm, transitions=len(ratio) - 1, lyapunov=np.array(lyap),
+        ratio=ratio, slack=slack_col, checks=tally.worst, violations=tally.violations,
     )
 
 
-def audit_nids(xs: np.ndarray, ds: np.ndarray, mp: MixingPair, derived: DerivedMatrices,
-               cert: NidsCertificate, fp, grad) -> AuditReport:
-    """Audit a (d, x) trajectory: the two equalities, the d-x connection, the
-    key inequality, the r5 norm-bound chain, and the Lyapunov contraction."""
-    n_steps = xs.shape[0] - 1
+def audit_extra(states, mp: MixingPair, derived: DerivedMatrices, cert: ExtraCertificate,
+                fp, grad) -> AuditReport:
+    """Audit a stream of (x, y) states: norm equality, key inequality, contraction.
+
+    `states` are consecutive extra_xy AlgoStates (as `algorithms.iterate`
+    yields them) at the certificate's stepsize, consumed in one pass; the
+    gradient of each transition is the `g_prev` its successor carries.
+    Violations are reported, never raised.
+    """
+    diff = mp.wt.a - mp.w.a
+    i_minus_wt = np.eye(mp.n) - mp.wt.a
+    alpha = cert.alpha
+    theta = cert.theta
+    gstar = grad(fp.xstar)
+    tally = _Tally(("norm_equality_rel_err",), ("key_inequality_slack", "contraction_slack"))
+
+    def lyapunov(state) -> float:
+        return wnorm_sq(state.x - fp.xstar, cert.p_mat) + wnorm_sq(state.y - fp.ystar, cert.q_mat)
+
+    def transition(k: int, cur, nxt) -> float:
+        dx_nxt = nxt.x - fp.xstar
+
+        # Norm equality between the consensus defect of x+ and the y decrement.
+        a = wnorm_sq(dx_nxt, diff)
+        b = wnorm_sq(cur.y - nxt.y, derived.m)
+        tally.equality("norm_equality_rel_err", "norm equality", k, _rel_err(a, b))
+
+        # Key inequality: the h/m distance decreases by the listed amounts.
+        base_prev = wnorm_sq(cur.x - fp.xstar, derived.h) + wnorm_sq(cur.y - fp.ystar, derived.m)
+        lhs = wnorm_sq(dx_nxt, derived.h) + wnorm_sq(nxt.y - fp.ystar, derived.m)
+        rhs = (
+            base_prev
+            - wnorm_sq(cur.x - nxt.x, derived.wbar)
+            - (theta - 0.75) * wnorm_sq(cur.x - nxt.x, i_minus_wt)
+            - wnorm_sq(dx_nxt, derived.g)
+            - 2.0 * alpha * float(np.sum(dx_nxt * (nxt.g_prev - gstar)))
+        )
+        return tally.inequality("key_inequality_slack", "key inequality", k,
+                                (rhs - lhs) / (1.0 + base_prev))
+
+    return _audit_stream("extra_xy", states, lyapunov, transition, cert.rho, tally)
+
+
+def audit_nids(states, mp: MixingPair, derived: DerivedMatrices, cert: NidsCertificate,
+               fp, grad) -> AuditReport:
+    """Audit a stream of (d, x) states: the two equalities, the d-x connection,
+    the key inequality, the r5 norm-bound chain, and the Lyapunov contraction.
+
+    `states` are consecutive nids_dx AlgoStates, consumed in one pass as in
+    `audit_extra`.
+    """
     eye = np.eye(mp.n)
     i_minus_w = eye - mp.w.a
     iw_pinv = SymMatrix(i_minus_w, name="I - w").pinv().a
@@ -372,71 +398,45 @@ def audit_nids(xs: np.ndarray, ds: np.ndarray, mp: MixingPair, derived: DerivedM
     m_minus = derived.mtilde.a + (theta - 0.5 - 2.0 * r4) * eye
     m_dec = derived.mtilde.a + (theta - 0.75 - r4) * eye
     chain_weight = 4.0 * iw_pinv - 4.0 * eye + i_minus_w
+    tally = _Tally(
+        ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err", "chain_rel_err"),
+        ("key_inequality_slack", "chain_slack", "contraction_slack"),
+    )
 
-    lyap = np.empty(n_steps + 1)
-    for k in range(n_steps + 1):
-        lyap[k] = wnorm_sq(xs[k] - fp.xstar, cert.pn_mat) \
-            + alpha**2 * wnorm_sq(ds[k] - fp.dstar, cert.q_mat)
+    def lyapunov(state) -> float:
+        return wnorm_sq(state.x - fp.xstar, cert.pn_mat) \
+            + alpha**2 * wnorm_sq(state.d - fp.dstar, cert.q_mat)
 
-    ratio: list[float | None] = [None]
-    slack_col: list[float | None] = [None]
-    violations: list[str] = []
-    worst = {
-        "equality_a_rel_err": 0.0,
-        "equality_b_rel_err": 0.0,
-        "connection_rel_err": 0.0,
-        "chain_rel_err": 0.0,
-        "key_inequality_slack": math.inf,
-        "chain_slack": math.inf,
-        "contraction_slack": math.inf,
-    }
-
-    g_prev = grad(xs[0])
-    for k in range(n_steps):
-        x_cur, x_nxt = xs[k], xs[k + 1]
-        d_cur, d_nxt = ds[k], ds[k + 1]
-        dx_cur = x_cur - fp.xstar
-        dx_nxt = x_nxt - fp.xstar
-        dd_nxt = d_nxt - fp.dstar
-        step_d = d_nxt - d_cur
-        g_cur, g_prev = g_prev, grad(x_nxt)
+    def transition(k: int, cur, nxt) -> float:
+        dx_cur = cur.x - fp.xstar
+        dx_nxt = nxt.x - fp.xstar
+        dd_nxt = nxt.d - fp.dstar
+        step_d = nxt.d - cur.d
 
         # Equality (a): x-distance/d-distance cross term.
-        lhs = float(np.sum(dx_nxt * dd_nxt))
-        rhs = alpha * wdot(step_d, dd_nxt, m_shift)
-        err = _rel_err(lhs, rhs)
-        worst["equality_a_rel_err"] = max(worst["equality_a_rel_err"], err)
-        if err > EQ_TOL:
-            violations.append(f"equality (a) violated at k={k}: relative error {err:.3e}")
+        err = _rel_err(float(np.sum(dx_nxt * dd_nxt)), alpha * wdot(step_d, dd_nxt, m_shift))
+        tally.equality("equality_a_rel_err", "equality (a)", k, err)
 
         # Equality (b): same with the d increment.
-        lhs = float(np.sum(dx_nxt * step_d))
-        rhs = alpha * wnorm_sq(step_d, m_shift)
-        err = _rel_err(lhs, rhs)
-        worst["equality_b_rel_err"] = max(worst["equality_b_rel_err"], err)
-        if err > EQ_TOL:
-            violations.append(f"equality (b) violated at k={k}: relative error {err:.3e}")
+        err = _rel_err(float(np.sum(dx_nxt * step_d)), alpha * wnorm_sq(step_d, m_shift))
+        tally.equality("equality_b_rel_err", "equality (b)", k, err)
 
         # Connection between the d increment and the x defect.
         err = _rel_err_mat(conn_left @ step_d, (i_minus_w @ dx_nxt) / (2.0 * alpha))
-        worst["connection_rel_err"] = max(worst["connection_rel_err"], err)
-        if err > EQ_TOL:
-            violations.append(f"d-x connection violated at k={k}: relative error {err:.3e}")
+        tally.equality("connection_rel_err", "d-x connection", k, err)
 
         # Key inequality.
-        base_prev = float(np.sum(dx_cur * dx_cur)) + alpha**2 * wnorm_sq(d_cur - fp.dstar, m_minus)
+        base_prev = float(np.sum(dx_cur * dx_cur)) + alpha**2 * wnorm_sq(cur.d - fp.dstar, m_minus)
         lhs = float(np.sum(dx_nxt * dx_nxt)) + alpha**2 * wnorm_sq(dd_nxt, m_plus)
-        g_diff = g_cur - gstar
+        g_diff = nxt.g_prev - gstar
         rhs = (
             base_prev
             - alpha**2 * wnorm_sq(step_d, m_dec)
             + alpha**2 * float(np.sum(g_diff * g_diff))
             - 2.0 * alpha * float(np.sum(dx_cur * g_diff))
         )
-        s = (rhs - lhs) / (1.0 + base_prev)
-        worst["key_inequality_slack"] = min(worst["key_inequality_slack"], s)
-        if s < INEQ_TOL:
-            violations.append(f"key inequality violated at k={k}: normalized slack {s:.3e}")
+        s = tally.inequality("key_inequality_slack", "key inequality", k,
+                             (rhs - lhs) / (1.0 + base_prev))
 
         # Norm-bound chain: three identities, then the r5 bound.
         t0 = wnorm_sq(dx_nxt, i_minus_w)
@@ -444,27 +444,13 @@ def audit_nids(xs: np.ndarray, ds: np.ndarray, mp: MixingPair, derived: DerivedM
         t2 = alpha**2 * wnorm_sq((2.0 * eye - i_minus_w) @ step_d, iw_pinv)
         t3 = alpha**2 * wnorm_sq(step_d, chain_weight)
         err = max(_rel_err(t0, t1), _rel_err(t1, t2), _rel_err(t2, t3))
-        worst["chain_rel_err"] = max(worst["chain_rel_err"], err)
-        if err > EQ_TOL:
-            violations.append(f"norm-bound chain identity violated at k={k}: relative error {err:.3e}")
+        tally.equality("chain_rel_err", "norm-bound chain identity", k, err)
         bound = alpha**2 * r5 * wnorm_sq(step_d, m_dec)
-        s_chain = (bound - t3) / (1.0 + base_prev)
-        worst["chain_slack"] = min(worst["chain_slack"], s_chain)
-        if s_chain < INEQ_TOL:
-            violations.append(f"norm-bound chain violated at k={k}: normalized slack {s_chain:.3e}")
+        s_chain = tally.inequality("chain_slack", "norm-bound chain", k,
+                                   (bound - t3) / (1.0 + base_prev))
+        return min(s, s_chain)
 
-        # Lyapunov contraction with the certified factor.
-        cs = (cert.rho3 * lyap[k] - lyap[k + 1]) / (1.0 + lyap[k])
-        worst["contraction_slack"] = min(worst["contraction_slack"], cs)
-        if cs < INEQ_TOL:
-            violations.append(f"contraction violated at k={k}: normalized slack {cs:.3e}")
-        ratio.append(lyap[k + 1] / lyap[k] if lyap[k] > 0.0 else None)
-        slack_col.append(min(s, s_chain, cs))
-
-    return AuditReport(
-        algorithm="nids_dx", transitions=n_steps, lyapunov=lyap, ratio=ratio,
-        slack=slack_col, checks=worst, violations=violations,
-    )
+    return _audit_stream("nids_dx", states, lyapunov, transition, cert.rho3, tally)
 
 
 def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import graph as graphs, harness, mixing, problem as problems
+from . import algorithms, graph as graphs, harness, mixing, problem as problems
 from .certify import CertificateError
 from .graph import GraphError
 from .harness import ConfigError, RunConfig
@@ -42,7 +42,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edge-prob", type=float, dest="edge_prob")
     p.add_argument("--noise-std", type=float, dest="noise_std")
     p.add_argument("--seed", type=int)
-    p.add_argument("--algo", choices=("dgd", "extra", "extra_xy", "nids", "nids_dx"))
+    p.add_argument("--algo", choices=algorithms.VARIANTS)
     p.add_argument("--alpha", help="numeric stepsize or one of: " + ", ".join(harness.ALPHA_NAMES))
     p.add_argument("--relax-factor", type=float, dest="relax_factor")
     p.add_argument("--theta", type=float)
@@ -153,10 +153,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         cfg = harness.config_from_dict(_flag_overrides(args))
     inst = harness.build_instance(cfg)
+    named = harness.named_stepsizes(inst.bounds, inst.prob.lipschitz, inst.prob.mu_fbar,
+                                    inst.mp.lam_min_w)
     rows = list(inst.bounds.as_dict().items())
-    rows.append(("extra-opt", (5.0 + 3.0 * inst.mp.lam_min_w) / (4.0 * inst.prob.lipschitz
-                                                                 + inst.prob.mu_fbar)))
-    rows.append(("nids-opt", 2.0 / (inst.prob.lipschitz + inst.prob.mu_fbar)))
+    rows += [(name, named[name]) for name in ("extra-opt", "nids-opt")]
     print(f"stepsize bounds (L = {inst.prob.lipschitz:g}, mu_fbar = {inst.prob.mu_fbar:.6g}, "
           f"lambda_min(w) = {inst.mp.lam_min_w:.6g}, theta = {inst.mp.theta:g})")
     width = max(len(name) for name, _ in rows)

@@ -4,14 +4,15 @@ A run builds the communication graph and mixing pair, generates (or loads)
 the sensing problem, resolves the stepsize against the instance's constants,
 iterates the requested algorithm from the all-zeros start, and records the
 relative residual per iteration. With certification enabled the run uses the
-reformulated state, computes the contraction certificate, and audits every
-iteration.
+reformulated state, computes the contraction certificate before the first
+step, and audits every iteration as it is produced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +22,14 @@ from .linalg import SymMatrix
 
 __all__ = [
     "ConfigError",
+    "TraceError",
     "RunConfig",
     "Trace",
     "Instance",
     "SCENARIOS",
     "ALPHA_NAMES",
     "resolve_scenario",
+    "named_stepsizes",
     "resolve_alpha",
     "build_instance",
     "config_from_dict",
@@ -39,12 +42,20 @@ DIVERGENCE_LIMIT = 1e12
 
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
 
-ALPHA_NAMES = (
-    "extra-new", "extra-special", "nids", "shi-linear", "shi-convex",
-    "extra-opt", "nids-opt", "dgd-fast", "dgd-slow",
-)
+# Named stepsizes: name -> value from (bounds, L, mu_fbar, lambda_min(w)) of an instance.
+_STEPSIZE_FORMULAS = {
+    "extra-new": lambda b, lip, mu, lam: b.extra_new,
+    "extra-special": lambda b, lip, mu, lam: b.extra_special,
+    "nids": lambda b, lip, mu, lam: b.nids,
+    "shi-linear": lambda b, lip, mu, lam: b.shi_linear,
+    "shi-convex": lambda b, lip, mu, lam: b.shi_convex,
+    "extra-opt": lambda b, lip, mu, lam: (5.0 + 3.0 * lam) / (4.0 * lip + mu),
+    "nids-opt": lambda b, lip, mu, lam: 2.0 / (lip + mu),
+    "dgd-fast": lambda b, lip, mu, lam: 1.0 / lip,
+    "dgd-slow": lambda b, lip, mu, lam: 1.0 / (10.0 * lip),
+}
 
-_ALGOS = ("dgd", "extra", "extra_xy", "nids", "nids_dx")
+ALPHA_NAMES = tuple(_STEPSIZE_FORMULAS)
 
 # Documented preset choices: the random-network presets share one seed and the
 # relaxed presets use the maximal admissible relaxation minus a hair (the
@@ -56,6 +67,15 @@ RELAX_MILD = 0.15
 
 class ConfigError(ValueError):
     """Unusable run configuration."""
+
+
+class TraceError(ValueError):
+    """A trace file holds no rows to read."""
+
+
+# RunConfig annotation -> accepted value types (ints pass where floats are due).
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
+                "None": type(None)}
 
 
 @dataclass(frozen=True)
@@ -83,14 +103,20 @@ class RunConfig:
     label: str | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = tuple(_FIELD_TYPES[t] for t in f.type.split(" | "))
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not 0.0 <= self.relax_factor <= 1.0 / 3.0:
             raise ConfigError(f"relax_factor must lie in [0, 1/3], got {self.relax_factor}")
-        if self.algo not in _ALGOS:
-            raise ConfigError(f"unknown algorithm {self.algo!r}; choose from {_ALGOS}")
+        if self.algo not in algorithms.VARIANTS:
+            raise ConfigError(
+                f"unknown algorithm {self.algo!r}; choose from {algorithms.VARIANTS}")
         if isinstance(self.alpha, str) and self.alpha not in ALPHA_NAMES:
             raise ConfigError(f"unknown stepsize name {self.alpha!r}; choose from {ALPHA_NAMES}")
         if not isinstance(self.alpha, str) and self.alpha <= 0.0:
@@ -166,24 +192,20 @@ def build_mixing(config: RunConfig, g: graphs.Graph) -> mixing.MixingPair:
     return mixing.validate(w, wt, g, theta=config.theta)
 
 
+def named_stepsizes(bounds: algorithms.StepsizeBounds, lipschitz: float, mu_fbar: float,
+                    lam_min_w: float) -> dict[str, float]:
+    """Every named stepsize of ALPHA_NAMES, valued on one instance."""
+    return {name: formula(bounds, lipschitz, mu_fbar, lam_min_w)
+            for name, formula in _STEPSIZE_FORMULAS.items()}
+
+
 def resolve_alpha(config: RunConfig, bounds: algorithms.StepsizeBounds,
                   lipschitz: float, mu_fbar: float, lam_min_w: float) -> float:
     """Map a named stepsize to its value on this instance."""
     a = config.alpha
     if not isinstance(a, str):
         return float(a)
-    named = {
-        "extra-new": bounds.extra_new,
-        "extra-special": bounds.extra_special,
-        "nids": bounds.nids,
-        "shi-linear": bounds.shi_linear,
-        "shi-convex": bounds.shi_convex,
-        "extra-opt": (5.0 + 3.0 * lam_min_w) / (4.0 * lipschitz + mu_fbar),
-        "nids-opt": 2.0 / (lipschitz + mu_fbar),
-        "dgd-fast": 1.0 / lipschitz,
-        "dgd-slow": 1.0 / (10.0 * lipschitz),
-    }
-    value = named[a]
+    value = named_stepsizes(bounds, lipschitz, mu_fbar, lam_min_w)[a]
     if value <= 0.0:
         raise ConfigError(f"stepsize {a!r} resolved to a non-positive value {value:.6g}")
     return value
@@ -206,12 +228,22 @@ def build_instance(config: RunConfig) -> Instance:
                     bounds=bounds, alpha=alpha)
 
 
-def _certified_variant(algo: str) -> str:
-    if algo in ("extra", "extra_xy"):
-        return "extra_xy"
-    if algo in ("nids", "nids_dx"):
-        return "nids_dx"
-    raise ConfigError(f"no contraction certificate exists for {algo!r}")
+def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
+    """Pass states on while recording each one's residual row in `trace`; end
+    the stream at the tolerance, at divergence or after max_iters steps."""
+    denom = float(np.linalg.norm(xstar))
+    for k, state in zip(range(config.max_iters + 1), states):
+        finite = bool(np.all(np.isfinite(state.x)))
+        res = float(np.linalg.norm(state.x - xstar)) / denom if denom > 0.0 else 0.0
+        trace.ks.append(k)
+        trace.residuals.append(res if finite else math.inf)
+        if not finite or res > DIVERGENCE_LIMIT:
+            trace.status = "diverged"
+        elif res <= config.tol:
+            trace.status = "converged"
+        yield state
+        if trace.status != "max_iters":
+            return
 
 
 def run(config: RunConfig) -> Trace:
@@ -219,58 +251,36 @@ def run(config: RunConfig) -> Trace:
 
     Stops at the residual tolerance, at divergence (relative residual beyond
     1e12 or non-finite iterates), or at max_iters. Certified runs execute the
-    reformulated iteration, whose x-sequence is identical to the original's.
+    reformulated iteration, whose x-sequence is identical to the original's;
+    their certificate is built before the first step and their audit consumes
+    the states as they are produced, so memory does not grow with the steps.
     """
     inst = build_instance(config)
     prob, mp = inst.prob, inst.mp
-    variant = _certified_variant(config.algo) if config.certify else config.algo
-    x0 = np.zeros((prob.n, prob.p))
-    denom = float(np.linalg.norm(x0 - prob.Xstar))
-    state = algorithms.init_state(variant, x0, inst.alpha, w=mp.w, wt=mp.wt)
-
-    ks: list[int] = []
-    residuals: list[float] = []
-    xs = [state.x]
-    aux = [state.y if variant == "extra_xy" else state.d] if config.certify else None
-    status = "max_iters"
-    for k in range(config.max_iters + 1):
-        finite = bool(np.all(np.isfinite(state.x)))
-        res = float(np.linalg.norm(state.x - prob.Xstar)) / denom if denom > 0.0 else 0.0
-        ks.append(k)
-        residuals.append(res if finite else math.inf)
-        if not finite or res > DIVERGENCE_LIMIT:
-            status = "diverged"
-            break
-        if res <= config.tol:
-            status = "converged"
-            break
-        if k == config.max_iters:
-            status = "max_iters"
-            break
-        state = algorithms.step(state, mp.w, mp.wt, prob.grad)
-        if config.certify:
-            xs.append(state.x)
-            aux.append(state.y if variant == "extra_xy" else state.d)
-
-    trace = Trace(algo=config.name, alpha=inst.alpha, ks=ks, residuals=residuals, status=status)
+    variant = config.algo
     if config.certify:
-        n_rows = len(ks)
-        xs_arr = np.array(xs[:n_rows])
-        aux_arr = np.array(aux[:n_rows])
-        fp = algorithms.fixed_point(prob, inst.alpha)
-        if variant == "extra_xy":
-            cert = certify.extra_constants(mp, inst.derived, prob.lipschitz,
-                                           prob.mu_fbar, inst.alpha)
-            report = certify.audit_extra(xs_arr, aux_arr, mp, inst.derived, cert, fp, prob.grad)
-        else:
-            cert = certify.nids_constants(mp, inst.derived, prob.lipschitz,
-                                          prob.mu_fbar, inst.alpha)
-            report = certify.audit_nids(xs_arr, aux_arr, mp, inst.derived, cert, fp, prob.grad)
-        trace.lyapunov = [float(v) for v in report.lyapunov]
-        trace.ratio = list(report.ratio)
-        trace.slack = list(report.slack)
-        trace.audit = report
-        trace.certificate = cert
+        if variant not in ("extra", "extra_xy", "nids", "nids_dx"):
+            raise ConfigError(f"no contraction certificate exists for {variant!r}")
+        extra = variant.startswith("extra")
+        variant = "extra_xy" if extra else "nids_dx"
+        constants = certify.extra_constants if extra else certify.nids_constants
+        cert = constants(mp, inst.derived, prob.lipschitz, prob.mu_fbar, inst.alpha)
+    trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters")
+    x0 = np.zeros((prob.n, prob.p))
+    states = _until_stop(algorithms.iterate(variant, x0, inst.alpha, mp.w, mp.wt, prob.grad),
+                         config, prob.Xstar, trace)
+    if not config.certify:
+        for _ in states:
+            pass
+        return trace
+    audit = certify.audit_extra if extra else certify.audit_nids
+    report = audit(states, mp, inst.derived, cert, algorithms.fixed_point(prob, inst.alpha),
+                   prob.grad)
+    trace.lyapunov = [float(v) for v in report.lyapunov]
+    trace.ratio = list(report.ratio)
+    trace.slack = list(report.slack)
+    trace.audit = report
+    trace.certificate = cert
     return trace
 
 
@@ -341,6 +351,8 @@ def read_csv(path: str) -> Trace:
     """Parse a trace written by `write_csv` (status is not stored in the file)."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if len(lines) < 2:
+        raise TraceError(f"{path} holds no trace rows (empty or header only)")
     header = lines[0].split(",")
     certified = "lyapunov" in header
     ks: list[int] = []

@@ -8,12 +8,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from decon import graph, harness, mixing, problem
-from decon.algorithms import fixed_point, stepsize_bounds, trajectory
+from decon.algorithms import fixed_point, iterate, stepsize_bounds, trajectory
 from decon.certify import audit_extra, audit_nids, extra_constants, nids_constants
 from decon.linalg import SymMatrix
 from decon.problem import check_rsc
@@ -70,15 +71,15 @@ def audited(grid):
         lipschitz, mu = cell.prob.lipschitz, cell.prob.mu_fbar
         alpha_e = 0.5 * 2.0 * cell.der.wbar.lambda_min / lipschitz
         cert_e = extra_constants(cell.mp, cell.der, lipschitz, mu, alpha_e)
-        xs, ys = trajectory("extra_xy", x0, alpha_e, cell.mp.w, cell.mp.wt,
-                            cell.prob.grad, 500)
-        rep_e = audit_extra(xs, ys, cell.mp, cell.der, cert_e,
+        states = islice(iterate("extra_xy", x0, alpha_e, cell.mp.w, cell.mp.wt,
+                                cell.prob.grad), 501)
+        rep_e = audit_extra(states, cell.mp, cell.der, cert_e,
                             fixed_point(cell.prob, alpha_e), cell.prob.grad)
         alpha_n = 0.5 * 2.0 / lipschitz
         cert_n = nids_constants(cell.mp, cell.der, lipschitz, mu, alpha_n)
-        xs, ds = trajectory("nids_dx", x0, alpha_n, cell.mp.w, cell.mp.wt,
-                            cell.prob.grad, 500)
-        rep_n = audit_nids(xs, ds, cell.mp, cell.der, cert_n,
+        states = islice(iterate("nids_dx", x0, alpha_n, cell.mp.w, cell.mp.wt,
+                                cell.prob.grad), 501)
+        rep_n = audit_nids(states, cell.mp, cell.der, cert_n,
                            fixed_point(cell.prob, alpha_n), cell.prob.grad)
         results.append((cell, cert_e, rep_e, cert_n, rep_n))
     return results

@@ -1,10 +1,11 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from decon import problem
-from decon.algorithms import fixed_point, trajectory
+from decon.algorithms import AlgoState, fixed_point, iterate
 from decon.certify import (
     CertificateError,
     audit_extra,
@@ -179,20 +180,24 @@ def test_vacuous_at_theta_boundary():
         nids_constants(mp, der, 10.0, 1.0, 0.1)
 
 
+def _states(variant, mp, prob, alpha, steps):
+    """The first steps + 1 states of the reformulated iteration from zero."""
+    x0 = np.zeros((prob.n, prob.p))
+    return islice(iterate(variant, x0, alpha, mp.w, mp.wt, prob.grad), steps + 1)
+
+
 def _audit_extra_setup(mp, prob, alpha_frac=0.5, steps=500):
     der = build_derived(mp)
     alpha = alpha_frac * 2.0 * der.wbar.lambda_min / prob.lipschitz
     cert = extra_constants(mp, der, prob.lipschitz, prob.mu_fbar, alpha)
-    x0 = np.zeros((prob.n, prob.p))
-    xs, ys = trajectory("extra_xy", x0, alpha, mp.w, mp.wt, prob.grad, steps)
     fp = fixed_point(prob, alpha)
-    return der, cert, xs, ys, fp
+    return der, cert, _states("extra_xy", mp, prob, alpha, steps), fp
 
 
 def test_audit_extra_zero_violations_default_pair(prob1, rand10):
     _, mp, _ = rand10
-    der, cert, xs, ys, fp = _audit_extra_setup(mp, prob1)
-    report = audit_extra(xs, ys, mp, der, cert, fp, prob1.grad)
+    der, cert, states, fp = _audit_extra_setup(mp, prob1)
+    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
     assert report.ok, report.violations[:3]
     assert report.checks["norm_equality_rel_err"] <= 1e-9
     assert report.checks["key_inequality_slack"] >= -1e-8
@@ -204,16 +209,16 @@ def test_audit_extra_zero_violations_generic_pair(prob1):
     w = metropolis(g)
     wt = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt")
     mp = validate(w, wt, g, theta=0.9)
-    der, cert, xs, ys, fp = _audit_extra_setup(mp, prob1)
+    der, cert, states, fp = _audit_extra_setup(mp, prob1)
     assert not cert.special_case and cert.r2 < math.inf and cert.r1 < math.inf
-    report = audit_extra(xs, ys, mp, der, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
     assert report.ok, report.violations[:3]
 
 
 def test_audit_extra_empirical_rate_at_most_certified(prob1, rand10):
     _, mp, _ = rand10
-    der, cert, xs, ys, fp = _audit_extra_setup(mp, prob1, steps=400)
-    report = audit_extra(xs, ys, mp, der, cert, fp, prob1.grad)
+    der, cert, states, fp = _audit_extra_setup(mp, prob1, steps=400)
+    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
     lyap = report.lyapunov
     keep = lyap > lyap[0] * 1e-22
     ks = np.arange(len(lyap))[keep]
@@ -229,9 +234,10 @@ def test_audit_extra_fixed_point_trajectory_is_null(prob1, rand10):
     alpha = 0.5 * 2.0 * der.wbar.lambda_min / prob1.lipschitz
     cert = extra_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha)
     fp = fixed_point(prob1, alpha)
-    xs = np.tile(fp.xstar, (6, 1, 1))
-    ys = np.tile(fp.ystar, (6, 1, 1))
-    report = audit_extra(xs, ys, mp, der, cert, fp, prob1.grad)
+    gstar = prob1.grad(fp.xstar)
+    states = [AlgoState("extra_xy", k, fp.xstar, alpha, y=fp.ystar, g_prev=gstar)
+              for k in range(6)]
+    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
 
@@ -240,10 +246,8 @@ def test_audit_nids_zero_violations(prob1, rand10):
     _, mp, _ = rand10
     der = build_derived(mp)
     cert = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, 0.1)
-    x0 = np.zeros((prob1.n, prob1.p))
-    xs, ds = trajectory("nids_dx", x0, 0.1, mp.w, mp.wt, prob1.grad, 500)
     fp = fixed_point(prob1, 0.1)
-    report = audit_nids(xs, ds, mp, der, cert, fp, prob1.grad)
+    report = audit_nids(_states("nids_dx", mp, prob1, 0.1, 500), mp, der, cert, fp, prob1.grad)
     assert report.ok, report.violations[:3]
     for name in ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err",
                  "chain_rel_err"):
@@ -257,9 +261,10 @@ def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):
     der = build_derived(mp)
     cert = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, 0.1)
     fp = fixed_point(prob1, 0.1)
-    xs = np.tile(fp.xstar, (5, 1, 1))
-    ds = np.tile(fp.dstar, (5, 1, 1))
-    report = audit_nids(xs, ds, mp, der, cert, fp, prob1.grad)
+    gstar = prob1.grad(fp.xstar)
+    states = [AlgoState("nids_dx", k, fp.xstar, 0.1, d=fp.dstar, g_prev=gstar)
+              for k in range(5)]
+    report = audit_nids(states, mp, der, cert, fp, prob1.grad)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
 
@@ -282,12 +287,11 @@ def test_beyond_classical_spectrum_nids_certifies_and_converges():
     cert = nids_constants(mp, der, prob.lipschitz, prob.mu_fbar, 0.19)
     assert cert.r5 > 2.0
     assert cert.rho3 < 1.0
-    x0 = np.zeros((2, 2))
-    xs, ds = trajectory("nids_dx", x0, 0.19, mp.w, mp.wt, prob.grad, 3000)
+    states = list(_states("nids_dx", mp, prob, 0.19, 3000))
     fp = fixed_point(prob, 0.19)
-    res = np.linalg.norm(xs[-1] - fp.xstar) / np.linalg.norm(x0 - fp.xstar)
+    res = np.linalg.norm(states[-1].x - fp.xstar) / np.linalg.norm(states[0].x - fp.xstar)
     assert res <= 1e-8
-    report = audit_nids(xs, ds, mp, der, cert, fp, prob.grad)
+    report = audit_nids(states, mp, der, cert, fp, prob.grad)
     assert report.ok, report.violations[:3]
 
 
@@ -297,10 +301,9 @@ def test_beyond_classical_spectrum_extra_certifies():
     prob = problem.generate(2, 2, 3, seed=9)
     bound = 2.0 * der.wbar.lambda_min / prob.lipschitz
     cert = extra_constants(mp, der, prob.lipschitz, prob.mu_fbar, 0.5 * bound)
-    x0 = np.zeros((2, 2))
-    xs, ys = trajectory("extra_xy", x0, cert.alpha, mp.w, mp.wt, prob.grad, 2000)
     fp = fixed_point(prob, cert.alpha)
-    report = audit_extra(xs, ys, mp, der, cert, fp, prob.grad)
+    report = audit_extra(_states("extra_xy", mp, prob, cert.alpha, 2000), mp, der, cert, fp,
+                         prob.grad)
     assert report.ok, report.violations[:3]
 
 
@@ -315,16 +318,15 @@ def test_audit_near_boundary_stepsize(prob1):
     bound = 2.0 * der.wbar.lambda_min / prob1.lipschitz
     widest = (5.0 + 3.0 * mp.lam_min_w) / (4.0 * prob1.lipschitz)
     assert bound > 0.98 * widest
-    x0 = np.zeros((10, 5))
     alpha = 0.99 * bound
     cert = extra_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha)
-    xs, ys = trajectory("extra_xy", x0, alpha, mp.w, mp.wt, prob1.grad, 800)
-    rep = audit_extra(xs, ys, mp, der, cert, fixed_point(prob1, alpha), prob1.grad)
+    rep = audit_extra(_states("extra_xy", mp, prob1, alpha, 800), mp, der, cert,
+                      fixed_point(prob1, alpha), prob1.grad)
     assert cert.rho < 1.0 and rep.ok, rep.violations[:3]
     alpha_n = 0.99 * 2.0 / prob1.lipschitz
     cert_n = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha_n)
-    xs, ds = trajectory("nids_dx", x0, alpha_n, mp.w, mp.wt, prob1.grad, 800)
-    rep_n = audit_nids(xs, ds, mp, der, cert_n, fixed_point(prob1, alpha_n), prob1.grad)
+    rep_n = audit_nids(_states("nids_dx", mp, prob1, alpha_n, 800), mp, der, cert_n,
+                       fixed_point(prob1, alpha_n), prob1.grad)
     assert cert_n.rho3 < 1.0 and rep_n.ok, rep_n.violations[:3]
 
 

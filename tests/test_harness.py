@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from decon import cli, harness, problem
-from decon.harness import ConfigError, RunConfig, Trace, read_csv, resolve_scenario, run, write_csv
+from decon import algorithms, cli, harness, problem
+from decon.harness import (
+    ConfigError, RunConfig, Trace, TraceError, read_csv, resolve_scenario, run, write_csv,
+)
 
 
 def test_resolve_fig1_shape():
@@ -43,6 +46,18 @@ def test_config_validation():
         RunConfig(algo="sgd")
     with pytest.raises(ConfigError):
         RunConfig(alpha="warp")
+
+
+def test_config_rejects_wrongly_typed_fields(tmp_path, capsys):
+    for fields in ({"n": "10"}, {"n": 10.0}, {"tol": True}, {"certify": 1},
+                   {"alpha": [0.1]}, {"theta": "0.9"}):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            RunConfig(**fields)
+    assert RunConfig(tol=1, edge_prob=1, alpha=1, theta=1).tol == 1  # ints where floats are due
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "10"}))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "n must be int" in capsys.readouterr().err
 
 
 def test_run_converges_at_zero_when_started_at_optimum(tmp_path):
@@ -106,6 +121,16 @@ def test_empty_trace_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(trace, str(path))
     assert path.read_text() == "k,algo,alpha,residual\n"
+
+
+def test_read_csv_without_rows_raises_named_error(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    header_only = tmp_path / "header.csv"
+    write_csv(Trace(algo="none", alpha=0.1, ks=[], residuals=[]), str(header_only))
+    for path in (empty, header_only):
+        with pytest.raises(TraceError, match="no trace rows"):
+            read_csv(str(path))
 
 
 def test_write_csv_io_error_names_path():
@@ -187,6 +212,50 @@ def test_cli_certify_rejects_boundary_stepsize(capsys):
                      "--seed", "2", "--algo", "nids", "--alpha", "nids", "--certify"])
     assert code == 1
     assert "certified range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, names", [
+    # The default EXTRA stepsize is the theta -> 3/4 limit, never certified.
+    (["run", "--certify"], "extra-new"),
+    (["run", "--algo", "nids", "--alpha", "0.2", "--certify", "--tol", "1e-300",
+      "--max-iters", "20000"], "certified range"),
+])
+def test_cli_uncertifiable_stepsize_fails_before_the_first_step(argv, names, monkeypatch,
+                                                                 capsys):
+    calls = []
+    step = algorithms.step
+    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
+    assert cli.main(argv) == 1
+    assert names in capsys.readouterr().err
+    assert calls == []
+
+
+def test_certified_run_evaluates_each_gradient_once(monkeypatch):
+    calls = []
+    grad = problem.grad
+    monkeypatch.setattr(problem, "grad", lambda *a: calls.append(1) or grad(*a))
+    for algo, alpha in (("nids", 0.1), ("extra", 0.05)):
+        calls.clear()
+        trace = run(RunConfig(topology="random", n=8, p=3, mi=2, seed=11, algo=algo,
+                              alpha=alpha, max_iters=300, tol=1e-9, certify=True))
+        assert trace.audit.ok and trace.ks[-1] > 100
+        assert len(calls) <= trace.ks[-1] + 2
+
+
+def test_certified_run_memory_does_not_grow_with_iterations(monkeypatch):
+    cfg = RunConfig(topology="random", n=10, p=40, mi=5, seed=2, algo="nids", alpha=0.19,
+                    max_iters=5000, tol=1e-300, certify=True)
+    # Build the instance untraced: its eigensolves are slow under tracemalloc.
+    inst = harness.build_instance(cfg)
+    monkeypatch.setattr(harness, "build_instance", lambda config: inst)
+    tracemalloc.start()
+    try:
+        trace = run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.ks[-1] == 5000 and trace.audit.ok
+    assert peak < 8 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
 
 
 def test_cli_alpha_named_vs_numeric(tmp_path):
