@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .linalg import SymMatrix
-from .mixing import DerivedMatrices, MixingPair
+from .mixing import MixingPair
 
 __all__ = [
     "VARIANTS",
@@ -210,11 +210,10 @@ class StepsizeBounds:
         return asdict(self)
 
 
-def stepsize_bounds(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
-                    mu_fbar: float) -> StepsizeBounds:
+def stepsize_bounds(mp: MixingPair, lipschitz: float, mu_fbar: float) -> StepsizeBounds:
     lam_min_w = mp.lam_min_w
     return StepsizeBounds(
-        extra_new=2.0 * derived.wbar.lambda_min / lipschitz,
+        extra_new=2.0 * mp.wbar.lambda_min / lipschitz,
         extra_special=(5.0 + 3.0 * lam_min_w) / (4.0 * lipschitz),
         nids=2.0 / lipschitz,
         shi_linear=mu_fbar * (1.0 + lam_min_w) / lipschitz**2,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix, wdot, wnorm_sq
-from .mixing import DerivedMatrices, MixingPair, MixingValidationError, build_derived, validate
+from .mixing import MixingPair, MixingValidationError, theta_default, validate
 from .problem import mu_g_value
 
 __all__ = [
@@ -116,9 +116,8 @@ def rho_special(alpha: float, lipschitz: float, theta: float, lam_min_w: float,
     return max(b1, b2, b3)
 
 
-def extra_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
-                    mu_fbar: float, alpha: float, xi: float | None = None,
-                    eta: float | None = None) -> ExtraCertificate:
+def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
+                    xi: float | None = None, eta: float | None = None) -> ExtraCertificate:
     """Full certificate for the (x, y) iteration at stepsize alpha.
 
     xi and eta default to the midpoints of their admissible open intervals;
@@ -131,7 +130,7 @@ def extra_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
         raise CertificateError(
             f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
         )
-    lam_min_wbar = derived.wbar.lambda_min
+    lam_min_wbar = mp.wbar.lambda_min
     bound = 2.0 * lam_min_wbar / lipschitz
     if not 0.0 < alpha < bound:
         raise CertificateError(
@@ -141,20 +140,20 @@ def extra_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
         )
 
     eye = np.eye(mp.n)
-    isq = derived.wbar.isqrt().a
-    sq = derived.wbar.sqrt().a
+    isq = mp.wbar.isqrt().a
+    sq = mp.wbar.sqrt().a
 
     lam_iwt = _lam_max_similar(isq, eye - mp.wt.a, "wbar^-1 (I - w_tilde)")
     if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
         r1 = math.inf
     else:
         r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
-    lam_g = _lam_max_similar(isq, derived.g.a, "g wbar^-1")
+    lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1")
     r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
     r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
                 + (0.0 if math.isinf(r2) else 1.0 / r2))
 
-    lam_wbar_m = _lam_max_similar(sq, derived.m.a, "wbar m")
+    lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
     if lam_wbar_m <= 0.0:
         raise CertificateError("lambda_max(w_bar m) is not positive; mixing pair is degenerate")
     xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
@@ -177,9 +176,9 @@ def extra_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
     mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
     rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3, lam_wbar_m)
 
-    p_mat = SymMatrix(derived.h.a + 0.5 * xi * (eye - mp.w.a), name="p")
+    p_mat = SymMatrix(mp.h.a + 0.5 * xi * mp.iw.a, name="p")
     q_mat = SymMatrix(
-        derived.m.a + (r3 - 2.0 * xi * lam_wbar_m) * derived.wbar.inv().a, name="q"
+        mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * mp.wbar.inv().a, name="q"
     )
     for mat in (p_mat, q_mat):
         if mat.lambda_min < PD_SLACK:
@@ -193,9 +192,8 @@ def extra_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
     )
 
 
-def nids_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
-                   mu_fbar: float, alpha: float, r4: float | None = None,
-                   eta: float | None = None) -> NidsCertificate:
+def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
+                   r4: float | None = None, eta: float | None = None) -> NidsCertificate:
     """Full certificate for the (d, x) iteration at stepsize alpha in (0, 2/L)."""
     if not 0.0 < alpha < 2.0 / lipschitz:
         raise CertificateError(
@@ -240,7 +238,7 @@ def nids_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
 
     n = mp.n
     eye = np.eye(n)
-    q_mat = SymMatrix(derived.mtilde.a + (theta - 0.5 + 2.0 * r4) * eye, name="q")
+    q_mat = SymMatrix(mp.mtilde.a + (theta - 0.5 + 2.0 * r4) * eye, name="q")
     # q acts only on the disagreement space Range(I - w): its eigenvalue on the
     # all-ones direction is 2 r4 - 1/2 < 0 by design, so shift that direction
     # out before the positive-definiteness check.
@@ -251,7 +249,7 @@ def nids_constants(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
             f"q is not positive definite on Range(I - w) "
             f"(lambda_min = {deflated.lambda_min:.3e})"
         )
-    pn_mat = SymMatrix(eye + (eye - mp.w.a) / r5, name="pn")
+    pn_mat = SymMatrix(eye + mp.iw.a / r5, name="pn")
     if pn_mat.lambda_min < PD_SLACK:
         raise CertificateError(f"pn is not positive definite (lambda_min = {pn_mat.lambda_min:.3e})")
     return NidsCertificate(
@@ -333,8 +331,7 @@ def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
     )
 
 
-def audit_extra(states, mp: MixingPair, derived: DerivedMatrices, cert: ExtraCertificate,
-                fp, grad) -> AuditReport:
+def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> AuditReport:
     """Audit a stream of (x, y) states: norm equality, key inequality, contraction.
 
     `states` are consecutive extra_xy AlgoStates (as `algorithms.iterate`
@@ -342,7 +339,6 @@ def audit_extra(states, mp: MixingPair, derived: DerivedMatrices, cert: ExtraCer
     gradient of each transition is the `g_prev` its successor carries.
     Violations are reported, never raised.
     """
-    diff = mp.wt.a - mp.w.a
     i_minus_wt = np.eye(mp.n) - mp.wt.a
     alpha = cert.alpha
     theta = cert.theta
@@ -356,18 +352,18 @@ def audit_extra(states, mp: MixingPair, derived: DerivedMatrices, cert: ExtraCer
         dx_nxt = nxt.x - fp.xstar
 
         # Norm equality between the consensus defect of x+ and the y decrement.
-        a = wnorm_sq(dx_nxt, diff)
-        b = wnorm_sq(cur.y - nxt.y, derived.m)
+        a = wnorm_sq(dx_nxt, mp.diff)
+        b = wnorm_sq(cur.y - nxt.y, mp.m)
         tally.equality("norm_equality_rel_err", "norm equality", k, _rel_err(a, b))
 
         # Key inequality: the h/m distance decreases by the listed amounts.
-        base_prev = wnorm_sq(cur.x - fp.xstar, derived.h) + wnorm_sq(cur.y - fp.ystar, derived.m)
-        lhs = wnorm_sq(dx_nxt, derived.h) + wnorm_sq(nxt.y - fp.ystar, derived.m)
+        base_prev = wnorm_sq(cur.x - fp.xstar, mp.h) + wnorm_sq(cur.y - fp.ystar, mp.m)
+        lhs = wnorm_sq(dx_nxt, mp.h) + wnorm_sq(nxt.y - fp.ystar, mp.m)
         rhs = (
             base_prev
-            - wnorm_sq(cur.x - nxt.x, derived.wbar)
+            - wnorm_sq(cur.x - nxt.x, mp.wbar)
             - (theta - 0.75) * wnorm_sq(cur.x - nxt.x, i_minus_wt)
-            - wnorm_sq(dx_nxt, derived.g)
+            - wnorm_sq(dx_nxt, mp.g)
             - 2.0 * alpha * float(np.sum(dx_nxt * (nxt.g_prev - gstar)))
         )
         return tally.inequality("key_inequality_slack", "key inequality", k,
@@ -376,8 +372,7 @@ def audit_extra(states, mp: MixingPair, derived: DerivedMatrices, cert: ExtraCer
     return _audit_stream("extra_xy", states, lyapunov, transition, cert.rho, tally)
 
 
-def audit_nids(states, mp: MixingPair, derived: DerivedMatrices, cert: NidsCertificate,
-               fp, grad) -> AuditReport:
+def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> AuditReport:
     """Audit a stream of (d, x) states: the two equalities, the d-x connection,
     the key inequality, the r5 norm-bound chain, and the Lyapunov contraction.
 
@@ -385,18 +380,18 @@ def audit_nids(states, mp: MixingPair, derived: DerivedMatrices, cert: NidsCerti
     `audit_extra`.
     """
     eye = np.eye(mp.n)
-    i_minus_w = eye - mp.w.a
-    iw_pinv = SymMatrix(i_minus_w, name="I - w").pinv().a
+    i_minus_w = mp.iw.a
+    iw_pinv = mp.iw.pinv().a
     alpha = cert.alpha
     theta = cert.theta
     r4, r5 = cert.r4, cert.r5
     gstar = grad(fp.xstar)
 
     conn_left = eye - 0.5 * i_minus_w
-    m_shift = derived.mtilde.a - (1.0 - theta) * eye
-    m_plus = derived.mtilde.a + (theta - 0.5 + 2.0 * r4) * eye
-    m_minus = derived.mtilde.a + (theta - 0.5 - 2.0 * r4) * eye
-    m_dec = derived.mtilde.a + (theta - 0.75 - r4) * eye
+    m_shift = mp.mtilde.a - (1.0 - theta) * eye
+    m_plus = mp.mtilde.a + (theta - 0.5 + 2.0 * r4) * eye
+    m_minus = mp.mtilde.a + (theta - 0.5 - 2.0 * r4) * eye
+    m_dec = mp.mtilde.a + (theta - 0.75 - r4) * eye
     chain_weight = 4.0 * iw_pinv - 4.0 * eye + i_minus_w
     tally = _Tally(
         ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err", "chain_rel_err"),
@@ -461,7 +456,7 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
     admissible combinations and keeps the smallest rho.
     """
     if thetas is None:
-        upper = min(1.0, 1.0 / (1.0 - mp.lam_min_wt)) if mp.lam_min_wt < 1.0 else 1.0
+        upper = theta_default(mp.lam_min_wt)
         thetas = [0.75 + f * (upper - 0.75) for f in (0.25, 0.5, 0.75, 1.0)]
         thetas = [t for t in thetas if t > _THETA_BOUNDARY]
     best = None
@@ -469,8 +464,7 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
     for theta in thetas:
         try:
             pair = validate(mp.w, mp.wt, mp.graph, theta=theta)
-            derived = build_derived(pair)
-            probe = extra_constants(pair, derived, lipschitz, mu_fbar, alpha)
+            probe = extra_constants(pair, lipschitz, mu_fbar, alpha)
         except (MixingValidationError, CertificateError):
             continue
         for fx in fracs:
@@ -479,8 +473,8 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
                 4.0 * alpha * probe.lam_min_wbar - 2.0 * alpha**2 * lipschitz)
             for fe in fracs:
                 try:
-                    cert = extra_constants(pair, derived, lipschitz, mu_fbar, alpha,
-                                           xi=xi, eta=fe * eta_upper)
+                    cert = extra_constants(pair, lipschitz, mu_fbar, alpha, xi=xi,
+                                           eta=fe * eta_upper)
                 except CertificateError:
                     continue
                 if best is None or cert.rho < best.rho:
@@ -490,8 +484,8 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
     return best
 
 
-def search_nids_certificate(mp: MixingPair, derived: DerivedMatrices, lipschitz: float,
-                            mu_fbar: float, alpha: float, grid: int = 8) -> NidsCertificate:
+def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
+                            grid: int = 8) -> NidsCertificate:
     """Grid search over (r4, eta) minimizing the contraction factor."""
     best = None
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
@@ -499,9 +493,9 @@ def search_nids_certificate(mp: MixingPair, derived: DerivedMatrices, lipschitz:
         r4 = fr * (mp.theta - 0.75)
         for fe in fracs:
             try:
-                probe = nids_constants(mp, derived, lipschitz, mu_fbar, alpha, r4=r4)
+                probe = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4)
                 eta = fe / (alpha * (2.0 - alpha * lipschitz) * probe.r5)
-                cert = nids_constants(mp, derived, lipschitz, mu_fbar, alpha, r4=r4, eta=eta)
+                cert = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4, eta=eta)
             except CertificateError:
                 continue
             if best is None or cert.rho3 < best.rho3:

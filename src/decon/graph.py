@@ -115,19 +115,26 @@ def to_edge_list_text(g: Graph) -> str:
 
 
 def from_edge_list_text(text: str) -> Graph:
-    """Parse the edge-list format written by `to_edge_list_text`."""
+    """Parse the edge-list format written by `to_edge_list_text`.
+
+    The ids must be exactly 0..N-1: an id no edge uses would be an isolated
+    node, so a gap is rejected here, before `Graph` allocates N x N storage.
+    """
     edges = []
-    max_node = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'i j', got {raw!r}")
-        i, j = int(parts[0]), int(parts[1])
-        edges.append((i, j))
-        max_node = max(max_node, i, j)
+        if len(parts) != 2 or not all(tok.isdecimal() for tok in parts):
+            raise GraphError(f"line {lineno}: expected 'i j' with non-negative integer ids, "
+                             f"got {raw!r}")
+        edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise GraphError("edge list is empty")
-    return Graph(max_node + 1, tuple(edges))
+    ids = sorted({v for edge in edges for v in edge})
+    if ids[-1] >= len(ids):
+        gap = next(k for k, v in enumerate(ids) if v != k)
+        raise GraphError(f"node {gap} is in no edge (ids run to {ids[-1]}), so it would be "
+                         f"isolated and the graph disconnected")
+    return Graph(len(ids), tuple(edges))

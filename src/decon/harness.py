@@ -108,6 +108,8 @@ class RunConfig:
             kinds = tuple(_FIELD_TYPES[t] for t in f.type.split(" | "))
             if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0.0:
@@ -165,7 +167,6 @@ class Instance:
     config: RunConfig
     graph: graphs.Graph
     mp: mixing.MixingPair
-    derived: mixing.DerivedMatrices
     prob: problems.SensingProblem
     bounds: algorithms.StepsizeBounds
     alpha: float
@@ -214,7 +215,6 @@ def resolve_alpha(config: RunConfig, bounds: algorithms.StepsizeBounds,
 def build_instance(config: RunConfig) -> Instance:
     g = build_graph(config)
     mp = build_mixing(config, g)
-    derived = mixing.build_derived(mp)
     if config.problem_file:
         prob = problems.load_problem(config.problem_file)
     else:
@@ -222,10 +222,9 @@ def build_instance(config: RunConfig) -> Instance:
                                  noise_std=config.noise_std, seed=config.seed)
     if prob.n != g.n:
         raise ConfigError(f"problem has {prob.n} agents but the graph has {g.n} nodes")
-    bounds = algorithms.stepsize_bounds(mp, derived, prob.lipschitz, prob.mu_fbar)
+    bounds = algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
     alpha = resolve_alpha(config, bounds, prob.lipschitz, prob.mu_fbar, mp.lam_min_w)
-    return Instance(config=config, graph=g, mp=mp, derived=derived, prob=prob,
-                    bounds=bounds, alpha=alpha)
+    return Instance(config=config, graph=g, mp=mp, prob=prob, bounds=bounds, alpha=alpha)
 
 
 def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
@@ -264,7 +263,7 @@ def run(config: RunConfig) -> Trace:
         extra = variant.startswith("extra")
         variant = "extra_xy" if extra else "nids_dx"
         constants = certify.extra_constants if extra else certify.nids_constants
-        cert = constants(mp, inst.derived, prob.lipschitz, prob.mu_fbar, inst.alpha)
+        cert = constants(mp, prob.lipschitz, prob.mu_fbar, inst.alpha)
     trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters")
     x0 = np.zeros((prob.n, prob.p))
     states = _until_stop(algorithms.iterate(variant, x0, inst.alpha, mp.w, mp.wt, prob.grad),
@@ -274,8 +273,7 @@ def run(config: RunConfig) -> Trace:
             pass
         return trace
     audit = certify.audit_extra if extra else certify.audit_nids
-    report = audit(states, mp, inst.derived, cert, algorithms.fixed_point(prob, inst.alpha),
-                   prob.grad)
+    report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha), prob.grad)
     trace.lyapunov = [float(v) for v in report.lyapunov]
     trace.ratio = list(report.ratio)
     trace.slack = list(report.slack)

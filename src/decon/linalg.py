@@ -14,8 +14,6 @@ __all__ = [
     "EigenConvergenceError",
     "NotPositiveSemidefiniteError",
     "SymMatrix",
-    "eig_sym",
-    "pinv_psd",
     "wnorm_sq",
     "wdot",
 ]
@@ -218,16 +216,6 @@ class SymMatrix:
                 f"{self.name!r} is not positive definite: lambda_min = {self.lambda_min:.6e}"
             )
         return self.spectral_map(lambda x: 1.0 / np.sqrt(x), name=f"isqrt({self.name})")
-
-
-def eig_sym(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthogonal eigenvectors of a symmetric matrix."""
-    return a.eig()
-
-
-def pinv_psd(a: SymMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SymMatrix:
-    """Pseudo-inverse of a symmetric PSD matrix, with rank decided by rank_tol."""
-    return a.pinv(rank_tol)
 
 
 def _as_array(h) -> np.ndarray:

@@ -3,7 +3,7 @@
 Builds Metropolis weights on a communication graph, applies the spectral
 relaxation map (1+c)W - cI, validates the four-part mixing assumption with
 its relaxed spectrum (-5/3, 1], and assembles every derived matrix the
-contraction certificates need.
+contraction certificates need into the one validated pair.
 """
 
 from __future__ import annotations
@@ -13,17 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .linalg import SymMatrix, pinv_psd
+from .linalg import SymMatrix
 
 __all__ = [
     "MixingValidationError",
     "MixingPair",
-    "DerivedMatrices",
     "metropolis",
     "relax",
     "theta_default",
     "validate",
-    "build_derived",
     "dump_matrix_text",
     "parse_matrix_text",
 ]
@@ -49,10 +47,19 @@ class MixingValidationError(ValueError):
 
 @dataclass(frozen=True)
 class MixingPair:
-    """Validated mixing pair (w, w_tilde) with cached spectral metadata.
+    """Validated mixing pair (w, w_tilde) with its spectra and every matrix the
+    certificates derive from it, each built and decomposed once:
 
-    theta parametrizes the positive-definite combination
-    w_bar = theta * w_tilde + (1 - theta) * I used by the certificates.
+    diff   = wt - w                          (PSD, zero exactly on the consensus line)
+    iw     = I - w                           (PSD, zero exactly on the consensus line)
+    wbar   = theta*wt + (1-theta)*I          (positive definite)
+    h      = (I + wt)/2                      (positive definite)
+    m      = pinv(wt - w)                    (PSD, zero on the consensus line)
+    g      = w + I - 2*wt                    (PSD; zero when wt = (I+w)/2)
+    mtilde = 2 pinv(I - w) - theta*I         (= pinv((I - w)/2) - theta*I, bit for bit;
+                                              the norm over the disagreement space)
+
+    theta in (3/4, min{1/(1 - lambda_min(wt)), 1}] parametrizes wbar.
     """
 
     w: SymMatrix
@@ -66,29 +73,17 @@ class MixingPair:
     lam_min_wt: float
     lam_min_pos_iw: float
     lam_max_iw: float
-
-    @property
-    def n(self) -> int:
-        return self.w.dim
-
-
-@dataclass(frozen=True)
-class DerivedMatrices:
-    """Matrices derived from a validated mixing pair.
-
-    wbar  = theta*wt + (1-theta)*I           (positive definite)
-    h     = (I + wt)/2                       (positive definite)
-    m     = pinv(wt - w)                     (PSD, zero on the consensus line)
-    g     = w + I - 2*wt                     (PSD; zero when wt = (I+w)/2)
-    mtilde = pinv((I - w)/2) - theta*I       (norm over the disagreement space)
-    """
-
+    diff: SymMatrix
+    iw: SymMatrix
     wbar: SymMatrix
     h: SymMatrix
     m: SymMatrix
     g: SymMatrix
     mtilde: SymMatrix
-    theta: float
+
+    @property
+    def n(self) -> int:
+        return self.w.dim
 
 
 def metropolis(g: Graph) -> SymMatrix:
@@ -152,11 +147,13 @@ def _default_theta_inside(lam_min_wt: float) -> float:
 
 
 def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) -> MixingPair:
-    """Check all four parts of the mixing assumption and package the pair.
+    """Check all four parts of the mixing assumption, build the derived
+    matrices at theta, and package the pair.
 
-    Raises MixingValidationError listing every violated part. The null-space
-    conditions are checked spectrally: the disagreement matrices wt - w and
-    I - w must kill the all-ones vector and nothing else.
+    Raises MixingValidationError listing every violated part, or naming the
+    derived matrix that lost its sign at this theta. The null-space conditions
+    are checked spectrally: the disagreement matrices wt - w and I - w must
+    kill the all-ones vector and nothing else.
     """
     n = g.n
     violations: list[str] = []
@@ -183,9 +180,10 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         if not np.array_equal(mat, mat.T):
             violations.append(f"part 2 (symmetry): {name} is not symmetric")
 
+    eye = np.eye(n)
     ones = np.ones((n, 1))
     diff = SymMatrix(wt.a - w.a, name="w_tilde - w")
-    i_minus_w = SymMatrix(np.eye(n) - w.a, name="I - w")
+    i_minus_w = SymMatrix(eye - w.a, name="I - w")
 
     # Part 3: Null(w - w_tilde) = span(1) and (I - w_tilde) 1 = 0.
     resid = float(np.abs(diff.a @ ones).max())
@@ -199,7 +197,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
             f"part 3 (null space): Null(w - w_tilde) is larger than span(1) "
             f"(second-smallest eigenvalue {dw[1]:.3e})"
         )
-    resid = float(np.abs((np.eye(n) - wt.a) @ ones).max())
+    resid = float(np.abs((eye - wt.a) @ ones).max())
     if resid > _NULLSPACE_TOL:
         violations.append(f"part 3 (null space): (I - w_tilde) 1 has residual {resid:.3e}")
 
@@ -216,7 +214,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         )
 
     # Part 4: (I+w)/2 >= w_tilde > -I/3 and w_tilde >= w.
-    upper_gap = SymMatrix((np.eye(n) + w.a) / 2.0 - wt.a, name="(I+w)/2 - w_tilde")
+    upper_gap = SymMatrix((eye + w.a) / 2.0 - wt.a, name="(I+w)/2 - w_tilde")
     if upper_gap.lambda_min < _PSD_SLACK:
         violations.append(
             f"part 4 (spectral): (I+w)/2 - w_tilde has eigenvalue {upper_gap.lambda_min:.3e} < 0"
@@ -247,12 +245,38 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
                 [f"theta = {theta} outside the admissible interval (3/4, {upper:.6f}]"]
             )
 
+    theta = float(theta)
+    wbar = SymMatrix(theta * wt.a + (1.0 - theta) * eye, name="w_bar")
+    if wbar.lambda_min <= 1e-12:
+        raise MixingValidationError(
+            [f"w_bar is not positive definite at theta = {theta} "
+             f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]
+        )
+    h = SymMatrix((eye + wt.a) / 2.0, name="h")
+    if h.lambda_min <= 0.0:
+        raise MixingValidationError([f"h = (I + w_tilde)/2 is not PD (lambda_min = {h.lambda_min:.3e})"])
+    g_mat = SymMatrix(w.a + eye - 2.0 * wt.a, name="g")
+    if g_mat.lambda_min < _PSD_SLACK:
+        raise MixingValidationError([f"g = w + I - 2 w_tilde has eigenvalue {g_mat.lambda_min:.3e} < 0"])
+    # Halving commutes exactly with every Jacobi step and with pinv, so this
+    # equals pinv((I - w)/2) - theta I without a third decomposition.
+    mtilde = SymMatrix(2.0 * i_minus_w.pinv().a - theta * eye, name="m_tilde")
+
+    # Identity w_tilde = w_bar - (1-theta)(I - w_tilde), by construction.
+    resid = float(np.abs(wt.a - (wbar.a - (1.0 - theta) * (eye - wt.a))).max())
+    if resid > 1e-12:
+        raise AssertionError(f"w_bar identity violated entrywise by {resid:.3e}")
+    # mtilde maps the all-ones vector to -theta * 1.
+    resid = float(np.abs(mtilde.a @ ones + theta * ones).max())
+    if resid > 1e-10:
+        raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
+
     w_eigs = w.eigenvalues
     return MixingPair(
         w=w,
         wt=wt,
         graph=g,
-        theta=float(theta),
+        theta=theta,
         lam_min_w=float(w_eigs[0]),
         lam_max_w=float(w_eigs[-1]),
         lam2_w=float(w_eigs[-2]) if n >= 2 else float(w_eigs[-1]),
@@ -260,41 +284,14 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         lam_min_wt=float(lam_min_wt),
         lam_min_pos_iw=i_minus_w.lambda_min_pos(),
         lam_max_iw=float(iw_eigs[-1]),
+        diff=diff,
+        iw=i_minus_w,
+        wbar=wbar,
+        h=h,
+        m=diff.pinv(),
+        g=g_mat,
+        mtilde=mtilde,
     )
-
-
-def build_derived(mp: MixingPair) -> DerivedMatrices:
-    """Assemble wbar, h, m, g, mtilde for a validated pair and check their signs."""
-    n = mp.n
-    theta = mp.theta
-    eye = np.eye(n)
-    wbar = SymMatrix(theta * mp.wt.a + (1.0 - theta) * eye, name="w_bar")
-    if wbar.lambda_min <= 1e-12:
-        raise MixingValidationError(
-            [f"w_bar is not positive definite at theta = {theta} "
-             f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]
-        )
-    h = SymMatrix((eye + mp.wt.a) / 2.0, name="h")
-    if h.lambda_min <= 0.0:
-        raise MixingValidationError([f"h = (I + w_tilde)/2 is not PD (lambda_min = {h.lambda_min:.3e})"])
-    m = pinv_psd(SymMatrix(mp.wt.a - mp.w.a, name="w_tilde - w"))
-    g = SymMatrix(mp.w.a + eye - 2.0 * mp.wt.a, name="g")
-    if g.lambda_min < _PSD_SLACK:
-        raise MixingValidationError([f"g = w + I - 2 w_tilde has eigenvalue {g.lambda_min:.3e} < 0"])
-    half_iw = SymMatrix((eye - mp.w.a) / 2.0, name="(I - w)/2")
-    mtilde = SymMatrix(half_iw.pinv().a - theta * eye, name="m_tilde")
-
-    # Identity w_tilde = w_bar - (1-theta)(I - w_tilde), by construction.
-    resid = float(np.abs(mp.wt.a - (wbar.a - (1.0 - theta) * (eye - mp.wt.a))).max())
-    if resid > 1e-12:
-        raise AssertionError(f"w_bar identity violated entrywise by {resid:.3e}")
-    # mtilde maps the all-ones vector to -theta * 1.
-    ones = np.ones(n)
-    resid = float(np.abs(mtilde.a @ ones + theta * ones).max())
-    if resid > 1e-10:
-        raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
-
-    return DerivedMatrices(wbar=wbar, h=h, m=m, g=g, mtilde=mtilde, theta=theta)
 
 
 def dump_matrix_text(a: SymMatrix | np.ndarray) -> str:

@@ -145,7 +145,16 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
     """Wrap explicit per-agent data (used by tests and problem replay)."""
     sensing = np.array(sensing, dtype=float)
     measurements = np.array(measurements, dtype=float)
+    if sensing.ndim != 3 or 0 in sensing.shape:
+        raise ProblemError(f"sensing must be a non-empty (n, m, p) array, got shape {sensing.shape}")
     n, m, p = sensing.shape
+    if measurements.shape != (n, m):
+        raise ProblemError(f"measurements must have shape {(n, m)} to match sensing "
+                           f"{sensing.shape}, got {measurements.shape}")
+    for name, value in (("sensing", sensing), ("measurements", measurements),
+                        ("lipschitz", lipschitz)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ProblemError(f"{name} holds non-finite values (NaN or inf)")
     if lipschitz is None:
         lipschitz = max(
             SymMatrix(sensing[i].T @ sensing[i], name=f"M_{i}^T M_{i}").lambda_max
@@ -234,6 +243,10 @@ def save_problem(prob: SensingProblem, path: str) -> None:
 def load_problem(path: str) -> SensingProblem:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    keys = ("sensing", "measurements", "noise_std", "seed", "lipschitz")
+    missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
+    if missing:
+        raise ProblemError(f"{path} is not a saved problem: missing key(s) {', '.join(missing)}")
     prob = from_data(
         np.array(payload["sensing"], dtype=float),
         np.array(payload["measurements"], dtype=float),

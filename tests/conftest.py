@@ -11,12 +11,12 @@ from decon import graph, mixing, problem
 
 @pytest.fixture(scope="session")
 def rand10():
-    """Random 10-node instance pieces shared across tests: (graph, mp, derived)."""
+    """Random 10-node instance pieces shared across tests: (graph, mp)."""
     g = graph.random_connected(10, 0.5, 2)
     w = mixing.metropolis(g)
     wt = mixing.SymMatrix((np.eye(10) + w.a) / 2.0, name="w_tilde")
     mp = mixing.validate(w, wt, g)
-    return g, mp, mixing.build_derived(mp)
+    return g, mp
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,6 @@ class Cell:
     mi: int
     relaxed: bool
     mp: object
-    der: object
     prob: object
 
 
@@ -56,9 +55,8 @@ def grid():
             w = mixing.relax(w_plain, 1.0 / 3.0) if relaxed else w_plain
             wt = SymMatrix((np.eye(N) + w.a) / 2.0, name="w_tilde")
             mp = mixing.validate(w, wt, g)
-            der = mixing.build_derived(mp)
             for mi in (1, 10):
-                cells.append(Cell(seed, mi, relaxed, mp, der, probs[mi]))
+                cells.append(Cell(seed, mi, relaxed, mp, probs[mi]))
     return cells
 
 
@@ -69,17 +67,17 @@ def audited(grid):
     results = []
     for cell in grid:
         lipschitz, mu = cell.prob.lipschitz, cell.prob.mu_fbar
-        alpha_e = 0.5 * 2.0 * cell.der.wbar.lambda_min / lipschitz
-        cert_e = extra_constants(cell.mp, cell.der, lipschitz, mu, alpha_e)
+        alpha_e = 0.5 * 2.0 * cell.mp.wbar.lambda_min / lipschitz
+        cert_e = extra_constants(cell.mp, lipschitz, mu, alpha_e)
         states = islice(iterate("extra_xy", x0, alpha_e, cell.mp.w, cell.mp.wt,
                                 cell.prob.grad), 501)
-        rep_e = audit_extra(states, cell.mp, cell.der, cert_e,
+        rep_e = audit_extra(states, cell.mp, cert_e,
                             fixed_point(cell.prob, alpha_e), cell.prob.grad)
         alpha_n = 0.5 * 2.0 / lipschitz
-        cert_n = nids_constants(cell.mp, cell.der, lipschitz, mu, alpha_n)
+        cert_n = nids_constants(cell.mp, lipschitz, mu, alpha_n)
         states = islice(iterate("nids_dx", x0, alpha_n, cell.mp.w, cell.mp.wt,
                                 cell.prob.grad), 501)
-        rep_n = audit_nids(states, cell.mp, cell.der, cert_n,
+        rep_n = audit_nids(states, cell.mp, cert_n,
                            fixed_point(cell.prob, alpha_n), cell.prob.grad)
         results.append((cell, cert_e, rep_e, cert_n, rep_n))
     return results
@@ -164,8 +162,7 @@ def test_criterion_5_stepsize_bound_table(grid):
                       "1e-8 within 5000 iterations at 0.99x their bounds"):
         for cell in grid:
             mp34 = mixing.validate(cell.mp.w, cell.mp.wt, cell.mp.graph, theta=0.75)
-            der34 = mixing.build_derived(mp34)
-            b = stepsize_bounds(mp34, der34, cell.prob.lipschitz, cell.prob.mu_fbar)
+            b = stepsize_bounds(mp34, cell.prob.lipschitz, cell.prob.mu_fbar)
             assert abs(b.extra_new - b.extra_special) <= 1e-12, cell.seed
             assert b.nids == 0.2
         base = harness.resolve_scenario("fig1")[0]

@@ -15,7 +15,7 @@ from decon.algorithms import (
 )
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
-from decon.mixing import build_derived, metropolis, relax, validate
+from decon.mixing import metropolis, relax, validate
 
 
 def _identical_quadratics(n=6, p=3, minimizer=None):
@@ -52,7 +52,7 @@ def test_dgd_identity_mixing_is_parallel_gradient_descent():
 
 
 def test_dgd_one_step_matches_straight_line_arithmetic(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     rng = np.random.default_rng(1)
     x = rng.standard_normal((10, 5))
     state = init_state("dgd", x, 0.07, w=mp.w, wt=mp.wt)
@@ -71,7 +71,7 @@ def test_two_step_forms_stationary_at_consensual_optimum():
 
 
 def test_extra_zero_stepsize_is_pure_mixing(rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((10, 5))
     grad = lambda x: np.zeros_like(x)
@@ -84,7 +84,7 @@ def test_extra_zero_stepsize_is_pure_mixing(rand10):
 
 
 def test_nids_zero_stepsize_reduction(rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal((10, 5))
     grad = lambda x: np.zeros_like(x)
@@ -97,7 +97,7 @@ def test_nids_zero_stepsize_reduction(rand10):
 
 
 def test_extra_xy_first_step_formula(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     x0 = np.zeros((10, 5))
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal((10, 5))
@@ -108,7 +108,7 @@ def test_extra_xy_first_step_formula(prob1, rand10):
 
 
 def test_extra_xy_fixed_point_is_stationary(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     fp = fixed_point(prob1, 0.05)
     state = init_state("extra_xy", fp.xstar, 0.05, w=mp.w, wt=mp.wt)
     state = state.__class__(**{**state.__dict__, "y": fp.ystar})
@@ -118,7 +118,7 @@ def test_extra_xy_fixed_point_is_stationary(prob1, rand10):
 
 
 def test_nids_dx_fixed_point_is_stationary(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     fp = fixed_point(prob1, 0.1)
     state = init_state("nids_dx", fp.xstar, 0.1, w=mp.w, wt=mp.wt)
     state = state.__class__(**{**state.__dict__, "d": fp.dstar})
@@ -128,7 +128,7 @@ def test_nids_dx_fixed_point_is_stationary(prob1, rand10):
 
 
 def test_fixed_point_invariants(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     fp = fixed_point(prob1, 0.05)
     assert np.abs((mp.wt.a - mp.w.a) @ fp.xstar).max() <= 1e-12
     assert np.abs((np.eye(10) - mp.w.a) @ fp.xstar).max() <= 1e-12
@@ -137,7 +137,7 @@ def test_fixed_point_invariants(prob1, rand10):
 
 
 def test_aux_column_sums_stay_zero(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     x0 = np.zeros((10, 5))
     _, ys = trajectory("extra_xy", x0, 0.05, mp.w, mp.wt, prob1.grad, 200)
     for y in ys:
@@ -148,7 +148,7 @@ def test_aux_column_sums_stay_zero(prob1, rand10):
 
 
 def test_extra_equivalence_500_iters(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     alpha = (5.0 + 3.0 * mp.lam_min_w) / 40.0
     x0 = np.zeros((10, 5))
     xs1, _ = trajectory("extra", x0, alpha, mp.w, mp.wt, prob1.grad, 500)
@@ -158,7 +158,7 @@ def test_extra_equivalence_500_iters(prob1, rand10):
 
 
 def test_nids_equivalence_500_iters(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     x0 = np.zeros((10, 5))
     xs1, _ = trajectory("nids", x0, 0.2, mp.w, mp.wt, prob1.grad, 500)
     xs2, _ = trajectory("nids_dx", x0, 0.2, mp.w, mp.wt, prob1.grad, 500)
@@ -167,7 +167,7 @@ def test_nids_equivalence_500_iters(prob1, rand10):
 
 
 def test_nids_dx_connection_identity(prob1, rand10):
-    _, mp, _ = rand10
+    _, mp = rand10
     alpha = 0.15
     x0 = np.zeros((10, 5))
     xs, ds = trajectory("nids_dx", x0, alpha, mp.w, mp.wt, prob1.grad, 100)
@@ -185,9 +185,8 @@ def test_residual_eventually_decreasing(prob1, rand10):
     # Transient mode beating can push the raw residual up for a while (the
     # contraction guarantee lives in the Lyapunov metric, not the Frobenius
     # residual), so monotonicity is asserted on the trajectory tail.
-    _, mp, _ = rand10
-    der = build_derived(mp)
-    bounds = stepsize_bounds(mp, der, prob1.lipschitz, prob1.mu_fbar)
+    _, mp = rand10
+    bounds = stepsize_bounds(mp, prob1.lipschitz, prob1.mu_fbar)
     x0 = np.zeros((10, 5))
     for variant, alpha in (("extra", 0.5 * bounds.extra_new), ("nids", 0.5 * bounds.nids)):
         xs, _ = trajectory(variant, x0, alpha, mp.w, mp.wt, prob1.grad, 300)
@@ -202,8 +201,7 @@ def test_stepsize_bounds_plugins(prob1):
     w = metropolis(g)
     wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
     mp = validate(w, wt, g, theta=0.75)
-    der = build_derived(mp)
-    b = stepsize_bounds(mp, der, 10.0, prob1.mu_fbar)
+    b = stepsize_bounds(mp, 10.0, prob1.mu_fbar)
     assert b.nids == pytest.approx(0.2, abs=0)
     assert b.extra_special == pytest.approx((5.0 + 3.0 * mp.lam_min_w) / 40.0, rel=1e-15)
     # At theta = 3/4 with wt = (I+w)/2, the certified and special bounds agree

@@ -19,7 +19,7 @@ from decon.certify import (
 )
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix, wnorm_sq
-from decon.mixing import build_derived, metropolis, validate
+from decon.mixing import metropolis, validate
 from decon.problem import mu_g_value
 
 
@@ -33,9 +33,8 @@ def test_extra_golden_two_node_theta_08():
     # Smallest end-to-end instance, constants reproduced by direct arithmetic:
     # w eigenvalues {0, 1}, wt = (I+w)/2, theta = 0.8, L = 10, mu_fbar = 1.
     mp = _half_pair(line(2), theta=0.8)
-    der = build_derived(mp)
     alpha = 0.06  # half of 2 * 0.6 / 10
-    cert = extra_constants(mp, der, 10.0, 1.0, alpha)
+    cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r2)  # g = 0 on this pair
     assert cert.r1 == pytest.approx(0.2 / (4.0 * 0.04 * (0.5 / 0.6)), rel=1e-12)  # = 1.5
     assert cert.r3 == pytest.approx(1.5 / 2.5, rel=1e-12)  # r1 / (1 + r1) = 0.6
@@ -56,8 +55,7 @@ def test_extra_golden_two_node_theta_08():
 
 def test_nids_golden_two_node_theta_09():
     mp = _half_pair(line(2), theta=0.9)
-    der = build_derived(mp)
-    cert = nids_constants(mp, der, 10.0, 1.0, 0.19)
+    cert = nids_constants(mp, 10.0, 1.0, 0.19)
     assert cert.r4 == pytest.approx(0.075, rel=1e-12)
     assert cert.r5 == pytest.approx(2.0, rel=0)  # lambda_max(I - w) = 1 < 2
     eta_upper = 1.0 / (0.19 * (2.0 - 1.9) * 2.0)
@@ -87,8 +85,7 @@ def test_rho3_degrades_as_alpha_vanishes():
     # At fixed eta the first branch 1 - a (2 - a L) mu_g climbs to 1 as the
     # stepsize vanishes (the default eta rescales with alpha, hiding this).
     mp = _half_pair(line(2), theta=0.9)
-    der = build_derived(mp)
-    rhos = [nids_constants(mp, der, 10.0, 1.0, a, eta=2.0).rho3
+    rhos = [nids_constants(mp, 10.0, 1.0, a, eta=2.0).rho3
             for a in (0.1, 0.02, 0.002, 0.0002)]
     assert all(np.diff(rhos) > 0)
     assert rhos[-1] > 1.0 - 1e-3
@@ -96,9 +93,8 @@ def test_rho3_degrades_as_alpha_vanishes():
 
 def test_xi_third_branch_monotone_and_limit():
     mp = _half_pair(random_connected(10, 0.5, 2))
-    der = build_derived(mp)
-    alpha = 0.5 * 2.0 * der.wbar.lambda_min / 10.0
-    base = extra_constants(mp, der, 10.0, 1.0, alpha)
+    alpha = 0.5 * 2.0 * mp.wbar.lambda_min / 10.0
+    base = extra_constants(mp, 10.0, 1.0, alpha)
     xi_upper = min(base.r3 / (4.0 * base.lam_max_wbar_m), 1.0)
     grid = np.linspace(1e-6, xi_upper * (1 - 1e-9), 40)
     thirds = [
@@ -115,9 +111,8 @@ def test_special_case_consistency_with_large_r2():
     # Forcing r2 = 1e9 in the generic three-branch factor must agree with the
     # spectral-gap form of the limit case to 1e-6.
     mp = _half_pair(random_connected(10, 0.5, 2), theta=0.9)
-    der = build_derived(mp)
-    alpha = 0.5 * 2.0 * der.wbar.lambda_min / 10.0
-    cert = extra_constants(mp, der, 10.0, 1.0, alpha)
+    alpha = 0.5 * 2.0 * mp.wbar.lambda_min / 10.0
+    cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r2) and not math.isinf(cert.r1)
     # identity lambda_max(wbar m) = (2 - theta beta) / beta when g = 0
     assert cert.lam_max_wbar_m == pytest.approx((2.0 - 0.9 * mp.beta) / mp.beta, rel=1e-10)
@@ -132,9 +127,8 @@ def test_special_case_consistency_with_large_r2():
 
 def test_double_limit_r3_is_one():
     mp = _half_pair(random_connected(10, 0.5, 2), theta=1.0)
-    der = build_derived(mp)
-    alpha = 0.5 * 2.0 * der.wbar.lambda_min / 10.0
-    cert = extra_constants(mp, der, 10.0, 1.0, alpha)
+    alpha = 0.5 * 2.0 * mp.wbar.lambda_min / 10.0
+    cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r1) and math.isinf(cert.r2)
     assert cert.r3 == 1.0
     assert cert.special_case and cert.rho < 1.0
@@ -157,27 +151,25 @@ def test_norm_over_range_space_bounds():
 
 def test_certificate_errors_name_the_constant():
     mp = _half_pair(random_connected(10, 0.5, 2))
-    der = build_derived(mp)
-    bound = 2.0 * der.wbar.lambda_min / 10.0
+    bound = 2.0 * mp.wbar.lambda_min / 10.0
     with pytest.raises(CertificateError, match="stepsize"):
-        extra_constants(mp, der, 10.0, 1.0, bound * 1.01)
+        extra_constants(mp, 10.0, 1.0, bound * 1.01)
     with pytest.raises(CertificateError, match="xi"):
-        extra_constants(mp, der, 10.0, 1.0, 0.5 * bound, xi=5.0)
+        extra_constants(mp, 10.0, 1.0, 0.5 * bound, xi=5.0)
     with pytest.raises(CertificateError, match="eta"):
-        extra_constants(mp, der, 10.0, 1.0, 0.5 * bound, eta=1e9)
+        extra_constants(mp, 10.0, 1.0, 0.5 * bound, eta=1e9)
     with pytest.raises(CertificateError, match="stepsize"):
-        nids_constants(mp, der, 10.0, 1.0, 0.2)  # the upper bound itself is open
+        nids_constants(mp, 10.0, 1.0, 0.2)  # the upper bound itself is open
     with pytest.raises(CertificateError, match="r4"):
-        nids_constants(mp, der, 10.0, 1.0, 0.1, r4=0.9)
+        nids_constants(mp, 10.0, 1.0, 0.1, r4=0.9)
 
 
 def test_vacuous_at_theta_boundary():
     mp = _half_pair(random_connected(10, 0.5, 2), theta=0.75)
-    der = build_derived(mp)
     with pytest.raises(CertificateError, match="vacuous"):
-        extra_constants(mp, der, 10.0, 1.0, 0.01)
+        extra_constants(mp, 10.0, 1.0, 0.01)
     with pytest.raises(CertificateError, match="vacuous"):
-        nids_constants(mp, der, 10.0, 1.0, 0.1)
+        nids_constants(mp, 10.0, 1.0, 0.1)
 
 
 def _states(variant, mp, prob, alpha, steps):
@@ -187,17 +179,16 @@ def _states(variant, mp, prob, alpha, steps):
 
 
 def _audit_extra_setup(mp, prob, alpha_frac=0.5, steps=500):
-    der = build_derived(mp)
-    alpha = alpha_frac * 2.0 * der.wbar.lambda_min / prob.lipschitz
-    cert = extra_constants(mp, der, prob.lipschitz, prob.mu_fbar, alpha)
+    alpha = alpha_frac * 2.0 * mp.wbar.lambda_min / prob.lipschitz
+    cert = extra_constants(mp, prob.lipschitz, prob.mu_fbar, alpha)
     fp = fixed_point(prob, alpha)
-    return der, cert, _states("extra_xy", mp, prob, alpha, steps), fp
+    return cert, _states("extra_xy", mp, prob, alpha, steps), fp
 
 
 def test_audit_extra_zero_violations_default_pair(prob1, rand10):
-    _, mp, _ = rand10
-    der, cert, states, fp = _audit_extra_setup(mp, prob1)
-    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
+    _, mp = rand10
+    cert, states, fp = _audit_extra_setup(mp, prob1)
+    report = audit_extra(states, mp, cert, fp, prob1.grad)
     assert report.ok, report.violations[:3]
     assert report.checks["norm_equality_rel_err"] <= 1e-9
     assert report.checks["key_inequality_slack"] >= -1e-8
@@ -209,16 +200,16 @@ def test_audit_extra_zero_violations_generic_pair(prob1):
     w = metropolis(g)
     wt = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt")
     mp = validate(w, wt, g, theta=0.9)
-    der, cert, states, fp = _audit_extra_setup(mp, prob1)
+    cert, states, fp = _audit_extra_setup(mp, prob1)
     assert not cert.special_case and cert.r2 < math.inf and cert.r1 < math.inf
-    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, cert, fp, prob1.grad)
     assert report.ok, report.violations[:3]
 
 
 def test_audit_extra_empirical_rate_at_most_certified(prob1, rand10):
-    _, mp, _ = rand10
-    der, cert, states, fp = _audit_extra_setup(mp, prob1, steps=400)
-    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
+    _, mp = rand10
+    cert, states, fp = _audit_extra_setup(mp, prob1, steps=400)
+    report = audit_extra(states, mp, cert, fp, prob1.grad)
     lyap = report.lyapunov
     keep = lyap > lyap[0] * 1e-22
     ks = np.arange(len(lyap))[keep]
@@ -229,25 +220,23 @@ def test_audit_extra_empirical_rate_at_most_certified(prob1, rand10):
 
 
 def test_audit_extra_fixed_point_trajectory_is_null(prob1, rand10):
-    _, mp, _ = rand10
-    der = build_derived(mp)
-    alpha = 0.5 * 2.0 * der.wbar.lambda_min / prob1.lipschitz
-    cert = extra_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha)
+    _, mp = rand10
+    alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+    cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     fp = fixed_point(prob1, alpha)
     gstar = prob1.grad(fp.xstar)
     states = [AlgoState("extra_xy", k, fp.xstar, alpha, y=fp.ystar, g_prev=gstar)
               for k in range(6)]
-    report = audit_extra(states, mp, der, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, cert, fp, prob1.grad)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
 
 
 def test_audit_nids_zero_violations(prob1, rand10):
-    _, mp, _ = rand10
-    der = build_derived(mp)
-    cert = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, 0.1)
+    _, mp = rand10
+    cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     fp = fixed_point(prob1, 0.1)
-    report = audit_nids(_states("nids_dx", mp, prob1, 0.1, 500), mp, der, cert, fp, prob1.grad)
+    report = audit_nids(_states("nids_dx", mp, prob1, 0.1, 500), mp, cert, fp, prob1.grad)
     assert report.ok, report.violations[:3]
     for name in ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err",
                  "chain_rel_err"):
@@ -257,14 +246,13 @@ def test_audit_nids_zero_violations(prob1, rand10):
 
 
 def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):
-    _, mp, _ = rand10
-    der = build_derived(mp)
-    cert = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, 0.1)
+    _, mp = rand10
+    cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     fp = fixed_point(prob1, 0.1)
     gstar = prob1.grad(fp.xstar)
     states = [AlgoState("nids_dx", k, fp.xstar, 0.1, d=fp.dstar, g_prev=gstar)
               for k in range(5)]
-    report = audit_nids(states, mp, der, cert, fp, prob1.grad)
+    report = audit_nids(states, mp, cert, fp, prob1.grad)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
 
@@ -282,27 +270,25 @@ def test_beyond_classical_spectrum_nids_certifies_and_converges():
     # spectrum reaching below -1, and the r5 formula leaves its flat branch.
     mp = _beyond_classical_pair()
     assert mp.lam_min_w == pytest.approx(-1.6, abs=1e-12)
-    der = build_derived(mp)
     prob = problem.generate(2, 2, 3, seed=9)
-    cert = nids_constants(mp, der, prob.lipschitz, prob.mu_fbar, 0.19)
+    cert = nids_constants(mp, prob.lipschitz, prob.mu_fbar, 0.19)
     assert cert.r5 > 2.0
     assert cert.rho3 < 1.0
     states = list(_states("nids_dx", mp, prob, 0.19, 3000))
     fp = fixed_point(prob, 0.19)
     res = np.linalg.norm(states[-1].x - fp.xstar) / np.linalg.norm(states[0].x - fp.xstar)
     assert res <= 1e-8
-    report = audit_nids(states, mp, der, cert, fp, prob.grad)
+    report = audit_nids(states, mp, cert, fp, prob.grad)
     assert report.ok, report.violations[:3]
 
 
 def test_beyond_classical_spectrum_extra_certifies():
     mp = _beyond_classical_pair()
-    der = build_derived(mp)
     prob = problem.generate(2, 2, 3, seed=9)
-    bound = 2.0 * der.wbar.lambda_min / prob.lipschitz
-    cert = extra_constants(mp, der, prob.lipschitz, prob.mu_fbar, 0.5 * bound)
+    bound = 2.0 * mp.wbar.lambda_min / prob.lipschitz
+    cert = extra_constants(mp, prob.lipschitz, prob.mu_fbar, 0.5 * bound)
     fp = fixed_point(prob, cert.alpha)
-    report = audit_extra(_states("extra_xy", mp, prob, cert.alpha, 2000), mp, der, cert, fp,
+    report = audit_extra(_states("extra_xy", mp, prob, cert.alpha, 2000), mp, cert, fp,
                          prob.grad)
     assert report.ok, report.violations[:3]
 
@@ -314,29 +300,27 @@ def test_audit_near_boundary_stepsize(prob1):
     w = metropolis(g)
     wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
     mp = validate(w, wt, g, theta=0.76)
-    der = build_derived(mp)
-    bound = 2.0 * der.wbar.lambda_min / prob1.lipschitz
+    bound = 2.0 * mp.wbar.lambda_min / prob1.lipschitz
     widest = (5.0 + 3.0 * mp.lam_min_w) / (4.0 * prob1.lipschitz)
     assert bound > 0.98 * widest
     alpha = 0.99 * bound
-    cert = extra_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha)
-    rep = audit_extra(_states("extra_xy", mp, prob1, alpha, 800), mp, der, cert,
+    cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    rep = audit_extra(_states("extra_xy", mp, prob1, alpha, 800), mp, cert,
                       fixed_point(prob1, alpha), prob1.grad)
     assert cert.rho < 1.0 and rep.ok, rep.violations[:3]
     alpha_n = 0.99 * 2.0 / prob1.lipschitz
-    cert_n = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha_n)
-    rep_n = audit_nids(_states("nids_dx", mp, prob1, alpha_n, 800), mp, der, cert_n,
+    cert_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha_n)
+    rep_n = audit_nids(_states("nids_dx", mp, prob1, alpha_n, 800), mp, cert_n,
                        fixed_point(prob1, alpha_n), prob1.grad)
     assert cert_n.rho3 < 1.0 and rep_n.ok, rep_n.violations[:3]
 
 
 def test_search_improves_or_matches_default(prob1, rand10):
-    _, mp, _ = rand10
-    der = build_derived(mp)
-    alpha = 0.5 * 2.0 * der.wbar.lambda_min / prob1.lipschitz
-    default = extra_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, alpha)
+    _, mp = rand10
+    alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+    default = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha, grid=4)
     assert best.rho <= default.rho + 1e-15
-    default_n = nids_constants(mp, der, prob1.lipschitz, prob1.mu_fbar, 0.1)
-    best_n = search_nids_certificate(mp, der, prob1.lipschitz, prob1.mu_fbar, 0.1, grid=4)
+    default_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
+    best_n = search_nids_certificate(mp, prob1.lipschitz, prob1.mu_fbar, 0.1, grid=4)
     assert best_n.rho3 <= default_n.rho3 + 1e-15

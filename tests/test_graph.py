@@ -75,3 +75,15 @@ def test_edge_list_parse_errors():
         from_edge_list_text("0 1 2\n")
     with pytest.raises(GraphError):
         from_edge_list_text("\n")
+    for text in ("0 1\n0 x\n", "0 1\n1 -2\n", "0 1\n1 2.0\n"):
+        with pytest.raises(GraphError, match="line 2: expected 'i j'"):
+            from_edge_list_text(text)
+
+
+def test_edge_list_id_gap_rejected_before_allocation():
+    # An unused id is an isolated node; a stray huge id must not size an
+    # adjacency matrix of (id + 1)^2 entries before that is noticed.
+    with pytest.raises(GraphError, match="node 1 is in no edge"):
+        from_edge_list_text("0 1000000000\n")
+    with pytest.raises(GraphError, match="node 2 is in no edge"):
+        from_edge_list_text("0 1\n1 3\n")

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decon import algorithms, cli, harness, problem
+from decon import algorithms, cli, harness, linalg, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, TraceError, read_csv, resolve_scenario, run, write_csv,
 )
@@ -228,6 +229,61 @@ def test_cli_uncertifiable_stepsize_fails_before_the_first_step(argv, names, mon
     assert cli.main(argv) == 1
     assert names in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise-std", "nan", "noise_std"), ("--noise-std", "inf", "noise_std"),
+    ("--tol", "nan", "tol"), ("--tol", "inf", "tol"),
+    ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+])
+def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, monkeypatch,
+                                                             capsys):
+    calls = []
+    step = algorithms.step
+    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
+    assert cli.main(["run", "--max-iters", "50", flag, value]) == 1
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["sensing"][1][0].__setitem__(0, float("nan")), "sensing holds non-finite"),
+    (lambda d: d.pop("sensing"), "missing key(s) sensing"),
+    (lambda d: d.update(sensing=d["sensing"][0]), "sensing must be a non-empty (n, m, p) array"),
+])
+def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    problem.save_problem(problem.generate(6, 2, 2, seed=4), str(path))
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
+                     "--load-problem", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
+    base = RunConfig(topology="random", n=10, p=5, mi=1, seed=2, certify=True, max_iters=50)
+    inst = harness.build_instance(dataclasses.replace(base, algo="extra", alpha="extra-new"))
+    w, wt, eye = inst.mp.w.a, inst.mp.wt.a, np.eye(10)
+    watched = {"w_tilde - w": wt - w, "I - w": eye - w, "(I - w)/2": (eye - w) / 2.0}
+    seen = collections.Counter()
+    jacobi = linalg._jacobi_eigh
+
+    def hashing(a, name):
+        seen[a.tobytes()] += 1
+        return jacobi(a, name)
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
+    for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
+        seen.clear()
+        trace = run(dataclasses.replace(base, algo=algo, alpha=alpha))
+        assert trace.audit.ok and trace.ks[-1] == 50
+        counts = {name: seen[mat.tobytes()] for name, mat in watched.items()}
+        assert counts == {"w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
 
 
 def test_certified_run_evaluates_each_gradient_once(monkeypatch):

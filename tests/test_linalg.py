@@ -4,8 +4,6 @@ import pytest
 from decon.linalg import (
     NotPositiveSemidefiniteError,
     SymMatrix,
-    eig_sym,
-    pinv_psd,
     wdot,
     wnorm_sq,
 )
@@ -14,13 +12,13 @@ from oracles import as_fractions, eigenvalues_by_bisection
 
 
 def test_eig_identity():
-    w, v = eig_sym(SymMatrix(np.eye(3)))
+    w, v = SymMatrix(np.eye(3)).eig()
     assert np.allclose(w, [1.0, 1.0, 1.0])
     assert np.allclose(v @ v.T, np.eye(3), atol=1e-12)
 
 
 def test_eig_2x2_exchange():
-    w, _ = eig_sym(SymMatrix([[0.0, 1.0], [1.0, 0.0]]))
+    w, _ = SymMatrix([[0.0, 1.0], [1.0, 0.0]]).eig()
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
 
 
@@ -59,7 +57,7 @@ def test_eig_brackets_rayleigh_quotients():
 
 
 def test_pinv_diagonal():
-    p = pinv_psd(SymMatrix(np.diag([2.0, 0.0])))
+    p = SymMatrix(np.diag([2.0, 0.0])).pinv()
     assert np.allclose(p.a, np.diag([0.5, 0.0]), atol=1e-14)
 
 
@@ -74,13 +72,13 @@ def test_pinv_two_node_consensus_defect():
 
 
 def test_pinv_zero_matrix():
-    p = pinv_psd(SymMatrix(np.zeros((3, 3))))
+    p = SymMatrix(np.zeros((3, 3))).pinv()
     assert np.array_equal(p.a, np.zeros((3, 3)))
 
 
 def test_pinv_rejects_indefinite():
     with pytest.raises(NotPositiveSemidefiniteError):
-        pinv_psd(SymMatrix(np.diag([1.0, -1.0])))
+        SymMatrix(np.diag([1.0, -1.0])).pinv()
 
 
 def test_pinv_moore_penrose_on_random_psd():

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decon.graph import complete, line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import (
     MixingValidationError,
-    build_derived,
     dump_matrix_text,
     metropolis,
     parse_matrix_text,
@@ -171,16 +172,15 @@ def test_build_derived_two_node_hand_case():
     g = line(2)
     w = metropolis(g)
     mp = validate(w, _half(w), g, theta=0.8)
-    der = build_derived(mp)
-    assert np.allclose(der.wbar.a, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
-    assert der.wbar.lambda_min > 0
+    assert np.allclose(mp.wbar.a, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
+    assert mp.wbar.lambda_min > 0
 
 
 def test_build_derived_g_zero_for_half_pair():
     g = random_connected(10, 0.5, 3)
     w = metropolis(g)
-    der = build_derived(validate(w, _half(w), g))
-    assert np.abs(der.g.a).max() <= 1e-14
+    mp = validate(w, _half(w), g)
+    assert np.abs(mp.g.a).max() <= 1e-14
 
 
 def test_build_derived_wbar_identity_and_mtilde():
@@ -188,30 +188,28 @@ def test_build_derived_wbar_identity_and_mtilde():
     w = metropolis(g)
     wt = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic")
     mp = validate(w, wt, g, theta=0.9)
-    der = build_derived(mp)
     eye = np.eye(10)
     lhs = wt.a
-    rhs = der.wbar.a - (1.0 - 0.9) * (eye - wt.a)
+    rhs = mp.wbar.a - (1.0 - 0.9) * (eye - wt.a)
     assert np.abs(lhs - rhs).max() <= 1e-12
     ones = np.ones(10)
-    assert np.abs(der.mtilde.a @ ones + 0.9 * ones).max() <= 1e-10
-    assert der.h.lambda_min > 0
-    assert der.m.lambda_min >= -1e-10
-    assert der.g.lambda_min >= -1e-10
+    assert np.abs(mp.mtilde.a @ ones + 0.9 * ones).max() <= 1e-10
+    assert mp.h.lambda_min > 0
+    assert mp.m.lambda_min >= -1e-10
+    assert mp.g.lambda_min >= -1e-10
 
 
 def test_theta_one_requires_pd_wt():
-    # At theta = 1, w_bar = w_tilde, so a singular w_tilde must fail the
-    # derived-matrix build with advice to shrink theta.
+    # At theta = 1, w_bar = w_tilde, so a singular w_tilde must fail
+    # validation of the derived w_bar with advice to shrink theta.
     g = line(2)
     w = relax(metropolis(g), 1.0 / 3.0)  # eigenvalues {-1/3, 1}
     wt = SymMatrix(w.a + 0.25 * (np.eye(2) - w.a), name="singular wt")  # eigenvalues {0, 1}
-    mp = validate(w, wt, g, theta=1.0)
     with pytest.raises(MixingValidationError, match="smaller theta"):
-        build_derived(mp)
+        validate(w, wt, g, theta=1.0)
     # The default theta for the same pair stays strictly inside and succeeds.
-    der = build_derived(validate(w, wt, g))
-    assert der.wbar.lambda_min > 0
+    mp = validate(w, wt, g)
+    assert mp.wbar.lambda_min > 0
 
 
 def test_h_is_theta_free_combination():
@@ -222,10 +220,9 @@ def test_h_is_theta_free_combination():
     wt = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic")
     for theta in (0.8, 0.9, 1.0):
         mp = validate(w, wt, g, theta=theta)
-        der = build_derived(mp)
-        combo = der.wbar.a + (theta - 0.5) * (np.eye(10) - wt.a)
-        assert np.abs(combo - der.h.a).max() <= 1e-12
-        assert np.abs(der.h.a - (np.eye(10) + wt.a) / 2.0).max() <= 1e-15
+        combo = mp.wbar.a + (theta - 0.5) * (np.eye(10) - wt.a)
+        assert np.abs(combo - mp.h.a).max() <= 1e-12
+        assert np.abs(mp.h.a - (np.eye(10) + wt.a) / 2.0).max() <= 1e-15
 
 
 def test_matrix_dump_round_trip():
@@ -233,3 +230,27 @@ def test_matrix_dump_round_trip():
     text = dump_matrix_text(w)
     back = parse_matrix_text(text)
     assert np.array_equal(back.a, w.a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 12), edge_prob=st.floats(0.3, 1.0), seed=st.integers(0, 2**16),
+       relax_factor=st.floats(0.0, 1.0 / 3.0, exclude_max=True), lazy=st.floats(0.05, 0.5),
+       theta=st.none() | st.floats(0.75, 1.0))
+def test_validate_pseudo_inverses_are_moore_penrose(n, edge_prob, seed, relax_factor, lazy,
+                                                     theta):
+    g = random_connected(n, edge_prob, seed)
+    w = relax(metropolis(g), relax_factor)
+    wt = SymMatrix(lazy * np.eye(n) + (1.0 - lazy) * w.a, name="w_tilde")
+    try:
+        mp = validate(w, wt, g, theta=theta)
+    except MixingValidationError:
+        return
+    half_iw = (np.eye(n) - w.a) / 2.0
+    for a, pinv in ((wt.a - w.a, mp.m.a), (half_iw, mp.mtilde.a + mp.theta * np.eye(n))):
+        na, np_ = np.linalg.norm(a), np.linalg.norm(pinv)
+        assert np.linalg.norm(a @ pinv @ a - a) <= 1e-10 * na * na * np_
+        assert np.linalg.norm(pinv @ a @ pinv - pinv) <= 1e-10 * np_ * np_ * na
+        assert np.linalg.norm(a @ pinv - (a @ pinv).T) <= 1e-10 * na * np_
+        assert np.linalg.norm(pinv @ a - (pinv @ a).T) <= 1e-10 * na * np_
+    ones = np.ones(n)
+    assert np.abs(mp.mtilde.a @ ones + mp.theta * ones).max() <= 1e-10

@@ -5,7 +5,9 @@ from decon import problem
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import metropolis, validate
-from decon.problem import ProblemError, check_rsc, generate, grad, mu_g, mu_g_value
+from decon.problem import (
+    ProblemError, check_rsc, from_data, generate, grad, mu_g, mu_g_value,
+)
 
 
 def test_generate_normalizes_local_curvature(prob1):
@@ -165,3 +167,17 @@ def test_generation_reproducible_and_round_trip(tmp_path):
     assert np.array_equal(a.measurements, c.measurements)
     assert np.array_equal(a.xstar, c.xstar)
     assert a.lipschitz == c.lipschitz
+
+
+def test_from_data_rejects_malformed_arrays():
+    good = generate(3, 2, 2, seed=1)
+    for bad, message in (
+        (dict(sensing=good.sensing[0]), r"sensing must be a non-empty \(n, m, p\) array"),
+        (dict(sensing=good.sensing[:0]), r"sensing must be a non-empty \(n, m, p\) array"),
+        (dict(measurements=good.measurements[:, :1]), "measurements must have shape"),
+        (dict(measurements=np.full((3, 2), np.inf)), "measurements holds non-finite"),
+        (dict(lipschitz=np.nan), "lipschitz holds non-finite"),
+    ):
+        data = {"sensing": good.sensing, "measurements": good.measurements, **bad}
+        with pytest.raises(ProblemError, match=message):
+            from_data(**data)
