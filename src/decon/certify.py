@@ -3,21 +3,23 @@
 For each algorithm this module computes every constant appearing in its
 Q-linear convergence guarantee (coupling coefficients r1..r5, the small
 parameters xi / eta / r4, the contraction factor, and the Lyapunov weight
-matrices), then audits trajectories in one pass: the proved equalities must hold
-to relative 1e-9 and the proved inequalities, including the Lyapunov
-contraction itself, must hold with slack no worse than -1e-8 scaled by the
-current Lyapunov value.
+matrices), then audits trajectories in one pass, a block of states at a time:
+the proved equalities must hold to relative 1e-9 and the proved inequalities,
+including the Lyapunov contraction itself, must hold with slack no worse than
+-1e-8 scaled by the current Lyapunov value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import SymMatrix, wdot, wnorm_sq
-from .mixing import MixingPair, MixingValidationError, theta_default, validate
+from .linalg import SymMatrix
+from .mixing import MixingPair, MixingValidationError, theta_default, with_theta
 from .problem import mu_g_value
 
 __all__ = [
@@ -125,71 +127,108 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     The limits theta = 1 (r1 infinite) and g = 0 (r2 infinite) are folded into
     r3 = 1 / (1 + 1/r1 + 1/r2).
     """
-    theta = mp.theta
-    if theta <= _THETA_BOUNDARY:
-        raise CertificateError(
-            f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
-        )
-    lam_min_wbar = mp.wbar.lambda_min
-    bound = 2.0 * lam_min_wbar / lipschitz
-    if not 0.0 < alpha < bound:
-        raise CertificateError(
-            f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
-            f"= (0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; extra-special, "
-            f"its theta -> 3/4 limit when w_tilde = (I + w)/2, is never certified"
-        )
+    return _ExtraCertifier(mp).certificate(lipschitz, mu_fbar, alpha, xi, eta)
 
-    eye = np.eye(mp.n)
-    isq = mp.wbar.isqrt().a
-    sq = mp.wbar.sqrt().a
 
-    lam_iwt = _lam_max_similar(isq, eye - mp.wt.a, "wbar^-1 (I - w_tilde)")
-    if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
-        r1 = math.inf
-    else:
-        r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
-    lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1")
-    r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
-    r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
-                + (0.0 if math.isinf(r2) else 1.0 / r2))
+class _ExtraCertifier:
+    """EXTRA certificates on one mixing pair at its theta.
 
-    lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
-    if lam_wbar_m <= 0.0:
-        raise CertificateError("lambda_max(w_bar m) is not positive; mixing pair is degenerate")
-    xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
-    if xi is None:
-        xi = xi_upper / 2.0
-    elif not 0.0 < xi < xi_upper:
-        raise CertificateError(f"xi = {xi} outside its admissible interval (0, {xi_upper:.6g})")
+    What depends on neither the stepsize nor (xi, eta) is derived at most once
+    per pair, however many certificates a search asks for: r1, r2, r3 and
+    lambda_max(w_bar m) from three similarity eigensolves, and the Lyapunov
+    weights p and q, with their eigensolves, once per xi.
+    """
 
-    eta_denom = 4.0 * alpha * lam_min_wbar - 2.0 * alpha**2 * lipschitz
-    if eta_denom <= 0.0:
-        raise CertificateError(
-            f"eta interval is empty: 4 a lambda_min(w_bar) - 2 a^2 L = {eta_denom:.6g} <= 0"
-        )
-    eta_upper = lam_min_wbar * xi / eta_denom
-    if eta is None:
-        eta = eta_upper / 2.0
-    elif not 0.0 < eta < eta_upper:
-        raise CertificateError(f"eta = {eta} outside its admissible interval (0, {eta_upper:.6g})")
+    def __init__(self, mp: MixingPair):
+        self.mp = mp
+        self._couplings: tuple[float, float, float, float, np.ndarray] | None = None
+        self._weights: dict[float, tuple[SymMatrix, SymMatrix]] = {}
 
-    mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
-    rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3, lam_wbar_m)
+    def couplings(self) -> tuple[float, float, float, float, np.ndarray]:
+        """r1, r2, r3, lambda_max(w_bar m) and w_bar^-1."""
+        if self._couplings is None:
+            mp = self.mp
+            isq = mp.wbar.isqrt().a
+            sq = mp.wbar.sqrt().a
+            lam_iwt = _lam_max_similar(isq, np.eye(mp.n) - mp.wt.a, "wbar^-1 (I - w_tilde)")
+            if mp.theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
+                r1 = math.inf
+            else:
+                r1 = (4.0 * mp.theta - 3.0) / (4.0 * (1.0 - mp.theta) ** 2 * lam_iwt)
+            # g = 0 whenever w_tilde = (I + w)/2: r2 is infinite at every theta.
+            lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1") if mp.g.a.any() else 0.0
+            r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
+            r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
+                        + (0.0 if math.isinf(r2) else 1.0 / r2))
+            lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
+            if lam_wbar_m <= 0.0:
+                raise CertificateError(
+                    "lambda_max(w_bar m) is not positive; mixing pair is degenerate")
+            self._couplings = (r1, r2, r3, lam_wbar_m, mp.wbar.inv().a)
+        return self._couplings
 
-    p_mat = SymMatrix(mp.h.a + 0.5 * xi * mp.iw.a, name="p")
-    q_mat = SymMatrix(
-        mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * mp.wbar.inv().a, name="q"
-    )
-    for mat in (p_mat, q_mat):
-        if mat.lambda_min < PD_SLACK:
-            raise CertificateError(
-                f"{mat.name} is not positive definite (lambda_min = {mat.lambda_min:.3e})"
+    def weights(self, xi: float) -> tuple[SymMatrix, SymMatrix]:
+        """The Lyapunov weights p and q at xi, checked positive definite."""
+        if xi not in self._weights:
+            _, _, r3, lam_wbar_m, wbar_inv = self.couplings()
+            self._weights[xi] = (
+                SymMatrix(self.mp.h.a + 0.5 * xi * self.mp.iw.a, name="p"),
+                SymMatrix(self.mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * wbar_inv, name="q"),
             )
-    return ExtraCertificate(
-        r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
-        p_mat=p_mat, q_mat=q_mat, special_case=math.isinf(r1) or math.isinf(r2),
-        alpha=alpha, theta=theta, lam_min_wbar=lam_min_wbar, lam_max_wbar_m=lam_wbar_m,
-    )
+        for mat in self._weights[xi]:
+            if mat.lambda_min < PD_SLACK:
+                raise CertificateError(
+                    f"{mat.name} is not positive definite (lambda_min = {mat.lambda_min:.3e})"
+                )
+        return self._weights[xi]
+
+    def certificate(self, lipschitz: float, mu_fbar: float, alpha: float,
+                    xi: float | None = None, eta: float | None = None) -> ExtraCertificate:
+        """The certificate of `extra_constants` at these arguments."""
+        mp = self.mp
+        theta = mp.theta
+        if theta <= _THETA_BOUNDARY:
+            raise CertificateError(
+                f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
+            )
+        lam_min_wbar = mp.wbar.lambda_min
+        bound = 2.0 * lam_min_wbar / lipschitz
+        if not 0.0 < alpha < bound:
+            raise CertificateError(
+                f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
+                f"= (0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; "
+                f"extra-special, its theta -> 3/4 limit when w_tilde = (I + w)/2, is never "
+                f"certified"
+            )
+        r1, r2, r3, lam_wbar_m, _ = self.couplings()
+        xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
+        if xi is None:
+            xi = xi_upper / 2.0
+        elif not 0.0 < xi < xi_upper:
+            raise CertificateError(
+                f"xi = {xi} outside its admissible interval (0, {xi_upper:.6g})")
+
+        eta_denom = 4.0 * alpha * lam_min_wbar - 2.0 * alpha**2 * lipschitz
+        if eta_denom <= 0.0:
+            raise CertificateError(
+                f"eta interval is empty: 4 a lambda_min(w_bar) - 2 a^2 L = {eta_denom:.6g} <= 0"
+            )
+        eta_upper = lam_min_wbar * xi / eta_denom
+        if eta is None:
+            eta = eta_upper / 2.0
+        elif not 0.0 < eta < eta_upper:
+            raise CertificateError(
+                f"eta = {eta} outside its admissible interval (0, {eta_upper:.6g})")
+
+        mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
+        rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3,
+                                  lam_wbar_m)
+        p_mat, q_mat = self.weights(xi)
+        return ExtraCertificate(
+            r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
+            p_mat=p_mat, q_mat=q_mat, special_case=math.isinf(r1) or math.isinf(r2),
+            alpha=alpha, theta=theta, lam_min_wbar=lam_min_wbar, lam_max_wbar_m=lam_wbar_m,
+        )
 
 
 def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
@@ -275,56 +314,160 @@ class AuditReport:
         return not self.violations
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + abs(a) + abs(b))
+# Entries of x per audit block: 32 states at n * p = 400. A block spreads
+# numpy's per-call overhead over its transitions; each (B, n, p) temporary
+# stays near 100 kB, and larger ones were measured to run slower (they
+# page-fault when the allocator hands them back to the system between calls).
+_BLOCK_ELEMENTS = 12800
 
 
-def _rel_err_mat(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a) + np.linalg.norm(b)))
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.sum(u * v) of each (n, p) slice of stacked arrays (the last two axes)."""
+    return (u * v).sum(axis=(-2, -1))
+
+
+def _wsq(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """wnorm_sq of each slice of a stacked (B, n, p) array, with wnorm_sq's
+    operand order (one h @ v per slice, then the sum), so bit for bit equal."""
+    return _dot(v, np.matmul(h, v))
+
+
+def _fro(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each slice: the same BLAS dot of the flattened slice."""
+    flat = v.reshape(len(v), 1, -1)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1)).reshape(-1))
+
+
+def _rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) / (1.0 + np.abs(a) + np.abs(b))
+
+
+def _rel_err_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_rel_err of two stacks of (n, p) slices, measured in the Frobenius norm."""
+    return _fro(a - b) / (1.0 + _fro(a) + _fro(b))
+
+
+def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python's min(a, b) per entry: b only where it is strictly smaller."""
+    return np.where(b < a, b, a)
+
+
+def _max(a: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Python's max(a, ...) per entry: a later value only where strictly larger."""
+    for b in rest:
+        a = np.where(b > a, b, a)
+    return a
 
 
 class _Tally:
-    """Worst margin per named check of one audit, plus one message per violation."""
+    """Worst margin per named check of one audit, plus one message per violation.
+
+    Checks arrive a block at a time, one call per check in the order a single
+    transition runs them; `close_block` files the block's messages by
+    transition, then by that order.
+    """
 
     def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
         self.worst = {name: 0.0 for name in equalities}
         self.worst.update({name: math.inf for name in inequalities})
         self.violations: list[str] = []
+        self._flagged: list[tuple[int, int, str]] = []
+        self._calls = 0
 
-    def equality(self, name: str, what: str, k: int, err: float) -> None:
-        self.worst[name] = max(self.worst[name], err)
-        if err > EQ_TOL:
-            self.violations.append(f"{what} violated at k={k}: relative error {err:.3e}")
+    def equality(self, name: str, what: str, k0: int, err: np.ndarray) -> None:
+        # fmax/fmin skip NaN, as the scalar max/min comparisons did.
+        top = float(np.fmax.reduce(err, initial=-math.inf))
+        self.worst[name] = max(self.worst[name], top)
+        if top > EQ_TOL:
+            self._flag(what, "relative error", k0, err, err > EQ_TOL)
+        self._calls += 1
 
-    def inequality(self, name: str, what: str, k: int, slack: float) -> float:
-        self.worst[name] = min(self.worst[name], slack)
-        if slack < INEQ_TOL:
-            self.violations.append(f"{what} violated at k={k}: normalized slack {slack:.3e}")
+    def inequality(self, name: str, what: str, k0: int, slack: np.ndarray) -> np.ndarray:
+        low = float(np.fmin.reduce(slack, initial=math.inf))
+        self.worst[name] = min(self.worst[name], low)
+        if low < INEQ_TOL:
+            self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
+        self._calls += 1
         return slack
 
+    def _flag(self, what: str, margin: str, k0: int, values: np.ndarray,
+              bad: np.ndarray) -> None:
+        for i in np.flatnonzero(bad).tolist():
+            k = k0 + i
+            self._flagged.append(
+                (k, self._calls, f"{what} violated at k={k}: {margin} {float(values[i]):.3e}"))
 
-def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
-                  tally: _Tally) -> AuditReport:
-    """One pass over consecutive states, holding only the previous one.
+    def close_block(self) -> None:
+        self._flagged.sort(key=lambda item: item[:2])
+        self.violations.extend(message for _, _, message in self._flagged)
+        self._flagged.clear()
+        self._calls = 0
 
-    `lyapunov(state)` is the state's Lyapunov value; `transition(k, cur, nxt)`
-    checks the step from row k to row k+1 and returns its worst slack, which
-    is combined with the certified contraction by the factor rho.
+
+def _stack_block(prev, new_states, aux: str):
+    """Stack the x and `aux` of `prev` and the new states into (B + 1, n, p)
+    arrays, and the new states' g_prev into a (B, n, p) one; also return the
+    last state. None when no new state came. Only the stacks outlive the call,
+    not the states."""
+    block = [prev, *new_states]
+    if len(block) == 1:
+        return None
+    return (np.array([s.x for s in block]), np.array([getattr(s, aux) for s in block]),
+            np.array([s.g_prev for s in block[1:]]), block[-1])
+
+
+def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np.ndarray],
+                  per_state, transition, rho: float, tally: _Tally) -> AuditReport:
+    """One blocked pass over consecutive states, the one driver of both audits.
+
+    States are pulled a block at a time (`_BLOCK_ELEMENTS` entries of x each)
+    and stacked into (B, n, p) arrays of x and of the auxiliary variable `aux`,
+    with their displacements `dx`, `d<aux>` from the fixed point `origin`; the
+    last state of a block opens the next. `per_state(dx, daux)` maps the
+    displacements of the new states to named per-state columns, "lyapunov"
+    among them, so each is computed once per state. `transition(k0, cur, nxt)`
+    checks the block's transitions k0, k0 + 1, ... from the stacks and columns
+    of their start and end states (`nxt.g_prev` is each transition's gradient)
+    and returns each one's worst slack, which is combined with the certified
+    contraction by the factor rho. Memory is one block, whatever the length.
     """
+    stream = iter(states)
+    first = next(stream, None)
     lyap: list[float] = []
     ratio: list[float | None] = [None]
     slack_col: list[float | None] = [None]
-    prev = None
-    for state in states:
-        lyap.append(lyapunov(state))
-        if prev is not None:
-            k = len(lyap) - 2
-            s = transition(k, prev, state)
-            cs = tally.inequality("contraction_slack", "contraction", k,
-                                  (rho * lyap[k] - lyap[k + 1]) / (1.0 + lyap[k]))
-            ratio.append(lyap[k + 1] / lyap[k] if lyap[k] > 0.0 else None)
-            slack_col.append(min(s, cs))
-        prev = state
+    if first is not None:
+        size = max(1, _BLOCK_ELEMENTS // first.x.size)
+        x_origin, a_origin = origin
+        prev = first
+        prev_cols = per_state(first.x[None] - x_origin, getattr(first, aux)[None] - a_origin)
+        lyap.extend(prev_cols["lyapunov"].tolist())
+        while True:
+            stacks = _stack_block(prev, islice(stream, size), aux)
+            if stacks is None:
+                break
+            x, a, g_prev, prev = stacks
+            k0 = len(lyap) - 1
+            dx, da = x - x_origin, a - a_origin
+            cols = per_state(dx[1:], da[1:])
+            cur = SimpleNamespace(x=x[:-1], dx=dx[:-1], **{aux: a[:-1], "d" + aux: da[:-1]},
+                                  **{name: np.concatenate((prev_cols[name][-1:], col[:-1]))
+                                     for name, col in cols.items()})
+            nxt = SimpleNamespace(x=x[1:], dx=dx[1:], **{aux: a[1:], "d" + aux: da[1:]},
+                                  g_prev=g_prev, **cols)
+            s = transition(k0, cur, nxt)
+            l0, l1 = cur.lyapunov, nxt.lyapunov
+            cs = tally.inequality("contraction_slack", "contraction", k0,
+                                  (rho * l0 - l1) / (1.0 + l0))
+            tally.close_block()
+            positive = l0 > 0.0
+            ratio.extend(r if ok else None for r, ok in
+                         zip((l1 / np.where(positive, l0, 1.0)).tolist(), positive.tolist()))
+            slack_col.extend(_min(s, cs).tolist())
+            lyap.extend(l1.tolist())
+            prev_cols = cols
+            # Free this block's stacks before the next block's are built.
+            del stacks, x, a, g_prev, dx, da, cur, nxt
     return AuditReport(
         algorithm=algorithm, transitions=len(ratio) - 1, lyapunov=np.array(lyap),
         ratio=ratio, slack=slack_col, checks=tally.worst, violations=tally.violations,
@@ -335,54 +478,57 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> Aud
     """Audit a stream of (x, y) states: norm equality, key inequality, contraction.
 
     `states` are consecutive extra_xy AlgoStates (as `algorithms.iterate`
-    yields them) at the certificate's stepsize, consumed in one pass; the
-    gradient of each transition is the `g_prev` its successor carries.
+    yields them) at the certificate's stepsize, consumed in one blocked pass;
+    the gradient of each transition is the `g_prev` its successor carries.
     Violations are reported, never raised.
     """
+    h, m, diff, wbar, g_mat = mp.h.a, mp.m.a, mp.diff.a, mp.wbar.a, mp.g.a
+    p_mat, q_mat = cert.p_mat.a, cert.q_mat.a
     i_minus_wt = np.eye(mp.n) - mp.wt.a
     alpha = cert.alpha
     theta = cert.theta
     gstar = grad(fp.xstar)
     tally = _Tally(("norm_equality_rel_err",), ("key_inequality_slack", "contraction_slack"))
 
-    def lyapunov(state) -> float:
-        return wnorm_sq(state.x - fp.xstar, cert.p_mat) + wnorm_sq(state.y - fp.ystar, cert.q_mat)
+    def per_state(dx, dy):
+        # The h/m distance ends one key inequality and starts the next.
+        return {"lyapunov": _wsq(dx, p_mat) + _wsq(dy, q_mat),
+                "hm": _wsq(dx, h) + _wsq(dy, m)}
 
-    def transition(k: int, cur, nxt) -> float:
-        dx_nxt = nxt.x - fp.xstar
-
+    def transition(k0, cur, nxt):
         # Norm equality between the consensus defect of x+ and the y decrement.
-        a = wnorm_sq(dx_nxt, mp.diff)
-        b = wnorm_sq(cur.y - nxt.y, mp.m)
-        tally.equality("norm_equality_rel_err", "norm equality", k, _rel_err(a, b))
+        err = _rel_err(_wsq(nxt.dx, diff), _wsq(cur.y - nxt.y, m))
+        tally.equality("norm_equality_rel_err", "norm equality", k0, err)
 
         # Key inequality: the h/m distance decreases by the listed amounts.
-        base_prev = wnorm_sq(cur.x - fp.xstar, mp.h) + wnorm_sq(cur.y - fp.ystar, mp.m)
-        lhs = wnorm_sq(dx_nxt, mp.h) + wnorm_sq(nxt.y - fp.ystar, mp.m)
+        step = cur.x - nxt.x
         rhs = (
-            base_prev
-            - wnorm_sq(cur.x - nxt.x, mp.wbar)
-            - (theta - 0.75) * wnorm_sq(cur.x - nxt.x, i_minus_wt)
-            - wnorm_sq(dx_nxt, mp.g)
-            - 2.0 * alpha * float(np.sum(dx_nxt * (nxt.g_prev - gstar)))
+            cur.hm
+            - _wsq(step, wbar)
+            - (theta - 0.75) * _wsq(step, i_minus_wt)
+            - _wsq(nxt.dx, g_mat)
+            - 2.0 * alpha * _dot(nxt.dx, nxt.g_prev - gstar)
         )
-        return tally.inequality("key_inequality_slack", "key inequality", k,
-                                (rhs - lhs) / (1.0 + base_prev))
+        return tally.inequality("key_inequality_slack", "key inequality", k0,
+                                (rhs - nxt.hm) / (1.0 + cur.hm))
 
-    return _audit_stream("extra_xy", states, lyapunov, transition, cert.rho, tally)
+    return _audit_stream("extra_xy", states, "y", (fp.xstar, fp.ystar), per_state, transition,
+                         cert.rho, tally)
 
 
 def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> AuditReport:
     """Audit a stream of (d, x) states: the two equalities, the d-x connection,
     the key inequality, the r5 norm-bound chain, and the Lyapunov contraction.
 
-    `states` are consecutive nids_dx AlgoStates, consumed in one pass as in
-    `audit_extra`.
+    `states` are consecutive nids_dx AlgoStates, consumed in one blocked pass
+    as in `audit_extra`.
     """
     eye = np.eye(mp.n)
     i_minus_w = mp.iw.a
     iw_pinv = mp.iw.pinv().a
+    pn_mat, q_mat = cert.pn_mat.a, cert.q_mat.a
     alpha = cert.alpha
+    a2 = alpha**2
     theta = cert.theta
     r4, r5 = cert.r4, cert.r5
     gstar = grad(fp.xstar)
@@ -393,59 +539,62 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
     m_minus = mp.mtilde.a + (theta - 0.5 - 2.0 * r4) * eye
     m_dec = mp.mtilde.a + (theta - 0.75 - r4) * eye
     chain_weight = 4.0 * iw_pinv - 4.0 * eye + i_minus_w
+    two_minus_iw = 2.0 * eye - i_minus_w
     tally = _Tally(
         ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err", "chain_rel_err"),
         ("key_inequality_slack", "chain_slack", "contraction_slack"),
     )
 
-    def lyapunov(state) -> float:
-        return wnorm_sq(state.x - fp.xstar, cert.pn_mat) \
-            + alpha**2 * wnorm_sq(state.d - fp.dstar, cert.q_mat)
+    def per_state(dx, dd):
+        sq = _dot(dx, dx)
+        # The key inequality starts from base and ends at lhs, with two weights.
+        return {"lyapunov": _wsq(dx, pn_mat) + a2 * _wsq(dd, q_mat),
+                "base": sq + a2 * _wsq(dd, m_minus),
+                "lhs": sq + a2 * _wsq(dd, m_plus)}
 
-    def transition(k: int, cur, nxt) -> float:
-        dx_cur = cur.x - fp.xstar
-        dx_nxt = nxt.x - fp.xstar
-        dd_nxt = nxt.d - fp.dstar
+    def transition(k0, cur, nxt):
+        dx_nxt = nxt.dx
         step_d = nxt.d - cur.d
+        iw_dx = np.matmul(i_minus_w, dx_nxt)
 
         # Equality (a): x-distance/d-distance cross term.
-        err = _rel_err(float(np.sum(dx_nxt * dd_nxt)), alpha * wdot(step_d, dd_nxt, m_shift))
-        tally.equality("equality_a_rel_err", "equality (a)", k, err)
+        err = _rel_err(_dot(dx_nxt, nxt.dd), alpha * _dot(step_d, np.matmul(m_shift, nxt.dd)))
+        tally.equality("equality_a_rel_err", "equality (a)", k0, err)
 
         # Equality (b): same with the d increment.
-        err = _rel_err(float(np.sum(dx_nxt * step_d)), alpha * wnorm_sq(step_d, m_shift))
-        tally.equality("equality_b_rel_err", "equality (b)", k, err)
+        err = _rel_err(_dot(dx_nxt, step_d), alpha * _wsq(step_d, m_shift))
+        tally.equality("equality_b_rel_err", "equality (b)", k0, err)
 
         # Connection between the d increment and the x defect.
-        err = _rel_err_mat(conn_left @ step_d, (i_minus_w @ dx_nxt) / (2.0 * alpha))
-        tally.equality("connection_rel_err", "d-x connection", k, err)
+        err = _rel_err_mat(np.matmul(conn_left, step_d), iw_dx / (2.0 * alpha))
+        tally.equality("connection_rel_err", "d-x connection", k0, err)
 
         # Key inequality.
-        base_prev = float(np.sum(dx_cur * dx_cur)) + alpha**2 * wnorm_sq(cur.d - fp.dstar, m_minus)
-        lhs = float(np.sum(dx_nxt * dx_nxt)) + alpha**2 * wnorm_sq(dd_nxt, m_plus)
+        dec = _wsq(step_d, m_dec)
         g_diff = nxt.g_prev - gstar
         rhs = (
-            base_prev
-            - alpha**2 * wnorm_sq(step_d, m_dec)
-            + alpha**2 * float(np.sum(g_diff * g_diff))
-            - 2.0 * alpha * float(np.sum(dx_cur * g_diff))
+            cur.base
+            - a2 * dec
+            + a2 * _dot(g_diff, g_diff)
+            - 2.0 * alpha * _dot(cur.dx, g_diff)
         )
-        s = tally.inequality("key_inequality_slack", "key inequality", k,
-                             (rhs - lhs) / (1.0 + base_prev))
+        s = tally.inequality("key_inequality_slack", "key inequality", k0,
+                             (rhs - nxt.lhs) / (1.0 + cur.base))
 
         # Norm-bound chain: three identities, then the r5 bound.
-        t0 = wnorm_sq(dx_nxt, i_minus_w)
-        t1 = wnorm_sq(i_minus_w @ dx_nxt, iw_pinv)
-        t2 = alpha**2 * wnorm_sq((2.0 * eye - i_minus_w) @ step_d, iw_pinv)
-        t3 = alpha**2 * wnorm_sq(step_d, chain_weight)
-        err = max(_rel_err(t0, t1), _rel_err(t1, t2), _rel_err(t2, t3))
-        tally.equality("chain_rel_err", "norm-bound chain identity", k, err)
-        bound = alpha**2 * r5 * wnorm_sq(step_d, m_dec)
-        s_chain = tally.inequality("chain_slack", "norm-bound chain", k,
-                                   (bound - t3) / (1.0 + base_prev))
-        return min(s, s_chain)
+        t0 = _dot(dx_nxt, iw_dx)
+        t1 = _wsq(iw_dx, iw_pinv)
+        t2 = a2 * _wsq(np.matmul(two_minus_iw, step_d), iw_pinv)
+        t3 = a2 * _wsq(step_d, chain_weight)
+        err = _max(_rel_err(t0, t1), _rel_err(t1, t2), _rel_err(t2, t3))
+        tally.equality("chain_rel_err", "norm-bound chain identity", k0, err)
+        bound = a2 * r5 * dec
+        s_chain = tally.inequality("chain_slack", "norm-bound chain", k0,
+                                   (bound - t3) / (1.0 + cur.base))
+        return _min(s, s_chain)
 
-    return _audit_stream("nids_dx", states, lyapunov, transition, cert.rho3, tally)
+    return _audit_stream("nids_dx", states, "d", (fp.xstar, fp.dstar), per_state, transition,
+                         cert.rho3, tally)
 
 
 def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
@@ -463,8 +612,8 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
     for theta in thetas:
         try:
-            pair = validate(mp.w, mp.wt, mp.graph, theta=theta)
-            probe = extra_constants(pair, lipschitz, mu_fbar, alpha)
+            certifier = _ExtraCertifier(with_theta(mp, theta))
+            probe = certifier.certificate(lipschitz, mu_fbar, alpha)
         except (MixingValidationError, CertificateError):
             continue
         for fx in fracs:
@@ -473,8 +622,8 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
                 4.0 * alpha * probe.lam_min_wbar - 2.0 * alpha**2 * lipschitz)
             for fe in fracs:
                 try:
-                    cert = extra_constants(pair, lipschitz, mu_fbar, alpha, xi=xi,
-                                           eta=fe * eta_upper)
+                    cert = certifier.certificate(lipschitz, mu_fbar, alpha, xi=xi,
+                                                 eta=fe * eta_upper)
                 except CertificateError:
                     continue
                 if best is None or cert.rho < best.rho:

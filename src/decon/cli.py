@@ -16,19 +16,20 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import algorithms, graph as graphs, harness, mixing, problem as problems
+from . import algorithms, harness, mixing, problem as problems
 from .certify import CertificateError
 from .graph import GraphError
-from .harness import ConfigError, RunConfig
-from .linalg import SymMatrix
+from .harness import ConfigError, RunConfig, TraceError
+from .linalg import EigenConvergenceError, NotPositiveSemidefiniteError
 from .mixing import MixingValidationError
 from .problem import ProblemError
 
+# Failures caused by the input or the file system: reported as one "error:"
+# line with exit code 1. Any other exception is a defect and keeps its traceback.
 _VALIDATION_ERRORS = (
-    ConfigError, MixingValidationError, CertificateError, ProblemError, GraphError,
-    FileNotFoundError, ValueError,
+    ConfigError, TraceError, MixingValidationError, CertificateError, ProblemError, GraphError,
+    EigenConvergenceError, NotPositiveSemidefiniteError, json.JSONDecodeError,
+    UnicodeDecodeError, OSError,
 )
 
 
@@ -81,6 +82,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError("--config cannot be combined with --scenario")
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
     if args.scenario:
         overrides.pop("out_path", None)
         configs = [harness.config_from_dict({**_cfg_dict(cfg), **overrides})
@@ -122,16 +125,11 @@ def _cfg_dict(cfg: RunConfig) -> dict:
 
 
 def _cmd_validate_mixing(args: argparse.Namespace) -> int:
-    if args.graph_file:
-        with open(args.graph_file, encoding="utf-8") as fh:
-            g = graphs.from_edge_list_text(fh.read())
-    else:
-        g = graphs.random_connected(args.n, args.edge_prob, args.seed)
-    w = mixing.metropolis(g)
-    if args.relax_factor:
-        w = mixing.relax(w, args.relax_factor)
-    wt = SymMatrix((np.eye(g.n) + w.a) / 2.0, name="w_tilde")
-    mp = mixing.validate(w, wt, g, theta=args.theta)
+    cfg = harness.config_from_dict(
+        {key: getattr(args, key)
+         for key in ("graph_file", "n", "edge_prob", "seed", "relax_factor", "theta")})
+    g = harness.build_graph(cfg)
+    mp = harness.build_mixing(cfg, g)
     print(f"mixing pair on {g.n} nodes, {len(g.edges)} edges: PASS")
     print(f"  lambda_min(w) = {mp.lam_min_w:.12g}")
     print(f"  lambda_max(w) = {mp.lam_max_w:.12g}")
@@ -142,7 +140,7 @@ def _cmd_validate_mixing(args: argparse.Namespace) -> int:
     print(f"  theta = {mp.theta:.12g}")
     if args.dump_mixing:
         with open(args.dump_mixing, "w", encoding="utf-8") as fh:
-            fh.write(mixing.dump_matrix_text(w))
+            fh.write(mixing.dump_matrix_text(mp.w))
         print(f"  wrote {args.dump_mixing}")
     return 0
 

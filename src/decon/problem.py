@@ -247,9 +247,14 @@ def load_problem(path: str) -> SensingProblem:
     missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
     if missing:
         raise ProblemError(f"{path} is not a saved problem: missing key(s) {', '.join(missing)}")
+    try:
+        sensing = np.array(payload["sensing"], dtype=float)
+        measurements = np.array(payload["measurements"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"{path}: sensing and measurements must be numeric arrays ({exc})") from exc
     prob = from_data(
-        np.array(payload["sensing"], dtype=float),
-        np.array(payload["measurements"], dtype=float),
+        sensing,
+        measurements,
         noise_std=payload["noise_std"],
         seed=payload["seed"],
         lipschitz=payload["lipschitz"],

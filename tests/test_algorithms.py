@@ -227,3 +227,14 @@ def test_equivalences_on_relaxed_pair(prob1):
     xs2, _ = trajectory("extra_xy", x0, alpha, mp.w, mp.wt, prob1.grad, 300)
     scale = 1.0 + float(np.linalg.norm(x0 - prob1.Xstar))
     assert np.linalg.norm(xs1 - xs2, axis=(1, 2)).max() <= 1e-9 * scale
+
+
+def test_trajectory_stops_at_the_first_non_finite_iterate(prob1, rand10):
+    # Runs under RuntimeWarnings-as-errors: the overflow raises no warning.
+    _, mp = rand10
+    x0 = np.zeros((10, 5))
+    for variant in ("dgd", "nids_dx"):
+        xs, aux = trajectory(variant, x0, 5.0, mp.w, mp.wt, prob1.grad, 2000)
+        assert 1 < len(xs) < 2001, variant
+        assert np.isfinite(xs[:-1]).all() and not np.isfinite(xs[-1]).all(), variant
+        assert aux is None or len(aux) == len(xs)

@@ -1,10 +1,13 @@
+import collections
+import dataclasses
 import math
 from itertools import islice
 
 import numpy as np
 import pytest
+from oracles import audit_extra_reference, audit_nids_reference
 
-from decon import problem
+from decon import certify, linalg, problem
 from decon.algorithms import AlgoState, fixed_point, iterate
 from decon.certify import (
     CertificateError,
@@ -324,3 +327,96 @@ def test_search_improves_or_matches_default(prob1, rand10):
     default_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     best_n = search_nids_certificate(mp, prob1.lipschitz, prob1.mu_fbar, 0.1, grid=4)
     assert best_n.rho3 <= default_n.rho3 + 1e-15
+
+
+def _mismatched_streams(prob, mp):
+    """(audit, oracle, states, pair, certificate, fixed point) per audit, each
+    audited against a certificate that does not fit the stream."""
+    g = random_connected(10, 0.5, 2)
+    other = validate(mp.w, SymMatrix(0.3 * np.eye(10) + 0.7 * mp.w.a, name="generic wt"), g,
+                     theta=0.9)
+    alpha = 0.3 * 2.0 * mp.wbar.lambda_min / prob.lipschitz
+    extra_cert = extra_constants(mp, prob.lipschitz, prob.mu_fbar, alpha)
+    # The EXTRA stream runs on another mixing pair; the NIDS stream runs at a
+    # stepsize almost four times the certified one.
+    return [
+        (audit_extra, audit_extra_reference, list(_states("extra_xy", other, prob, alpha, 600)),
+         mp, extra_cert, fixed_point(prob, alpha)),
+        (audit_nids, audit_nids_reference, list(_states("nids_dx", mp, prob, 0.19, 600)),
+         mp, nids_constants(mp, prob.lipschitz, prob.mu_fbar, 0.05), fixed_point(prob, 0.05)),
+    ]
+
+
+def _assert_same_report(blocked, reference):
+    assert (blocked.algorithm, blocked.transitions) == (reference.algorithm, reference.transitions)
+    assert np.array_equal(blocked.lyapunov, reference.lyapunov)
+    assert blocked.ratio == reference.ratio
+    assert blocked.slack == reference.slack
+    assert blocked.violations == reference.violations
+    assert blocked.checks.keys() == reference.checks.keys()
+    for name, value in reference.checks.items():
+        assert blocked.checks[name] == pytest.approx(value, rel=1e-12, abs=1e-300), name
+
+
+def test_blocked_audits_match_the_per_transition_oracle_on_certified_runs(prob1, rand10):
+    _, mp = rand10
+    cert, states, fp = _audit_extra_setup(mp, prob1, steps=600)
+    states = list(states)
+    report = audit_extra(states, mp, cert, fp, prob1.grad)
+    assert report.ok and report.transitions == 600
+    _assert_same_report(report, audit_extra_reference(states, mp, cert, fp, prob1.grad))
+    cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.19)
+    fp = fixed_point(prob1, 0.19)
+    states = list(_states("nids_dx", mp, prob1, 0.19, 600))
+    report = audit_nids(states, mp, cert, fp, prob1.grad)
+    assert report.ok and report.transitions == 600
+    _assert_same_report(report, audit_nids_reference(states, mp, cert, fp, prob1.grad))
+
+
+def test_blocked_audits_match_the_oracle_on_hundreds_of_violations(prob1, rand10):
+    _, mp = rand10
+    for audit, oracle, states, pair, cert, fp in _mismatched_streams(prob1, mp):
+        report = audit(states, pair, cert, fp, prob1.grad)
+        assert len(report.violations) >= 300, audit.__name__
+        _assert_same_report(report, oracle(states, pair, cert, fp, prob1.grad))
+
+
+@pytest.mark.parametrize("length", ["empty", "0", "1", "B-1", "B", "B+1"])
+def test_blocked_audits_match_the_oracle_at_block_boundaries(length, prob1, rand10):
+    # A stream of no states, or of that many transitions for the block length B.
+    _, mp = rand10
+    block = certify._BLOCK_ELEMENTS // (prob1.n * prob1.p)
+    transitions = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1}.get(length)
+    for audit, oracle, states, pair, cert, fp in _mismatched_streams(prob1, mp):
+        stream = [] if transitions is None else states[:transitions + 1]
+        report = audit(stream, pair, cert, fp, prob1.grad)
+        assert report.transitions == (transitions or 0)
+        _assert_same_report(report, oracle(stream, pair, cert, fp, prob1.grad))
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
+    g = random_connected(10, 0.5, 2)
+    w = metropolis(g)
+    wt = 0.3 * np.eye(10) + 0.7 * w.a if generic else (np.eye(10) + w.a) / 2.0
+    mp = validate(w, SymMatrix(wt, name="wt"), g)
+    alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+    seen = collections.Counter()
+    jacobi = linalg._jacobi_eigh
+
+    def hashing(a, name):
+        seen[a.tobytes()] += 1
+        return jacobi(a, name)
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
+    best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    assert seen and max(seen.values()) == 1
+    monkeypatch.undo()
+    fresh = extra_constants(validate(w, mp.wt, g, theta=best.theta), prob1.lipschitz,
+                            prob1.mu_fbar, alpha, xi=best.xi, eta=best.eta)
+    for field in dataclasses.fields(best):
+        mine, theirs = getattr(best, field.name), getattr(fresh, field.name)
+        if isinstance(mine, SymMatrix):
+            assert np.array_equal(mine.a, theirs.a), field.name
+        else:
+            assert mine == theirs, field.name

@@ -250,6 +250,7 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
     (lambda d: d["sensing"][1][0].__setitem__(0, float("nan")), "sensing holds non-finite"),
     (lambda d: d.pop("sensing"), "missing key(s) sensing"),
     (lambda d: d.update(sensing=d["sensing"][0]), "sensing must be a non-empty (n, m, p) array"),
+    (lambda d: d["sensing"][0][0].__setitem__(0, "x"), "sensing and measurements must be numeric"),
 ])
 def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsys):
     path = tmp_path / "prob.json"
@@ -344,6 +345,44 @@ def test_cli_validation_error_exit_code(capsys):
     code = cli.main(["run", "--scenario", "fig1", "--alpha", "frobnicate"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_is_a_named_error(tmp_path, capsys):
+    code = cli.main(["run", "--max-iters", "5", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write trace to {tmp_path}")
+
+
+@pytest.mark.parametrize("text", ['{"n": 10,', "[1, 2]"])
+def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_eigensolver_failure_is_a_named_error(monkeypatch, capsys):
+    def fail(a, name):
+        raise linalg.EigenConvergenceError(f"Jacobi eigensolver did not converge on {name!r}")
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", fail)
+    assert cli.main(["run", "--max-iters", "5"]) == 1
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_keeps_the_traceback_of_a_defect(monkeypatch):
+    def defect(config):
+        raise ValueError("a defect, not a bad input")
+
+    monkeypatch.setattr(harness, "run", defect)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["run", "--max-iters", "5"])
+
+
+def test_cli_validate_mixing_checks_the_relax_factor_range(capsys):
+    assert cli.main(["validate-mixing", "--relax-factor", "0.34"]) == 1
+    assert "relax_factor must lie in [0, 1/3]" in capsys.readouterr().err
+    assert cli.main(["run", "--relax-factor", "0.34", "--max-iters", "5"]) == 1
 
 
 def test_cli_validate_mixing_and_dump(tmp_path, capsys):
