@@ -1,21 +1,24 @@
-"""The five consensus-optimization steppers and the stepsize-bound table.
+"""DGD, EXTRA and NIDS as one step over per-run operators, plus the
+stepsize-bound table.
 
-Variants:
-  dgd       x+ = w x - a grad(x)
-  extra     two-step form mixing iterates only
-  extra_xy  one-step (x, y) form equivalent to extra
-  nids      two-step form that also mixes the gradient correction
-  nids_dx   one-step (d, x) form equivalent to nids
+Variants (a the stepsize, g = grad(x), I the identity):
+  dgd       x+ = w x - a g
+  extra     x+ = (x + w x) - wt x_prev - a (g - g_prev); the first step is dgd's
+  extra_xy  x+ = wt x + y - a g,  y+ = y - (wt - w) x+;  y0 = -(wt - w) x0
+  nids      x+ = (I + w)/2 (2 x - x_prev - a (g - g_prev)); first (I + w)/2 (x - a g)
+  nids_dx   v = x - a g,  d+ = d + (I - w)/2 (v - a d) / a,  x+ = v - a d+;  d0 = 0
 
-All steppers are pure: state in, state out, single gradient evaluation per
-step (the previous gradient is carried in the state for the two-step forms).
-`iterate` is the one loop that advances them.
+extra_xy and nids_dx are the reformulated (x, y) and (d, x) forms of extra and
+nids whose iterates the certificates audit. `operators` builds a run's update,
+stepsize, gradient and matrices once; `step` advances a state by one iteration
+with them, at one gradient evaluation (the two-step forms carry the previous
+gradient in the state). `iterate` is the one loop that calls `step`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
@@ -26,14 +29,10 @@ from .mixing import MixingPair
 __all__ = [
     "VARIANTS",
     "AlgoState",
+    "Operators",
     "FixedPoint",
     "StepsizeBounds",
-    "init_state",
-    "dgd_step",
-    "extra_step",
-    "extra_xy_step",
-    "nids_step",
-    "nids_dx_step",
+    "operators",
     "step",
     "iterate",
     "trajectory",
@@ -41,119 +40,102 @@ __all__ = [
     "stepsize_bounds",
 ]
 
-VARIANTS = ("dgd", "extra", "extra_xy", "nids", "nids_dx")
+
+@dataclass(frozen=True, slots=True)
+class AlgoState:
+    """One iterate: x, the previous x and its gradient (None at the start), and
+    the auxiliary y of extra_xy or d of nids_dx (None for the other variants)."""
+
+    k: int
+    x: np.ndarray
+    x_prev: np.ndarray | None = None
+    g_prev: np.ndarray | None = None
+    y: np.ndarray | None = None
+    d: np.ndarray | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class Operators:
+    """The constants of one run: its variant's update, stepsize, gradient and
+    the matrices w, wt, wt - w, (I + w)/2 and (I - w)/2."""
+
+    update: Callable[[AlgoState, np.ndarray, Operators], AlgoState]
+    alpha: float
+    grad: Callable[[np.ndarray], np.ndarray]
+    w: np.ndarray
+    wt: np.ndarray
+    diff: np.ndarray
+    half: np.ndarray
+    half_iw: np.ndarray
+
+
+def _dgd(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
+    return AlgoState(s.k + 1, op.w @ s.x - op.alpha * g, s.x, g)
+
+
+def _extra(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
+    if s.x_prev is None:
+        x = op.w @ s.x - op.alpha * g
+    else:
+        x = (s.x + op.w @ s.x) - op.wt @ s.x_prev - op.alpha * (g - s.g_prev)
+    return AlgoState(s.k + 1, x, s.x, g)
+
+
+def _extra_xy(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
+    x = op.wt @ s.x + s.y - op.alpha * g
+    return AlgoState(s.k + 1, x, s.x, g, y=s.y - op.diff @ x)
+
+
+def _nids(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
+    if s.x_prev is None:
+        x = op.half @ (s.x - op.alpha * g)
+    else:
+        x = op.half @ (2.0 * s.x - s.x_prev - op.alpha * (g - s.g_prev))
+    return AlgoState(s.k + 1, x, s.x, g)
+
+
+def _nids_dx(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
+    v = s.x - op.alpha * g
+    d = s.d + (op.half_iw @ (v - op.alpha * s.d)) / op.alpha
+    return AlgoState(s.k + 1, v - op.alpha * d, s.x, g, d=d)
+
+
+_UPDATES = {"dgd": _dgd, "extra": _extra, "extra_xy": _extra_xy, "nids": _nids,
+            "nids_dx": _nids_dx}
+VARIANTS = tuple(_UPDATES)
 
 
 def _mat(w) -> np.ndarray:
     return w.a if isinstance(w, SymMatrix) else np.asarray(w, dtype=float)
 
 
-@dataclass(frozen=True)
-class AlgoState:
-    """One iterate of a stepper: current x plus whatever the variant carries."""
-
-    variant: str
-    k: int
-    x: np.ndarray
-    alpha: float
-    x_prev: np.ndarray | None = None
-    y: np.ndarray | None = None
-    d: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
-
-
-def init_state(variant: str, x0: np.ndarray, alpha: float,
-               w=None, wt=None) -> AlgoState:
-    """Initial state with the variant-specific auxiliary variables.
-
-    extra_xy needs y0 = -(wt - w) x0, nids_dx starts from d0 = 0.
-    """
-    if variant not in VARIANTS:
+def operators(variant: str, alpha: float, w, wt, grad) -> Operators:
+    """Build one run's operators; w and wt are SymMatrix or array-like."""
+    if variant not in _UPDATES:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     if alpha <= 0.0:
         raise ValueError(f"stepsize must be positive, got {alpha}")
-    x0 = np.array(x0, dtype=float)
-    y = d = None
-    if variant == "extra_xy":
-        y = -(_mat(wt) - _mat(w)) @ x0
-    elif variant == "nids_dx":
-        d = np.zeros_like(x0)
-    return AlgoState(variant=variant, k=0, x=x0, alpha=alpha, y=y, d=d)
-
-
-def dgd_step(state: AlgoState, w, grad) -> AlgoState:
-    g = grad(state.x)
-    x_next = _mat(w) @ state.x - state.alpha * g
-    return replace(state, k=state.k + 1, x=x_next, x_prev=state.x, g_prev=g)
-
-
-def extra_step(state: AlgoState, w, wt, grad) -> AlgoState:
     wa, wta = _mat(w), _mat(wt)
-    g = grad(state.x)
-    if state.x_prev is None:
-        x_next = wa @ state.x - state.alpha * g
-    else:
-        g_prev = state.g_prev if state.g_prev is not None else grad(state.x_prev)
-        x_next = (state.x + wa @ state.x) - wta @ state.x_prev \
-            - state.alpha * (g - g_prev)
-    return replace(state, k=state.k + 1, x=x_next, x_prev=state.x, g_prev=g)
+    eye = np.eye(wa.shape[0])
+    return Operators(_UPDATES[variant], alpha, grad, wa, wta, wta - wa,
+                     (eye + wa) / 2.0, (eye - wa) / 2.0)
 
 
-def extra_xy_step(state: AlgoState, w, wt, grad) -> AlgoState:
-    if state.y is None:
-        raise ValueError("extra_xy state is missing y; build it with init_state('extra_xy', ...)")
-    wta = _mat(wt)
-    diff = wta - _mat(w)
-    g = grad(state.x)
-    x_next = wta @ state.x + state.y - state.alpha * g
-    y_next = state.y - diff @ x_next
-    return replace(state, k=state.k + 1, x=x_next, x_prev=state.x, y=y_next, g_prev=g)
-
-
-def nids_step(state: AlgoState, w, grad) -> AlgoState:
-    half = (np.eye(state.x.shape[0]) + _mat(w)) / 2.0
-    g = grad(state.x)
-    if state.x_prev is None:
-        x_next = half @ (state.x - state.alpha * g)
-    else:
-        g_prev = state.g_prev if state.g_prev is not None else grad(state.x_prev)
-        x_next = half @ (2.0 * state.x - state.x_prev - state.alpha * (g - g_prev))
-    return replace(state, k=state.k + 1, x=x_next, x_prev=state.x, g_prev=g)
-
-
-def nids_dx_step(state: AlgoState, w, grad) -> AlgoState:
-    if state.d is None:
-        raise ValueError("nids_dx state is missing d; build it with init_state('nids_dx', ...)")
-    half_iw = (np.eye(state.x.shape[0]) - _mat(w)) / 2.0
-    g = grad(state.x)
-    v = state.x - state.alpha * g
-    d_next = state.d + (half_iw @ (v - state.alpha * state.d)) / state.alpha
-    x_next = v - state.alpha * d_next
-    return replace(state, k=state.k + 1, x=x_next, x_prev=state.x, d=d_next, g_prev=g)
-
-
-def step(state: AlgoState, w, wt, grad) -> AlgoState:
-    """Dispatch one iteration of whichever variant the state carries."""
-    if state.variant == "dgd":
-        return dgd_step(state, w, grad)
-    if state.variant == "extra":
-        return extra_step(state, w, wt, grad)
-    if state.variant == "extra_xy":
-        return extra_xy_step(state, w, wt, grad)
-    if state.variant == "nids":
-        return nids_step(state, w, grad)
-    if state.variant == "nids_dx":
-        return nids_dx_step(state, w, grad)
-    raise ValueError(f"unknown variant {state.variant!r}")
+def step(state: AlgoState, ops: Operators) -> AlgoState:
+    """Advance `state` by one iteration of the run that `ops` describes."""
+    return ops.update(state, ops.grad(state.x), ops)
 
 
 def iterate(variant: str, x0: np.ndarray, alpha: float, w, wt, grad) -> Iterator[AlgoState]:
     """Yield the initial state, then each successive state, for as long as the
     caller keeps asking: a state is computed only when it is requested."""
-    state = init_state(variant, x0, alpha, w=w, wt=wt)
+    ops = operators(variant, alpha, w, wt, grad)
+    x0 = np.array(x0, dtype=float)
+    state = AlgoState(0, x0, y=-ops.diff @ x0 if variant == "extra_xy" else None,
+                      d=np.zeros_like(x0) if variant == "nids_dx" else None)
     while True:
         yield state
-        state = step(state, w, wt, grad)
+        state = step(state, ops)
 
 
 def trajectory(variant: str, x0: np.ndarray, alpha: float, w, wt, grad,

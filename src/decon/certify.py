@@ -375,27 +375,25 @@ class _Tally:
         self._calls = 0
 
     def equality(self, name: str, what: str, k0: int, err: np.ndarray) -> None:
-        # fmax/fmin skip NaN, as the scalar max/min comparisons did.
+        # fmax/fmin skip NaN in the worst margin; _flag still flags it.
         top = float(np.fmax.reduce(err, initial=-math.inf))
         self.worst[name] = max(self.worst[name], top)
-        if top > EQ_TOL:
-            self._flag(what, "relative error", k0, err, err > EQ_TOL)
-        self._calls += 1
+        self._flag(what, "relative error", k0, err, err > EQ_TOL)
 
     def inequality(self, name: str, what: str, k0: int, slack: np.ndarray) -> np.ndarray:
         low = float(np.fmin.reduce(slack, initial=math.inf))
         self.worst[name] = min(self.worst[name], low)
-        if low < INEQ_TOL:
-            self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
-        self._calls += 1
+        self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
         return slack
 
     def _flag(self, what: str, margin: str, k0: int, values: np.ndarray,
-              bad: np.ndarray) -> None:
-        for i in np.flatnonzero(bad).tolist():
+              beyond: np.ndarray) -> None:
+        """File a message for each value beyond its tolerance or not finite."""
+        for i in np.flatnonzero(beyond | ~np.isfinite(values)).tolist():
             k = k0 + i
             self._flagged.append(
                 (k, self._calls, f"{what} violated at k={k}: {margin} {float(values[i]):.3e}"))
+        self._calls += 1
 
     def close_block(self) -> None:
         self._flagged.sort(key=lambda item: item[:2])

@@ -99,8 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for cfg in configs:
         trace = harness.run(cfg)
         if args.save_problem:
-            inst = harness.build_instance(cfg)
-            problems.save_problem(inst.prob, args.save_problem)
+            problems.save_problem(trace.problem, args.save_problem)
         last = trace.residuals[-1]
         print(f"{cfg.name}: status={trace.status} iterations={trace.ks[-1]} "
               f"alpha={trace.alpha:.6g} final_residual={last:.3e}")
@@ -125,9 +124,7 @@ def _cfg_dict(cfg: RunConfig) -> dict:
 
 
 def _cmd_validate_mixing(args: argparse.Namespace) -> int:
-    cfg = harness.config_from_dict(
-        {key: getattr(args, key)
-         for key in ("graph_file", "n", "edge_prob", "seed", "relax_factor", "theta")})
+    cfg = harness.config_from_dict(_flag_overrides(args))
     g = harness.build_graph(cfg)
     mp = harness.build_mixing(cfg, g)
     print(f"mixing pair on {g.n} nodes, {len(g.edges)} edges: PASS")
@@ -176,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate-mixing", help="validate the mixing assumption on a graph")
     p_val.add_argument("--graph-file", dest="graph_file")
-    p_val.add_argument("--n", type=int, default=10)
-    p_val.add_argument("--edge-prob", type=float, dest="edge_prob", default=0.5)
-    p_val.add_argument("--seed", type=int, default=harness.PRESET_SEED)
-    p_val.add_argument("--relax-factor", type=float, dest="relax_factor", default=0.0)
-    p_val.add_argument("--theta", type=float, default=None)
+    p_val.add_argument("--n", type=int)
+    p_val.add_argument("--edge-prob", type=float, dest="edge_prob")
+    p_val.add_argument("--seed", type=int)
+    p_val.add_argument("--relax-factor", type=float, dest="relax_factor")
+    p_val.add_argument("--theta", type=float)
     p_val.add_argument("--dump-mixing", dest="dump_mixing",
                        help="write the mixing matrix as plain text rows")
     p_val.set_defaults(func=_cmd_validate_mixing)

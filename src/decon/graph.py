@@ -68,9 +68,6 @@ class Graph:
             frontier = nxt
         return bool(seen.all())
 
-    def neighbors(self, i: int) -> list[int]:
-        return [int(v) for v in np.nonzero(self.adjacency[i])[0]]
-
 
 def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) sample, rejected until connected.

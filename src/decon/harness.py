@@ -147,6 +147,7 @@ class Trace:
     status: str = field(default="unknown", compare=False)
     audit: object = field(default=None, compare=False, repr=False)
     certificate: object = field(default=None, compare=False, repr=False)
+    problem: object = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -232,11 +233,12 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
     the stream at the tolerance, at divergence or after max_iters steps."""
     denom = float(np.linalg.norm(xstar))
     for k, state in zip(range(config.max_iters + 1), states):
-        finite = bool(np.all(np.isfinite(state.x)))
         res = float(np.linalg.norm(state.x - xstar)) / denom if denom > 0.0 else 0.0
+        if not math.isfinite(res):  # a non-finite iterate, NaN included
+            res = math.inf
         trace.ks.append(k)
-        trace.residuals.append(res if finite else math.inf)
-        if not finite or res > DIVERGENCE_LIMIT:
+        trace.residuals.append(res)
+        if res > DIVERGENCE_LIMIT:
             trace.status = "diverged"
         elif res <= config.tol:
             trace.status = "converged"
@@ -264,7 +266,8 @@ def run(config: RunConfig) -> Trace:
         variant = "extra_xy" if extra else "nids_dx"
         constants = certify.extra_constants if extra else certify.nids_constants
         cert = constants(mp, prob.lipschitz, prob.mu_fbar, inst.alpha)
-    trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters")
+    trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters",
+                  problem=prob)
     x0 = np.zeros((prob.n, prob.p))
     states = _until_stop(algorithms.iterate(variant, x0, inst.alpha, mp.w, mp.wt, prob.grad),
                          config, prob.Xstar, trace)

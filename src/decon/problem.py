@@ -10,6 +10,7 @@ generation time.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,6 @@ class SensingProblem:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return grad(self, x)
-
-    def bar_hessian(self) -> SymMatrix:
-        return SymMatrix(
-            np.einsum("imp,imq->pq", self.sensing, self.sensing) / self.n,
-            name="averaged hessian",
-        )
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -252,6 +247,12 @@ def load_problem(path: str) -> SensingProblem:
         measurements = np.array(payload["measurements"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemError(f"{path}: sensing and measurements must be numeric arrays ({exc})") from exc
+    for key, kinds, what in (("noise_std", numbers.Real, "a number"),
+                             ("seed", (numbers.Integral, type(None)), "an integer or null"),
+                             ("lipschitz", (numbers.Real, type(None)), "a number or null")):
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ProblemError(f"{path}: {key} must be {what}, got {value!r}")
     prob = from_data(
         sensing,
         measurements,

@@ -155,12 +155,12 @@ class _Tally:
 
     def equality(self, name: str, what: str, k: int, err: float) -> None:
         self.worst[name] = max(self.worst[name], err)
-        if err > EQ_TOL:
+        if err > EQ_TOL or not math.isfinite(err):
             self.violations.append(f"{what} violated at k={k}: relative error {err:.3e}")
 
     def inequality(self, name: str, what: str, k: int, slack: float) -> float:
         self.worst[name] = min(self.worst[name], slack)
-        if slack < INEQ_TOL:
+        if slack < INEQ_TOL or not math.isfinite(slack):
             self.violations.append(f"{what} violated at k={k}: normalized slack {slack:.3e}")
         return slack
 

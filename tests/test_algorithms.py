@@ -1,15 +1,15 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from decon import problem
 from decon.algorithms import (
-    dgd_step,
-    extra_step,
-    extra_xy_step,
+    AlgoState,
     fixed_point,
-    init_state,
-    nids_dx_step,
-    nids_step,
+    iterate,
+    operators,
+    step,
     stepsize_bounds,
     trajectory,
 )
@@ -37,8 +37,7 @@ def _pair(seed=2, n=10):
 def test_dgd_consensual_zero_gradient_is_fixed():
     prob = _identical_quadratics(minimizer=np.array([1.0, -2.0, 0.5]))
     _, mp = _pair(n=6)
-    state = init_state("dgd", prob.Xstar, 0.05, w=mp.w, wt=mp.wt)
-    nxt = dgd_step(state, mp.w, prob.grad)
+    _, nxt = islice(iterate("dgd", prob.Xstar, 0.05, mp.w, mp.wt, prob.grad), 2)
     assert np.abs(nxt.x - prob.Xstar).max() <= 1e-12
 
 
@@ -46,8 +45,7 @@ def test_dgd_identity_mixing_is_parallel_gradient_descent():
     prob = _identical_quadratics(n=4)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3))
-    state = init_state("dgd", x, 0.03, w=np.eye(4), wt=np.eye(4))
-    nxt = dgd_step(state, np.eye(4), prob.grad)
+    _, nxt = islice(iterate("dgd", x, 0.03, np.eye(4), np.eye(4), prob.grad), 2)
     assert np.abs(nxt.x - (x - 0.03 * prob.grad(x))).max() <= 1e-14
 
 
@@ -55,8 +53,7 @@ def test_dgd_one_step_matches_straight_line_arithmetic(prob1, rand10):
     _, mp = rand10
     rng = np.random.default_rng(1)
     x = rng.standard_normal((10, 5))
-    state = init_state("dgd", x, 0.07, w=mp.w, wt=mp.wt)
-    nxt = dgd_step(state, mp.w, prob1.grad)
+    _, nxt = islice(iterate("dgd", x, 0.07, mp.w, mp.wt, prob1.grad), 2)
     assert np.abs(nxt.x - (mp.w.a @ x - 0.07 * prob1.grad(x))).max() <= 1e-14
 
 
@@ -75,10 +72,8 @@ def test_extra_zero_stepsize_is_pure_mixing(rand10):
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((10, 5))
     grad = lambda x: np.zeros_like(x)
-    state = init_state("extra", x0, 1e-300, w=mp.w, wt=mp.wt)
-    s1 = extra_step(state, mp.w, mp.wt, grad)
+    _, s1, s2 = islice(iterate("extra", x0, 1e-300, mp.w, mp.wt, grad), 3)
     assert np.abs(s1.x - mp.w.a @ x0).max() <= 1e-12
-    s2 = extra_step(s1, mp.w, mp.wt, grad)
     expected = (np.eye(10) + mp.w.a) @ s1.x - mp.wt.a @ x0
     assert np.abs(s2.x - expected).max() <= 1e-12
 
@@ -88,11 +83,9 @@ def test_nids_zero_stepsize_reduction(rand10):
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal((10, 5))
     grad = lambda x: np.zeros_like(x)
-    state = init_state("nids", x0, 1e-300, w=mp.w, wt=mp.wt)
-    s1 = nids_step(state, mp.w, grad)
+    _, s1, s2 = islice(iterate("nids", x0, 1e-300, mp.w, mp.wt, grad), 3)
     half = (np.eye(10) + mp.w.a) / 2.0
     assert np.abs(s1.x - half @ x0).max() <= 1e-12
-    s2 = nids_step(s1, mp.w, grad)
     assert np.abs(s2.x - half @ (2 * s1.x - x0)).max() <= 1e-12
 
 
@@ -101,8 +94,7 @@ def test_extra_xy_first_step_formula(prob1, rand10):
     x0 = np.zeros((10, 5))
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal((10, 5))
-    state = init_state("extra_xy", x0, 0.05, w=mp.w, wt=mp.wt)
-    nxt = extra_xy_step(state, mp.w, mp.wt, prob1.grad)
+    _, nxt = islice(iterate("extra_xy", x0, 0.05, mp.w, mp.wt, prob1.grad), 2)
     expected = mp.w.a @ x0 - 0.05 * prob1.grad(x0)
     assert np.abs(nxt.x - expected).max() <= 1e-13
 
@@ -110,9 +102,8 @@ def test_extra_xy_first_step_formula(prob1, rand10):
 def test_extra_xy_fixed_point_is_stationary(prob1, rand10):
     _, mp = rand10
     fp = fixed_point(prob1, 0.05)
-    state = init_state("extra_xy", fp.xstar, 0.05, w=mp.w, wt=mp.wt)
-    state = state.__class__(**{**state.__dict__, "y": fp.ystar})
-    nxt = extra_xy_step(state, mp.w, mp.wt, prob1.grad)
+    ops = operators("extra_xy", 0.05, mp.w, mp.wt, prob1.grad)
+    nxt = step(AlgoState(0, fp.xstar, y=fp.ystar), ops)
     assert np.abs(nxt.x - fp.xstar).max() <= 1e-12
     assert np.abs(nxt.y - fp.ystar).max() <= 1e-12
 
@@ -120,9 +111,8 @@ def test_extra_xy_fixed_point_is_stationary(prob1, rand10):
 def test_nids_dx_fixed_point_is_stationary(prob1, rand10):
     _, mp = rand10
     fp = fixed_point(prob1, 0.1)
-    state = init_state("nids_dx", fp.xstar, 0.1, w=mp.w, wt=mp.wt)
-    state = state.__class__(**{**state.__dict__, "d": fp.dstar})
-    nxt = nids_dx_step(state, mp.w, prob1.grad)
+    ops = operators("nids_dx", 0.1, mp.w, mp.wt, prob1.grad)
+    nxt = step(AlgoState(0, fp.xstar, d=fp.dstar), ops)
     assert np.abs(nxt.x - fp.xstar).max() <= 1e-12
     assert np.abs(nxt.d - fp.dstar).max() <= 1e-12
 

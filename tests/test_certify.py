@@ -228,7 +228,7 @@ def test_audit_extra_fixed_point_trajectory_is_null(prob1, rand10):
     cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     fp = fixed_point(prob1, alpha)
     gstar = prob1.grad(fp.xstar)
-    states = [AlgoState("extra_xy", k, fp.xstar, alpha, y=fp.ystar, g_prev=gstar)
+    states = [AlgoState(k, fp.xstar, g_prev=gstar, y=fp.ystar)
               for k in range(6)]
     report = audit_extra(states, mp, cert, fp, prob1.grad)
     assert report.ok
@@ -253,7 +253,7 @@ def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):
     cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     fp = fixed_point(prob1, 0.1)
     gstar = prob1.grad(fp.xstar)
-    states = [AlgoState("nids_dx", k, fp.xstar, 0.1, d=fp.dstar, g_prev=gstar)
+    states = [AlgoState(k, fp.xstar, g_prev=gstar, d=fp.dstar)
               for k in range(5)]
     report = audit_nids(states, mp, cert, fp, prob1.grad)
     assert report.ok
@@ -392,6 +392,28 @@ def test_blocked_audits_match_the_oracle_at_block_boundaries(length, prob1, rand
         report = audit(stream, pair, cert, fp, prob1.grad)
         assert report.transitions == (transitions or 0)
         _assert_same_report(report, oracle(stream, pair, cert, fp, prob1.grad))
+
+
+@pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])
+def test_audits_flag_a_non_finite_state(variant, prob1, rand10):
+    # Every check touching the NaN state is NaN, which compares false against
+    # both tolerances; the audits must report it rather than pass it.
+    _, mp = rand10
+    if variant == "extra_xy":
+        audit, oracle = audit_extra, audit_extra_reference
+        alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+        cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    else:
+        audit, oracle, alpha = audit_nids, audit_nids_reference, 0.1
+        cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    fp = fixed_point(prob1, alpha)
+    states = list(_states(variant, mp, prob1, alpha, 5))
+    states[3] = dataclasses.replace(states[3], x=np.full_like(states[3].x, np.nan))
+    report = audit(states, mp, cert, fp, prob1.grad)
+    assert report.ok is False and report.transitions == 5
+    flagged = {message.split("k=")[1].split(":")[0] for message in report.violations}
+    assert flagged == {"2", "3"}, report.violations
+    assert report.violations == oracle(states, mp, cert, fp, prob1.grad).violations
 
 
 @pytest.mark.parametrize("generic", [False, True])

@@ -251,6 +251,7 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
     (lambda d: d.pop("sensing"), "missing key(s) sensing"),
     (lambda d: d.update(sensing=d["sensing"][0]), "sensing must be a non-empty (n, m, p) array"),
     (lambda d: d["sensing"][0][0].__setitem__(0, "x"), "sensing and measurements must be numeric"),
+    (lambda d: d.update(lipschitz="ten"), "lipschitz must be a number or null, got 'ten'"),
 ])
 def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsys):
     path = tmp_path / "prob.json"
@@ -423,6 +424,21 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code = cli.main(["run", "--config", str(path), "--alpha", "0.05", "--out", str(out)])
     assert code == 0
     assert read_csv(str(out)).alpha == pytest.approx(0.05)
+
+
+def test_cli_save_problem_builds_each_instance_once(tmp_path, monkeypatch):
+    saved = tmp_path / "prob.json"
+    built = []
+    build = harness.build_instance
+    monkeypatch.setattr(harness, "build_instance", lambda cfg: built.append(cfg.name) or build(cfg))
+    assert cli.main(["run", "--scenario", "fig3", "--max-iters", "5",
+                     "--save-problem", str(saved)]) == 0
+    configs = resolve_scenario("fig3")
+    assert built == [cfg.name for cfg in configs]
+    monkeypatch.undo()
+    expected = tmp_path / "expected.json"
+    problem.save_problem(build(configs[-1]).prob, str(expected))
+    assert saved.read_bytes() == expected.read_bytes()
 
 
 def test_cli_save_and_load_problem(tmp_path):
