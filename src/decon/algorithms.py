@@ -1,5 +1,5 @@
-"""DGD, EXTRA and NIDS as one step over per-run operators, plus the
-stepsize-bound table.
+"""DGD, EXTRA and NIDS as one step over per-run operators, plus the table of
+named stepsizes.
 
 Variants (a the stepsize, g = grad(x), I the identity):
   dgd       x+ = w x - a g
@@ -18,7 +18,7 @@ gradient in the state). `iterate` is the one loop that calls `step`.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -31,7 +31,7 @@ __all__ = [
     "AlgoState",
     "Operators",
     "FixedPoint",
-    "StepsizeBounds",
+    "STEPSIZES",
     "operators",
     "step",
     "iterate",
@@ -179,34 +179,26 @@ def fixed_point(prob, alpha: float) -> FixedPoint:
     return FixedPoint(xstar=prob.Xstar, ystar=alpha * gstar, dstar=-gstar)
 
 
-@dataclass(frozen=True)
-class StepsizeBounds:
-    """Upper stepsize bounds, plus the legacy reference values.
-
-    extra_new:     2 lambda_min(w_bar) / L at the pair's theta
-    extra_special: (5 + 3 lambda_min(w)) / (4 L), the theta -> 3/4 limit when
-                   w_tilde = (I + w)/2
-    nids:          2 / L (network independent)
-    shi_linear:    mu_fbar (1 + lambda_min(w)) / L^2
-    shi_convex:    (1 + lambda_min(w)) / L
-    """
-
-    extra_new: float
-    extra_special: float
-    nids: float
-    shi_linear: float
-    shi_convex: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+# Named stepsizes, each a formula in (mixing pair, L, mu_fbar); these names are
+# what `--alpha` accepts and what `decon bounds` prints.
+STEPSIZES: dict[str, Callable[[MixingPair, float, float], float]] = {
+    # 2 lambda_min(w_bar) / L at the pair's theta: the open end of EXTRA's certified range.
+    "extra-new": lambda mp, lip, mu: 2.0 * mp.wbar.lambda_min / lip,
+    # (5 + 3 lambda_min(w)) / (4 L), the theta -> 3/4 limit when w_tilde = (I + w)/2.
+    "extra-special": lambda mp, lip, mu: (5.0 + 3.0 * mp.lam_min_w) / (4.0 * lip),
+    # 2 / L, network independent.
+    "nids": lambda mp, lip, mu: 2.0 / lip,
+    # The legacy EXTRA bounds for linear and for plain convergence.
+    "shi-linear": lambda mp, lip, mu: mu * (1.0 + mp.lam_min_w) / lip**2,
+    "shi-convex": lambda mp, lip, mu: (1.0 + mp.lam_min_w) / lip,
+    # The tuned stepsizes of fig3 and the two DGD stepsizes of fig1 and fig2.
+    "extra-opt": lambda mp, lip, mu: (5.0 + 3.0 * mp.lam_min_w) / (4.0 * lip + mu),
+    "nids-opt": lambda mp, lip, mu: 2.0 / (lip + mu),
+    "dgd-fast": lambda mp, lip, mu: 1.0 / lip,
+    "dgd-slow": lambda mp, lip, mu: 1.0 / (10.0 * lip),
+}
 
 
-def stepsize_bounds(mp: MixingPair, lipschitz: float, mu_fbar: float) -> StepsizeBounds:
-    lam_min_w = mp.lam_min_w
-    return StepsizeBounds(
-        extra_new=2.0 * mp.wbar.lambda_min / lipschitz,
-        extra_special=(5.0 + 3.0 * lam_min_w) / (4.0 * lipschitz),
-        nids=2.0 / lipschitz,
-        shi_linear=mu_fbar * (1.0 + lam_min_w) / lipschitz**2,
-        shi_convex=(1.0 + lam_min_w) / lipschitz,
-    )
+def stepsize_bounds(mp: MixingPair, lipschitz: float, mu_fbar: float) -> dict[str, float]:
+    """Every named stepsize of STEPSIZES, valued on one instance."""
+    return {name: formula(mp, lipschitz, mu_fbar) for name, formula in STEPSIZES.items()}

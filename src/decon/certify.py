@@ -12,6 +12,7 @@ including the Lyapunov contraction itself, must hold with slack no worse than
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 from types import SimpleNamespace
@@ -27,10 +28,10 @@ __all__ = [
     "ExtraCertificate",
     "NidsCertificate",
     "AuditReport",
+    "certify",
     "extra_constants",
     "nids_constants",
     "extra_rho",
-    "rho_special",
     "audit_extra",
     "audit_nids",
     "search_extra_certificate",
@@ -49,6 +50,20 @@ _THETA_BOUNDARY = 0.75 + 1e-12
 
 class CertificateError(ValueError):
     """A certificate constant could not be produced (bad stepsize or empty interval)."""
+
+
+def certify(variant: str) -> tuple[str, Callable, Callable] | None:
+    """The certified form of `variant`: the reformulated variant whose states are
+    audited, its certificate and its audit; None if no certificate exists.
+
+    The two functions are looked up when this is called, not kept in a table,
+    so a caller always gets the module's current bindings.
+    """
+    if variant in ("extra", "extra_xy"):
+        return "extra_xy", extra_constants, audit_extra
+    if variant in ("nids", "nids_dx"):
+        return "nids_dx", nids_constants, audit_nids
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ class NidsCertificate:
     r5: float
     eta: float
     mu_g: float
-    rho3: float
+    rho: float
     branches: tuple[float, float, float]
     q_mat: SymMatrix
     pn_mat: SymMatrix
@@ -273,7 +288,7 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     b1 = 1.0 - decay * mu_g
     b2 = decay * eta * r5
     b3 = 1.0 - 4.0 * r4 / (2.0 * lam_iw_pinv - 0.5 + 2.0 * r4)
-    rho3 = max(b1, b2, b3)
+    rho = max(b1, b2, b3)
 
     n = mp.n
     eye = np.eye(n)
@@ -292,7 +307,7 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     if pn_mat.lambda_min < PD_SLACK:
         raise CertificateError(f"pn is not positive definite (lambda_min = {pn_mat.lambda_min:.3e})")
     return NidsCertificate(
-        r4=r4, r5=r5, eta=eta, mu_g=mu_g, rho3=rho3, branches=(b1, b2, b3),
+        r4=r4, r5=r5, eta=eta, mu_g=mu_g, rho=rho, branches=(b1, b2, b3),
         q_mat=q_mat, pn_mat=pn_mat, alpha=alpha, theta=theta,
     )
 
@@ -592,7 +607,7 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
         return _min(s, s_chain)
 
     return _audit_stream("nids_dx", states, "d", (fp.xstar, fp.dstar), per_state, transition,
-                         cert.rho3, tally)
+                         cert.rho, tally)
 
 
 def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
@@ -645,7 +660,7 @@ def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, al
                 cert = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4, eta=eta)
             except CertificateError:
                 continue
-            if best is None or cert.rho3 < best.rho3:
+            if best is None or cert.rho < best.rho:
                 best = cert
     if best is None:
         raise CertificateError("no admissible certificate found in the search grid")

@@ -36,7 +36,7 @@ _VALIDATION_ERRORS = (
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", choices=harness.SCENARIOS, help="preset replicating one figure")
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    p.add_argument("--topology", choices=("random", "line", "complete"))
+    p.add_argument("--topology", choices=harness.TOPOLOGIES)
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--mi", type=int)
@@ -44,7 +44,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-std", type=float, dest="noise_std")
     p.add_argument("--seed", type=int)
     p.add_argument("--algo", choices=algorithms.VARIANTS)
-    p.add_argument("--alpha", help="numeric stepsize or one of: " + ", ".join(harness.ALPHA_NAMES))
+    p.add_argument("--alpha", help="numeric stepsize or one of: " + ", ".join(algorithms.STEPSIZES))
     p.add_argument("--relax-factor", type=float, dest="relax_factor")
     p.add_argument("--theta", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
@@ -57,11 +57,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    keys = ("topology", "n", "p", "mi", "edge_prob", "noise_std", "seed", "algo",
-            "alpha", "relax_factor", "theta", "max_iters", "tol", "certify",
-            "graph_file", "problem_file", "out_path")
+    """The RunConfig fields given on the command line."""
     out = {}
-    for key in keys:
+    for key in (f.name for f in dataclasses.fields(RunConfig)):
         value = getattr(args, key, None)
         if value is None:
             continue
@@ -104,10 +102,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{cfg.name}: status={trace.status} iterations={trace.ks[-1]} "
               f"alpha={trace.alpha:.6g} final_residual={last:.3e}")
         if trace.certified:
-            cert = trace.certificate
-            factor = getattr(cert, "rho", None) or getattr(cert, "rho3", None)
             report = trace.audit
-            print(f"  certificate: contraction factor {factor:.12g}, "
+            print(f"  certificate: contraction factor {trace.certificate.rho:.12g}, "
                   f"audit violations {len(report.violations)}")
             for message in report.violations[:5]:
                 print(f"  AUDIT: {message}")
@@ -148,14 +144,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         cfg = harness.config_from_dict(_flag_overrides(args))
     inst = harness.build_instance(cfg)
-    named = harness.named_stepsizes(inst.bounds, inst.prob.lipschitz, inst.prob.mu_fbar,
-                                    inst.mp.lam_min_w)
-    rows = list(inst.bounds.as_dict().items())
-    rows += [(name, named[name]) for name in ("extra-opt", "nids-opt")]
     print(f"stepsize bounds (L = {inst.prob.lipschitz:g}, mu_fbar = {inst.prob.mu_fbar:.6g}, "
           f"lambda_min(w) = {inst.mp.lam_min_w:.6g}, theta = {inst.mp.theta:g})")
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
+    width = max(map(len, inst.stepsizes))
+    for name, value in inst.stepsizes.items():
         print(f"  {name.ljust(width)}  {value:.12g}")
     return 0
 

@@ -27,9 +27,8 @@ __all__ = [
     "Trace",
     "Instance",
     "SCENARIOS",
-    "ALPHA_NAMES",
+    "TOPOLOGIES",
     "resolve_scenario",
-    "named_stepsizes",
     "resolve_alpha",
     "build_instance",
     "config_from_dict",
@@ -42,20 +41,13 @@ DIVERGENCE_LIMIT = 1e12
 
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
 
-# Named stepsizes: name -> value from (bounds, L, mu_fbar, lambda_min(w)) of an instance.
-_STEPSIZE_FORMULAS = {
-    "extra-new": lambda b, lip, mu, lam: b.extra_new,
-    "extra-special": lambda b, lip, mu, lam: b.extra_special,
-    "nids": lambda b, lip, mu, lam: b.nids,
-    "shi-linear": lambda b, lip, mu, lam: b.shi_linear,
-    "shi-convex": lambda b, lip, mu, lam: b.shi_convex,
-    "extra-opt": lambda b, lip, mu, lam: (5.0 + 3.0 * lam) / (4.0 * lip + mu),
-    "nids-opt": lambda b, lip, mu, lam: 2.0 / (lip + mu),
-    "dgd-fast": lambda b, lip, mu, lam: 1.0 / lip,
-    "dgd-slow": lambda b, lip, mu, lam: 1.0 / (10.0 * lip),
+# Topology name -> the graph it builds for a configuration. Each generator is
+# looked up in `graph` when called, so a rebound generator is the one that runs.
+TOPOLOGIES = {
+    "random": lambda c: graphs.random_connected(c.n, c.edge_prob, c.seed),
+    "line": lambda c: graphs.line(c.n),
+    "complete": lambda c: graphs.complete(c.n),
 }
-
-ALPHA_NAMES = tuple(_STEPSIZE_FORMULAS)
 
 # Documented preset choices: the random-network presets share one seed and the
 # relaxed presets use the maximal admissible relaxation minus a hair (the
@@ -116,11 +108,15 @@ class RunConfig:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not 0.0 <= self.relax_factor <= 1.0 / 3.0:
             raise ConfigError(f"relax_factor must lie in [0, 1/3], got {self.relax_factor}")
+        if self.topology not in TOPOLOGIES:
+            raise ConfigError(
+                f"unknown topology {self.topology!r}; choose from {tuple(TOPOLOGIES)}")
         if self.algo not in algorithms.VARIANTS:
             raise ConfigError(
                 f"unknown algorithm {self.algo!r}; choose from {algorithms.VARIANTS}")
-        if isinstance(self.alpha, str) and self.alpha not in ALPHA_NAMES:
-            raise ConfigError(f"unknown stepsize name {self.alpha!r}; choose from {ALPHA_NAMES}")
+        if isinstance(self.alpha, str) and self.alpha not in algorithms.STEPSIZES:
+            raise ConfigError(f"unknown stepsize name {self.alpha!r}; "
+                              f"choose from {tuple(algorithms.STEPSIZES)}")
         if not isinstance(self.alpha, str) and self.alpha <= 0.0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
@@ -169,7 +165,7 @@ class Instance:
     graph: graphs.Graph
     mp: mixing.MixingPair
     prob: problems.SensingProblem
-    bounds: algorithms.StepsizeBounds
+    stepsizes: dict[str, float]
     alpha: float
 
 
@@ -177,13 +173,7 @@ def build_graph(config: RunConfig) -> graphs.Graph:
     if config.graph_file:
         with open(config.graph_file, encoding="utf-8") as fh:
             return graphs.from_edge_list_text(fh.read())
-    if config.topology == "random":
-        return graphs.random_connected(config.n, config.edge_prob, config.seed)
-    if config.topology == "line":
-        return graphs.line(config.n)
-    if config.topology == "complete":
-        return graphs.complete(config.n)
-    raise ConfigError(f"unknown topology {config.topology!r}")
+    return TOPOLOGIES[config.topology](config)
 
 
 def build_mixing(config: RunConfig, g: graphs.Graph) -> mixing.MixingPair:
@@ -194,20 +184,12 @@ def build_mixing(config: RunConfig, g: graphs.Graph) -> mixing.MixingPair:
     return mixing.validate(w, wt, g, theta=config.theta)
 
 
-def named_stepsizes(bounds: algorithms.StepsizeBounds, lipschitz: float, mu_fbar: float,
-                    lam_min_w: float) -> dict[str, float]:
-    """Every named stepsize of ALPHA_NAMES, valued on one instance."""
-    return {name: formula(bounds, lipschitz, mu_fbar, lam_min_w)
-            for name, formula in _STEPSIZE_FORMULAS.items()}
-
-
-def resolve_alpha(config: RunConfig, bounds: algorithms.StepsizeBounds,
-                  lipschitz: float, mu_fbar: float, lam_min_w: float) -> float:
-    """Map a named stepsize to its value on this instance."""
+def resolve_alpha(config: RunConfig, stepsizes: dict[str, float]) -> float:
+    """Map a named stepsize to its value in this instance's `stepsizes`."""
     a = config.alpha
     if not isinstance(a, str):
         return float(a)
-    value = named_stepsizes(bounds, lipschitz, mu_fbar, lam_min_w)[a]
+    value = stepsizes[a]
     if value <= 0.0:
         raise ConfigError(f"stepsize {a!r} resolved to a non-positive value {value:.6g}")
     return value
@@ -223,9 +205,9 @@ def build_instance(config: RunConfig) -> Instance:
                                  noise_std=config.noise_std, seed=config.seed)
     if prob.n != g.n:
         raise ConfigError(f"problem has {prob.n} agents but the graph has {g.n} nodes")
-    bounds = algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
-    alpha = resolve_alpha(config, bounds, prob.lipschitz, prob.mu_fbar, mp.lam_min_w)
-    return Instance(config=config, graph=g, mp=mp, prob=prob, bounds=bounds, alpha=alpha)
+    stepsizes = algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
+    return Instance(config=config, graph=g, mp=mp, prob=prob, stepsizes=stepsizes,
+                    alpha=resolve_alpha(config, stepsizes))
 
 
 def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
@@ -260,11 +242,10 @@ def run(config: RunConfig) -> Trace:
     prob, mp = inst.prob, inst.mp
     variant = config.algo
     if config.certify:
-        if variant not in ("extra", "extra_xy", "nids", "nids_dx"):
+        form = certify.certify(variant)
+        if form is None:
             raise ConfigError(f"no contraction certificate exists for {variant!r}")
-        extra = variant.startswith("extra")
-        variant = "extra_xy" if extra else "nids_dx"
-        constants = certify.extra_constants if extra else certify.nids_constants
+        variant, constants, audit = form
         cert = constants(mp, prob.lipschitz, prob.mu_fbar, inst.alpha)
     trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters",
                   problem=prob)
@@ -275,7 +256,6 @@ def run(config: RunConfig) -> Trace:
         for _ in states:
             pass
         return trace
-    audit = certify.audit_extra if extra else certify.audit_nids
     report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha), prob.grad)
     trace.lyapunov = [float(v) for v in report.lyapunov]
     trace.ratio = list(report.ratio)

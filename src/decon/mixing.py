@@ -54,7 +54,7 @@ class MixingPair:
     diff   = wt - w                          (PSD, zero exactly on the consensus line)
     iw     = I - w                           (PSD, zero exactly on the consensus line)
     wbar   = theta*wt + (1-theta)*I          (positive definite)
-    h      = (I + wt)/2                      (positive definite)
+    h      = (I + wt)/2                      (positive definite: part 4 keeps wt > -I/3)
     m      = pinv(wt - w)                    (PSD, zero on the consensus line)
     g      = w + I - 2*wt                    (PSD; zero when wt = (I+w)/2)
     mtilde = 2 pinv(I - w) - theta*I         (= pinv((I - w)/2) - theta*I, bit for bit;
@@ -190,10 +190,9 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     resid = float(np.abs(diff.a @ ones).max())
     if resid > _NULLSPACE_TOL:
         violations.append(f"part 3 (null space): (w_tilde - w) 1 has residual {resid:.3e}")
+    # A negative eigenvalue of w_tilde - w is reported once, under part 4.
     dw = diff.eigenvalues
-    if dw[0] < _PSD_SLACK:
-        violations.append(f"part 3 (null space): w_tilde - w has negative eigenvalue {dw[0]:.3e}")
-    elif n >= 2 and dw[1] <= _NULLSPACE_TOL:
+    if dw[0] >= _PSD_SLACK and n >= 2 and dw[1] <= _NULLSPACE_TOL:
         violations.append(
             f"part 3 (null space): Null(w - w_tilde) is larger than span(1) "
             f"(second-smallest eigenvalue {dw[1]:.3e})"
@@ -239,9 +238,6 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         _check_theta(theta, lam_min_wt)
     theta = float(theta)
     wbar, mtilde = _theta_matrices(theta, wt, i_minus_w)
-    h = SymMatrix((eye + wt.a) / 2.0, name="h")
-    if h.lambda_min <= 0.0:
-        raise MixingValidationError([f"h = (I + w_tilde)/2 is not PD (lambda_min = {h.lambda_min:.3e})"])
     g_mat = SymMatrix(w.a + eye - 2.0 * wt.a, name="g")
     if g_mat.lambda_min < _PSD_SLACK:
         raise MixingValidationError([f"g = w + I - 2 w_tilde has eigenvalue {g_mat.lambda_min:.3e} < 0"])
@@ -262,7 +258,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         diff=diff,
         iw=i_minus_w,
         wbar=wbar,
-        h=h,
+        h=SymMatrix((eye + wt.a) / 2.0, name="h"),
         m=diff.pinv(),
         g=g_mat,
         mtilde=mtilde,

@@ -10,6 +10,7 @@ generation time.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -260,7 +261,12 @@ def load_problem(path: str) -> SensingProblem:
         seed=payload["seed"],
         lipschitz=payload["lipschitz"],
     )
-    if payload.get("x_true") is not None:
-        object.__setattr__(prob, "x_true", np.array(payload["x_true"], dtype=float))
+    x_true = payload.get("x_true")
+    if x_true is not None:
+        if not (isinstance(x_true, list) and len(x_true) == prob.p and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in x_true)):
+            raise ProblemError(f"{path}: x_true must be null or {prob.p} finite numbers")
+        object.__setattr__(prob, "x_true", np.array(x_true, dtype=float))
         prob.x_true.setflags(write=False)
     return prob

@@ -309,4 +309,4 @@ def audit_nids_reference(states, mp, cert, fp, grad) -> AuditReport:
                                    (bound - t3) / (1.0 + base_prev))
         return min(s, s_chain)
 
-    return _audit_stream("nids_dx", states, lyapunov, transition, cert.rho3, tally)
+    return _audit_stream("nids_dx", states, lyapunov, transition, cert.rho, tally)

@@ -141,7 +141,7 @@ def test_criterion_4_certified_contraction(audited):
         for cell, cert_e, rep_e, cert_n, rep_n in audited:
             where = (cell.seed, cell.mi, cell.relaxed)
             assert 0.0 < cert_e.rho < 1.0, where
-            assert 0.0 < cert_n.rho3 < 1.0, where
+            assert 0.0 < cert_n.rho < 1.0, where
             assert cert_e.p_mat.lambda_min >= -1e-10, where
             assert cert_e.q_mat.lambda_min >= -1e-10, where
             assert cert_n.pn_mat.lambda_min >= -1e-10, where
@@ -150,7 +150,7 @@ def test_criterion_4_certified_contraction(audited):
             assert deflated.lambda_min >= -1e-10, where
             assert rep_e.checks["contraction_slack"] >= -1e-8, where
             assert rep_n.checks["contraction_slack"] >= -1e-8, where
-            for rep, rho in ((rep_e, cert_e.rho), (rep_n, cert_n.rho3)):
+            for rep, rho in ((rep_e, cert_e.rho), (rep_n, cert_n.rho)):
                 top = rep.lyapunov[0]
                 for k in range(1, rep.transitions):
                     if rep.lyapunov[k] > top * 1e-20 and rep.ratio[k + 1] is not None:
@@ -163,8 +163,8 @@ def test_criterion_5_stepsize_bound_table(grid):
         for cell in grid:
             mp34 = mixing.validate(cell.mp.w, cell.mp.wt, cell.mp.graph, theta=0.75)
             b = stepsize_bounds(mp34, cell.prob.lipschitz, cell.prob.mu_fbar)
-            assert abs(b.extra_new - b.extra_special) <= 1e-12, cell.seed
-            assert b.nids == 0.2
+            assert abs(b["extra-new"] - b["extra-special"]) <= 1e-12, cell.seed
+            assert b["nids"] == 0.2
         base = harness.resolve_scenario("fig1")[0]
         for seed in SEEDS:
             probe = dataclasses.replace(base, seed=seed, algo="extra",
@@ -172,9 +172,9 @@ def test_criterion_5_stepsize_bound_table(grid):
                                         max_iters=5000, tol=1e-9)
             inst = harness.build_instance(probe)
             tr_e = harness.run(dataclasses.replace(
-                probe, alpha=0.99 * inst.bounds.extra_special))
+                probe, alpha=0.99 * inst.stepsizes["extra-special"]))
             tr_n = harness.run(dataclasses.replace(
-                probe, algo="nids", alpha=0.99 * inst.bounds.nids))
+                probe, algo="nids", alpha=0.99 * inst.stepsizes["nids"]))
             assert tr_e.iterations_to(1e-8) is not None, seed
             assert tr_e.iterations_to(1e-8) <= 5000, seed
             assert tr_n.iterations_to(1e-8) is not None, seed

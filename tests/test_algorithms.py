@@ -178,7 +178,7 @@ def test_residual_eventually_decreasing(prob1, rand10):
     _, mp = rand10
     bounds = stepsize_bounds(mp, prob1.lipschitz, prob1.mu_fbar)
     x0 = np.zeros((10, 5))
-    for variant, alpha in (("extra", 0.5 * bounds.extra_new), ("nids", 0.5 * bounds.nids)):
+    for variant, alpha in (("extra", 0.5 * bounds["extra-new"]), ("nids", 0.5 * bounds["nids"])):
         xs, _ = trajectory(variant, x0, alpha, mp.w, mp.wt, prob1.grad, 300)
         res = np.linalg.norm(xs - prob1.Xstar[None], axis=(1, 2))
         floor = next((k for k, r in enumerate(res) if r <= 1e-12 * res[0]), len(res))
@@ -192,13 +192,13 @@ def test_stepsize_bounds_plugins(prob1):
     wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
     mp = validate(w, wt, g, theta=0.75)
     b = stepsize_bounds(mp, 10.0, prob1.mu_fbar)
-    assert b.nids == pytest.approx(0.2, abs=0)
-    assert b.extra_special == pytest.approx((5.0 + 3.0 * mp.lam_min_w) / 40.0, rel=1e-15)
+    assert b["nids"] == pytest.approx(0.2, abs=0)
+    assert b["extra-special"] == pytest.approx((5.0 + 3.0 * mp.lam_min_w) / 40.0, rel=1e-15)
     # At theta = 3/4 with wt = (I+w)/2, the certified and special bounds agree
     # because w_bar = (5 I + 3 w) / 8.
-    assert abs(b.extra_new - b.extra_special) <= 1e-12
-    assert b.shi_convex == pytest.approx((1.0 + mp.lam_min_w) / 10.0, rel=1e-15)
-    assert b.shi_linear == pytest.approx(prob1.mu_fbar * (1.0 + mp.lam_min_w) / 100.0, rel=1e-15)
+    assert abs(b["extra-new"] - b["extra-special"]) <= 1e-12
+    assert b["shi-convex"] == pytest.approx((1.0 + mp.lam_min_w) / 10.0, rel=1e-15)
+    assert b["shi-linear"] == pytest.approx(prob1.mu_fbar * (1.0 + mp.lam_min_w) / 100.0, rel=1e-15)
 
 
 def test_stepsize_bound_special_value():

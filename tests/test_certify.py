@@ -68,8 +68,8 @@ def test_nids_golden_two_node_theta_09():
     assert cert.branches[0] == pytest.approx(1.0 - 0.19 * 0.1 * mg, rel=1e-12)
     assert cert.branches[1] == pytest.approx(0.5, rel=1e-12)
     assert cert.branches[2] == pytest.approx(1.0 - 0.3 / (2.0 - 0.5 + 0.15), rel=1e-12)
-    assert cert.rho3 == pytest.approx(max(cert.branches), rel=0)
-    assert cert.rho3 < 1.0
+    assert cert.rho == pytest.approx(max(cert.branches), rel=0)
+    assert cert.rho < 1.0
     # q is indefinite on the consensus line by design but PD where d lives.
     assert cert.q_mat.lambda_min < 0
     ones = np.ones((2, 1)) / np.sqrt(2.0)
@@ -88,7 +88,7 @@ def test_rho3_degrades_as_alpha_vanishes():
     # At fixed eta the first branch 1 - a (2 - a L) mu_g climbs to 1 as the
     # stepsize vanishes (the default eta rescales with alpha, hiding this).
     mp = _half_pair(line(2), theta=0.9)
-    rhos = [nids_constants(mp, 10.0, 1.0, a, eta=2.0).rho3
+    rhos = [nids_constants(mp, 10.0, 1.0, a, eta=2.0).rho
             for a in (0.1, 0.02, 0.002, 0.0002)]
     assert all(np.diff(rhos) > 0)
     assert rhos[-1] > 1.0 - 1e-3
@@ -276,7 +276,7 @@ def test_beyond_classical_spectrum_nids_certifies_and_converges():
     prob = problem.generate(2, 2, 3, seed=9)
     cert = nids_constants(mp, prob.lipschitz, prob.mu_fbar, 0.19)
     assert cert.r5 > 2.0
-    assert cert.rho3 < 1.0
+    assert cert.rho < 1.0
     states = list(_states("nids_dx", mp, prob, 0.19, 3000))
     fp = fixed_point(prob, 0.19)
     res = np.linalg.norm(states[-1].x - fp.xstar) / np.linalg.norm(states[0].x - fp.xstar)
@@ -315,7 +315,7 @@ def test_audit_near_boundary_stepsize(prob1):
     cert_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha_n)
     rep_n = audit_nids(_states("nids_dx", mp, prob1, alpha_n, 800), mp, cert_n,
                        fixed_point(prob1, alpha_n), prob1.grad)
-    assert cert_n.rho3 < 1.0 and rep_n.ok, rep_n.violations[:3]
+    assert cert_n.rho < 1.0 and rep_n.ok, rep_n.violations[:3]
 
 
 def test_search_improves_or_matches_default(prob1, rand10):
@@ -326,7 +326,7 @@ def test_search_improves_or_matches_default(prob1, rand10):
     assert best.rho <= default.rho + 1e-15
     default_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     best_n = search_nids_certificate(mp, prob1.lipschitz, prob1.mu_fbar, 0.1, grid=4)
-    assert best_n.rho3 <= default_n.rho3 + 1e-15
+    assert best_n.rho <= default_n.rho + 1e-15
 
 
 def _mismatched_streams(prob, mp):

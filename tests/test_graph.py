@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decon.graph import (
     Graph,
@@ -68,6 +70,30 @@ def test_self_loop_rejected():
 def test_edge_list_round_trip():
     g = random_connected(9, 0.4, 3)
     assert from_edge_list_text(to_edge_list_text(g)) == g
+
+
+@st.composite
+def _connected_edges(draw):
+    """n and a shuffled edge list of a connected graph on n nodes: a random
+    spanning tree plus extra edges, each pair in either orientation, repeats allowed."""
+    n = draw(st.integers(2, 12))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    label = draw(st.permutations(range(n)))
+    return n, draw(st.permutations([(label[i], label[j]) for i, j in pairs]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=_connected_edges())
+def test_edge_list_text_round_trips(drawn):
+    n, edges = drawn
+    g = Graph(n, tuple(edges))
+    text = to_edge_list_text(g)
+    assert from_edge_list_text(text) == g
+    raw = "".join(f"{i} {j}\n" for i, j in edges)
+    assert from_edge_list_text(raw) == g
+    assert to_edge_list_text(from_edge_list_text(raw)) == text
 
 
 def test_edge_list_parse_errors():

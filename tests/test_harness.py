@@ -79,7 +79,7 @@ def test_run_divergence_detected():
     base = resolve_scenario("fig1")[0]
     cfg = dataclasses.replace(base, algo="extra", alpha="extra-special", label="probe")
     inst = harness.build_instance(cfg)
-    cfg = dataclasses.replace(cfg, alpha=10.0 * inst.bounds.extra_special)
+    cfg = dataclasses.replace(cfg, alpha=10.0 * inst.stepsizes["extra-special"])
     trace = run(cfg)
     assert trace.status == "diverged"
     assert trace.residuals[-1] > harness.DIVERGENCE_LIMIT or not np.isfinite(trace.residuals[-1])
@@ -252,6 +252,8 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
     (lambda d: d.update(sensing=d["sensing"][0]), "sensing must be a non-empty (n, m, p) array"),
     (lambda d: d["sensing"][0][0].__setitem__(0, "x"), "sensing and measurements must be numeric"),
     (lambda d: d.update(lipschitz="ten"), "lipschitz must be a number or null, got 'ten'"),
+    (lambda d: d.update(x_true=["a", "b"]), "x_true must be null or 2 finite numbers"),
+    (lambda d: d["x_true"].pop(), "x_true must be null or 2 finite numbers"),
 ])
 def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsys):
     path = tmp_path / "prob.json"
@@ -412,7 +414,41 @@ def test_cli_bounds_table(capsys):
     code = cli.main(["bounds", "--scenario", "fig1"])
     assert code == 0
     text = capsys.readouterr().out
-    assert "extra_special" in text and "nids" in text and "shi_linear" in text
+    assert "extra-special" in text and "nids" in text and "shi-linear" in text
+
+
+def test_cli_bounds_prints_every_named_stepsize_and_each_runs(capsys):
+    assert cli.main(["bounds", "--scenario", "fig1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [name for name, _ in rows] == list(algorithms.STEPSIZES)
+    inst = harness.build_instance(resolve_scenario("fig1")[0])
+    assert [float(value) for _, value in rows] == pytest.approx(
+        list(inst.stepsizes.values()), rel=1e-11)
+    for name, _ in rows:
+        assert cli.main(["run", "--alpha", name, "--max-iters", "1"]) == 0, name
+        assert f"extra_{name}: status=" in capsys.readouterr().out
+
+
+def test_every_run_flag_reaches_its_config_field():
+    args = cli.build_parser().parse_args([
+        "run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "3", "--edge-prob", "0.7",
+        "--noise-std", "0.2", "--seed", "5", "--algo", "nids", "--alpha", "0.15",
+        "--relax-factor", "0.1", "--theta", "0.9", "--max-iters", "7", "--tol", "1e-6",
+        "--certify", "--graph-file", "g.txt", "--load-problem", "p.json", "--out", "o.csv"])
+    assert harness.config_from_dict(cli._flag_overrides(args)) == RunConfig(
+        topology="line", n=6, p=2, mi=3, edge_prob=0.7, noise_std=0.2, seed=5, algo="nids",
+        alpha=0.15, relax_factor=0.1, theta=0.9, max_iters=7, tol=1e-6, certify=True,
+        graph_file="g.txt", problem_file="p.json", out_path="o.csv")
+
+
+def test_topology_names_are_the_table_keys(capsys):
+    for name in harness.TOPOLOGIES:
+        assert harness.build_graph(RunConfig(topology=name, n=5)).n == 5
+    with pytest.raises(ConfigError, match="unknown topology 'ring'"):
+        RunConfig(topology="ring")
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--topology", "ring"])
+    assert "invalid choice: 'ring'" in capsys.readouterr().err
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -123,6 +123,16 @@ def test_validate_rejects_wt_above_half_combination():
     assert any("part 4" in v and "(I+w)/2" in v for v in err.value.violations)
 
 
+def test_validate_reports_a_negative_w_tilde_minus_w_once():
+    g = random_connected(6, 0.6, 1)
+    w = metropolis(g)
+    wt = SymMatrix(w.a - 0.1 * (np.eye(6) - w.a), name="below w")
+    with pytest.raises(MixingValidationError) as err:
+        validate(w, wt, g)
+    named = [v for v in err.value.violations if "w_tilde - w" in v]
+    assert named == ["part 4 (spectral): w_tilde - w has eigenvalue -1.316e-01 < 0"]
+
+
 def test_validate_rejects_block_averaging_null_space():
     # Two disjoint averaging blocks keep every per-block-constant vector fixed,
     # so the consensus null space is two-dimensional.

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decon import problem
 from decon.graph import line, random_connected
@@ -167,6 +172,32 @@ def test_generation_reproducible_and_round_trip(tmp_path):
     assert np.array_equal(a.measurements, c.measurements)
     assert np.array_equal(a.xstar, c.xstar)
     assert a.lipschitz == c.lipschitz
+
+
+def _bits(a) -> bytes | None:
+    return None if a is None else a.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), p=st.integers(1, 4), m=st.integers(1, 3),
+       noise_std=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), replay=st.booleans())
+def test_save_load_round_trip_is_bit_exact(n, p, m, noise_std, seed, replay):
+    assume(n * m >= p)
+    prob = generate(n, p, m, noise_std=noise_std, seed=seed)
+    if replay:  # explicit data: no x_true, lipschitz taken from the data
+        prob = from_data(prob.sensing, prob.measurements, seed=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prob.json")
+        problem.save_problem(prob, path)
+        back = problem.load_problem(path)
+        again = os.path.join(tmp, "again.json")
+        problem.save_problem(back, again)
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+    for name in ("sensing", "measurements", "xstar", "Xstar", "x_true"):
+        assert _bits(getattr(back, name)) == _bits(getattr(prob, name)), name
+    for name in ("n", "p", "m", "noise_std", "seed", "lipschitz", "mu_fbar"):
+        assert getattr(back, name) == getattr(prob, name), name
 
 
 def test_from_data_rejects_malformed_arrays():
