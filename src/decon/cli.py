@@ -20,7 +20,7 @@ from . import algorithms, harness, mixing, problem as problems
 from .certify import CertificateError
 from .graph import GraphError
 from .harness import ConfigError, RunConfig, TraceError
-from .linalg import EigenConvergenceError, NotPositiveSemidefiniteError
+from .linalg import EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemidefiniteError
 from .mixing import MixingValidationError
 from .problem import ProblemError
 
@@ -28,8 +28,8 @@ from .problem import ProblemError
 # line with exit code 1. Any other exception is a defect and keeps its traceback.
 _VALIDATION_ERRORS = (
     ConfigError, TraceError, MixingValidationError, CertificateError, ProblemError, GraphError,
-    EigenConvergenceError, NotPositiveSemidefiniteError, json.JSONDecodeError,
-    UnicodeDecodeError, OSError,
+    EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemidefiniteError,
+    json.JSONDecodeError, UnicodeDecodeError, OSError,
 )
 
 

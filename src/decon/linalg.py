@@ -4,14 +4,24 @@ and weighted inner products / squared norms used throughout the package.
 Stacked agent iterates are plain float ndarrays of shape (n_agents, dim); only
 square symmetric matrices get a wrapper class (`SymMatrix`) so their
 eigendecompositions can be computed once and cached.
+
+Every eigendecomposition goes through the cyclic Jacobi solver `_jacobi_eigh`.
+Its rounding defines the saved benchmark reference and every CSV the package
+writes, so it is kept even where LAPACK would be faster; to make each rotation
+cheap it turns one stacked (matrix over eigenvectors) array with one column
+update and copies the rotated columns into the rows, since the matrix stays
+exactly symmetric.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = [
     "EigenConvergenceError",
+    "NonFiniteMatrixError",
     "NotPositiveSemidefiniteError",
     "SymMatrix",
     "wnorm_sq",
@@ -25,9 +35,17 @@ _JACOBI_MAX_SWEEPS = 100
 # Eigenvalues below rank_tol * lambda_max are treated as exact zeros in pinv.
 DEFAULT_RANK_TOL = 1e-10
 
+# Definiteness floor of `inv` and `sqrt`, relative to max(1, |lambda_max|): kept
+# apart from _JACOBI_TOL so retuning the solver cannot move those checks.
+_DEFINITE_FLOOR = 1e-13
+
 
 class EigenConvergenceError(RuntimeError):
     """Jacobi sweeps hit the iteration cap before reducing the off-diagonal mass."""
+
+
+class NonFiniteMatrixError(ValueError):
+    """A matrix holds NaN or infinite entries, or overflows when symmetrized."""
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -45,24 +63,34 @@ def _jacobi_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     Returns eigenvalues in ascending order and the matching orthogonal
     eigenvector matrix (columns). Dense and dependency-free; intended for the
     small (n up to a few hundred) matrices this package works with.
+
+    The matrix and the accumulated eigenvectors are one stacked (2n, n) array,
+    so a single column rotation turns both. The row rotation a textbook
+    two-sided update also applies is a copy here: the matrix stays exactly
+    symmetric (`SymMatrix` symmetrizes it, and entries (i, j) and (j, i) of the
+    rotated columns come from the same float operations on equal operands), so
+    rows p and q are the rotated columns p and q, transposed. Pivots are read
+    and the rotation computed in Python floats, which round like float64.
     """
     n = a.shape[0]
     if n == 1:
         return a[0, :].copy(), np.ones((1, 1))
-    a = a.copy()
-    v = np.eye(n)
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n), np.eye(n)
+    av = np.vstack([a, np.eye(n)])
+    a = av[:n]
+    item, sqrt = a.item, math.sqrt  # bound once: called for every pivot
     threshold = _JACOBI_TOL * fro
     off = _off_diagonal_norm(a)
     for _ in range(_JACOBI_MAX_SWEEPS):
         if off <= threshold:
             break
         for p in range(n - 1):
+            col_p = av[:, p]
             for q in range(p + 1, n):
-                apq = a[p, q]
-                app, aqq = a[p, p], a[q, q]
+                apq = item(p, q)
+                app, aqq = item(p, p), item(q, q)
                 # Pivot already negligible against its diagonal: zero it and move on.
                 guard = 100.0 * abs(apq)
                 if abs(app) + guard == abs(app) and abs(aqq) + guard == abs(aqq):
@@ -74,28 +102,22 @@ def _jacobi_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
                     t = apq / gap
                 else:
                     tau = gap / (2.0 * apq)
-                    t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (abs(tau) + sqrt(1.0 + tau * tau))
                     if tau < 0.0:
                         t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
+                col_q = av[:, q]
+                new_p = c * col_p - s * col_q
+                col_q[:] = s * col_p + c * col_q
+                col_p[:] = new_p
+                a[p, :] = a[:, p]
+                a[q, :] = a[:, q]
                 # Rotation annihilates the pivot pair exactly.
                 a[p, q] = 0.0
                 a[q, p] = 0.0
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
         off = _off_diagonal_norm(a)
     else:
         raise EigenConvergenceError(
@@ -105,14 +127,15 @@ def _jacobi_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         )
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+    return eigenvalues[order], av[n:, order]
 
 
 class SymMatrix:
     """Dense symmetric matrix with a lazily cached eigendecomposition.
 
-    Symmetry is enforced on construction by averaging with the transpose.
-    The entries array is frozen so cached spectral data stays valid.
+    Symmetry is enforced on construction by averaging with the transpose, and
+    non-finite entries are rejected. The entries array is frozen so cached
+    spectral data stays valid.
     """
 
     def __init__(self, entries, name: str = "matrix"):
@@ -121,7 +144,10 @@ class SymMatrix:
             raise ValueError(f"{name!r} must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError(f"{name!r} must have dimension >= 1")
-        a = (a + a.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (a + a.T) / 2.0
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteMatrixError(f"{name!r} holds non-finite entries (NaN or inf)")
         assert np.array_equal(a, a.T)
         a.setflags(write=False)
         self.a = a
@@ -192,7 +218,7 @@ class SymMatrix:
     def inv(self) -> "SymMatrix":
         """Inverse of a positive definite matrix."""
         w, v = self.eig()
-        if w[0] <= _JACOBI_TOL * max(1.0, abs(float(w[-1]))):
+        if w[0] <= _DEFINITE_FLOOR * max(1.0, abs(float(w[-1]))):
             raise NotPositiveSemidefiniteError(
                 f"{self.name!r} is not positive definite: lambda_min = {w[0]:.6e}"
             )
@@ -205,7 +231,7 @@ class SymMatrix:
         return SymMatrix((v * mapped) @ v.T, name=name or f"f({self.name})")
 
     def sqrt(self) -> "SymMatrix":
-        if self.lambda_min < -_JACOBI_TOL * max(1.0, abs(self.lambda_max)):
+        if self.lambda_min < -_DEFINITE_FLOOR * max(1.0, abs(self.lambda_max)):
             raise NotPositiveSemidefiniteError(f"{self.name!r} is not PSD; no real square root")
         return self.spectral_map(lambda x: np.sqrt(max(x, 0.0)), name=f"sqrt({self.name})")
 

@@ -92,8 +92,23 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return sym.pinv().a @ rhs
 
 
+def _agent_gram(sensing: np.ndarray, i: int) -> SymMatrix:
+    """M_i^T M_i, or a ProblemError naming agent i where it overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sensing[i].T @ sensing[i]
+    if not np.all(np.isfinite(gram)):
+        raise ProblemError(f"agent {i}: M_{i}^T M_{i} overflows float64 (largest sensing "
+                           f"entry {float(np.abs(sensing[i]).max()):.3e})")
+    return SymMatrix(gram, name=f"M_{i}^T M_{i}")
+
+
 def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true) -> SensingProblem:
-    gram = np.einsum("imp,imq->pq", sensing, sensing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.einsum("imp,imq->pq", sensing, sensing)
+    if not np.all(np.isfinite(gram)):
+        for i in range(n):
+            _agent_gram(sensing, i)
+        raise ProblemError("the summed hessian sum_i M_i^T M_i overflows float64")
     bar = SymMatrix(gram / n, name="averaged hessian")
     mu_fbar = bar.lambda_min
     if mu_fbar <= _SINGULAR_TOL * max(1.0, bar.lambda_max):
@@ -127,8 +142,7 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1, seed: int = 0,
     sensing = rng.standard_normal((n, m_i, p))
     noise = rng.standard_normal((n, m_i)) * noise_std
     for i in range(n):
-        gram_i = SymMatrix(sensing[i].T @ sensing[i], name=f"M_{i}^T M_{i}")
-        top = gram_i.lambda_max
+        top = _agent_gram(sensing, i).lambda_max
         if top <= 0.0:
             raise ProblemError(f"agent {i} drew a zero sensing matrix")
         sensing[i] *= np.sqrt(lipschitz / top)
@@ -152,10 +166,7 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
         if value is not None and not np.all(np.isfinite(value)):
             raise ProblemError(f"{name} holds non-finite values (NaN or inf)")
     if lipschitz is None:
-        lipschitz = max(
-            SymMatrix(sensing[i].T @ sensing[i], name=f"M_{i}^T M_{i}").lambda_max
-            for i in range(n)
-        )
+        lipschitz = max(_agent_gram(sensing, i).lambda_max for i in range(n))
     return _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, None)
 
 
@@ -243,11 +254,18 @@ def load_problem(path: str) -> SensingProblem:
     missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
     if missing:
         raise ProblemError(f"{path} is not a saved problem: missing key(s) {', '.join(missing)}")
-    try:
-        sensing = np.array(payload["sensing"], dtype=float)
-        measurements = np.array(payload["measurements"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"{path}: sensing and measurements must be numeric arrays ({exc})") from exc
+    arrays = {}
+    for key in ("sensing", "measurements"):
+        # Check each JSON value: numpy would turn "0.5" and true into numbers.
+        raw = np.array(payload[key], dtype=object)
+        bad = next((v for v in raw.flat if type(v) not in (int, float)), None)
+        if bad is not None:
+            raise ProblemError(f"{path}: sensing and measurements must be numeric arrays "
+                               f"({key} holds a {type(bad).__name__})")
+        try:
+            arrays[key] = raw.astype(float)
+        except OverflowError as exc:
+            raise ProblemError(f"{path}: {key} holds an integer beyond float64 ({exc})") from exc
     for key, kinds, what in (("noise_std", numbers.Real, "a number"),
                              ("seed", (numbers.Integral, type(None)), "an integer or null"),
                              ("lipschitz", (numbers.Real, type(None)), "a number or null")):
@@ -255,8 +273,8 @@ def load_problem(path: str) -> SensingProblem:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ProblemError(f"{path}: {key} must be {what}, got {value!r}")
     prob = from_data(
-        sensing,
-        measurements,
+        arrays["sensing"],
+        arrays["measurements"],
         noise_std=payload["noise_std"],
         seed=payload["seed"],
         lipschitz=payload["lipschitz"],

@@ -9,6 +9,12 @@ The audit oracles `audit_extra_reference` and `audit_nids_reference` check one
 transition at a time with scalar `wnorm_sq`/`wdot` calls, exactly as the
 package's audits did before they were blocked; the blocked audits must agree
 with them.
+
+`jacobi_eigh_reference` is the cyclic Jacobi solver as it was before its
+rotations were stacked: a two-sided update of the matrix plus a separate one of
+the eigenvectors, in numpy scalars. The package's solver must return the same
+bits. It reads the sweep cap and tolerance from `decon.linalg` when called, so a
+test that patches them there patches both solvers.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from decon.certify import EQ_TOL, INEQ_TOL, AuditReport
+from decon import linalg
 from decon.linalg import wdot, wnorm_sq
 
 
@@ -136,6 +143,75 @@ def as_fractions(rows, denom: int = 1) -> list[list[Fraction]]:
 
 
 # -- per-transition audit oracles -------------------------------------------
+
+def _off_diagonal_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def jacobi_eigh_reference(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi rotations on a symmetric matrix (unstacked reference)."""
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :].copy(), np.ones((1, 1))
+    a = a.copy()
+    v = np.eye(n)
+    fro = float(np.linalg.norm(a))
+    if fro == 0.0:
+        return np.zeros(n), v
+    threshold = linalg._JACOBI_TOL * fro
+    off = _off_diagonal_norm(a)
+    for _ in range(linalg._JACOBI_MAX_SWEEPS):
+        if off <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                app, aqq = a[p, p], a[q, q]
+                # Pivot already negligible against its diagonal: zero it and move on.
+                guard = 100.0 * abs(apq)
+                if abs(app) + guard == abs(app) and abs(aqq) + guard == abs(aqq):
+                    a[p, q] = 0.0
+                    a[q, p] = 0.0
+                    continue
+                gap = aqq - app
+                if abs(gap) + guard == abs(gap):
+                    t = apq / gap
+                else:
+                    tau = gap / (2.0 * apq)
+                    t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                    if tau < 0.0:
+                        t = -t
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                # Rotation annihilates the pivot pair exactly.
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                vec_p = v[:, p].copy()
+                vec_q = v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+        off = _off_diagonal_norm(a)
+    else:
+        raise linalg.EigenConvergenceError(
+            f"Jacobi eigensolver did not converge on {name!r}: "
+            f"off-diagonal norm {off:.3e} after {linalg._JACOBI_MAX_SWEEPS} sweeps "
+            f"(target {threshold:.3e})"
+        )
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], v[:, order]
+
 
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + abs(a) + abs(b))

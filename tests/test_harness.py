@@ -251,6 +251,8 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
     (lambda d: d.pop("sensing"), "missing key(s) sensing"),
     (lambda d: d.update(sensing=d["sensing"][0]), "sensing must be a non-empty (n, m, p) array"),
     (lambda d: d["sensing"][0][0].__setitem__(0, "x"), "sensing and measurements must be numeric"),
+    (lambda d: d["sensing"][0][0].__setitem__(0, "0.5"), "sensing holds a str"),
+    (lambda d: d["measurements"][0].__setitem__(0, True), "measurements holds a bool"),
     (lambda d: d.update(lipschitz="ten"), "lipschitz must be a number or null, got 'ten'"),
     (lambda d: d.update(x_true=["a", "b"]), "x_true must be null or 2 finite numbers"),
     (lambda d: d["x_true"].pop(), "x_true must be null or 2 finite numbers"),
@@ -267,6 +269,23 @@ def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("lipschitz", [None, 10.0])
+def test_cli_overflowing_problem_file_names_the_agent(lipschitz, tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    problem.save_problem(problem.generate(6, 2, 2, seed=4), str(path))
+    payload = json.loads(path.read_text())
+    payload["sensing"][0][0][0] = 1e200
+    payload["lipschitz"] = lipschitz
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
+                     "--load-problem", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: agent 0: M_0^T M_0 overflows float64")
+    assert "RuntimeWarning" not in err
 
 
 def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decon import graph, linalg, mixing
 from decon.linalg import (
+    NonFiniteMatrixError,
     NotPositiveSemidefiniteError,
     SymMatrix,
     wdot,
     wnorm_sq,
 )
 
-from oracles import as_fractions, eigenvalues_by_bisection
+from oracles import as_fractions, eigenvalues_by_bisection, jacobi_eigh_reference
 
 
 def test_eig_identity():
@@ -154,3 +158,87 @@ def test_eig_iteration_cap_reports_matrix_and_residual(monkeypatch):
     monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(linalg.EigenConvergenceError, match="stubborn"):
         SymMatrix([[0.0, 1.0], [1.0, 0.0]], name="stubborn").eig()
+
+
+def _assert_same_bits_as_reference(a: np.ndarray) -> None:
+    a = SymMatrix(a, name="probe").a
+    w, v = linalg._jacobi_eigh(a, "probe")
+    w_ref, v_ref = jacobi_eigh_reference(a, "probe")
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e12]))
+def test_jacobi_matches_unstacked_reference_bit_for_bit(n, seed, scale):
+    _assert_same_bits_as_reference(np.random.default_rng(seed).standard_normal((n, n)) * scale)
+
+
+def _gram_5x40():
+    m = np.random.default_rng(3).standard_normal((5, 40))
+    return m.T @ m
+
+
+def _metropolis(n, seed):
+    return mixing.metropolis(graph.random_connected(n, 0.4, seed)).a
+
+
+def _tiny_off_diagonals(diagonal):
+    # One O(1) coupling keeps the off-diagonal mass above the stopping target,
+    # so the sweep visits every 1e-20 pivot.
+    a = np.full((len(diagonal), len(diagonal)), 1e-20)
+    np.fill_diagonal(a, diagonal)
+    a[0, 1] = a[1, 0] = 0.5
+    return a
+
+
+def _near_equal_diagonals():
+    m = np.random.default_rng(8).standard_normal((7, 7)) * 1e-3
+    a = m + m.T
+    np.fill_diagonal(a, 1.0 + np.array([0, 0, 1, 1, 2, 2, 3]) * 2.0**-52)
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros((4, 4)),
+    lambda: 2.5 * np.eye(6),
+    _gram_5x40,
+    lambda: _metropolis(12, 2),
+    lambda: _metropolis(20, 5),
+    lambda: np.eye(12) - _metropolis(12, 2),
+    lambda: np.eye(20) - _metropolis(20, 5),
+    # Every pivot is negligible against both diagonals: the first guard branch.
+    lambda: _tiny_off_diagonals([1.0, 2.0, -3.0, 4.0, 5.0]),
+    # A zero diagonal leaves the pivot negligible only against the gap.
+    lambda: _tiny_off_diagonals([1.0, 2.0, 0.0, -2.0, 3.0]),
+    _near_equal_diagonals,
+], ids=["zero", "scaled-identity", "gram-5x40", "w-12", "w-20", "I-w-12", "I-w-20",
+        "tiny-off-diagonals", "zero-diagonal-gap", "near-equal-diagonals"])
+def test_jacobi_matches_unstacked_reference_on_named_families(make):
+    _assert_same_bits_as_reference(make())
+
+
+def test_jacobi_sweep_cap_error_matches_reference(monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    m = np.random.default_rng(4).standard_normal((8, 8))
+    a = SymMatrix(m, name="capped").a
+    with pytest.raises(linalg.EigenConvergenceError) as new:
+        linalg._jacobi_eigh(a, "capped")
+    with pytest.raises(linalg.EigenConvergenceError) as ref:
+        jacobi_eigh_reference(a, "capped")
+    assert str(new.value) == str(ref.value)
+    assert "after 1 sweeps" in str(new.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_a_named_error(bad):
+    with pytest.raises(NonFiniteMatrixError, match="'probe' holds non-finite entries"):
+        SymMatrix([[bad]], name="probe")
+    with pytest.raises(NonFiniteMatrixError):
+        SymMatrix([[1.0, bad], [0.0, 1.0]], name="probe")
+
+
+def test_symmetrizing_overflow_is_a_named_error():
+    with pytest.raises(NonFiniteMatrixError):
+        SymMatrix([[1.0, 1e308], [1e308, 1.0]], name="probe")
