@@ -12,7 +12,9 @@ extra_xy and nids_dx are the reformulated (x, y) and (d, x) forms of extra and
 nids whose iterates the certificates audit. `operators` builds a run's update,
 stepsize, gradient and matrices once; `step` advances a state by one iteration
 with them, at one gradient evaluation (the two-step forms carry the previous
-gradient in the state). `iterate` is the one loop that calls `step`.
+gradient in the state). `iterate` is the one loop that calls `step`. A state
+is an immutable NamedTuple, the cheapest immutable record to build once per
+step.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +44,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AlgoState:
-    """One iterate: x, the previous x and its gradient (None at the start), and
-    the auxiliary y of extra_xy or d of nids_dx (None for the other variants)."""
+class AlgoState(NamedTuple):
+    """One iterate, as an immutable NamedTuple: x, the previous x and its
+    gradient (None at the start), and the auxiliary y of extra_xy or d of
+    nids_dx (None for the other variants)."""
 
     k: int
     x: np.ndarray

@@ -213,16 +213,25 @@ def build_instance(config: RunConfig) -> Instance:
 def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
     """Pass states on while recording each one's residual row in `trace`; end
     the stream at the tolerance, at divergence or after max_iters steps."""
+    # ||x - xstar|| as np.linalg.norm computes it for a 2-D array (ravel, one
+    # dot, a correctly rounded sqrt), without its per-call overhead.
     denom = float(np.linalg.norm(xstar))
+    star = xstar.ravel()
+    tol, sqrt, isfinite = config.tol, math.sqrt, math.isfinite
+    add_k, add_residual = trace.ks.append, trace.residuals.append
     for k, state in zip(range(config.max_iters + 1), states):
-        res = float(np.linalg.norm(state.x - xstar)) / denom if denom > 0.0 else 0.0
-        if not math.isfinite(res):  # a non-finite iterate, NaN included
-            res = math.inf
-        trace.ks.append(k)
-        trace.residuals.append(res)
+        if denom > 0.0:
+            d = state.x.ravel() - star
+            res = sqrt(d.dot(d)) / denom
+            if not isfinite(res):  # a non-finite iterate, NaN included
+                res = math.inf
+        else:
+            res = 0.0
+        add_k(k)
+        add_residual(res)
         if res > DIVERGENCE_LIMIT:
             trace.status = "diverged"
-        elif res <= config.tol:
+        elif res <= tol:
             trace.status = "converged"
         yield state
         if trace.status != "max_iters":
@@ -302,28 +311,27 @@ def resolve_scenario(name: str) -> list[RunConfig]:
     ]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_csv(trace: Trace, path: str) -> None:
-    """Write the trace rows; 17 significant digits keep floats exact."""
-    cols = "k,algo,alpha,residual"
+    """Write the trace rows; 17 significant digits keep floats exact.
+
+    The ",algo,alpha," run shared by every row is formatted once. The rows are
+    written after the header, not joined to it, which would copy them again.
+    """
+    lead = f",{trace.algo},{trace.alpha:.17g},"
     if trace.certified:
-        cols += ",lyapunov,ratio,slack"
-    lines = [cols]
-    for i, k in enumerate(trace.ks):
-        row = f"{k},{trace.algo},{_fmt(trace.alpha)},{_fmt(trace.residuals[i])}"
-        if trace.certified:
-            ratio = trace.ratio[i]
-            slack = trace.slack[i]
-            row += f",{_fmt(trace.lyapunov[i])}"
-            row += f",{'' if ratio is None else _fmt(ratio)}"
-            row += f",{'' if slack is None else _fmt(slack)}"
-        lines.append(row)
+        header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
+        rows = [f"{k}{lead}{r:.17g},{v:.17g},{'' if q is None else f'{q:.17g}'},"
+                f"{'' if s is None else f'{s:.17g}'}\n"
+                for k, r, v, q, s in zip(trace.ks, trace.residuals, trace.lyapunov,
+                                         trace.ratio, trace.slack, strict=True)]
+    else:
+        header = "k,algo,alpha,residual\n"
+        rows = [f"{k}{lead}{r:.17g}\n"
+                for k, r in zip(trace.ks, trace.residuals, strict=True)]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header)
+            fh.write("".join(rows))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

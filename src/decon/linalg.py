@@ -164,8 +164,14 @@ class SymMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthogonal eigenvectors, cached."""
         if self._eig is None:
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(self.a))
+            # An infinite scale would switch the residual check below off.
+            if not math.isfinite(norm):
+                raise NonFiniteMatrixError(
+                    f"{self.name!r} has finite entries but its norm overflows float64")
             w, v = _jacobi_eigh(self.a, self.name)
-            scale = max(1.0, float(np.linalg.norm(self.a)))
+            scale = max(1.0, norm)
             recon = float(np.linalg.norm((v * w) @ v.T - self.a))
             ortho = float(np.linalg.norm(v.T @ v - np.eye(self.dim)))
             if recon > 1e-10 * scale or ortho > 1e-10:

@@ -93,10 +93,12 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _agent_gram(sensing: np.ndarray, i: int) -> SymMatrix:
-    """M_i^T M_i, or a ProblemError naming agent i where it overflows float64."""
+    """M_i^T M_i, or a ProblemError naming agent i where it or its norm
+    overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = sensing[i].T @ sensing[i]
-    if not np.all(np.isfinite(gram)):
+        norm = np.linalg.norm(gram)  # inf or NaN also where an entry is
+    if not math.isfinite(norm):
         raise ProblemError(f"agent {i}: M_{i}^T M_{i} overflows float64 (largest sensing "
                            f"entry {float(np.abs(sensing[i]).max()):.3e})")
     return SymMatrix(gram, name=f"M_{i}^T M_{i}")
@@ -116,10 +118,19 @@ def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true
             f"averaged objective is not strongly convex: lambda_min of the "
             f"averaged hessian is {mu_fbar:.3e} (n*m = {n * m} vs p = {p})"
         )
-    rhs = np.einsum("imp,im->p", sensing, measurements)
-    xstar = _solve_normal_equations(gram, rhs)
-    resid = float(np.linalg.norm(gram @ xstar - rhs))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(rhs))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.einsum("imp,im->p", sensing, measurements)
+        xstar = _solve_normal_equations(gram, rhs)
+        # The run loop divides by the norm of the stacked optimum: keep it finite.
+        stacked_norm = np.linalg.norm(np.tile(xstar, (n, 1)))
+        finite = np.all(np.isfinite(rhs)) and math.isfinite(stacked_norm)
+        resid = float(np.linalg.norm(gram @ xstar - rhs))
+        scale = max(1.0, float(np.linalg.norm(rhs)))
+    if not finite:
+        i, j = np.unravel_index(np.argmax(np.abs(measurements)), measurements.shape)
+        raise ProblemError(f"the optimum overflows float64 (largest measurement "
+                           f"{measurements[i, j]:.3e}, agent {i} row {j})")
+    if resid > 1e-9 * scale:
         raise ProblemError(f"normal equations solve residual too large: {resid:.3e}")
     return SensingProblem(
         n=n, p=p, m=m, sensing=sensing, measurements=measurements,

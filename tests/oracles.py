@@ -10,6 +10,10 @@ transition at a time with scalar `wnorm_sq`/`wdot` calls, exactly as the
 package's audits did before they were blocked; the blocked audits must agree
 with them.
 
+`write_csv_reference` is `harness.write_csv` as it was before its rows were
+built in one pass: one `_fmt` call per float, the run label and stepsize
+formatted again on every row. The package's writer must write the same bytes.
+
 `jacobi_eigh_reference` is the cyclic Jacobi solver as it was before its
 rotations were stacked: a two-sided update of the matrix plus a separate one of
 the eigenvectors, in numpy scalars. The package's solver must return the same
@@ -386,3 +390,31 @@ def audit_nids_reference(states, mp, cert, fp, grad) -> AuditReport:
         return min(s, s_chain)
 
     return _audit_stream("nids_dx", states, lyapunov, transition, cert.rho, tally)
+
+
+# -- trace CSV writer oracle -------------------------------------------------
+
+def _fmt(v: float) -> str:
+    return f"{v:.17g}"
+
+
+def write_csv_reference(trace, path: str) -> None:
+    """Write the trace rows; 17 significant digits keep floats exact."""
+    cols = "k,algo,alpha,residual"
+    if trace.certified:
+        cols += ",lyapunov,ratio,slack"
+    lines = [cols]
+    for i, k in enumerate(trace.ks):
+        row = f"{k},{trace.algo},{_fmt(trace.alpha)},{_fmt(trace.residuals[i])}"
+        if trace.certified:
+            ratio = trace.ratio[i]
+            slack = trace.slack[i]
+            row += f",{_fmt(trace.lyapunov[i])}"
+            row += f",{'' if ratio is None else _fmt(ratio)}"
+            row += f",{'' if slack is None else _fmt(slack)}"
+        lines.append(row)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write trace to {path}: {exc}") from exc

@@ -57,6 +57,12 @@ def test_dgd_one_step_matches_straight_line_arithmetic(prob1, rand10):
     assert np.abs(nxt.x - (mp.w.a @ x - 0.07 * prob1.grad(x))).max() <= 1e-14
 
 
+def test_states_are_immutable():
+    state = AlgoState(0, np.zeros((2, 2)))
+    with pytest.raises(AttributeError):
+        state.x = np.ones((2, 2))
+
+
 def test_two_step_forms_stationary_at_consensual_optimum():
     v = np.array([0.3, -1.2, 2.0])
     prob = _identical_quadratics(minimizer=v)

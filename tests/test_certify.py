@@ -408,7 +408,7 @@ def test_audits_flag_a_non_finite_state(variant, prob1, rand10):
         cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     fp = fixed_point(prob1, alpha)
     states = list(_states(variant, mp, prob1, alpha, 5))
-    states[3] = dataclasses.replace(states[3], x=np.full_like(states[3].x, np.nan))
+    states[3] = states[3]._replace(x=np.full_like(states[3].x, np.nan))
     report = audit(states, mp, cert, fp, prob1.grad)
     assert report.ok is False and report.transitions == 5
     flagged = {message.split("k=")[1].split(":")[0] for message in report.violations}

@@ -1,16 +1,21 @@
 import collections
 import dataclasses
 import json
+import math
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decon import algorithms, cli, harness, linalg, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, TraceError, read_csv, resolve_scenario, run, write_csv,
 )
+from oracles import write_csv_reference
 
 
 def test_resolve_fig1_shape():
@@ -153,6 +158,69 @@ def test_csv_byte_identical_across_runs(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def _traces(draw):
+    rows = draw(st.integers(1, 8))
+    column = st.lists(_floats, min_size=rows, max_size=rows)
+    optional = st.lists(st.none() | _floats, min_size=rows, max_size=rows)
+    certified = draw(st.booleans())
+    return Trace(algo=draw(st.sampled_from(("dgd_fast", "nids_0.19", "extra_0.0657529"))),
+                 alpha=draw(_floats),
+                 ks=draw(st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows)),
+                 residuals=draw(column),
+                 lyapunov=draw(column) if certified else None,
+                 ratio=draw(optional) if certified else None,
+                 slack=draw(optional) if certified else None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(trace=_traces())
+@example(trace=Trace(algo="nids_0.19", alpha=0.19, ks=[0], residuals=[1.0], lyapunov=[math.nan],
+                     ratio=[None], slack=[None]))
+@example(trace=Trace(algo="dgd_slow", alpha=-0.0, ks=[0, 1, 2],
+                     residuals=[5e-324, 1.7976931348623157e308, math.inf]))
+def test_write_csv_matches_the_per_row_writer_byte_for_byte(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        write_csv(trace, new)
+        write_csv_reference(trace, old)
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
+
+
+def _norm_residual(x, xstar):
+    """The relative residual as the run loop computed it with np.linalg.norm."""
+    denom = float(np.linalg.norm(xstar))
+    res = float(np.linalg.norm(x - xstar)) / denom if denom > 0.0 else 0.0
+    return res if math.isfinite(res) else math.inf
+
+
+@pytest.mark.parametrize("case, shape", [
+    ("random", (10, 5)), ("random", (10, 40)), ("random", (50, 5)), ("nan", (10, 5)),
+    ("near_overflow", (10, 5)), ("overflow", (10, 5)), ("zero_optimum", (10, 5)),
+])
+def test_until_stop_residuals_equal_the_norm_bit_for_bit(case, shape):
+    rng = np.random.default_rng(5)
+    xstar = np.zeros(shape) if case == "zero_optimum" else rng.standard_normal(shape)
+    xs = [xstar + s * rng.standard_normal(shape) for s in np.logspace(-15, 6, 200)]
+    rows = {"random": 200, "zero_optimum": 1}.get(case, 3)
+    bad = {"nan": math.nan, "near_overflow": 1.8e153, "overflow": 1e155}
+    if case in bad:  # the run stops at this iterate: inf, or far beyond the divergence limit
+        xs[2] = np.full(shape, bad[case])
+    trace = Trace(algo="probe", alpha=0.1, ks=[], residuals=[], status="max_iters")
+    states = (algorithms.AlgoState(k, x) for k, x in enumerate(xs))
+    with np.errstate(over="ignore"):
+        passed = list(harness._until_stop(states, RunConfig(max_iters=len(xs), tol=1e-300),
+                                          xstar, trace))
+        expected = [_norm_residual(x, xstar) for x in xs[:rows]]
+    assert len(passed) == len(trace.residuals) == rows
+    assert [r.hex() for r in trace.residuals] == [r.hex() for r in expected]
+
+
 def test_fig1_residual_column_nonincreasing_after_row_five(tmp_path):
     cfg = next(c for c in resolve_scenario("fig1") if c.label == "extra_a2")
     trace = run(cfg)
@@ -285,6 +353,29 @@ def test_cli_overflowing_problem_file_names_the_agent(lipschitz, tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: agent 0: M_0^T M_0 overflows float64")
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["measurements"][0].__setitem__(0, 1e200),
+     "error: the optimum overflows float64 (largest measurement 1.000e+200, agent 0 row 0)"),
+    (lambda d: d["sensing"][0][0].__setitem__(0, 1e150) or d.update(lipschitz=None),
+     "error: agent 0: M_0^T M_0 overflows float64 (largest sensing entry 1.000e+150)"),
+], ids=["optimum", "gram_norm"])
+def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, capsys):
+    # Every entry is finite and only a norm overflows: left unchecked, that is a
+    # diverged run at iteration 0 or a misleading "not strongly convex" error.
+    path = tmp_path / "prob.json"
+    problem.save_problem(problem.generate(6, 2, 2, seed=4), str(path))
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "50",
+                     "--load-problem", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
     assert "RuntimeWarning" not in err
 
 

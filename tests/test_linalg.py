@@ -242,3 +242,10 @@ def test_non_finite_entries_are_a_named_error(bad):
 def test_symmetrizing_overflow_is_a_named_error():
     with pytest.raises(NonFiniteMatrixError):
         SymMatrix([[1.0, 1e308], [1e308, 1.0]], name="probe")
+
+
+def test_overflowing_norm_is_a_named_error():
+    # Finite entries whose norm overflows would make the residual check's scale
+    # infinite and switch the check off.
+    with pytest.raises(NonFiniteMatrixError, match="norm overflows float64"):
+        SymMatrix(np.full((2, 2), 1e160)).eig()
