@@ -102,6 +102,10 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.noise_std < 0.0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0.0:

@@ -11,11 +11,22 @@ writes, so it is kept even where LAPACK would be faster; to make each rotation
 cheap it turns one stacked (matrix over eigenvectors) array with one column
 update and copies the rotated columns into the rows, since the matrix stays
 exactly symmetric.
+
+Solves are memoized by the exact bytes of the symmetrized entries: a
+module-level cache keyed by ``(shape, entries.tobytes())`` (the bytes
+themselves, never a digest alone, so two matrices share a result only when
+every entry is bit-identical). `_jacobi_eigh` is a deterministic function of
+its entries, so a hit returns the bits a fresh solve would, and every CSV,
+certificate and audit verdict is the same with or without the cache. Only
+results that passed the residual check are stored, read-only because several
+`SymMatrix` objects share them; least-recently-used entries are evicted past
+`_EIG_CACHE_BUDGET` bytes. `clear_eig_cache` empties it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -24,6 +35,7 @@ __all__ = [
     "NonFiniteMatrixError",
     "NotPositiveSemidefiniteError",
     "SymMatrix",
+    "clear_eig_cache",
     "wnorm_sq",
     "wdot",
 ]
@@ -38,6 +50,37 @@ DEFAULT_RANK_TOL = 1e-10
 # Definiteness floor of `inv` and `sqrt`, relative to max(1, |lambda_max|): kept
 # apart from _JACOBI_TOL so retuning the solver cannot move those checks.
 _DEFINITE_FLOOR = 1e-13
+
+# Byte budget of the eigendecomposition cache: key bytes plus the stored
+# eigenvalues and eigenvectors of every entry.
+_EIG_CACHE_BUDGET = 32 * 2**20
+_eig_cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_eig_cache_bytes = 0
+
+
+def clear_eig_cache() -> None:
+    """Forget every cached eigendecomposition."""
+    global _eig_cache_bytes
+    _eig_cache.clear()
+    _eig_cache_bytes = 0
+
+
+def _entry_bytes(key: tuple, w: np.ndarray, v: np.ndarray) -> int:
+    return len(key[1]) + w.nbytes + v.nbytes
+
+
+def _cache_eig(key: tuple, w: np.ndarray, v: np.ndarray) -> None:
+    """Store a checked result, evicting the least recently used past the budget.
+    A result larger than the whole budget is not stored (nor flushes the rest)."""
+    global _eig_cache_bytes
+    size = _entry_bytes(key, w, v)
+    if size > _EIG_CACHE_BUDGET:
+        return
+    _eig_cache[key] = (w, v)
+    _eig_cache_bytes += size
+    while _eig_cache_bytes > _EIG_CACHE_BUDGET:
+        old_key, old = _eig_cache.popitem(last=False)
+        _eig_cache_bytes -= _entry_bytes(old_key, *old)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -162,7 +205,14 @@ class SymMatrix:
         return f"SymMatrix({self.name!r}, dim={self.dim})"
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthogonal eigenvectors, cached."""
+        """Eigenvalues (ascending) and orthogonal eigenvectors, cached.
+
+        Results are shared through the module cache: a matrix whose entries
+        are byte-identical to an earlier solved one gets that solve's arrays
+        (read-only) without another Jacobi run. Every stored result passed
+        the residual check below on those exact bytes; a failed solve is
+        never stored, so retrying it raises again.
+        """
         if self._eig is None:
             with np.errstate(over="ignore"):
                 norm = float(np.linalg.norm(self.a))
@@ -170,6 +220,12 @@ class SymMatrix:
             if not math.isfinite(norm):
                 raise NonFiniteMatrixError(
                     f"{self.name!r} has finite entries but its norm overflows float64")
+            key = (self.a.shape, self.a.tobytes())
+            hit = _eig_cache.get(key)
+            if hit is not None:
+                _eig_cache.move_to_end(key)
+                self._eig = hit
+                return hit
             w, v = _jacobi_eigh(self.a, self.name)
             scale = max(1.0, norm)
             recon = float(np.linalg.norm((v * w) @ v.T - self.a))
@@ -179,6 +235,9 @@ class SymMatrix:
                     f"eigendecomposition of {self.name!r} failed its residual check: "
                     f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}"
                 )
+            w.setflags(write=False)
+            v.setflags(write=False)
+            _cache_eig(key, w, v)
             self._eig = (w, v)
         return self._eig
 

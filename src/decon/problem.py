@@ -163,7 +163,11 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1, seed: int = 0,
 
 def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 0.0,
               seed: int | None = None, lipschitz: float | None = None) -> SensingProblem:
-    """Wrap explicit per-agent data (used by tests and problem replay)."""
+    """Wrap explicit per-agent data (used by tests and problem replay).
+
+    A given `lipschitz` must bound every agent's lambda_max(M_i^T M_i) (to
+    1e-9 relative); without one, the largest of them is used.
+    """
     sensing = np.array(sensing, dtype=float)
     measurements = np.array(measurements, dtype=float)
     if sensing.ndim != 3 or 0 in sensing.shape:
@@ -176,8 +180,14 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
                         ("lipschitz", lipschitz)):
         if value is not None and not np.all(np.isfinite(value)):
             raise ProblemError(f"{name} holds non-finite values (NaN or inf)")
+    tops = [_agent_gram(sensing, i).lambda_max for i in range(n)]
+    i = int(np.argmax(tops))
     if lipschitz is None:
-        lipschitz = max(_agent_gram(sensing, i).lambda_max for i in range(n))
+        lipschitz = tops[i]
+    elif tops[i] - lipschitz > 1e-9 * tops[i]:
+        # An understated L would certify stepsizes beyond the true 2/L.
+        raise ProblemError(f"lipschitz {lipschitz!r} is below agent {i}'s "
+                           f"lambda_max(M_{i}^T M_{i}) = {tops[i]!r}")
     return _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, None)
 
 

@@ -6,7 +6,14 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from decon import graph, mixing, problem
+from decon import graph, linalg, mixing, problem
+
+
+@pytest.fixture(autouse=True)
+def cold_eig_cache():
+    """Start every test with an empty eigendecomposition cache, so counts of
+    Jacobi solves and forced solver failures do not depend on test order."""
+    linalg.clear_eig_cache()
 
 
 @pytest.fixture(scope="session")

@@ -314,6 +314,19 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
     assert calls == []
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--seed", "seed must be >= 0, got -1"),
+    ("--noise-std", "noise_std must be >= 0, got -1.0"),
+])
+def test_cli_negative_setting_is_a_named_error(flag, message, monkeypatch, capsys):
+    calls = []
+    step = algorithms.step
+    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
+    assert cli.main(["run", "--max-iters", "3", flag, "-1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda d: d["sensing"][1][0].__setitem__(0, float("nan")), "sensing holds non-finite"),
     (lambda d: d.pop("sensing"), "missing key(s) sensing"),
@@ -356,6 +369,20 @@ def test_cli_overflowing_problem_file_names_the_agent(lipschitz, tmp_path, capsy
     assert "RuntimeWarning" not in err
 
 
+def test_cli_understated_lipschitz_is_a_named_error(tmp_path, capsys):
+    # Accepted as stated, L = 2 would certify alpha = 0.9, beyond the true 2/L = 0.2.
+    path = tmp_path / "prob.json"
+    problem.save_problem(problem.generate(10, 5, 10, seed=2), str(path))
+    payload = json.loads(path.read_text())
+    payload["lipschitz"] = 2.0
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", "--load-problem", str(path), "--n", "10", "--p", "5", "--mi", "10",
+                     "--algo", "nids", "--alpha", "0.9", "--certify"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lipschitz 2.0 is below agent ") and "= 10." in err
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda d: d["measurements"][0].__setitem__(0, 1e200),
      "error: the optimum overflows float64 (largest measurement 1.000e+200, agent 0 row 0)"),
@@ -379,11 +406,8 @@ def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, capsy
     assert "RuntimeWarning" not in err
 
 
-def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
-    base = RunConfig(topology="random", n=10, p=5, mi=1, seed=2, certify=True, max_iters=50)
-    inst = harness.build_instance(dataclasses.replace(base, algo="extra", alpha="extra-new"))
-    w, wt, eye = inst.mp.w.a, inst.mp.wt.a, np.eye(10)
-    watched = {"w_tilde - w": wt - w, "I - w": eye - w, "(I - w)/2": (eye - w) / 2.0}
+def _count_solves(monkeypatch) -> collections.Counter:
+    """Count the Jacobi solves of each matrix, keyed by its entries' bytes."""
     seen = collections.Counter()
     jacobi = linalg._jacobi_eigh
 
@@ -392,12 +416,36 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
         return jacobi(a, name)
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
+    return seen
+
+
+def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
+    base = RunConfig(topology="random", n=10, p=5, mi=1, seed=2, certify=True, max_iters=50)
+    inst = harness.build_instance(dataclasses.replace(base, algo="extra", alpha="extra-new"))
+    w, wt, eye = inst.mp.w.a, inst.mp.wt.a, np.eye(10)
+    watched = {"w_tilde": wt, "w_tilde - w": wt - w, "I - w": eye - w,
+               "(I - w)/2": (eye - w) / 2.0}
+    seen = _count_solves(monkeypatch)
     for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
         seen.clear()
+        linalg.clear_eig_cache()
         trace = run(dataclasses.replace(base, algo=algo, alpha=alpha))
         assert trace.audit.ok and trace.ks[-1] == 50
         counts = {name: seen[mat.tobytes()] for name, mat in watched.items()}
-        assert counts == {"w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
+        # w_bar = w_tilde at theta = 1: one solve serves both.
+        assert counts == {"w_tilde": 1, "w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
+
+
+def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
+    seen = _count_solves(monkeypatch)
+    eig = linalg.SymMatrix.eig
+    asked = []
+    monkeypatch.setattr(linalg.SymMatrix, "eig", lambda self: asked.append(1) or eig(self))
+    assert cli.main(["run", "--scenario", "fig1", "--max-iters", "20",
+                     "--out", str(tmp_path / "fig1")]) == 0
+    assert seen and max(seen.values()) == 1
+    # Six curves on one instance: most decompositions are served from the cache.
+    assert sum(seen.values()) < len(asked) / 2
 
 
 def test_certified_run_evaluates_each_gradient_once(monkeypatch):

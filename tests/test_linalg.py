@@ -147,6 +147,7 @@ def test_eig_bit_identical_across_instances():
     rng = np.random.default_rng(21)
     m = rng.standard_normal((9, 9))
     w1, v1 = SymMatrix(m, name="a").eig()
+    linalg.clear_eig_cache()  # compare two real solves, not a solve and a hit
     w2, v2 = SymMatrix(m.copy(), name="b").eig()
     assert np.array_equal(w1, w2)
     assert np.array_equal(v1, v2)
@@ -158,6 +159,98 @@ def test_eig_iteration_cap_reports_matrix_and_residual(monkeypatch):
     monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(linalg.EigenConvergenceError, match="stubborn"):
         SymMatrix([[0.0, 1.0], [1.0, 0.0]], name="stubborn").eig()
+
+
+def _counting_solver(monkeypatch) -> list[str]:
+    """Route `_jacobi_eigh` through a hook that records each solved name."""
+    solved = []
+    jacobi = linalg._jacobi_eigh
+
+    def counting(a, name):
+        solved.append(name)
+        return jacobi(a, name)
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", counting)
+    return solved
+
+
+def test_eig_cache_hit_equals_a_fresh_solve_and_is_read_only(monkeypatch):
+    solved = _counting_solver(monkeypatch)
+    m = np.random.default_rng(5).standard_normal((7, 7))
+    w1, v1 = SymMatrix(m, name="first").eig()
+    w2, v2 = SymMatrix(m.copy(), name="second").eig()
+    assert solved == ["first"]
+    linalg.clear_eig_cache()
+    w3, v3 = SymMatrix(m, name="third").eig()
+    assert solved == ["first", "third"]
+    for w, v in ((w1, v1), (w2, v2)):
+        assert np.array_equal(w, w3) and np.array_equal(v, v3)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0.0
+    # Entries differing in one bit are a different key, not a hit.
+    m2 = m.copy()
+    m2[2, 3] = np.nextafter(m2[2, 3], np.inf)
+    SymMatrix(m2, name="fourth").eig()
+    assert solved == ["first", "third", "fourth"]
+
+
+def test_failed_solves_are_not_cached(monkeypatch):
+    a = [[0.0, 1.0], [1.0, 0.0]]
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+    for name in ("first", "second"):
+        with pytest.raises(linalg.EigenConvergenceError, match=f"'{name}'"):
+            SymMatrix(a, name=name).eig()
+    monkeypatch.undo()
+    # A result that fails the residual check is not stored either.
+    monkeypatch.setattr(linalg, "_jacobi_eigh", lambda a, name: (np.zeros(2), np.eye(2)))
+    for name in ("third", "fourth"):
+        with pytest.raises(linalg.EigenConvergenceError, match=f"'{name}' failed its residual"):
+            SymMatrix(a, name=name).eig()
+    assert not linalg._eig_cache and linalg._eig_cache_bytes == 0
+    monkeypatch.undo()
+    w, _ = SymMatrix(a, name="fifth").eig()
+    assert np.array_equal(w, [-1.0, 1.0])
+
+
+def _entry_bytes(n: int) -> int:
+    return 8 * n * n + 8 * n + 8 * n * n  # key bytes, eigenvalues, eigenvectors
+
+
+def test_eig_cache_stays_within_its_budget_and_evicts_least_recently_used(monkeypatch):
+    # Scaled identities solve at once, so the real budget is cheap to fill.
+    n = 256
+    per = linalg._EIG_CACHE_BUDGET // _entry_bytes(n)
+    solved = _counting_solver(monkeypatch)
+    scaled = [SymMatrix(float(k + 1) * np.eye(n), name=f"s{k}") for k in range(per + 2)]
+    for s in scaled[:per]:
+        s.eig()
+    assert linalg._eig_cache_bytes == per * _entry_bytes(n) <= linalg._EIG_CACHE_BUDGET
+    SymMatrix(scaled[0].a.copy(), name="again").eig()  # s0 becomes most recently used
+    assert len(solved) == per
+    scaled[per].eig()  # over budget: s1, the least recently used, goes
+    scaled[per + 1].eig()  # and then s2
+    assert linalg._eig_cache_bytes == per * _entry_bytes(n) <= linalg._EIG_CACHE_BUDGET
+    solved.clear()
+    for k in (0, 3, per, per + 1):
+        SymMatrix(scaled[k].a.copy(), name=f"hit{k}").eig()
+    assert solved == []
+    for k in (1, 2):
+        SymMatrix(scaled[k].a.copy(), name=f"miss{k}").eig()
+    assert solved == ["miss1", "miss2"]
+
+
+def test_eig_cache_skips_a_result_larger_than_its_budget(monkeypatch):
+    monkeypatch.setattr(linalg, "_EIG_CACHE_BUDGET", _entry_bytes(4) - 1)
+    solved = _counting_solver(monkeypatch)
+    SymMatrix(np.eye(2), name="small").eig()
+    for name in ("first", "second"):
+        SymMatrix(2.0 * np.eye(4), name=name).eig()
+    SymMatrix(np.eye(2), name="small again").eig()
+    # The oversized result neither enters the cache nor flushes what is there.
+    assert solved == ["small", "first", "second"]
+    assert linalg._eig_cache_bytes == _entry_bytes(2)
 
 
 def _assert_same_bits_as_reference(a: np.ndarray) -> None:

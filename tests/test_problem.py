@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -212,3 +213,17 @@ def test_from_data_rejects_malformed_arrays():
         data = {"sensing": good.sensing, "measurements": good.measurements, **bad}
         with pytest.raises(ProblemError, match=message):
             from_data(**data)
+
+
+def test_from_data_rejects_an_understated_lipschitz():
+    # Every agent is rescaled to lambda_max(M_i^T M_i) = 10 up to round-off.
+    prob = generate(10, 5, 10, seed=2)
+    top = max(float(np.linalg.eigvalsh(m.T @ m)[-1]) for m in prob.sensing)
+    data = {"sensing": prob.sensing, "measurements": prob.measurements}
+    for stated in (prob.lipschitz, top * (1.0 - 1e-12), 100.0):
+        assert from_data(**data, lipschitz=stated).lipschitz == stated
+    for stated in (2.0, top * (1.0 - 1e-6), 0.0, -10.0):
+        message = (rf"^lipschitz {re.escape(repr(stated))} is below agent (\d)'s "
+                   rf"lambda_max\(M_\1\^T M_\1\) = 10\.0000")
+        with pytest.raises(ProblemError, match=message):
+            from_data(**data, lipschitz=stated)
