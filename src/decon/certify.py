@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .linalg import SymMatrix
-from .mixing import MixingPair, MixingValidationError, theta_default, with_theta
+from .mixing import MixingPair, MixingValidationError, theta_default, validate
 from .problem import mu_g_value
 
 __all__ = [
@@ -142,108 +142,73 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     The limits theta = 1 (r1 infinite) and g = 0 (r2 infinite) are folded into
     r3 = 1 / (1 + 1/r1 + 1/r2).
     """
-    return _ExtraCertifier(mp).certificate(lipschitz, mu_fbar, alpha, xi, eta)
-
-
-class _ExtraCertifier:
-    """EXTRA certificates on one mixing pair at its theta.
-
-    What depends on neither the stepsize nor (xi, eta) is derived at most once
-    per pair, however many certificates a search asks for: r1, r2, r3 and
-    lambda_max(w_bar m) from three similarity eigensolves, and the Lyapunov
-    weights p and q, with their eigensolves, once per xi.
-    """
-
-    def __init__(self, mp: MixingPair):
-        self.mp = mp
-        self._couplings: tuple[float, float, float, float, np.ndarray] | None = None
-        self._weights: dict[float, tuple[SymMatrix, SymMatrix]] = {}
-
-    def couplings(self) -> tuple[float, float, float, float, np.ndarray]:
-        """r1, r2, r3, lambda_max(w_bar m) and w_bar^-1."""
-        if self._couplings is None:
-            mp = self.mp
-            isq = mp.wbar.isqrt().a
-            sq = mp.wbar.sqrt().a
-            lam_iwt = _lam_max_similar(isq, np.eye(mp.n) - mp.wt.a, "wbar^-1 (I - w_tilde)")
-            if mp.theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
-                r1 = math.inf
-            else:
-                r1 = (4.0 * mp.theta - 3.0) / (4.0 * (1.0 - mp.theta) ** 2 * lam_iwt)
-            # g = 0 whenever w_tilde = (I + w)/2: r2 is infinite at every theta.
-            lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1") if mp.g.a.any() else 0.0
-            r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
-            r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
-                        + (0.0 if math.isinf(r2) else 1.0 / r2))
-            lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
-            if lam_wbar_m <= 0.0:
-                raise CertificateError(
-                    "lambda_max(w_bar m) is not positive; mixing pair is degenerate")
-            self._couplings = (r1, r2, r3, lam_wbar_m, mp.wbar.inv().a)
-        return self._couplings
-
-    def weights(self, xi: float) -> tuple[SymMatrix, SymMatrix]:
-        """The Lyapunov weights p and q at xi, checked positive definite."""
-        if xi not in self._weights:
-            _, _, r3, lam_wbar_m, wbar_inv = self.couplings()
-            self._weights[xi] = (
-                SymMatrix(self.mp.h.a + 0.5 * xi * self.mp.iw.a, name="p"),
-                SymMatrix(self.mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * wbar_inv, name="q"),
-            )
-        for mat in self._weights[xi]:
-            if mat.lambda_min < PD_SLACK:
-                raise CertificateError(
-                    f"{mat.name} is not positive definite (lambda_min = {mat.lambda_min:.3e})"
-                )
-        return self._weights[xi]
-
-    def certificate(self, lipschitz: float, mu_fbar: float, alpha: float,
-                    xi: float | None = None, eta: float | None = None) -> ExtraCertificate:
-        """The certificate of `extra_constants` at these arguments."""
-        mp = self.mp
-        theta = mp.theta
-        if theta <= _THETA_BOUNDARY:
-            raise CertificateError(
-                f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
-            )
-        lam_min_wbar = mp.wbar.lambda_min
-        bound = 2.0 * lam_min_wbar / lipschitz
-        if not 0.0 < alpha < bound:
-            raise CertificateError(
-                f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
-                f"= (0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; "
-                f"extra-special, its theta -> 3/4 limit when w_tilde = (I + w)/2, is never "
-                f"certified"
-            )
-        r1, r2, r3, lam_wbar_m, _ = self.couplings()
-        xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
-        if xi is None:
-            xi = xi_upper / 2.0
-        elif not 0.0 < xi < xi_upper:
-            raise CertificateError(
-                f"xi = {xi} outside its admissible interval (0, {xi_upper:.6g})")
-
-        eta_denom = 4.0 * alpha * lam_min_wbar - 2.0 * alpha**2 * lipschitz
-        if eta_denom <= 0.0:
-            raise CertificateError(
-                f"eta interval is empty: 4 a lambda_min(w_bar) - 2 a^2 L = {eta_denom:.6g} <= 0"
-            )
-        eta_upper = lam_min_wbar * xi / eta_denom
-        if eta is None:
-            eta = eta_upper / 2.0
-        elif not 0.0 < eta < eta_upper:
-            raise CertificateError(
-                f"eta = {eta} outside its admissible interval (0, {eta_upper:.6g})")
-
-        mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
-        rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3,
-                                  lam_wbar_m)
-        p_mat, q_mat = self.weights(xi)
-        return ExtraCertificate(
-            r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
-            p_mat=p_mat, q_mat=q_mat, special_case=math.isinf(r1) or math.isinf(r2),
-            alpha=alpha, theta=theta, lam_min_wbar=lam_min_wbar, lam_max_wbar_m=lam_wbar_m,
+    theta = mp.theta
+    if theta <= _THETA_BOUNDARY:
+        raise CertificateError(
+            f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
         )
+    lam_min_wbar = mp.wbar.lambda_min
+    bound = 2.0 * lam_min_wbar / lipschitz
+    if not 0.0 < alpha < bound:
+        raise CertificateError(
+            f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
+            f"= (0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; "
+            f"extra-special, its theta -> 3/4 limit when w_tilde = (I + w)/2, is never "
+            f"certified"
+        )
+
+    # Couplings r1, r2, r3 and lambda_max(w_bar m) from three similarity eigensolves.
+    isq = mp.wbar.isqrt().a
+    sq = mp.wbar.sqrt().a
+    lam_iwt = _lam_max_similar(isq, np.eye(mp.n) - mp.wt.a, "wbar^-1 (I - w_tilde)")
+    if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
+        r1 = math.inf
+    else:
+        r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
+    # g = 0 whenever w_tilde = (I + w)/2: r2 is infinite at every theta.
+    lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1") if mp.g.a.any() else 0.0
+    r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
+    r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
+                + (0.0 if math.isinf(r2) else 1.0 / r2))
+    lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
+    if lam_wbar_m <= 0.0:
+        raise CertificateError(
+            "lambda_max(w_bar m) is not positive; mixing pair is degenerate")
+    wbar_inv = mp.wbar.inv().a
+
+    xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
+    if xi is None:
+        xi = xi_upper / 2.0
+    elif not 0.0 < xi < xi_upper:
+        raise CertificateError(
+            f"xi = {xi} outside its admissible interval (0, {xi_upper:.6g})")
+
+    eta_denom = 4.0 * alpha * lam_min_wbar - 2.0 * alpha**2 * lipschitz
+    if eta_denom <= 0.0:
+        raise CertificateError(
+            f"eta interval is empty: 4 a lambda_min(w_bar) - 2 a^2 L = {eta_denom:.6g} <= 0"
+        )
+    eta_upper = lam_min_wbar * xi / eta_denom
+    if eta is None:
+        eta = eta_upper / 2.0
+    elif not 0.0 < eta < eta_upper:
+        raise CertificateError(
+            f"eta = {eta} outside its admissible interval (0, {eta_upper:.6g})")
+
+    mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
+    rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3, lam_wbar_m)
+    p_mat = SymMatrix(mp.h.a + 0.5 * xi * mp.iw.a, name="p")
+    q_mat = SymMatrix(mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * wbar_inv, name="q")
+    for mat in (p_mat, q_mat):
+        if mat.lambda_min < PD_SLACK:
+            raise CertificateError(
+                f"{mat.name} is not positive definite (lambda_min = {mat.lambda_min:.3e})"
+            )
+    return ExtraCertificate(
+        r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
+        p_mat=p_mat, q_mat=q_mat, special_case=math.isinf(r1) or math.isinf(r2),
+        alpha=alpha, theta=theta, lam_min_wbar=lam_min_wbar, lam_max_wbar_m=lam_wbar_m,
+    )
 
 
 def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
@@ -611,22 +576,23 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
 
 
 def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
-                             alpha: float, thetas=None, grid: int = 6) -> ExtraCertificate:
+                             alpha: float, grid: int = 6) -> ExtraCertificate:
     """Coarse grid search over (theta, xi, eta) minimizing the contraction factor.
 
     The default certificate is valid but not optimized; this sweeps a few
-    admissible combinations and keeps the smallest rho.
+    admissible combinations and keeps the smallest rho. The thetas sit a
+    quarter, a half, three quarters and all of the way from 3/4 to the upper
+    end of the admissible interval; one too close to 3/4 for a certificate is
+    skipped.
     """
-    if thetas is None:
-        upper = theta_default(mp.lam_min_wt)
-        thetas = [0.75 + f * (upper - 0.75) for f in (0.25, 0.5, 0.75, 1.0)]
-        thetas = [t for t in thetas if t > _THETA_BOUNDARY]
+    upper = theta_default(mp.lam_min_wt)
+    thetas = [0.75 + f * (upper - 0.75) for f in (0.25, 0.5, 0.75, 1.0)]
     best = None
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
     for theta in thetas:
         try:
-            certifier = _ExtraCertifier(with_theta(mp, theta))
-            probe = certifier.certificate(lipschitz, mu_fbar, alpha)
+            at_theta = validate(mp.w, mp.wt, mp.graph, theta=theta)
+            probe = extra_constants(at_theta, lipschitz, mu_fbar, alpha)
         except (MixingValidationError, CertificateError):
             continue
         for fx in fracs:
@@ -635,8 +601,8 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
                 4.0 * alpha * probe.lam_min_wbar - 2.0 * alpha**2 * lipschitz)
             for fe in fracs:
                 try:
-                    cert = certifier.certificate(lipschitz, mu_fbar, alpha, xi=xi,
-                                                 eta=fe * eta_upper)
+                    cert = extra_constants(at_theta, lipschitz, mu_fbar, alpha, xi=xi,
+                                           eta=fe * eta_upper)
                 except CertificateError:
                     continue
                 if best is None or cert.rho < best.rho:
@@ -648,15 +614,21 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
 
 def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
                             grid: int = 8) -> NidsCertificate:
-    """Grid search over (r4, eta) minimizing the contraction factor."""
+    """Grid search over (r4, eta) minimizing the contraction factor.
+
+    r5, and with it the eta interval, depends only on r4: one probe per r4.
+    """
     best = None
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
     for fr in fracs:
         r4 = fr * (mp.theta - 0.75)
+        try:
+            probe = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4)
+        except CertificateError:
+            continue
         for fe in fracs:
+            eta = fe / (alpha * (2.0 - alpha * lipschitz) * probe.r5)
             try:
-                probe = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4)
-                eta = fe / (alpha * (2.0 - alpha * lipschitz) * probe.r5)
                 cert = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4, eta=eta)
             except CertificateError:
                 continue

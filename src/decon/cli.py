@@ -3,7 +3,7 @@
 Subcommands:
   run              execute a scenario preset or a single configured run
   validate-mixing  check the mixing assumption for a graph (optionally relaxed)
-  bounds           print the stepsize-bound table for an instance
+  bounds           print the stepsize-bound table of the first run `run` would do
 
 Exit codes: 0 success, 1 validation/configuration error, 2 divergence.
 """
@@ -33,24 +33,29 @@ _VALIDATION_ERRORS = (
 )
 
 
+def _add_mixing_flags(p: argparse.ArgumentParser) -> None:
+    """The graph and mixing flags, shared by `run`, `bounds` and `validate-mixing`."""
+    p.add_argument("--topology", choices=harness.TOPOLOGIES)
+    p.add_argument("--n", type=int)
+    p.add_argument("--edge-prob", type=float, dest="edge_prob")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--relax-factor", type=float, dest="relax_factor")
+    p.add_argument("--theta", type=float)
+    p.add_argument("--graph-file", dest="graph_file", help="edge-list file ('i j' per line)")
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", choices=harness.SCENARIOS, help="preset replicating one figure")
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    p.add_argument("--topology", choices=harness.TOPOLOGIES)
-    p.add_argument("--n", type=int)
+    _add_mixing_flags(p)
     p.add_argument("--p", type=int)
     p.add_argument("--mi", type=int)
-    p.add_argument("--edge-prob", type=float, dest="edge_prob")
     p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--seed", type=int)
     p.add_argument("--algo", choices=algorithms.VARIANTS)
     p.add_argument("--alpha", help="numeric stepsize or one of: " + ", ".join(algorithms.STEPSIZES))
-    p.add_argument("--relax-factor", type=float, dest="relax_factor")
-    p.add_argument("--theta", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--tol", type=float)
     p.add_argument("--certify", action="store_true", default=None)
-    p.add_argument("--graph-file", dest="graph_file", help="edge-list file ('i j' per line)")
     p.add_argument("--load-problem", dest="problem_file", help="replay a saved problem file")
     p.add_argument("--save-problem", dest="save_problem", help="save the generated problem here")
     p.add_argument("--out", dest="out_path", help="CSV file (single run) or directory (scenario)")
@@ -72,7 +77,9 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _configs(args: argparse.Namespace) -> list[RunConfig]:
+    """The runs the flags ask for: a scenario's presets or one config file (or
+    neither), with every flag given overriding its field."""
     overrides = _flag_overrides(args)
     base: dict = {}
     if args.config:
@@ -84,12 +91,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
     if args.scenario:
         overrides.pop("out_path", None)
-        configs = [harness.config_from_dict({**_cfg_dict(cfg), **overrides})
-                   for cfg in harness.resolve_scenario(args.scenario)]
-    else:
-        configs = [harness.config_from_dict({**base, **overrides})]
+        return [harness.config_from_dict({**_cfg_dict(cfg), **overrides})
+                for cfg in harness.resolve_scenario(args.scenario)]
+    return [harness.config_from_dict({**base, **overrides})]
 
-    out = args.out_path or base.get("out_path")
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    configs = _configs(args)
+    out = args.out_path if args.scenario else configs[0].out_path
     if args.scenario and out and not os.path.isdir(out):
         os.makedirs(out, exist_ok=True)
 
@@ -139,11 +148,7 @@ def _cmd_validate_mixing(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if args.scenario:
-        cfg = harness.resolve_scenario(args.scenario)[0]
-    else:
-        cfg = harness.config_from_dict(_flag_overrides(args))
-    inst = harness.build_instance(cfg)
+    inst = harness.build_instance(_configs(args)[0])
     print(f"stepsize bounds (L = {inst.prob.lipschitz:g}, mu_fbar = {inst.prob.mu_fbar:.6g}, "
           f"lambda_min(w) = {inst.mp.lam_min_w:.6g}, theta = {inst.mp.theta:g})")
     width = max(map(len, inst.stepsizes))
@@ -164,12 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate-mixing", help="validate the mixing assumption on a graph")
-    p_val.add_argument("--graph-file", dest="graph_file")
-    p_val.add_argument("--n", type=int)
-    p_val.add_argument("--edge-prob", type=float, dest="edge_prob")
-    p_val.add_argument("--seed", type=int)
-    p_val.add_argument("--relax-factor", type=float, dest="relax_factor")
-    p_val.add_argument("--theta", type=float)
+    _add_mixing_flags(p_val)
     p_val.add_argument("--dump-mixing", dest="dump_mixing",
                        help="write the mixing matrix as plain text rows")
     p_val.set_defaults(func=_cmd_validate_mixing)

@@ -44,8 +44,9 @@ __all__ = [
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
 
-# Eigenvalues below rank_tol * lambda_max are treated as exact zeros in pinv.
-DEFAULT_RANK_TOL = 1e-10
+# Eigenvalues at or below _RANK_TOL * lambda_max count as exact zeros in pinv
+# and lambda_min_pos.
+_RANK_TOL = 1e-10
 
 # Definiteness floor of `inv` and `sqrt`, relative to max(1, |lambda_max|): kept
 # apart from _JACOBI_TOL so retuning the solver cannot move those checks.
@@ -253,25 +254,25 @@ class SymMatrix:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def lambda_min_pos(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+    def lambda_min_pos(self) -> float:
         """Smallest eigenvalue counted as nonzero (PSD matrices)."""
         w = self.eigenvalues
-        cutoff = rank_tol * max(abs(w[0]), abs(w[-1]))
+        cutoff = _RANK_TOL * max(abs(w[0]), abs(w[-1]))
         positive = w[w > cutoff]
         if positive.size == 0:
             raise ValueError(f"{self.name!r} has no nonzero eigenvalue above {cutoff:.3e}")
         return float(positive[0])
 
-    def pinv(self, rank_tol: float = DEFAULT_RANK_TOL) -> "SymMatrix":
+    def pinv(self) -> "SymMatrix":
         """Moore-Penrose pseudo-inverse of a PSD matrix.
 
-        Eigenvalues at or below rank_tol * lambda_max are treated as exact
-        zeros; an eigenvalue below -rank_tol * lambda_max means the input was
+        Eigenvalues at or below _RANK_TOL * lambda_max are treated as exact
+        zeros; an eigenvalue below -_RANK_TOL * lambda_max means the input was
         not PSD and raises.
         """
         w, v = self.eig()
         lam_max = max(float(w[-1]), 0.0)
-        cutoff = rank_tol * lam_max
+        cutoff = _RANK_TOL * lam_max
         if w[0] < -cutoff:
             raise NotPositiveSemidefiniteError(
                 f"{self.name!r} is not PSD: smallest eigenvalue {w[0]:.6e} "

@@ -3,12 +3,14 @@
 Builds Metropolis weights on a communication graph, applies the spectral
 relaxation map (1+c)W - cI, validates the four-part mixing assumption with
 its relaxed spectrum (-5/3, 1], and assembles every derived matrix the
-contraction certificates need into the one validated pair.
+contraction certificates need into the one validated pair. A pair at another
+theta is validated anew; the eigendecompositions it shares with the first come
+from `linalg`'s cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,6 @@ __all__ = [
     "relax",
     "theta_default",
     "validate",
-    "with_theta",
     "dump_matrix_text",
     "parse_matrix_text",
 ]
@@ -49,7 +50,8 @@ class MixingValidationError(ValueError):
 @dataclass(frozen=True)
 class MixingPair:
     """Validated mixing pair (w, w_tilde) with its spectra and every matrix the
-    certificates derive from it, each built and decomposed once:
+    certificates derive from it, each built once per pair (a matrix with the
+    same entries as one decomposed before reuses that solve, see `linalg`):
 
     diff   = wt - w                          (PSD, zero exactly on the consensus line)
     iw     = I - w                           (PSD, zero exactly on the consensus line)
@@ -235,9 +237,33 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     if theta is None:
         theta = _default_theta_inside(lam_min_wt)
     else:
-        _check_theta(theta, lam_min_wt)
+        upper = theta_default(lam_min_wt)
+        # theta = 3/4 exactly is tolerated when w_tilde is PD (the boundary
+        # choice used for stepsize-bound reporting); certificates built from
+        # it will report themselves as vacuous.
+        lower_ok = theta > 0.75 or (theta == 0.75 and lam_min_wt > _NULLSPACE_TOL)
+        if not (lower_ok and theta <= upper + 1e-12):
+            raise MixingValidationError(
+                [f"theta = {theta} outside the admissible interval (3/4, {upper:.6f}]"]
+            )
     theta = float(theta)
-    wbar, mtilde = _theta_matrices(theta, wt, i_minus_w)
+    wbar = SymMatrix(theta * wt.a + (1.0 - theta) * eye, name="w_bar")
+    if wbar.lambda_min <= 1e-12:
+        raise MixingValidationError(
+            [f"w_bar is not positive definite at theta = {theta} "
+             f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]
+        )
+    # Halving commutes exactly with every Jacobi step and with pinv, so this
+    # equals pinv((I - w)/2) - theta I without a third decomposition.
+    mtilde = SymMatrix(2.0 * i_minus_w.pinv().a - theta * eye, name="m_tilde")
+    # Identity w_tilde = w_bar - (1-theta)(I - w_tilde), by construction.
+    resid = float(np.abs(wt.a - (wbar.a - (1.0 - theta) * (eye - wt.a))).max())
+    if resid > 1e-12:
+        raise AssertionError(f"w_bar identity violated entrywise by {resid:.3e}")
+    # mtilde maps the all-ones vector to -theta * 1.
+    resid = float(np.abs(mtilde.a @ ones + theta * ones).max())
+    if resid > 1e-10:
+        raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
     g_mat = SymMatrix(w.a + eye - 2.0 * wt.a, name="g")
     if g_mat.lambda_min < _PSD_SLACK:
         raise MixingValidationError([f"g = w + I - 2 w_tilde has eigenvalue {g_mat.lambda_min:.3e} < 0"])
@@ -263,55 +289,6 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         g=g_mat,
         mtilde=mtilde,
     )
-
-
-def with_theta(mp: MixingPair, theta: float) -> MixingPair:
-    """The validated pair at another theta, equal to what `validate(mp.w, mp.wt,
-    mp.graph, theta=theta)` returns. Only w_bar and m_tilde depend on theta;
-    every other matrix, and its cached decomposition, is shared with `mp`."""
-    _check_theta(theta, mp.lam_min_wt)
-    theta = float(theta)
-    wbar, mtilde = _theta_matrices(theta, mp.wt, mp.iw)
-    return replace(mp, theta=theta, wbar=wbar, mtilde=mtilde)
-
-
-def _check_theta(theta: float, lam_min_wt: float) -> None:
-    upper = theta_default(lam_min_wt)
-    # theta = 3/4 exactly is tolerated when w_tilde is PD (the boundary
-    # choice used for stepsize-bound reporting); certificates built from
-    # it will report themselves as vacuous.
-    lower_ok = theta > 0.75 or (theta == 0.75 and lam_min_wt > _NULLSPACE_TOL)
-    if not (lower_ok and theta <= upper + 1e-12):
-        raise MixingValidationError(
-            [f"theta = {theta} outside the admissible interval (3/4, {upper:.6f}]"]
-        )
-
-
-def _theta_matrices(theta: float, wt: SymMatrix,
-                    i_minus_w: SymMatrix) -> tuple[SymMatrix, SymMatrix]:
-    """w_bar (checked positive definite) and m_tilde at theta."""
-    n = wt.dim
-    eye = np.eye(n)
-    ones = np.ones((n, 1))
-    wbar = SymMatrix(theta * wt.a + (1.0 - theta) * eye, name="w_bar")
-    if wbar.lambda_min <= 1e-12:
-        raise MixingValidationError(
-            [f"w_bar is not positive definite at theta = {theta} "
-             f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]
-        )
-    # Halving commutes exactly with every Jacobi step and with pinv, so this
-    # equals pinv((I - w)/2) - theta I without a third decomposition.
-    mtilde = SymMatrix(2.0 * i_minus_w.pinv().a - theta * eye, name="m_tilde")
-
-    # Identity w_tilde = w_bar - (1-theta)(I - w_tilde), by construction.
-    resid = float(np.abs(wt.a - (wbar.a - (1.0 - theta) * (eye - wt.a))).max())
-    if resid > 1e-12:
-        raise AssertionError(f"w_bar identity violated entrywise by {resid:.3e}")
-    # mtilde maps the all-ones vector to -theta * 1.
-    resid = float(np.abs(mtilde.a @ ones + theta * ones).max())
-    if resid > 1e-10:
-        raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
-    return wbar, mtilde
 
 
 def dump_matrix_text(a: SymMatrix | np.ndarray) -> str:

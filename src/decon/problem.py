@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
+# The shared Lipschitz constant ||M_i^T M_i|| of every generated instance.
+LIPSCHITZ = 10.0
 
 
 class ProblemError(ValueError):
@@ -139,9 +141,9 @@ def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true
     )
 
 
-def generate(n: int, p: int, m_i: int, noise_std: float = 0.1, seed: int = 0,
-             lipschitz: float = 10.0) -> SensingProblem:
-    """Gaussian sensing data, rescaled so ||M_i^T M_i|| equals `lipschitz`.
+def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
+             seed: int = 0) -> SensingProblem:
+    """Gaussian sensing data, rescaled so ||M_i^T M_i|| equals `LIPSCHITZ`.
 
     Reproducible: the same (n, p, m_i, noise_std, seed) give bit-identical
     data. Raises if the averaged Hessian is singular (possible when n*m_i < p).
@@ -156,9 +158,9 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1, seed: int = 0,
         top = _agent_gram(sensing, i).lambda_max
         if top <= 0.0:
             raise ProblemError(f"agent {i} drew a zero sensing matrix")
-        sensing[i] *= np.sqrt(lipschitz / top)
+        sensing[i] *= np.sqrt(LIPSCHITZ / top)
     measurements = np.einsum("imp,p->im", sensing, x_true) + noise
-    return _finalize(n, p, m_i, sensing, measurements, noise_std, seed, lipschitz, x_true)
+    return _finalize(n, p, m_i, sensing, measurements, noise_std, seed, LIPSCHITZ, x_true)
 
 
 def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 0.0,

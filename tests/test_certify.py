@@ -318,15 +318,37 @@ def test_audit_near_boundary_stepsize(prob1):
     assert cert_n.rho < 1.0 and rep_n.ok, rep_n.violations[:3]
 
 
-def test_search_improves_or_matches_default(prob1, rand10):
+def _assert_same_certificate(mine, theirs):
+    """Every field equal: SymMatrix fields entry for entry, the rest exactly."""
+    for field in dataclasses.fields(mine):
+        a, b = getattr(mine, field.name), getattr(theirs, field.name)
+        if isinstance(a, SymMatrix):
+            assert np.array_equal(a.a, b.a), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_search_improves_or_matches_default(prob1, rand10, monkeypatch):
     _, mp = rand10
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
     default = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha, grid=4)
     assert best.rho <= default.rho + 1e-15
     default_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
+    calls = collections.Counter()
+
+    def counting(*args, **kwargs):
+        calls["nids_constants"] += 1
+        return nids_constants(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "nids_constants", counting)
     best_n = search_nids_certificate(mp, prob1.lipschitz, prob1.mu_fbar, 0.1, grid=4)
+    monkeypatch.undo()
     assert best_n.rho <= default_n.rho + 1e-15
+    # r5 depends on r4 alone: one probe per r4, then one certificate per (r4, eta).
+    assert calls["nids_constants"] == 4 + 4 * 4
+    _assert_same_certificate(best_n, nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1,
+                                                    r4=best_n.r4, eta=best_n.eta))
 
 
 def _mismatched_streams(prob, mp):
@@ -436,9 +458,4 @@ def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
     monkeypatch.undo()
     fresh = extra_constants(validate(w, mp.wt, g, theta=best.theta), prob1.lipschitz,
                             prob1.mu_fbar, alpha, xi=best.xi, eta=best.eta)
-    for field in dataclasses.fields(best):
-        mine, theirs = getattr(best, field.name), getattr(fresh, field.name)
-        if isinstance(mine, SymMatrix):
-            assert np.array_equal(mine.a, theirs.a), field.name
-        else:
-            assert mine == theirs, field.name
+    _assert_same_certificate(best, fresh)

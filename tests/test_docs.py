@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -20,3 +22,21 @@ def test_readme_names_every_stepsize_of_the_table():
     section = text.split("### Named stepsizes", 1)[1].split("\n#", 1)[0]
     names = re.findall(r"^\| `([\w-]+)` \|", section, re.M)
     assert names == list(algorithms.STEPSIZES)
+
+
+def test_module_map_names_only_what_exists():
+    # Each backticked identifier in a module-map row must be an attribute of
+    # that row's module, of a class the module defines, or an algorithm
+    # variant; dotted names, calls and the CLI line are not identifiers.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Module map", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`\s*\| (.*) \|$", section, re.M)
+    assert rows
+    for module_name, cell in rows:
+        module = importlib.import_module(f"decon.{module_name}")
+        owners = [module] + [v for v in vars(module).values()
+                             if inspect.isclass(v) and v.__module__ == module.__name__]
+        for name in re.findall(r"`([^`]+)`", cell):
+            if not name.isidentifier() or name in algorithms.VARIANTS:
+                continue
+            assert any(hasattr(owner, name) for owner in owners), (module_name, name)

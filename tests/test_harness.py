@@ -568,6 +568,23 @@ def test_cli_validate_mixing_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_validate_mixing_takes_a_topology(capsys):
+    assert cli.main(["validate-mixing", "--topology", "line", "--n", "6"]) == 0
+    assert "mixing pair on 6 nodes, 5 edges: PASS" in capsys.readouterr().out
+
+
+def test_cli_bounds_applies_flags_after_a_scenario_and_a_config_file(tmp_path, capsys):
+    assert cli.main(["bounds", "--seed", "7"]) == 0
+    table = capsys.readouterr().out
+    assert "mu_fbar = 0.521435" in table
+    assert cli.main(["bounds", "--scenario", "fig1", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == table
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 7}))
+    assert cli.main(["bounds", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == table
+
+
 def test_cli_bounds_table(capsys):
     code = cli.main(["bounds", "--scenario", "fig1"])
     assert code == 0
