@@ -14,7 +14,8 @@ stepsize, gradient and matrices once; `step` advances a state by one iteration
 with them, at one gradient evaluation (the two-step forms carry the previous
 gradient in the state). `iterate` is the one loop that calls `step`. A state
 is an immutable NamedTuple, the cheapest immutable record to build once per
-step.
+step. The updates apply their matrices with `ndarray.dot`, which reaches the
+same gemm as `@` with half its per-call overhead, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -73,33 +74,33 @@ class Operators:
 
 
 def _dgd(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
-    return AlgoState(s.k + 1, op.w @ s.x - op.alpha * g, s.x, g)
+    return AlgoState(s.k + 1, op.w.dot(s.x) - op.alpha * g, s.x, g)
 
 
 def _extra(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     if s.x_prev is None:
-        x = op.w @ s.x - op.alpha * g
+        x = op.w.dot(s.x) - op.alpha * g
     else:
-        x = (s.x + op.w @ s.x) - op.wt @ s.x_prev - op.alpha * (g - s.g_prev)
+        x = (s.x + op.w.dot(s.x)) - op.wt.dot(s.x_prev) - op.alpha * (g - s.g_prev)
     return AlgoState(s.k + 1, x, s.x, g)
 
 
 def _extra_xy(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
-    x = op.wt @ s.x + s.y - op.alpha * g
-    return AlgoState(s.k + 1, x, s.x, g, y=s.y - op.diff @ x)
+    x = op.wt.dot(s.x) + s.y - op.alpha * g
+    return AlgoState(s.k + 1, x, s.x, g, y=s.y - op.diff.dot(x))
 
 
 def _nids(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     if s.x_prev is None:
-        x = op.half @ (s.x - op.alpha * g)
+        x = op.half.dot(s.x - op.alpha * g)
     else:
-        x = op.half @ (2.0 * s.x - s.x_prev - op.alpha * (g - s.g_prev))
+        x = op.half.dot(2.0 * s.x - s.x_prev - op.alpha * (g - s.g_prev))
     return AlgoState(s.k + 1, x, s.x, g)
 
 
 def _nids_dx(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     v = s.x - op.alpha * g
-    d = s.d + (op.half_iw @ (v - op.alpha * s.d)) / op.alpha
+    d = s.d + op.half_iw.dot(v - op.alpha * s.d) / op.alpha
     return AlgoState(s.k + 1, v - op.alpha * d, s.x, g, d=d)
 
 

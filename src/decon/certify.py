@@ -503,7 +503,7 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
     """
     eye = np.eye(mp.n)
     i_minus_w = mp.iw.a
-    iw_pinv = mp.iw.pinv().a
+    iw_pinv = mp.iw_pinv.a
     pn_mat, q_mat = cert.pn_mat.a, cert.q_mat.a
     alpha = cert.alpha
     a2 = alpha**2

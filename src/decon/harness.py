@@ -265,11 +265,14 @@ def run(config: RunConfig) -> Trace:
     x0 = np.zeros((prob.n, prob.p))
     states = _until_stop(algorithms.iterate(variant, x0, inst.alpha, mp.w, mp.wt, prob.grad),
                          config, prob.Xstar, trace)
-    if not config.certify:
-        for _ in states:
-            pass
-        return trace
-    report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha), prob.grad)
+    # A divergent stepsize overflows the iterates before the residual says so:
+    # the run ends as "diverged", so the overflow raises no floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not config.certify:
+            for _ in states:
+                pass
+            return trace
+        report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha), prob.grad)
     trace.lyapunov = [float(v) for v in report.lyapunov]
     trace.ratio = list(report.ratio)
     trace.slack = list(report.slack)

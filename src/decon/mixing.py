@@ -58,9 +58,14 @@ class MixingPair:
     wbar   = theta*wt + (1-theta)*I          (positive definite)
     h      = (I + wt)/2                      (positive definite: part 4 keeps wt > -I/3)
     m      = pinv(wt - w)                    (PSD, zero on the consensus line)
+    iw_pinv = pinv(I - w)                    (PSD, zero on the consensus line)
     g      = w + I - 2*wt                    (PSD; zero when wt = (I+w)/2)
     mtilde = 2 pinv(I - w) - theta*I         (= pinv((I - w)/2) - theta*I, bit for bit;
                                               the norm over the disagreement space)
+
+    Both pseudo-inverses are projected as P pinv(.) P with P = I - 11^T/n: the
+    eigensolver's null vector is 1/sqrt(n) only to round-off, and on long line
+    graphs the leftover, scaled by 1/lambda_min_pos(I - w), passes 1e-10.
 
     theta in (3/4, min{1/(1 - lambda_min(wt)), 1}] parametrizes wbar.
     """
@@ -81,6 +86,7 @@ class MixingPair:
     wbar: SymMatrix
     h: SymMatrix
     m: SymMatrix
+    iw_pinv: SymMatrix
     g: SymMatrix
     mtilde: SymMatrix
 
@@ -253,9 +259,14 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
             [f"w_bar is not positive definite at theta = {theta} "
              f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]
         )
-    # Halving commutes exactly with every Jacobi step and with pinv, so this
-    # equals pinv((I - w)/2) - theta I without a third decomposition.
-    mtilde = SymMatrix(2.0 * i_minus_w.pinv().a - theta * eye, name="m_tilde")
+    # Project both pseudo-inverses onto the disagreement space (see MixingPair).
+    proj = eye - np.full((n, n), 1.0 / n)
+    m = SymMatrix(proj @ diff.pinv().a @ proj, name="pinv(w_tilde - w)")
+    iw_pinv = SymMatrix(proj @ i_minus_w.pinv().a @ proj, name="pinv(I - w)")
+    # Halving commutes exactly with every Jacobi step, with pinv and with the
+    # projection, so this equals pinv((I - w)/2) - theta I without a third
+    # decomposition.
+    mtilde = SymMatrix(2.0 * iw_pinv.a - theta * eye, name="m_tilde")
     # Identity w_tilde = w_bar - (1-theta)(I - w_tilde), by construction.
     resid = float(np.abs(wt.a - (wbar.a - (1.0 - theta) * (eye - wt.a))).max())
     if resid > 1e-12:
@@ -285,7 +296,8 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         iw=i_minus_w,
         wbar=wbar,
         h=SymMatrix((eye + wt.a) / 2.0, name="h"),
-        m=diff.pinv(),
+        m=m,
+        iw_pinv=iw_pinv,
         g=g_mat,
         mtilde=mtilde,
     )

@@ -19,6 +19,13 @@ import numpy as np
 from .linalg import SymMatrix, wnorm_sq
 from .mixing import MixingPair
 
+try:
+    # The C kernel np.einsum hands its operands to when optimize=False, minus
+    # the dispatch and wrapper layers in between: the same bits at half the cost.
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2: the public wrapper, same bits
+    _c_einsum = np.einsum
+
 __all__ = [
     "ProblemError",
     "SensingProblem",
@@ -198,8 +205,8 @@ def grad(prob: SensingProblem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n, prob.p):
         raise ProblemError(f"expected stacked shape {(prob.n, prob.p)}, got {x.shape}")
-    residual = np.einsum("imp,ip->im", prob.sensing, x) - prob.measurements
-    return np.einsum("imp,im->ip", prob.sensing, residual)
+    residual = _c_einsum("imp,ip->im", prob.sensing, x) - prob.measurements
+    return _c_einsum("imp,im->ip", prob.sensing, residual)
 
 
 def mu_g_value(mu_fbar: float, lipschitz: float, lam_min_pos_iw: float, eta: float) -> float:

@@ -14,6 +14,12 @@ with them.
 built in one pass: one `_fmt` call per float, the run label and stepsize
 formatted again on every row. The package's writer must write the same bytes.
 
+`grad_reference` is `problem.grad` as it was before it called numpy's einsum
+kernel directly, through two `np.einsum` calls; `UPDATES_REFERENCE` holds the
+five updates of `algorithms` as they were before they used `ndarray.dot`, each
+matrix applied with `@`. The package's gradient and steps must return the same
+bits.
+
 `jacobi_eigh_reference` is the cyclic Jacobi solver as it was before its
 rotations were stacked: a two-sided update of the matrix plus a separate one of
 the eigenvectors, in numpy scalars. The package's solver must return the same
@@ -28,9 +34,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from decon.algorithms import AlgoState
 from decon.certify import EQ_TOL, INEQ_TOL, AuditReport
 from decon import linalg
 from decon.linalg import wdot, wnorm_sq
+from decon.problem import SensingProblem
 
 
 def _mat_mul(a, b):
@@ -325,7 +333,7 @@ def audit_nids_reference(states, mp, cert, fp, grad) -> AuditReport:
     """
     eye = np.eye(mp.n)
     i_minus_w = mp.iw.a
-    iw_pinv = mp.iw.pinv().a
+    iw_pinv = mp.iw_pinv.a
     alpha = cert.alpha
     theta = cert.theta
     r4, r5 = cert.r4, cert.r5
@@ -418,3 +426,62 @@ def write_csv_reference(trace, path: str) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
+
+
+# -- gradient and stepper oracles ----------------------------------------------
+
+def bare_problem(sensing: np.ndarray, measurements: np.ndarray):
+    """A SensingProblem around raw (n, m, p) data, without `from_data`'s checks
+    or normal-equation solve: all the gradient reads is the data."""
+    n, m, p = sensing.shape
+    return SensingProblem(n=n, p=p, m=m, sensing=sensing, measurements=measurements,
+                          noise_std=0.0, seed=None, lipschitz=1.0, mu_fbar=1.0,
+                          xstar=np.zeros(p))
+
+
+def grad_reference(prob, x: np.ndarray) -> np.ndarray:
+    """Stacked gradient: row i is M_i^T (M_i x_i - y_i)."""
+    residual = np.einsum("imp,ip->im", prob.sensing, x) - prob.measurements
+    return np.einsum("imp,im->ip", prob.sensing, residual)
+
+
+def _dgd_reference(s, g, op):
+    return AlgoState(s.k + 1, op.w @ s.x - op.alpha * g, s.x, g)
+
+
+def _extra_reference(s, g, op):
+    if s.x_prev is None:
+        x = op.w @ s.x - op.alpha * g
+    else:
+        x = (s.x + op.w @ s.x) - op.wt @ s.x_prev - op.alpha * (g - s.g_prev)
+    return AlgoState(s.k + 1, x, s.x, g)
+
+
+def _extra_xy_reference(s, g, op):
+    x = op.wt @ s.x + s.y - op.alpha * g
+    return AlgoState(s.k + 1, x, s.x, g, y=s.y - op.diff @ x)
+
+
+def _nids_reference(s, g, op):
+    if s.x_prev is None:
+        x = op.half @ (s.x - op.alpha * g)
+    else:
+        x = op.half @ (2.0 * s.x - s.x_prev - op.alpha * (g - s.g_prev))
+    return AlgoState(s.k + 1, x, s.x, g)
+
+
+def _nids_dx_reference(s, g, op):
+    v = s.x - op.alpha * g
+    d = s.d + (op.half_iw @ (v - op.alpha * s.d)) / op.alpha
+    return AlgoState(s.k + 1, v - op.alpha * d, s.x, g, d=d)
+
+
+UPDATES_REFERENCE = {"dgd": _dgd_reference, "extra": _extra_reference,
+                     "extra_xy": _extra_xy_reference, "nids": _nids_reference,
+                     "nids_dx": _nids_dx_reference}
+
+
+def step_reference(variant: str, state, ops, prob):
+    """One iteration of the run `ops` describes, with the reference gradient of
+    `prob` and the `@`-form update of `variant`."""
+    return UPDATES_REFERENCE[variant](state, grad_reference(prob, state.x), ops)

@@ -2,9 +2,12 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decon import problem
 from decon.algorithms import (
+    VARIANTS,
     AlgoState,
     fixed_point,
     iterate,
@@ -16,6 +19,8 @@ from decon.algorithms import (
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import metropolis, relax, validate
+
+from oracles import bare_problem, step_reference
 
 
 def _identical_quadratics(n=6, p=3, minimizer=None):
@@ -234,3 +239,31 @@ def test_trajectory_stops_at_the_first_non_finite_iterate(prob1, rand10):
         assert 1 < len(xs) < 2001, variant
         assert np.isfinite(xs[:-1]).all() and not np.isfinite(xs[-1]).all(), variant
         assert aux is None or len(aux) == len(xs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(VARIANTS), n=st.integers(1, 60), m=st.integers(1, 10),
+       p=st.integers(1, 40), scales=st.tuples(*[st.integers(-8, 8)] * 3),
+       first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_step_matches_the_matmul_reference_bit_for_bit(variant, n, m, p, scales, first, seed):
+    # The updates apply their matrices with ndarray.dot and the gradient calls
+    # the einsum kernel directly; both must keep the bits of the @ / np.einsum
+    # forms. `first` starts the two-step forms without a previous iterate.
+    rng = np.random.default_rng(seed)
+    data, state_scale, alpha_scale = (10.0 ** s for s in scales)
+    prob = bare_problem(rng.standard_normal((n, m, p)) * data,
+                        rng.standard_normal((n, m)) * data)
+    w, wt = (SymMatrix(rng.standard_normal((n, n))) for _ in range(2))
+    ops = operators(variant, float(rng.uniform(0.1, 1.0)) * alpha_scale, w, wt, prob.grad)
+
+    def draw():
+        return rng.standard_normal((n, p)) * state_scale
+
+    state = AlgoState(3, draw(), None if first else draw(), None if first else draw(),
+                      y=draw() if variant == "extra_xy" else None,
+                      d=draw() if variant == "nids_dx" else None)
+    got, want = step(state, ops), step_reference(variant, state, ops, prob)
+    assert got.k == want.k == 4
+    for name in ("x", "x_prev", "g_prev", "y", "d"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import audit_extra_reference, audit_nids_reference
 
-from decon import certify, linalg, problem
+from decon import certify, harness, linalg, problem
 from decon.algorithms import AlgoState, fixed_point, iterate
 from decon.certify import (
     CertificateError,
@@ -246,6 +246,15 @@ def test_audit_nids_zero_violations(prob1, rand10):
         assert report.checks[name] <= 1e-9
     for name in ("key_inequality_slack", "chain_slack", "contraction_slack"):
         assert report.checks[name] >= -1e-8
+
+
+def test_certified_nids_run_on_a_long_line_graph_audits_clean():
+    # A 60-agent line graph once failed mixing validation (m_tilde 1 != -theta 1);
+    # its certified NIDS run must now validate, certify and audit clean.
+    trace = harness.run(harness.RunConfig(topology="line", n=60, algo="nids", alpha=0.19,
+                                          certify=True, max_iters=100))
+    assert trace.audit.transitions == 100
+    assert trace.audit.violations == []
 
 
 def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):

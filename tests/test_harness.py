@@ -1,10 +1,13 @@
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from decon import algorithms, cli, harness, linalg, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, TraceError, read_csv, resolve_scenario, run, write_csv,
 )
-from oracles import write_csv_reference
+from oracles import step_reference, write_csv_reference
 
 
 def test_resolve_fig1_shape():
@@ -221,6 +224,25 @@ def test_until_stop_residuals_equal_the_norm_bit_for_bit(case, shape):
     assert [r.hex() for r in trace.residuals] == [r.hex() for r in expected]
 
 
+@pytest.mark.parametrize("scenario", ["fig3", "relaxed-line"])
+def test_run_residuals_match_the_reference_steps_bit_for_bit(scenario):
+    # Every curve of the two scenarios, replayed by a loop over the np.einsum
+    # gradient and the @-form updates, must give the same residual bits.
+    for cfg in resolve_scenario(scenario):
+        trace = run(cfg)
+        inst = harness.build_instance(cfg)
+        prob = inst.prob
+        ops = algorithms.operators(cfg.algo, inst.alpha, inst.mp.w, inst.mp.wt, prob.grad)
+        state = algorithms.AlgoState(0, np.zeros((prob.n, prob.p)))
+        expected = []
+        for _ in range(cfg.max_iters + 1):
+            expected.append(_norm_residual(state.x, prob.Xstar))
+            if not cfg.tol < expected[-1] <= harness.DIVERGENCE_LIMIT:
+                break
+            state = step_reference(cfg.algo, state, ops, prob)
+        assert [r.hex() for r in trace.residuals] == [r.hex() for r in expected], cfg.label
+
+
 def test_fig1_residual_column_nonincreasing_after_row_five(tmp_path):
     cfg = next(c for c in resolve_scenario("fig1") if c.label == "extra_a2")
     trace = run(cfg)
@@ -281,6 +303,33 @@ def test_cli_certify_rejects_boundary_stepsize(capsys):
                      "--seed", "2", "--algo", "nids", "--alpha", "nids", "--certify"])
     assert code == 1
     assert "certified range" in capsys.readouterr().err
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(topology=st.sampled_from(tuple(harness.TOPOLOGIES)), n=st.integers(2, 80),
+       p=st.integers(1, 8), mi=st.integers(1, 4), edge_prob=st.floats(0.05, 1.0),
+       relax_factor=st.floats(0.0, 1.0 / 3.0), theta=st.none() | st.floats(0.75, 1.0),
+       algo=st.sampled_from(algorithms.VARIANTS),
+       alpha=st.sampled_from(tuple(algorithms.STEPSIZES)) | st.floats(0.0, 1e308).map(repr),
+       certify=st.booleans(), max_iters=st.integers(1, 200))
+def test_cli_run_ends_in_an_exit_code_for_any_setting(topology, n, p, mi, edge_prob,
+                                                      relax_factor, theta, algo, alpha,
+                                                      certify, max_iters):
+    # Whatever the settings, `decon run` ends as success (0), a named error
+    # (1) or a divergence (2): never a traceback, never a warning.
+    argv = ["run", "--topology", topology, "--n", str(n), "--p", str(p), "--mi", str(mi),
+            "--edge-prob", repr(edge_prob), "--relax-factor", repr(relax_factor),
+            "--algo", algo, "--alpha", alpha, "--max-iters", str(max_iters)]
+    if theta is not None:
+        argv += ["--theta", repr(theta)]
+    if certify:
+        argv.append("--certify")
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("argv, names", [

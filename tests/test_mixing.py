@@ -255,8 +255,14 @@ def test_validate_pseudo_inverses_are_moore_penrose(n, edge_prob, seed, relax_fa
         mp = validate(w, wt, g, theta=theta)
     except MixingValidationError:
         return
+    _assert_moore_penrose(mp, w)
+
+
+def _assert_moore_penrose(mp, w):
+    n = w.dim
     half_iw = (np.eye(n) - w.a) / 2.0
-    for a, pinv in ((wt.a - w.a, mp.m.a), (half_iw, mp.mtilde.a + mp.theta * np.eye(n))):
+    for a, pinv in ((mp.wt.a - w.a, mp.m.a), (np.eye(n) - w.a, mp.iw_pinv.a),
+                    (half_iw, mp.mtilde.a + mp.theta * np.eye(n))):
         na, np_ = np.linalg.norm(a), np.linalg.norm(pinv)
         assert np.linalg.norm(a @ pinv @ a - a) <= 1e-10 * na * na * np_
         assert np.linalg.norm(pinv @ a @ pinv - pinv) <= 1e-10 * np_ * np_ * na
@@ -264,3 +270,16 @@ def test_validate_pseudo_inverses_are_moore_penrose(n, edge_prob, seed, relax_fa
         assert np.linalg.norm(pinv @ a - (pinv @ a).T) <= 1e-10 * na * np_
     ones = np.ones(n)
     assert np.abs(mp.mtilde.a @ ones + mp.theta * ones).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [55, 80])
+def test_validate_passes_on_long_line_graphs(n):
+    # The eigensolver's null vector of I - w is 1/sqrt(n) only to round-off;
+    # unprojected, pinv(I - w) 1 grew past the 1e-10 m_tilde check from n = 55.
+    g = line(n)
+    w = metropolis(g)
+    mp = validate(w, _half(w), g)
+    _assert_moore_penrose(mp, w)
+    ones = np.ones(n)
+    for pinv in (mp.m, mp.iw_pinv):
+        assert np.abs(pinv.a @ ones).max() <= 1e-12

@@ -15,6 +15,8 @@ from decon.problem import (
     ProblemError, check_rsc, from_data, generate, grad, mu_g, mu_g_value,
 )
 
+from oracles import bare_problem, grad_reference
+
 
 def test_generate_normalizes_local_curvature(prob1):
     for i in range(prob1.n):
@@ -227,3 +229,20 @@ def test_from_data_rejects_an_understated_lipschitz():
                    rf"lambda_max\(M_\1\^T M_\1\) = 10\.0000")
         with pytest.raises(ProblemError, match=message):
             from_data(**data, lipschitz=stated)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60), m=st.integers(1, 10), p=st.integers(1, 40),
+       scales=st.tuples(*[st.integers(-8, 8)] * 3), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_grad_matches_the_einsum_reference_bit_for_bit(n, m, p, scales, fortran, seed):
+    # problem.grad calls numpy's einsum kernel without np.einsum's wrappers:
+    # the same arithmetic, so the same bits, at every shape and scale.
+    rng = np.random.default_rng(seed)
+    sensing = rng.standard_normal((n, m, p)) * 10.0 ** scales[0]
+    measurements = rng.standard_normal((n, m)) * 10.0 ** scales[1]
+    x = rng.standard_normal((n, p)) * 10.0 ** scales[2]
+    if fortran:
+        x = np.asfortranarray(x)
+    prob = bare_problem(sensing, measurements)
+    assert np.array_equal(problem.grad(prob, x), grad_reference(prob, x))

@@ -31,3 +31,17 @@ def test_bench_tracer_finds_and_records_every_layer_boundary():
     for name in ("harness.build_instance", "mixing.validate", "problem.generate",
                  "certify.nids_constants", "certify.audit_nids", "linalg.eig"):
         assert spans[name]["calls"] >= 1, name
+
+
+def test_uncertified_run_steps_and_gradients_pass_through_the_traced_layers():
+    # Each step must reach the tracer as one algorithms.step and one
+    # problem.grad call: a fast path that bypassed either would hide its cost.
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        trace = harness.run(harness.RunConfig(algo="nids", alpha=0.1, max_iters=20))
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    assert trace.ks[-1] == 20
+    assert spans["problem.grad"]["calls"] == spans["algorithms.step"]["calls"] == 20
