@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .linalg import SymMatrix
-from .mixing import MixingPair, MixingValidationError, theta_default, validate
+from .mixing import THETA_LOWER, MixingPair, MixingValidationError, theta_default, validate
 from .problem import mu_g_value
 
 __all__ = [
@@ -45,7 +45,7 @@ INEQ_TOL = -1e-8
 # Eigenvalue slack accepted when asserting the Lyapunov weights are PD.
 PD_SLACK = -1e-10
 
-_THETA_BOUNDARY = 0.75 + 1e-12
+_THETA_BOUNDARY = THETA_LOWER + 1e-12
 
 
 class CertificateError(ValueError):
@@ -158,8 +158,8 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
         )
 
     # Couplings r1, r2, r3 and lambda_max(w_bar m) from three similarity eigensolves.
-    isq = mp.wbar.isqrt().a
-    sq = mp.wbar.sqrt().a
+    isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
+    sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
     lam_iwt = _lam_max_similar(isq, np.eye(mp.n) - mp.wt.a, "wbar^-1 (I - w_tilde)")
     if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
         r1 = math.inf
@@ -174,7 +174,7 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     if lam_wbar_m <= 0.0:
         raise CertificateError(
             "lambda_max(w_bar m) is not positive; mixing pair is degenerate")
-    wbar_inv = mp.wbar.inv().a
+    wbar_inv = mp.wbar.spectral_map(lambda w: 1.0 / w, "w_bar^-1").a
 
     xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
     if xi is None:
@@ -229,14 +229,14 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
             f"= {theta * mp.lam_max_iw:.6g} >= 2"
         )
     if r4 is None:
-        r4 = (theta - 0.75) / 2.0
-    elif not 0.0 < r4 < theta - 0.75:
+        r4 = (theta - THETA_LOWER) / 2.0
+    elif not 0.0 < r4 < theta - THETA_LOWER:
         raise CertificateError(
-            f"r4 = {r4} outside its admissible interval (0, {theta - 0.75:.6g})"
+            f"r4 = {r4} outside its admissible interval (0, {theta - THETA_LOWER:.6g})"
         )
 
     lam_iw = mp.lam_max_iw
-    r5_denom = 2.0 - (0.75 + r4) * lam_iw
+    r5_denom = 2.0 - (THETA_LOWER + r4) * lam_iw
     if r5_denom <= 0.0:
         raise CertificateError(f"r5 denominator 2 - (3/4 + r4) lambda_max(I - w) = {r5_denom:.6g} <= 0")
     r5 = max(2.0, (lam_iw - 2.0) ** 2 / r5_denom)
@@ -483,7 +483,7 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> Aud
         rhs = (
             cur.hm
             - _wsq(step, wbar)
-            - (theta - 0.75) * _wsq(step, i_minus_wt)
+            - (theta - THETA_LOWER) * _wsq(step, i_minus_wt)
             - _wsq(nxt.dx, g_mat)
             - 2.0 * alpha * _dot(nxt.dx, nxt.g_prev - gstar)
         )
@@ -513,9 +513,8 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
 
     conn_left = eye - 0.5 * i_minus_w
     m_shift = mp.mtilde.a - (1.0 - theta) * eye
-    m_plus = mp.mtilde.a + (theta - 0.5 + 2.0 * r4) * eye
     m_minus = mp.mtilde.a + (theta - 0.5 - 2.0 * r4) * eye
-    m_dec = mp.mtilde.a + (theta - 0.75 - r4) * eye
+    m_dec = mp.mtilde.a + (theta - THETA_LOWER - r4) * eye
     chain_weight = 4.0 * iw_pinv - 4.0 * eye + i_minus_w
     two_minus_iw = 2.0 * eye - i_minus_w
     tally = _Tally(
@@ -525,10 +524,12 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
 
     def per_state(dx, dd):
         sq = _dot(dx, dx)
-        # The key inequality starts from base and ends at lhs, with two weights.
-        return {"lyapunov": _wsq(dx, pn_mat) + a2 * _wsq(dd, q_mat),
+        # The key inequality starts from base and ends at lhs, whose d weight
+        # is the Lyapunov weight q.
+        dq = a2 * _wsq(dd, q_mat)
+        return {"lyapunov": _wsq(dx, pn_mat) + dq,
                 "base": sq + a2 * _wsq(dd, m_minus),
-                "lhs": sq + a2 * _wsq(dd, m_plus)}
+                "lhs": sq + dq}
 
     def transition(k0, cur, nxt):
         dx_nxt = nxt.dx
@@ -586,7 +587,7 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
     skipped.
     """
     upper = theta_default(mp.lam_min_wt)
-    thetas = [0.75 + f * (upper - 0.75) for f in (0.25, 0.5, 0.75, 1.0)]
+    thetas = [THETA_LOWER + f * (upper - THETA_LOWER) for f in (0.25, 0.5, 0.75, 1.0)]
     best = None
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
     for theta in thetas:
@@ -621,7 +622,7 @@ def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, al
     best = None
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
     for fr in fracs:
-        r4 = fr * (mp.theta - 0.75)
+        r4 = fr * (mp.theta - THETA_LOWER)
         try:
             probe = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4)
         except CertificateError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,13 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
         raise GraphError(f"need n >= 2, got {n}")
     if not (0.0 < edge_prob <= 1.0):
         raise GraphError(f"edge_prob must be in (0, 1], got {edge_prob}")
+    # A connected draw keeps at least n - 1 of the n(n-1)/2 pairs, each with chance
+    # q = P(rng.random() < edge_prob): bound the chance that any draw does so.
+    pairs, q = n * (n - 1) // 2, math.ceil(edge_prob * 2.0**53) / 2.0**53
+    if (math.log(_MAX_RETRIES) + math.lgamma(pairs + 1) - math.lgamma(n)
+            - math.lgamma(pairs - n + 2) + (n - 1) * math.log(q) < math.log(1e-12)):
+        raise GraphError(f"edge_prob {edge_prob} is too small for a connected G({n}, p) "
+                         f"sample: {_MAX_RETRIES} draws succeed with probability below 1e-12")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         iu, ju = np.triu_indices(n, k=1)

@@ -74,7 +74,6 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "boo
 class RunConfig:
     """One runnable curve: instance parameters plus algorithm and stepsize."""
 
-    scenario: str | None = None
     topology: str = "random"
     n: int = 10
     p: int = 5
@@ -123,6 +122,8 @@ class RunConfig:
                               f"choose from {tuple(algorithms.STEPSIZES)}")
         if not isinstance(self.alpha, str) and self.alpha <= 0.0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if self.certify and certify.certify(self.algo) is None:
+            raise ConfigError(f"no contraction certificate exists for {self.algo!r}")
 
     @property
     def name(self) -> str:
@@ -255,10 +256,7 @@ def run(config: RunConfig) -> Trace:
     prob, mp = inst.prob, inst.mp
     variant = config.algo
     if config.certify:
-        form = certify.certify(variant)
-        if form is None:
-            raise ConfigError(f"no contraction certificate exists for {variant!r}")
-        variant, constants, audit = form
+        variant, constants, audit = certify.certify(variant)
         cert = constants(mp, prob.lipschitz, prob.mu_fbar, inst.alpha)
     trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters",
                   problem=prob)
@@ -289,8 +287,7 @@ def resolve_scenario(name: str) -> list[RunConfig]:
         mi = 1 if name == "fig1" else 10
         # The legacy linear-convergence stepsize is tiny; give it room to reach
         # the 1e-10 reporting level so iteration counts are comparable.
-        base = dict(scenario=name, topology="random", n=10, p=5, mi=mi, seed=PRESET_SEED,
-                    max_iters=60_000)
+        base = dict(topology="random", n=10, p=5, mi=mi, seed=PRESET_SEED, max_iters=60_000)
         return [
             RunConfig(**base, algo="dgd", alpha="dgd-fast", label="dgd_fast"),
             RunConfig(**base, algo="dgd", alpha="dgd-slow", label="dgd_slow"),
@@ -300,14 +297,14 @@ def resolve_scenario(name: str) -> list[RunConfig]:
             RunConfig(**base, algo="nids", alpha="nids", label="nids_a4"),
         ]
     if name == "fig3":
-        base = dict(scenario=name, topology="random", n=10, p=5, mi=10, seed=PRESET_SEED)
+        base = dict(topology="random", n=10, p=5, mi=10, seed=PRESET_SEED)
         return [
             RunConfig(**base, algo="extra", alpha="extra-special", label="extra_a3"),
             RunConfig(**base, algo="extra", alpha="extra-opt", label="extra_a5"),
             RunConfig(**base, algo="nids", alpha="nids", label="nids_a4"),
             RunConfig(**base, algo="nids", alpha="nids-opt", label="nids_a6"),
         ]
-    base = dict(scenario=name, topology="line", n=10, p=5, mi=1, seed=PRESET_SEED)
+    base = dict(topology="line", n=10, p=5, mi=1, seed=PRESET_SEED)
     return [
         RunConfig(**base, algo="nids", alpha="nids", label="nids_plain"),
         RunConfig(**base, algo="nids", alpha="nids", relax_factor=RELAX_AGGRESSIVE,

@@ -5,6 +5,9 @@ Stacked agent iterates are plain float ndarrays of shape (n_agents, dim); only
 square symmetric matrices get a wrapper class (`SymMatrix`) so their
 eigendecompositions can be computed once and cached.
 
+`SymMatrix.spectral_map` is the one rebuild of a matrix from its spectrum: `pinv`
+is one call of it, and so is each power of w_bar the EXTRA certificate reads.
+
 Every eigendecomposition goes through the cyclic Jacobi solver `_jacobi_eigh`.
 Its rounding defines the saved benchmark reference and every CSV the package
 writes, so it is kept even where LAPACK would be faster; to make each rotation
@@ -44,13 +47,8 @@ __all__ = [
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
 
-# Eigenvalues at or below _RANK_TOL * lambda_max count as exact zeros in pinv
-# and lambda_min_pos.
+# Eigenvalues at or below _RANK_TOL * lambda_max count as exact zeros in pinv.
 _RANK_TOL = 1e-10
-
-# Definiteness floor of `inv` and `sqrt`, relative to max(1, |lambda_max|): kept
-# apart from _JACOBI_TOL so retuning the solver cannot move those checks.
-_DEFINITE_FLOOR = 1e-13
 
 # Byte budget of the eigendecomposition cache: key bytes plus the stored
 # eigenvalues and eigenvectors of every entry.
@@ -254,14 +252,10 @@ class SymMatrix:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def lambda_min_pos(self) -> float:
-        """Smallest eigenvalue counted as nonzero (PSD matrices)."""
-        w = self.eigenvalues
-        cutoff = _RANK_TOL * max(abs(w[0]), abs(w[-1]))
-        positive = w[w > cutoff]
-        if positive.size == 0:
-            raise ValueError(f"{self.name!r} has no nonzero eigenvalue above {cutoff:.3e}")
-        return float(positive[0])
+    def spectral_map(self, fn, name: str | None = None) -> "SymMatrix":
+        """v diag(fn(w)) v^T, where fn maps the whole eigenvalue array w."""
+        w, v = self.eig()
+        return SymMatrix((v * fn(w)) @ v.T, name=name or f"f({self.name})")
 
     def pinv(self) -> "SymMatrix":
         """Moore-Penrose pseudo-inverse of a PSD matrix.
@@ -270,44 +264,16 @@ class SymMatrix:
         zeros; an eigenvalue below -_RANK_TOL * lambda_max means the input was
         not PSD and raises.
         """
-        w, v = self.eig()
-        lam_max = max(float(w[-1]), 0.0)
-        cutoff = _RANK_TOL * lam_max
+        w = self.eigenvalues
+        cutoff = _RANK_TOL * max(float(w[-1]), 0.0)
         if w[0] < -cutoff:
             raise NotPositiveSemidefiniteError(
                 f"{self.name!r} is not PSD: smallest eigenvalue {w[0]:.6e} "
                 f"below tolerance {-cutoff:.3e}"
             )
-        inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-        return SymMatrix((v * inv_w) @ v.T, name=f"pinv({self.name})")
-
-    def inv(self) -> "SymMatrix":
-        """Inverse of a positive definite matrix."""
-        w, v = self.eig()
-        if w[0] <= _DEFINITE_FLOOR * max(1.0, abs(float(w[-1]))):
-            raise NotPositiveSemidefiniteError(
-                f"{self.name!r} is not positive definite: lambda_min = {w[0]:.6e}"
-            )
-        return SymMatrix((v * (1.0 / w)) @ v.T, name=f"inv({self.name})")
-
-    def spectral_map(self, fn, name: str | None = None) -> "SymMatrix":
-        """Apply fn to the eigenvalues and rebuild (same eigenvectors)."""
-        w, v = self.eig()
-        mapped = np.array([fn(x) for x in w], dtype=float)
-        return SymMatrix((v * mapped) @ v.T, name=name or f"f({self.name})")
-
-    def sqrt(self) -> "SymMatrix":
-        if self.lambda_min < -_DEFINITE_FLOOR * max(1.0, abs(self.lambda_max)):
-            raise NotPositiveSemidefiniteError(f"{self.name!r} is not PSD; no real square root")
-        return self.spectral_map(lambda x: np.sqrt(max(x, 0.0)), name=f"sqrt({self.name})")
-
-    def isqrt(self) -> "SymMatrix":
-        """Inverse square root of a positive definite matrix."""
-        if self.lambda_min <= 0.0:
-            raise NotPositiveSemidefiniteError(
-                f"{self.name!r} is not positive definite: lambda_min = {self.lambda_min:.6e}"
-            )
-        return self.spectral_map(lambda x: 1.0 / np.sqrt(x), name=f"isqrt({self.name})")
+        return self.spectral_map(
+            lambda x: np.where(x > cutoff, 1.0 / np.where(x > cutoff, x, 1.0), 0.0),
+            name=f"pinv({self.name})")
 
 
 def _as_array(h) -> np.ndarray:

@@ -18,6 +18,7 @@ from .graph import Graph
 from .linalg import SymMatrix
 
 __all__ = [
+    "THETA_LOWER",
     "MixingValidationError",
     "MixingPair",
     "metropolis",
@@ -34,6 +35,8 @@ _NULLSPACE_TOL = 1e-8
 # Slack allowed on the semidefinite orderings of the mixing assumption.
 _PSD_SLACK = -1e-10
 _SPECTRUM_FLOOR = -5.0 / 3.0
+# Open lower end of the admissible theta interval (3/4, min{1/(1 - lambda_min(wt)), 1}].
+THETA_LOWER = 0.75
 
 
 class MixingValidationError(ValueError):
@@ -65,7 +68,7 @@ class MixingPair:
 
     Both pseudo-inverses are projected as P pinv(.) P with P = I - 11^T/n: the
     eigensolver's null vector is 1/sqrt(n) only to round-off, and on long line
-    graphs the leftover, scaled by 1/lambda_min_pos(I - w), passes 1e-10.
+    graphs the leftover, scaled by 1/lam_min_pos_iw, passes 1e-10.
 
     theta in (3/4, min{1/(1 - lambda_min(wt)), 1}] parametrizes wbar.
     """
@@ -135,24 +138,12 @@ def theta_default(lam_min_wt: float) -> float:
     wanting a working certificate should stay strictly inside (see `validate`).
     """
     upper = 1.0 if lam_min_wt >= 1.0 else min(1.0, 1.0 / (1.0 - lam_min_wt))
-    if upper <= 0.75:
+    if upper <= THETA_LOWER:
         raise MixingValidationError(
             [f"admissible theta interval (3/4, {upper:.6f}] is empty: "
              f"lambda_min(w_tilde) = {lam_min_wt:.6f} is too negative"]
         )
     return upper
-
-
-def _default_theta_inside(lam_min_wt: float) -> float:
-    """Operating theta: sits strictly inside the admissible interval.
-
-    With a positive definite w_tilde the closed endpoint 1 is safe; otherwise
-    the midpoint of (3/4, upper) keeps w_bar positive definite.
-    """
-    upper = theta_default(lam_min_wt)
-    if lam_min_wt > _NULLSPACE_TOL:
-        return upper
-    return 0.5 * (0.75 + upper)
 
 
 def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) -> MixingPair:
@@ -170,6 +161,8 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         raise MixingValidationError(
             [f"dimension mismatch: graph has {n} nodes, matrices are {w.dim} and {wt.dim}"]
         )
+    if n < 2:
+        raise MixingValidationError([f"a mixing pair needs at least 2 agents, got {n}"])
 
     # Part 1: zero weight between non-neighbors. Agents are numbered from 1 in
     # messages (node indices stay 0-based internally).
@@ -200,7 +193,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         violations.append(f"part 3 (null space): (w_tilde - w) 1 has residual {resid:.3e}")
     # A negative eigenvalue of w_tilde - w is reported once, under part 4.
     dw = diff.eigenvalues
-    if dw[0] >= _PSD_SLACK and n >= 2 and dw[1] <= _NULLSPACE_TOL:
+    if dw[0] >= _PSD_SLACK and dw[1] <= _NULLSPACE_TOL:
         violations.append(
             f"part 3 (null space): Null(w - w_tilde) is larger than span(1) "
             f"(second-smallest eigenvalue {dw[1]:.3e})"
@@ -215,7 +208,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     if resid > _NULLSPACE_TOL:
         violations.append(f"null space of I - w: (I - w) 1 has residual {resid:.3e}")
     iw_eigs = i_minus_w.eigenvalues
-    if n >= 2 and iw_eigs[1] <= _NULLSPACE_TOL:
+    if iw_eigs[1] <= _NULLSPACE_TOL:
         violations.append(
             f"null space of I - w: larger than span(1) "
             f"(second-smallest eigenvalue {iw_eigs[1]:.3e})"
@@ -240,14 +233,16 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         raise MixingValidationError(violations)
 
     lam_min_wt = wt.lambda_min
+    upper = theta_default(lam_min_wt)
     if theta is None:
-        theta = _default_theta_inside(lam_min_wt)
+        # Strictly inside the interval: with a positive definite w_tilde the
+        # closed end 1 is safe, otherwise the midpoint keeps w_bar definite.
+        theta = upper if lam_min_wt > _NULLSPACE_TOL else 0.5 * (THETA_LOWER + upper)
     else:
-        upper = theta_default(lam_min_wt)
         # theta = 3/4 exactly is tolerated when w_tilde is PD (the boundary
         # choice used for stepsize-bound reporting); certificates built from
         # it will report themselves as vacuous.
-        lower_ok = theta > 0.75 or (theta == 0.75 and lam_min_wt > _NULLSPACE_TOL)
+        lower_ok = theta > THETA_LOWER or (theta == THETA_LOWER and lam_min_wt > _NULLSPACE_TOL)
         if not (lower_ok and theta <= upper + 1e-12):
             raise MixingValidationError(
                 [f"theta = {theta} outside the admissible interval (3/4, {upper:.6f}]"]
@@ -287,10 +282,11 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         theta=theta,
         lam_min_w=float(w_eigs[0]),
         lam_max_w=float(w_eigs[-1]),
-        lam2_w=float(w_eigs[-2]) if n >= 2 else float(w_eigs[-1]),
-        beta=float(1.0 - w_eigs[-2]) if n >= 2 else 0.0,
+        lam2_w=float(w_eigs[-2]),
+        beta=float(1.0 - w_eigs[-2]),
         lam_min_wt=float(lam_min_wt),
-        lam_min_pos_iw=i_minus_w.lambda_min_pos(),
+        # The null-space check above shows this is the smallest nonzero eigenvalue.
+        lam_min_pos_iw=float(iw_eigs[1]),
         lam_max_iw=float(iw_eigs[-1]),
         diff=diff,
         iw=i_minus_w,

@@ -243,7 +243,6 @@ def check_rsc(prob: SensingProblem, mp: MixingPair, eta: float, samples: int = 1
     """
     mg = mu_g(prob, mp, eta)
     rng = np.random.default_rng(seed)
-    i_minus_w = np.eye(mp.n) - mp.w.a
     gstar = grad(prob, prob.Xstar)
     scales = (0.1, 1.0, 3.0)
     min_slack = np.inf
@@ -251,7 +250,7 @@ def check_rsc(prob: SensingProblem, mp: MixingPair, eta: float, samples: int = 1
     for s in range(samples):
         delta = rng.standard_normal((prob.n, prob.p)) * scales[s % len(scales)]
         x = prob.Xstar + delta
-        lhs = float(np.sum(delta * (grad(prob, x) - gstar))) + eta * wnorm_sq(delta, i_minus_w)
+        lhs = float(np.sum(delta * (grad(prob, x) - gstar))) + eta * wnorm_sq(delta, mp.iw)
         slack = lhs - mg * float(np.sum(delta * delta))
         min_slack = min(min_slack, slack)
         if slack < -1e-9:

@@ -25,6 +25,13 @@ rotations were stacked: a two-sided update of the matrix plus a separate one of
 the eigenvectors, in numpy scalars. The package's solver must return the same
 bits. It reads the sweep cap and tolerance from `decon.linalg` when called, so a
 test that patches them there patches both solvers.
+
+`inv_reference`, `sqrt_reference` and `isqrt_reference` are the spectral
+rebuilds `SymMatrix.inv`, `sqrt` and `isqrt` as they were before
+`SymMatrix.spectral_map` took the whole eigenvalue array: `inv` mapped the
+array, the other two called their map once per eigenvalue. `lambda_min_pos_reference`
+is the cutoff-based `SymMatrix.lambda_min_pos`. The powers of w_bar the EXTRA
+certificate reads and the pair's `lam_min_pos_iw` must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 from decon.algorithms import AlgoState
 from decon.certify import EQ_TOL, INEQ_TOL, AuditReport
 from decon import linalg
-from decon.linalg import wdot, wnorm_sq
+from decon.linalg import NotPositiveSemidefiniteError, SymMatrix, wdot, wnorm_sq
 from decon.problem import SensingProblem
 
 
@@ -152,6 +159,53 @@ def as_fractions(rows, denom: int = 1) -> list[list[Fraction]]:
     """Convert integer (or Fraction) entries over a common denominator."""
     return [[Fraction(v, denom) if isinstance(v, int) else Fraction(v) for v in row]
             for row in rows]
+
+
+# -- spectral rebuild oracles ------------------------------------------------
+
+_DEFINITE_FLOOR = 1e-13
+
+
+def _spectral_map_reference(s: SymMatrix, fn, name: str | None = None) -> SymMatrix:
+    """Apply fn to the eigenvalues and rebuild (same eigenvectors)."""
+    w, v = s.eig()
+    mapped = np.array([fn(x) for x in w], dtype=float)
+    return SymMatrix((v * mapped) @ v.T, name=name or f"f({s.name})")
+
+
+def inv_reference(s: SymMatrix) -> SymMatrix:
+    """Inverse of a positive definite matrix."""
+    w, v = s.eig()
+    if w[0] <= _DEFINITE_FLOOR * max(1.0, abs(float(w[-1]))):
+        raise NotPositiveSemidefiniteError(
+            f"{s.name!r} is not positive definite: lambda_min = {w[0]:.6e}"
+        )
+    return SymMatrix((v * (1.0 / w)) @ v.T, name=f"inv({s.name})")
+
+
+def sqrt_reference(s: SymMatrix) -> SymMatrix:
+    if s.lambda_min < -_DEFINITE_FLOOR * max(1.0, abs(s.lambda_max)):
+        raise NotPositiveSemidefiniteError(f"{s.name!r} is not PSD; no real square root")
+    return _spectral_map_reference(s, lambda x: np.sqrt(max(x, 0.0)), name=f"sqrt({s.name})")
+
+
+def isqrt_reference(s: SymMatrix) -> SymMatrix:
+    """Inverse square root of a positive definite matrix."""
+    if s.lambda_min <= 0.0:
+        raise NotPositiveSemidefiniteError(
+            f"{s.name!r} is not positive definite: lambda_min = {s.lambda_min:.6e}"
+        )
+    return _spectral_map_reference(s, lambda x: 1.0 / np.sqrt(x), name=f"isqrt({s.name})")
+
+
+def lambda_min_pos_reference(s: SymMatrix) -> float:
+    """Smallest eigenvalue counted as nonzero (PSD matrices)."""
+    w = s.eigenvalues
+    cutoff = linalg._RANK_TOL * max(abs(w[0]), abs(w[-1]))
+    positive = w[w > cutoff]
+    if positive.size == 0:
+        raise ValueError(f"{s.name!r} has no nonzero eigenvalue above {cutoff:.3e}")
+    return float(positive[0])
 
 
 # -- per-transition audit oracles -------------------------------------------

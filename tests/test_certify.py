@@ -5,7 +5,14 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from oracles import audit_extra_reference, audit_nids_reference
+from oracles import (
+    audit_extra_reference,
+    audit_nids_reference,
+    inv_reference,
+    isqrt_reference,
+    lambda_min_pos_reference,
+    sqrt_reference,
+)
 
 from decon import certify, harness, linalg, problem
 from decon.algorithms import AlgoState, fixed_point, iterate
@@ -30,6 +37,32 @@ def _half_pair(g, theta=None):
     w = metropolis(g)
     wt = SymMatrix((np.eye(g.n) + w.a) / 2.0, name="wt")
     return validate(w, wt, g, theta=theta)
+
+
+@pytest.mark.parametrize("topology, n, relax_factor", [
+    ("random", 10, 0.0), ("random", 50, 0.0), ("line", 55, 0.0), ("line", 80, 0.0),
+    ("complete", 10, 0.0), ("random", 10, harness.RELAX_AGGRESSIVE),
+    ("line", 10, harness.RELAX_MILD),
+])
+def test_spectral_rebuilds_match_the_per_eigenvalue_references(monkeypatch, topology, n,
+                                                               relax_factor):
+    # The w_bar powers the EXTRA certificate builds, and the pair's smallest
+    # nonzero eigenvalue of I - w, keep the bits of the deleted rebuilds.
+    cfg = harness.RunConfig(topology=topology, n=n, relax_factor=relax_factor)
+    mp = harness.build_mixing(cfg, harness.build_graph(cfg))
+    built = {}
+    spectral_map = SymMatrix.spectral_map
+
+    def spy(self, fn, name=None):
+        built[name] = spectral_map(self, fn, name)
+        return built[name]
+
+    monkeypatch.setattr(SymMatrix, "spectral_map", spy)
+    extra_constants(mp, 1.0, 0.5, mp.wbar.lambda_min)
+    for name, reference in (("w_bar^-1/2", isqrt_reference), ("w_bar^1/2", sqrt_reference),
+                            ("w_bar^-1", inv_reference)):
+        assert np.array_equal(built[name].a, reference(mp.wbar).a), name
+    assert mp.lam_min_pos_iw == lambda_min_pos_reference(mp.iw)
 
 
 def test_extra_golden_two_node_theta_08():

@@ -33,6 +33,18 @@ def test_random_seeds_differ():
     assert a.is_connected() and b.is_connected()
 
 
+def test_hopeless_edge_prob_is_rejected_before_any_draw(monkeypatch):
+    # 10,000 draws of G(19, 4.2e-222) keep 18 edges with probability far below
+    # 1e-12: the generator says so without drawing (it used to draw them all).
+    def no_draw(seed):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(GraphError, match=r"edge_prob 4.2e-222 is too small for a connected "
+                                         r"G\(19, p\) sample"):
+        random_connected(19, 4.2e-222, 2)
+
+
 def test_line_shapes():
     assert line(2).edges == ((0, 1),)
     g3 = line(3)

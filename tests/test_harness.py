@@ -274,10 +274,23 @@ def test_certified_run_matches_plain_residuals():
     assert np.allclose(plain.residuals, certified.residuals, rtol=1e-9, atol=1e-13)
 
 
-def test_certify_dgd_rejected():
-    cfg = RunConfig(algo="dgd", alpha=0.01, certify=True)
-    with pytest.raises(ConfigError):
-        run(cfg)
+def _no_instance(config):
+    raise AssertionError("an instance was built for a configuration that cannot run")
+
+
+def test_certify_dgd_rejected(monkeypatch):
+    # The configuration itself is rejected, before any instance is built.
+    monkeypatch.setattr(harness, "build_instance", _no_instance)
+    with pytest.raises(ConfigError, match="no contraction certificate exists for 'dgd'"):
+        run(RunConfig(algo="dgd", alpha=0.01, certify=True))
+
+
+def test_cli_rejects_an_uncertifiable_algorithm_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "build_instance", _no_instance)
+    code = cli.main(["run", "--certify", "--algo", "dgd", "--topology", "line", "--n", "80",
+                     "--alpha", "0.01"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no contraction certificate exists for 'dgd'\n"
 
 
 def test_cli_single_run_and_csv(tmp_path, capsys):
@@ -555,6 +568,15 @@ def test_cli_validation_error_exit_code(capsys):
     code = cli.main(["run", "--scenario", "fig1", "--alpha", "frobnicate"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_config_file_naming_a_scenario_is_rejected(tmp_path, capsys):
+    # A preset is chosen with --scenario only; a config file naming one used to
+    # run a single default curve instead.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "fig1"}))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['scenario']\n"
 
 
 def test_cli_unwritable_output_is_a_named_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decon.graph import complete, line, random_connected
+from decon.graph import Graph, complete, line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import (
     MixingValidationError,
@@ -156,6 +156,14 @@ def test_validate_rejects_off_graph_weight():
     with pytest.raises(MixingValidationError) as err:
         validate(w, _half(w), g)
     assert any("part 1" in v for v in err.value.violations)
+
+
+def test_validate_rejects_a_single_agent():
+    # I - w has no nonzero eigenvalue on one node, so there is no lam_min_pos_iw.
+    g = Graph(1, ())
+    w = metropolis(g)
+    with pytest.raises(MixingValidationError, match="at least 2 agents, got 1"):
+        validate(w, _half(w), g)
 
 
 def test_theta_default_values():
