@@ -108,6 +108,24 @@ def _lam_max_similar(left: np.ndarray, middle: np.ndarray, name: str) -> float:
     return SymMatrix(left @ middle @ left, name=name).lambda_max
 
 
+def _lam_max_iwt(mp: MixingPair) -> float:
+    """lambda_max(w_bar^-1/2 (I - w_tilde) w_bar^-1/2) from w_tilde's spectrum.
+
+    w_bar = theta w_tilde + (1 - theta) I has w_tilde's eigenvectors, so the
+    matrix has eigenvalues (1 - mu) / (theta mu + 1 - theta) over w_tilde's
+    eigenvalues mu; no eigensolve of its own.
+    """
+    mu = mp.wt.eigenvalues
+    return float(np.max((1.0 - mu) / (mp.theta * mu + (1.0 - mp.theta))))
+
+
+def _require_pd(mat: SymMatrix) -> None:
+    """Raise unless lambda_min(mat) >= PD_SLACK, naming mat and its Jacobi lambda_min."""
+    if not mat.lambda_min_at_least(PD_SLACK):
+        raise CertificateError(
+            f"{mat.name} is not positive definite (lambda_min = {mat.lambda_min:.3e})")
+
+
 def extra_rho(alpha: float, lipschitz: float, lam_min_wbar: float, mu_g: float,
               eta: float, xi: float, r3: float, lam_max_wbar_m: float,
               ) -> tuple[float, tuple[float, float, float]]:
@@ -157,10 +175,12 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
             f"certified"
         )
 
-    # Couplings r1, r2, r3 and lambda_max(w_bar m) from three similarity eigensolves.
+    # Couplings r1, r2, r3 and lambda_max(w_bar m): r1 from w_tilde's spectrum,
+    # r2 and lambda_max(w_bar m) from one similarity eigensolve each (r2's only
+    # when g != 0).
     isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
     sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
-    lam_iwt = _lam_max_similar(isq, np.eye(mp.n) - mp.wt.a, "wbar^-1 (I - w_tilde)")
+    lam_iwt = _lam_max_iwt(mp)
     if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
         r1 = math.inf
     else:
@@ -199,11 +219,8 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3, lam_wbar_m)
     p_mat = SymMatrix(mp.h.a + 0.5 * xi * mp.iw.a, name="p")
     q_mat = SymMatrix(mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * wbar_inv, name="q")
-    for mat in (p_mat, q_mat):
-        if mat.lambda_min < PD_SLACK:
-            raise CertificateError(
-                f"{mat.name} is not positive definite (lambda_min = {mat.lambda_min:.3e})"
-            )
+    _require_pd(p_mat)
+    _require_pd(q_mat)
     return ExtraCertificate(
         r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
         p_mat=p_mat, q_mat=q_mat, special_case=math.isinf(r1) or math.isinf(r2),
@@ -263,14 +280,9 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     # out before the positive-definiteness check.
     ones = np.ones((n, 1)) / math.sqrt(n)
     deflated = SymMatrix(q_mat.a + (theta + 1.0) * (ones @ ones.T), name="q | Range(I - w)")
-    if deflated.lambda_min < PD_SLACK:
-        raise CertificateError(
-            f"q is not positive definite on Range(I - w) "
-            f"(lambda_min = {deflated.lambda_min:.3e})"
-        )
+    _require_pd(deflated)
     pn_mat = SymMatrix(eye + mp.iw.a / r5, name="pn")
-    if pn_mat.lambda_min < PD_SLACK:
-        raise CertificateError(f"pn is not positive definite (lambda_min = {pn_mat.lambda_min:.3e})")
+    _require_pd(pn_mat)
     return NidsCertificate(
         r4=r4, r5=r5, eta=eta, mu_g=mu_g, rho=rho, branches=(b1, b2, b3),
         q_mat=q_mat, pn_mat=pn_mat, alpha=alpha, theta=theta,

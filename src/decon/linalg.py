@@ -7,6 +7,8 @@ eigendecompositions can be computed once and cached.
 
 `SymMatrix.spectral_map` is the one rebuild of a matrix from its spectrum: `pinv`
 is one call of it, and so is each power of w_bar the EXTRA certificate reads.
+`SymMatrix.lambda_min_at_least` answers a sign check with a LAPACK Cholesky
+factorization and decomposes only when that fails.
 
 Every eigendecomposition goes through the cyclic Jacobi solver `_jacobi_eigh`.
 Its rounding defines the saved benchmark reference and every CSV the package
@@ -251,6 +253,21 @@ class SymMatrix:
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
+
+    def lambda_min_at_least(self, floor: float) -> bool:
+        """Whether lambda_min >= floor, decomposing only when the answer may be no.
+
+        A Cholesky factorization of a - floor*I exists only when that matrix
+        is positive definite, so a successful one answers yes without a
+        Jacobi solve. A failed one falls back to `lambda_min`, so a caller
+        that reports a no reads the exact Jacobi eigenvalue. The two tests
+        can disagree only within round-off of the floor.
+        """
+        try:
+            np.linalg.cholesky(self.a - floor * np.eye(self.dim))
+            return True
+        except np.linalg.LinAlgError:
+            return self.lambda_min >= floor
 
     def spectral_map(self, fn, name: str | None = None) -> "SymMatrix":
         """v diag(fn(w)) v^T, where fn maps the whole eigenvalue array w."""

@@ -216,7 +216,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
 
     # Part 4: (I+w)/2 >= w_tilde > -I/3 and w_tilde >= w.
     upper_gap = SymMatrix((eye + w.a) / 2.0 - wt.a, name="(I+w)/2 - w_tilde")
-    if upper_gap.lambda_min < _PSD_SLACK:
+    if not upper_gap.lambda_min_at_least(_PSD_SLACK):
         violations.append(
             f"part 4 (spectral): (I+w)/2 - w_tilde has eigenvalue {upper_gap.lambda_min:.3e} < 0"
         )
@@ -271,7 +271,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     if resid > 1e-10:
         raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
     g_mat = SymMatrix(w.a + eye - 2.0 * wt.a, name="g")
-    if g_mat.lambda_min < _PSD_SLACK:
+    if not g_mat.lambda_min_at_least(_PSD_SLACK):
         raise MixingValidationError([f"g = w + I - 2 w_tilde has eigenvalue {g_mat.lambda_min:.3e} < 0"])
 
     w_eigs = w.eigenvalues

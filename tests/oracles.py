@@ -32,6 +32,10 @@ rebuilds `SymMatrix.inv`, `sqrt` and `isqrt` as they were before
 array, the other two called their map once per eigenvalue. `lambda_min_pos_reference`
 is the cutoff-based `SymMatrix.lambda_min_pos`. The powers of w_bar the EXTRA
 certificate reads and the pair's `lam_min_pos_iw` must equal them bit for bit.
+
+`lam_iwt_reference` is r1's lambda_max(w_bar^-1/2 (I - w_tilde) w_bar^-1/2) as
+`certify.extra_constants` computed it before it read w_tilde's spectrum: one
+eigensolve of the similarity product. The closed form must agree to round-off.
 """
 
 from __future__ import annotations
@@ -206,6 +210,13 @@ def lambda_min_pos_reference(s: SymMatrix) -> float:
     if positive.size == 0:
         raise ValueError(f"{s.name!r} has no nonzero eigenvalue above {cutoff:.3e}")
     return float(positive[0])
+
+
+def lam_iwt_reference(mp) -> float:
+    """lambda_max(w_bar^-1/2 (I - w_tilde) w_bar^-1/2) by a similarity eigensolve."""
+    isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
+    return SymMatrix(isq @ (np.eye(mp.n) - mp.wt.a) @ isq,
+                     name="wbar^-1 (I - w_tilde)").lambda_max
 
 
 # -- per-transition audit oracles -------------------------------------------

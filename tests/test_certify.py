@@ -10,6 +10,7 @@ from oracles import (
     audit_nids_reference,
     inv_reference,
     isqrt_reference,
+    lam_iwt_reference,
     lambda_min_pos_reference,
     sqrt_reference,
 )
@@ -200,6 +201,73 @@ def test_certificate_errors_name_the_constant():
         nids_constants(mp, 10.0, 1.0, 0.1, r4=0.9)
 
 
+def _without_direction(mat: SymMatrix, v: np.ndarray, depth: float) -> SymMatrix:
+    """mat pushed down by depth along the unit vector v."""
+    return SymMatrix(mat.a - depth * np.outer(v, v), name=mat.name)
+
+
+@pytest.mark.parametrize("field, checked", [
+    ("h", "p"), ("m", "q"), ("mtilde", "q | Range(I - w)"), ("iw", "pn")])
+def test_each_lyapunov_weight_guard_fires(field, checked, prob1, rand10, monkeypatch):
+    # Push one derived matrix of the pair down along a disagreement direction,
+    # far enough to make the Lyapunov weight built from it indefinite.
+    _, mp = rand10
+    v = np.zeros(mp.n)
+    v[:2] = (1.0, -1.0)
+    v /= np.linalg.norm(v)
+    depth = 2.0 + np.linalg.norm(getattr(mp, field).a, 2) + 1.0 / mp.wbar.lambda_min
+    bad = dataclasses.replace(mp, **{field: _without_direction(getattr(mp, field), v, depth)})
+    checked_mats = []
+    at_least = SymMatrix.lambda_min_at_least
+
+    def spy(self, floor):
+        checked_mats.append(self)
+        return at_least(self, floor)
+
+    monkeypatch.setattr(SymMatrix, "lambda_min_at_least", spy)
+    if field in ("h", "m"):
+        alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+        call = lambda: extra_constants(bad, prob1.lipschitz, prob1.mu_fbar, alpha)
+    else:
+        call = lambda: nids_constants(bad, prob1.lipschitz, prob1.mu_fbar, 0.1)
+    with pytest.raises(CertificateError, match="is not positive definite") as err:
+        call()
+    failed = checked_mats[-1]
+    assert failed.name == checked
+    # The message names the matrix and reports its Jacobi lambda_min.
+    assert str(err.value) == (f"{checked} is not positive definite "
+                              f"(lambda_min = {failed.lambda_min:.3e})")
+    lam = np.linalg.eigvalsh(failed.a)[0]
+    assert failed.lambda_min < certify.PD_SLACK
+    assert abs(failed.lambda_min - lam) <= 1e-12 * np.linalg.norm(failed.a, 2)
+
+
+def _theta_below_one_pairs():
+    """Pairs with theta < 1, where r1 is finite: a generic w_tilde, the
+    half-way w_tilde and a relaxed line."""
+    g = random_connected(10, 0.5, 2)
+    w = metropolis(g)
+    generic = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt")
+    cfg = harness.RunConfig(topology="line", n=10, relax_factor=harness.RELAX_AGGRESSIVE)
+    line_mp = harness.build_mixing(cfg, harness.build_graph(cfg))
+    return [validate(w, generic, g, theta=0.85), _half_pair(g, theta=0.9),
+            validate(line_mp.w, line_mp.wt, line_mp.graph, theta=0.8)]
+
+
+def test_r1_closed_form_matches_the_similarity_eigensolve(prob1, monkeypatch):
+    for mp in _theta_below_one_pairs():
+        assert mp.theta < 1.0
+        lam, reference = certify._lam_max_iwt(mp), lam_iwt_reference(mp)
+        assert abs(lam - reference) <= 1e-12 * abs(reference)
+        alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+        cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+        assert math.isfinite(cert.r1)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "_lam_max_iwt", lam_iwt_reference)
+            old = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+        _assert_same_certificate(cert, old, rel=1e-12)
+
+
 def test_vacuous_at_theta_boundary():
     mp = _half_pair(random_connected(10, 0.5, 2), theta=0.75)
     with pytest.raises(CertificateError, match="vacuous"):
@@ -360,12 +428,17 @@ def test_audit_near_boundary_stepsize(prob1):
     assert cert_n.rho < 1.0 and rep_n.ok, rep_n.violations[:3]
 
 
-def _assert_same_certificate(mine, theirs):
-    """Every field equal: SymMatrix fields entry for entry, the rest exactly."""
+def _assert_same_certificate(mine, theirs, rel: float = 0.0):
+    """Every field equal to relative `rel` (by default exactly): SymMatrix
+    fields in their largest entry, floats and tuples of floats entry for
+    entry, the rest exactly."""
     for field in dataclasses.fields(mine):
         a, b = getattr(mine, field.name), getattr(theirs, field.name)
         if isinstance(a, SymMatrix):
-            assert np.array_equal(a.a, b.a), field.name
+            assert np.abs(a.a - b.a).max() <= rel * np.abs(b.a).max(), field.name
+        elif isinstance(a, (float, tuple)):
+            for x, y in zip(np.atleast_1d(a), np.atleast_1d(b), strict=True):
+                assert math.isclose(x, y, rel_tol=rel, abs_tol=0.0), field.name
         else:
             assert a == b, field.name
 

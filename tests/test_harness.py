@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decon import algorithms, cli, harness, linalg, problem
+from decon import algorithms, certify, cli, harness, linalg, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, TraceError, read_csv, resolve_scenario, run, write_csv,
 )
@@ -488,14 +488,35 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
     watched = {"w_tilde": wt, "w_tilde - w": wt - w, "I - w": eye - w,
                "(I - w)/2": (eye - w) / 2.0}
     seen = _count_solves(monkeypatch)
+    hashing, names = linalg._jacobi_eigh, []
+    monkeypatch.setattr(linalg, "_jacobi_eigh",
+                        lambda a, name: names.append(name) or hashing(a, name))
+    in_certificate = {}
+    for constants in ("nids_constants", "extra_constants"):
+        def spy(*args, _name=constants, _constants=getattr(certify, constants), **kwargs):
+            start = len(names)
+            cert = _constants(*args, **kwargs)
+            in_certificate[_name] = names[start:]
+            return cert
+        monkeypatch.setattr(certify, constants, spy)
     for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
         seen.clear()
+        names.clear()
         linalg.clear_eig_cache()
         trace = run(dataclasses.replace(base, algo=algo, alpha=alpha))
         assert trace.audit.ok and trace.ks[-1] == 50
         counts = {name: seen[mat.tobytes()] for name, mat in watched.items()}
         # w_bar = w_tilde at theta = 1: one solve serves both.
         assert counts == {"w_tilde": 1, "w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
+        # The pair's four solves; its sign checks and the certificate's Lyapunov
+        # weights are answered by Cholesky factorizations, never decomposed.
+        assert {"metropolis", "w_tilde", "w_tilde - w", "I - w"} <= set(names), algo
+        assert not {"(I+w)/2 - w_tilde", "g", "p", "q", "pn", "q | Range(I - w)"} & set(names)
+        cert = trace.certificate
+        weights = (cert.p_mat, cert.q_mat) if algo == "extra" else (cert.pn_mat, cert.q_mat)
+        assert all(seen[mat.a.tobytes()] == 0 for mat in weights), algo
+    # The NIDS certificate solves nothing; EXTRA's adds lambda_max(w_bar m) alone.
+    assert in_certificate == {"nids_constants": [], "extra_constants": ["wbar m"]}
 
 
 def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):

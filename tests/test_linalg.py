@@ -342,3 +342,47 @@ def test_overflowing_norm_is_a_named_error():
     # infinite and switch the check off.
     with pytest.raises(NonFiniteMatrixError, match="norm overflows float64"):
         SymMatrix(np.full((2, 2), 1e160)).eig()
+
+
+def _with_lambda_min(rng, n: int, lam_min: float) -> np.ndarray:
+    """A symmetric matrix whose smallest eigenvalue is lam_min, the rest at least
+    0.1 above it."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = lam_min + rng.uniform(0.1, 2.0, n)
+    d[rng.integers(n)] = lam_min
+    return (q * d) @ q.T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["generic", "rank-deficient", "just above", "just below"]),
+       floor=st.sampled_from([-1e-10, 0.0, 0.7, -2.5]))
+def test_lambda_min_at_least_matches_the_jacobi_decision(n, seed, kind, floor):
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        a = rng.standard_normal((n, n))
+    elif kind == "rank-deficient":
+        # PSD of rank n // 2 against the PD/PSD slack -1e-10 the checks use.
+        b = rng.standard_normal((n, n // 2))
+        a, floor = b @ b.T, -1e-10
+    else:
+        # lambda_min within 1e-9 relative of the floor, on either side.
+        offset = 1e-9 * max(1.0, abs(floor))
+        a = _with_lambda_min(rng, n, floor + (offset if kind == "just above" else -offset))
+    linalg.clear_eig_cache()
+    solves = []
+    jacobi = linalg._jacobi_eigh
+
+    def counting(m, name):
+        solves.append(name)
+        return jacobi(m, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_jacobi_eigh", counting)
+        answer = SymMatrix(a, name="probe").lambda_min_at_least(floor)
+    expected = SymMatrix(a, name="probe").lambda_min >= floor
+    assert answer == expected
+    if kind in ("rank-deficient", "just above", "just below"):
+        assert expected == (kind != "just below")
+    # A yes comes from the Cholesky factorization alone; a no from one solve.
+    assert solves == ([] if answer else ["probe"])
