@@ -119,6 +119,15 @@ def _lam_max_iwt(mp: MixingPair) -> float:
     return float(np.max((1.0 - mu) / (mp.theta * mu + (1.0 - mp.theta))))
 
 
+def _admissible(name: str, value: float | None, upper: float) -> float:
+    """`value`, or the midpoint of (0, upper) if None; raise unless 0 < value < upper."""
+    if value is None:
+        return upper / 2.0
+    if not 0.0 < value < upper:
+        raise CertificateError(f"{name} = {value} outside its admissible interval (0, {upper:.6g})")
+    return value
+
+
 def _require_pd(mat: SymMatrix) -> None:
     """Raise unless lambda_min(mat) >= PD_SLACK, naming mat and its Jacobi lambda_min."""
     if not mat.lambda_min_at_least(PD_SLACK):
@@ -196,24 +205,14 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
             "lambda_max(w_bar m) is not positive; mixing pair is degenerate")
     wbar_inv = mp.wbar.spectral_map(lambda w: 1.0 / w, "w_bar^-1").a
 
-    xi_upper = min(r3 / (4.0 * lam_wbar_m), 1.0)
-    if xi is None:
-        xi = xi_upper / 2.0
-    elif not 0.0 < xi < xi_upper:
-        raise CertificateError(
-            f"xi = {xi} outside its admissible interval (0, {xi_upper:.6g})")
+    xi = _admissible("xi", xi, min(r3 / (4.0 * lam_wbar_m), 1.0))
 
     eta_denom = 4.0 * alpha * lam_min_wbar - 2.0 * alpha**2 * lipschitz
     if eta_denom <= 0.0:
         raise CertificateError(
             f"eta interval is empty: 4 a lambda_min(w_bar) - 2 a^2 L = {eta_denom:.6g} <= 0"
         )
-    eta_upper = lam_min_wbar * xi / eta_denom
-    if eta is None:
-        eta = eta_upper / 2.0
-    elif not 0.0 < eta < eta_upper:
-        raise CertificateError(
-            f"eta = {eta} outside its admissible interval (0, {eta_upper:.6g})")
+    eta = _admissible("eta", eta, lam_min_wbar * xi / eta_denom)
 
     mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
     rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3, lam_wbar_m)
@@ -245,24 +244,13 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
             f"I - theta (I - w)/2 is not positive definite: theta * lambda_max(I - w) "
             f"= {theta * mp.lam_max_iw:.6g} >= 2"
         )
-    if r4 is None:
-        r4 = (theta - THETA_LOWER) / 2.0
-    elif not 0.0 < r4 < theta - THETA_LOWER:
-        raise CertificateError(
-            f"r4 = {r4} outside its admissible interval (0, {theta - THETA_LOWER:.6g})"
-        )
+    r4 = _admissible("r4", r4, theta - THETA_LOWER)
 
+    # Denominator > 0: 3/4 + r4 < theta and theta lambda_max(I - w) < 2, both checked above.
     lam_iw = mp.lam_max_iw
-    r5_denom = 2.0 - (THETA_LOWER + r4) * lam_iw
-    if r5_denom <= 0.0:
-        raise CertificateError(f"r5 denominator 2 - (3/4 + r4) lambda_max(I - w) = {r5_denom:.6g} <= 0")
-    r5 = max(2.0, (lam_iw - 2.0) ** 2 / r5_denom)
+    r5 = max(2.0, (lam_iw - 2.0) ** 2 / (2.0 - (THETA_LOWER + r4) * lam_iw))
 
-    eta_upper = 1.0 / (alpha * (2.0 - alpha * lipschitz) * r5)
-    if eta is None:
-        eta = eta_upper / 2.0
-    elif not 0.0 < eta < eta_upper:
-        raise CertificateError(f"eta = {eta} outside its admissible interval (0, {eta_upper:.6g})")
+    eta = _admissible("eta", eta, 1.0 / (alpha * (2.0 - alpha * lipschitz) * r5))
 
     mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
     lam_iw_pinv = 1.0 / mp.lam_min_pos_iw
@@ -356,15 +344,14 @@ class _Tally:
 
     Checks arrive a block at a time, one call per check in the order a single
     transition runs them; `close_block` files the block's messages by
-    transition, then by that order.
+    transition with a stable sort, which keeps that order within one.
     """
 
     def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
         self.worst = {name: 0.0 for name in equalities}
         self.worst.update({name: math.inf for name in inequalities})
         self.violations: list[str] = []
-        self._flagged: list[tuple[int, int, str]] = []
-        self._calls = 0
+        self._flagged: list[tuple[int, str]] = []
 
     def equality(self, name: str, what: str, k0: int, err: np.ndarray) -> None:
         # fmax/fmin skip NaN in the worst margin; _flag still flags it.
@@ -383,15 +370,12 @@ class _Tally:
         """File a message for each value beyond its tolerance or not finite."""
         for i in np.flatnonzero(beyond | ~np.isfinite(values)).tolist():
             k = k0 + i
-            self._flagged.append(
-                (k, self._calls, f"{what} violated at k={k}: {margin} {float(values[i]):.3e}"))
-        self._calls += 1
+            self._flagged.append((k, f"{what} violated at k={k}: {margin} {float(values[i]):.3e}"))
 
     def close_block(self) -> None:
-        self._flagged.sort(key=lambda item: item[:2])
-        self.violations.extend(message for _, _, message in self._flagged)
+        self._flagged.sort(key=lambda item: item[0])
+        self.violations.extend(message for _, message in self._flagged)
         self._flagged.clear()
-        self._calls = 0
 
 
 def _stack_block(prev, new_states, aux: str):

@@ -5,7 +5,8 @@ Subcommands:
   validate-mixing  check the mixing assumption for a graph (optionally relaxed)
   bounds           print the stepsize-bound table of the first run `run` would do
 
-Exit codes: 0 success, 1 validation/configuration error, 2 divergence.
+Exit codes: 0 success, 1 validation/configuration error or an instance too large to allocate,
+2 divergence.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .linalg import EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemi
 from .mixing import MixingValidationError
 from .problem import ProblemError
 
-# Failures caused by the input or the file system: reported as one "error:"
-# line with exit code 1. Any other exception is a defect and keeps its traceback.
+# Failures of the input, the file system or an allocation: one "error:" line and
+# exit code 1. Any other exception is a defect and keeps its traceback.
 _VALIDATION_ERRORS = (
     ConfigError, TraceError, MixingValidationError, CertificateError, ProblemError, GraphError,
     EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemidefiniteError,
-    json.JSONDecodeError, UnicodeDecodeError, OSError,
+    json.JSONDecodeError, UnicodeDecodeError, OSError, MemoryError,
 )
 
 

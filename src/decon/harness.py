@@ -206,7 +206,8 @@ def build_instance(config: RunConfig) -> Instance:
     if config.problem_file:
         prob = problems.load_problem(config.problem_file)
     else:
-        prob = problems.generate(config.n, config.p, config.mi,
+        # One agent per node: a graph file sets the count, not `config.n`.
+        prob = problems.generate(g.n, config.p, config.mi,
                                  noise_std=config.noise_std, seed=config.seed)
     if prob.n != g.n:
         raise ConfigError(f"problem has {prob.n} agents but the graph has {g.n} nodes")

@@ -192,7 +192,6 @@ class SymMatrix:
             a = (a + a.T) / 2.0
         if not np.all(np.isfinite(a)):
             raise NonFiniteMatrixError(f"{name!r} holds non-finite entries (NaN or inf)")
-        assert np.array_equal(a, a.T)
         a.setflags(write=False)
         self.a = a
         self.name = name

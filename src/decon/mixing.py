@@ -62,7 +62,8 @@ class MixingPair:
     h      = (I + wt)/2                      (positive definite: part 4 keeps wt > -I/3)
     m      = pinv(wt - w)                    (PSD, zero on the consensus line)
     iw_pinv = pinv(I - w)                    (PSD, zero on the consensus line)
-    g      = w + I - 2*wt                    (PSD; zero when wt = (I+w)/2)
+    g      = w + I - 2*wt                    (= 2((I+w)/2 - wt), PSD: part 4 checks
+                                              (I+w)/2 >= wt on g; zero when wt = (I+w)/2)
     mtilde = 2 pinv(I - w) - theta*I         (= pinv((I - w)/2) - theta*I, bit for bit;
                                               the norm over the disagreement space)
 
@@ -150,10 +151,10 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     """Check all four parts of the mixing assumption, build the derived
     matrices at theta, and package the pair.
 
-    Raises MixingValidationError listing every violated part, or naming the
-    derived matrix that lost its sign at this theta. The null-space conditions
-    are checked spectrally: the disagreement matrices wt - w and I - w must
-    kill the all-ones vector and nothing else.
+    Raises MixingValidationError listing every violated part, or naming a theta
+    outside its interval or leaving w_bar singular. The null-space conditions
+    are checked spectrally: wt - w and I - w must kill the all-ones vector and
+    nothing else. Part 4's (I+w)/2 >= wt is checked on g = 2((I+w)/2 - wt).
     """
     n = g.n
     violations: list[str] = []
@@ -214,11 +215,12 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
             f"(second-smallest eigenvalue {iw_eigs[1]:.3e})"
         )
 
-    # Part 4: (I+w)/2 >= w_tilde > -I/3 and w_tilde >= w.
-    upper_gap = SymMatrix((eye + w.a) / 2.0 - wt.a, name="(I+w)/2 - w_tilde")
-    if not upper_gap.lambda_min_at_least(_PSD_SLACK):
+    # Part 4: (I+w)/2 >= w_tilde > -I/3 and w_tilde >= w. The first ordering
+    # is checked on g = w + I - 2 w_tilde = 2 ((I+w)/2 - w_tilde).
+    g_mat = SymMatrix(w.a + eye - 2.0 * wt.a, name="g")
+    if not g_mat.lambda_min_at_least(_PSD_SLACK):
         violations.append(
-            f"part 4 (spectral): (I+w)/2 - w_tilde has eigenvalue {upper_gap.lambda_min:.3e} < 0"
+            f"part 4 (spectral): (I+w)/2 - w_tilde has eigenvalue {g_mat.lambda_min / 2.0:.3e} < 0"
         )
     lower_gap = wt.lambda_min + 1.0 / 3.0
     if lower_gap < _PSD_SLACK:
@@ -262,17 +264,10 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     # projection, so this equals pinv((I - w)/2) - theta I without a third
     # decomposition.
     mtilde = SymMatrix(2.0 * iw_pinv.a - theta * eye, name="m_tilde")
-    # Identity w_tilde = w_bar - (1-theta)(I - w_tilde), by construction.
-    resid = float(np.abs(wt.a - (wbar.a - (1.0 - theta) * (eye - wt.a))).max())
-    if resid > 1e-12:
-        raise AssertionError(f"w_bar identity violated entrywise by {resid:.3e}")
     # mtilde maps the all-ones vector to -theta * 1.
     resid = float(np.abs(mtilde.a @ ones + theta * ones).max())
     if resid > 1e-10:
         raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
-    g_mat = SymMatrix(w.a + eye - 2.0 * wt.a, name="g")
-    if not g_mat.lambda_min_at_least(_PSD_SLACK):
-        raise MixingValidationError([f"g = w + I - 2 w_tilde has eigenvalue {g_mat.lambda_min:.3e} < 0"])
 
     w_eigs = w.eigenvalues
     return MixingPair(

@@ -117,8 +117,6 @@ def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.einsum("imp,imq->pq", sensing, sensing)
     if not np.all(np.isfinite(gram)):
-        for i in range(n):
-            _agent_gram(sensing, i)
         raise ProblemError("the summed hessian sum_i M_i^T M_i overflows float64")
     bar = SymMatrix(gram / n, name="averaged hessian")
     mu_fbar = bar.lambda_min

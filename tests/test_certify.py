@@ -199,6 +199,50 @@ def test_certificate_errors_name_the_constant():
         nids_constants(mp, 10.0, 1.0, 0.2)  # the upper bound itself is open
     with pytest.raises(CertificateError, match="r4"):
         nids_constants(mp, 10.0, 1.0, 0.1, r4=0.9)
+    with pytest.raises(CertificateError, match="eta"):
+        nids_constants(mp, 10.0, 1.0, 0.1, eta=1e9)
+
+    # Each parameter's interval (0, upper) is open at both ends; a default is
+    # the midpoint, so upper is twice it.
+    extra = extra_constants(mp, 10.0, 1.0, 0.5 * bound)
+    nids = nids_constants(mp, 10.0, 1.0, 0.1)
+    builders = {
+        "xi": (lambda v: extra_constants(mp, 10.0, 1.0, 0.5 * bound, xi=v), 2.0 * extra.xi),
+        "eta": (lambda v: extra_constants(mp, 10.0, 1.0, 0.5 * bound, eta=v), 2.0 * extra.eta),
+        "r4": (lambda v: nids_constants(mp, 10.0, 1.0, 0.1, r4=v), mp.theta - 0.75),
+        "nids eta": (lambda v: nids_constants(mp, 10.0, 1.0, 0.1, eta=v), 2.0 * nids.eta),
+    }
+    assert extra.xi == builders["xi"][1] / 2.0 and nids.r4 == builders["r4"][1] / 2.0
+    for name, (build, upper) in builders.items():
+        for value in (0.0, upper):
+            with pytest.raises(CertificateError,
+                               match=f"^{name.split()[-1]} = .* outside its admissible "
+                                     r"interval \(0, "):
+                build(value)
+
+    with pytest.raises(CertificateError, match=r"theta \* lambda_max\(I - w\) = .* >= 2"):
+        nids_constants(dataclasses.replace(mp, lam_max_iw=2.5), 10.0, 1.0, 0.1)
+    zero_m = SymMatrix(np.zeros((mp.n, mp.n)), name="zero")
+    with pytest.raises(CertificateError, match=r"lambda_max\(w_bar m\) is not positive"):
+        extra_constants(dataclasses.replace(mp, m=zero_m), 10.0, 1.0, 0.5 * bound)
+    # lambda_min(w_bar) <= 1 at every theta the search tries, so 2/L is beyond
+    # each of its ranges.
+    with pytest.raises(CertificateError, match="no admissible certificate"):
+        search_extra_certificate(mp, 10.0, 1.0, 0.2)
+    with pytest.raises(CertificateError, match="no admissible certificate"):
+        search_nids_certificate(mp, 10.0, 1.0, 0.2)
+
+
+def test_extra_eta_interval_empty_by_rounding_is_a_named_error():
+    # Below the stepsize bound 2 lambda_min(w_bar)/L, 4 a lambda_min - 2 a^2 L is
+    # positive in exact arithmetic, but for the float just below the bound on
+    # this pair it rounds to <= 0: named, not a division by zero.
+    mp = _half_pair(random_connected(10, 0.5, 1))
+    lam = mp.wbar.lambda_min
+    alpha = float(np.nextafter(2.0 * lam / 10.0, 0.0))
+    assert 4.0 * alpha * lam - 2.0 * alpha**2 * 10.0 <= 0.0
+    with pytest.raises(CertificateError, match="eta interval is empty"):
+        extra_constants(mp, 10.0, 1.0, alpha)
 
 
 def _without_direction(mat: SymMatrix, v: np.ndarray, depth: float) -> SymMatrix:

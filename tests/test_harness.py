@@ -379,6 +379,11 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
 @pytest.mark.parametrize("flag, message", [
     ("--seed", "seed must be >= 0, got -1"),
     ("--noise-std", "noise_std must be >= 0, got -1.0"),
+    ("--alpha", "alpha must be positive, got -1.0"),
+    ("--p", "need n, p, m_i >= 1, got (10, -1, 1)"),
+    ("--mi", "need n, p, m_i >= 1, got (10, 5, -1)"),
+    ("--n", "need n >= 2, got -1"),
+    ("--edge-prob", "edge_prob must be in (0, 1], got -1.0"),
 ])
 def test_cli_negative_setting_is_a_named_error(flag, message, monkeypatch, capsys):
     calls = []
@@ -399,6 +404,10 @@ def test_cli_negative_setting_is_a_named_error(flag, message, monkeypatch, capsy
     (lambda d: d.update(lipschitz="ten"), "lipschitz must be a number or null, got 'ten'"),
     (lambda d: d.update(x_true=["a", "b"]), "x_true must be null or 2 finite numbers"),
     (lambda d: d["x_true"].pop(), "x_true must be null or 2 finite numbers"),
+    (lambda d: d["sensing"][0][0].__setitem__(0, 10**400),
+     "sensing holds an integer beyond float64"),
+    (lambda d: d.update(sensing=d["sensing"][:-1], measurements=d["measurements"][:-1]),
+     "problem has 5 agents but the graph has 6 nodes"),
 ])
 def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsys):
     path = tmp_path / "prob.json"
@@ -598,6 +607,50 @@ def test_cli_config_file_naming_a_scenario_is_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"scenario": "fig1"}))
     assert cli.main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == "error: unknown config keys: ['scenario']\n"
+
+
+def test_cli_config_with_a_scenario_is_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 6}))
+    assert cli.main(["run", "--config", str(path), "--scenario", "fig1"]) == 1
+    assert capsys.readouterr().err == "error: --config cannot be combined with --scenario\n"
+
+
+def _graph_file(tmp_path, edges) -> str:
+    path = tmp_path / "graph.txt"
+    path.write_text("".join(f"{i} {j}\n" for i, j in edges))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["run", "--max-iters", "3"], ["bounds"]])
+def test_cli_graph_file_sets_the_agent_count(command, tmp_path, capsys):
+    # A 6-node line without --n 6: one agent per node of the file, not the default n = 10.
+    path = _graph_file(tmp_path, [(i, i + 1) for i in range(5)])
+    assert cli.main([*command, "--graph-file", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert harness.build_instance(RunConfig(graph_file=path)).prob.n == 6
+
+
+def test_cli_non_positive_named_stepsize_is_a_named_error(tmp_path, capsys):
+    # Metropolis on K_{4,4} has lambda_min(w) = -3/5; the maximal relaxation
+    # sends it below -1, where shi-linear's formula is negative.
+    path = _graph_file(tmp_path, [(i, j) for i in range(4) for j in range(4, 8)])
+    code = cli.main(["run", "--graph-file", path, "--relax-factor", "0.3333333333333333",
+                     "--alpha", "shi-linear", "--max-iters", "3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stepsize 'shi-linear' resolved to a non-positive value")
+    assert err.count("\n") == 1
+
+
+def test_cli_instance_too_large_to_allocate_is_a_named_error(monkeypatch, capsys):
+    def too_large(n, edge_prob, seed):
+        raise MemoryError(f"Unable to allocate an adjacency matrix for {n} nodes")
+
+    monkeypatch.setattr(harness.graphs, "random_connected", too_large)
+    assert cli.main(["run", "--max-iters", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate an adjacency matrix for 10 nodes\n"
 
 
 def test_cli_unwritable_output_is_a_named_error(tmp_path, capsys):

@@ -123,6 +123,49 @@ def test_validate_rejects_wt_above_half_combination():
     assert any("part 4" in v and "(I+w)/2" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("push, accepted", [(-1e-9, True), (1e-9, False)])
+def test_validate_checks_the_half_combination_ordering_on_g(push, accepted):
+    # w_tilde = a I + (1 - a) w with a = 1/2 + push: (I+w)/2 - w_tilde =
+    # -push (I - w), so the ordering holds below a = 1/2 and fails above it.
+    g = random_connected(10, 0.5, 5)
+    w = metropolis(g)
+    a = 0.5 + push
+    wt = SymMatrix(a * np.eye(10) + (1.0 - a) * w.a, name="pushed")
+    if accepted:
+        mp = validate(w, wt, g)
+        assert mp.g.lambda_min >= -1e-10
+        return
+    with pytest.raises(MixingValidationError) as err:
+        validate(w, wt, g)
+    (message,) = err.value.violations
+    prefix = "part 4 (spectral): (I+w)/2 - w_tilde has eigenvalue "
+    assert message.startswith(prefix) and message.endswith(" < 0")
+    reported = float(message[len(prefix):-len(" < 0")])
+    assert reported == pytest.approx(-push * (1.0 - w.lambda_min), rel=1e-5)
+
+
+def test_validate_rejects_a_dimension_mismatch():
+    w = metropolis(line(3))
+    with pytest.raises(MixingValidationError,
+                       match="dimension mismatch: graph has 4 nodes, matrices are 3 and 3"):
+        validate(w, _half(w), line(4))
+
+
+def test_validate_names_every_row_sum_residual():
+    # Rows of 0.9 w sum to 0.9: w_tilde - w, I - w_tilde and I - w all miss
+    # the all-ones vector.
+    g = random_connected(6, 0.6, 1)
+    w = SymMatrix(0.9 * metropolis(g).a, name="shrunk")
+    with pytest.raises(MixingValidationError) as err:
+        validate(w, _half(w), g)
+    residuals = [v for v in err.value.violations if "1 has residual" in v]
+    assert residuals == [
+        "part 3 (null space): (w_tilde - w) 1 has residual 5.000e-02",
+        "part 3 (null space): (I - w_tilde) 1 has residual 5.000e-02",
+        "null space of I - w: (I - w) 1 has residual 1.000e-01",
+    ]
+
+
 def test_validate_reports_a_negative_w_tilde_minus_w_once():
     g = random_connected(6, 0.6, 1)
     w = metropolis(g)
