@@ -50,7 +50,6 @@ class AlgoState(NamedTuple):
     gradient (None at the start), and the auxiliary y of extra_xy or d of
     nids_dx (None for the other variants)."""
 
-    k: int
     x: np.ndarray
     x_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
@@ -74,7 +73,7 @@ class Operators:
 
 
 def _dgd(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
-    return AlgoState(s.k + 1, op.w.dot(s.x) - op.alpha * g, s.x, g)
+    return AlgoState(op.w.dot(s.x) - op.alpha * g, s.x, g)
 
 
 def _extra(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
@@ -82,12 +81,12 @@ def _extra(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
         x = op.w.dot(s.x) - op.alpha * g
     else:
         x = (s.x + op.w.dot(s.x)) - op.wt.dot(s.x_prev) - op.alpha * (g - s.g_prev)
-    return AlgoState(s.k + 1, x, s.x, g)
+    return AlgoState(x, s.x, g)
 
 
 def _extra_xy(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     x = op.wt.dot(s.x) + s.y - op.alpha * g
-    return AlgoState(s.k + 1, x, s.x, g, y=s.y - op.diff.dot(x))
+    return AlgoState(x, s.x, g, y=s.y - op.diff.dot(x))
 
 
 def _nids(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
@@ -95,13 +94,13 @@ def _nids(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
         x = op.half.dot(s.x - op.alpha * g)
     else:
         x = op.half.dot(2.0 * s.x - s.x_prev - op.alpha * (g - s.g_prev))
-    return AlgoState(s.k + 1, x, s.x, g)
+    return AlgoState(x, s.x, g)
 
 
 def _nids_dx(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     v = s.x - op.alpha * g
     d = s.d + op.half_iw.dot(v - op.alpha * s.d) / op.alpha
-    return AlgoState(s.k + 1, v - op.alpha * d, s.x, g, d=d)
+    return AlgoState(v - op.alpha * d, s.x, g, d=d)
 
 
 _UPDATES = {"dgd": _dgd, "extra": _extra, "extra_xy": _extra_xy, "nids": _nids,
@@ -135,7 +134,7 @@ def iterate(variant: str, x0: np.ndarray, alpha: float, w, wt, grad) -> Iterator
     caller keeps asking: a state is computed only when it is requested."""
     ops = operators(variant, alpha, w, wt, grad)
     x0 = np.array(x0, dtype=float)
-    state = AlgoState(0, x0, y=-ops.diff @ x0 if variant == "extra_xy" else None,
+    state = AlgoState(x0, y=-ops.diff @ x0 if variant == "extra_xy" else None,
                       d=np.zeros_like(x0) if variant == "nids_dx" else None)
     while True:
         yield state

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import algorithms
 from .linalg import SymMatrix
 from .mixing import THETA_LOWER, MixingPair, MixingValidationError, theta_default, validate
 from .problem import mu_g_value
@@ -175,7 +176,7 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
             f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
         )
     lam_min_wbar = mp.wbar.lambda_min
-    bound = 2.0 * lam_min_wbar / lipschitz
+    bound = algorithms.STEPSIZES["extra-new"](mp, lipschitz, mu_fbar)
     if not 0.0 < alpha < bound:
         raise CertificateError(
             f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
@@ -187,18 +188,20 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     # Couplings r1, r2, r3 and lambda_max(w_bar m): r1 from w_tilde's spectrum,
     # r2 and lambda_max(w_bar m) from one similarity eigensolve each (r2's only
     # when g != 0).
-    isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
-    sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
     lam_iwt = _lam_max_iwt(mp)
     if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
         r1 = math.inf
     else:
         r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
     # g = 0 whenever w_tilde = (I + w)/2: r2 is infinite at every theta.
-    lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1") if mp.g.a.any() else 0.0
+    lam_g = 0.0
+    if mp.g.a.any():
+        isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
+        lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1")
     r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
     r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
                 + (0.0 if math.isinf(r2) else 1.0 / r2))
+    sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
     lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
     if lam_wbar_m <= 0.0:
         raise CertificateError(
@@ -230,9 +233,10 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
 def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
                    r4: float | None = None, eta: float | None = None) -> NidsCertificate:
     """Full certificate for the (d, x) iteration at stepsize alpha in (0, 2/L)."""
-    if not 0.0 < alpha < 2.0 / lipschitz:
+    bound = algorithms.STEPSIZES["nids"](mp, lipschitz, mu_fbar)
+    if not 0.0 < alpha < bound:
         raise CertificateError(
-            f"stepsize {alpha} outside the certified range (0, {2.0 / lipschitz:.6g}) = (0, 2/L)"
+            f"stepsize {alpha} outside the certified range (0, {bound:.6g}) = (0, 2/L)"
         )
     theta = mp.theta
     if theta <= _THETA_BOUNDARY:

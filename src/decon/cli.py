@@ -20,7 +20,7 @@ import sys
 from . import algorithms, harness, mixing, problem as problems
 from .certify import CertificateError
 from .graph import GraphError
-from .harness import ConfigError, RunConfig, TraceError
+from .harness import ConfigError, RunConfig
 from .linalg import EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemidefiniteError
 from .mixing import MixingValidationError
 from .problem import ProblemError
@@ -28,7 +28,7 @@ from .problem import ProblemError
 # Failures of the input, the file system or an allocation: one "error:" line and
 # exit code 1. Any other exception is a defect and keeps its traceback.
 _VALIDATION_ERRORS = (
-    ConfigError, TraceError, MixingValidationError, CertificateError, ProblemError, GraphError,
+    ConfigError, MixingValidationError, CertificateError, ProblemError, GraphError,
     EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemidefiniteError,
     json.JSONDecodeError, UnicodeDecodeError, OSError, MemoryError,
 )

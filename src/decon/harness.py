@@ -14,6 +14,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .linalg import SymMatrix
 
 __all__ = [
     "ConfigError",
-    "TraceError",
     "RunConfig",
     "Trace",
     "Instance",
@@ -34,7 +34,6 @@ __all__ = [
     "config_from_dict",
     "run",
     "write_csv",
-    "read_csv",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -59,10 +58,6 @@ RELAX_MILD = 0.15
 
 class ConfigError(ValueError):
     """Unusable run configuration."""
-
-
-class TraceError(ValueError):
-    """A trace file holds no rows to read."""
 
 
 # RunConfig annotation -> accepted value types (ints pass where floats are due).
@@ -133,30 +128,30 @@ class RunConfig:
         return f"{self.algo}_{alpha}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Per-iteration records of one run; status is excluded from equality so a
-    CSV round trip compares the recorded rows only."""
+    """One run's record: its residual per iteration, stored once, plus the
+    audit and certificate of a certified run; row k is iteration k."""
 
     algo: str
     alpha: float
-    ks: list[int]
     residuals: list[float]
-    lyapunov: list[float] | None = None
-    ratio: list[float | None] | None = None
-    slack: list[float | None] | None = None
-    status: str = field(default="unknown", compare=False)
-    audit: object = field(default=None, compare=False, repr=False)
-    certificate: object = field(default=None, compare=False, repr=False)
-    problem: object = field(default=None, compare=False, repr=False)
+    status: str = "unknown"
+    audit: object = field(default=None, repr=False)
+    certificate: object = field(default=None, repr=False)
+    problem: object = field(default=None, repr=False)
+
+    @property
+    def ks(self) -> range:
+        return range(len(self.residuals))
 
     @property
     def certified(self) -> bool:
-        return self.lyapunov is not None
+        return self.audit is not None
 
     def iterations_to(self, level: float) -> int | None:
         """First iteration index with residual at or below `level`."""
-        for k, r in zip(self.ks, self.residuals):
+        for k, r in enumerate(self.residuals):
             if r <= level:
                 return k
         return None
@@ -224,8 +219,8 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
     denom = float(np.linalg.norm(xstar))
     star = xstar.ravel()
     tol, sqrt, isfinite = config.tol, math.sqrt, math.isfinite
-    add_k, add_residual = trace.ks.append, trace.residuals.append
-    for k, state in zip(range(config.max_iters + 1), states):
+    add_residual = trace.residuals.append
+    for state in islice(states, config.max_iters + 1):
         if denom > 0.0:
             d = state.x.ravel() - star
             res = sqrt(d.dot(d)) / denom
@@ -233,7 +228,6 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
                 res = math.inf
         else:
             res = 0.0
-        add_k(k)
         add_residual(res)
         if res > DIVERGENCE_LIMIT:
             trace.status = "diverged"
@@ -259,7 +253,7 @@ def run(config: RunConfig) -> Trace:
     if config.certify:
         variant, constants, audit = certify.certify(variant)
         cert = constants(mp, prob.lipschitz, prob.mu_fbar, inst.alpha)
-    trace = Trace(algo=config.name, alpha=inst.alpha, ks=[], residuals=[], status="max_iters",
+    trace = Trace(algo=config.name, alpha=inst.alpha, residuals=[], status="max_iters",
                   problem=prob)
     x0 = np.zeros((prob.n, prob.p))
     states = _until_stop(algorithms.iterate(variant, x0, inst.alpha, mp.w, mp.wt, prob.grad),
@@ -272,9 +266,6 @@ def run(config: RunConfig) -> Trace:
                 pass
             return trace
         report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha), prob.grad)
-    trace.lyapunov = [float(v) for v in report.lyapunov]
-    trace.ratio = list(report.ratio)
-    trace.slack = list(report.slack)
     trace.audit = report
     trace.certificate = cert
     return trace
@@ -317,61 +308,30 @@ def resolve_scenario(name: str) -> list[RunConfig]:
 
 
 def write_csv(trace: Trace, path: str) -> None:
-    """Write the trace rows; 17 significant digits keep floats exact.
+    """Write the trace rows, numbered from 0, with a certified run's lyapunov,
+    ratio and slack columns read from its audit; 17 significant digits keep
+    floats exact.
 
     The ",algo,alpha," run shared by every row is formatted once. The rows are
     written after the header, not joined to it, which would copy them again.
     """
     lead = f",{trace.algo},{trace.alpha:.17g},"
     if trace.certified:
+        report = trace.audit
         header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
         rows = [f"{k}{lead}{r:.17g},{v:.17g},{'' if q is None else f'{q:.17g}'},"
                 f"{'' if s is None else f'{s:.17g}'}\n"
-                for k, r, v, q, s in zip(trace.ks, trace.residuals, trace.lyapunov,
-                                         trace.ratio, trace.slack, strict=True)]
+                for k, (r, v, q, s) in enumerate(zip(trace.residuals, report.lyapunov.tolist(),
+                                                     report.ratio, report.slack, strict=True))]
     else:
         header = "k,algo,alpha,residual\n"
-        rows = [f"{k}{lead}{r:.17g}\n"
-                for k, r in zip(trace.ks, trace.residuals, strict=True)]
+        rows = [f"{k}{lead}{r:.17g}\n" for k, r in enumerate(trace.residuals)]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
             fh.write("".join(rows))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
-
-
-def read_csv(path: str) -> Trace:
-    """Parse a trace written by `write_csv` (status is not stored in the file)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise TraceError(f"{path} holds no trace rows (empty or header only)")
-    header = lines[0].split(",")
-    certified = "lyapunov" in header
-    ks: list[int] = []
-    residuals: list[float] = []
-    algo = ""
-    alpha = 0.0
-    lyap: list[float] = []
-    ratio: list[float | None] = []
-    slack: list[float | None] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        ks.append(int(parts[0]))
-        algo = parts[1]
-        alpha = float(parts[2])
-        residuals.append(float(parts[3]))
-        if certified:
-            lyap.append(float(parts[4]))
-            ratio.append(float(parts[5]) if parts[5] else None)
-            slack.append(float(parts[6]) if parts[6] else None)
-    return Trace(
-        algo=algo, alpha=alpha, ks=ks, residuals=residuals,
-        lyapunov=lyap if certified else None,
-        ratio=ratio if certified else None,
-        slack=slack if certified else None,
-    )
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -477,12 +477,13 @@ def write_csv_reference(trace, path: str) -> None:
     if trace.certified:
         cols += ",lyapunov,ratio,slack"
     lines = [cols]
-    for i, k in enumerate(trace.ks):
-        row = f"{k},{trace.algo},{_fmt(trace.alpha)},{_fmt(trace.residuals[i])}"
+    report = trace.audit
+    for k, residual in enumerate(trace.residuals):
+        row = f"{k},{trace.algo},{_fmt(trace.alpha)},{_fmt(residual)}"
         if trace.certified:
-            ratio = trace.ratio[i]
-            slack = trace.slack[i]
-            row += f",{_fmt(trace.lyapunov[i])}"
+            ratio = report.ratio[k]
+            slack = report.slack[k]
+            row += f",{_fmt(report.lyapunov[k])}"
             row += f",{'' if ratio is None else _fmt(ratio)}"
             row += f",{'' if slack is None else _fmt(slack)}"
         lines.append(row)
@@ -511,7 +512,7 @@ def grad_reference(prob, x: np.ndarray) -> np.ndarray:
 
 
 def _dgd_reference(s, g, op):
-    return AlgoState(s.k + 1, op.w @ s.x - op.alpha * g, s.x, g)
+    return AlgoState(op.w @ s.x - op.alpha * g, s.x, g)
 
 
 def _extra_reference(s, g, op):
@@ -519,12 +520,12 @@ def _extra_reference(s, g, op):
         x = op.w @ s.x - op.alpha * g
     else:
         x = (s.x + op.w @ s.x) - op.wt @ s.x_prev - op.alpha * (g - s.g_prev)
-    return AlgoState(s.k + 1, x, s.x, g)
+    return AlgoState(x, s.x, g)
 
 
 def _extra_xy_reference(s, g, op):
     x = op.wt @ s.x + s.y - op.alpha * g
-    return AlgoState(s.k + 1, x, s.x, g, y=s.y - op.diff @ x)
+    return AlgoState(x, s.x, g, y=s.y - op.diff @ x)
 
 
 def _nids_reference(s, g, op):
@@ -532,13 +533,13 @@ def _nids_reference(s, g, op):
         x = op.half @ (s.x - op.alpha * g)
     else:
         x = op.half @ (2.0 * s.x - s.x_prev - op.alpha * (g - s.g_prev))
-    return AlgoState(s.k + 1, x, s.x, g)
+    return AlgoState(x, s.x, g)
 
 
 def _nids_dx_reference(s, g, op):
     v = s.x - op.alpha * g
     d = s.d + (op.half_iw @ (v - op.alpha * s.d)) / op.alpha
-    return AlgoState(s.k + 1, v - op.alpha * d, s.x, g, d=d)
+    return AlgoState(v - op.alpha * d, s.x, g, d=d)
 
 
 UPDATES_REFERENCE = {"dgd": _dgd_reference, "extra": _extra_reference,

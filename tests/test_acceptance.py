@@ -182,7 +182,7 @@ def test_criterion_5_stepsize_bound_table(grid):
 
 
 def _tail_r2(tr):
-    rows = [(k, r) for k, r in zip(tr.ks, tr.residuals) if r > 0.0]
+    rows = [(k, r) for k, r in enumerate(tr.residuals) if r > 0.0]
     ks = np.array([k for k, _ in rows], dtype=float)
     logs = np.log(np.array([r for _, r in rows]))
     half = len(ks) // 2

@@ -1,3 +1,4 @@
+import re
 from itertools import islice
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_dgd_one_step_matches_straight_line_arithmetic(prob1, rand10):
 
 
 def test_states_are_immutable():
-    state = AlgoState(0, np.zeros((2, 2)))
+    state = AlgoState(np.zeros((2, 2)))
     with pytest.raises(AttributeError):
         state.x = np.ones((2, 2))
 
@@ -114,7 +115,7 @@ def test_extra_xy_fixed_point_is_stationary(prob1, rand10):
     _, mp = rand10
     fp = fixed_point(prob1, 0.05)
     ops = operators("extra_xy", 0.05, mp.w, mp.wt, prob1.grad)
-    nxt = step(AlgoState(0, fp.xstar, y=fp.ystar), ops)
+    nxt = step(AlgoState(fp.xstar, y=fp.ystar), ops)
     assert np.abs(nxt.x - fp.xstar).max() <= 1e-12
     assert np.abs(nxt.y - fp.ystar).max() <= 1e-12
 
@@ -123,7 +124,7 @@ def test_nids_dx_fixed_point_is_stationary(prob1, rand10):
     _, mp = rand10
     fp = fixed_point(prob1, 0.1)
     ops = operators("nids_dx", 0.1, mp.w, mp.wt, prob1.grad)
-    nxt = step(AlgoState(0, fp.xstar, d=fp.dstar), ops)
+    nxt = step(AlgoState(fp.xstar, d=fp.dstar), ops)
     assert np.abs(nxt.x - fp.xstar).max() <= 1e-12
     assert np.abs(nxt.d - fp.dstar).max() <= 1e-12
 
@@ -259,11 +260,20 @@ def test_step_matches_the_matmul_reference_bit_for_bit(variant, n, m, p, scales,
     def draw():
         return rng.standard_normal((n, p)) * state_scale
 
-    state = AlgoState(3, draw(), None if first else draw(), None if first else draw(),
+    state = AlgoState(draw(), None if first else draw(), None if first else draw(),
                       y=draw() if variant == "extra_xy" else None,
                       d=draw() if variant == "nids_dx" else None)
     got, want = step(state, ops), step_reference(variant, state, ops, prob)
-    assert got.k == want.k == 4
     for name in ("x", "x_prev", "g_prev", "y", "d"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("variant, alpha, message", [
+    ("sgd", 0.1, f"unknown variant 'sgd'; choose from {VARIANTS}"),
+    ("nids", 0.0, "stepsize must be positive, got 0.0"),
+    ("extra", -0.5, "stepsize must be positive, got -0.5"),
+])
+def test_operators_rejects_an_unknown_variant_or_a_non_positive_stepsize(variant, alpha, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        operators(variant, alpha, np.eye(2), np.eye(2), lambda x: x)

@@ -51,6 +51,22 @@ def test_spectral_rebuilds_match_the_per_eigenvalue_references(monkeypatch, topo
     # nonzero eigenvalue of I - w, keep the bits of the deleted rebuilds.
     cfg = harness.RunConfig(topology=topology, n=n, relax_factor=relax_factor)
     mp = harness.build_mixing(cfg, harness.build_graph(cfg))
+    _assert_rebuilds_match_the_references(mp, monkeypatch)
+    assert mp.lam_min_pos_iw == lambda_min_pos_reference(mp.iw)
+
+
+def test_spectral_rebuilds_match_the_references_on_a_pair_with_nonzero_g(monkeypatch):
+    # w_tilde = 0.3 I + 0.7 w makes g = 0.4 (I - w) nonzero, the one case
+    # whose certificate reads w_bar^-1/2.
+    g = random_connected(10, 0.5, 2)
+    w = metropolis(g)
+    mp = validate(w, SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt"), g, theta=0.85)
+    _assert_rebuilds_match_the_references(mp, monkeypatch)
+
+
+def _assert_rebuilds_match_the_references(mp, monkeypatch):
+    """Each w_bar power `extra_constants` builds has the bits of its reference,
+    and w_bar^-1/2 is built exactly when g is nonzero, its only reader."""
     built = {}
     spectral_map = SymMatrix.spectral_map
 
@@ -60,10 +76,12 @@ def test_spectral_rebuilds_match_the_per_eigenvalue_references(monkeypatch, topo
 
     monkeypatch.setattr(SymMatrix, "spectral_map", spy)
     extra_constants(mp, 1.0, 0.5, mp.wbar.lambda_min)
-    for name, reference in (("w_bar^-1/2", isqrt_reference), ("w_bar^1/2", sqrt_reference),
-                            ("w_bar^-1", inv_reference)):
-        assert np.array_equal(built[name].a, reference(mp.wbar).a), name
-    assert mp.lam_min_pos_iw == lambda_min_pos_reference(mp.iw)
+    references = {"w_bar^-1/2": isqrt_reference, "w_bar^1/2": sqrt_reference,
+                  "w_bar^-1": inv_reference}
+    expected = set(references) if mp.g.a.any() else set(references) - {"w_bar^-1/2"}
+    assert set(built) == expected
+    for name in built:
+        assert np.array_equal(built[name].a, references[name](mp.wbar).a), name
 
 
 def test_extra_golden_two_node_theta_08():
@@ -373,8 +391,7 @@ def test_audit_extra_fixed_point_trajectory_is_null(prob1, rand10):
     cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     fp = fixed_point(prob1, alpha)
     gstar = prob1.grad(fp.xstar)
-    states = [AlgoState(k, fp.xstar, g_prev=gstar, y=fp.ystar)
-              for k in range(6)]
+    states = [AlgoState(fp.xstar, g_prev=gstar, y=fp.ystar)] * 6
     report = audit_extra(states, mp, cert, fp, prob1.grad)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
@@ -407,8 +424,7 @@ def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):
     cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     fp = fixed_point(prob1, 0.1)
     gstar = prob1.grad(fp.xstar)
-    states = [AlgoState(k, fp.xstar, g_prev=gstar, d=fp.dstar)
-              for k in range(5)]
+    states = [AlgoState(fp.xstar, g_prev=gstar, d=fp.dstar)] * 5
     report = audit_nids(states, mp, cert, fp, prob1.grad)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,3 +127,16 @@ def test_edge_list_id_gap_rejected_before_allocation():
         from_edge_list_text("0 1000000000\n")
     with pytest.raises(GraphError, match="node 2 is in no edge"):
         from_edge_list_text("0 1\n1 3\n")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: line(1), "need n >= 2, got 1"),
+    (lambda: complete(1), "need n >= 2, got 1"),
+    (lambda: random_connected(1, 0.5, 0), "need n >= 2, got 1"),
+    (lambda: Graph(0, ()), "need at least one node, got n=0"),
+    (lambda: Graph(2, ((0, 2),)), "edge (0, 2) out of range for n=2"),
+    (lambda: Graph(2, ((1, -1),)), "edge (1, -1) out of range for n=2"),
+])
+def test_graph_constructors_name_what_is_wrong(build, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build()

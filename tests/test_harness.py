@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from decon import algorithms, certify, cli, harness, linalg, problem
 from decon.harness import (
-    ConfigError, RunConfig, Trace, TraceError, read_csv, resolve_scenario, run, write_csv,
+    ConfigError, RunConfig, Trace, resolve_scenario, run, write_csv,
 )
 from oracles import step_reference, write_csv_reference
 
@@ -79,7 +80,7 @@ def test_run_converges_at_zero_when_started_at_optimum(tmp_path):
                     problem_file=str(path))
     trace = run(cfg)
     assert trace.status == "converged"
-    assert trace.ks == [0]
+    assert list(trace.ks) == [0]
     assert trace.residuals == [0.0]
 
 
@@ -100,50 +101,61 @@ def test_run_residual_row_zero_is_one():
     assert trace.residuals[0] == 1.0
 
 
+def _csv(path) -> tuple[str, list[list[str]]]:
+    """A trace CSV's header line and its rows split into cells."""
+    header, *rows = path.read_text().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def _cell(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+def _assert_rows_parse_back(trace, rows):
+    """Every written cell parses back to exactly the value it was written from."""
+    assert [int(r[0]) for r in rows] == list(trace.ks)
+    assert {(r[1], float(r[2])) for r in rows} == {(trace.algo, trace.alpha)}
+    assert [float(r[3]) for r in rows] == trace.residuals
+
+
 def test_trace_csv_round_trip_plain(tmp_path):
     cfg = RunConfig(topology="line", n=4, p=2, mi=2, seed=3, algo="nids", alpha=0.1,
                     max_iters=60, tol=1e-9)
     trace = run(cfg)
     path = tmp_path / "t.csv"
     write_csv(trace, str(path))
-    again = read_csv(str(path))
-    assert again == trace
-    header = path.read_text().splitlines()[0]
+    header, rows = _csv(path)
     assert header == "k,algo,alpha,residual"
+    assert all(len(r) == 4 for r in rows)
+    _assert_rows_parse_back(trace, rows)
 
 
 def test_trace_csv_round_trip_certified(tmp_path):
     cfg = RunConfig(topology="line", n=4, p=2, mi=2, seed=3, algo="nids", alpha=0.1,
                     max_iters=200, tol=1e-9, certify=True)
     trace = run(cfg)
-    assert trace.audit.ok
+    report = trace.audit
+    assert report.ok
     path = tmp_path / "t.csv"
     write_csv(trace, str(path))
-    again = read_csv(str(path))
-    assert again == trace
-    header = path.read_text().splitlines()[0]
+    header, rows = _csv(path)
     assert header == "k,algo,alpha,residual,lyapunov,ratio,slack"
+    assert all(len(r) == 7 for r in rows)
+    _assert_rows_parse_back(trace, rows)
+    assert [float(r[4]) for r in rows] == report.lyapunov.tolist()
+    assert [_cell(r[5]) for r in rows] == report.ratio
+    assert [_cell(r[6]) for r in rows] == report.slack
 
 
 def test_empty_trace_writes_header_only(tmp_path):
-    trace = Trace(algo="none", alpha=0.1, ks=[], residuals=[])
+    trace = Trace(algo="none", alpha=0.1, residuals=[])
     path = tmp_path / "empty.csv"
     write_csv(trace, str(path))
     assert path.read_text() == "k,algo,alpha,residual\n"
 
 
-def test_read_csv_without_rows_raises_named_error(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    header_only = tmp_path / "header.csv"
-    write_csv(Trace(algo="none", alpha=0.1, ks=[], residuals=[]), str(header_only))
-    for path in (empty, header_only):
-        with pytest.raises(TraceError, match="no trace rows"):
-            read_csv(str(path))
-
-
 def test_write_csv_io_error_names_path():
-    trace = Trace(algo="none", alpha=0.1, ks=[], residuals=[])
+    trace = Trace(algo="none", alpha=0.1, residuals=[])
     bad = "/nonexistent-dir-decon/x.csv"
     with pytest.raises(OSError, match="nonexistent-dir-decon"):
         write_csv(trace, bad)
@@ -173,18 +185,22 @@ def _traces(draw):
     certified = draw(st.booleans())
     return Trace(algo=draw(st.sampled_from(("dgd_fast", "nids_0.19", "extra_0.0657529"))),
                  alpha=draw(_floats),
-                 ks=draw(st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows)),
                  residuals=draw(column),
-                 lyapunov=draw(column) if certified else None,
-                 ratio=draw(optional) if certified else None,
-                 slack=draw(optional) if certified else None)
+                 audit=_audit(draw(column), draw(optional), draw(optional)) if certified else None)
+
+
+def _audit(lyapunov, ratio, slack) -> certify.AuditReport:
+    """An audit report holding the three columns a certified trace writes."""
+    return certify.AuditReport(algorithm="probe", transitions=len(lyapunov) - 1,
+                               lyapunov=np.array(lyapunov, dtype=float), ratio=ratio,
+                               slack=slack, checks={}, violations=[])
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(trace=_traces())
-@example(trace=Trace(algo="nids_0.19", alpha=0.19, ks=[0], residuals=[1.0], lyapunov=[math.nan],
-                     ratio=[None], slack=[None]))
-@example(trace=Trace(algo="dgd_slow", alpha=-0.0, ks=[0, 1, 2],
+@example(trace=Trace(algo="nids_0.19", alpha=0.19, residuals=[1.0],
+                     audit=_audit([math.nan], [None], [None])))
+@example(trace=Trace(algo="dgd_slow", alpha=-0.0,
                      residuals=[5e-324, 1.7976931348623157e308, math.inf]))
 def test_write_csv_matches_the_per_row_writer_byte_for_byte(trace):
     with tempfile.TemporaryDirectory() as tmp:
@@ -214,8 +230,8 @@ def test_until_stop_residuals_equal_the_norm_bit_for_bit(case, shape):
     bad = {"nan": math.nan, "near_overflow": 1.8e153, "overflow": 1e155}
     if case in bad:  # the run stops at this iterate: inf, or far beyond the divergence limit
         xs[2] = np.full(shape, bad[case])
-    trace = Trace(algo="probe", alpha=0.1, ks=[], residuals=[], status="max_iters")
-    states = (algorithms.AlgoState(k, x) for k, x in enumerate(xs))
+    trace = Trace(algo="probe", alpha=0.1, residuals=[], status="max_iters")
+    states = (algorithms.AlgoState(x) for x in xs)
     with np.errstate(over="ignore"):
         passed = list(harness._until_stop(states, RunConfig(max_iters=len(xs), tol=1e-300),
                                           xstar, trace))
@@ -233,7 +249,7 @@ def test_run_residuals_match_the_reference_steps_bit_for_bit(scenario):
         inst = harness.build_instance(cfg)
         prob = inst.prob
         ops = algorithms.operators(cfg.algo, inst.alpha, inst.mp.w, inst.mp.wt, prob.grad)
-        state = algorithms.AlgoState(0, np.zeros((prob.n, prob.p)))
+        state = algorithms.AlgoState(np.zeros((prob.n, prob.p)))
         expected = []
         for _ in range(cfg.max_iters + 1):
             expected.append(_norm_residual(state.x, prob.Xstar))
@@ -304,9 +320,9 @@ def test_cli_single_run_and_csv(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "status=converged" in text
     assert "certificate" in text
-    assert out.exists()
-    again = read_csv(str(out))
-    assert again.certified
+    header, rows = _csv(out)
+    assert header == "k,algo,alpha,residual,lyapunov,ratio,slack"
+    assert len(rows) == int(re.search(r"iterations=(\d+)", text).group(1)) + 1
 
 
 def test_cli_certify_rejects_boundary_stepsize(capsys):
@@ -574,7 +590,7 @@ def test_cli_alpha_named_vs_numeric(tmp_path):
                      "--seed", "4", "--algo", "nids", "--alpha", "0.15",
                      "--max-iters", "400", "--out", str(out)])
     assert code == 0
-    assert read_csv(str(out)).alpha == pytest.approx(0.15)
+    assert float(_csv(out)[1][0][2]) == pytest.approx(0.15)
 
 
 def test_cli_scenario_writes_one_csv_per_config(tmp_path):
@@ -629,6 +645,12 @@ def test_cli_graph_file_sets_the_agent_count(command, tmp_path, capsys):
     assert cli.main([*command, "--graph-file", path]) == 0
     assert capsys.readouterr().err == ""
     assert harness.build_instance(RunConfig(graph_file=path)).prob.n == 6
+
+
+def test_cli_graph_file_with_a_self_loop_is_a_named_error(tmp_path, capsys):
+    path = _graph_file(tmp_path, [(0, 0), (0, 1)])
+    assert cli.main(["run", "--graph-file", path]) == 1
+    assert capsys.readouterr().err == "error: self-loop at node 0\n"
 
 
 def test_cli_non_positive_named_stepsize_is_a_named_error(tmp_path, capsys):
@@ -779,7 +801,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     out = tmp_path / "out.csv"
     code = cli.main(["run", "--config", str(path), "--alpha", "0.05", "--out", str(out)])
     assert code == 0
-    assert read_csv(str(out)).alpha == pytest.approx(0.05)
+    assert float(_csv(out)[1][0][2]) == pytest.approx(0.05)
 
 
 def test_cli_save_problem_builds_each_instance_once(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,3 +388,15 @@ def test_lambda_min_at_least_matches_the_jacobi_decision(n, seed, kind, floor):
         assert expected == (kind != "just below")
     # A yes comes from the Cholesky factorization alone; a no from one solve.
     assert solves == ([] if answer else ["probe"])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SymMatrix(np.ones((2, 3)), name="m"), "'m' must be square, got shape (2, 3)"),
+    (lambda: SymMatrix(np.ones(3), name="m"), "'m' must be square, got shape (3,)"),
+    (lambda: SymMatrix(np.zeros((0, 0)), name="m"), "'m' must have dimension >= 1"),
+    (lambda: wdot(np.ones((3, 2)), np.ones((3, 2)), np.eye(2)),
+     "dimension mismatch: x has 3 rows, H is 2x2"),
+])
+def test_malformed_linalg_inputs_are_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -334,3 +335,18 @@ def test_validate_passes_on_long_line_graphs(n):
     ones = np.ones(n)
     for pinv in (mp.m, mp.iw_pinv):
         assert np.abs(pinv.a @ ones).max() <= 1e-12
+
+
+@pytest.mark.parametrize("w, factor, message", [
+    (metropolis(line(4)), -0.1, "relax factor must be >= 0, got -0.1"),
+    (SymMatrix(np.diag([0.5, 1.5])), 0.1,
+     "relax input spectrum [0.500000, 1.500000] outside (-1, 1]"),
+    (SymMatrix(np.diag([-1.5, 1.0])), 0.1,
+     "relax input spectrum [-1.500000, 1.000000] outside (-1, 1]"),
+    (SymMatrix(np.diag([-0.9, 1.0])), 0.5,
+     "relaxed spectrum too wide: lambda_min = -1.850000 <= -5/3"),
+])
+def test_relax_rejects_what_it_cannot_map_into_the_relaxed_range(w, factor, message):
+    with pytest.raises(MixingValidationError, match=f"^{re.escape(message)}$") as info:
+        relax(w, factor)
+    assert info.value.violations == [message]

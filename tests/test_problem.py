@@ -246,3 +246,12 @@ def test_grad_matches_the_einsum_reference_bit_for_bit(n, m, p, scales, fortran,
         x = np.asfortranarray(x)
     prob = bare_problem(sensing, measurements)
     assert np.array_equal(problem.grad(prob, x), grad_reference(prob, x))
+
+
+@pytest.mark.parametrize("eta, message", [
+    (0.0, "eta must be positive, got 0.0"),
+    (-1e-3, "eta must be positive, got -0.001"),
+])
+def test_mu_g_value_rejects_a_non_positive_eta(eta, message):
+    with pytest.raises(problem.ProblemError, match=f"^{re.escape(message)}$"):
+        problem.mu_g_value(1.0, 10.0, 0.5, eta)
