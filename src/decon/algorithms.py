@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "operators",
     "step",
     "iterate",
-    "trajectory",
     "fixed_point",
     "stepsize_bounds",
 ]
@@ -139,28 +137,6 @@ def iterate(variant: str, x0: np.ndarray, alpha: float, w, wt, grad) -> Iterator
     while True:
         yield state
         state = step(state, ops)
-
-
-def trajectory(variant: str, x0: np.ndarray, alpha: float, w, wt, grad,
-               n_steps: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run up to n_steps iterations and stack the iterates.
-
-    Returns (xs, aux) where xs[k] is the k-th iterate (xs[0] = x0) and aux is
-    the matching y-sequence for extra_xy, the d-sequence for nids_dx, else None.
-    A divergent stepsize ends the stack at the first non-finite iterate, which
-    is its last row: fewer than n_steps + 1 rows then come back, and the
-    overflow that produced the row raises no floating-point warning.
-    """
-    aux = {"extra_xy": "y", "nids_dx": "d"}.get(variant)
-    xs, auxs = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for state in islice(iterate(variant, x0, alpha, w, wt, grad), n_steps + 1):
-            xs.append(state.x)
-            if aux is not None:
-                auxs.append(getattr(state, aux))
-            if not np.all(np.isfinite(state.x)):
-                break
-    return np.array(xs), None if aux is None else np.array(auxs)
 
 
 @dataclass(frozen=True)

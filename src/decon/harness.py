@@ -13,8 +13,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -37,6 +38,12 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+
+# The run loop keeps every _MARK_EVERY-th state as a mark and a ring of the
+# last _MARK_EVERY states, so it finds a cycle of period up to _MARK_EVERY at
+# most _MARK_EVERY states after the stream starts repeating, and replays it
+# from the ring. A run that never repeats pays one float comparison per step.
+_MARK_EVERY = 64
 
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
 
@@ -131,7 +138,9 @@ class RunConfig:
 @dataclass(eq=False)
 class Trace:
     """One run's record: its residual per iteration, stored once, plus the
-    audit and certificate of a certified run; row k is iteration k."""
+    audit and certificate of a certified run; row k is iteration k. `cycle`
+    is (start, period) when the run ended in an exact cycle that the run loop
+    replayed: states from `start` on repeat with that period."""
 
     algo: str
     alpha: float
@@ -140,6 +149,7 @@ class Trace:
     audit: object = field(default=None, repr=False)
     certificate: object = field(default=None, repr=False)
     problem: object = field(default=None, repr=False)
+    cycle: tuple[int, int] | None = None
 
     @property
     def ks(self) -> range:
@@ -148,13 +158,6 @@ class Trace:
     @property
     def certified(self) -> bool:
         return self.audit is not None
-
-    def iterations_to(self, level: float) -> int | None:
-        """First iteration index with residual at or below `level`."""
-        for k, r in enumerate(self.residuals):
-            if r <= level:
-                return k
-        return None
 
 
 @dataclass(frozen=True)
@@ -211,16 +214,33 @@ def build_instance(config: RunConfig) -> Instance:
                     alpha=resolve_alpha(config, stepsizes))
 
 
+def _same_state(a: algorithms.AlgoState, b: algorithms.AlgoState) -> bool:
+    """Every field byte-equal (so -0.0 differs from +0.0), None only matching None."""
+    return all(u is v or (u is not None and v is not None and u.tobytes() == v.tobytes())
+               for u, v in zip(a, b))
+
+
 def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
     """Pass states on while recording each one's residual row in `trace`; end
-    the stream at the tolerance, at divergence or after max_iters steps."""
+    the stream at the tolerance, at divergence or after max_iters steps.
+
+    A state byte-equal to the last mark (see `_MARK_EVERY`) closes a cycle:
+    `step` is a deterministic function of the state and the run's fixed
+    operators, so the stream is periodic from the mark on. The loop then stops
+    pulling `states` and replays the cycle's states and residual rows from its
+    ring up to max_iters. Every residual of the cycle has already passed the
+    tolerance and divergence tests, so the status stays max_iters;
+    `trace.cycle` records (mark index, period).
+    """
     # ||x - xstar|| as np.linalg.norm computes it for a 2-D array (ravel, one
     # dot, a correctly rounded sqrt), without its per-call overhead.
     denom = float(np.linalg.norm(xstar))
     star = xstar.ravel()
     tol, sqrt, isfinite = config.tol, math.sqrt, math.isfinite
     add_residual = trace.residuals.append
-    for state in islice(states, config.max_iters + 1):
+    ring = deque(maxlen=_MARK_EVERY)
+    mark_k = mark = mark_res = None
+    for k, state in enumerate(islice(states, config.max_iters + 1)):
         if denom > 0.0:
             d = state.x.ravel() - star
             res = sqrt(d.dot(d)) / denom
@@ -236,16 +256,33 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
         yield state
         if trace.status != "max_iters":
             return
+        ring.append(state)
+        if res == mark_res and _same_state(state, mark):
+            break
+        if k % _MARK_EVERY == 0:
+            mark_k, mark, mark_res = k, state, res
+    else:
+        return
+    # States k + 1, k + 2, ... repeat states k - period + 1, ..., k in order.
+    period = k - mark_k
+    trace.cycle = (mark_k, period)
+    loop = zip(cycle(list(ring)[-period:]), cycle(trace.residuals[-period:]))
+    for state, res in islice(loop, config.max_iters - k):
+        add_residual(res)
+        yield state
 
 
 def run(config: RunConfig) -> Trace:
     """Execute one configuration and return its trace.
 
     Stops at the residual tolerance, at divergence (relative residual beyond
-    1e12 or non-finite iterates), or at max_iters. Certified runs execute the
-    reformulated iteration, whose x-sequence is identical to the original's;
-    their certificate is built before the first step and their audit consumes
-    the states as they are produced, so memory does not grow with the steps.
+    1e12 or non-finite iterates), or at max_iters. A run whose states fall into
+    an exact cycle reaches max_iters by replaying it (`_until_stop`): the rows,
+    the audit and the status are those of stepping all the way, and
+    `trace.cycle` records the cycle. Certified runs execute the reformulated
+    iteration, whose x-sequence is identical to the original's; their
+    certificate is built before the first step and their audit consumes the
+    states as they are produced, so memory does not grow with the steps.
     """
     inst = build_instance(config)
     prob, mp = inst.prob, inst.mp

@@ -36,16 +36,26 @@ certificate reads and the pair's `lam_min_pos_iw` must equal them bit for bit.
 `lam_iwt_reference` is r1's lambda_max(w_bar^-1/2 (I - w_tilde) w_bar^-1/2) as
 `certify.extra_constants` computed it before it read w_tilde's spectrum: one
 eigensolve of the similarity product. The closed form must agree to round-off.
+
+`until_stop_reference` is `harness._until_stop` as it was before it replayed
+exact cycles: it pulls and tests every state up to max_iters. The run loop
+must yield the same states and record the same residuals and status.
+
+`trajectory` stacks the iterates of `algorithms.iterate` and `iterations_to`
+reads the first iteration of a trace at a residual level; the tests use both,
+the package does not.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
-from decon.algorithms import AlgoState
+from decon import harness
+from decon.algorithms import AlgoState, iterate
 from decon.certify import EQ_TOL, INEQ_TOL, AuditReport
 from decon import linalg
 from decon.linalg import NotPositiveSemidefiniteError, SymMatrix, wdot, wnorm_sq
@@ -551,3 +561,58 @@ def step_reference(variant: str, state, ops, prob):
     """One iteration of the run `ops` describes, with the reference gradient of
     `prob` and the `@`-form update of `variant`."""
     return UPDATES_REFERENCE[variant](state, grad_reference(prob, state.x), ops)
+
+
+# -- run loop oracle and trajectory helpers ------------------------------------
+
+def until_stop_reference(states, config, xstar: np.ndarray, trace):
+    """Pass states on while recording each one's residual row in `trace`; end
+    the stream at the tolerance, at divergence or after max_iters steps."""
+    denom = float(np.linalg.norm(xstar))
+    star = xstar.ravel()
+    for state in islice(states, config.max_iters + 1):
+        if denom > 0.0:
+            d = state.x.ravel() - star
+            res = math.sqrt(d.dot(d)) / denom
+            if not math.isfinite(res):
+                res = math.inf
+        else:
+            res = 0.0
+        trace.residuals.append(res)
+        if res > harness.DIVERGENCE_LIMIT:
+            trace.status = "diverged"
+        elif res <= config.tol:
+            trace.status = "converged"
+        yield state
+        if trace.status != "max_iters":
+            return
+
+
+def trajectory(variant: str, x0: np.ndarray, alpha: float, w, wt, grad,
+               n_steps: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run up to n_steps iterations and stack the iterates.
+
+    Returns (xs, aux) where xs[k] is the k-th iterate (xs[0] = x0) and aux is
+    the matching y-sequence for extra_xy, the d-sequence for nids_dx, else None.
+    A divergent stepsize ends the stack at the first non-finite iterate, which
+    is its last row: fewer than n_steps + 1 rows then come back, and the
+    overflow that produced the row raises no floating-point warning.
+    """
+    aux = {"extra_xy": "y", "nids_dx": "d"}.get(variant)
+    xs, auxs = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state in islice(iterate(variant, x0, alpha, w, wt, grad), n_steps + 1):
+            xs.append(state.x)
+            if aux is not None:
+                auxs.append(getattr(state, aux))
+            if not np.all(np.isfinite(state.x)):
+                break
+    return np.array(xs), None if aux is None else np.array(auxs)
+
+
+def iterations_to(trace, level: float) -> int | None:
+    """First iteration index of `trace` with residual at or below `level`."""
+    for k, r in enumerate(trace.residuals):
+        if r <= level:
+            return k
+    return None

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from decon import graph, harness, mixing, problem
-from decon.algorithms import fixed_point, iterate, stepsize_bounds, trajectory
+from decon.algorithms import fixed_point, iterate, stepsize_bounds
 from decon.certify import audit_extra, audit_nids, extra_constants, nids_constants
 from decon.linalg import SymMatrix
 from decon.problem import check_rsc
 
-from oracles import eigenvalues_by_bisection
+from oracles import eigenvalues_by_bisection, iterations_to, trajectory
 
 SEEDS = tuple(range(10))
 N, P = 10, 5
@@ -175,10 +175,10 @@ def test_criterion_5_stepsize_bound_table(grid):
                 probe, alpha=0.99 * inst.stepsizes["extra-special"]))
             tr_n = harness.run(dataclasses.replace(
                 probe, algo="nids", alpha=0.99 * inst.stepsizes["nids"]))
-            assert tr_e.iterations_to(1e-8) is not None, seed
-            assert tr_e.iterations_to(1e-8) <= 5000, seed
-            assert tr_n.iterations_to(1e-8) is not None, seed
-            assert tr_n.iterations_to(1e-8) <= 5000, seed
+            assert iterations_to(tr_e, 1e-8) is not None, seed
+            assert iterations_to(tr_e, 1e-8) <= 5000, seed
+            assert iterations_to(tr_n, 1e-8) is not None, seed
+            assert iterations_to(tr_n, 1e-8) <= 5000, seed
 
 
 def _tail_r2(tr):
@@ -200,7 +200,7 @@ def test_criterion_6_figure_one_qualitative():
         wanted = ("nids_a4", "extra_a3", "extra_a1")
         configs = {c.label: c for c in harness.resolve_scenario("fig1")}
         traces = {label: harness.run(configs[label]) for label in wanted}
-        counts = {label: traces[label].iterations_to(1e-10) for label in wanted}
+        counts = {label: iterations_to(traces[label], 1e-10) for label in wanted}
         assert all(v is not None for v in counts.values()), counts
         assert counts["nids_a4"] < counts["extra_a1"], counts
         assert counts["extra_a3"] < counts["extra_a1"], counts
@@ -223,7 +223,7 @@ def test_criterion_7_relaxed_mixing_scenario():
         relaxed = harness.run(by_label["nids_relaxed"])
         assert plain.status == "converged" and relaxed.status == "converged"
         assert relaxed.alpha == 0.2
-        assert relaxed.iterations_to(1e-8) <= plain.iterations_to(1e-8)
+        assert iterations_to(relaxed, 1e-8) <= iterations_to(plain, 1e-8)
 
 
 def test_criterion_8_oracle_checks(grid):

@@ -15,13 +15,12 @@ from decon.algorithms import (
     operators,
     step,
     stepsize_bounds,
-    trajectory,
 )
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import metropolis, relax, validate
 
-from oracles import bare_problem, step_reference
+from oracles import bare_problem, step_reference, trajectory
 
 
 def _identical_quadratics(n=6, p=3, minimizer=None):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decon import graph as graph_module
 from decon.graph import (
     Graph,
     GraphError,
@@ -140,3 +141,24 @@ def test_edge_list_id_gap_rejected_before_allocation():
 def test_graph_constructors_name_what_is_wrong(build, message):
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         build()
+
+
+class _NoEdges:
+    """A generator stand-in whose every draw keeps no edge."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self, size):
+        self.draws += 1
+        return np.ones(size)
+
+
+def test_random_connected_gives_up_after_its_retry_budget(monkeypatch):
+    rng = _NoEdges()
+    monkeypatch.setattr(graph_module, "_MAX_RETRIES", 50)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    with pytest.raises(GraphError, match=r"no connected G\(10, 0.5\) sample after 50 draws "
+                                         r"\(seed 3\)"):
+        random_connected(10, 0.5, 3)
+    assert rng.draws == 50

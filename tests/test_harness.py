@@ -2,6 +2,7 @@ import collections
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from decon import algorithms, certify, cli, harness, linalg, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, resolve_scenario, run, write_csv,
 )
-from oracles import step_reference, write_csv_reference
+from oracles import iterations_to, step_reference, until_stop_reference, write_csv_reference
 
 
 def test_resolve_fig1_shape():
@@ -240,6 +241,126 @@ def test_until_stop_residuals_equal_the_norm_bit_for_bit(case, shape):
     assert [r.hex() for r in trace.residuals] == [r.hex() for r in expected]
 
 
+def _stream_through(loop, states, max_iters, xstar):
+    trace = Trace(algo="probe", alpha=0.1, residuals=[], status="max_iters")
+    passed = list(loop(states, RunConfig(max_iters=max_iters, tol=1e-300), xstar, trace))
+    return passed, trace
+
+
+def _random_states(count, rng, shape=(4, 3)):
+    return [algorithms.AlgoState(*rng.standard_normal((3, *shape))) for _ in range(count)]
+
+
+# The prefix ends between two marks: the loop marks k = 128, a state of the
+# cycle, and sees the cycle close at k = 128 + period.
+_PREFIX, _MARK = 70, 128
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+@pytest.mark.parametrize("max_iters", ["long", "closes_at_max_minus_one", "closes_at_max"])
+def test_until_stop_replays_a_cycle_as_the_stepping_loop_streams_it(period, max_iters):
+    rng = np.random.default_rng(period)
+    prefix, ring = _random_states(_PREFIX, rng), _random_states(period, rng)
+    xstar = rng.standard_normal((4, 3))
+    close = _MARK + period
+    max_iters = {"long": 1000, "closes_at_max_minus_one": close + 1,
+                 "closes_at_max": close}[max_iters]
+    new, trace = _stream_through(harness._until_stop,
+                                 itertools.chain(prefix, itertools.cycle(ring)), max_iters, xstar)
+    old, ref = _stream_through(until_stop_reference,
+                               itertools.chain(prefix, itertools.cycle(ring)), max_iters, xstar)
+    assert len(new) == len(old) == len(trace.residuals) == max_iters + 1
+    assert all(a is b for a, b in zip(new, old))
+    assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
+    assert trace.status == ref.status == "max_iters"
+    assert trace.cycle == (_MARK, period)
+
+
+@pytest.mark.parametrize("change", ["x_prev_negative_zero", "g_prev_one_ulp", "y_none_vs_zeros"])
+def test_until_stop_does_not_replay_a_state_one_bit_from_the_mark(change):
+    # State 65 has state 64's x, so its residual equals the mark's, but one
+    # field differs by one bit (or None against an array): no cycle closes.
+    rng = np.random.default_rng(3)
+    states = _random_states(200, rng)
+    mark = states[64]._replace(x_prev=states[64].x_prev.copy())
+    mark.x_prev[0, 0] = 0.0
+    twin = algorithms.AlgoState(*(a.copy() for a in mark[:3]))
+    if change == "x_prev_negative_zero":
+        twin.x_prev[0, 0] = -0.0
+    elif change == "g_prev_one_ulp":
+        twin.g_prev[1, 2] = np.nextafter(twin.g_prev[1, 2], np.inf)
+    else:
+        twin = twin._replace(y=np.zeros((4, 3)))
+    states[64:66] = [mark, twin]
+    xstar = rng.standard_normal((4, 3))
+    new, trace = _stream_through(harness._until_stop, iter(states), 199, xstar)
+    old, ref = _stream_through(until_stop_reference, iter(states), 199, xstar)
+    assert trace.residuals[65] == trace.residuals[64]
+    assert trace.cycle is None
+    assert len(new) == len(old) == 200 and all(a is b for a, b in zip(new, old))
+    assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
+
+
+def test_certified_audit_of_a_replayed_cycle_equals_the_stepped_one(prob1, rand10):
+    # A nids_dx stream that falls into a period-3 cycle after 70 real steps;
+    # the wrap-around transitions are no real steps, so the audit reports
+    # violations there, and it must report exactly the same ones either way.
+    _, mp = rand10
+    alpha = 0.1
+    real = list(itertools.islice(
+        algorithms.iterate("nids_dx", np.zeros((10, 5)), alpha, mp.w, mp.wt, prob1.grad), 73))
+    cert = certify.nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    fp = algorithms.fixed_point(prob1, alpha)
+    reports, traces = [], []
+    for loop in (harness._until_stop, until_stop_reference):
+        trace = Trace(algo="probe", alpha=alpha, residuals=[], status="max_iters")
+        states = loop(itertools.chain(real[:_PREFIX], itertools.cycle(real[_PREFIX:])),
+                      RunConfig(max_iters=400, tol=1e-300), prob1.Xstar, trace)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports.append(certify.audit_nids(states, mp, cert, fp, prob1.grad))
+        traces.append(trace)
+    new, old = reports
+    assert traces[0].cycle == (_MARK, 3) and traces[1].cycle is None
+    assert new.transitions == old.transitions == 400
+    assert new.lyapunov.tobytes() == old.lyapunov.tobytes()
+    assert new.ratio == old.ratio and new.slack == old.slack
+    assert new.checks == old.checks and new.violations == old.violations
+    assert not new.ok
+
+
+@pytest.mark.parametrize("scenario, period", [("fig1", 2), ("fig2", 3)])
+def test_dgd_slow_cycle_replay_writes_the_stepped_rows_bit_for_bit(scenario, period,
+                                                                   monkeypatch, tmp_path):
+    cfg = next(c for c in resolve_scenario(scenario) if c.label == "dgd_slow")
+    cfg = dataclasses.replace(cfg, max_iters=10_000)
+    trace = run(cfg)
+    monkeypatch.setattr(harness, "_until_stop", until_stop_reference)
+    ref = run(cfg)
+    assert trace.cycle is not None and trace.cycle[1] == period and ref.cycle is None
+    assert trace.status == ref.status == "max_iters"
+    assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
+    write_csv(trace, str(tmp_path / "new.csv"))
+    write_csv(ref, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_fig2_dgd_slow_steps_only_until_its_cycle_closes(monkeypatch):
+    calls = 0
+    step = algorithms.step
+
+    def counted(state, ops):
+        nonlocal calls
+        calls += 1
+        return step(state, ops)
+
+    monkeypatch.setattr(algorithms, "step", counted)
+    cfg = next(c for c in resolve_scenario("fig2") if c.label == "dgd_slow")
+    trace = run(cfg)
+    assert cfg.max_iters == 60_000 and len(trace.residuals) == 60_001
+    assert trace.status == "max_iters"
+    assert calls < 2_000
+
+
 @pytest.mark.parametrize("scenario", ["fig3", "relaxed-line"])
 def test_run_residuals_match_the_reference_steps_bit_for_bit(scenario):
     # Every curve of the two scenarios, replayed by a loop over the np.einsum
@@ -274,7 +395,7 @@ def test_fig1_iteration_ordering():
     inf = float("inf")
 
     def count(label):
-        k = traces[label].iterations_to(1e-10)
+        k = iterations_to(traces[label], 1e-10)
         return inf if k is None else k
 
     assert count("nids_a4") < count("extra_a3") <= count("extra_a2") < count("extra_a1")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from decon import problem
+from decon import cli, problem
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import metropolis, validate
@@ -255,3 +255,38 @@ def test_grad_matches_the_einsum_reference_bit_for_bit(n, m, p, scales, fortran,
 def test_mu_g_value_rejects_a_non_positive_eta(eta, message):
     with pytest.raises(problem.ProblemError, match=f"^{re.escape(message)}$"):
         problem.mu_g_value(1.0, 10.0, 0.5, eta)
+
+
+def test_a_normal_equations_solve_off_by_its_tolerance_is_a_named_error(monkeypatch):
+    solve = problem._solve_normal_equations
+    monkeypatch.setattr(problem, "_solve_normal_equations",
+                        lambda gram, rhs: solve(gram, rhs) + 1.0)
+    with pytest.raises(ProblemError, match="normal equations solve residual too large"):
+        generate(10, 5, 1, seed=2)
+
+
+def test_cli_an_agent_drawing_a_zero_sensing_matrix_exits_1_without_a_traceback(monkeypatch,
+                                                                               capsys):
+    default_rng = np.random.default_rng
+
+    class ZeroAgent3:
+        """The seeded generator, except that agent 3's sensing block is zero."""
+
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, size=None):
+            out = self._rng.standard_normal(size)
+            if np.ndim(out) == 3:
+                out[3] = 0.0
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroAgent3)
+    with pytest.raises(ProblemError, match="agent 3 drew a zero sensing matrix"):
+        generate(10, 5, 1, seed=2)
+    assert cli.main(["run", "--max-iters", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error: agent 3 drew a zero sensing matrix" in err and "Traceback" not in err
