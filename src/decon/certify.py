@@ -104,9 +104,11 @@ class NidsCertificate:
     theta: float
 
 
-def _lam_max_similar(left: np.ndarray, middle: np.ndarray, name: str) -> float:
-    """lambda_max(left @ middle @ left) for symmetric factors (similarity trick)."""
-    return SymMatrix(left @ middle @ left, name=name).lambda_max
+def _lam_max_similar(left: np.ndarray, middle: np.ndarray, name: str,
+                     basis: SymMatrix) -> float:
+    """lambda_max(left @ middle @ left) for symmetric factors (similarity trick),
+    solved from `basis`'s eigenvectors."""
+    return SymMatrix(left @ middle @ left, name=name, basis=basis).lambda_max
 
 
 def _lam_max_iwt(mp: MixingPair) -> float:
@@ -197,12 +199,12 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     lam_g = 0.0
     if mp.g.a.any():
         isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
-        lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1")
+        lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1", mp.w)
     r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
     r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
                 + (0.0 if math.isinf(r2) else 1.0 / r2))
     sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
-    lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m")
+    lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m", mp.w)
     if lam_wbar_m <= 0.0:
         raise CertificateError(
             "lambda_max(w_bar m) is not positive; mixing pair is degenerate")

@@ -17,12 +17,23 @@ cheap it turns one stacked (matrix over eigenvectors) array with one column
 update and copies the rotated columns into the rows, since the matrix stays
 exactly symmetric.
 
+A `SymMatrix` built with a `basis` is solved warm: Jacobi runs on V^T a V,
+V the basis's eigenvectors, and the vectors map back as V U. `mixing` gives
+w_tilde - w and I - w the basis w, and `certify` its two similarity products;
+each is a polynomial in w when w_tilde is, so V^T a V is diagonal to round-off
+and takes no sweep. The matrices whose eigenvalues set a stepsize or the
+sensing scale (every M_i^T M_i, the averaged Hessian, w, w_tilde, w_bar) have
+no basis and are solved cold, from their own entries, so no iterate moves.
+
 Solves are memoized by the exact bytes of the symmetrized entries: a
-module-level cache keyed by ``(shape, entries.tobytes())`` (the bytes
+module-level cache keyed by ``(shape, entries.tobytes(), basis bytes)``, the
+basis bytes being the basis's entries or None for a cold solve (the bytes
 themselves, never a digest alone, so two matrices share a result only when
-every entry is bit-identical). `_jacobi_eigh` is a deterministic function of
-its entries, so a hit returns the bits a fresh solve would, and every CSV,
-certificate and audit verdict is the same with or without the cache. Only
+every entry and basis entry is bit-identical). The basis's eigenvectors are
+themselves a cached function of its entries and `_jacobi_eigh` is a
+deterministic function of its input, so a hit returns the bits a fresh solve
+would, and every CSV, certificate and audit verdict is the same with or
+without the cache. Only
 results that passed the residual check are stored, read-only because several
 `SymMatrix` objects share them; least-recently-used entries are evicted past
 `_EIG_CACHE_BUDGET` bytes. `clear_eig_cache` empties it.
@@ -67,7 +78,7 @@ def clear_eig_cache() -> None:
 
 
 def _entry_bytes(key: tuple, w: np.ndarray, v: np.ndarray) -> int:
-    return len(key[1]) + w.nbytes + v.nbytes
+    return len(key[1]) + len(key[2] or b"") + w.nbytes + v.nbytes
 
 
 def _cache_eig(key: tuple, w: np.ndarray, v: np.ndarray) -> None:
@@ -180,9 +191,14 @@ class SymMatrix:
     Symmetry is enforced on construction by averaging with the transpose, and
     non-finite entries are rejected. The entries array is frozen so cached
     spectral data stays valid.
+
+    An optional `basis` (a `SymMatrix` of the same size) warm-starts the solve:
+    `eig` runs Jacobi on V^T a V, V the basis's eigenvectors, instead of on a.
+    When a is a polynomial in the basis, V^T a V is diagonal to round-off and
+    the sweeps stop at once; any other basis only costs the sweeps it needs.
     """
 
-    def __init__(self, entries, name: str = "matrix"):
+    def __init__(self, entries, name: str = "matrix", basis: "SymMatrix | None" = None):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"{name!r} must be square, got shape {a.shape}")
@@ -192,9 +208,14 @@ class SymMatrix:
             a = (a + a.T) / 2.0
         if not np.all(np.isfinite(a)):
             raise NonFiniteMatrixError(f"{name!r} holds non-finite entries (NaN or inf)")
+        if basis is not None and basis.a.shape != a.shape:
+            raise ValueError(
+                f"{name!r} has shape {a.shape} but its basis {basis.name!r} has shape "
+                f"{basis.a.shape}")
         a.setflags(write=False)
         self.a = a
         self.name = name
+        self.basis = basis
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -208,10 +229,11 @@ class SymMatrix:
         """Eigenvalues (ascending) and orthogonal eigenvectors, cached.
 
         Results are shared through the module cache: a matrix whose entries
-        are byte-identical to an earlier solved one gets that solve's arrays
-        (read-only) without another Jacobi run. Every stored result passed
-        the residual check below on those exact bytes; a failed solve is
-        never stored, so retrying it raises again.
+        and basis entries (or lack of a basis) are byte-identical to an
+        earlier solved one gets that solve's arrays (read-only) without
+        another Jacobi run. Every stored result passed the residual check
+        below on those exact bytes; a failed solve is never stored, so
+        retrying it raises again.
         """
         if self._eig is None:
             with np.errstate(over="ignore"):
@@ -220,13 +242,22 @@ class SymMatrix:
             if not math.isfinite(norm):
                 raise NonFiniteMatrixError(
                     f"{self.name!r} has finite entries but its norm overflows float64")
-            key = (self.a.shape, self.a.tobytes())
+            basis = self.basis
+            key = (self.a.shape, self.a.tobytes(), None if basis is None else basis.a.tobytes())
             hit = _eig_cache.get(key)
             if hit is not None:
                 _eig_cache.move_to_end(key)
                 self._eig = hit
                 return hit
-            w, v = _jacobi_eigh(self.a, self.name)
+            if basis is None:
+                w, v = _jacobi_eigh(self.a, self.name)
+            else:
+                vb = basis.eig()[1]
+                rotated = vb.T @ self.a @ vb
+                # Jacobi copies rotated columns into rows: its input must be
+                # exactly symmetric, which the two products need not leave.
+                w, u = _jacobi_eigh((rotated + rotated.T) / 2.0, self.name)
+                v = vb @ u
             scale = max(1.0, norm)
             recon = float(np.linalg.norm((v * w) @ v.T - self.a))
             ortho = float(np.linalg.norm(v.T @ v - np.eye(self.dim)))

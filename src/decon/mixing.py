@@ -54,7 +54,11 @@ class MixingValidationError(ValueError):
 class MixingPair:
     """Validated mixing pair (w, w_tilde) with its spectra and every matrix the
     certificates derive from it, each built once per pair (a matrix with the
-    same entries as one decomposed before reuses that solve, see `linalg`):
+    same entries as one decomposed before reuses that solve, see `linalg`).
+    diff and iw carry w as their basis: their Jacobi solves start from w's
+    eigenvectors, which diagonalize them whenever w_tilde is a polynomial in w
+    (as (I + w)/2 is). w, wt and wbar, whose eigenvalues set the stepsizes,
+    are solved cold from their own entries.
 
     diff   = wt - w                          (PSD, zero exactly on the consensus line)
     iw     = I - w                           (PSD, zero exactly on the consensus line)
@@ -185,8 +189,11 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
 
     eye = np.eye(n)
     ones = np.ones((n, 1))
-    diff = SymMatrix(wt.a - w.a, name="w_tilde - w")
-    i_minus_w = SymMatrix(eye - w.a, name="I - w")
+    # wt - w and I - w start their solves from w's eigenvectors (see `linalg`).
+    # w is decomposed first, on its own, so its solve is not timed inside theirs.
+    w_eigs = w.eigenvalues
+    diff = SymMatrix(wt.a - w.a, name="w_tilde - w", basis=w)
+    i_minus_w = SymMatrix(eye - w.a, name="I - w", basis=w)
 
     # Part 3: Null(w - w_tilde) = span(1) and (I - w_tilde) 1 = 0.
     resid = float(np.abs(diff.a @ ones).max())
@@ -260,16 +267,15 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     proj = eye - np.full((n, n), 1.0 / n)
     m = SymMatrix(proj @ diff.pinv().a @ proj, name="pinv(w_tilde - w)")
     iw_pinv = SymMatrix(proj @ i_minus_w.pinv().a @ proj, name="pinv(I - w)")
-    # Halving commutes exactly with every Jacobi step, with pinv and with the
-    # projection, so this equals pinv((I - w)/2) - theta I without a third
-    # decomposition.
+    # Halving commutes exactly with the rotation into w's basis, with every
+    # Jacobi step, with pinv and with the projection, so this equals
+    # pinv((I - w)/2) - theta I without a third decomposition.
     mtilde = SymMatrix(2.0 * iw_pinv.a - theta * eye, name="m_tilde")
     # mtilde maps the all-ones vector to -theta * 1.
     resid = float(np.abs(mtilde.a @ ones + theta * ones).max())
     if resid > 1e-10:
         raise AssertionError(f"m_tilde 1 != -theta 1 (residual {resid:.3e})")
 
-    w_eigs = w.eigenvalues
     return MixingPair(
         w=w,
         wt=wt,

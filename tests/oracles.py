@@ -4,6 +4,9 @@ The eigenvalue oracle never touches the package's eigensolver: it forms the
 characteristic polynomial in exact rational arithmetic (Faddeev-LeVerrier),
 isolates the real roots with a Sturm chain, and refines each root by
 bisection. Inputs must be given as Fractions and have distinct eigenvalues.
+`eigenvalues_within` asks the same chain whether given values lie within a
+tolerance of the roots, without refining them: it is the oracle for matrices
+too large for the bisection to finish in a test's time.
 
 The audit oracles `audit_extra_reference` and `audit_nids_reference` check one
 transition at a time with scalar `wnorm_sq`/`wdot` calls, exactly as the
@@ -167,6 +170,31 @@ def eigenvalues_by_bisection(a: list[list[Fraction]], tol: float = 1e-12) -> lis
                 a_k = mid
         roots.append(float((a_k + b_k) / 2))
     return roots
+
+
+def eigenvalues_within(a: list[list[Fraction]], values, tol: float = 1e-9) -> bool:
+    """Whether each of the ascending `values` lies within tol of the matching
+    eigenvalue of a symmetric rational matrix with distinct spectrum.
+
+    It asks the Sturm chain `eigenvalues_by_bisection` refines at two points
+    per eigenvalue instead of at about 45 bisection midpoints: the k-th root
+    lies in (v_k - tol, v_k + tol] exactly when at most k - 1 roots lie at or below v_k - tol and
+    at least k at or below v_k + tol. Raises like `eigenvalues_by_bisection`
+    on a repeated eigenvalue.
+    """
+    n = len(a)
+    chain = sturm_chain(char_poly(a))
+    radius = max(
+        abs(a[i][i]) + sum(abs(a[i][j]) for j in range(n) if j != i) for i in range(n)
+    )
+    lo = -radius - 1
+    total = count_roots_in(chain, lo, radius + 1)
+    if total != n:
+        raise ValueError(f"expected {n} distinct eigenvalues, Sturm chain found {total}")
+    return all(
+        count_roots_in(chain, lo, Fraction(float(v) - tol)) <= k - 1
+        and count_roots_in(chain, lo, Fraction(float(v) + tol)) >= k
+        for k, v in enumerate(values, start=1))
 
 
 def as_fractions(rows, denom: int = 1) -> list[list[Fraction]]:

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -10,17 +11,20 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decon import algorithms, certify, cli, harness, linalg, problem
+from decon import algorithms, certify, cli, harness, linalg, mixing, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, resolve_scenario, run, write_csv,
 )
-from oracles import iterations_to, step_reference, until_stop_reference, write_csv_reference
+from oracles import (
+    eigenvalues_within, iterations_to, step_reference, until_stop_reference, write_csv_reference,
+)
 
 
 def test_resolve_fig1_shape():
@@ -455,7 +459,7 @@ def test_cli_certify_rejects_boundary_stepsize(capsys):
     assert "certified range" in capsys.readouterr().err
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=16, deadline=None, derandomize=True)
 @given(topology=st.sampled_from(tuple(harness.TOPOLOGIES)), n=st.integers(2, 80),
        p=st.integers(1, 8), mi=st.integers(1, 4), edge_prob=st.floats(0.05, 1.0),
        relax_factor=st.floats(0.0, 1.0 / 3.0), theta=st.none() | st.floats(0.75, 1.0),
@@ -615,15 +619,20 @@ def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, capsy
 
 
 def _count_solves(monkeypatch) -> collections.Counter:
-    """Count the Jacobi solves of each matrix, keyed by its entries' bytes."""
+    """Count the solves of each matrix, keyed by its own entries' bytes.
+
+    The count is taken where `SymMatrix.eig` stores a checked miss, not at
+    `_jacobi_eigh`: a solve started from a basis hands Jacobi the rotated
+    entries, not the matrix's own.
+    """
     seen = collections.Counter()
-    jacobi = linalg._jacobi_eigh
+    cache_eig = linalg._cache_eig
 
-    def hashing(a, name):
-        seen[a.tobytes()] += 1
-        return jacobi(a, name)
+    def hashing(key, w, v):
+        seen[key[1]] += 1
+        return cache_eig(key, w, v)
 
-    monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
+    monkeypatch.setattr(linalg, "_cache_eig", hashing)
     return seen
 
 
@@ -675,6 +684,123 @@ def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
     assert seen and max(seen.values()) == 1
     # Six curves on one instance: most decompositions are served from the cache.
     assert sum(seen.values()) < len(asked) / 2
+
+
+# Every distinct instance of the four scenarios (one per relax factor) and the
+# instances of the two certified benchmark workloads.
+_CERTIFIED = dict(topology="random", seed=2, algo="extra", alpha="extra-new", certify=True)
+_INSTANCES = {
+    **{f"{scenario}/{cfg.label}": cfg for scenario in harness.SCENARIOS
+       for cfg in {c.relax_factor: c for c in resolve_scenario(scenario)}.values()},
+    "certify-long": RunConfig(n=10, p=40, mi=5, **_CERTIFIED),
+    "certify-large": RunConfig(n=50, p=5, mi=1, **_CERTIFIED),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _observed_build(name: str):
+    """Build one instance from a cold cache. Returns it, the entries' bytes of
+    every matrix `_jacobi_eigh` received, and every matrix whose spectrum was read."""
+    received, asked = set(), []
+    jacobi, eig = linalg._jacobi_eigh, linalg.SymMatrix.eig
+    linalg.clear_eig_cache()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_jacobi_eigh",
+                   lambda a, name: received.add(a.tobytes()) or jacobi(a, name))
+        mp.setattr(linalg.SymMatrix, "eig", lambda self: asked.append(self) or eig(self))
+        inst = harness.build_instance(_INSTANCES[name])
+    return inst, frozenset(received), tuple(asked)
+
+
+@pytest.mark.parametrize("name", _INSTANCES)
+def test_spectra_that_set_the_stepsizes_are_solved_cold(name):
+    # These eigenvalues set the sensing scale, mu_fbar and every named stepsize.
+    # Solved from their own entries, with no basis, they keep every iterate,
+    # stepsize and uncertified CSV byte as the cold solver rounds them.
+    inst, received, asked = _observed_build(name)
+    grams = [m for m in asked if re.fullmatch(r"M_(\d+)\^T M_\1", m.name)]
+    hessian = [m for m in asked if m.name == "averaged hessian"]
+    assert len({m.name for m in grams}) == inst.prob.n and hessian
+    pair = [inst.mp.w, inst.mp.wt, inst.mp.wbar, mixing.metropolis(inst.graph)]
+    for mat in grams + hessian + pair:
+        assert mat.basis is None, (name, mat.name)
+        assert mat.a.tobytes() in received, (name, mat.name)
+
+
+def _warm_solved(mp, prob) -> list[linalg.SymMatrix]:
+    """The pair's matrices with a basis and those `certify.extra_constants`
+    builds with one, each already decomposed."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(linalg.SymMatrix(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "SymMatrix", recording)
+        bound = algorithms.STEPSIZES["extra-new"](mp, prob.lipschitz, prob.mu_fbar)
+        certify.extra_constants(mp, prob.lipschitz, prob.mu_fbar, 0.5 * bound)
+    return [mp.diff, mp.iw] + [m for m in made if m.basis is not None]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_agrees(entries: bytes, values: bytes, n: int) -> bool:
+    rows = np.frombuffer(entries).reshape(n, n)
+    exact = [[Fraction(float(v)) for v in row] for row in rows]
+    return eigenvalues_within(exact, np.frombuffer(values), tol=1e-9)
+
+
+def _generic_pair():
+    """fig1's graph with w_tilde = 0.3 I + 0.7 w: g = 0.4 (I - w) is not zero,
+    so `extra_constants` also builds its `g wbar^-1` similarity matrix."""
+    inst = _observed_build("fig1/nids_a4")[0]
+    w = inst.mp.w
+    wt = linalg.SymMatrix(0.3 * np.eye(w.dim) + 0.7 * w.a, name="w_tilde")
+    return mixing.validate(w, wt, inst.graph), inst.prob
+
+
+@pytest.mark.parametrize("name", [*_INSTANCES, "generic w_tilde"])
+def test_warm_started_spectra_match_the_oracle_and_a_cold_solve(name):
+    if name == "generic w_tilde":
+        mp, prob = _generic_pair()
+    else:
+        inst = _observed_build(name)[0]
+        mp, prob = inst.mp, inst.prob
+    warm = _warm_solved(mp, prob)
+    names = {"w_tilde - w", "I - w", "wbar m"} | ({"g wbar^-1"} if mp.g.a.any() else set())
+    assert {m.name for m in warm} == names
+    for mat in warm:
+        assert mat.basis is mp.w, mat.name
+        values = mat.eigenvalues
+        cold = linalg._jacobi_eigh(mat.a, mat.name)[0]
+        assert np.abs(values - cold).max() <= 1e-9, mat.name
+        assert np.abs(values - np.linalg.eigvalsh(mat.a)).max() <= 1e-9, mat.name
+        # The exact-arithmetic oracle takes about 0.2 s a matrix at n = 10 and
+        # 24 s at n = 20; larger pairs rest on the two comparisons above.
+        if mat.dim <= 10:
+            assert _oracle_agrees(mat.a.tobytes(), values.tobytes(), mat.dim), mat.name
+
+
+def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
+    # Of the certified run's 50 x 50 solves, only w's and w_tilde's sweep:
+    # w_tilde - w, I - w and w_bar m reach Jacobi already diagonal to its target.
+    inst = _observed_build("certify-large")[0]
+    solves = []
+    jacobi = linalg._jacobi_eigh
+
+    def sweeping(a, name):
+        if a.shape[0] == inst.mp.n:
+            target = linalg._JACOBI_TOL * np.linalg.norm(a)
+            solves.append((name, linalg._off_diagonal_norm(a) > target))
+        return jacobi(a, name)
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", sweeping)
+    for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
+        trace = run(dataclasses.replace(inst.config, algo=algo, alpha=alpha, max_iters=5))
+        assert trace.audit.ok
+    assert sorted(name for name, swept in solves if swept) == ["metropolis", "w_tilde"]
+    assert sorted(name for name, swept in solves if not swept) == \
+        ["I - w", "w_tilde - w", "wbar m"]
 
 
 def test_certified_run_evaluates_each_gradient_once(monkeypatch):

@@ -255,6 +255,43 @@ def test_eig_cache_skips_a_result_larger_than_its_budget(monkeypatch):
     assert linalg._eig_cache_bytes == _entry_bytes(2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_a_basis_that_does_not_commute_still_passes_the_residual_check(n):
+    # A random symmetric matrix's eigenvectors leave V^T a V far from diagonal:
+    # Jacobi does the sweeps a cold solve would, and V U must still decompose a.
+    rng = np.random.default_rng(n)
+    a = SymMatrix(rng.standard_normal((n, n)), name="a",
+                  basis=SymMatrix(rng.standard_normal((n, n)), name="unrelated"))
+    w, v = a.eig()
+    scale = max(1.0, float(np.linalg.norm(a.a)))
+    assert np.linalg.norm((v * w) @ v.T - a.a) <= 1e-10 * scale
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
+    assert np.abs(w - linalg._jacobi_eigh(a.a, "cold")[0]).max() <= 1e-9 * scale
+
+
+def test_basis_entries_join_the_cache_key(monkeypatch):
+    rng = np.random.default_rng(3)
+    m, b1, b2 = (rng.standard_normal((6, 6)) for _ in range(3))
+    solved = _counting_solver(monkeypatch)
+    cold = SymMatrix(m, name="cold").eig()
+    first = SymMatrix(m, name="warm 1", basis=SymMatrix(b1, name="b1")).eig()
+    SymMatrix(m, name="warm 2", basis=SymMatrix(b2, name="b2")).eig()
+    # Neither a cold entry nor another basis's entry serves a solve.
+    assert solved == ["cold", "b1", "warm 1", "b2", "warm 2"]
+    # Five entries; the two warm ones also hold their basis's 6 x 6 entries.
+    assert linalg._eig_cache_bytes == 5 * _entry_bytes(6) + 2 * 8 * 6 * 6
+    # The same entries and basis entries are a hit, and that hit holds the
+    # bits of a fresh solve; the cold entry is a hit only without a basis.
+    hit = SymMatrix(m.copy(), name="again", basis=SymMatrix(b1.copy(), name="b1 again")).eig()
+    assert all(x is y for x, y in zip(SymMatrix(m.copy(), name="cold again").eig(), cold))
+    assert solved == ["cold", "b1", "warm 1", "b2", "warm 2"]
+    linalg.clear_eig_cache()
+    fresh = SymMatrix(m, name="fresh", basis=SymMatrix(b1, name="b1 fresh")).eig()
+    for got, want in zip(hit + first, fresh + fresh):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(cold[1], first[1])
+
+
 def _assert_same_bits_as_reference(a: np.ndarray) -> None:
     a = SymMatrix(a, name="probe").a
     w, v = linalg._jacobi_eigh(a, "probe")
@@ -394,6 +431,8 @@ def test_lambda_min_at_least_matches_the_jacobi_decision(n, seed, kind, floor):
     (lambda: SymMatrix(np.ones((2, 3)), name="m"), "'m' must be square, got shape (2, 3)"),
     (lambda: SymMatrix(np.ones(3), name="m"), "'m' must be square, got shape (3,)"),
     (lambda: SymMatrix(np.zeros((0, 0)), name="m"), "'m' must have dimension >= 1"),
+    (lambda: SymMatrix(np.eye(3), name="m", basis=SymMatrix(np.eye(2), name="b")),
+     "'m' has shape (3, 3) but its basis 'b' has shape (2, 2)"),
     (lambda: wdot(np.ones((3, 2)), np.ones((3, 2)), np.eye(2)),
      "dimension mismatch: x has 3 rows, H is 2x2"),
 ])
