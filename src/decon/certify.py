@@ -149,20 +149,6 @@ def extra_rho(alpha: float, lipschitz: float, lam_min_wbar: float, mu_g: float,
     return max(b1, b2, b3), (b1, b2, b3)
 
 
-def rho_special(alpha: float, lipschitz: float, theta: float, lam_min_w: float,
-                beta: float, mu_g: float, eta: float, xi: float, r3: float) -> float:
-    """Contraction factor in the two limit cases (theta = 1 or wt = (I+w)/2),
-
-    written directly in terms of the spectral gap beta = 1 - lambda_2(w).
-    """
-    denom = 2.0 - theta + theta * lam_min_w
-    b1 = 1.0 - (2.0 * alpha - 2.0 * alpha**2 * lipschitz / denom) * mu_g
-    b2 = (4.0 * alpha - 4.0 * alpha**2 * lipschitz / denom) * eta / xi
-    b3 = 1.0 - (beta * r3 - 4.0 * xi * (2.0 - theta * beta)) \
-        / (beta * r3 + (1.0 - 2.0 * xi) * (2.0 - theta * beta))
-    return max(b1, b2, b3)
-
-
 def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
                     xi: float | None = None, eta: float | None = None) -> ExtraCertificate:
     """Full certificate for the (x, y) iteration at stepsize alpha.

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Graph", "GraphError", "random_connected", "line", "complete",
-           "to_edge_list_text", "from_edge_list_text"]
+           "from_edge_list_text"]
 
 _MAX_RETRIES = 10_000
 
@@ -114,13 +114,9 @@ def complete(n: int) -> Graph:
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def to_edge_list_text(g: Graph) -> str:
-    """One 'i j' line per edge, 0-based node indices."""
-    return "".join(f"{i} {j}\n" for i, j in g.edges)
-
-
 def from_edge_list_text(text: str) -> Graph:
-    """Parse the edge-list format written by `to_edge_list_text`.
+    """Parse an edge list: one 'i j' line per edge, 0-based node ids; blank
+    lines and lines starting with '#' are skipped.
 
     The ids must be exactly 0..N-1: an id no edge uses would be an isolated
     node, so a gap is rejected here, before `Graph` allocates N x N storage.

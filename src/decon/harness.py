@@ -45,6 +45,10 @@ DIVERGENCE_LIMIT = 1e12
 # from the ring. A run that never repeats pays one float comparison per step.
 _MARK_EVERY = 64
 
+# write_csv formats, joins and writes this many rows at a time; a certified
+# row is at most about 200 bytes, so a chunk's text stays under about 1 MB.
+_CSV_CHUNK_ROWS = 4096
+
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
 
 # Topology name -> the graph it builds for a configuration. Each generator is
@@ -349,24 +353,57 @@ def write_csv(trace: Trace, path: str) -> None:
     ratio and slack columns read from its audit; 17 significant digits keep
     floats exact.
 
-    The ",algo,alpha," run shared by every row is formatted once. The rows are
-    written after the header, not joined to it, which would copy them again.
+    The header goes first, then the rows `_CSV_CHUNK_ROWS` at a time, each
+    chunk formatted, joined and written before the next is built, so writing
+    holds one chunk whatever the trace's length. The ",algo,alpha," run shared
+    by every row is formatted once. An uncertified trace whose run loop
+    replayed a cycle formats the period's rows once and writes every row after
+    the cycle closed from them. A certified trace's four columns are checked
+    for equal length before the file is opened, so a mismatch leaves no file.
     """
     lead = f",{trace.algo},{trace.alpha:.17g},"
+    res = trace.residuals
+    n = len(res)
     if trace.certified:
         report = trace.audit
+        lengths = (n, len(report.lyapunov), len(report.ratio), len(report.slack))
+        if len(set(lengths)) > 1:
+            raise ValueError("certified trace columns differ in length: residuals {}, "
+                             "lyapunov {}, ratio {}, slack {}".format(*lengths))
         header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
-        rows = [f"{k}{lead}{r:.17g},{v:.17g},{'' if q is None else f'{q:.17g}'},"
-                f"{'' if s is None else f'{s:.17g}'}\n"
-                for k, (r, v, q, s) in enumerate(zip(trace.residuals, report.lyapunov.tolist(),
-                                                     report.ratio, report.slack, strict=True))]
+
+        def rows(a: int, b: int) -> list[str]:
+            return [f"{k}{lead}{r:.17g},{v:.17g},{'' if q is None else f'{q:.17g}'},"
+                    f"{'' if s is None else f'{s:.17g}'}\n"
+                    for k, r, v, q, s in zip(range(a, b), res[a:b],
+                                             report.lyapunov[a:b].tolist(),
+                                             report.ratio[a:b], report.slack[a:b])]
     else:
         header = "k,algo,alpha,residual\n"
-        rows = [f"{k}{lead}{r:.17g}\n" for k, r in enumerate(trace.residuals)]
+        # Rows from `replay` on repeat the period's rows (see `Trace.cycle`).
+        # One is written from its period row's body only if its residual is
+        # that row's very float object, as the run loop's replay leaves it, so
+        # the bytes never rest on `cycle` being right for a hand-built trace.
+        replay, pairs = n, []
+        if trace.cycle is not None:
+            start, period = trace.cycle
+            replay = min(n, start + period + 1)
+            pairs = [(r, f"{lead}{r:.17g}\n") for r in res[start + 1:replay]]
+
+        def rows(a: int, b: int) -> list[str]:
+            mid = min(max(a, replay), b)
+            out = [f"{k}{lead}{r:.17g}\n" for k, r in zip(range(a, mid), res[a:mid])]
+            if mid < b:
+                j = (mid - replay) % len(pairs)
+                out += [f"{k}{body}" if r is same else f"{k}{lead}{r:.17g}\n"
+                        for k, r, (same, body) in zip(range(mid, b), res[mid:b],
+                                                      cycle(pairs[j:] + pairs[:j]))]
+            return out
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
-            fh.write("".join(rows))
+            for a in range(0, n, _CSV_CHUNK_ROWS):
+                fh.write("".join(rows(a, min(a + _CSV_CHUNK_ROWS, n))))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

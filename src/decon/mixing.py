@@ -26,7 +26,6 @@ __all__ = [
     "theta_default",
     "validate",
     "dump_matrix_text",
-    "parse_matrix_text",
 ]
 
 # Eigenvalue threshold separating "zero" from "nonzero" in null-space checks;
@@ -304,8 +303,3 @@ def dump_matrix_text(a: SymMatrix | np.ndarray) -> str:
     """One row per line, space-separated, 17 significant digits."""
     arr = a.a if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     return "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in arr)
-
-
-def parse_matrix_text(text: str, name: str = "matrix") -> SymMatrix:
-    rows = [[float(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()]
-    return SymMatrix(np.array(rows), name=name)

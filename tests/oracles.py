@@ -14,8 +14,9 @@ package's audits did before they were blocked; the blocked audits must agree
 with them.
 
 `write_csv_reference` is `harness.write_csv` as it was before its rows were
-built in one pass: one `_fmt` call per float, the run label and stepsize
-formatted again on every row. The package's writer must write the same bytes.
+built in one pass and then streamed in chunks: one `_fmt` call per float, the
+run label and stepsize formatted again on every row, all rows joined at once.
+The package's writer must write the same bytes.
 
 `grad_reference` is `problem.grad` as it was before it called numpy's einsum
 kernel directly, through two `np.einsum` calls; `UPDATES_REFERENCE` holds the
@@ -47,6 +48,11 @@ must yield the same states and record the same residuals and status.
 `trajectory` stacks the iterates of `algorithms.iterate` and `iterations_to`
 reads the first iteration of a trace at a residual level; the tests use both,
 the package does not.
+
+`rho_special` is the paper's contraction factor in its two limit cases, in
+terms of the spectral gap, which `certify.extra_rho` is checked against.
+`to_edge_list_text` and `parse_matrix_text` are the inverses of what the CLI
+reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
 """
 
 from __future__ import annotations
@@ -644,3 +650,29 @@ def iterations_to(trace, level: float) -> int | None:
         if r <= level:
             return k
     return None
+
+
+# -- formulas and inverses only the tests read ---------------------------------
+
+def rho_special(alpha: float, lipschitz: float, theta: float, lam_min_w: float,
+                beta: float, mu_g: float, eta: float, xi: float, r3: float) -> float:
+    """Contraction factor in the two limit cases (theta = 1 or wt = (I+w)/2),
+
+    written directly in terms of the spectral gap beta = 1 - lambda_2(w).
+    """
+    denom = 2.0 - theta + theta * lam_min_w
+    b1 = 1.0 - (2.0 * alpha - 2.0 * alpha**2 * lipschitz / denom) * mu_g
+    b2 = (4.0 * alpha - 4.0 * alpha**2 * lipschitz / denom) * eta / xi
+    b3 = 1.0 - (beta * r3 - 4.0 * xi * (2.0 - theta * beta)) \
+        / (beta * r3 + (1.0 - 2.0 * xi) * (2.0 - theta * beta))
+    return max(b1, b2, b3)
+
+
+def to_edge_list_text(g) -> str:
+    """One 'i j' line per edge, 0-based node indices."""
+    return "".join(f"{i} {j}\n" for i, j in g.edges)
+
+
+def parse_matrix_text(text: str, name: str = "matrix") -> SymMatrix:
+    rows = [[float(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()]
+    return SymMatrix(np.array(rows), name=name)

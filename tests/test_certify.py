@@ -12,6 +12,7 @@ from oracles import (
     isqrt_reference,
     lam_iwt_reference,
     lambda_min_pos_reference,
+    rho_special,
     sqrt_reference,
 )
 
@@ -24,7 +25,6 @@ from decon.certify import (
     extra_constants,
     extra_rho,
     nids_constants,
-    rho_special,
     search_extra_certificate,
     search_nids_certificate,
 )

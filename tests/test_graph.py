@@ -13,8 +13,9 @@ from decon.graph import (
     from_edge_list_text,
     line,
     random_connected,
-    to_edge_list_text,
 )
+
+from oracles import to_edge_list_text
 
 
 def test_two_node_random_is_forced():

@@ -10,6 +10,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import unittest.mock
 import warnings
 from fractions import Fraction
 
@@ -201,6 +202,31 @@ def _audit(lyapunov, ratio, slack) -> certify.AuditReport:
                                slack=slack, checks={}, violations=[])
 
 
+def _assert_writes_the_reference_bytes(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        write_csv(trace, new)
+        write_csv_reference(trace, old)
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
+
+
+def _cycled(stepped: list, start: int, period: int, rows: int) -> Trace:
+    """An uncertified trace as the run loop leaves a replayed cycle: rows 0 to
+    start + period stepped, each later row the period's own float object."""
+    assert len(stepped) == start + period + 1
+    replayed = itertools.islice(itertools.cycle(stepped[-period:]), rows - len(stepped))
+    return Trace(algo="dgd_slow", alpha=0.1, residuals=stepped + list(replayed),
+                 cycle=(start, period))
+
+
+@st.composite
+def _cycled_traces(draw):
+    start, period = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    stepped = draw(st.lists(_floats, min_size=start + period + 1, max_size=start + period + 1))
+    return _cycled(stepped, start, period, len(stepped) + draw(st.integers(0, 8)))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(trace=_traces())
 @example(trace=Trace(algo="nids_0.19", alpha=0.19, residuals=[1.0],
@@ -208,12 +234,94 @@ def _audit(lyapunov, ratio, slack) -> certify.AuditReport:
 @example(trace=Trace(algo="dgd_slow", alpha=-0.0,
                      residuals=[5e-324, 1.7976931348623157e308, math.inf]))
 def test_write_csv_matches_the_per_row_writer_byte_for_byte(trace):
-    with tempfile.TemporaryDirectory() as tmp:
-        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        write_csv(trace, new)
-        write_csv_reference(trace, old)
-        with open(new, "rb") as a, open(old, "rb") as b:
-            assert a.read() == b.read()
+    _assert_writes_the_reference_bytes(trace)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(trace=st.one_of(_traces(), _cycled_traces()))
+def test_write_csv_matches_the_per_row_writer_in_chunks_of_three(trace):
+    # 1 to 8 rows cross 0, 1 and 2 chunk boundaries; a cycled trace of up to
+    # 17 rows starts its replayed rows at every offset into a chunk.
+    with unittest.mock.patch.object(harness, "_CSV_CHUNK_ROWS", 3):
+        _assert_writes_the_reference_bytes(trace)
+
+
+_CHUNK = harness._CSV_CHUNK_ROWS
+
+
+def _random_trace(rows: int, certified: bool) -> Trace:
+    """A trace of random floats in [0, 1), most of which need 17 significant digits."""
+    column = np.random.default_rng(rows).random((4, rows)).tolist()
+    audit = _audit(column[1], [None] + column[2][1:], [None] + column[3][1:])
+    return Trace(algo="nids_0.19", alpha=0.19, residuals=column[0],
+                 audit=audit if certified else None)
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("rows", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_write_csv_matches_the_per_row_writer_at_the_chunk_size(rows, certified):
+    _assert_writes_the_reference_bytes(_random_trace(rows, certified))
+
+
+@pytest.mark.parametrize("start, period, rows", [
+    (0, 1, 3 * _CHUNK + 5),            # a fixed point from row 0
+    (100, 2, 100 + 2 + 1),             # closes exactly at the last row
+    (_CHUNK - 4, 3, 2 * _CHUNK + 7),   # closes on a chunk's last row, replays from the next
+    (_CHUNK - 1, 1, _CHUNK + 2),       # closes on a chunk's first row
+    (2 * _CHUNK - 3, 2, 2 * _CHUNK),   # closes on the last row of a chunk and of the trace
+    (6_632, 2, 60_001),                # fig1 dgd_slow's cycle
+])
+def test_write_csv_of_a_replayed_cycle_matches_the_per_row_writer(start, period, rows):
+    stepped = np.random.default_rng(period).random(start + period + 1).tolist()
+    _assert_writes_the_reference_bytes(_cycled(stepped, start, period, rows))
+
+
+def test_write_csv_formats_a_replayed_cycle_s_rows_once(tmp_path):
+    formatted = []
+
+    class Counted(float):
+        def __format__(self, spec):
+            formatted.append(self)
+            return super().__format__(spec)
+
+    stepped = [Counted(v) for v in np.random.default_rng(0).random(10 + 3 + 1)]
+    write_csv(_cycled(stepped, 10, 3, 3 * _CHUNK), str(tmp_path / "t.csv"))
+    # Each stepped row once, then each of the period's three rows once more.
+    assert len(formatted) == len(stepped) + 3
+
+
+def test_write_csv_formats_rows_that_are_not_the_cycle_s_objects():
+    # Equal values as distinct objects, a -0.0 among them: `cycle` claims a
+    # period the rows do not repeat bit for bit, and every row is formatted.
+    residuals = [0.5, 0.0, 0.25] + [float(v) for v in ("-0.0", "0.25", "0.0", "0.3") * 3]
+    _assert_writes_the_reference_bytes(Trace(algo="dgd_slow", alpha=0.1, residuals=residuals,
+                                             cycle=(0, 2)))
+
+
+def test_write_csv_rejects_certified_columns_of_unequal_length(tmp_path):
+    trace = Trace(algo="nids_0.19", alpha=0.19, residuals=[1.0, 0.5, 0.25],
+                  audit=_audit([2.0, 1.0], [None, 0.5], [None, 0.1]))
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="residuals 3, lyapunov 2, ratio 2, slack 2"):
+        write_csv(trace, str(path))
+    assert not path.exists()
+
+
+def _write_peak(trace: Trace, path: str) -> int:
+    tracemalloc.start()
+    try:
+        write_csv(trace, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("certified, rows", [(False, 240_000), (True, 60_000)])
+def test_write_csv_memory_does_not_grow_with_rows(certified, rows, tmp_path):
+    short, long = (_write_peak(_random_trace(n, certified), str(tmp_path / f"{n}.csv"))
+                   for n in (rows // 4, rows))
+    assert long < 2 * 2**20, f"peak traced memory {long / 2**20:.2f} MB"
+    assert long < short + 64 * 2**10, f"peak {short} B at {rows // 4} rows, {long} B at {rows}"
 
 
 def _norm_residual(x, xstar):

@@ -12,13 +12,12 @@ from decon.mixing import (
     MixingValidationError,
     dump_matrix_text,
     metropolis,
-    parse_matrix_text,
     relax,
     theta_default,
     validate,
 )
 
-from oracles import eigenvalues_by_bisection
+from oracles import eigenvalues_by_bisection, parse_matrix_text
 
 
 def _half(w: SymMatrix) -> SymMatrix:
