@@ -299,8 +299,9 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _wsq(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """wnorm_sq of each slice of a stacked (B, n, p) array, with wnorm_sq's
-    operand order (one h @ v per slice, then the sum), so bit for bit equal."""
+    """Weighted squared norm tr(v^T h v) of each slice of a stacked (B, n, p)
+    array, one h @ v per slice then the sum: the operand order of the
+    per-transition audit oracles' `wnorm_sq`, so bit for bit equal."""
     return _dot(v, np.matmul(h, v))
 
 

@@ -1,5 +1,5 @@
-"""Dense symmetric linear algebra: Jacobi eigendecomposition, PSD pseudo-inverse,
-and weighted inner products / squared norms used throughout the package.
+"""Dense symmetric linear algebra: Jacobi eigendecomposition and the PSD
+pseudo-inverse.
 
 Stacked agent iterates are plain float ndarrays of shape (n_agents, dim); only
 square symmetric matrices get a wrapper class (`SymMatrix`) so their
@@ -10,12 +10,18 @@ is one call of it, and so is each power of w_bar the EXTRA certificate reads.
 `SymMatrix.lambda_min_at_least` answers a sign check with a LAPACK Cholesky
 factorization and decomposes only when that fails.
 
-Every eigendecomposition goes through the cyclic Jacobi solver `_jacobi_eigh`.
-Its rounding defines the saved benchmark reference and every CSV the package
-writes, so it is kept even where LAPACK would be faster; to make each rotation
-cheap it turns one stacked (matrix over eigenvectors) array with one column
-update and copies the rotated columns into the rows, since the matrix stays
-exactly symmetric.
+Every eigendecomposition goes through `decompose`, which hands its cache
+misses to the cyclic Jacobi solver `_jacobi_eigh`; `SymMatrix.eig` is
+`decompose` of one matrix. Jacobi's rounding defines the saved benchmark
+reference and every CSV the package writes, so it is kept even where LAPACK
+would be faster. The solver takes a (B, n, n) stack: the cyclic pivot order
+is the same for every matrix, so each column rotation turns column p and q of
+every matrix and of its eigenvectors at once, and the rotated columns are
+copied into the rows, since each matrix stays exactly symmetric. Every
+matrix reads its own pivots and decides its own rotation, skips and stop in
+Python floats, so a member of a stack gets the bits it gets alone, and a
+single solve is a stack of one. `problem` decomposes all n agent Grams
+M_i^T M_i with one `decompose` call, one stacked run.
 
 A `SymMatrix` built with a `basis` is solved warm: Jacobi runs on V^T a V,
 V the basis's eigenvectors, and the vectors map back as V U. `mixing` gives
@@ -30,19 +36,20 @@ module-level cache keyed by ``(shape, entries.tobytes(), basis bytes)``, the
 basis bytes being the basis's entries or None for a cold solve (the bytes
 themselves, never a digest alone, so two matrices share a result only when
 every entry and basis entry is bit-identical). The basis's eigenvectors are
-themselves a cached function of its entries and `_jacobi_eigh` is a
-deterministic function of its input, so a hit returns the bits a fresh solve
-would, and every CSV, certificate and audit verdict is the same with or
-without the cache. Only
-results that passed the residual check are stored, read-only because several
-`SymMatrix` objects share them; least-recently-used entries are evicted past
-`_EIG_CACHE_BUDGET` bytes. `clear_eig_cache` empties it.
+themselves a cached function of its entries and `_jacobi_eigh` gives each
+member of a stack a deterministic function of that member alone, so a hit
+returns the bits a fresh solve would, and every CSV, certificate and audit
+verdict is the same with or without the cache. Only results that passed the
+residual check are stored, read-only because several `SymMatrix` objects
+share them; least-recently-used entries are evicted past `_EIG_CACHE_BUDGET`
+bytes. `clear_eig_cache` empties it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -52,8 +59,7 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "SymMatrix",
     "clear_eig_cache",
-    "wnorm_sq",
-    "wdot",
+    "decompose",
 ]
 
 # Off-diagonal reduction target (relative to ||A||_F) and sweep cap for Jacobi.
@@ -108,81 +114,133 @@ class NotPositiveSemidefiniteError(ValueError):
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
+    """Frobenius norm of a's off-diagonal part, its diagonal read as zeros.
+
+    A C-ordered copy with zeroed diagonal: for finite entries the same array,
+    so the same norm bits, as a - diag(diag(a)).
+    """
+    off = np.array(a, order="C")
+    off.flat[:: a.shape[0] + 1] = 0.0
     return float(np.linalg.norm(off))
 
 
-def _jacobi_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on a symmetric matrix.
+def _jacobi_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cyclic Jacobi rotations on a (B, n, n) stack of exactly symmetric matrices.
 
-    Returns eigenvalues in ascending order and the matching orthogonal
-    eigenvector matrix (columns). Dense and dependency-free; intended for the
-    small (n up to a few hundred) matrices this package works with.
+    Returns each matrix's eigenvalues in ascending order and its orthogonal
+    eigenvector matrix (columns, F-ordered), in stack order; a single solve is
+    a stack of one. Dense and dependency-free; intended for the small (n up to
+    a few hundred) matrices this package works with.
 
-    The matrix and the accumulated eigenvectors are one stacked (2n, n) array,
-    so a single column rotation turns both. The row rotation a textbook
-    two-sided update also applies is a copy here: the matrix stays exactly
-    symmetric (`SymMatrix` symmetrizes it, and entries (i, j) and (j, i) of the
-    rotated columns come from the same float operations on equal operands), so
-    rows p and q are the rotated columns p and q, transposed. Pivots are read
-    and the rotation computed in Python floats, which round like float64.
+    `st[j, :, k]` holds column j of matrix k over column j of its
+    eigenvectors, so one column rotation turns both, for every matrix of the
+    stack at once. The row rotation a textbook two-sided update also applies
+    is a copy here: each matrix stays exactly symmetric (entries (i, j) and
+    (j, i) of the rotated columns come from the same float operations on
+    equal operands), so rows p and q are the rotated columns p and q,
+    transposed. The cyclic pivot order is the same for every matrix. Each
+    matrix reads its own pivot, decides whether to skip it and computes its
+    rotation in Python floats (which round like float64), and its diagonal is
+    kept in Python floats too, so its bits do not depend on the rest of the
+    stack. The stack's diagonal slots go stale once rotated: what they hold
+    reaches only the pivot pair, which is then zeroed, and the off-diagonal
+    norm reads them as zeros. Each matrix has its own stopping target and
+    sweep count and leaves the stack once it meets the target. A stack of one
+    turns 1-D rows with float c and s.
     """
-    n = a.shape[0]
+    n = mats.shape[1]
     if n == 1:
-        return a[0, :].copy(), np.ones((1, 1))
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), np.eye(n)
-    av = np.vstack([a, np.eye(n)])
-    a = av[:n]
-    item, sqrt = a.item, math.sqrt  # bound once: called for every pivot
-    threshold = _JACOBI_TOL * fro
-    off = _off_diagonal_norm(a)
+        return [(a[0, :].copy(), np.ones((1, 1))) for a in mats]
+    fros = [float(np.linalg.norm(a)) for a in mats]
+    results: list = [(np.zeros(n), np.eye(n)) if fro == 0.0 else None for fro in fros]
+    idx = [k for k, fro in enumerate(fros) if fro != 0.0]
+    if not idx:
+        return results
+    st = np.zeros((n, 2 * n, len(idx)))
+    st[:, :n] = (mats if len(idx) == len(mats) else mats[idx]).transpose(2, 1, 0)
+    # Rows j (2n + 1) of st seen as (2 n^2, B) are its diagonal slots st[j, j];
+    # n rows on, the identity's ones st[j, n + j].
+    st.reshape(-1, len(idx))[n :: 2 * n + 1] = 1.0
+    diag = st.reshape(-1, len(idx))[:: 2 * n + 1].tolist()  # diag[j][k]: matrix k's
+    thresholds = [_JACOBI_TOL * fros[k] for k in idx]
+    offs = [_off_diagonal_norm(st[:, :n, k]) for k in range(len(idx))]
+    sqrt = math.sqrt  # bound once: called for every pivot
     for _ in range(_JACOBI_MAX_SWEEPS):
-        if off <= threshold:
-            break
+        keep = [k for k in range(len(idx)) if offs[k] > thresholds[k]]
+        if len(keep) < len(idx):
+            for k in range(len(idx)):
+                if offs[k] <= thresholds[k]:
+                    results[idx[k]] = _eigenpairs(st, diag, k)
+            if not keep:
+                break
+            st = st[:, :, keep]
+            diag = [[d[k] for k in keep] for d in diag]
+            idx, thresholds = [idx[k] for k in keep], [thresholds[k] for k in keep]
+        b = len(idx)
+        one = b == 1
+        view = st[:, :, 0] if one else st
+        item = view.item
+        # Each matrix's c and s at the current pivot, and whether it turns there;
+        # the c and s of a matrix that skips the pivot are stale and masked out.
+        cs, ss, live = [1.0] * b, [0.0] * b, [False] * b
         for p in range(n - 1):
-            col_p = av[:, p]
+            col_p = view[p]
+            diag_p = diag[p]
             for q in range(p + 1, n):
-                apq = item(p, q)
-                app, aqq = item(p, p), item(q, q)
-                # Pivot already negligible against its diagonal: zero it and move on.
-                guard = 100.0 * abs(apq)
-                if abs(app) + guard == abs(app) and abs(aqq) + guard == abs(aqq):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                gap = aqq - app
-                if abs(gap) + guard == abs(gap):
-                    t = apq / gap
-                else:
-                    tau = gap / (2.0 * apq)
-                    t = 1.0 / (abs(tau) + sqrt(1.0 + tau * tau))
-                    if tau < 0.0:
-                        t = -t
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                col_q = av[:, q]
-                new_p = c * col_p - s * col_q
-                col_q[:] = s * col_p + c * col_q
-                col_p[:] = new_p
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
+                diag_q = diag[q]
+                turned = 0
+                for k, apq in enumerate([item(q, p)] if one else view[q, p].tolist()):
+                    app, aqq = diag_p[k], diag_q[k]
+                    # Pivot already negligible against its diagonal: zero it and move on.
+                    guard = 100.0 * abs(apq)
+                    if abs(app) + guard == abs(app) and abs(aqq) + guard == abs(aqq):
+                        live[k] = False
+                        continue
+                    gap = aqq - app
+                    if abs(gap) + guard == abs(gap):
+                        t = apq / gap
+                    else:
+                        tau = gap / (2.0 * apq)
+                        t = 1.0 / (abs(tau) + sqrt(1.0 + tau * tau))
+                        if tau < 0.0:
+                            t = -t
+                    c = 1.0 / sqrt(1.0 + t * t)
+                    cs[k], ss[k], live[k] = c, t * c, True
+                    turned += 1
+                    diag_p[k] = app - t * apq
+                    diag_q[k] = aqq + t * apq
+                if turned:
+                    col_q = view[q]
+                    c, s = (cs[0], ss[0]) if one else (np.array(cs), np.array(ss))
+                    new_p = c * col_p - s * col_q
+                    new_q = s * col_p + c * col_q
+                    if turned == b:
+                        col_p[:] = new_p
+                        col_q[:] = new_q
+                    else:
+                        np.copyto(col_p, new_p, where=live)
+                        np.copyto(col_q, new_q, where=live)
+                    view[:, p] = col_p[:n]
+                    view[:, q] = col_q[:n]
                 # Rotation annihilates the pivot pair exactly.
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-        off = _off_diagonal_norm(a)
+                view[q, p] = 0.0
+                view[p, q] = 0.0
+        offs = [_off_diagonal_norm(st[:, :n, k]) for k in range(b)]
     else:
         raise EigenConvergenceError(
-            f"Jacobi eigensolver did not converge on {name!r}: "
-            f"off-diagonal norm {off:.3e} after {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(target {threshold:.3e})"
+            f"Jacobi eigensolver did not converge on {names[idx[0]]!r}: "
+            f"off-diagonal norm {offs[0]:.3e} after {_JACOBI_MAX_SWEEPS} sweeps "
+            f"(target {thresholds[0]:.3e})"
         )
-    eigenvalues = np.diag(a).copy()
+    return results
+
+
+def _eigenpairs(st: np.ndarray, diag: list[list[float]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix k of the stack: its sorted diagonal and the matching eigenvectors."""
+    n = st.shape[0]
+    eigenvalues = np.array([d[k] for d in diag])
     order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], av[n:, order]
+    return eigenvalues[order], st[:, n:, k][order].T
 
 
 class SymMatrix:
@@ -228,48 +286,11 @@ class SymMatrix:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthogonal eigenvectors, cached.
 
-        Results are shared through the module cache: a matrix whose entries
-        and basis entries (or lack of a basis) are byte-identical to an
-        earlier solved one gets that solve's arrays (read-only) without
-        another Jacobi run. Every stored result passed the residual check
-        below on those exact bytes; a failed solve is never stored, so
-        retrying it raises again.
+        `decompose` of this matrix alone: see there for the cache and the
+        checks every result passes.
         """
         if self._eig is None:
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(self.a))
-            # An infinite scale would switch the residual check below off.
-            if not math.isfinite(norm):
-                raise NonFiniteMatrixError(
-                    f"{self.name!r} has finite entries but its norm overflows float64")
-            basis = self.basis
-            key = (self.a.shape, self.a.tobytes(), None if basis is None else basis.a.tobytes())
-            hit = _eig_cache.get(key)
-            if hit is not None:
-                _eig_cache.move_to_end(key)
-                self._eig = hit
-                return hit
-            if basis is None:
-                w, v = _jacobi_eigh(self.a, self.name)
-            else:
-                vb = basis.eig()[1]
-                rotated = vb.T @ self.a @ vb
-                # Jacobi copies rotated columns into rows: its input must be
-                # exactly symmetric, which the two products need not leave.
-                w, u = _jacobi_eigh((rotated + rotated.T) / 2.0, self.name)
-                v = vb @ u
-            scale = max(1.0, norm)
-            recon = float(np.linalg.norm((v * w) @ v.T - self.a))
-            ortho = float(np.linalg.norm(v.T @ v - np.eye(self.dim)))
-            if recon > 1e-10 * scale or ortho > 1e-10:
-                raise EigenConvergenceError(
-                    f"eigendecomposition of {self.name!r} failed its residual check: "
-                    f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}"
-                )
-            w.setflags(write=False)
-            v.setflags(write=False)
-            _cache_eig(key, w, v)
-            self._eig = (w, v)
+            decompose((self,))
         return self._eig
 
     @property
@@ -323,26 +344,75 @@ class SymMatrix:
             name=f"pinv({self.name})")
 
 
-def _as_array(h) -> np.ndarray:
-    return h.a if isinstance(h, SymMatrix) else np.asarray(h, dtype=float)
+def decompose(mats: Sequence[SymMatrix]) -> None:
+    """Decompose every matrix of `mats` that is not yet, solving the cache
+    misses of each size as one stacked Jacobi run.
 
-
-def wnorm_sq(x: np.ndarray, h) -> float:
-    """Squared weighted norm tr(x^T H x) for an (n, p) stacked array."""
-    ha = _as_array(h)
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != ha.shape[0]:
-        raise ValueError(f"dimension mismatch: x has {x.shape[0]} rows, H is {ha.shape[0]}x{ha.shape[1]}")
-    return float(np.sum(x * (ha @ x)))
-
-
-def wdot(x: np.ndarray, y: np.ndarray, h) -> float:
-    """Weighted inner product tr(x^T H y)."""
-    ha = _as_array(h)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.shape[0] != ha.shape[0]:
-        raise ValueError(f"dimension mismatch: x has {x.shape[0]} rows, H is {ha.shape[0]}x{ha.shape[1]}")
-    return float(np.sum(x * (ha @ y)))
+    A matrix whose entries and basis entries (or lack of a basis) are
+    byte-identical to an earlier solved one gets that solve's arrays
+    (read-only) from the module cache without another Jacobi run, and so does
+    a repeat within `mats`. A warm matrix's basis is decomposed first, and the
+    warm matrix joins its size's stack with its entries rotated into that
+    basis. Each result passes a residual and orthogonality check on its
+    matrix's own entries before it is stored; a failed solve is never stored,
+    so retrying it raises again. Errors are raised in this order: an
+    overflowing norm, naming the first such matrix; a capped Jacobi run,
+    naming the first capped member of its size's stack; a failed check.
+    """
+    for mat in mats:
+        if mat._eig is None and mat.basis is not None:
+            mat.basis.eig()
+    # Per size, each distinct miss: its key, its entries' norm, its Jacobi
+    # input, and every matrix of `mats` it stands for.
+    by_size: dict[int, dict[tuple, tuple]] = {}
+    for mat in mats:
+        if mat._eig is not None:
+            continue
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(mat.a))
+        # An infinite scale would switch the residual check below off.
+        if not math.isfinite(norm):
+            raise NonFiniteMatrixError(
+                f"{mat.name!r} has finite entries but its norm overflows float64")
+        basis = mat.basis
+        key = (mat.a.shape, mat.a.tobytes(), None if basis is None else basis.a.tobytes())
+        hit = _eig_cache.get(key)
+        if hit is not None:
+            _eig_cache.move_to_end(key)
+            mat._eig = hit
+            continue
+        misses = by_size.setdefault(mat.dim, {})
+        if key in misses:
+            misses[key][2].append(mat)
+            continue
+        if basis is None:
+            a = mat.a
+        else:
+            vb = basis.eig()[1]
+            rotated = vb.T @ mat.a @ vb
+            # Jacobi copies rotated columns into rows: its input must be
+            # exactly symmetric, which the two products need not leave.
+            a = (rotated + rotated.T) / 2.0
+        misses[key] = (norm, a, [mat])
+    solved = []
+    for misses in by_size.values():
+        inputs = [a for _, a, _ in misses.values()]
+        stack = inputs[0][None] if len(inputs) == 1 else np.stack(inputs)
+        names = [group[0].name for _, _, group in misses.values()]
+        solved += zip(misses.items(), _jacobi_eigh(stack, names))
+    for (key, (norm, _, group)), (w, u) in solved:
+        mat = group[0]
+        v = u if mat.basis is None else mat.basis.eig()[1] @ u
+        scale = max(1.0, norm)
+        recon = float(np.linalg.norm((v * w) @ v.T - mat.a))
+        ortho = float(np.linalg.norm(v.T @ v - np.eye(mat.dim)))
+        if recon > 1e-10 * scale or ortho > 1e-10:
+            raise EigenConvergenceError(
+                f"eigendecomposition of {mat.name!r} failed its residual check: "
+                f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}"
+            )
+        w.setflags(write=False)
+        v.setflags(write=False)
+        _cache_eig(key, w, v)
+        for each in group:
+            each._eig = (w, v)

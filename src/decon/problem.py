@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SymMatrix, wnorm_sq
-from .mixing import MixingPair
+from .linalg import SymMatrix, decompose
 
 try:
     # The C kernel np.einsum hands its operands to when optimize=False, minus
@@ -29,13 +28,10 @@ except ImportError:  # numpy < 2: the public wrapper, same bits
 __all__ = [
     "ProblemError",
     "SensingProblem",
-    "RscReport",
     "generate",
     "from_data",
     "grad",
-    "mu_g",
     "mu_g_value",
-    "check_rsc",
     "save_problem",
     "load_problem",
 ]
@@ -80,13 +76,6 @@ class SensingProblem:
         stacked.setflags(write=False)
         object.__setattr__(self, "Xstar", stacked)
 
-    def agent_value(self, i: int, v: np.ndarray) -> float:
-        r = self.sensing[i] @ v - self.measurements[i]
-        return 0.5 * float(r @ r)
-
-    def agent_grad(self, i: int, v: np.ndarray) -> np.ndarray:
-        return self.sensing[i].T @ (self.sensing[i] @ v - self.measurements[i])
-
     def grad(self, x: np.ndarray) -> np.ndarray:
         return grad(self, x)
 
@@ -111,6 +100,13 @@ def _agent_gram(sensing: np.ndarray, i: int) -> SymMatrix:
         raise ProblemError(f"agent {i}: M_{i}^T M_{i} overflows float64 (largest sensing "
                            f"entry {float(np.abs(sensing[i]).max()):.3e})")
     return SymMatrix(gram, name=f"M_{i}^T M_{i}")
+
+
+def _agent_grams(sensing: np.ndarray) -> list[SymMatrix]:
+    """Every agent's M_i^T M_i in agent order, decomposed as one stacked solve."""
+    grams = [_agent_gram(sensing, i) for i in range(len(sensing))]
+    decompose(grams)
+    return grams
 
 
 def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true) -> SensingProblem:
@@ -157,8 +153,8 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
     x_true = rng.standard_normal(p)
     sensing = rng.standard_normal((n, m_i, p))
     noise = rng.standard_normal((n, m_i)) * noise_std
-    for i in range(n):
-        top = _agent_gram(sensing, i).lambda_max
+    for i, gram in enumerate(_agent_grams(sensing)):
+        top = gram.lambda_max
         if top <= 0.0:
             raise ProblemError(f"agent {i} drew a zero sensing matrix")
         sensing[i] *= np.sqrt(LIPSCHITZ / top)
@@ -185,7 +181,7 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
                         ("lipschitz", lipschitz)):
         if value is not None and not np.all(np.isfinite(value)):
             raise ProblemError(f"{name} holds non-finite values (NaN or inf)")
-    tops = [_agent_gram(sensing, i).lambda_max for i in range(n)]
+    tops = [gram.lambda_max for gram in _agent_grams(sensing)]
     i = int(np.argmax(tops))
     if lipschitz is None:
         lipschitz = tops[i]
@@ -214,45 +210,6 @@ def mu_g_value(mu_fbar: float, lipschitz: float, lam_min_pos_iw: float, eta: flo
         raise ProblemError(f"eta must be positive, got {eta}")
     second = mu_fbar**2 * lam_min_pos_iw / (mu_fbar**2 + 16.0 * lipschitz**2) * eta
     return min(mu_fbar / 2.0, second)
-
-
-def mu_g(prob: SensingProblem, mp: MixingPair, eta: float) -> float:
-    return mu_g_value(prob.mu_fbar, prob.lipschitz, mp.lam_min_pos_iw, eta)
-
-
-@dataclass(frozen=True)
-class RscReport:
-    samples: int
-    eta: float
-    mu_g: float
-    min_slack: float
-    violations: int
-
-
-def check_rsc(prob: SensingProblem, mp: MixingPair, eta: float, samples: int = 1000,
-              seed: int = 0) -> RscReport:
-    """Sample the restricted strong convexity inequality of the penalized objective.
-
-    For random stacked points x, checks
-        <x - x*, grad f(x) - grad f(x*)> + eta ||x - x*||^2_{I-w} >= mu_g ||x - x*||^2.
-    Slacks below -1e-9 count as violations (none are expected).
-    """
-    mg = mu_g(prob, mp, eta)
-    rng = np.random.default_rng(seed)
-    gstar = grad(prob, prob.Xstar)
-    scales = (0.1, 1.0, 3.0)
-    min_slack = np.inf
-    violations = 0
-    for s in range(samples):
-        delta = rng.standard_normal((prob.n, prob.p)) * scales[s % len(scales)]
-        x = prob.Xstar + delta
-        lhs = float(np.sum(delta * (grad(prob, x) - gstar))) + eta * wnorm_sq(delta, mp.iw)
-        slack = lhs - mg * float(np.sum(delta * delta))
-        min_slack = min(min_slack, slack)
-        if slack < -1e-9:
-            violations += 1
-    return RscReport(samples=samples, eta=eta, mu_g=mg, min_slack=float(min_slack),
-                     violations=violations)
 
 
 def save_problem(prob: SensingProblem, path: str) -> None:

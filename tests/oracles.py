@@ -24,11 +24,14 @@ five updates of `algorithms` as they were before they used `ndarray.dot`, each
 matrix applied with `@`. The package's gradient and steps must return the same
 bits.
 
-`jacobi_eigh_reference` is the cyclic Jacobi solver as it was before its
-rotations were stacked: a two-sided update of the matrix plus a separate one of
-the eigenvectors, in numpy scalars. The package's solver must return the same
-bits. It reads the sweep cap and tolerance from `decon.linalg` when called, so a
-test that patches them there patches both solvers.
+`jacobi_eigh_reference` is the per-matrix reference of the cyclic Jacobi
+solver, as it was before its rotations were stacked: one matrix, a two-sided
+update of it plus a separate one of the eigenvectors, in numpy scalars. The
+package's stacked solver must return, for every member of a stack, the bits
+(and eigenvector strides) this returns on that matrix alone, and a capped stack
+the error text of its first capped member alone. It reads the sweep cap and
+tolerance from `decon.linalg` when called, so a test that patches them there
+patches both solvers.
 
 `inv_reference`, `sqrt_reference` and `isqrt_reference` are the spectral
 rebuilds `SymMatrix.inv`, `sqrt` and `isqrt` as they were before
@@ -49,6 +52,12 @@ must yield the same states and record the same residuals and status.
 reads the first iteration of a trace at a residual level; the tests use both,
 the package does not.
 
+`wnorm_sq` and `wdot` are the weighted norm and inner product tr(x^T H y);
+`agent_value` and `agent_grad` are one agent's local objective and gradient;
+`mu_g`, `RscReport` and `check_rsc` sample the restricted strong convexity
+inequality at the modulus `problem.mu_g_value` gives. The package computes
+none of them at run time.
+
 `rho_special` is the paper's contraction factor in its two limit cases, in
 terms of the spectral gap, which `certify.extra_rho` is checked against.
 `to_edge_list_text` and `parse_matrix_text` are the inverses of what the CLI
@@ -58,6 +67,7 @@ reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -67,8 +77,9 @@ from decon import harness
 from decon.algorithms import AlgoState, iterate
 from decon.certify import EQ_TOL, INEQ_TOL, AuditReport
 from decon import linalg
-from decon.linalg import NotPositiveSemidefiniteError, SymMatrix, wdot, wnorm_sq
-from decon.problem import SensingProblem
+from decon.linalg import NotPositiveSemidefiniteError, SymMatrix
+from decon.mixing import MixingPair
+from decon.problem import SensingProblem, grad, mu_g_value
 
 
 def _mat_mul(a, b):
@@ -676,3 +687,80 @@ def to_edge_list_text(g) -> str:
 def parse_matrix_text(text: str, name: str = "matrix") -> SymMatrix:
     rows = [[float(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()]
     return SymMatrix(np.array(rows), name=name)
+
+
+# -- weighted norms, per-agent objectives and the sampled RSC check ------------
+
+def _as_array(h) -> np.ndarray:
+    return h.a if isinstance(h, SymMatrix) else np.asarray(h, dtype=float)
+
+
+def wnorm_sq(x: np.ndarray, h) -> float:
+    """Squared weighted norm tr(x^T H x) for an (n, p) stacked array."""
+    ha = _as_array(h)
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] != ha.shape[0]:
+        raise ValueError(f"dimension mismatch: x has {x.shape[0]} rows, H is {ha.shape[0]}x{ha.shape[1]}")
+    return float(np.sum(x * (ha @ x)))
+
+
+def wdot(x: np.ndarray, y: np.ndarray, h) -> float:
+    """Weighted inner product tr(x^T H y)."""
+    ha = _as_array(h)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    if x.shape[0] != ha.shape[0]:
+        raise ValueError(f"dimension mismatch: x has {x.shape[0]} rows, H is {ha.shape[0]}x{ha.shape[1]}")
+    return float(np.sum(x * (ha @ y)))
+
+
+def agent_value(prob: SensingProblem, i: int, v: np.ndarray) -> float:
+    """Agent i's local objective 0.5 ||M_i v - y_i||^2."""
+    r = prob.sensing[i] @ v - prob.measurements[i]
+    return 0.5 * float(r @ r)
+
+
+def agent_grad(prob: SensingProblem, i: int, v: np.ndarray) -> np.ndarray:
+    """Agent i's local gradient M_i^T (M_i v - y_i)."""
+    return prob.sensing[i].T @ (prob.sensing[i] @ v - prob.measurements[i])
+
+
+def mu_g(prob: SensingProblem, mp: MixingPair, eta: float) -> float:
+    return mu_g_value(prob.mu_fbar, prob.lipschitz, mp.lam_min_pos_iw, eta)
+
+
+@dataclass(frozen=True)
+class RscReport:
+    samples: int
+    eta: float
+    mu_g: float
+    min_slack: float
+    violations: int
+
+
+def check_rsc(prob: SensingProblem, mp: MixingPair, eta: float, samples: int = 1000,
+              seed: int = 0) -> RscReport:
+    """Sample the restricted strong convexity inequality of the penalized objective.
+
+    For random stacked points x, checks
+        <x - x*, grad f(x) - grad f(x*)> + eta ||x - x*||^2_{I-w} >= mu_g ||x - x*||^2.
+    Slacks below -1e-9 count as violations (none are expected).
+    """
+    mg = mu_g(prob, mp, eta)
+    rng = np.random.default_rng(seed)
+    gstar = grad(prob, prob.Xstar)
+    scales = (0.1, 1.0, 3.0)
+    min_slack = np.inf
+    violations = 0
+    for s in range(samples):
+        delta = rng.standard_normal((prob.n, prob.p)) * scales[s % len(scales)]
+        x = prob.Xstar + delta
+        lhs = float(np.sum(delta * (grad(prob, x) - gstar))) + eta * wnorm_sq(delta, mp.iw)
+        slack = lhs - mg * float(np.sum(delta * delta))
+        min_slack = min(min_slack, slack)
+        if slack < -1e-9:
+            violations += 1
+    return RscReport(samples=samples, eta=eta, mu_g=mg, min_slack=float(min_slack),
+                     violations=violations)

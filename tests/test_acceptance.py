@@ -17,9 +17,10 @@ from decon import graph, harness, mixing, problem
 from decon.algorithms import fixed_point, iterate, stepsize_bounds
 from decon.certify import audit_extra, audit_nids, extra_constants, nids_constants
 from decon.linalg import SymMatrix
-from decon.problem import check_rsc
 
-from oracles import eigenvalues_by_bisection, iterations_to, trajectory
+from oracles import (
+    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, iterations_to, trajectory,
+)
 
 SEEDS = tuple(range(10))
 N, P = 10, 5
@@ -255,8 +256,8 @@ def test_criterion_8_oracle_checks(grid):
             x = rng.standard_normal(P)
             v = rng.standard_normal(P)
             v /= np.linalg.norm(v)
-            fd = (prob.agent_value(i, x + h * v) - prob.agent_value(i, x - h * v)) / (2 * h)
-            assert abs(fd - float(prob.agent_grad(i, x) @ v)) <= 1e-5, i
+            fd = (agent_value(prob, i, x + h * v) - agent_value(prob, i, x - h * v)) / (2 * h)
+            assert abs(fd - float(agent_grad(prob, i, x) @ v)) <= 1e-5, i
 
         for cell in grid:
             if cell.seed != harness.PRESET_SEED or cell.relaxed:

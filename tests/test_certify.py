@@ -14,6 +14,7 @@ from oracles import (
     lambda_min_pos_reference,
     rho_special,
     sqrt_reference,
+    wnorm_sq,
 )
 
 from decon import certify, harness, linalg, problem
@@ -29,7 +30,7 @@ from decon.certify import (
     search_nids_certificate,
 )
 from decon.graph import line, random_connected
-from decon.linalg import SymMatrix, wnorm_sq
+from decon.linalg import SymMatrix
 from decon.mixing import metropolis, validate
 from decon.problem import mu_g_value
 
@@ -623,9 +624,9 @@ def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
     seen = collections.Counter()
     jacobi = linalg._jacobi_eigh
 
-    def hashing(a, name):
-        seen[a.tobytes()] += 1
-        return jacobi(a, name)
+    def hashing(mats, names):
+        seen.update(a.tobytes() for a in mats)
+        return jacobi(mats, names)
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
     best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha)

@@ -729,7 +729,7 @@ def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, capsy
 def _count_solves(monkeypatch) -> collections.Counter:
     """Count the solves of each matrix, keyed by its own entries' bytes.
 
-    The count is taken where `SymMatrix.eig` stores a checked miss, not at
+    The count is taken where `linalg.decompose` stores a checked miss, not at
     `_jacobi_eigh`: a solve started from a basis hands Jacobi the rotated
     entries, not the matrix's own.
     """
@@ -753,7 +753,7 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
     seen = _count_solves(monkeypatch)
     hashing, names = linalg._jacobi_eigh, []
     monkeypatch.setattr(linalg, "_jacobi_eigh",
-                        lambda a, name: names.append(name) or hashing(a, name))
+                        lambda mats, solved: names.extend(solved) or hashing(mats, solved))
     in_certificate = {}
     for constants in ("nids_constants", "extra_constants"):
         def spy(*args, _name=constants, _constants=getattr(certify, constants), **kwargs):
@@ -813,8 +813,8 @@ def _observed_build(name: str):
     jacobi, eig = linalg._jacobi_eigh, linalg.SymMatrix.eig
     linalg.clear_eig_cache()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_jacobi_eigh",
-                   lambda a, name: received.add(a.tobytes()) or jacobi(a, name))
+        mp.setattr(linalg, "_jacobi_eigh", lambda mats, names: received.update(
+            a.tobytes() for a in mats) or jacobi(mats, names))
         mp.setattr(linalg.SymMatrix, "eig", lambda self: asked.append(self) or eig(self))
         inst = harness.build_instance(_INSTANCES[name])
     return inst, frozenset(received), tuple(asked)
@@ -880,7 +880,7 @@ def test_warm_started_spectra_match_the_oracle_and_a_cold_solve(name):
     for mat in warm:
         assert mat.basis is mp.w, mat.name
         values = mat.eigenvalues
-        cold = linalg._jacobi_eigh(mat.a, mat.name)[0]
+        cold = linalg._jacobi_eigh(mat.a[None], [mat.name])[0][0]
         assert np.abs(values - cold).max() <= 1e-9, mat.name
         assert np.abs(values - np.linalg.eigvalsh(mat.a)).max() <= 1e-9, mat.name
         # The exact-arithmetic oracle takes about 0.2 s a matrix at n = 10 and
@@ -896,11 +896,12 @@ def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
     solves = []
     jacobi = linalg._jacobi_eigh
 
-    def sweeping(a, name):
-        if a.shape[0] == inst.mp.n:
-            target = linalg._JACOBI_TOL * np.linalg.norm(a)
-            solves.append((name, linalg._off_diagonal_norm(a) > target))
-        return jacobi(a, name)
+    def sweeping(mats, names):
+        for a, name in zip(mats, names):
+            if a.shape[0] == inst.mp.n:
+                target = linalg._JACOBI_TOL * np.linalg.norm(a)
+                solves.append((name, linalg._off_diagonal_norm(a) > target))
+        return jacobi(mats, names)
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", sweeping)
     for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
@@ -1045,8 +1046,8 @@ def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
 
 
 def test_cli_eigensolver_failure_is_a_named_error(monkeypatch, capsys):
-    def fail(a, name):
-        raise linalg.EigenConvergenceError(f"Jacobi eigensolver did not converge on {name!r}")
+    def fail(mats, names):
+        raise linalg.EigenConvergenceError(f"Jacobi eigensolver did not converge on {names[0]!r}")
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", fail)
     assert cli.main(["run", "--max-iters", "5"]) == 1

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decon import graph, linalg, mixing
@@ -10,11 +10,9 @@ from decon.linalg import (
     NonFiniteMatrixError,
     NotPositiveSemidefiniteError,
     SymMatrix,
-    wdot,
-    wnorm_sq,
 )
 
-from oracles import as_fractions, eigenvalues_by_bisection, jacobi_eigh_reference
+from oracles import as_fractions, eigenvalues_by_bisection, jacobi_eigh_reference, wdot, wnorm_sq
 
 
 def test_eig_identity():
@@ -168,9 +166,9 @@ def _counting_solver(monkeypatch) -> list[str]:
     solved = []
     jacobi = linalg._jacobi_eigh
 
-    def counting(a, name):
-        solved.append(name)
-        return jacobi(a, name)
+    def counting(mats, names):
+        solved.extend(names)
+        return jacobi(mats, names)
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", counting)
     return solved
@@ -206,7 +204,7 @@ def test_failed_solves_are_not_cached(monkeypatch):
             SymMatrix(a, name=name).eig()
     monkeypatch.undo()
     # A result that fails the residual check is not stored either.
-    monkeypatch.setattr(linalg, "_jacobi_eigh", lambda a, name: (np.zeros(2), np.eye(2)))
+    monkeypatch.setattr(linalg, "_jacobi_eigh", lambda mats, names: [(np.zeros(2), np.eye(2))])
     for name in ("third", "fourth"):
         with pytest.raises(linalg.EigenConvergenceError, match=f"'{name}' failed its residual"):
             SymMatrix(a, name=name).eig()
@@ -218,6 +216,20 @@ def test_failed_solves_are_not_cached(monkeypatch):
 
 def _entry_bytes(n: int) -> int:
     return 8 * n * n + 8 * n + 8 * n * n  # key bytes, eigenvalues, eigenvectors
+
+
+def test_decompose_solves_each_distinct_matrix_of_a_list_once_in_one_stack(monkeypatch):
+    rng = np.random.default_rng(6)
+    m, other = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
+    solved = _counting_solver(monkeypatch)
+    SymMatrix(m, name="cached").eig()
+    mats = [SymMatrix(x, name=name) for x, name in
+            ((other, "first"), (m, "hit"), (other.copy(), "repeat"), (np.eye(3), "small"))]
+    linalg.decompose(mats)
+    # Neither a cache hit nor a repeat within the list is solved again.
+    assert solved == ["cached", "first", "small"]
+    assert mats[2].eig()[0] is mats[0].eig()[0]
+    assert mats[1].eig()[0] is SymMatrix(m.copy(), name="again").eig()[0]
 
 
 def test_eig_cache_stays_within_its_budget_and_evicts_least_recently_used(monkeypatch):
@@ -266,7 +278,7 @@ def test_a_basis_that_does_not_commute_still_passes_the_residual_check(n):
     scale = max(1.0, float(np.linalg.norm(a.a)))
     assert np.linalg.norm((v * w) @ v.T - a.a) <= 1e-10 * scale
     assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
-    assert np.abs(w - linalg._jacobi_eigh(a.a, "cold")[0]).max() <= 1e-9 * scale
+    assert np.abs(w - linalg._jacobi_eigh(a.a[None], ["cold"])[0][0]).max() <= 1e-9 * scale
 
 
 def test_basis_entries_join_the_cache_key(monkeypatch):
@@ -294,7 +306,7 @@ def test_basis_entries_join_the_cache_key(monkeypatch):
 
 def _assert_same_bits_as_reference(a: np.ndarray) -> None:
     a = SymMatrix(a, name="probe").a
-    w, v = linalg._jacobi_eigh(a, "probe")
+    w, v = linalg._jacobi_eigh(a[None], ["probe"])[0]
     w_ref, v_ref = jacobi_eigh_reference(a, "probe")
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
@@ -356,11 +368,80 @@ def test_jacobi_sweep_cap_error_matches_reference(monkeypatch):
     m = np.random.default_rng(4).standard_normal((8, 8))
     a = SymMatrix(m, name="capped").a
     with pytest.raises(linalg.EigenConvergenceError) as new:
-        linalg._jacobi_eigh(a, "capped")
+        linalg._jacobi_eigh(a[None], ["capped"])
     with pytest.raises(linalg.EigenConvergenceError) as ref:
         jacobi_eigh_reference(a, "capped")
     assert str(new.value) == str(ref.value)
     assert "after 1 sweeps" in str(new.value)
+
+
+_KINDS = ("random", "zero", "diagonal", "rank-1", "tiny-pivot")
+_SCALES = (1e-12, 1e-3, 1.0, 1e3, 1e12)
+
+
+def _member(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "diagonal" or (kind == "tiny-pivot" and n == 1):
+        return np.diag(rng.standard_normal(n))
+    if kind == "rank-1":
+        x = rng.standard_normal(n)
+        return np.outer(x, x)
+    if kind == "tiny-pivot":
+        return _tiny_off_diagonals(rng.standard_normal(n))
+    return rng.standard_normal((n, n))
+
+
+def _stack(n: int, members, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([SymMatrix(_member(kind, n, rng) * scale).a for kind, scale in members])
+
+
+def _assert_same_bits(got, want) -> None:
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes() and x.strides == y.strides
+
+
+@example(n=40, seed=7, members=[(kind, scale) for kind in _KINDS for scale in (1e-12, 1e12)][:12])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       members=st.lists(st.tuples(st.sampled_from(_KINDS), st.sampled_from(_SCALES)),
+                        min_size=1, max_size=12))
+def test_each_member_of_a_stack_gets_its_solo_reference_bits(n, seed, members):
+    # Stacking only shares the column rotations: every member's eigenvalues,
+    # eigenvectors and their strides are what the per-matrix reference gives
+    # on that matrix alone, whatever sits next to it.
+    stack = _stack(n, members, seed)
+    names = [f"member {k}" for k in range(len(stack))]
+    got = linalg._jacobi_eigh(stack, names)
+    assert len(got) == len(stack)
+    for a, name, pair in zip(stack, names, got):
+        _assert_same_bits(pair, jacobi_eigh_reference(a, name))
+
+
+@example(n=8, kinds=["diagonal", "random", "random"], cap=1, seed=4)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 3),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6))
+def test_a_capped_stack_raises_as_its_first_capped_member_alone(n, seed, cap, kinds):
+    stack = _stack(n, [(kind, 1.0) for kind in kinds], seed)
+    names = [f"member {k}" for k in range(len(stack))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_JACOBI_MAX_SWEEPS", cap)
+        expected = None
+        for a, name in zip(stack, names):
+            try:
+                jacobi_eigh_reference(a, name)
+            except linalg.EigenConvergenceError as err:
+                expected = str(err)
+                break
+        if expected is None:
+            for a, name, pair in zip(stack, names, linalg._jacobi_eigh(stack, names)):
+                _assert_same_bits(pair, jacobi_eigh_reference(a, name))
+        else:
+            with pytest.raises(linalg.EigenConvergenceError) as err:
+                linalg._jacobi_eigh(stack, names)
+            assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -412,9 +493,9 @@ def test_lambda_min_at_least_matches_the_jacobi_decision(n, seed, kind, floor):
     solves = []
     jacobi = linalg._jacobi_eigh
 
-    def counting(m, name):
-        solves.append(name)
-        return jacobi(m, name)
+    def counting(mats, names):
+        solves.extend(names)
+        return jacobi(mats, names)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_jacobi_eigh", counting)

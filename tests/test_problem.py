@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import tempfile
@@ -7,15 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from decon import cli, problem
+from decon import cli, linalg, problem
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import metropolis, validate
-from decon.problem import (
-    ProblemError, check_rsc, from_data, generate, grad, mu_g, mu_g_value,
-)
+from decon.problem import ProblemError, from_data, generate, grad, mu_g_value
 
-from oracles import bare_problem, grad_reference
+from oracles import agent_grad, agent_value, bare_problem, check_rsc, grad_reference, mu_g
 
 
 def test_generate_normalizes_local_curvature(prob1):
@@ -79,8 +78,8 @@ def test_grad_matches_central_differences(prob1):
         x = rng.standard_normal(prob1.p)
         v = rng.standard_normal(prob1.p)
         v /= np.linalg.norm(v)
-        fd = (prob1.agent_value(i, x + h * v) - prob1.agent_value(i, x - h * v)) / (2 * h)
-        assert fd == pytest.approx(float(prob1.agent_grad(i, x) @ v), abs=1e-5)
+        fd = (agent_value(prob1, i, x + h * v) - agent_value(prob1, i, x - h * v)) / (2 * h)
+        assert fd == pytest.approx(float(agent_grad(prob1, i, x) @ v), abs=1e-5)
 
 
 def test_grad_shape_mismatch():
@@ -95,7 +94,7 @@ def test_lipschitz_bound_sampled(prob1):
         for _ in range(20):
             a = rng.standard_normal(prob1.p)
             b = rng.standard_normal(prob1.p)
-            lhs = np.linalg.norm(prob1.agent_grad(i, a) - prob1.agent_grad(i, b))
+            lhs = np.linalg.norm(agent_grad(prob1, i, a) - agent_grad(prob1, i, b))
             assert lhs <= prob1.lipschitz * np.linalg.norm(a - b) + 1e-9
 
 
@@ -290,3 +289,91 @@ def test_cli_an_agent_drawing_a_zero_sensing_matrix_exits_1_without_a_traceback(
     assert cli.main(["run", "--max-iters", "5"]) == 1
     err = capsys.readouterr().err
     assert "error: agent 3 drew a zero sensing matrix" in err and "Traceback" not in err
+
+
+def _recording_solver(monkeypatch) -> list:
+    """Route `linalg._jacobi_eigh` through a hook that keeps each call's stack,
+    names and results."""
+    calls = []
+    jacobi = linalg._jacobi_eigh
+
+    def recording(mats, names):
+        pairs = jacobi(mats, names)
+        calls.append((mats.copy(), list(names), pairs))
+        return pairs
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", recording)
+    return calls
+
+
+@pytest.mark.parametrize("build", ["generate", "from_data"])
+def test_every_agent_gram_is_solved_in_one_stack_with_its_solo_bits(build, monkeypatch):
+    data = generate(10, 8, 3, seed=4)
+    linalg.clear_eig_cache()
+    calls = _recording_solver(monkeypatch)
+    if build == "generate":
+        generate(10, 8, 3, seed=4)
+    else:
+        from_data(data.sensing, data.measurements)
+    names = [f"M_{i}^T M_{i}" for i in range(10)]
+    grams = [call for call in calls if set(call[1]) & set(names)]
+    assert len(grams) == 1 and grams[0][1] == names
+    monkeypatch.undo()
+    for a, name, pair in zip(*grams[0]):
+        solo = linalg._jacobi_eigh(a[None], [name])[0]
+        for got, want in zip(pair, solo):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, name
+
+
+class _BadAgents:
+    """The seeded generator, except that agents 3 and 6 draw `FILL` in every
+    sensing entry."""
+
+    FILL = 0.0
+    default_rng = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self._rng = self.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size=None):
+        out = self._rng.standard_normal(size)
+        if np.ndim(out) == 3:
+            out[[3, 6]] = self.FILL
+        return out
+
+
+@pytest.mark.parametrize("fill, message", [
+    (0.0, "agent 3 drew a zero sensing matrix"),
+    (1e200, "agent 3: M_3^T M_3 overflows float64 (largest sensing entry 1.000e+200)"),
+], ids=["zero", "overflow"])
+def test_generate_names_the_first_bad_agent_and_the_cli_exits_1(fill, message, monkeypatch,
+                                                                capsys):
+    monkeypatch.setattr(_BadAgents, "FILL", fill)
+    monkeypatch.setattr(np.random, "default_rng", _BadAgents)
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        generate(10, 5, 1, seed=2)
+    assert cli.main(["run", "--max-iters", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_from_data_names_the_first_overflowing_agent_and_the_cli_exits_1(tmp_path, capsys):
+    prob = generate(6, 2, 2, seed=4)
+    sensing = prob.sensing.copy()
+    sensing[[2, 5], 0, 0] = 1e200
+    message = "agent 2: M_2^T M_2 overflows float64 (largest sensing entry 1.000e+200)"
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        from_data(sensing, prob.measurements)
+    path = tmp_path / "prob.json"
+    problem.save_problem(prob, str(path))
+    payload = json.loads(path.read_text())
+    payload["sensing"] = sensing.tolist()
+    path.write_text(json.dumps(payload))
+    assert cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
+                     "--load-problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
