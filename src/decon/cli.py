@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -97,11 +98,25 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
     return [harness.config_from_dict({**base, **overrides})]
 
 
+def _check_trace_path(path: str) -> None:
+    """Raise, before any instance is built, the error `harness.write_csv` would
+    raise after the run: the path is a directory, or its directory is missing."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(f"cannot write trace to {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     configs = _configs(args)
     out = args.out_path if args.scenario else configs[0].out_path
-    if args.scenario and out and not os.path.isdir(out):
+    if out and args.scenario:
         os.makedirs(out, exist_ok=True)
+    elif out:
+        _check_trace_path(out)
 
     diverged = False
     for cfg in configs:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 
@@ -32,6 +32,7 @@ __all__ = [
     "resolve_scenario",
     "resolve_alpha",
     "build_instance",
+    "clear_instance_cache",
     "config_from_dict",
     "run",
     "write_csv",
@@ -52,7 +53,8 @@ _CSV_CHUNK_ROWS = 4096
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
 
 # Topology name -> the graph it builds for a configuration. Each generator is
-# looked up in `graph` when called, so a rebound generator is the one that runs.
+# looked up in `graph` when called, so on a build that misses the instance memo
+# (see `build_instance`) a rebound generator is the one that runs.
 TOPOLOGIES = {
     "random": lambda c: graphs.random_connected(c.n, c.edge_prob, c.seed),
     "line": lambda c: graphs.line(c.n),
@@ -164,9 +166,32 @@ class Trace:
         return self.audit is not None
 
 
+# RunConfig fields that only the run itself reads. Every other field, one
+# added later included, keys the instance memo of `build_instance`.
+_RUN_ONLY_FIELDS = ("algo", "alpha", "max_iters", "tol", "certify", "out_path", "label")
+_INSTANCE_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                         if f.name not in _RUN_ONLY_FIELDS)
+
+# Instances `build_instance` keeps, least recently used first. Two are enough
+# for every scenario: fig1; fig2 then fig3; relaxed-line's plain, aggressive,
+# plain, mild.
+_INSTANCE_CACHE_SIZE = 2
+_instance_cache: OrderedDict[tuple, tuple] = OrderedDict()
+
+
+def clear_instance_cache() -> None:
+    """Forget every memoized instance."""
+    _instance_cache.clear()
+
+
 @dataclass(frozen=True)
 class Instance:
-    """Everything a run derives from its configuration before iterating."""
+    """Everything a run derives from its configuration before iterating.
+
+    The graph, mixing pair and problem may be shared with other instances of
+    the same memo entry (see `build_instance`); they are frozen, with read-only
+    arrays. `stepsizes` is this instance's own copy.
+    """
 
     config: RunConfig
     graph: graphs.Graph
@@ -202,7 +227,8 @@ def resolve_alpha(config: RunConfig, stepsizes: dict[str, float]) -> float:
     return value
 
 
-def build_instance(config: RunConfig) -> Instance:
+def _build_parts(config: RunConfig) -> tuple:
+    """The graph, mixing pair, problem and stepsize table of `config`."""
     g = build_graph(config)
     mp = build_mixing(config, g)
     if config.problem_file:
@@ -213,8 +239,35 @@ def build_instance(config: RunConfig) -> Instance:
                                  noise_std=config.noise_std, seed=config.seed)
     if prob.n != g.n:
         raise ConfigError(f"problem has {prob.n} agents but the graph has {g.n} nodes")
-    stepsizes = algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
-    return Instance(config=config, graph=g, mp=mp, prob=prob, stepsizes=stepsizes,
+    return g, mp, prob, algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
+
+
+def build_instance(config: RunConfig) -> Instance:
+    """Build the instance of `config`, with its stepsize resolved.
+
+    The graph, mixing pair, problem and stepsize table are a deterministic
+    function of the fields outside `_RUN_ONLY_FIELDS`, so they are memoized
+    on those fields' reprs (0, 0.0 and -0.0 key apart) and a hit holds the
+    bits a fresh build would; the last `_INSTANCE_CACHE_SIZE` are kept. A
+    config that reads a graph or problem file is always rebuilt, since the
+    file may have changed, and a build that raises stores nothing. The
+    stepsize is resolved on every call, so a named stepsize that is not
+    positive on this instance raises its ConfigError on a hit too.
+    `clear_instance_cache` empties the memo.
+    """
+    if config.graph_file or config.problem_file:
+        parts = _build_parts(config)
+    else:
+        key = tuple(repr(getattr(config, name)) for name in _INSTANCE_FIELDS)
+        parts = _instance_cache.get(key)
+        if parts is None:
+            parts = _instance_cache[key] = _build_parts(config)
+            if len(_instance_cache) > _INSTANCE_CACHE_SIZE:
+                _instance_cache.popitem(last=False)
+        else:
+            _instance_cache.move_to_end(key)
+    g, mp, prob, stepsizes = parts
+    return Instance(config=config, graph=g, mp=mp, prob=prob, stepsizes=dict(stepsizes),
                     alpha=resolve_alpha(config, stepsizes))
 
 

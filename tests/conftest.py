@@ -6,14 +6,16 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from decon import graph, linalg, mixing, problem
+from decon import graph, harness, linalg, mixing, problem
 
 
 @pytest.fixture(autouse=True)
 def cold_eig_cache():
-    """Start every test with an empty eigendecomposition cache, so counts of
-    Jacobi solves and forced solver failures do not depend on test order."""
+    """Start every test with empty eigendecomposition and instance caches, so
+    counts of Jacobi solves and builds and forced solver failures do not
+    depend on test order."""
     linalg.clear_eig_cache()
+    harness.clear_instance_cache()
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decon import algorithms, certify, cli, harness, linalg, mixing, problem
+from decon import algorithms, certify, cli, graph as graphs, harness, linalg, mixing, problem
 from decon.harness import (
     ConfigError, RunConfig, Trace, resolve_scenario, run, write_csv,
 )
@@ -766,6 +766,7 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
         seen.clear()
         names.clear()
         linalg.clear_eig_cache()
+        harness.clear_instance_cache()
         trace = run(dataclasses.replace(base, algo=algo, alpha=alpha))
         assert trace.audit.ok and trace.ks[-1] == 50
         counts = {name: seen[mat.tobytes()] for name, mat in watched.items()}
@@ -784,14 +785,16 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
 
 def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
     seen = _count_solves(monkeypatch)
-    eig = linalg.SymMatrix.eig
-    asked = []
-    monkeypatch.setattr(linalg.SymMatrix, "eig", lambda self: asked.append(1) or eig(self))
+    generated = collections.Counter()
+    for module, name in ((harness.graphs, "random_connected"), (problem, "generate")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **kw:
+                            generated.update([_name]) or _fn(*a, **kw))
     assert cli.main(["run", "--scenario", "fig1", "--max-iters", "20",
                      "--out", str(tmp_path / "fig1")]) == 0
     assert seen and max(seen.values()) == 1
-    # Six curves on one instance: most decompositions are served from the cache.
-    assert sum(seen.values()) < len(asked) / 2
+    # Six curves on one instance: the graph and the problem are built once.
+    assert generated == {"random_connected": 1, "generate": 1}
 
 
 # Every distinct instance of the four scenarios (one per relax factor) and the
@@ -807,11 +810,12 @@ _INSTANCES = {
 
 @functools.lru_cache(maxsize=None)
 def _observed_build(name: str):
-    """Build one instance from a cold cache. Returns it, the entries' bytes of
+    """Build one instance from cold caches. Returns it, the entries' bytes of
     every matrix `_jacobi_eigh` received, and every matrix whose spectrum was read."""
     received, asked = set(), []
     jacobi, eig = linalg._jacobi_eigh, linalg.SymMatrix.eig
     linalg.clear_eig_cache()
+    harness.clear_instance_cache()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_jacobi_eigh", lambda mats, names: received.update(
             a.tobytes() for a in mats) or jacobi(mats, names))
@@ -1037,6 +1041,21 @@ def test_cli_unwritable_output_is_a_named_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write trace to {tmp_path}")
 
 
+@pytest.mark.parametrize("flags, out", [
+    ([], "missing/x.csv"), (["--certify"], "missing/x.csv"), (["--certify"], ""),
+])
+def test_cli_unwritable_output_fails_before_any_step(flags, out, tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(algorithms, "step", never)
+    monkeypatch.setattr(harness, "build_instance", never)
+    path = str(tmp_path / out)
+    assert cli.main(["run", *flags, "--max-iters", "5", "--out", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write trace to {path}")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("text", ['{"n": 10,', "[1, 2]"])
 def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -1189,3 +1208,138 @@ def test_cli_save_and_load_problem(tmp_path):
                      "--seed", "4", "--algo", "nids", "--alpha", "0.1",
                      "--max-iters", "50", "--load-problem", str(saved), "--out", str(out)])
     assert code == 0
+
+
+# The instance memo of `build_instance`.
+
+_RUN_ONLY = {"algo": "nids", "alpha": 0.3, "max_iters": 7, "tol": 1e-3, "certify": True,
+             "out_path": "elsewhere.csv", "label": "other"}
+
+
+def _counting_builds(monkeypatch) -> list[RunConfig]:
+    """Record every config whose graph is built, that is every memo miss."""
+    built = []
+    build_graph = harness.build_graph
+    monkeypatch.setattr(harness, "build_graph", lambda cfg: built.append(cfg) or build_graph(cfg))
+    return built
+
+
+@pytest.mark.parametrize("changed", [*_RUN_ONLY, "all"])
+def test_configs_differing_in_run_only_fields_share_one_build(changed, monkeypatch):
+    built = _counting_builds(monkeypatch)
+    base = RunConfig(alpha="shi-convex")
+    first = harness.build_instance(base)
+    config = dataclasses.replace(base, **(_RUN_ONLY if changed == "all" else
+                                          {changed: _RUN_ONLY[changed]}))
+    hit = harness.build_instance(config)
+    assert built == [base]
+    assert hit.config is config and hit.alpha == harness.resolve_alpha(config, first.stepsizes)
+    assert (hit.graph, hit.mp, hit.prob) == (first.graph, first.mp, first.prob)
+    assert hit.stepsizes == first.stepsizes and hit.stepsizes is not first.stepsizes
+    # Each instance owns its table: changing one changes no other build's.
+    hit.stepsizes["nids"] = -1.0
+    assert harness.build_instance(base).stepsizes == first.stepsizes
+
+
+def _instance_changes(tmp_path) -> dict:
+    """Each instance field of RunConfig -> a value that changes the default's instance."""
+    graph_file = _graph_file(tmp_path, [(i, i + 1) for i in range(9)])
+    problem_file = str(tmp_path / "problem.json")
+    problem.save_problem(problem.generate(10, 5, 1, seed=5), problem_file)
+    return {"topology": "line", "n": 8, "p": 4, "mi": 2, "edge_prob": 0.6, "noise_std": 0.2,
+            "seed": 3, "relax_factor": 0.1, "theta": 0.9, "graph_file": graph_file,
+            "problem_file": problem_file}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)
+                                  if f.name not in _RUN_ONLY])
+def test_a_change_in_any_instance_field_misses_the_memo(name, tmp_path, monkeypatch):
+    built = _counting_builds(monkeypatch)
+    base = RunConfig(max_iters=5)
+    config = dataclasses.replace(base, **{name: _instance_changes(tmp_path)[name]})
+    first, changed = harness.build_instance(base), harness.build_instance(config)
+    assert built == [base, config]
+    assert changed.prob is not first.prob and changed.mp is not first.mp
+    assert harness.build_instance(base).prob is first.prob
+
+
+def test_equal_values_of_another_type_or_sign_miss_the_memo(monkeypatch):
+    # Keyed by repr: 1 and 1.0, or 0.0 and -0.0, never share a build.
+    built = _counting_builds(monkeypatch)
+    configs = [RunConfig(edge_prob=1.0), RunConfig(edge_prob=1),
+               RunConfig(noise_std=0.0), RunConfig(noise_std=-0.0)]
+    for config in configs:
+        harness.build_instance(config)
+    assert built == configs
+
+
+def test_graph_and_problem_files_are_reread_on_every_build(tmp_path, monkeypatch):
+    built = _counting_builds(monkeypatch)
+    graph_path = _graph_file(tmp_path, [(i, i + 1) for i in range(5)])
+    by_graph = RunConfig(graph_file=graph_path)
+    assert harness.build_instance(by_graph).graph.n == 6
+    _graph_file(tmp_path, [(i, i + 1) for i in range(7)])
+    assert harness.build_instance(by_graph).graph.n == 8
+
+    problem_path = str(tmp_path / "problem.json")
+    problem.save_problem(problem.generate(10, 5, 1, seed=5), problem_path)
+    by_problem = RunConfig(problem_file=problem_path)
+    first = harness.build_instance(by_problem).prob
+    problem.save_problem(problem.generate(10, 5, 1, seed=6), problem_path)
+    second = harness.build_instance(by_problem).prob
+    assert not np.array_equal(first.sensing, second.sensing)
+    assert np.array_equal(second.sensing, problem.load_problem(problem_path).sensing)
+    assert built == [by_graph] * 2 + [by_problem] * 2
+
+
+def test_a_failed_build_is_not_memoized(monkeypatch):
+    calls = []
+    generate = problem.generate
+    monkeypatch.setattr(problem, "generate", lambda *a, **k: calls.append(1) or generate(*a, **k))
+    # n * m_i = 3 measurements for p = 5 unknowns: not strongly convex.
+    config = RunConfig(n=3, p=5, mi=1)
+    for attempt in (1, 2):
+        with pytest.raises(problem.ProblemError, match="not strongly convex"):
+            harness.build_instance(config)
+        assert len(calls) == attempt
+    assert not harness._instance_cache
+
+
+def test_a_non_positive_named_stepsize_raises_on_a_memo_hit(monkeypatch):
+    # Metropolis on K_{4,4}, maximally relaxed: lambda_min(w) < -1 (see the CLI test above).
+    k44 = "".join(f"{i} {j}\n" for i in range(4) for j in range(4, 8))
+    built = []
+    monkeypatch.setattr(harness.graphs, "random_connected",
+                        lambda n, p, seed: built.append(n) or graphs.from_edge_list_text(k44))
+    base = RunConfig(n=8, relax_factor=0.3333333333333333, alpha=0.1)
+    assert harness.build_instance(base).stepsizes["shi-linear"] < 0.0
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="'shi-linear' resolved to a non-positive value"):
+            harness.build_instance(dataclasses.replace(base, alpha="shi-linear"))
+    assert built == [8]
+
+
+def test_the_memo_keeps_the_two_most_recently_used_instances(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    a, b, c = (RunConfig(seed=seed) for seed in (4, 5, 6))
+    for config in (a, b, a, c, a, b):
+        harness.build_instance(config)
+        assert len(harness._instance_cache) <= 2
+    # The hit on a makes b the least recently used, so c evicts b, not a.
+    assert built == [a, b, c, b]
+
+
+@pytest.mark.parametrize("scenario", harness.SCENARIOS)
+def test_scenario_csvs_are_the_same_bytes_with_cold_builds(scenario, tmp_path):
+    configs = [dataclasses.replace(cfg, max_iters=min(cfg.max_iters, 3000))
+               for cfg in resolve_scenario(scenario)]
+    csvs = {}
+    for cold in (False, True):
+        for cfg in configs:
+            if cold:
+                harness.clear_instance_cache()
+                linalg.clear_eig_cache()
+            path = tmp_path / f"{cold}-{cfg.name}.csv"
+            write_csv(run(cfg), str(path))
+            csvs.setdefault(cfg.name, []).append(path.read_bytes())
+    assert all(warm == cold for warm, cold in csvs.values())
