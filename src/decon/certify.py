@@ -12,6 +12,7 @@ including the Lyapunov contraction itself, must hold with slack no worse than
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import algorithms
 from .linalg import SymMatrix
-from .mixing import THETA_LOWER, MixingPair, MixingValidationError, theta_default, validate
+from .mixing import THETA_LOWER, MixingPair
 from .problem import mu_g_value
 
 __all__ = [
@@ -35,8 +36,7 @@ __all__ = [
     "extra_rho",
     "audit_extra",
     "audit_nids",
-    "search_extra_certificate",
-    "search_nids_certificate",
+    "lyapunov_ratio",
 ]
 
 # Relative tolerance for proved equalities along a trajectory.
@@ -269,21 +269,48 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     )
 
 
+def lyapunov_ratio(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Lyapunov ratio of each transition, L_{k+1} / L_k, and whether it
+    exists (L_k > 0; zero, negative and NaN L_k have none). Where it exists the
+    quotient is the one IEEE division of the two doubles, so a NaN L_{k+1}
+    gives NaN. A huge quotient overflows and inf / inf is invalid, so callers
+    that may meet them run this under `np.errstate`."""
+    exists = before > 0.0
+    return after / np.where(exists, before, 1.0), exists
+
+
 @dataclass
 class AuditReport:
-    """Per-iteration audit of a trajectory against the proved statements."""
+    """Per-iteration audit of a trajectory against the proved statements.
+
+    `lyapunov` holds L_k for each row k, `slack` the worst normalized slack of
+    each transition k -> k + 1 (so row k's slack is `slack[k - 1]`, and row 0
+    has none); both are float64 arrays, 8 bytes a row. The ratio column is
+    derived from `lyapunov` (`lyapunov_ratio`) and the transition count from
+    `slack`; neither is stored.
+    """
 
     algorithm: str
-    transitions: int
     lyapunov: np.ndarray
-    ratio: list[float | None]
-    slack: list[float | None]
+    slack: np.ndarray
     checks: dict[str, float]
     violations: list[str]
 
     @property
+    def transitions(self) -> int:
+        return len(self.slack)
+
+    @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def ratio(self) -> list[float | None]:
+        """Row k's Lyapunov ratio L_k / L_{k-1}, None where it has none (row 0
+        included); a list built on each call."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio, exists = lyapunov_ratio(self.lyapunov[:-1], self.lyapunov[1:])
+        return [None] + [r if ok else None for r, ok in zip(ratio.tolist(), exists.tolist())]
 
 
 # Entries of x per audit block: 32 states at n * p = 400. A block spreads
@@ -396,19 +423,19 @@ def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np
     checks the block's transitions k0, k0 + 1, ... from the stacks and columns
     of their start and end states (`nxt.g_prev` is each transition's gradient)
     and returns each one's worst slack, which is combined with the certified
-    contraction by the factor rho. Memory is one block, whatever the length.
+    contraction by the factor rho. Besides one block, the pass holds only the
+    Lyapunov value of each row and the slack of each transition, packed as
+    float64 (8 bytes each), and exposes them as arrays once it is done.
     """
     stream = iter(states)
     first = next(stream, None)
-    lyap: list[float] = []
-    ratio: list[float | None] = [None]
-    slack_col: list[float | None] = [None]
+    lyap, slack_col = array("d"), array("d")
     if first is not None:
         size = max(1, _BLOCK_ELEMENTS // first.x.size)
         x_origin, a_origin = origin
         prev = first
         prev_cols = per_state(first.x[None] - x_origin, getattr(first, aux)[None] - a_origin)
-        lyap.extend(prev_cols["lyapunov"].tolist())
+        lyap.frombytes(prev_cols["lyapunov"].tobytes())
         while True:
             stacks = _stack_block(prev, islice(stream, size), aux)
             if stacks is None:
@@ -427,17 +454,16 @@ def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np
             cs = tally.inequality("contraction_slack", "contraction", k0,
                                   (rho * l0 - l1) / (1.0 + l0))
             tally.close_block()
-            positive = l0 > 0.0
-            ratio.extend(r if ok else None for r, ok in
-                         zip((l1 / np.where(positive, l0, 1.0)).tolist(), positive.tolist()))
-            slack_col.extend(_min(s, cs).tolist())
-            lyap.extend(l1.tolist())
+            slack_col.frombytes(_min(s, cs).tobytes())
+            lyap.frombytes(l1.tobytes())
             prev_cols = cols
             # Free this block's stacks before the next block's are built.
             del stacks, x, a, g_prev, dx, da, cur, nxt
+    # Export the buffers only now: an array('d') cannot grow while one is live.
     return AuditReport(
-        algorithm=algorithm, transitions=len(ratio) - 1, lyapunov=np.array(lyap),
-        ratio=ratio, slack=slack_col, checks=tally.worst, violations=tally.violations,
+        algorithm=algorithm, lyapunov=np.frombuffer(lyap, dtype=np.float64),
+        slack=np.frombuffer(slack_col, dtype=np.float64), checks=tally.worst,
+        violations=tally.violations,
     )
 
 
@@ -563,67 +589,3 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
 
     return _audit_stream("nids_dx", states, "d", (fp.xstar, fp.dstar), per_state, transition,
                          cert.rho, tally)
-
-
-def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
-                             alpha: float, grid: int = 6) -> ExtraCertificate:
-    """Coarse grid search over (theta, xi, eta) minimizing the contraction factor.
-
-    The default certificate is valid but not optimized; this sweeps a few
-    admissible combinations and keeps the smallest rho. The thetas sit a
-    quarter, a half, three quarters and all of the way from 3/4 to the upper
-    end of the admissible interval; one too close to 3/4 for a certificate is
-    skipped.
-    """
-    upper = theta_default(mp.lam_min_wt)
-    thetas = [THETA_LOWER + f * (upper - THETA_LOWER) for f in (0.25, 0.5, 0.75, 1.0)]
-    best = None
-    fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
-    for theta in thetas:
-        try:
-            at_theta = validate(mp.w, mp.wt, mp.graph, theta=theta)
-            probe = extra_constants(at_theta, lipschitz, mu_fbar, alpha)
-        except (MixingValidationError, CertificateError):
-            continue
-        for fx in fracs:
-            xi = fx * min(probe.r3 / (4.0 * probe.lam_max_wbar_m), 1.0)
-            eta_upper = probe.lam_min_wbar * xi / (
-                4.0 * alpha * probe.lam_min_wbar - 2.0 * alpha**2 * lipschitz)
-            for fe in fracs:
-                try:
-                    cert = extra_constants(at_theta, lipschitz, mu_fbar, alpha, xi=xi,
-                                           eta=fe * eta_upper)
-                except CertificateError:
-                    continue
-                if best is None or cert.rho < best.rho:
-                    best = cert
-    if best is None:
-        raise CertificateError("no admissible certificate found in the search grid")
-    return best
-
-
-def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
-                            grid: int = 8) -> NidsCertificate:
-    """Grid search over (r4, eta) minimizing the contraction factor.
-
-    r5, and with it the eta interval, depends only on r4: one probe per r4.
-    """
-    best = None
-    fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
-    for fr in fracs:
-        r4 = fr * (mp.theta - THETA_LOWER)
-        try:
-            probe = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4)
-        except CertificateError:
-            continue
-        for fe in fracs:
-            eta = fe / (alpha * (2.0 - alpha * lipschitz) * probe.r5)
-            try:
-                cert = nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4, eta=eta)
-            except CertificateError:
-                continue
-            if best is None or cert.rho < best.rho:
-                best = cert
-    if best is None:
-        raise CertificateError("no admissible certificate found in the search grid")
-    return best

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from array import array
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 
@@ -47,8 +49,9 @@ DIVERGENCE_LIMIT = 1e12
 _MARK_EVERY = 64
 
 # write_csv formats, joins and writes this many rows at a time; a certified
-# row is at most about 200 bytes, so a chunk's text stays under about 1 MB.
-_CSV_CHUNK_ROWS = 4096
+# row is at most about 200 bytes, so a chunk's row strings and joined text
+# stay near 300 kB.
+_CSV_CHUNK_ROWS = 1024
 
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
 
@@ -144,13 +147,15 @@ class RunConfig:
 @dataclass(eq=False)
 class Trace:
     """One run's record: its residual per iteration, stored once, plus the
-    audit and certificate of a certified run; row k is iteration k. `cycle`
-    is (start, period) when the run ended in an exact cycle that the run loop
-    replayed: states from `start` on repeat with that period."""
+    audit and certificate of a certified run; row k is iteration k. `run`
+    keeps the residuals packed as float64, 8 bytes a row (`array('d')`); any
+    sequence of floats writes the same CSV. `cycle` is (start, period) when
+    the run ended in an exact cycle that the run loop replayed: states from
+    `start` on repeat with that period."""
 
     algo: str
     alpha: float
-    residuals: list[float]
+    residuals: Sequence[float]
     status: str = "unknown"
     audit: object = field(default=None, repr=False)
     certificate: object = field(default=None, repr=False)
@@ -347,7 +352,7 @@ def run(config: RunConfig) -> Trace:
     if config.certify:
         variant, constants, audit = certify.certify(variant)
         cert = constants(mp, prob.lipschitz, prob.mu_fbar, inst.alpha)
-    trace = Trace(algo=config.name, alpha=inst.alpha, residuals=[], status="max_iters",
+    trace = Trace(algo=config.name, alpha=inst.alpha, residuals=array("d"), status="max_iters",
                   problem=prob)
     x0 = np.zeros((prob.n, prob.p))
     states = _until_stop(algorithms.iterate(variant, x0, inst.alpha, mp.w, mp.wt, prob.grad),
@@ -401,6 +406,11 @@ def resolve_scenario(name: str) -> list[RunConfig]:
     ]
 
 
+def _bits(values: Sequence[float]) -> np.ndarray:
+    """The IEEE bits of each float, as int64: equal only for the same double."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 def write_csv(trace: Trace, path: str) -> None:
     """Write the trace rows, numbered from 0, with a certified run's lyapunov,
     ratio and slack columns read from its audit; 17 significant digits keep
@@ -409,48 +419,58 @@ def write_csv(trace: Trace, path: str) -> None:
     The header goes first, then the rows `_CSV_CHUNK_ROWS` at a time, each
     chunk formatted, joined and written before the next is built, so writing
     holds one chunk whatever the trace's length. The ",algo,alpha," run shared
-    by every row is formatted once. An uncertified trace whose run loop
-    replayed a cycle formats the period's rows once and writes every row after
-    the cycle closed from them. A certified trace's four columns are checked
-    for equal length before the file is opened, so a mismatch leaves no file.
+    by every row is formatted once. A certified row k > 0 has the ratio
+    L_k / L_{k-1} (`certify.lyapunov_ratio`), derived a chunk at a time and
+    empty where L_{k-1} is not positive, and the slack of the transition into
+    it; row 0 has neither. An uncertified trace whose run loop replayed a cycle
+    formats the period's rows once, and each later row that holds the bits of
+    its period row is written from that row's text. A certified trace's
+    columns are checked for matching lengths before the file is opened, so a
+    mismatch leaves no file.
     """
     lead = f",{trace.algo},{trace.alpha:.17g},"
     res = trace.residuals
     n = len(res)
     if trace.certified:
-        report = trace.audit
-        lengths = (n, len(report.lyapunov), len(report.ratio), len(report.slack))
-        if len(set(lengths)) > 1:
-            raise ValueError("certified trace columns differ in length: residuals {}, "
-                             "lyapunov {}, ratio {}, slack {}".format(*lengths))
+        lyap, slack = trace.audit.lyapunov, trace.audit.slack
+        if len(lyap) != n or len(slack) != max(n - 1, 0):
+            raise ValueError(f"certified trace columns differ in length: residuals {n}, "
+                             f"lyapunov {len(lyap)}, slack {len(slack)} (one per transition)")
         header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
 
         def rows(a: int, b: int) -> list[str]:
-            return [f"{k}{lead}{r:.17g},{v:.17g},{'' if q is None else f'{q:.17g}'},"
-                    f"{'' if s is None else f'{s:.17g}'}\n"
-                    for k, r, v, q, s in zip(range(a, b), res[a:b],
-                                             report.lyapunov[a:b].tolist(),
-                                             report.ratio[a:b], report.slack[a:b])]
+            out = [f"0{lead}{res[0]:.17g},{float(lyap[0]):.17g},,\n"] if a == 0 else []
+            a = max(a, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio, exists = certify.lyapunov_ratio(lyap[a - 1:b - 1], lyap[a:b])
+            out += [f"{k}{lead}{r:.17g},{v:.17g},{f'{q:.17g}' if ok else ''},{s:.17g}\n"
+                    for k, r, v, q, ok, s in zip(range(a, b), res[a:b], lyap[a:b].tolist(),
+                                                 ratio.tolist(), exists.tolist(),
+                                                 slack[a - 1:b - 1].tolist())]
+            return out
     else:
         header = "k,algo,alpha,residual\n"
         # Rows from `replay` on repeat the period's rows (see `Trace.cycle`).
-        # One is written from its period row's body only if its residual is
-        # that row's very float object, as the run loop's replay leaves it, so
-        # the bytes never rest on `cycle` being right for a hand-built trace.
-        replay, pairs = n, []
+        # One is written from its period row's text only if it holds that
+        # row's bits (so -0.0 never passes for 0.0), and the bytes never rest
+        # on `cycle` being right for a hand-built trace.
+        replay, bodies, tiled = n, [], None
         if trace.cycle is not None:
             start, period = trace.cycle
             replay = min(n, start + period + 1)
-            pairs = [(r, f"{lead}{r:.17g}\n") for r in res[start + 1:replay]]
+            bodies = [f"{lead}{r:.17g}\n" for r in res[start + 1:replay]]
+            # The period's bits repeated, so a chunk's slice starts at any phase.
+            tiled = np.resize(_bits(res[start + 1:replay]), _CSV_CHUNK_ROWS + len(bodies))
 
         def rows(a: int, b: int) -> list[str]:
             mid = min(max(a, replay), b)
             out = [f"{k}{lead}{r:.17g}\n" for k, r in zip(range(a, mid), res[a:mid])]
             if mid < b:
-                j = (mid - replay) % len(pairs)
-                out += [f"{k}{body}" if r is same else f"{k}{lead}{r:.17g}\n"
-                        for k, r, (same, body) in zip(range(mid, b), res[mid:b],
-                                                      cycle(pairs[j:] + pairs[:j]))]
+                j = (mid - replay) % len(bodies)
+                same = (_bits(res[mid:b]) == tiled[j:j + b - mid]).tolist()
+                out += [f"{k}{body}" if hit else f"{k}{lead}{res[k]:.17g}\n"
+                        for k, hit, body in zip(range(mid, b), same,
+                                                cycle(bodies[j:] + bodies[:j]))]
             return out
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -150,6 +150,13 @@ def theta_default(lam_min_wt: float) -> float:
     return upper
 
 
+def _project(a: np.ndarray) -> np.ndarray:
+    """P a P with P = I - 11^T/n, the projection onto the disagreement space."""
+    n = len(a)
+    proj = np.eye(n) - np.full((n, n), 1.0 / n)
+    return proj @ a @ proj
+
+
 def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) -> MixingPair:
     """Check all four parts of the mixing assumption, build the derived
     matrices at theta, and package the pair.
@@ -263,9 +270,8 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
              f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]
         )
     # Project both pseudo-inverses onto the disagreement space (see MixingPair).
-    proj = eye - np.full((n, n), 1.0 / n)
-    m = SymMatrix(proj @ diff.pinv().a @ proj, name="pinv(w_tilde - w)")
-    iw_pinv = SymMatrix(proj @ i_minus_w.pinv().a @ proj, name="pinv(I - w)")
+    m = SymMatrix(_project(diff.pinv().a), name="pinv(w_tilde - w)")
+    iw_pinv = SymMatrix(_project(i_minus_w.pinv().a), name="pinv(I - w)")
     # Halving commutes exactly with the rotation into w's basis, with every
     # Jacobi step, with pinv and with the projection, so this equals
     # pinv((I - w)/2) - theta I without a third decomposition.

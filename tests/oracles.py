@@ -11,12 +11,15 @@ too large for the bisection to finish in a test's time.
 The audit oracles `audit_extra_reference` and `audit_nids_reference` check one
 transition at a time with scalar `wnorm_sq`/`wdot` calls, exactly as the
 package's audits did before they were blocked; the blocked audits must agree
-with them.
+with them. Their `ReferenceReport` keeps the per-row columns as the package's
+`AuditReport` did before they were packed: Python lists of the ratio, one
+division per transition, and of the slack, both None on row 0.
 
 `write_csv_reference` is `harness.write_csv` as it was before its rows were
 built in one pass and then streamed in chunks: one `_fmt` call per float, the
-run label and stepsize formatted again on every row, all rows joined at once.
-The package's writer must write the same bytes.
+run label and stepsize formatted again on every row, all rows joined at once;
+it derives each row's ratio with one Python division. The package's writer
+must write the same bytes.
 
 `grad_reference` is `problem.grad` as it was before it called numpy's einsum
 kernel directly, through two `np.einsum` calls; `UPDATES_REFERENCE` holds the
@@ -60,6 +63,10 @@ none of them at run time.
 
 `rho_special` is the paper's contraction factor in its two limit cases, in
 terms of the spectral gap, which `certify.extra_rho` is checked against.
+`search_extra_certificate` and `search_nids_certificate` are coarse grid
+searches for the certificate with the smallest contraction factor; they look
+`certify`'s constants up when called, so a test that patches them there
+patches the searches.
 `to_edge_list_text` and `parse_matrix_text` are the inverses of what the CLI
 reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
 """
@@ -73,12 +80,13 @@ from itertools import islice
 
 import numpy as np
 
-from decon import harness
+from decon import certify, harness
 from decon.algorithms import AlgoState, iterate
-from decon.certify import EQ_TOL, INEQ_TOL, AuditReport
+from decon.certify import EQ_TOL, INEQ_TOL, CertificateError
 from decon import linalg
 from decon.linalg import NotPositiveSemidefiniteError, SymMatrix
-from decon.mixing import MixingPair
+from decon.mixing import (THETA_LOWER, MixingPair, MixingValidationError, theta_default,
+                          validate)
 from decon.problem import SensingProblem, grad, mu_g_value
 
 
@@ -373,8 +381,23 @@ class _Tally:
         return slack
 
 
+@dataclass
+class ReferenceReport:
+    """An oracle audit: `AuditReport`'s fields, with the ratio and slack of
+    each row as lists (None on row 0, and None where L_{k-1} <= 0 or is NaN
+    for the ratio)."""
+
+    algorithm: str
+    transitions: int
+    lyapunov: np.ndarray
+    ratio: list[float | None]
+    slack: list[float | None]
+    checks: dict[str, float]
+    violations: list[str]
+
+
 def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
-                  tally: _Tally) -> AuditReport:
+                  tally: _Tally) -> ReferenceReport:
     """One pass over consecutive states, holding only the previous one.
 
     `lyapunov(state)` is the state's Lyapunov value; `transition(k, cur, nxt)`
@@ -395,13 +418,13 @@ def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
             ratio.append(lyap[k + 1] / lyap[k] if lyap[k] > 0.0 else None)
             slack_col.append(min(s, cs))
         prev = state
-    return AuditReport(
+    return ReferenceReport(
         algorithm=algorithm, transitions=len(ratio) - 1, lyapunov=np.array(lyap),
         ratio=ratio, slack=slack_col, checks=tally.worst, violations=tally.violations,
     )
 
 
-def audit_extra_reference(states, mp, cert, fp, grad) -> AuditReport:
+def audit_extra_reference(states, mp, cert, fp, grad) -> ReferenceReport:
     """Reference for `certify.audit_extra`, one transition at a time: norm
     equality, key inequality, contraction.
 
@@ -443,7 +466,7 @@ def audit_extra_reference(states, mp, cert, fp, grad) -> AuditReport:
     return _audit_stream("extra_xy", states, lyapunov, transition, cert.rho, tally)
 
 
-def audit_nids_reference(states, mp, cert, fp, grad) -> AuditReport:
+def audit_nids_reference(states, mp, cert, fp, grad) -> ReferenceReport:
     """Reference for `certify.audit_nids`, one transition at a time: the two
     equalities, the d-x connection, the key inequality, the r5 norm-bound
     chain, and the Lyapunov contraction.
@@ -536,9 +559,11 @@ def write_csv_reference(trace, path: str) -> None:
     for k, residual in enumerate(trace.residuals):
         row = f"{k},{trace.algo},{_fmt(trace.alpha)},{_fmt(residual)}"
         if trace.certified:
-            ratio = report.ratio[k]
-            slack = report.slack[k]
-            row += f",{_fmt(report.lyapunov[k])}"
+            lyap = report.lyapunov[k].item()
+            before = report.lyapunov[k - 1].item() if k > 0 else None
+            ratio = lyap / before if k > 0 and before > 0.0 else None
+            slack = report.slack[k - 1] if k > 0 else None
+            row += f",{_fmt(lyap)}"
             row += f",{'' if ratio is None else _fmt(ratio)}"
             row += f",{'' if slack is None else _fmt(slack)}"
         lines.append(row)
@@ -677,6 +702,70 @@ def rho_special(alpha: float, lipschitz: float, theta: float, lam_min_w: float,
     b3 = 1.0 - (beta * r3 - 4.0 * xi * (2.0 - theta * beta)) \
         / (beta * r3 + (1.0 - 2.0 * xi) * (2.0 - theta * beta))
     return max(b1, b2, b3)
+
+
+def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
+                             alpha: float, grid: int = 6):
+    """Coarse grid search over (theta, xi, eta) minimizing the contraction factor.
+
+    The default certificate is valid but not optimized; this sweeps a few
+    admissible combinations and keeps the smallest rho. The thetas sit a
+    quarter, a half, three quarters and all of the way from 3/4 to the upper
+    end of the admissible interval; one too close to 3/4 for a certificate is
+    skipped.
+    """
+    upper = theta_default(mp.lam_min_wt)
+    thetas = [THETA_LOWER + f * (upper - THETA_LOWER) for f in (0.25, 0.5, 0.75, 1.0)]
+    best = None
+    fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
+    for theta in thetas:
+        try:
+            at_theta = validate(mp.w, mp.wt, mp.graph, theta=theta)
+            probe = certify.extra_constants(at_theta, lipschitz, mu_fbar, alpha)
+        except (MixingValidationError, CertificateError):
+            continue
+        for fx in fracs:
+            xi = fx * min(probe.r3 / (4.0 * probe.lam_max_wbar_m), 1.0)
+            eta_upper = probe.lam_min_wbar * xi / (
+                4.0 * alpha * probe.lam_min_wbar - 2.0 * alpha**2 * lipschitz)
+            for fe in fracs:
+                try:
+                    cert = certify.extra_constants(at_theta, lipschitz, mu_fbar, alpha, xi=xi,
+                                                   eta=fe * eta_upper)
+                except CertificateError:
+                    continue
+                if best is None or cert.rho < best.rho:
+                    best = cert
+    if best is None:
+        raise CertificateError("no admissible certificate found in the search grid")
+    return best
+
+
+def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
+                            grid: int = 8):
+    """Grid search over (r4, eta) minimizing the contraction factor.
+
+    r5, and with it the eta interval, depends only on r4: one probe per r4.
+    """
+    best = None
+    fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
+    for fr in fracs:
+        r4 = fr * (mp.theta - THETA_LOWER)
+        try:
+            probe = certify.nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4)
+        except CertificateError:
+            continue
+        for fe in fracs:
+            eta = fe / (alpha * (2.0 - alpha * lipschitz) * probe.r5)
+            try:
+                cert = certify.nids_constants(mp, lipschitz, mu_fbar, alpha, r4=r4, eta=eta)
+            except CertificateError:
+                continue
+            if best is None or cert.rho < best.rho:
+                best = cert
+    if best is None:
+        raise CertificateError("no admissible certificate found in the search grid")
+    return best
 
 
 def to_edge_list_text(g) -> str:

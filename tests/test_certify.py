@@ -13,6 +13,8 @@ from oracles import (
     lam_iwt_reference,
     lambda_min_pos_reference,
     rho_special,
+    search_extra_certificate,
+    search_nids_certificate,
     sqrt_reference,
     wnorm_sq,
 )
@@ -26,8 +28,6 @@ from decon.certify import (
     extra_constants,
     extra_rho,
     nids_constants,
-    search_extra_certificate,
-    search_nids_certificate,
 )
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
@@ -549,7 +549,7 @@ def _assert_same_report(blocked, reference):
     assert (blocked.algorithm, blocked.transitions) == (reference.algorithm, reference.transitions)
     assert np.array_equal(blocked.lyapunov, reference.lyapunov)
     assert blocked.ratio == reference.ratio
-    assert blocked.slack == reference.slack
+    assert [None] + blocked.slack.tolist() == reference.slack
     assert blocked.violations == reference.violations
     assert blocked.checks.keys() == reference.checks.keys()
     for name, value in reference.checks.items():
@@ -612,6 +612,44 @@ def test_audits_flag_a_non_finite_state(variant, prob1, rand10):
     flagged = {message.split("k=")[1].split(":")[0] for message in report.violations}
     assert flagged == {"2", "3"}, report.violations
     assert report.violations == oracle(states, mp, cert, fp, prob1.grad).violations
+
+
+@pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])
+def test_ratio_and_slack_cells_match_the_oracle_at_zero_and_nan_lyapunov(variant, prob1, rand10,
+                                                                         tmp_path):
+    # State 1 sits exactly at the fixed point, so L_1 = 0 and row 2 has no
+    # ratio; state 3 is NaN, so row 3's ratio is NaN after a positive L_2, row 4
+    # has none after a NaN L_3, and both transitions' slacks are NaN.
+    _, mp = rand10
+    if variant == "extra_xy":
+        audit, oracle, aux = audit_extra, audit_extra_reference, "y"
+        alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
+        cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    else:
+        audit, oracle, aux, alpha = audit_nids, audit_nids_reference, "d", 0.1
+        cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    fp = fixed_point(prob1, alpha)
+    origin = fp.ystar if aux == "y" else fp.dstar
+    states = list(_states(variant, mp, prob1, alpha, 6))
+    states[1] = states[1]._replace(x=fp.xstar.copy(), **{aux: origin.copy()})
+    states[3] = states[3]._replace(x=np.full_like(states[3].x, np.nan))
+    report = audit(states, mp, cert, fp, prob1.grad)
+    ref = oracle(states, mp, cert, fp, prob1.grad)
+
+    def bits(column):
+        return [None if v is None else float(v).hex() for v in column]
+
+    assert bits(report.ratio) == bits(ref.ratio)
+    assert bits([None, *report.slack.tolist()]) == bits(ref.slack)
+    trace = harness.Trace(algo=variant, alpha=alpha, residuals=[1.0] * len(states), audit=report)
+    path = tmp_path / "t.csv"
+    harness.write_csv(trace, str(path))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    cells = [["" if v is None else f"{v:.17g}" for v in column]
+             for column in (ref.ratio, ref.slack)]
+    assert [[r[5] for r in rows], [r[6] for r in rows]] == cells
+    assert [r[5] for r in rows[:5]] == ["", "0", "", "nan", ""]
+    assert rows[3][6] == rows[4][6] == "nan"
 
 
 @pytest.mark.parametrize("generic", [False, True])

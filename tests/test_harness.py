@@ -87,7 +87,7 @@ def test_run_converges_at_zero_when_started_at_optimum(tmp_path):
     trace = run(cfg)
     assert trace.status == "converged"
     assert list(trace.ks) == [0]
-    assert trace.residuals == [0.0]
+    assert list(trace.residuals) == [0.0]
 
 
 def test_run_divergence_detected():
@@ -121,7 +121,7 @@ def _assert_rows_parse_back(trace, rows):
     """Every written cell parses back to exactly the value it was written from."""
     assert [int(r[0]) for r in rows] == list(trace.ks)
     assert {(r[1], float(r[2])) for r in rows} == {(trace.algo, trace.alpha)}
-    assert [float(r[3]) for r in rows] == trace.residuals
+    assert [float(r[3]) for r in rows] == list(trace.residuals)
 
 
 def test_trace_csv_round_trip_plain(tmp_path):
@@ -150,7 +150,7 @@ def test_trace_csv_round_trip_certified(tmp_path):
     _assert_rows_parse_back(trace, rows)
     assert [float(r[4]) for r in rows] == report.lyapunov.tolist()
     assert [_cell(r[5]) for r in rows] == report.ratio
-    assert [_cell(r[6]) for r in rows] == report.slack
+    assert [_cell(r[6]) for r in rows] == [None] + report.slack.tolist()
 
 
 def test_empty_trace_writes_header_only(tmp_path):
@@ -187,19 +187,19 @@ _floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
 def _traces(draw):
     rows = draw(st.integers(1, 8))
     column = st.lists(_floats, min_size=rows, max_size=rows)
-    optional = st.lists(st.none() | _floats, min_size=rows, max_size=rows)
+    transitions = st.lists(_floats, min_size=rows - 1, max_size=rows - 1)
     certified = draw(st.booleans())
     return Trace(algo=draw(st.sampled_from(("dgd_fast", "nids_0.19", "extra_0.0657529"))),
                  alpha=draw(_floats),
                  residuals=draw(column),
-                 audit=_audit(draw(column), draw(optional), draw(optional)) if certified else None)
+                 audit=_audit(draw(column), draw(transitions)) if certified else None)
 
 
-def _audit(lyapunov, ratio, slack) -> certify.AuditReport:
-    """An audit report holding the three columns a certified trace writes."""
-    return certify.AuditReport(algorithm="probe", transitions=len(lyapunov) - 1,
-                               lyapunov=np.array(lyapunov, dtype=float), ratio=ratio,
-                               slack=slack, checks={}, violations=[])
+def _audit(lyapunov, slack) -> certify.AuditReport:
+    """An audit report holding the two stored columns a certified trace
+    writes: L_k per row and the slack per transition."""
+    return certify.AuditReport(algorithm="probe", lyapunov=np.array(lyapunov, dtype=float),
+                               slack=np.array(slack, dtype=float), checks={}, violations=[])
 
 
 def _assert_writes_the_reference_bytes(trace):
@@ -230,7 +230,7 @@ def _cycled_traces(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(trace=_traces())
 @example(trace=Trace(algo="nids_0.19", alpha=0.19, residuals=[1.0],
-                     audit=_audit([math.nan], [None], [None])))
+                     audit=_audit([math.nan], [])))
 @example(trace=Trace(algo="dgd_slow", alpha=-0.0,
                      residuals=[5e-324, 1.7976931348623157e308, math.inf]))
 def test_write_csv_matches_the_per_row_writer_byte_for_byte(trace):
@@ -251,24 +251,30 @@ _CHUNK = harness._CSV_CHUNK_ROWS
 
 def _random_trace(rows: int, certified: bool) -> Trace:
     """A trace of random floats in [0, 1), most of which need 17 significant digits."""
-    column = np.random.default_rng(rows).random((4, rows)).tolist()
-    audit = _audit(column[1], [None] + column[2][1:], [None] + column[3][1:])
+    column = np.random.default_rng(rows).random((3, rows)).tolist()
+    audit = _audit(column[1], column[2][1:])
     return Trace(algo="nids_0.19", alpha=0.19, residuals=column[0],
                  audit=audit if certified else None)
 
 
 @pytest.mark.parametrize("certified", [False, True])
-@pytest.mark.parametrize("rows", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+# Each boundary is checked after one chunk and after four.
+@pytest.mark.parametrize("rows", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                  4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
 def test_write_csv_matches_the_per_row_writer_at_the_chunk_size(rows, certified):
     _assert_writes_the_reference_bytes(_random_trace(rows, certified))
 
 
 @pytest.mark.parametrize("start, period, rows", [
     (0, 1, 3 * _CHUNK + 5),            # a fixed point from row 0
+    (0, 1, 12 * _CHUNK + 5),
     (100, 2, 100 + 2 + 1),             # closes exactly at the last row
     (_CHUNK - 4, 3, 2 * _CHUNK + 7),   # closes on a chunk's last row, replays from the next
+    (4 * _CHUNK - 4, 3, 8 * _CHUNK + 7),
     (_CHUNK - 1, 1, _CHUNK + 2),       # closes on a chunk's first row
+    (4 * _CHUNK - 1, 1, 4 * _CHUNK + 2),
     (2 * _CHUNK - 3, 2, 2 * _CHUNK),   # closes on the last row of a chunk and of the trace
+    (8 * _CHUNK - 3, 2, 8 * _CHUNK),
     (6_632, 2, 60_001),                # fig1 dgd_slow's cycle
 ])
 def test_write_csv_of_a_replayed_cycle_matches_the_per_row_writer(start, period, rows):
@@ -292,7 +298,9 @@ def test_write_csv_formats_a_replayed_cycle_s_rows_once(tmp_path):
 
 def test_write_csv_formats_rows_that_are_not_the_cycle_s_objects():
     # Equal values as distinct objects, a -0.0 among them: `cycle` claims a
-    # period the rows do not repeat bit for bit, and every row is formatted.
+    # period the rows do not repeat bit for bit. Rows holding the bits of
+    # their period row may reuse its text; -0.0 against 0.0 and 0.3 against
+    # 0.25 must be formatted, or the bytes differ from the reference's.
     residuals = [0.5, 0.0, 0.25] + [float(v) for v in ("-0.0", "0.25", "0.0", "0.3") * 3]
     _assert_writes_the_reference_bytes(Trace(algo="dgd_slow", alpha=0.1, residuals=residuals,
                                              cycle=(0, 2)))
@@ -300,11 +308,27 @@ def test_write_csv_formats_rows_that_are_not_the_cycle_s_objects():
 
 def test_write_csv_rejects_certified_columns_of_unequal_length(tmp_path):
     trace = Trace(algo="nids_0.19", alpha=0.19, residuals=[1.0, 0.5, 0.25],
-                  audit=_audit([2.0, 1.0], [None, 0.5], [None, 0.1]))
+                  audit=_audit([2.0, 1.0], [0.1]))
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="residuals 3, lyapunov 2, ratio 2, slack 2"):
+    with pytest.raises(ValueError,
+                       match=r"residuals 3, lyapunov 2, slack 1 \(one per transition\)"):
         write_csv(trace, str(path))
     assert not path.exists()
+
+
+def test_write_csv_ratio_and_slack_cells_at_zero_negative_and_nan_lyapunov(tmp_path):
+    # A ratio only where L_{k-1} > 0, NaN where L_k is; a NaN slack is "nan".
+    lyapunov = [2.0, 0.0, 3.0, math.nan, 1.0, 4.0, math.nan, -1.0, 5.0, -0.0, 1.0]
+    slack = [0.1, math.nan, -0.0, math.nan, 0.2, math.nan, 0.3, 1e-300, 0.0, 0.5]
+    trace = Trace(algo="nids_0.19", alpha=0.19, residuals=[1.0] * len(lyapunov),
+                  audit=_audit(lyapunov, slack))
+    _assert_writes_the_reference_bytes(trace)
+    write_csv(trace, str(tmp_path / "t.csv"))
+    _, rows = _csv(tmp_path / "t.csv")
+    assert [r[5] for r in rows] == ["", "0", "", "nan", "", "4", "nan", "", "", "-0", ""]
+    assert [r[6] for r in rows] == ["", "0.10000000000000001", "nan", "-0", "nan",
+                                    "0.20000000000000001", "nan", "0.29999999999999999",
+                                    "1e-300", "0", "0.5"]
 
 
 def _write_peak(trace: Trace, path: str) -> int:
@@ -435,7 +459,7 @@ def test_certified_audit_of_a_replayed_cycle_equals_the_stepped_one(prob1, rand1
     assert traces[0].cycle == (_MARK, 3) and traces[1].cycle is None
     assert new.transitions == old.transitions == 400
     assert new.lyapunov.tobytes() == old.lyapunov.tobytes()
-    assert new.ratio == old.ratio and new.slack == old.slack
+    assert new.ratio == old.ratio and new.slack.tobytes() == old.slack.tobytes()
     assert new.checks == old.checks and new.violations == old.violations
     assert not new.ok
 
@@ -942,6 +966,30 @@ def test_certified_run_memory_does_not_grow_with_iterations(monkeypatch):
         tracemalloc.stop()
     assert trace.ks[-1] == 5000 and trace.audit.ok
     assert peak < 8 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+
+
+def test_certified_trace_holds_at_most_32_bytes_a_row(monkeypatch):
+    # The residual, the Lyapunov value and the slack of each row are packed
+    # as 8-byte floats and the ratio is derived: the memory the returned trace
+    # holds grows by about 24 bytes a row, not the 100 of Python floats.
+    base = RunConfig(topology="random", n=10, p=40, mi=5, seed=2, algo="nids", alpha=0.19,
+                     tol=1e-300, certify=True)
+    # Build the instance untraced: its eigensolves are slow under tracemalloc.
+    inst = harness.build_instance(base)
+    monkeypatch.setattr(harness, "build_instance", lambda config: inst)
+    run(dataclasses.replace(base, max_iters=2))  # fills the certificate's eigensolve cache
+    held = {}
+    for rows in (2000, 8000):
+        tracemalloc.start()
+        try:
+            trace = run(dataclasses.replace(base, max_iters=rows))
+            held[rows] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert trace.ks[-1] == rows and trace.audit.ok
+        del trace
+    slope = (held[8000] - held[2000]) / 6000
+    assert slope <= 32, f"{slope:.1f} B a row"
 
 
 def test_cli_alpha_named_vs_numeric(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decon import mixing
 from decon.graph import Graph, complete, line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import (
@@ -334,6 +335,17 @@ def test_validate_passes_on_long_line_graphs(n):
     ones = np.ones(n)
     for pinv in (mp.m, mp.iw_pinv):
         assert np.abs(pinv.a @ ones).max() <= 1e-12
+
+
+def test_validate_rejects_a_projection_that_leaves_the_ones_direction(monkeypatch):
+    # m_tilde 1 = -theta 1 rests on the projection killing the all-ones
+    # direction; one that leaves 1e-9 in every entry is caught.
+    project = mixing._project
+    monkeypatch.setattr(mixing, "_project", lambda a: project(a) + 1e-9)
+    g = line(4)
+    w = metropolis(g)
+    with pytest.raises(AssertionError, match=r"^m_tilde 1 != -theta 1 \(residual 8\.0\d\de-09\)$"):
+        validate(w, _half(w), g)
 
 
 @pytest.mark.parametrize("w, factor, message", [
