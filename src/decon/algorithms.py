@@ -14,7 +14,8 @@ stepsize, gradient and matrices once; `step` advances a state by one iteration
 with them, at one gradient evaluation (the two-step forms carry the previous
 gradient in the state). `iterate` is the one loop that calls `step`. A state
 is an immutable NamedTuple, the cheapest immutable record to build once per
-step. The updates apply their matrices with `ndarray.dot`, which reaches the
+step; the updates build it from positional fields, which costs less than
+keywords. They apply their matrices with `ndarray.dot`, which reaches the
 same gemm as `@` with half its per-call overhead, so the bits are the same.
 """
 
@@ -84,7 +85,7 @@ def _extra(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
 
 def _extra_xy(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     x = op.wt.dot(s.x) + s.y - op.alpha * g
-    return AlgoState(x, s.x, g, y=s.y - op.diff.dot(x))
+    return AlgoState(x, s.x, g, s.y - op.diff.dot(x))
 
 
 def _nids(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
@@ -98,7 +99,7 @@ def _nids(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
 def _nids_dx(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     v = s.x - op.alpha * g
     d = s.d + op.half_iw.dot(v - op.alpha * s.d) / op.alpha
-    return AlgoState(v - op.alpha * d, s.x, g, d=d)
+    return AlgoState(v - op.alpha * d, s.x, g, None, d)
 
 
 _UPDATES = {"dgd": _dgd, "extra": _extra, "extra_xy": _extra_xy, "nids": _nids,

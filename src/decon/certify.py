@@ -328,8 +328,11 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _wsq(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Weighted squared norm tr(v^T h v) of each slice of a stacked (B, n, p)
     array, one h @ v per slice then the sum: the operand order of the
-    per-transition audit oracles' `wnorm_sq`, so bit for bit equal."""
-    return _dot(v, np.matmul(h, v))
+    per-transition audit oracles' `wnorm_sq`, so bit for bit equal. The
+    products v * (h @ v) overwrite h @ v, which saves allocating a third
+    block-sized array; a product's bits do not depend on where it is stored."""
+    hv = np.matmul(h, v)
+    return np.multiply(v, hv, out=hv).sum(axis=(-2, -1))
 
 
 def _fro(v: np.ndarray) -> np.ndarray:
@@ -365,6 +368,15 @@ class _Tally:
     Checks arrive a block at a time, one call per check in the order a single
     transition runs them; `close_block` files the block's messages by
     transition with a stable sort, which keeps that order within one.
+
+    The worst margin is always the NaN-skipping `fmax`/`fmin` reduction. A
+    block is accepted whole, without looking for entries to flag, when a
+    second reduction shows every entry finite and within tolerance: an
+    equality's `min` above -inf with its worst at most `EQ_TOL`, an
+    inequality's worst at least `INEQ_TOL` with its `max` below inf. `min`
+    and `max` return NaN if any entry is NaN, and NaN fails both tests, so a
+    block that would file a message always reaches `_flag`, and the worst
+    margins and messages keep their bits.
     """
 
     def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
@@ -377,12 +389,14 @@ class _Tally:
         # fmax/fmin skip NaN in the worst margin; _flag still flags it.
         top = float(np.fmax.reduce(err, initial=-math.inf))
         self.worst[name] = max(self.worst[name], top)
-        self._flag(what, "relative error", k0, err, err > EQ_TOL)
+        if not (top <= EQ_TOL and err.min(initial=math.inf) > -math.inf):
+            self._flag(what, "relative error", k0, err, err > EQ_TOL)
 
     def inequality(self, name: str, what: str, k0: int, slack: np.ndarray) -> np.ndarray:
         low = float(np.fmin.reduce(slack, initial=math.inf))
         self.worst[name] = min(self.worst[name], low)
-        self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
+        if not (low >= INEQ_TOL and slack.max(initial=-math.inf) < math.inf):
+            self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
         return slack
 
     def _flag(self, what: str, margin: str, k0: int, values: np.ndarray,
@@ -474,8 +488,17 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> Aud
     yields them) at the certificate's stepsize, consumed in one blocked pass;
     the gradient of each transition is the `g_prev` its successor carries.
     Violations are reported, never raised.
+
+    When g = w + I - 2 w_tilde is exactly zero, as it is for w_tilde =
+    (I + w)/2, the key inequality's g term is formed only for a block whose
+    h/m distance after the step is somewhere zero or not finite. Elsewhere the
+    term can only be a signed zero: an inf or NaN entry of x+ (which would
+    make it NaN) makes that distance inf or NaN as well, and subtracting a
+    zero moves no slack whose distance is finite and nonzero. So the slacks
+    keep their bits.
     """
     h, m, diff, wbar, g_mat = mp.h.a, mp.m.a, mp.diff.a, mp.wbar.a, mp.g.a
+    g_zero = not g_mat.any()
     p_mat, q_mat = cert.p_mat.a, cert.q_mat.a
     i_minus_wt = np.eye(mp.n) - mp.wt.a
     alpha = cert.alpha
@@ -495,13 +518,10 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> Aud
 
         # Key inequality: the h/m distance decreases by the listed amounts.
         step = cur.x - nxt.x
-        rhs = (
-            cur.hm
-            - _wsq(step, wbar)
-            - (theta - THETA_LOWER) * _wsq(step, i_minus_wt)
-            - _wsq(nxt.dx, g_mat)
-            - 2.0 * alpha * _dot(nxt.dx, nxt.g_prev - gstar)
-        )
+        rhs = cur.hm - _wsq(step, wbar) - (theta - THETA_LOWER) * _wsq(step, i_minus_wt)
+        if not (g_zero and np.isfinite(nxt.hm).all() and nxt.hm.all()):
+            rhs = rhs - _wsq(nxt.dx, g_mat)
+        rhs = rhs - 2.0 * alpha * _dot(nxt.dx, nxt.g_prev - gstar)
         return tally.inequality("key_inequality_slack", "key inequality", k0,
                                 (rhs - nxt.hm) / (1.0 + cur.hm))
 

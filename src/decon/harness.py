@@ -17,7 +17,7 @@ from array import array
 from collections import OrderedDict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -50,7 +50,8 @@ _MARK_EVERY = 64
 
 # write_csv formats, joins and writes this many rows at a time; a certified
 # row is at most about 200 bytes, so a chunk's row strings and joined text
-# stay near 300 kB.
+# stay near 300 kB. The run loop adds a replayed cycle's rows at most this
+# many at a time.
 _CSV_CHUNK_ROWS = 1024
 
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
@@ -135,6 +136,9 @@ class RunConfig:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.certify and certify.certify(self.algo) is None:
             raise ConfigError(f"no contraction certificate exists for {self.algo!r}")
+        # The label is a CSV cell and part of the summary line.
+        if self.label is not None and any(c in self.label for c in ",\n\r"):
+            raise ConfigError(f"label must not contain ',', '\\n' or '\\r', got {self.label!r}")
 
     @property
     def name(self) -> str:
@@ -284,23 +288,29 @@ def _same_state(a: algorithms.AlgoState, b: algorithms.AlgoState) -> bool:
 
 def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
     """Pass states on while recording each one's residual row in `trace`; end
-    the stream at the tolerance, at divergence or after max_iters steps.
+    the stream at the tolerance, at divergence or after max_iters steps. A
+    state's row is recorded before the state is passed on.
 
     A state byte-equal to the last mark (see `_MARK_EVERY`) closes a cycle:
     `step` is a deterministic function of the state and the run's fixed
     operators, so the stream is periodic from the mark on. The loop then stops
-    pulling `states` and replays the cycle's states and residual rows from its
-    ring up to max_iters. Every residual of the cycle has already passed the
-    tolerance and divergence tests, so the status stays max_iters;
-    `trace.cycle` records (mark index, period).
+    pulling `states` and replays the cycle from its ring up to max_iters: the
+    period's residual rows are added a whole number of periods at a time, in
+    pieces of at most `_CSV_CHUNK_ROWS` rows, each piece before its states are
+    passed on. Every residual of the cycle has already passed the tolerance
+    and divergence tests, so the status stays max_iters; `trace.cycle`
+    records (mark index, period).
     """
     # ||x - xstar|| as np.linalg.norm computes it for a 2-D array (ravel, one
     # dot, a correctly rounded sqrt), without its per-call overhead.
     denom = float(np.linalg.norm(xstar))
     star = xstar.ravel()
-    tol, sqrt, isfinite = config.tol, math.sqrt, math.isfinite
-    add_residual = trace.residuals.append
-    ring = deque(maxlen=_MARK_EVERY)
+    tol, limit, every, same_state = config.tol, DIVERGENCE_LIMIT, _MARK_EVERY, _same_state
+    sqrt, isfinite = math.sqrt, math.isfinite
+    residuals = trace.residuals
+    add_residual = residuals.append
+    ring = deque(maxlen=every)
+    keep = ring.append
     mark_k = mark = mark_res = None
     for k, state in enumerate(islice(states, config.max_iters + 1)):
         if denom > 0.0:
@@ -311,27 +321,35 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
         else:
             res = 0.0
         add_residual(res)
-        if res > DIVERGENCE_LIMIT:
+        if res > limit:
             trace.status = "diverged"
-        elif res <= tol:
-            trace.status = "converged"
-        yield state
-        if trace.status != "max_iters":
+            yield state
             return
-        ring.append(state)
-        if res == mark_res and _same_state(state, mark):
+        if res <= tol:
+            trace.status = "converged"
+            yield state
+            return
+        yield state
+        keep(state)
+        if res == mark_res and same_state(state, mark):
             break
-        if k % _MARK_EVERY == 0:
+        if k % every == 0:
             mark_k, mark, mark_res = k, state, res
     else:
         return
-    # States k + 1, k + 2, ... repeat states k - period + 1, ..., k in order.
+    # States k + 1, k + 2, ... repeat states k - period + 1, ..., k in order,
+    # and every piece but the last holds whole periods, so each piece starts
+    # at the period's first row.
     period = k - mark_k
     trace.cycle = (mark_k, period)
-    loop = zip(cycle(list(ring)[-period:]), cycle(trace.residuals[-period:]))
-    for state, res in islice(loop, config.max_iters - k):
-        add_residual(res)
-        yield state
+    piece = residuals[-period:] * max(1, _CSV_CHUNK_ROWS // period)
+    replay = cycle(list(ring)[-period:])
+    left = config.max_iters - k
+    while left > 0:
+        rows = min(left, len(piece))
+        residuals.extend(piece if rows == len(piece) else piece[:rows])
+        yield from islice(replay, rows)
+        left -= rows
 
 
 def run(config: RunConfig) -> Trace:
@@ -422,9 +440,12 @@ def write_csv(trace: Trace, path: str) -> None:
     by every row is formatted once. A certified row k > 0 has the ratio
     L_k / L_{k-1} (`certify.lyapunov_ratio`), derived a chunk at a time and
     empty where L_{k-1} is not positive, and the slack of the transition into
-    it; row 0 has neither. An uncertified trace whose run loop replayed a cycle
-    formats the period's rows once, and each later row that holds the bits of
-    its period row is written from that row's text. A certified trace's
+    it; row 0 has neither. A certified chunk whose ratio cells all exist is
+    formatted by one `%` over its rows' template, whose '%.17g' gives the text
+    of f'{:.17g}' (the shared run has its '%' escaped); any other chunk is
+    formatted a row at a time. An uncertified trace whose run loop replayed a
+    cycle formats the period's rows once, and each later row that holds the
+    bits of its period row is written from that row's text. A certified trace's
     columns are checked for matching lengths before the file is opened, so a
     mismatch leaves no file.
     """
@@ -438,16 +459,21 @@ def write_csv(trace: Trace, path: str) -> None:
                              f"lyapunov {len(lyap)}, slack {len(slack)} (one per transition)")
         header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
 
-        def rows(a: int, b: int) -> list[str]:
-            out = [f"0{lead}{res[0]:.17g},{float(lyap[0]):.17g},,\n"] if a == 0 else []
+        # A row whose ratio cell exists, as a % template.
+        row = "%d" + lead.replace("%", "%%") + "%.17g,%.17g,%.17g,%.17g\n"
+
+        def rows(a: int, b: int) -> str:
+            head = f"0{lead}{res[0]:.17g},{float(lyap[0]):.17g},,\n" if a == 0 else ""
             a = max(a, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 ratio, exists = certify.lyapunov_ratio(lyap[a - 1:b - 1], lyap[a:b])
-            out += [f"{k}{lead}{r:.17g},{v:.17g},{f'{q:.17g}' if ok else ''},{s:.17g}\n"
-                    for k, r, v, q, ok, s in zip(range(a, b), res[a:b], lyap[a:b].tolist(),
-                                                 ratio.tolist(), exists.tolist(),
-                                                 slack[a - 1:b - 1].tolist())]
-            return out
+            ks, rs, vs, qs, ss = (range(a, b), res[a:b], lyap[a:b].tolist(), ratio.tolist(),
+                                  slack[a - 1:b - 1].tolist())
+            if exists.all():
+                return head + row * (b - a) % tuple(chain.from_iterable(zip(ks, rs, vs, qs, ss)))
+            return head + "".join(
+                f"{k}{lead}{r:.17g},{v:.17g},{f'{q:.17g}' if ok else ''},{s:.17g}\n"
+                for k, r, v, q, ok, s in zip(ks, rs, vs, qs, exists.tolist(), ss))
     else:
         header = "k,algo,alpha,residual\n"
         # Rows from `replay` on repeat the period's rows (see `Trace.cycle`).
@@ -462,7 +488,7 @@ def write_csv(trace: Trace, path: str) -> None:
             # The period's bits repeated, so a chunk's slice starts at any phase.
             tiled = np.resize(_bits(res[start + 1:replay]), _CSV_CHUNK_ROWS + len(bodies))
 
-        def rows(a: int, b: int) -> list[str]:
+        def rows(a: int, b: int) -> str:
             mid = min(max(a, replay), b)
             out = [f"{k}{lead}{r:.17g}\n" for k, r in zip(range(a, mid), res[a:mid])]
             if mid < b:
@@ -471,12 +497,12 @@ def write_csv(trace: Trace, path: str) -> None:
                 out += [f"{k}{body}" if hit else f"{k}{lead}{res[k]:.17g}\n"
                         for k, hit, body in zip(range(mid, b), same,
                                                 cycle(bodies[j:] + bodies[:j]))]
-            return out
+            return "".join(out)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
             for a in range(0, n, _CSV_CHUNK_ROWS):
-                fh.write("".join(rows(a, min(a + _CSV_CHUNK_ROWS, n))))
+                fh.write(rows(a, min(a + _CSV_CHUNK_ROWS, n)))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

@@ -5,7 +5,10 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    _Tally as TallyReference,
     audit_extra_reference,
     audit_nids_reference,
     inv_reference,
@@ -22,6 +25,8 @@ from oracles import (
 from decon import certify, harness, linalg, problem
 from decon.algorithms import AlgoState, fixed_point, iterate
 from decon.certify import (
+    EQ_TOL,
+    INEQ_TOL,
     CertificateError,
     audit_extra,
     audit_nids,
@@ -545,11 +550,16 @@ def _mismatched_streams(prob, mp):
     ]
 
 
+def _bits(column):
+    """Each value's exact bits as text (every NaN as 'nan'), None kept."""
+    return [None if v is None else float(v).hex() for v in column]
+
+
 def _assert_same_report(blocked, reference):
     assert (blocked.algorithm, blocked.transitions) == (reference.algorithm, reference.transitions)
-    assert np.array_equal(blocked.lyapunov, reference.lyapunov)
-    assert blocked.ratio == reference.ratio
-    assert [None] + blocked.slack.tolist() == reference.slack
+    assert _bits(blocked.lyapunov) == _bits(reference.lyapunov)
+    assert _bits(blocked.ratio) == _bits(reference.ratio)
+    assert _bits([None, *blocked.slack.tolist()]) == _bits(reference.slack)
     assert blocked.violations == reference.violations
     assert blocked.checks.keys() == reference.checks.keys()
     for name, value in reference.checks.items():
@@ -590,6 +600,89 @@ def test_blocked_audits_match_the_oracle_at_block_boundaries(length, prob1, rand
         report = audit(stream, pair, cert, fp, prob1.grad)
         assert report.transitions == (transitions or 0)
         _assert_same_report(report, oracle(stream, pair, cert, fp, prob1.grad))
+
+
+@pytest.mark.parametrize("pair", ["half", "generic"])
+def test_blocked_extra_audit_matches_the_oracle_on_non_finite_and_huge_states(pair, prob1,
+                                                                             rand10, monkeypatch):
+    # 600 transitions are three blocks at n * p = 50. The second holds states
+    # whose x has +-inf, NaN and +-1e200 entries, the third a state exactly at
+    # the fixed point (h/m distance 0), the first neither. On the half pair g
+    # is exactly zero, and the audit forms the key inequality's g term only
+    # for the last two blocks; on the generic pair it forms it for all three.
+    _, mp = rand10
+    if pair == "generic":
+        mp = validate(mp.w, SymMatrix(0.3 * np.eye(10) + 0.7 * mp.w.a, name="generic wt"),
+                      random_connected(10, 0.5, 2), theta=0.9)
+    assert mp.g.a.any() == (pair == "generic")
+    cert, states, fp = _audit_extra_setup(mp, prob1, steps=600)
+    states = list(states)
+    for k, entries in ((300, {(0, 0): math.inf}), (310, {(3, 2): -math.inf}),
+                       (320, {(1, 1): math.nan}), (330, {(5, 4): 1e200}),
+                       (340, {(2, 0): -1e200}), (350, {(7, 3): math.inf, (8, 3): -math.inf}),
+                       (360, {(4, 1): 1e200, (9, 4): -1e200})):
+        x = states[k].x.copy()
+        for ij, value in entries.items():
+            x[ij] = value
+        states[k] = states[k]._replace(x=x)
+    states[550] = states[550]._replace(x=fp.xstar.copy(), y=fp.ystar.copy())
+    g_terms = []
+    wsq = certify._wsq
+
+    def counting(v, h):
+        if h is mp.g.a:
+            g_terms.append(len(v))
+        return wsq(v, h)
+
+    monkeypatch.setattr(certify, "_wsq", counting)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = audit_extra(states, mp, cert, fp, prob1.grad)
+        reference = audit_extra_reference(states, mp, cert, fp, prob1.grad)
+    block = certify._BLOCK_ELEMENTS // (prob1.n * prob1.p)
+    assert g_terms == ([block, block, 600 - 2 * block] if pair == "generic"
+                       else [block, 600 - 2 * block])
+    assert not report.ok
+    assert not any(f"k={k}:" in message for message in report.violations for k in range(290))
+    _assert_same_report(report, reference)
+
+
+_TALLY_EDGES = (EQ_TOL, math.nextafter(EQ_TOL, -math.inf), math.nextafter(EQ_TOL, math.inf),
+                INEQ_TOL, math.nextafter(INEQ_TOL, -math.inf), math.nextafter(INEQ_TOL, math.inf),
+                0.0, -0.0, math.nan, math.inf, -math.inf)
+_tally_values = st.one_of(st.sampled_from(_TALLY_EDGES), st.floats())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blocks=st.lists(st.lists(st.tuples(_tally_values, _tally_values), min_size=1,
+                                max_size=6), min_size=1, max_size=4))
+def test_tally_keeps_the_per_transition_oracle_s_margins_and_messages(blocks):
+    # Each block is (relative error, slack) per transition. A block with
+    # nothing to flag must skip `_flag`, and either way the worst margins and
+    # the messages must be the oracle's, fed one transition at a time.
+    tally, reference = certify._Tally(("eq",), ("ineq",)), TallyReference(("eq",), ("ineq",))
+    flagged, flag = [], tally._flag
+
+    def recording(what, *args):
+        flagged.append(what)
+        flag(what, *args)
+
+    tally._flag = recording
+    k0, expected = 0, []
+    for block in blocks:
+        err, slack = (np.array(column) for column in zip(*block))
+        tally.equality("eq", "equality", k0, err)
+        tally.inequality("ineq", "inequality", k0, slack)
+        tally.close_block()
+        for k, (e, s) in enumerate(block, start=k0):
+            reference.equality("eq", "equality", k, e)
+            reference.inequality("ineq", "inequality", k, s)
+        expected += ["equality"] * any(not e <= EQ_TOL or not math.isfinite(e) for e, _ in block)
+        expected += ["inequality"] * any(not s >= INEQ_TOL or not math.isfinite(s)
+                                         for _, s in block)
+        k0 += len(block)
+    assert flagged == expected
+    assert tally.worst == reference.worst
+    assert tally.violations == reference.violations
 
 
 @pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])
@@ -635,12 +728,8 @@ def test_ratio_and_slack_cells_match_the_oracle_at_zero_and_nan_lyapunov(variant
     states[3] = states[3]._replace(x=np.full_like(states[3].x, np.nan))
     report = audit(states, mp, cert, fp, prob1.grad)
     ref = oracle(states, mp, cert, fp, prob1.grad)
-
-    def bits(column):
-        return [None if v is None else float(v).hex() for v in column]
-
-    assert bits(report.ratio) == bits(ref.ratio)
-    assert bits([None, *report.slack.tolist()]) == bits(ref.slack)
+    assert _bits(report.ratio) == _bits(ref.ratio)
+    assert _bits([None, *report.slack.tolist()]) == _bits(ref.slack)
     trace = harness.Trace(algo=variant, alpha=alpha, residuals=[1.0] * len(states), audit=report)
     path = tmp_path / "t.csv"
     harness.write_csv(trace, str(path))

@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 import unittest.mock
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,9 @@ def _cycled_traces(draw):
                      audit=_audit([math.nan], [])))
 @example(trace=Trace(algo="dgd_slow", alpha=-0.0,
                      residuals=[5e-324, 1.7976931348623157e308, math.inf]))
+# Every ratio cell exists, so the rows take the template; the run's '%' is text.
+@example(trace=Trace(algo="nids_%d%%s", alpha=0.19, residuals=[1.0, 0.5, 0.25],
+                     audit=_audit([3.0, 2.0, 1.0], [0.1, -0.0])))
 def test_write_csv_matches_the_per_row_writer_byte_for_byte(trace):
     _assert_writes_the_reference_bytes(trace)
 
@@ -410,6 +414,31 @@ def test_until_stop_replays_a_cycle_as_the_stepping_loop_streams_it(period, max_
     assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
     assert trace.status == ref.status == "max_iters"
     assert trace.cycle == (_MARK, period)
+
+
+@pytest.mark.parametrize("period", [1, 3, 64])
+def test_until_stop_records_each_replayed_row_before_its_state(period):
+    # Replayed rows are added whole periods at a time, at most one chunk a
+    # piece: each state finds its row already recorded, no row runs more than
+    # a piece ahead of its state, and the rows and states are the stepping
+    # loop's, over several pieces and into packed float64 as `run` keeps them.
+    rng = np.random.default_rng(period)
+    prefix, ring = _random_states(_PREFIX, rng), _random_states(period, rng)
+    xstar = rng.standard_normal((4, 3))
+    max_iters = 3 * _CHUNK + 5
+    trace = Trace(algo="probe", alpha=0.1, residuals=array("d"), status="max_iters")
+    loop = harness._until_stop(itertools.chain(prefix, itertools.cycle(ring)),
+                               RunConfig(max_iters=max_iters, tol=1e-300), xstar, trace)
+    new, ahead = [], []
+    for state in loop:
+        ahead.append(len(trace.residuals) - len(new) - 1)
+        new.append(state)
+    old, ref = _stream_through(until_stop_reference,
+                               itertools.chain(prefix, itertools.cycle(ring)), max_iters, xstar)
+    assert trace.cycle == (_MARK, period)
+    assert 0 <= min(ahead) and max(ahead) < _CHUNK
+    assert len(new) == len(old) == max_iters + 1 and all(a is b for a, b in zip(new, old))
+    assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
 
 
 @pytest.mark.parametrize("change", ["x_prev_negative_zero", "g_prev_one_ulp", "y_none_vs_zeros"])
@@ -1038,6 +1067,23 @@ def test_cli_config_with_a_scenario_is_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"n": 6}))
     assert cli.main(["run", "--config", str(path), "--scenario", "fig1"]) == 1
     assert capsys.readouterr().err == "error: --config cannot be combined with --scenario\n"
+
+
+@pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry"])
+def test_cli_label_that_would_split_a_csv_row_is_a_named_error(label, tmp_path, monkeypatch,
+                                                                capsys):
+    # The label is a CSV cell and part of the summary line: a comma added a
+    # field under the 4-column header, a line break split every row in two.
+    monkeypatch.setattr(harness, "build_instance", _no_instance)
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "t.csv"
+    path.write_text(json.dumps({"label": label, "max_iters": 5, "out_path": str(out)}))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: label must not contain ',', '\\n' or '\\r', "
+                            f"got {label!r}\n")
+    assert not out.exists()
 
 
 def _graph_file(tmp_path, edges) -> str:
