@@ -315,8 +315,11 @@ class AuditReport:
 
 # Entries of x per audit block: 32 states at n * p = 400. A block spreads
 # numpy's per-call overhead over its transitions; each (B, n, p) temporary
-# stays near 100 kB, and larger ones were measured to run slower (they
-# page-fault when the allocator hands them back to the system between calls).
+# stays near 100 kB, and larger ones were measured to run slower. Under the
+# CLI's heap policy (`cli._keep_freed_heap`) freed temporaries below glibc's
+# mmap threshold are reused without page faults; that threshold stays fixed at
+# 128 kB once the trim threshold is set, so a temporary of 128 kB or more is
+# mapped afresh, and page-faults, on every allocation.
 _BLOCK_ELEMENTS = 12800
 
 

@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 validation/configuration error or an instance too large
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -33,6 +35,42 @@ _VALIDATION_ERRORS = (
     EigenConvergenceError, NonFiniteMatrixError, NotPositiveSemidefiniteError,
     json.JSONDecodeError, UnicodeDecodeError, OSError, MemoryError,
 )
+
+
+# glibc's mallopt parameter M_TRIM_THRESHOLD (malloc.h): free() hands the top of
+# the heap back to the kernel only when more than this many bytes lie free there.
+_M_TRIM_THRESHOLD = -1
+# The trim threshold the CLI process runs with. An audit block's temporaries
+# (about 100 kB each) are freed after every block; at glibc's default threshold
+# the heap top holding them is trimmed, and the next block page-faults the same
+# memory back in (tens of thousands of minor faults per certified run). From
+# 4 MiB up those faults are gone; 1 MiB left about 4k of them. Setting it also
+# pins glibc's mmap threshold at its 128 kB default.
+_HEAP_TRIM_THRESHOLD = 4 << 20
+
+
+@functools.cache
+def _glibc_mallopt():
+    """glibc's `mallopt`, looked up once; None where the C library is not
+    glibc, cannot be loaded or has no such symbol."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):  # no confstr/name, no libc, no symbol
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_heap() -> None:
+    """Keep up to `_HEAP_TRIM_THRESHOLD` bytes of freed memory in this process's
+    heap instead of returning it to the kernel; nothing where glibc is absent.
+    Numbers are unaffected: only where freed memory goes changes."""
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
 
 
 def _add_mixing_flags(p: argparse.ArgumentParser) -> None:
@@ -198,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

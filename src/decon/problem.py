@@ -109,6 +109,14 @@ def _agent_grams(sensing: np.ndarray) -> list[SymMatrix]:
     return grams
 
 
+def _check_rank(n: int, m: int, p: int) -> None:
+    """Reject, before any eigensolve, an instance whose averaged Hessian (a sum
+    of n * m rank-one terms) cannot have full rank p."""
+    if n * m < p:
+        raise ProblemError(f"averaged objective is not strongly convex: its hessian has "
+                           f"rank at most n*m = {n * m} < p = {p}")
+
+
 def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true) -> SensingProblem:
     # Finite: `_agent_gram` rejects Gram entries above ~1.34e154, so n such terms cannot overflow.
     gram = np.einsum("imp,imq->pq", sensing, sensing)
@@ -145,10 +153,12 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
     """Gaussian sensing data, rescaled so ||M_i^T M_i|| equals `LIPSCHITZ`.
 
     Reproducible: the same (n, p, m_i, noise_std, seed) give bit-identical
-    data. Raises if the averaged Hessian is singular (possible when n*m_i < p).
+    data. Raises if the averaged Hessian is singular: up front when n*m_i < p,
+    after the eigensolve otherwise.
     """
     if min(n, p, m_i) < 1:
         raise ProblemError(f"need n, p, m_i >= 1, got ({n}, {p}, {m_i})")
+    _check_rank(n, m_i, p)
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(p)
     sensing = rng.standard_normal((n, m_i, p))
@@ -181,6 +191,7 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
                         ("lipschitz", lipschitz)):
         if value is not None and not np.all(np.isfinite(value)):
             raise ProblemError(f"{name} holds non-finite values (NaN or inf)")
+    _check_rank(n, m, p)
     tops = [gram.lambda_max for gram in _agent_grams(sensing)]
     i = int(np.argmax(tops))
     if lipschitz is None:

@@ -5,7 +5,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from oracles import (
     _Tally as TallyReference,
@@ -762,3 +762,27 @@ def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
     fresh = extra_constants(validate(w, mp.wt, g, theta=best.theta), prob1.lipschitz,
                             prob1.mu_fbar, alpha, xi=best.xi, eta=best.eta)
     _assert_same_certificate(best, fresh)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(3, 10), p=st.integers(1, 4),
+       topology=st.sampled_from(("random", "line", "complete")),
+       relax_factor=st.sampled_from((0.0, 0.1, 0.3, 1.0 / 3.0 - 1e-3)),
+       algo_bound=st.sampled_from((("nids", "nids"), ("extra", "extra-new"))),
+       fraction=st.floats(0.05, 0.999), seed=st.integers(0, 2**16))
+def test_certified_runs_on_random_instances_audit_clean(data, n, p, topology, relax_factor,
+                                                        algo_bound, fraction, seed):
+    # Any certified stepsize on any instance: every audited transition of the
+    # run satisfies the paper's identities and inequalities at unchanged tolerances.
+    mi = data.draw(st.integers(1, p + 2), label="mi")
+    algo, bound = algo_bound
+    config = harness.RunConfig(topology=topology, n=n, p=p, mi=mi, seed=seed,
+                               relax_factor=relax_factor, algo=algo, certify=True,
+                               max_iters=400, tol=1e-300)
+    try:
+        alpha = fraction * harness.build_instance(config).stepsizes[bound]
+    except problem.ProblemError:
+        reject()
+    trace = harness.run(dataclasses.replace(config, alpha=alpha))
+    assert trace.audit.transitions == len(trace.residuals) - 1
+    assert trace.audit.violations == []

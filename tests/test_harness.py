@@ -1176,6 +1176,65 @@ def test_cli_keeps_the_traceback_of_a_defect(monkeypatch):
         cli.main(["run", "--max-iters", "5"])
 
 
+@pytest.mark.skipif(cli._glibc_mallopt() is None, reason="needs glibc's mallopt")
+@pytest.mark.parametrize("algo", ["nids", "extra"])
+def test_after_the_cli_a_certified_rerun_takes_few_page_faults(algo, capsys):
+    # `cli.main` keeps freed heap in the process: the audit blocks' temporaries
+    # are reused, not handed back to the kernel and faulted in again (about
+    # 4k-6k minor faults per rerun at glibc's default trim threshold).
+    import resource
+
+    config = RunConfig(topology="random", n=10, p=40, mi=5, algo=algo, certify=True,
+                       max_iters=2000)
+    alpha = 0.19 if algo == "nids" else 0.9 * harness.build_instance(config).stepsizes["extra-new"]
+    config = dataclasses.replace(config, alpha=alpha)
+    assert cli.main(["run", "--topology", "random", "--n", "10", "--p", "40", "--mi", "5",
+                     "--algo", algo, "--alpha", repr(alpha), "--certify",
+                     "--max-iters", "2000"]) == 0
+    assert "audit violations 0" in capsys.readouterr().out
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trace = harness.run(config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert trace.audit.ok and trace.audit.transitions > 1000
+    assert faults < 200, faults
+
+
+@pytest.fixture
+def fresh_mallopt_lookup():
+    """Let a test look `mallopt` up anew, and leave the real lookup behind."""
+    cli._glibc_mallopt.cache_clear()
+    yield
+    cli._glibc_mallopt.cache_clear()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def _not_glibc(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("target, attr, replacement", [
+    ("ctypes", "CDLL", _no_libc),
+    ("ctypes", "CDLL", lambda name: object()),  # a C library without mallopt
+    ("os", "confstr", _not_glibc),
+    ("os", "confstr", lambda name: None),
+], ids=["no-libc", "no-symbol", "no-confstr-name", "no-glibc-version"])
+def test_cli_runs_the_same_where_mallopt_cannot_be_found(target, attr, replacement,
+                                                         fresh_mallopt_lookup, monkeypatch,
+                                                         capsys):
+    argv = ["run", "--topology", "line", "--n", "6", "--p", "3", "--mi", "1", "--algo", "nids",
+            "--alpha", "0.19", "--certify", "--max-iters", "300"]
+    code = cli.main(argv)
+    want = capsys.readouterr()
+    cli._glibc_mallopt.cache_clear()
+    monkeypatch.setattr(getattr(cli, target), attr, replacement)
+    assert cli.main(argv) == code == 0
+    assert cli._glibc_mallopt() is None
+    assert capsys.readouterr() == want
+
+
 def test_cli_validate_mixing_checks_the_relax_factor_range(capsys):
     assert cli.main(["validate-mixing", "--relax-factor", "0.34"]) == 1
     assert "relax_factor must lie in [0, 1/3]" in capsys.readouterr().err

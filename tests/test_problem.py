@@ -42,6 +42,45 @@ def test_generate_rejects_rank_deficient_average():
         generate(2, 5, 1, seed=0)
 
 
+def _recording_decompose(monkeypatch) -> list:
+    """Route every `linalg.decompose` call, `problem`'s imported name included,
+    through a hook that keeps the size of each matrix it is asked to solve."""
+    sizes = []
+    decompose = linalg.decompose
+
+    def recording(mats):
+        sizes.extend(len(mat.a) for mat in mats)
+        return decompose(mats)
+
+    monkeypatch.setattr(linalg, "decompose", recording)
+    monkeypatch.setattr(problem, "decompose", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n, p, mi", [(3, 200, 1), (2, 100, 40)])
+def test_cli_fewer_measurements_than_unknowns_exit_1_before_any_p_by_p_solve(
+        n, p, mi, monkeypatch, capsys):
+    # A hessian summing n * m_i rank-one terms has rank at most n * m_i < p:
+    # the verdict is known before the p x p Gram and Hessian solves.
+    sizes = _recording_decompose(monkeypatch)
+    code = cli.main(["run", "--n", str(n), "--p", str(p), "--mi", str(mi), "--max-iters", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: averaged objective is not strongly convex: its "
+                                       f"hessian has rank at most n*m = {n * mi} < p = {p}\n")
+    assert sizes and p not in sizes  # the n x n mixing solves still ran
+
+
+def test_from_data_rejects_fewer_measurements_than_unknowns_before_any_solve(monkeypatch):
+    sizes = _recording_decompose(monkeypatch)
+    with pytest.raises(ProblemError, match=r"not strongly convex: .* n\*m = 4 < p = 5$"):
+        from_data(np.ones((2, 2, 5)), np.ones((2, 2)))
+    assert sizes == []
+    # Enough rows, all alike: the rank is known only from the hessian's spectrum.
+    with pytest.raises(ProblemError, match=r"not strongly convex: lambda_min of the averaged "):
+        from_data(np.ones((3, 2, 5)), np.ones((3, 2)))
+    assert 5 in sizes
+
+
 def test_noiseless_identity_sensing_recovers_truth():
     scale = np.sqrt(10.0)
     sensing = np.tile(scale * np.eye(4), (6, 1, 1))
