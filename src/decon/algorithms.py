@@ -165,14 +165,14 @@ STEPSIZES: dict[str, Callable[[MixingPair, float, float], float]] = {
     # 2 lambda_min(w_bar) / L at the pair's theta: the open end of EXTRA's certified range.
     "extra-new": lambda mp, lip, mu: 2.0 * mp.wbar.lambda_min / lip,
     # (5 + 3 lambda_min(w)) / (4 L), the theta -> 3/4 limit when w_tilde = (I + w)/2.
-    "extra-special": lambda mp, lip, mu: (5.0 + 3.0 * mp.lam_min_w) / (4.0 * lip),
+    "extra-special": lambda mp, lip, mu: (5.0 + 3.0 * mp.w.lambda_min) / (4.0 * lip),
     # 2 / L, network independent.
     "nids": lambda mp, lip, mu: 2.0 / lip,
     # The legacy EXTRA bounds for linear and for plain convergence.
-    "shi-linear": lambda mp, lip, mu: mu * (1.0 + mp.lam_min_w) / lip**2,
-    "shi-convex": lambda mp, lip, mu: (1.0 + mp.lam_min_w) / lip,
+    "shi-linear": lambda mp, lip, mu: mu * (1.0 + mp.w.lambda_min) / lip**2,
+    "shi-convex": lambda mp, lip, mu: (1.0 + mp.w.lambda_min) / lip,
     # The tuned stepsizes of fig3 and the two DGD stepsizes of fig1 and fig2.
-    "extra-opt": lambda mp, lip, mu: (5.0 + 3.0 * mp.lam_min_w) / (4.0 * lip + mu),
+    "extra-opt": lambda mp, lip, mu: (5.0 + 3.0 * mp.w.lambda_min) / (4.0 * lip + mu),
     "nids-opt": lambda mp, lip, mu: 2.0 / (lip + mu),
     "dgd-fast": lambda mp, lip, mu: 1.0 / lip,
     "dgd-slow": lambda mp, lip, mu: 1.0 / (10.0 * lip),

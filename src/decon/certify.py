@@ -81,10 +81,7 @@ class ExtraCertificate:
     branches: tuple[float, float, float]
     p_mat: SymMatrix
     q_mat: SymMatrix
-    special_case: bool
     alpha: float
-    theta: float
-    lam_min_wbar: float
     lam_max_wbar_m: float
 
 
@@ -101,7 +98,6 @@ class NidsCertificate:
     q_mat: SymMatrix
     pn_mat: SymMatrix
     alpha: float
-    theta: float
 
 
 def _lam_max_similar(left: np.ndarray, middle: np.ndarray, name: str,
@@ -205,7 +201,8 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
         )
     eta = _admissible("eta", eta, lam_min_wbar * xi / eta_denom)
 
-    mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
+    # validate's null-space check makes entry 1 the smallest positive eigenvalue.
+    mu_g = mu_g_value(mu_fbar, lipschitz, float(mp.iw.eigenvalues[1]), eta)
     rho, branches = extra_rho(alpha, lipschitz, lam_min_wbar, mu_g, eta, xi, r3, lam_wbar_m)
     p_mat = SymMatrix(mp.h.a + 0.5 * xi * mp.iw.a, name="p")
     q_mat = SymMatrix(mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * wbar_inv, name="q")
@@ -213,8 +210,7 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     _require_pd(q_mat)
     return ExtraCertificate(
         r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
-        p_mat=p_mat, q_mat=q_mat, special_case=math.isinf(r1) or math.isinf(r2),
-        alpha=alpha, theta=theta, lam_min_wbar=lam_min_wbar, lam_max_wbar_m=lam_wbar_m,
+        p_mat=p_mat, q_mat=q_mat, alpha=alpha, lam_max_wbar_m=lam_wbar_m,
     )
 
 
@@ -231,21 +227,22 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
         raise CertificateError(
             f"vacuous certificate: the r4 interval (0, theta - 3/4) is empty at theta = {theta}"
         )
-    if theta * mp.lam_max_iw >= 2.0 - 1e-12:
+    lam_iw = mp.iw.lambda_max
+    if theta * lam_iw >= 2.0 - 1e-12:
         raise CertificateError(
             f"I - theta (I - w)/2 is not positive definite: theta * lambda_max(I - w) "
-            f"= {theta * mp.lam_max_iw:.6g} >= 2"
+            f"= {theta * lam_iw:.6g} >= 2"
         )
     r4 = _admissible("r4", r4, theta - THETA_LOWER)
 
     # Denominator > 0: 3/4 + r4 < theta and theta lambda_max(I - w) < 2, both checked above.
-    lam_iw = mp.lam_max_iw
     r5 = max(2.0, (lam_iw - 2.0) ** 2 / (2.0 - (THETA_LOWER + r4) * lam_iw))
 
     eta = _admissible("eta", eta, 1.0 / (alpha * (2.0 - alpha * lipschitz) * r5))
 
-    mu_g = mu_g_value(mu_fbar, lipschitz, mp.lam_min_pos_iw, eta)
-    lam_iw_pinv = 1.0 / mp.lam_min_pos_iw
+    lam_min_pos_iw = float(mp.iw.eigenvalues[1])  # as in extra_constants
+    mu_g = mu_g_value(mu_fbar, lipschitz, lam_min_pos_iw, eta)
+    lam_iw_pinv = 1.0 / lam_min_pos_iw
     decay = alpha * (2.0 - alpha * lipschitz)
     b1 = 1.0 - decay * mu_g
     b2 = decay * eta * r5
@@ -265,7 +262,7 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     _require_pd(pn_mat)
     return NidsCertificate(
         r4=r4, r5=r5, eta=eta, mu_g=mu_g, rho=rho, branches=(b1, b2, b3),
-        q_mat=q_mat, pn_mat=pn_mat, alpha=alpha, theta=theta,
+        q_mat=q_mat, pn_mat=pn_mat, alpha=alpha,
     )
 
 
@@ -303,14 +300,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def ratio(self) -> list[float | None]:
-        """Row k's Lyapunov ratio L_k / L_{k-1}, None where it has none (row 0
-        included); a list built on each call."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio, exists = lyapunov_ratio(self.lyapunov[:-1], self.lyapunov[1:])
-        return [None] + [r if ok else None for r, ok in zip(ratio.tolist(), exists.tolist())]
 
 
 # Entries of x per audit block: 32 states at n * p = 400. A block spreads
@@ -484,13 +473,14 @@ def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np
     )
 
 
-def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> AuditReport:
+def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditReport:
     """Audit a stream of (x, y) states: norm equality, key inequality, contraction.
 
     `states` are consecutive extra_xy AlgoStates (as `algorithms.iterate`
     yields them) at the certificate's stepsize, consumed in one blocked pass;
-    the gradient of each transition is the `g_prev` its successor carries.
-    Violations are reported, never raised.
+    the gradient of each transition is the `g_prev` its successor carries, and
+    the gradient at the optimum is -fp.dstar, evaluated by
+    `algorithms.fixed_point`. Violations are reported, never raised.
 
     When g = w + I - 2 w_tilde is exactly zero, as it is for w_tilde =
     (I + w)/2, the key inequality's g term is formed only for a block whose
@@ -505,8 +495,8 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> Aud
     p_mat, q_mat = cert.p_mat.a, cert.q_mat.a
     i_minus_wt = np.eye(mp.n) - mp.wt.a
     alpha = cert.alpha
-    theta = cert.theta
-    gstar = grad(fp.xstar)
+    theta = mp.theta
+    gstar = -fp.dstar
     tally = _Tally(("norm_equality_rel_err",), ("key_inequality_slack", "contraction_slack"))
 
     def per_state(dx, dy):
@@ -532,7 +522,7 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp, grad) -> Aud
                          cert.rho, tally)
 
 
-def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> AuditReport:
+def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp) -> AuditReport:
     """Audit a stream of (d, x) states: the two equalities, the d-x connection,
     the key inequality, the r5 norm-bound chain, and the Lyapunov contraction.
 
@@ -545,9 +535,9 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp, grad) -> Audit
     pn_mat, q_mat = cert.pn_mat.a, cert.q_mat.a
     alpha = cert.alpha
     a2 = alpha**2
-    theta = cert.theta
+    theta = mp.theta
     r4, r5 = cert.r4, cert.r5
-    gstar = grad(fp.xstar)
+    gstar = -fp.dstar
 
     conn_left = eye - 0.5 * i_minus_w
     m_shift = mp.mtilde.a - (1.0 - theta) * eye

@@ -5,8 +5,8 @@ Subcommands:
   validate-mixing  check the mixing assumption for a graph (optionally relaxed)
   bounds           print the stepsize-bound table of the first run `run` would do
 
-Exit codes: 0 success, 1 validation/configuration error or an instance too large to allocate,
-2 divergence.
+Exit codes: 0 success, 1 usage, validation or configuration error or an instance too large
+to allocate, 2 divergence.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float)
     p.add_argument("--certify", action="store_true", default=None)
     p.add_argument("--load-problem", dest="problem_file", help="replay a saved problem file")
-    p.add_argument("--save-problem", dest="save_problem", help="save the generated problem here")
     p.add_argument("--out", dest="out_path", help="CSV file (single run) or directory (scenario)")
 
 
@@ -131,21 +130,22 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
             raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
     if args.scenario:
         overrides.pop("out_path", None)
-        return [harness.config_from_dict({**_cfg_dict(cfg), **overrides})
+        return [dataclasses.replace(cfg, **overrides)
                 for cfg in harness.resolve_scenario(args.scenario)]
     return [harness.config_from_dict({**base, **overrides})]
 
 
-def _check_trace_path(path: str) -> None:
-    """Raise, before any instance is built, the error `harness.write_csv` would
-    raise after the run: the path is a directory, or its directory is missing."""
+def _check_file_path(path: str, what: str) -> None:
+    """Raise, before any instance is built, the error writing the `what` file
+    would meet after the run: the path is a directory, or its directory is
+    missing."""
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(os.path.dirname(path) or "."):
         code = errno.ENOENT
     else:
         return
-    raise OSError(f"cannot write trace to {path}: {OSError(code, os.strerror(code), path)}")
+    raise OSError(f"cannot write {what} to {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -154,7 +154,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if out and args.scenario:
         os.makedirs(out, exist_ok=True)
     elif out:
-        _check_trace_path(out)
+        _check_file_path(out, "trace")
+    if args.save_problem:
+        _check_file_path(args.save_problem, "problem")
 
     diverged = False
     for cfg in configs:
@@ -178,21 +180,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 2 if diverged else 0
 
 
-def _cfg_dict(cfg: RunConfig) -> dict:
-    return {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
-
-
 def _cmd_validate_mixing(args: argparse.Namespace) -> int:
     cfg = harness.config_from_dict(_flag_overrides(args))
     g = harness.build_graph(cfg)
     mp = harness.build_mixing(cfg, g)
+    w_eigs, iw_eigs = mp.w.eigenvalues, mp.iw.eigenvalues
     print(f"mixing pair on {g.n} nodes, {len(g.edges)} edges: PASS")
-    print(f"  lambda_min(w) = {mp.lam_min_w:.12g}")
-    print(f"  lambda_max(w) = {mp.lam_max_w:.12g}")
-    print(f"  lambda_2(w)   = {mp.lam2_w:.12g} (spectral gap beta = {mp.beta:.12g})")
-    print(f"  lambda_min(w_tilde) = {mp.lam_min_wt:.12g}")
-    print(f"  lambda_min_pos(I - w) = {mp.lam_min_pos_iw:.12g}")
-    print(f"  lambda_max(I - w) = {mp.lam_max_iw:.12g}")
+    print(f"  lambda_min(w) = {w_eigs[0]:.12g}")
+    print(f"  lambda_max(w) = {w_eigs[-1]:.12g}")
+    print(f"  lambda_2(w)   = {w_eigs[-2]:.12g} (spectral gap beta = {1.0 - w_eigs[-2]:.12g})")
+    print(f"  lambda_min(w_tilde) = {mp.wt.lambda_min:.12g}")
+    print(f"  lambda_min_pos(I - w) = {iw_eigs[1]:.12g}")
+    print(f"  lambda_max(I - w) = {iw_eigs[-1]:.12g}")
     print(f"  theta = {mp.theta:.12g}")
     if args.dump_mixing:
         with open(args.dump_mixing, "w", encoding="utf-8") as fh:
@@ -204,15 +203,25 @@ def _cmd_validate_mixing(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     inst = harness.build_instance(_configs(args)[0])
     print(f"stepsize bounds (L = {inst.prob.lipschitz:g}, mu_fbar = {inst.prob.mu_fbar:.6g}, "
-          f"lambda_min(w) = {inst.mp.lam_min_w:.6g}, theta = {inst.mp.theta:g})")
+          f"lambda_min(w) = {inst.mp.w.lambda_min:.6g}, theta = {inst.mp.theta:g})")
     width = max(map(len, inst.stepsizes))
     for name, value in inst.stepsizes.items():
         print(f"  {name.ljust(width)}  {value:.12g}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as every other bad input
+    does: exit code 2 means a run diverged. `add_subparsers` builds the
+    subcommand parsers with this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="decon",
         description="Simulate and certify decentralized consensus optimization.",
     )
@@ -220,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario preset or a single configuration")
     _add_run_flags(p_run)
+    p_run.add_argument("--save-problem", dest="save_problem",
+                       help="save the generated problem here")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate-mixing", help="validate the mixing assumption on a graph")

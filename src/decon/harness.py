@@ -195,15 +195,14 @@ def clear_instance_cache() -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    """Everything a run derives from its configuration before iterating.
+    """Everything a run derives from its configuration before iterating; the
+    graph is `mp.graph`.
 
-    The graph, mixing pair and problem may be shared with other instances of
-    the same memo entry (see `build_instance`); they are frozen, with read-only
+    The mixing pair and problem may be shared with other instances of the
+    same memo entry (see `build_instance`); they are frozen, with read-only
     arrays. `stepsizes` is this instance's own copy.
     """
 
-    config: RunConfig
-    graph: graphs.Graph
     mp: mixing.MixingPair
     prob: problems.SensingProblem
     stepsizes: dict[str, float]
@@ -237,7 +236,7 @@ def resolve_alpha(config: RunConfig, stepsizes: dict[str, float]) -> float:
 
 
 def _build_parts(config: RunConfig) -> tuple:
-    """The graph, mixing pair, problem and stepsize table of `config`."""
+    """The mixing pair, problem and stepsize table of `config`."""
     g = build_graph(config)
     mp = build_mixing(config, g)
     if config.problem_file:
@@ -248,7 +247,7 @@ def _build_parts(config: RunConfig) -> tuple:
                                  noise_std=config.noise_std, seed=config.seed)
     if prob.n != g.n:
         raise ConfigError(f"problem has {prob.n} agents but the graph has {g.n} nodes")
-    return g, mp, prob, algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
+    return mp, prob, algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
 
 
 def build_instance(config: RunConfig) -> Instance:
@@ -275,8 +274,8 @@ def build_instance(config: RunConfig) -> Instance:
                 _instance_cache.popitem(last=False)
         else:
             _instance_cache.move_to_end(key)
-    g, mp, prob, stepsizes = parts
-    return Instance(config=config, graph=g, mp=mp, prob=prob, stepsizes=dict(stepsizes),
+    mp, prob, stepsizes = parts
+    return Instance(mp=mp, prob=prob, stepsizes=dict(stepsizes),
                     alpha=resolve_alpha(config, stepsizes))
 
 
@@ -382,7 +381,7 @@ def run(config: RunConfig) -> Trace:
             for _ in states:
                 pass
             return trace
-        report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha), prob.grad)
+        report = audit(states, mp, cert, algorithms.fixed_point(prob, inst.alpha))
     trace.audit = report
     trace.certificate = cert
     return trace

@@ -51,9 +51,11 @@ class MixingValidationError(ValueError):
 
 @dataclass(frozen=True)
 class MixingPair:
-    """Validated mixing pair (w, w_tilde) with its spectra and every matrix the
-    certificates derive from it, each built once per pair (a matrix with the
-    same entries as one decomposed before reuses that solve, see `linalg`).
+    """Validated mixing pair (w, w_tilde) and every matrix the certificates
+    derive from it, each built once per pair (a matrix with the same entries
+    as one decomposed before reuses that solve, see `linalg`). A spectrum is
+    read from the matrix that owns it (`w.lambda_min`, `iw.eigenvalues`, ...),
+    never stored beside it.
     diff and iw carry w as their basis: their Jacobi solves start from w's
     eigenvectors, which diagonalize them whenever w_tilde is a polynomial in w
     (as (I + w)/2 is). w, wt and wbar, whose eigenvalues set the stepsizes,
@@ -72,7 +74,7 @@ class MixingPair:
 
     Both pseudo-inverses are projected as P pinv(.) P with P = I - 11^T/n: the
     eigensolver's null vector is 1/sqrt(n) only to round-off, and on long line
-    graphs the leftover, scaled by 1/lam_min_pos_iw, passes 1e-10.
+    graphs the leftover, scaled by 1/lambda_min_pos(I - w), passes 1e-10.
 
     theta in (3/4, min{1/(1 - lambda_min(wt)), 1}] parametrizes wbar.
     """
@@ -81,13 +83,6 @@ class MixingPair:
     wt: SymMatrix
     graph: Graph
     theta: float
-    lam_min_w: float
-    lam_max_w: float
-    lam2_w: float
-    beta: float
-    lam_min_wt: float
-    lam_min_pos_iw: float
-    lam_max_iw: float
     diff: SymMatrix
     iw: SymMatrix
     wbar: SymMatrix
@@ -197,7 +192,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     ones = np.ones((n, 1))
     # wt - w and I - w start their solves from w's eigenvectors (see `linalg`).
     # w is decomposed first, on its own, so its solve is not timed inside theirs.
-    w_eigs = w.eigenvalues
+    w.eig()
     diff = SymMatrix(wt.a - w.a, name="w_tilde - w", basis=w)
     i_minus_w = SymMatrix(eye - w.a, name="I - w", basis=w)
 
@@ -286,14 +281,6 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         wt=wt,
         graph=g,
         theta=theta,
-        lam_min_w=float(w_eigs[0]),
-        lam_max_w=float(w_eigs[-1]),
-        lam2_w=float(w_eigs[-2]),
-        beta=float(1.0 - w_eigs[-2]),
-        lam_min_wt=float(lam_min_wt),
-        # The null-space check above shows this is the smallest nonzero eigenvalue.
-        lam_min_pos_iw=float(iw_eigs[1]),
-        lam_max_iw=float(iw_eigs[-1]),
         diff=diff,
         iw=i_minus_w,
         wbar=wbar,

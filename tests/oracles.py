@@ -13,7 +13,8 @@ transition at a time with scalar `wnorm_sq`/`wdot` calls, exactly as the
 package's audits did before they were blocked; the blocked audits must agree
 with them. Their `ReferenceReport` keeps the per-row columns as the package's
 `AuditReport` did before they were packed: Python lists of the ratio, one
-division per transition, and of the slack, both None on row 0.
+division per transition, and of the slack, both None on row 0. `ratio_column`
+derives the same ratio list from an `AuditReport`'s Lyapunov column.
 
 `write_csv_reference` is `harness.write_csv` as it was before its rows were
 built in one pass and then streamed in chunks: one `_fmt` call per float, the
@@ -41,7 +42,8 @@ rebuilds `SymMatrix.inv`, `sqrt` and `isqrt` as they were before
 `SymMatrix.spectral_map` took the whole eigenvalue array: `inv` mapped the
 array, the other two called their map once per eigenvalue. `lambda_min_pos_reference`
 is the cutoff-based `SymMatrix.lambda_min_pos`. The powers of w_bar the EXTRA
-certificate reads and the pair's `lam_min_pos_iw` must equal them bit for bit.
+certificate reads and its smallest positive eigenvalue of I - w must equal them
+bit for bit.
 
 `lam_iwt_reference` is r1's lambda_max(w_bar^-1/2 (I - w_tilde) w_bar^-1/2) as
 `certify.extra_constants` computed it before it read w_tilde's spectrum: one
@@ -396,6 +398,15 @@ class ReferenceReport:
     violations: list[str]
 
 
+def ratio_column(report) -> list[float | None]:
+    """An `AuditReport`'s ratio column, row k's L_k / L_{k-1} from
+    `certify.lyapunov_ratio`, as a list: None on row 0 and where L_{k-1} is
+    not positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio, exists = certify.lyapunov_ratio(report.lyapunov[:-1], report.lyapunov[1:])
+    return [None] + [r if ok else None for r, ok in zip(ratio.tolist(), exists.tolist())]
+
+
 def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
                   tally: _Tally) -> ReferenceReport:
     """One pass over consecutive states, holding only the previous one.
@@ -424,7 +435,7 @@ def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
     )
 
 
-def audit_extra_reference(states, mp, cert, fp, grad) -> ReferenceReport:
+def audit_extra_reference(states, mp, cert, fp) -> ReferenceReport:
     """Reference for `certify.audit_extra`, one transition at a time: norm
     equality, key inequality, contraction.
 
@@ -435,8 +446,8 @@ def audit_extra_reference(states, mp, cert, fp, grad) -> ReferenceReport:
     """
     i_minus_wt = np.eye(mp.n) - mp.wt.a
     alpha = cert.alpha
-    theta = cert.theta
-    gstar = grad(fp.xstar)
+    theta = mp.theta
+    gstar = -fp.dstar
     tally = _Tally(("norm_equality_rel_err",), ("key_inequality_slack", "contraction_slack"))
 
     def lyapunov(state) -> float:
@@ -466,7 +477,7 @@ def audit_extra_reference(states, mp, cert, fp, grad) -> ReferenceReport:
     return _audit_stream("extra_xy", states, lyapunov, transition, cert.rho, tally)
 
 
-def audit_nids_reference(states, mp, cert, fp, grad) -> ReferenceReport:
+def audit_nids_reference(states, mp, cert, fp) -> ReferenceReport:
     """Reference for `certify.audit_nids`, one transition at a time: the two
     equalities, the d-x connection, the key inequality, the r5 norm-bound
     chain, and the Lyapunov contraction.
@@ -478,9 +489,9 @@ def audit_nids_reference(states, mp, cert, fp, grad) -> ReferenceReport:
     i_minus_w = mp.iw.a
     iw_pinv = mp.iw_pinv.a
     alpha = cert.alpha
-    theta = cert.theta
+    theta = mp.theta
     r4, r5 = cert.r4, cert.r5
-    gstar = grad(fp.xstar)
+    gstar = -fp.dstar
 
     conn_left = eye - 0.5 * i_minus_w
     m_shift = mp.mtilde.a - (1.0 - theta) * eye
@@ -709,12 +720,12 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
     """Coarse grid search over (theta, xi, eta) minimizing the contraction factor.
 
     The default certificate is valid but not optimized; this sweeps a few
-    admissible combinations and keeps the smallest rho. The thetas sit a
-    quarter, a half, three quarters and all of the way from 3/4 to the upper
-    end of the admissible interval; one too close to 3/4 for a certificate is
-    skipped.
+    admissible combinations and returns the pair at the best theta and the
+    certificate with the smallest rho. The thetas sit a quarter, a half, three
+    quarters and all of the way from 3/4 to the upper end of the admissible
+    interval; one too close to 3/4 for a certificate is skipped.
     """
-    upper = theta_default(mp.lam_min_wt)
+    upper = theta_default(mp.wt.lambda_min)
     thetas = [THETA_LOWER + f * (upper - THETA_LOWER) for f in (0.25, 0.5, 0.75, 1.0)]
     best = None
     fracs = [(i + 1.0) / (grid + 1.0) for i in range(grid)]
@@ -724,10 +735,11 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
             probe = certify.extra_constants(at_theta, lipschitz, mu_fbar, alpha)
         except (MixingValidationError, CertificateError):
             continue
+        lam_min_wbar = at_theta.wbar.lambda_min
         for fx in fracs:
             xi = fx * min(probe.r3 / (4.0 * probe.lam_max_wbar_m), 1.0)
-            eta_upper = probe.lam_min_wbar * xi / (
-                4.0 * alpha * probe.lam_min_wbar - 2.0 * alpha**2 * lipschitz)
+            eta_upper = lam_min_wbar * xi / (4.0 * alpha * lam_min_wbar
+                                             - 2.0 * alpha**2 * lipschitz)
             for fe in fracs:
                 try:
                     cert = certify.extra_constants(at_theta, lipschitz, mu_fbar, alpha, xi=xi,
@@ -735,10 +747,10 @@ def search_extra_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float,
                 except CertificateError:
                     continue
                 if best is None or cert.rho < best.rho:
-                    best = cert
+                    best_pair, best = at_theta, cert
     if best is None:
         raise CertificateError("no admissible certificate found in the search grid")
-    return best
+    return best_pair, best
 
 
 def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
@@ -817,7 +829,7 @@ def agent_grad(prob: SensingProblem, i: int, v: np.ndarray) -> np.ndarray:
 
 
 def mu_g(prob: SensingProblem, mp: MixingPair, eta: float) -> float:
-    return mu_g_value(prob.mu_fbar, prob.lipschitz, mp.lam_min_pos_iw, eta)
+    return mu_g_value(prob.mu_fbar, prob.lipschitz, float(mp.iw.eigenvalues[1]), eta)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from decon.certify import audit_extra, audit_nids, extra_constants, nids_constan
 from decon.linalg import SymMatrix
 
 from oracles import (
-    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, iterations_to, trajectory,
+    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, iterations_to, ratio_column,
+    trajectory,
 )
 
 SEEDS = tuple(range(10))
@@ -73,13 +74,13 @@ def audited(grid):
         states = islice(iterate("extra_xy", x0, alpha_e, cell.mp.w, cell.mp.wt,
                                 cell.prob.grad), 501)
         rep_e = audit_extra(states, cell.mp, cert_e,
-                            fixed_point(cell.prob, alpha_e), cell.prob.grad)
+                            fixed_point(cell.prob, alpha_e))
         alpha_n = 0.5 * 2.0 / lipschitz
         cert_n = nids_constants(cell.mp, lipschitz, mu, alpha_n)
         states = islice(iterate("nids_dx", x0, alpha_n, cell.mp.w, cell.mp.wt,
                                 cell.prob.grad), 501)
         rep_n = audit_nids(states, cell.mp, cert_n,
-                           fixed_point(cell.prob, alpha_n), cell.prob.grad)
+                           fixed_point(cell.prob, alpha_n))
         results.append((cell, cert_e, rep_e, cert_n, rep_n))
     return results
 
@@ -90,7 +91,7 @@ def test_criterion_1_extra_reformulation_equivalence(grid):
         x0 = np.zeros((N, P))
         started = time.perf_counter()
         for cell in grid:
-            alpha = (5.0 + 3.0 * cell.mp.lam_min_w) / (4.0 * cell.prob.lipschitz)
+            alpha = (5.0 + 3.0 * cell.mp.w.lambda_min) / (4.0 * cell.prob.lipschitz)
             xs1, _ = trajectory("extra", x0, alpha, cell.mp.w, cell.mp.wt,
                                 cell.prob.grad, 500)
             xs2, _ = trajectory("extra_xy", x0, alpha, cell.mp.w, cell.mp.wt,
@@ -152,10 +153,10 @@ def test_criterion_4_certified_contraction(audited):
             assert rep_e.checks["contraction_slack"] >= -1e-8, where
             assert rep_n.checks["contraction_slack"] >= -1e-8, where
             for rep, rho in ((rep_e, cert_e.rho), (rep_n, cert_n.rho)):
-                top = rep.lyapunov[0]
+                top, ratio = rep.lyapunov[0], ratio_column(rep)
                 for k in range(1, rep.transitions):
-                    if rep.lyapunov[k] > top * 1e-20 and rep.ratio[k + 1] is not None:
-                        assert rep.ratio[k + 1] <= rho + 1e-8, (where, k)
+                    if rep.lyapunov[k] > top * 1e-20 and ratio[k + 1] is not None:
+                        assert ratio[k + 1] <= rho + 1e-8, (where, k)
 
 
 def test_criterion_5_stepsize_bound_table(grid):

@@ -150,7 +150,7 @@ def test_aux_column_sums_stay_zero(prob1, rand10):
 
 def test_extra_equivalence_500_iters(prob1, rand10):
     _, mp = rand10
-    alpha = (5.0 + 3.0 * mp.lam_min_w) / 40.0
+    alpha = (5.0 + 3.0 * mp.w.lambda_min) / 40.0
     x0 = np.zeros((10, 5))
     xs1, _ = trajectory("extra", x0, alpha, mp.w, mp.wt, prob1.grad, 500)
     xs2, _ = trajectory("extra_xy", x0, alpha, mp.w, mp.wt, prob1.grad, 500)
@@ -204,12 +204,12 @@ def test_stepsize_bounds_plugins(prob1):
     mp = validate(w, wt, g, theta=0.75)
     b = stepsize_bounds(mp, 10.0, prob1.mu_fbar)
     assert b["nids"] == pytest.approx(0.2, abs=0)
-    assert b["extra-special"] == pytest.approx((5.0 + 3.0 * mp.lam_min_w) / 40.0, rel=1e-15)
+    assert b["extra-special"] == pytest.approx((5.0 + 3.0 * mp.w.lambda_min) / 40.0, rel=1e-15)
     # At theta = 3/4 with wt = (I+w)/2, the certified and special bounds agree
     # because w_bar = (5 I + 3 w) / 8.
     assert abs(b["extra-new"] - b["extra-special"]) <= 1e-12
-    assert b["shi-convex"] == pytest.approx((1.0 + mp.lam_min_w) / 10.0, rel=1e-15)
-    assert b["shi-linear"] == pytest.approx(prob1.mu_fbar * (1.0 + mp.lam_min_w) / 100.0, rel=1e-15)
+    assert b["shi-convex"] == pytest.approx((1.0 + mp.w.lambda_min) / 10.0, rel=1e-15)
+    assert b["shi-linear"] == pytest.approx(prob1.mu_fbar * (1.0 + mp.w.lambda_min) / 100.0, rel=1e-15)
 
 
 def test_stepsize_bound_special_value():
@@ -222,7 +222,7 @@ def test_equivalences_on_relaxed_pair(prob1):
     w = relax(metropolis(g), 1.0 / 3.0)
     wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
     mp = validate(w, wt, g)
-    alpha = (5.0 + 3.0 * mp.lam_min_w) / 40.0
+    alpha = (5.0 + 3.0 * mp.w.lambda_min) / 40.0
     x0 = np.zeros((10, 5))
     xs1, _ = trajectory("extra", x0, alpha, mp.w, mp.wt, prob1.grad, 300)
     xs2, _ = trajectory("extra_xy", x0, alpha, mp.w, mp.wt, prob1.grad, 300)

@@ -15,6 +15,7 @@ from oracles import (
     isqrt_reference,
     lam_iwt_reference,
     lambda_min_pos_reference,
+    ratio_column,
     rho_special,
     search_extra_certificate,
     search_nids_certificate,
@@ -58,7 +59,7 @@ def test_spectral_rebuilds_match_the_per_eigenvalue_references(monkeypatch, topo
     cfg = harness.RunConfig(topology=topology, n=n, relax_factor=relax_factor)
     mp = harness.build_mixing(cfg, harness.build_graph(cfg))
     _assert_rebuilds_match_the_references(mp, monkeypatch)
-    assert mp.lam_min_pos_iw == lambda_min_pos_reference(mp.iw)
+    assert float(mp.iw.eigenvalues[1]) == lambda_min_pos_reference(mp.iw)
 
 
 def test_spectral_rebuilds_match_the_references_on_a_pair_with_nonzero_g(monkeypatch):
@@ -111,7 +112,6 @@ def test_extra_golden_two_node_theta_08():
     assert cert.branches[2] == pytest.approx(1.0 - (0.6 - 0.3) / (0.6 + 0.875 * 1.2), rel=1e-12)
     assert cert.rho == pytest.approx(max(cert.branches), rel=0)
     assert cert.rho < 1.0
-    assert cert.special_case
 
 
 def test_nids_golden_two_node_theta_09():
@@ -159,7 +159,7 @@ def test_xi_third_branch_monotone_and_limit():
     xi_upper = min(base.r3 / (4.0 * base.lam_max_wbar_m), 1.0)
     grid = np.linspace(1e-6, xi_upper * (1 - 1e-9), 40)
     thirds = [
-        extra_rho(alpha, 10.0, base.lam_min_wbar, base.mu_g, base.eta, xi, base.r3,
+        extra_rho(alpha, 10.0, mp.wbar.lambda_min, base.mu_g, base.eta, xi, base.r3,
                   base.lam_max_wbar_m)[1][2]
         for xi in grid
     ]
@@ -176,11 +176,12 @@ def test_special_case_consistency_with_large_r2():
     cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r2) and not math.isinf(cert.r1)
     # identity lambda_max(wbar m) = (2 - theta beta) / beta when g = 0
-    assert cert.lam_max_wbar_m == pytest.approx((2.0 - 0.9 * mp.beta) / mp.beta, rel=1e-10)
+    beta = 1.0 - mp.w.eigenvalues[-2]
+    assert cert.lam_max_wbar_m == pytest.approx((2.0 - 0.9 * beta) / beta, rel=1e-10)
     r3_forced = 1.0 / (1.0 + 1.0 / cert.r1 + 1e-9)
-    rho_forced, _ = extra_rho(alpha, 10.0, cert.lam_min_wbar, cert.mu_g, cert.eta,
+    rho_forced, _ = extra_rho(alpha, 10.0, mp.wbar.lambda_min, cert.mu_g, cert.eta,
                               cert.xi, r3_forced, cert.lam_max_wbar_m)
-    rho_sp = rho_special(alpha, 10.0, 0.9, mp.lam_min_w, mp.beta, cert.mu_g,
+    rho_sp = rho_special(alpha, 10.0, 0.9, mp.w.lambda_min, beta, cert.mu_g,
                          cert.eta, cert.xi, cert.r3)
     assert rho_forced == pytest.approx(rho_sp, abs=1e-6)
     assert cert.rho == pytest.approx(rho_sp, rel=1e-12)
@@ -192,7 +193,7 @@ def test_double_limit_r3_is_one():
     cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r1) and math.isinf(cert.r2)
     assert cert.r3 == 1.0
-    assert cert.special_case and cert.rho < 1.0
+    assert cert.rho < 1.0
 
 
 def test_norm_over_range_space_bounds():
@@ -244,8 +245,9 @@ def test_certificate_errors_name_the_constant():
                                      r"interval \(0, "):
                 build(value)
 
+    wide_iw = SymMatrix(np.diag(np.linspace(0.0, 2.5, mp.n)), name="I - w")
     with pytest.raises(CertificateError, match=r"theta \* lambda_max\(I - w\) = .* >= 2"):
-        nids_constants(dataclasses.replace(mp, lam_max_iw=2.5), 10.0, 1.0, 0.1)
+        nids_constants(dataclasses.replace(mp, iw=wide_iw), 10.0, 1.0, 0.1)
     zero_m = SymMatrix(np.zeros((mp.n, mp.n)), name="zero")
     with pytest.raises(CertificateError, match=r"lambda_max\(w_bar m\) is not positive"):
         extra_constants(dataclasses.replace(mp, m=zero_m), 10.0, 1.0, 0.5 * bound)
@@ -360,7 +362,7 @@ def _audit_extra_setup(mp, prob, alpha_frac=0.5, steps=500):
 def test_audit_extra_zero_violations_default_pair(prob1, rand10):
     _, mp = rand10
     cert, states, fp = _audit_extra_setup(mp, prob1)
-    report = audit_extra(states, mp, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, cert, fp)
     assert report.ok, report.violations[:3]
     assert report.checks["norm_equality_rel_err"] <= 1e-9
     assert report.checks["key_inequality_slack"] >= -1e-8
@@ -373,15 +375,15 @@ def test_audit_extra_zero_violations_generic_pair(prob1):
     wt = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt")
     mp = validate(w, wt, g, theta=0.9)
     cert, states, fp = _audit_extra_setup(mp, prob1)
-    assert not cert.special_case and cert.r2 < math.inf and cert.r1 < math.inf
-    report = audit_extra(states, mp, cert, fp, prob1.grad)
+    assert cert.r2 < math.inf and cert.r1 < math.inf
+    report = audit_extra(states, mp, cert, fp)
     assert report.ok, report.violations[:3]
 
 
 def test_audit_extra_empirical_rate_at_most_certified(prob1, rand10):
     _, mp = rand10
     cert, states, fp = _audit_extra_setup(mp, prob1, steps=400)
-    report = audit_extra(states, mp, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, cert, fp)
     lyap = report.lyapunov
     keep = lyap > lyap[0] * 1e-22
     ks = np.arange(len(lyap))[keep]
@@ -398,7 +400,7 @@ def test_audit_extra_fixed_point_trajectory_is_null(prob1, rand10):
     fp = fixed_point(prob1, alpha)
     gstar = prob1.grad(fp.xstar)
     states = [AlgoState(fp.xstar, g_prev=gstar, y=fp.ystar)] * 6
-    report = audit_extra(states, mp, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, cert, fp)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
 
@@ -407,7 +409,7 @@ def test_audit_nids_zero_violations(prob1, rand10):
     _, mp = rand10
     cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     fp = fixed_point(prob1, 0.1)
-    report = audit_nids(_states("nids_dx", mp, prob1, 0.1, 500), mp, cert, fp, prob1.grad)
+    report = audit_nids(_states("nids_dx", mp, prob1, 0.1, 500), mp, cert, fp)
     assert report.ok, report.violations[:3]
     for name in ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err",
                  "chain_rel_err"):
@@ -431,7 +433,7 @@ def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):
     fp = fixed_point(prob1, 0.1)
     gstar = prob1.grad(fp.xstar)
     states = [AlgoState(fp.xstar, g_prev=gstar, d=fp.dstar)] * 5
-    report = audit_nids(states, mp, cert, fp, prob1.grad)
+    report = audit_nids(states, mp, cert, fp)
     assert report.ok
     assert np.abs(report.lyapunov).max() <= 1e-18
 
@@ -448,7 +450,7 @@ def test_beyond_classical_spectrum_nids_certifies_and_converges():
     # The network-independent stepsize range (0, 2/L) survives a mixing
     # spectrum reaching below -1, and the r5 formula leaves its flat branch.
     mp = _beyond_classical_pair()
-    assert mp.lam_min_w == pytest.approx(-1.6, abs=1e-12)
+    assert mp.w.lambda_min == pytest.approx(-1.6, abs=1e-12)
     prob = problem.generate(2, 2, 3, seed=9)
     cert = nids_constants(mp, prob.lipschitz, prob.mu_fbar, 0.19)
     assert cert.r5 > 2.0
@@ -457,7 +459,7 @@ def test_beyond_classical_spectrum_nids_certifies_and_converges():
     fp = fixed_point(prob, 0.19)
     res = np.linalg.norm(states[-1].x - fp.xstar) / np.linalg.norm(states[0].x - fp.xstar)
     assert res <= 1e-8
-    report = audit_nids(states, mp, cert, fp, prob.grad)
+    report = audit_nids(states, mp, cert, fp)
     assert report.ok, report.violations[:3]
 
 
@@ -467,8 +469,7 @@ def test_beyond_classical_spectrum_extra_certifies():
     bound = 2.0 * mp.wbar.lambda_min / prob.lipschitz
     cert = extra_constants(mp, prob.lipschitz, prob.mu_fbar, 0.5 * bound)
     fp = fixed_point(prob, cert.alpha)
-    report = audit_extra(_states("extra_xy", mp, prob, cert.alpha, 2000), mp, cert, fp,
-                         prob.grad)
+    report = audit_extra(_states("extra_xy", mp, prob, cert.alpha, 2000), mp, cert, fp)
     assert report.ok, report.violations[:3]
 
 
@@ -480,17 +481,17 @@ def test_audit_near_boundary_stepsize(prob1):
     wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
     mp = validate(w, wt, g, theta=0.76)
     bound = 2.0 * mp.wbar.lambda_min / prob1.lipschitz
-    widest = (5.0 + 3.0 * mp.lam_min_w) / (4.0 * prob1.lipschitz)
+    widest = (5.0 + 3.0 * mp.w.lambda_min) / (4.0 * prob1.lipschitz)
     assert bound > 0.98 * widest
     alpha = 0.99 * bound
     cert = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     rep = audit_extra(_states("extra_xy", mp, prob1, alpha, 800), mp, cert,
-                      fixed_point(prob1, alpha), prob1.grad)
+                      fixed_point(prob1, alpha))
     assert cert.rho < 1.0 and rep.ok, rep.violations[:3]
     alpha_n = 0.99 * 2.0 / prob1.lipschitz
     cert_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha_n)
     rep_n = audit_nids(_states("nids_dx", mp, prob1, alpha_n, 800), mp, cert_n,
-                       fixed_point(prob1, alpha_n), prob1.grad)
+                       fixed_point(prob1, alpha_n))
     assert cert_n.rho < 1.0 and rep_n.ok, rep_n.violations[:3]
 
 
@@ -513,7 +514,7 @@ def test_search_improves_or_matches_default(prob1, rand10, monkeypatch):
     _, mp = rand10
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
     default = extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
-    best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha, grid=4)
+    _, best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha, grid=4)
     assert best.rho <= default.rho + 1e-15
     default_n = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.1)
     calls = collections.Counter()
@@ -558,7 +559,7 @@ def _bits(column):
 def _assert_same_report(blocked, reference):
     assert (blocked.algorithm, blocked.transitions) == (reference.algorithm, reference.transitions)
     assert _bits(blocked.lyapunov) == _bits(reference.lyapunov)
-    assert _bits(blocked.ratio) == _bits(reference.ratio)
+    assert _bits(ratio_column(blocked)) == _bits(reference.ratio)
     assert _bits([None, *blocked.slack.tolist()]) == _bits(reference.slack)
     assert blocked.violations == reference.violations
     assert blocked.checks.keys() == reference.checks.keys()
@@ -570,23 +571,23 @@ def test_blocked_audits_match_the_per_transition_oracle_on_certified_runs(prob1,
     _, mp = rand10
     cert, states, fp = _audit_extra_setup(mp, prob1, steps=600)
     states = list(states)
-    report = audit_extra(states, mp, cert, fp, prob1.grad)
+    report = audit_extra(states, mp, cert, fp)
     assert report.ok and report.transitions == 600
-    _assert_same_report(report, audit_extra_reference(states, mp, cert, fp, prob1.grad))
+    _assert_same_report(report, audit_extra_reference(states, mp, cert, fp))
     cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.19)
     fp = fixed_point(prob1, 0.19)
     states = list(_states("nids_dx", mp, prob1, 0.19, 600))
-    report = audit_nids(states, mp, cert, fp, prob1.grad)
+    report = audit_nids(states, mp, cert, fp)
     assert report.ok and report.transitions == 600
-    _assert_same_report(report, audit_nids_reference(states, mp, cert, fp, prob1.grad))
+    _assert_same_report(report, audit_nids_reference(states, mp, cert, fp))
 
 
 def test_blocked_audits_match_the_oracle_on_hundreds_of_violations(prob1, rand10):
     _, mp = rand10
     for audit, oracle, states, pair, cert, fp in _mismatched_streams(prob1, mp):
-        report = audit(states, pair, cert, fp, prob1.grad)
+        report = audit(states, pair, cert, fp)
         assert len(report.violations) >= 300, audit.__name__
-        _assert_same_report(report, oracle(states, pair, cert, fp, prob1.grad))
+        _assert_same_report(report, oracle(states, pair, cert, fp))
 
 
 @pytest.mark.parametrize("length", ["empty", "0", "1", "B-1", "B", "B+1"])
@@ -597,9 +598,9 @@ def test_blocked_audits_match_the_oracle_at_block_boundaries(length, prob1, rand
     transitions = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1}.get(length)
     for audit, oracle, states, pair, cert, fp in _mismatched_streams(prob1, mp):
         stream = [] if transitions is None else states[:transitions + 1]
-        report = audit(stream, pair, cert, fp, prob1.grad)
+        report = audit(stream, pair, cert, fp)
         assert report.transitions == (transitions or 0)
-        _assert_same_report(report, oracle(stream, pair, cert, fp, prob1.grad))
+        _assert_same_report(report, oracle(stream, pair, cert, fp))
 
 
 @pytest.mark.parametrize("pair", ["half", "generic"])
@@ -636,8 +637,8 @@ def test_blocked_extra_audit_matches_the_oracle_on_non_finite_and_huge_states(pa
 
     monkeypatch.setattr(certify, "_wsq", counting)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = audit_extra(states, mp, cert, fp, prob1.grad)
-        reference = audit_extra_reference(states, mp, cert, fp, prob1.grad)
+        report = audit_extra(states, mp, cert, fp)
+        reference = audit_extra_reference(states, mp, cert, fp)
     block = certify._BLOCK_ELEMENTS // (prob1.n * prob1.p)
     assert g_terms == ([block, block, 600 - 2 * block] if pair == "generic"
                        else [block, 600 - 2 * block])
@@ -700,11 +701,11 @@ def test_audits_flag_a_non_finite_state(variant, prob1, rand10):
     fp = fixed_point(prob1, alpha)
     states = list(_states(variant, mp, prob1, alpha, 5))
     states[3] = states[3]._replace(x=np.full_like(states[3].x, np.nan))
-    report = audit(states, mp, cert, fp, prob1.grad)
+    report = audit(states, mp, cert, fp)
     assert report.ok is False and report.transitions == 5
     flagged = {message.split("k=")[1].split(":")[0] for message in report.violations}
     assert flagged == {"2", "3"}, report.violations
-    assert report.violations == oracle(states, mp, cert, fp, prob1.grad).violations
+    assert report.violations == oracle(states, mp, cert, fp).violations
 
 
 @pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])
@@ -726,9 +727,9 @@ def test_ratio_and_slack_cells_match_the_oracle_at_zero_and_nan_lyapunov(variant
     states = list(_states(variant, mp, prob1, alpha, 6))
     states[1] = states[1]._replace(x=fp.xstar.copy(), **{aux: origin.copy()})
     states[3] = states[3]._replace(x=np.full_like(states[3].x, np.nan))
-    report = audit(states, mp, cert, fp, prob1.grad)
-    ref = oracle(states, mp, cert, fp, prob1.grad)
-    assert _bits(report.ratio) == _bits(ref.ratio)
+    report = audit(states, mp, cert, fp)
+    ref = oracle(states, mp, cert, fp)
+    assert _bits(ratio_column(report)) == _bits(ref.ratio)
     assert _bits([None, *report.slack.tolist()]) == _bits(ref.slack)
     trace = harness.Trace(algo=variant, alpha=alpha, residuals=[1.0] * len(states), audit=report)
     path = tmp_path / "t.csv"
@@ -756,10 +757,10 @@ def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
         return jacobi(mats, names)
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
-    best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    pair, best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     assert seen and max(seen.values()) == 1
     monkeypatch.undo()
-    fresh = extra_constants(validate(w, mp.wt, g, theta=best.theta), prob1.lipschitz,
+    fresh = extra_constants(validate(w, mp.wt, g, theta=pair.theta), prob1.lipschitz,
                             prob1.mu_fbar, alpha, xi=best.xi, eta=best.eta)
     _assert_same_certificate(best, fresh)
 

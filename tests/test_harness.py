@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -25,7 +26,8 @@ from decon.harness import (
     ConfigError, RunConfig, Trace, resolve_scenario, run, write_csv,
 )
 from oracles import (
-    eigenvalues_within, iterations_to, step_reference, until_stop_reference, write_csv_reference,
+    eigenvalues_within, iterations_to, ratio_column, step_reference, until_stop_reference,
+    write_csv_reference,
 )
 
 
@@ -150,7 +152,7 @@ def test_trace_csv_round_trip_certified(tmp_path):
     assert all(len(r) == 7 for r in rows)
     _assert_rows_parse_back(trace, rows)
     assert [float(r[4]) for r in rows] == report.lyapunov.tolist()
-    assert [_cell(r[5]) for r in rows] == report.ratio
+    assert [_cell(r[5]) for r in rows] == ratio_column(report)
     assert [_cell(r[6]) for r in rows] == [None] + report.slack.tolist()
 
 
@@ -482,13 +484,13 @@ def test_certified_audit_of_a_replayed_cycle_equals_the_stepped_one(prob1, rand1
         states = loop(itertools.chain(real[:_PREFIX], itertools.cycle(real[_PREFIX:])),
                       RunConfig(max_iters=400, tol=1e-300), prob1.Xstar, trace)
         with np.errstate(over="ignore", invalid="ignore"):
-            reports.append(certify.audit_nids(states, mp, cert, fp, prob1.grad))
+            reports.append(certify.audit_nids(states, mp, cert, fp))
         traces.append(trace)
     new, old = reports
     assert traces[0].cycle == (_MARK, 3) and traces[1].cycle is None
     assert new.transitions == old.transitions == 400
     assert new.lyapunov.tobytes() == old.lyapunov.tobytes()
-    assert new.ratio == old.ratio and new.slack.tobytes() == old.slack.tobytes()
+    assert ratio_column(new) == ratio_column(old) and new.slack.tobytes() == old.slack.tobytes()
     assert new.checks == old.checks and new.violations == old.violations
     assert not new.ok
 
@@ -886,7 +888,7 @@ def test_spectra_that_set_the_stepsizes_are_solved_cold(name):
     grams = [m for m in asked if re.fullmatch(r"M_(\d+)\^T M_\1", m.name)]
     hessian = [m for m in asked if m.name == "averaged hessian"]
     assert len({m.name for m in grams}) == inst.prob.n and hessian
-    pair = [inst.mp.w, inst.mp.wt, inst.mp.wbar, mixing.metropolis(inst.graph)]
+    pair = [inst.mp.w, inst.mp.wt, inst.mp.wbar, mixing.metropolis(inst.mp.graph)]
     for mat in grams + hessian + pair:
         assert mat.basis is None, (name, mat.name)
         assert mat.a.tobytes() in received, (name, mat.name)
@@ -921,7 +923,7 @@ def _generic_pair():
     inst = _observed_build("fig1/nids_a4")[0]
     w = inst.mp.w
     wt = linalg.SymMatrix(0.3 * np.eye(w.dim) + 0.7 * w.a, name="w_tilde")
-    return mixing.validate(w, wt, inst.graph), inst.prob
+    return mixing.validate(w, wt, inst.mp.graph), inst.prob
 
 
 @pytest.mark.parametrize("name", [*_INSTANCES, "generic w_tilde"])
@@ -962,7 +964,8 @@ def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", sweeping)
     for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
-        trace = run(dataclasses.replace(inst.config, algo=algo, alpha=alpha, max_iters=5))
+        trace = run(dataclasses.replace(_INSTANCES["certify-large"], algo=algo, alpha=alpha,
+                                        max_iters=5))
         assert trace.audit.ok
     assert sorted(name for name, swept in solves if swept) == ["metropolis", "w_tilde"]
     assert sorted(name for name, swept in solves if not swept) == \
@@ -978,7 +981,7 @@ def test_certified_run_evaluates_each_gradient_once(monkeypatch):
         trace = run(RunConfig(topology="random", n=8, p=3, mi=2, seed=11, algo=algo,
                               alpha=alpha, max_iters=300, tol=1e-9, certify=True))
         assert trace.audit.ok and trace.ks[-1] > 100
-        assert len(calls) <= trace.ks[-1] + 2
+        assert len(calls) <= trace.ks[-1] + 1
 
 
 def test_certified_run_memory_does_not_grow_with_iterations(monkeypatch):
@@ -1150,6 +1153,29 @@ def test_cli_unwritable_output_fails_before_any_step(flags, out, tmp_path, monke
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("where", ["a directory", "missing/p.json"])
+def test_cli_unwritable_save_problem_fails_before_any_step(where, tmp_path, monkeypatch,
+                                                           capsys):
+    steps = []
+    step = algorithms.step
+    monkeypatch.setattr(algorithms, "step", lambda *a: steps.append(1) or step(*a))
+    path = str(tmp_path if where == "a directory" else tmp_path / where)
+    assert cli.main(["run", "--max-iters", "50", "--tol", "1e-300",
+                     "--save-problem", path]) == 1
+    assert steps == []
+    assert capsys.readouterr().err.startswith(f"error: cannot write problem to {path}")
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_save_problem_is_a_run_flag_only(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--save-problem", str(path)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --save-problem" in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("text", ['{"n": 10,', "[1, 2]"])
 def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -1316,9 +1342,37 @@ def test_topology_names_are_the_table_keys(capsys):
         assert harness.build_graph(RunConfig(topology=name, n=5)).n == 5
     with pytest.raises(ConfigError, match="unknown topology 'ring'"):
         RunConfig(topology="ring")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--topology", "ring"])
+    assert exc.value.code == 1
     assert "invalid choice: 'ring'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--bogus"], "decon: error: unrecognized arguments: --bogus"),
+    (["run", "--n", "abc"], "decon run: error: argument --n: invalid int value: 'abc'"),
+    (["run", "--algo", "foo"], "decon run: error: argument --algo: invalid choice: 'foo'"),
+    (["frobnicate"], "decon: error: argument command: invalid choice: 'frobnicate'"),
+])
+def test_cli_usage_errors_exit_1_not_the_divergence_code(argv, message, capsys, monkeypatch):
+    # Exit code 2 means a run diverged; a mistyped command line is bad input.
+    # The text is argparse's own: usage lines, then "prog: error: message".
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: decon") and err.splitlines()[-1].startswith(message)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().err == err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: decon run")
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -1386,8 +1440,8 @@ def test_configs_differing_in_run_only_fields_share_one_build(changed, monkeypat
                                           {changed: _RUN_ONLY[changed]}))
     hit = harness.build_instance(config)
     assert built == [base]
-    assert hit.config is config and hit.alpha == harness.resolve_alpha(config, first.stepsizes)
-    assert (hit.graph, hit.mp, hit.prob) == (first.graph, first.mp, first.prob)
+    assert hit.alpha == harness.resolve_alpha(config, first.stepsizes)
+    assert (hit.mp, hit.prob) == (first.mp, first.prob)
     assert hit.stepsizes == first.stepsizes and hit.stepsizes is not first.stepsizes
     # Each instance owns its table: changing one changes no other build's.
     hit.stepsizes["nids"] = -1.0
@@ -1430,9 +1484,9 @@ def test_graph_and_problem_files_are_reread_on_every_build(tmp_path, monkeypatch
     built = _counting_builds(monkeypatch)
     graph_path = _graph_file(tmp_path, [(i, i + 1) for i in range(5)])
     by_graph = RunConfig(graph_file=graph_path)
-    assert harness.build_instance(by_graph).graph.n == 6
+    assert harness.build_instance(by_graph).mp.graph.n == 6
     _graph_file(tmp_path, [(i, i + 1) for i in range(7)])
-    assert harness.build_instance(by_graph).graph.n == 8
+    assert harness.build_instance(by_graph).mp.graph.n == 8
 
     problem_path = str(tmp_path / "problem.json")
     problem.save_problem(problem.generate(10, 5, 1, seed=5), problem_path)

@@ -95,7 +95,7 @@ def test_validate_passes_for_metropolis_pairs():
         w = metropolis(g)
         mp = validate(w, _half(w), g)
         assert 0.75 < mp.theta <= 1.0
-        assert mp.lam_max_w == pytest.approx(1.0, abs=1e-12)
+        assert mp.w.lambda_max == pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_rejects_identity_pair():
@@ -203,7 +203,7 @@ def test_validate_rejects_off_graph_weight():
 
 
 def test_validate_rejects_a_single_agent():
-    # I - w has no nonzero eigenvalue on one node, so there is no lam_min_pos_iw.
+    # I - w has no nonzero eigenvalue on one node, so no smallest positive one.
     g = Graph(1, ())
     w = metropolis(g)
     with pytest.raises(MixingValidationError, match="at least 2 agents, got 1"):

@@ -159,7 +159,7 @@ def test_mu_g_against_pair(prob1):
     w = SymMatrix([[0.75, 0.25], [0.25, 0.75]], name="w")
     g2 = line(2)
     mp = validate(w, SymMatrix((np.eye(2) + w.a) / 2.0, name="wt"), g2)
-    assert mp.lam_min_pos_iw == pytest.approx(0.5)
+    assert float(mp.iw.eigenvalues[1]) == pytest.approx(0.5)
     prob = generate(2, 1, 3, seed=5)
     expected = mu_g_value(prob.mu_fbar, prob.lipschitz, 0.5, 0.7)
     assert mu_g(prob, mp, 0.7) == pytest.approx(expected, rel=1e-12)
@@ -301,6 +301,24 @@ def test_a_normal_equations_solve_off_by_its_tolerance_is_a_named_error(monkeypa
                         lambda gram, rhs: solve(gram, rhs) + 1.0)
     with pytest.raises(ProblemError, match="normal equations solve residual too large"):
         generate(10, 5, 1, seed=2)
+
+
+@pytest.mark.parametrize("n, p, m_i", [(10, 5, 10), (10, 40, 5)])
+def test_normal_equations_fall_back_to_the_pseudo_inverse(n, p, m_i, monkeypatch):
+    # A Cholesky factorization that fails sends the solve through the
+    # eigendecomposition; `generate`'s residual check (1e-9) still passes and
+    # the optimum is the Cholesky one to round-off.
+    cholesky = problem.generate(n, p, m_i, seed=2).xstar
+    failures = []
+
+    def failing(a):
+        failures.append(a.shape)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    fallback = problem.generate(n, p, m_i, seed=2).xstar
+    assert (p, p) in failures
+    assert np.linalg.norm(fallback - cholesky) <= 1e-10 * np.linalg.norm(cholesky)
 
 
 def test_cli_an_agent_drawing_a_zero_sensing_matrix_exits_1_without_a_traceback(monkeypatch,
