@@ -404,67 +404,55 @@ class _Tally:
         self._flagged.clear()
 
 
-def _stack_block(prev, new_states, aux: str):
-    """Stack the x and `aux` of `prev` and the new states into (B + 1, n, p)
-    arrays, and the new states' g_prev into a (B, n, p) one; also return the
-    last state. None when no new state came. Only the stacks outlive the call,
-    not the states."""
-    block = [prev, *new_states]
-    if len(block) == 1:
-        return None
-    return (np.array([s.x for s in block]), np.array([getattr(s, aux) for s in block]),
-            np.array([s.g_prev for s in block[1:]]), block[-1])
-
-
 def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np.ndarray],
                   per_state, transition, rho: float, tally: _Tally) -> AuditReport:
     """One blocked pass over consecutive states, the one driver of both audits.
 
-    States are pulled a block at a time (`_BLOCK_ELEMENTS` entries of x each)
-    and stacked into (B, n, p) arrays of x and of the auxiliary variable `aux`,
-    with their displacements `dx`, `d<aux>` from the fixed point `origin`; the
-    last state of a block opens the next. `per_state(dx, daux)` maps the
-    displacements of the new states to named per-state columns, "lyapunov"
-    among them, so each is computed once per state. `transition(k0, cur, nxt)`
-    checks the block's transitions k0, k0 + 1, ... from the stacks and columns
-    of their start and end states (`nxt.g_prev` is each transition's gradient)
-    and returns each one's worst slack, which is combined with the certified
-    contraction by the factor rho. Besides one block, the pass holds only the
-    Lyapunov value of each row and the slack of each transition, packed as
-    float64 (8 bytes each), and exposes them as arrays once it is done.
+    A block is the last state of the previous block (the first state, for the
+    first block) followed by up to B new states (`_BLOCK_ELEMENTS` entries of
+    x each). It is stacked into (B + 1, n, p) arrays of x and of the auxiliary
+    variable `aux`, with their displacements `dx`, `d<aux>` from the fixed
+    point `origin`, and `per_state(dx, daux)` maps the whole stack to named
+    per-state columns, "lyapunov" among them. The opening state's columns are
+    thus computed again in each block, from the same slices, so with the same
+    bits. `transition(k0, cur, nxt)` checks the block's transitions k0, k0 + 1,
+    ... from the `[:-1]` rows of the stacks and columns (`cur`) and the `[1:]`
+    rows (`nxt`, whose `g_prev` is each transition's gradient) and returns each
+    one's worst slack, which is combined with the certified contraction by the
+    factor rho. Besides one block, the pass holds only the Lyapunov value of
+    each row and the slack of each transition, packed as float64 (8 bytes
+    each), and exposes them as arrays once it is done.
     """
     stream = iter(states)
-    first = next(stream, None)
+    block = list(islice(stream, 1))  # the first state opens the first block
+    size = max(1, _BLOCK_ELEMENTS // block[0].x.size) if block else 0
+    x_origin, a_origin = origin
     lyap, slack_col = array("d"), array("d")
-    if first is not None:
-        size = max(1, _BLOCK_ELEMENTS // first.x.size)
-        x_origin, a_origin = origin
-        prev = first
-        prev_cols = per_state(first.x[None] - x_origin, getattr(first, aux)[None] - a_origin)
-        lyap.frombytes(prev_cols["lyapunov"].tobytes())
-        while True:
-            stacks = _stack_block(prev, islice(stream, size), aux)
-            if stacks is None:
-                break
-            x, a, g_prev, prev = stacks
-            k0 = len(lyap) - 1
-            dx, da = x - x_origin, a - a_origin
-            cols = per_state(dx[1:], da[1:])
-            cur = SimpleNamespace(x=x[:-1], dx=dx[:-1], **{aux: a[:-1], "d" + aux: da[:-1]},
-                                  **{name: np.concatenate((prev_cols[name][-1:], col[:-1]))
-                                     for name, col in cols.items()})
-            nxt = SimpleNamespace(x=x[1:], dx=dx[1:], **{aux: a[1:], "d" + aux: da[1:]},
-                                  g_prev=g_prev, **cols)
-            s = transition(k0, cur, nxt)
-            l0, l1 = cur.lyapunov, nxt.lyapunov
-            cs = tally.inequality("contraction_slack", "contraction", k0,
-                                  (rho * l0 - l1) / (1.0 + l0))
-            tally.close_block()
-            slack_col.frombytes(_min(s, cs).tobytes())
-            lyap.frombytes(l1.tobytes())
-            prev_cols = cols
-            # Free this block's stacks before the next block's are built.
-            del stacks, x, a, g_prev, dx, da, cur, nxt
+    while block:
+        block += islice(stream, size)
+        x, a = np.array([s.x for s in block]), np.array([getattr(s, aux) for s in block])
+        g_prev = np.array([s.g_prev for s in block[1:]])
+        block = block[-1:]  # the last state opens the next block; the rest are freed now
+        dx, da = x - x_origin, a - a_origin
+        cols = per_state(dx, da)
+        if not lyap:  # row 0; every later block opens with a row already recorded
+            lyap.frombytes(cols["lyapunov"][:1].tobytes())
+        if len(x) == 1:  # no new state: the stream has ended
+            break
+        k0 = len(lyap) - 1
+        cur = SimpleNamespace(x=x[:-1], dx=dx[:-1], **{aux: a[:-1], "d" + aux: da[:-1]},
+                              **{name: col[:-1] for name, col in cols.items()})
+        nxt = SimpleNamespace(x=x[1:], dx=dx[1:], **{aux: a[1:], "d" + aux: da[1:]},
+                              g_prev=g_prev, **{name: col[1:] for name, col in cols.items()})
+        s = transition(k0, cur, nxt)
+        l0, l1 = cur.lyapunov, nxt.lyapunov
+        cs = tally.inequality("contraction_slack", "contraction", k0,
+                              (rho * l0 - l1) / (1.0 + l0))
+        tally.close_block()
+        slack_col.frombytes(_min(s, cs).tobytes())
+        lyap.frombytes(l1.tobytes())
+        # Free this block's stacks before the next block's are built.
+        del x, a, g_prev, dx, da, cols, cur, nxt
     # Export the buffers only now: an array('d') cannot grow while one is live.
     return AuditReport(
         algorithm=algorithm, lyapunov=np.frombuffer(lyap, dtype=np.float64),

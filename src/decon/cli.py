@@ -84,20 +84,26 @@ def _add_mixing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph-file", dest="graph_file", help="edge-list file ('i j' per line)")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_instance_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that pick the instance, shared by `run` and `bounds`."""
     p.add_argument("--scenario", choices=harness.SCENARIOS, help="preset replicating one figure")
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
     _add_mixing_flags(p)
     p.add_argument("--p", type=int)
     p.add_argument("--mi", type=int)
     p.add_argument("--noise-std", type=float, dest="noise_std")
+    p.add_argument("--load-problem", dest="problem_file", help="replay a saved problem file")
+
+
+def _add_run_only_flags(p: argparse.ArgumentParser) -> None:
+    """The flags only `run` reads: the algorithm, its stopping rule and the outputs."""
     p.add_argument("--algo", choices=algorithms.VARIANTS)
     p.add_argument("--alpha", help="numeric stepsize or one of: " + ", ".join(algorithms.STEPSIZES))
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--tol", type=float)
     p.add_argument("--certify", action="store_true", default=None)
-    p.add_argument("--load-problem", dest="problem_file", help="replay a saved problem file")
     p.add_argument("--out", dest="out_path", help="CSV file (single run) or directory (scenario)")
+    p.add_argument("--save-problem", dest="save_problem", help="save the generated problem here")
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
@@ -181,6 +187,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_mixing(args: argparse.Namespace) -> int:
+    if args.dump_mixing:
+        _check_file_path(args.dump_mixing, "mixing matrix")
     cfg = harness.config_from_dict(_flag_overrides(args))
     g = harness.build_graph(cfg)
     mp = harness.build_mixing(cfg, g)
@@ -228,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario preset or a single configuration")
-    _add_run_flags(p_run)
-    p_run.add_argument("--save-problem", dest="save_problem",
-                       help="save the generated problem here")
+    _add_instance_flags(p_run)
+    _add_run_only_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate-mixing", help="validate the mixing assumption on a graph")
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_validate_mixing)
 
     p_bounds = sub.add_parser("bounds", help="print the stepsize-bound table")
-    _add_run_flags(p_bounds)
+    _add_instance_flags(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     return parser

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -601,6 +602,40 @@ def test_blocked_audits_match_the_oracle_at_block_boundaries(length, prob1, rand
         report = audit(stream, pair, cert, fp)
         assert report.transitions == (transitions or 0)
         _assert_same_report(report, oracle(stream, pair, cert, fp))
+
+
+@pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])
+def test_audits_hold_one_block_of_states(variant, prob1, rand10):
+    # Apart from one block, an audit keeps only packed columns: over a stream
+    # of ten blocks, the states' x arrays alive at each pull stay below a
+    # bound set by the block length B, not by the stream's length. Each state
+    # also holds its predecessor's x as x_prev, and the iteration holds the
+    # state it last yielded; the audit holds the block's opening state and up
+    # to B new ones.
+    _, mp = rand10
+    block = certify._BLOCK_ELEMENTS // (prob1.n * prob1.p)
+    if variant == "extra_xy":
+        audit = audit_extra
+        cert, states, fp = _audit_extra_setup(mp, prob1, steps=10 * block)
+    else:
+        audit = audit_nids
+        cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 0.19)
+        states, fp = _states("nids_dx", mp, prob1, 0.19, 10 * block), fixed_point(prob1, 0.19)
+    live, refs, counts = [0], [], []
+
+    def collected(_ref):
+        live[0] -= 1
+
+    def watched():
+        for state in states:
+            live[0] += 1
+            refs.append(weakref.ref(state.x, collected))
+            counts.append(live[0])
+            yield state
+
+    report = audit(watched(), mp, cert, fp)
+    assert report.ok and report.transitions == 10 * block == len(counts) - 1
+    assert max(counts) <= block + 3
 
 
 @pytest.mark.parametrize("pair", ["half", "generic"])

@@ -1176,6 +1176,42 @@ def test_cli_save_problem_is_a_run_flag_only(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flags", [["--algo", "nids"], ["--alpha", "0.1"], ["--max-iters", "3"],
+                                   ["--tol", "1e-3"], ["--certify"], ["--out", "x.csv"]])
+def test_cli_bounds_rejects_each_run_only_flag(flags, tmp_path, monkeypatch, capsys):
+    # `bounds` reads none of them: accepting one would print the table and
+    # exit 0 without doing what it asks (no x.csv written).
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", *flags])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_bounds_flags_are_the_fields_that_key_the_instance_memo():
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in subcommands.choices["bounds"]._actions}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert dests & fields == set(harness._INSTANCE_FIELDS)
+
+
+@pytest.mark.parametrize("where", ["a directory", "missing/w.txt"])
+def test_cli_unwritable_dump_mixing_fails_before_any_build(where, tmp_path, monkeypatch,
+                                                           capsys):
+    def never(*args):
+        raise AssertionError("built before the dump path was checked")
+
+    monkeypatch.setattr(harness, "build_graph", never)
+    path = str(tmp_path if where == "a directory" else tmp_path / where)
+    assert cli.main(["validate-mixing", "--dump-mixing", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write mixing matrix to {path}")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("text", ['{"n": 10,', "[1, 2]"])
 def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
     path = tmp_path / "cfg.json"
