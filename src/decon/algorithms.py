@@ -1,21 +1,23 @@
 """DGD, EXTRA and NIDS as one step over per-run operators, plus the table of
 named stepsizes.
 
-Variants (a the stepsize, g = grad(x), I the identity):
+Steppers (a the stepsize, g = grad(x), I the identity):
   dgd       x+ = w x - a g
   extra     x+ = (x + w x) - wt x_prev - a (g - g_prev); the first step is dgd's
   extra_xy  x+ = wt x + y - a g,  y+ = y - (wt - w) x+;  y0 = -(wt - w) x0
   nids      x+ = (I + w)/2 (2 x - x_prev - a (g - g_prev)); first (I + w)/2 (x - a g)
   nids_dx   v = x - a g,  d+ = d + (I - w)/2 (v - a d) / a,  x+ = v - a d+;  d0 = 0
 
-extra_xy and nids_dx are the reformulated (x, y) and (d, x) forms of extra and
-nids whose iterates the certificates audit. `operators` builds a run's update,
-stepsize, gradient and matrices once; `step` advances a state by one iteration
-with them, at one gradient evaluation (the two-step forms carry the previous
-gradient in the state). `iterate` is the one loop that calls `step`. A state
-is an immutable NamedTuple, the cheapest immutable record to build once per
-step; the updates build it from positional fields, which costs less than
-keywords. They apply their matrices with `ndarray.dot`, which reaches the
+`VARIANTS` names the algorithms a run can ask for. extra_xy and nids_dx are
+the reformulated (x, y) and (d, x) forms of extra and nids whose iterates the
+certificates audit; `operators` and `iterate` accept them, and
+`certify.certify` maps extra and nids to them. `operators` builds a run's
+update, stepsize, gradient and matrices once; `step` advances a state by one
+iteration with them, at one gradient evaluation (the two-step forms carry the
+previous gradient in the state). `iterate` is the one loop that calls `step`.
+A state is an immutable NamedTuple, the cheapest immutable record to build
+once per step; the updates build it from positional fields, which costs less
+than keywords. They apply their matrices with `ndarray.dot`, which reaches the
 same gemm as `@` with half its per-call overhead, so the bits are the same.
 """
 
@@ -104,7 +106,7 @@ def _nids_dx(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
 
 _UPDATES = {"dgd": _dgd, "extra": _extra, "extra_xy": _extra_xy, "nids": _nids,
             "nids_dx": _nids_dx}
-VARIANTS = tuple(_UPDATES)
+VARIANTS = ("dgd", "extra", "nids")
 
 
 def _mat(w) -> np.ndarray:
@@ -114,7 +116,7 @@ def _mat(w) -> np.ndarray:
 def operators(variant: str, alpha: float, w, wt, grad) -> Operators:
     """Build one run's operators; w and wt are SymMatrix or array-like."""
     if variant not in _UPDATES:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+        raise ValueError(f"unknown variant {variant!r}; choose from {tuple(_UPDATES)}")
     if alpha <= 0.0:
         raise ValueError(f"stepsize must be positive, got {alpha}")
     wa, wta = _mat(w), _mat(wt)

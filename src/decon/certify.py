@@ -60,9 +60,9 @@ def certify(variant: str) -> tuple[str, Callable, Callable] | None:
     The two functions are looked up when this is called, not kept in a table,
     so a caller always gets the module's current bindings.
     """
-    if variant in ("extra", "extra_xy"):
+    if variant == "extra":
         return "extra_xy", extra_constants, audit_extra
-    if variant in ("nids", "nids_dx"):
+    if variant == "nids":
         return "nids_dx", nids_constants, audit_nids
     return None
 

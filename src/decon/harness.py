@@ -14,7 +14,7 @@ import dataclasses
 import math
 import numbers
 from array import array
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice
@@ -42,16 +42,15 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 
-# The run loop keeps every _MARK_EVERY-th state as a mark and a ring of the
-# last _MARK_EVERY states, so it finds a cycle of period up to _MARK_EVERY at
-# most _MARK_EVERY states after the stream starts repeating, and replays it
-# from the ring. A run that never repeats pays one float comparison per step.
+# An uncertified run loop keeps every _MARK_EVERY-th state as a mark, so it
+# finds a cycle of period up to _MARK_EVERY at most _MARK_EVERY states after
+# the stream starts repeating, and replays the cycle's residual rows. A run
+# that never repeats pays one float comparison per step.
 _MARK_EVERY = 64
 
 # write_csv formats, joins and writes this many rows at a time; a certified
 # row is at most about 200 bytes, so a chunk's row strings and joined text
-# stay near 300 kB. The run loop adds a replayed cycle's rows at most this
-# many at a time.
+# stay near 300 kB.
 _CSV_CHUNK_ROWS = 1024
 
 SCENARIOS = ("fig1", "fig2", "fig3", "relaxed-line")
@@ -154,8 +153,8 @@ class Trace:
     audit and certificate of a certified run; row k is iteration k. `run`
     keeps the residuals packed as float64, 8 bytes a row (`array('d')`); any
     sequence of floats writes the same CSV. `cycle` is (start, period) when
-    the run ended in an exact cycle that the run loop replayed: states from
-    `start` on repeat with that period."""
+    the run ended in an exact cycle whose rows the run loop replayed: states
+    from `start` on repeat with that period."""
 
     algo: str
     alpha: float
@@ -290,26 +289,24 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
     the stream at the tolerance, at divergence or after max_iters steps. A
     state's row is recorded before the state is passed on.
 
-    A state byte-equal to the last mark (see `_MARK_EVERY`) closes a cycle:
-    `step` is a deterministic function of the state and the run's fixed
-    operators, so the stream is periodic from the mark on. The loop then stops
-    pulling `states` and replays the cycle from its ring up to max_iters: the
-    period's residual rows are added a whole number of periods at a time, in
-    pieces of at most `_CSV_CHUNK_ROWS` rows, each piece before its states are
-    passed on. Every residual of the cycle has already passed the tolerance
-    and divergence tests, so the status stays max_iters; `trace.cycle`
-    records (mark index, period).
+    In an uncertified run a state byte-equal to the last mark (see
+    `_MARK_EVERY`) closes a cycle: `step` is a deterministic function of the
+    state and the run's fixed operators, so the stream is periodic from the
+    mark on. The loop then stops pulling `states`, passes no further state on
+    and extends the residuals to max_iters by repeating the period's rows.
+    Every residual of the cycle has already passed the tolerance and
+    divergence tests, so the status stays max_iters; `trace.cycle` records
+    (mark index, period). A certified run sets no marks, so its audit checks
+    only states that `step` produced.
     """
     # ||x - xstar|| as np.linalg.norm computes it for a 2-D array (ravel, one
     # dot, a correctly rounded sqrt), without its per-call overhead.
     denom = float(np.linalg.norm(xstar))
     star = xstar.ravel()
     tol, limit, every, same_state = config.tol, DIVERGENCE_LIMIT, _MARK_EVERY, _same_state
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, isfinite, marks = math.sqrt, math.isfinite, not config.certify
     residuals = trace.residuals
     add_residual = residuals.append
-    ring = deque(maxlen=every)
-    keep = ring.append
     mark_k = mark = mark_res = None
     for k, state in enumerate(islice(states, config.max_iters + 1)):
         if denom > 0.0:
@@ -329,39 +326,28 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
             yield state
             return
         yield state
-        keep(state)
         if res == mark_res and same_state(state, mark):
-            break
-        if k % every == 0:
+            # Rows k + 1, k + 2, ... repeat rows k - period + 1, ..., k in order.
+            period = k - mark_k
+            trace.cycle = (mark_k, period)
+            residuals.extend(islice(cycle(residuals[-period:]), config.max_iters - k))
+            return
+        if k % every == 0 and marks:
             mark_k, mark, mark_res = k, state, res
-    else:
-        return
-    # States k + 1, k + 2, ... repeat states k - period + 1, ..., k in order,
-    # and every piece but the last holds whole periods, so each piece starts
-    # at the period's first row.
-    period = k - mark_k
-    trace.cycle = (mark_k, period)
-    piece = residuals[-period:] * max(1, _CSV_CHUNK_ROWS // period)
-    replay = cycle(list(ring)[-period:])
-    left = config.max_iters - k
-    while left > 0:
-        rows = min(left, len(piece))
-        residuals.extend(piece if rows == len(piece) else piece[:rows])
-        yield from islice(replay, rows)
-        left -= rows
 
 
 def run(config: RunConfig) -> Trace:
     """Execute one configuration and return its trace.
 
     Stops at the residual tolerance, at divergence (relative residual beyond
-    1e12 or non-finite iterates), or at max_iters. A run whose states fall into
-    an exact cycle reaches max_iters by replaying it (`_until_stop`): the rows,
-    the audit and the status are those of stepping all the way, and
-    `trace.cycle` records the cycle. Certified runs execute the reformulated
-    iteration, whose x-sequence is identical to the original's; their
-    certificate is built before the first step and their audit consumes the
-    states as they are produced, so memory does not grow with the steps.
+    1e12 or non-finite iterates), or at max_iters. An uncertified run whose
+    states fall into an exact cycle reaches max_iters by replaying the cycle's
+    residual rows (`_until_stop`): the rows and the status are those of
+    stepping all the way, and `trace.cycle` records the cycle. Certified runs
+    execute the reformulated iteration, whose x-sequence is identical to the
+    original's, and step every state; their certificate is built before the
+    first step and their audit consumes the states as they are produced, so
+    memory does not grow with the steps.
     """
     inst = build_instance(config)
     prob, mp = inst.prob, inst.mp

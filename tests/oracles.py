@@ -51,7 +51,8 @@ eigensolve of the similarity product. The closed form must agree to round-off.
 
 `until_stop_reference` is `harness._until_stop` as it was before it replayed
 exact cycles: it pulls and tests every state up to max_iters. The run loop
-must yield the same states and record the same residuals and status.
+must record the same residuals and status, and yield the same states up to
+a cycle's close.
 
 `trajectory` stacks the iterates of `algorithms.iterate` and `iterations_to`
 reads the first iteration of a trace at a residual level; the tests use both,

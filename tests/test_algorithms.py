@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decon import problem
+from decon import algorithms, problem
 from decon.algorithms import (
     VARIANTS,
     AlgoState,
@@ -21,6 +21,10 @@ from decon.linalg import SymMatrix
 from decon.mixing import metropolis, relax, validate
 
 from oracles import bare_problem, step_reference, trajectory
+
+# Every update `step` can run: the algorithms of VARIANTS and their two
+# reformulated forms.
+STEPPERS = tuple(algorithms._UPDATES)
 
 
 def _identical_quadratics(n=6, p=3, minimizer=None):
@@ -241,8 +245,13 @@ def test_trajectory_stops_at_the_first_non_finite_iterate(prob1, rand10):
         assert aux is None or len(aux) == len(xs)
 
 
+def test_runs_name_three_algorithms_and_the_step_check_samples_five_steppers():
+    assert VARIANTS == ("dgd", "extra", "nids")
+    assert STEPPERS == ("dgd", "extra", "extra_xy", "nids", "nids_dx")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(variant=st.sampled_from(VARIANTS), n=st.integers(1, 60), m=st.integers(1, 10),
+@given(variant=st.sampled_from(STEPPERS), n=st.integers(1, 60), m=st.integers(1, 10),
        p=st.integers(1, 40), scales=st.tuples(*[st.integers(-8, 8)] * 3),
        first=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_step_matches_the_matmul_reference_bit_for_bit(variant, n, m, p, scales, first, seed):
@@ -269,7 +278,8 @@ def test_step_matches_the_matmul_reference_bit_for_bit(variant, n, m, p, scales,
 
 
 @pytest.mark.parametrize("variant, alpha, message", [
-    ("sgd", 0.1, f"unknown variant 'sgd'; choose from {VARIANTS}"),
+    ("sgd", 0.1, "unknown variant 'sgd'; choose from "
+                 "('dgd', 'extra', 'extra_xy', 'nids', 'nids_dx')"),
     ("nids", 0.0, "stepsize must be positive, got 0.0"),
     ("extra", -0.5, "stepsize must be positive, got -0.5"),
 ])

@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 import unittest.mock
 import warnings
+import weakref
 from array import array
 from fractions import Fraction
 
@@ -65,6 +66,15 @@ def test_config_validation():
         RunConfig(algo="sgd")
     with pytest.raises(ConfigError):
         RunConfig(alpha="warp")
+
+
+@pytest.mark.parametrize("stepper", ["extra_xy", "nids_dx"])
+def test_config_takes_an_algorithm_not_its_reformulated_stepper(stepper):
+    message = f"unknown algorithm '{stepper}'; choose from ('dgd', 'extra', 'nids')"
+    for certified in (False, True):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(algo=stepper, certify=certified)
+    assert certify.certify(stepper) is None
 
 
 def test_config_rejects_wrongly_typed_fields(tmp_path, capsys):
@@ -401,6 +411,8 @@ _PREFIX, _MARK = 70, 128
 @pytest.mark.parametrize("period", [1, 2, 3])
 @pytest.mark.parametrize("max_iters", ["long", "closes_at_max_minus_one", "closes_at_max"])
 def test_until_stop_replays_a_cycle_as_the_stepping_loop_streams_it(period, max_iters):
+    # The loop passes on the stepped states up to the close and none after it;
+    # its rows are the stepping loop's all the way to max_iters.
     rng = np.random.default_rng(period)
     prefix, ring = _random_states(_PREFIX, rng), _random_states(period, rng)
     xstar = rng.standard_normal((4, 3))
@@ -411,8 +423,8 @@ def test_until_stop_replays_a_cycle_as_the_stepping_loop_streams_it(period, max_
                                  itertools.chain(prefix, itertools.cycle(ring)), max_iters, xstar)
     old, ref = _stream_through(until_stop_reference,
                                itertools.chain(prefix, itertools.cycle(ring)), max_iters, xstar)
-    assert len(new) == len(old) == len(trace.residuals) == max_iters + 1
-    assert all(a is b for a, b in zip(new, old))
+    assert len(new) == close + 1 and all(a is b for a, b in zip(new, old))
+    assert len(old) == len(trace.residuals) == max_iters + 1
     assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
     assert trace.status == ref.status == "max_iters"
     assert trace.cycle == (_MARK, period)
@@ -420,10 +432,9 @@ def test_until_stop_replays_a_cycle_as_the_stepping_loop_streams_it(period, max_
 
 @pytest.mark.parametrize("period", [1, 3, 64])
 def test_until_stop_records_each_replayed_row_before_its_state(period):
-    # Replayed rows are added whole periods at a time, at most one chunk a
-    # piece: each state finds its row already recorded, no row runs more than
-    # a piece ahead of its state, and the rows and states are the stepping
-    # loop's, over several pieces and into packed float64 as `run` keeps them.
+    # Each stepped state finds its own row, and no later one, recorded when it
+    # is passed on; after the close the rows are the stepping loop's, over
+    # several chunks and packed as float64 as `run` keeps them.
     rng = np.random.default_rng(period)
     prefix, ring = _random_states(_PREFIX, rng), _random_states(period, rng)
     xstar = rng.standard_normal((4, 3))
@@ -438,8 +449,9 @@ def test_until_stop_records_each_replayed_row_before_its_state(period):
     old, ref = _stream_through(until_stop_reference,
                                itertools.chain(prefix, itertools.cycle(ring)), max_iters, xstar)
     assert trace.cycle == (_MARK, period)
-    assert 0 <= min(ahead) and max(ahead) < _CHUNK
-    assert len(new) == len(old) == max_iters + 1 and all(a is b for a, b in zip(new, old))
+    assert ahead == [0] * (_MARK + period + 1)
+    assert len(new) == _MARK + period + 1 and all(a is b for a, b in zip(new, old))
+    assert len(old) == len(trace.residuals) == max_iters + 1
     assert [r.hex() for r in trace.residuals] == [r.hex() for r in ref.residuals]
 
 
@@ -471,28 +483,58 @@ def test_until_stop_does_not_replay_a_state_one_bit_from_the_mark(change):
 def test_certified_audit_of_a_replayed_cycle_equals_the_stepped_one(prob1, rand10):
     # A nids_dx stream that falls into a period-3 cycle after 70 real steps;
     # the wrap-around transitions are no real steps, so the audit reports
-    # violations there, and it must report exactly the same ones either way.
+    # violations there. A certified loop sets no marks: it passes every state
+    # on, as the stepping loop does, and the two audits are the same.
     _, mp = rand10
     alpha = 0.1
     real = list(itertools.islice(
         algorithms.iterate("nids_dx", np.zeros((10, 5)), alpha, mp.w, mp.wt, prob1.grad), 73))
     cert = certify.nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     fp = algorithms.fixed_point(prob1, alpha)
+    config = RunConfig(algo="nids", max_iters=400, tol=1e-300, certify=True)
     reports, traces = [], []
     for loop in (harness._until_stop, until_stop_reference):
         trace = Trace(algo="probe", alpha=alpha, residuals=[], status="max_iters")
         states = loop(itertools.chain(real[:_PREFIX], itertools.cycle(real[_PREFIX:])),
-                      RunConfig(max_iters=400, tol=1e-300), prob1.Xstar, trace)
+                      config, prob1.Xstar, trace)
         with np.errstate(over="ignore", invalid="ignore"):
             reports.append(certify.audit_nids(states, mp, cert, fp))
         traces.append(trace)
     new, old = reports
-    assert traces[0].cycle == (_MARK, 3) and traces[1].cycle is None
+    assert traces[0].cycle is None and traces[1].cycle is None
     assert new.transitions == old.transitions == 400
     assert new.lyapunov.tobytes() == old.lyapunov.tobytes()
     assert ratio_column(new) == ratio_column(old) and new.slack.tobytes() == old.slack.tobytes()
     assert new.checks == old.checks and new.violations == old.violations
     assert not new.ok
+
+
+def test_certified_run_keeps_no_states_beside_the_audit_block(monkeypatch):
+    # At n * p = 400 the audit block is B = 32 states, and the x arrays alive
+    # at each pull stay within B + 3, as for the audit alone: the run loop
+    # keeps no state of its own. Each state also holds its predecessor's x as
+    # x_prev, and the iteration holds the state it last yielded.
+    cfg = RunConfig(topology="random", n=10, p=40, mi=5, seed=2, algo="nids", alpha=0.19,
+                    max_iters=300, tol=1e-300, certify=True)
+    block = certify._BLOCK_ELEMENTS // (cfg.n * cfg.p)
+    iterate = algorithms.iterate
+    live, refs, counts = [0], [], []
+
+    def collected(_ref):
+        live[0] -= 1
+
+    def watched(*args):
+        for state in iterate(*args):
+            live[0] += 1
+            refs.append(weakref.ref(state.x, collected))
+            counts.append(live[0])
+            yield state
+
+    monkeypatch.setattr(algorithms, "iterate", watched)
+    trace = run(cfg)
+    assert block == 32 and trace.audit.ok and trace.cycle is None
+    assert len(counts) == trace.audit.transitions + 1 == 301
+    assert max(counts) <= block + 3, max(counts)
 
 
 @pytest.mark.parametrize("scenario, period", [("fig1", 2), ("fig2", 3)])
@@ -1389,6 +1431,8 @@ def test_topology_names_are_the_table_keys(capsys):
     (["run", "--n", "abc"], "decon run: error: argument --n: invalid int value: 'abc'"),
     (["run", "--algo", "foo"], "decon run: error: argument --algo: invalid choice: 'foo'"),
     (["frobnicate"], "decon: error: argument command: invalid choice: 'frobnicate'"),
+    (["run", "--algo", "extra_xy"],
+     "decon run: error: argument --algo: invalid choice: 'extra_xy'"),
 ])
 def test_cli_usage_errors_exit_1_not_the_divergence_code(argv, message, capsys, monkeypatch):
     # Exit code 2 means a run diverged; a mistyped command line is bad input.

@@ -10,8 +10,9 @@ workloads are read, never written: no byte code is cached under bench/.
 OUT must be missing or empty. For each workload W, OUT/W/NN.out holds call
 NN of W: its argv, its stdout, its stderr if any, and `exit=<code>`, with the
 call's output directory written as <OUT>. The CSVs the calls write land
-under OUT/W as well. OUT/cli/NN.out holds the same for fixed `validate-mixing`
-and `bounds` calls. Two dumps at one seed compare with `diff -r`.
+under OUT/W as well. OUT/cli/NN.out holds the same for fixed `validate-mixing`,
+`bounds` and `run` calls, and the CSV the `run` call writes lands under
+OUT/cli. Two dumps at one seed compare with `diff -r`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import io
 import os
 import sys
 
-# `validate-mixing` and `bounds` calls dumped beside the workloads: every
-# topology, relaxed mixing, an explicit theta and the 50-node instance.
+# `validate-mixing`, `bounds` and `run` calls dumped beside the workloads:
+# every topology, relaxed mixing, an explicit theta, the 50-node instance and
+# a certified run that reaches max_iters. <OUT> stands for OUT/cli.
 CLI_CALLS = (
     ("validate-mixing",),
     ("validate-mixing", "--topology", "line", "--n", "10", "--relax-factor", "0.333"),
@@ -36,6 +38,8 @@ CLI_CALLS = (
     ("bounds", "--scenario", "relaxed-line"),
     ("bounds", "--n", "50", "--p", "5", "--mi", "1"),
     ("bounds", "--topology", "line", "--n", "10", "--relax-factor", "0.3", "--theta", "0.9"),
+    ("run", "--algo", "nids", "--alpha", "0.1", "--certify", "--tol", "1e-300",
+     "--max-iters", "3000", "--out", "<OUT>/floor.csv"),
 )
 
 
@@ -82,7 +86,8 @@ def dump(workloads, out: str, seed: int, names) -> None:
     cli_dir = os.path.join(out, "cli")
     os.makedirs(cli_dir)
     for i, argv in enumerate(CLI_CALLS):
-        _call(list(argv), cli_dir, os.path.join(cli_dir, f"{i:02d}.out"))
+        _call([arg.replace("<OUT>", cli_dir) for arg in argv], cli_dir,
+              os.path.join(cli_dir, f"{i:02d}.out"))
 
 
 def main(argv: list[str] | None = None) -> int:
