@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -116,8 +117,10 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.noise_std < 0.0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        # The run loop takes max_iters + 1 states with islice, whose stop is at most sys.maxsize.
+        if not 1 <= self.max_iters <= sys.maxsize - 1:
+            raise ConfigError(
+                f"max_iters must lie in [1, {sys.maxsize - 1}], got {self.max_iters}")
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not 0.0 <= self.relax_factor <= 1.0 / 3.0:

@@ -15,12 +15,12 @@ misses to the cyclic Jacobi solver `_jacobi_eigh`; `SymMatrix.eig` is
 `decompose` of one matrix. Jacobi's rounding defines the saved benchmark
 reference and every CSV the package writes, so it is kept even where LAPACK
 would be faster. The solver takes a (B, n, n) stack: the cyclic pivot order
-is the same for every matrix, so each column rotation turns column p and q of
-every matrix and of its eigenvectors at once, and the rotated columns are
-copied into the rows, since each matrix stays exactly symmetric. Every
-matrix reads its own pivots and decides its own rotation, skips and stop in
-Python floats, so a member of a stack gets the bits it gets alone, and a
-single solve is a stack of one. `problem` decomposes all n agent Grams
+is the same for every matrix, so each rotation turns column p and q of every
+matrix and of its eigenvectors at once, in place through two scratch buffers
+with the operations of c x - s y and s x + c y, and copies them into the rows.
+Every matrix reads its own pivots and decides its own rotation, skips and
+stop in Python floats, so a member of a stack gets the bits it gets alone,
+and a single solve is a stack of one. `problem` decomposes all n agent Grams
 M_i^T M_i with one `decompose` call, one stacked run.
 
 A `SymMatrix` built with a `basis` is solved warm: Jacobi runs on V^T a V,
@@ -134,19 +134,23 @@ def _jacobi_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarra
 
     `st[j, :, k]` holds column j of matrix k over column j of its
     eigenvectors, so one column rotation turns both, for every matrix of the
-    stack at once. The row rotation a textbook two-sided update also applies
-    is a copy here: each matrix stays exactly symmetric (entries (i, j) and
-    (j, i) of the rotated columns come from the same float operations on
-    equal operands), so rows p and q are the rotated columns p and q,
-    transposed. The cyclic pivot order is the same for every matrix. Each
-    matrix reads its own pivot, decides whether to skip it and computes its
-    rotation in Python floats (which round like float64), and its diagonal is
-    kept in Python floats too, so its bits do not depend on the rest of the
-    stack. The stack's diagonal slots go stale once rotated: what they hold
-    reaches only the pivot pair, which is then zeroed, and the off-diagonal
-    norm reads them as zeros. Each matrix has its own stopping target and
-    sweep count and leaves the stack once it meets the target. A stack of one
-    turns 1-D rows with float c and s.
+    stack at once, in place: buffers u = c x and v = s y, then x = s x,
+    y = c y, y = x + y and x = u - v do the very operations of c x - s y and
+    s x + c y (IEEE products commute), overwriting no operand still unread.
+    The row rotation a textbook two-sided update also applies is a copy here:
+    each matrix stays exactly symmetric (entries (i, j) and (j, i) of the
+    rotated columns come from the same float operations on equal operands),
+    so row q is the rotated column q, transposed. Row p is copied once its
+    pivots are done: they are read from column p, and a stale row p entry
+    reaches only the pivot pair and the diagonal slots. The cyclic pivot order
+    is the same for every matrix. Each matrix reads its own pivot, decides
+    whether to skip it and computes its rotation in Python floats (which round
+    like float64), and its diagonal is kept in Python floats too, so its bits
+    do not depend on the rest of the stack. The stack's diagonal slots go
+    stale once rotated: what they hold reaches only the pivot pair, which is
+    then zeroed, and the off-diagonal norm reads them as zeros. Each matrix
+    has its own stopping target and sweep count and leaves the stack once it
+    meets the target. A stack of one turns 1-D rows with float c and s.
     """
     n = mats.shape[1]
     if n == 1:
@@ -164,7 +168,7 @@ def _jacobi_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarra
     diag = st.reshape(-1, len(idx))[:: 2 * n + 1].tolist()  # diag[j][k]: matrix k's
     thresholds = [_JACOBI_TOL * fros[k] for k in idx]
     offs = [_off_diagonal_norm(st[:, :n, k]) for k in range(len(idx))]
-    sqrt = math.sqrt  # bound once: called for every pivot
+    sqrt, mul, add, sub = math.sqrt, np.multiply, np.add, np.subtract  # bound once: per pivot
     for _ in range(_JACOBI_MAX_SWEEPS):
         keep = [k for k in range(len(idx)) if offs[k] > thresholds[k]]
         if len(keep) < len(idx):
@@ -180,16 +184,20 @@ def _jacobi_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarra
         one = b == 1
         view = st[:, :, 0] if one else st
         item = view.item
+        cols = list(view)  # column j of every matrix; tops and rows: its top n and row j
+        tops = [col[:n] for col in cols]
+        rows = [view[:, j] for j in range(n)]
+        u, v = np.empty_like(cols[0]), np.empty_like(cols[0])
         # Each matrix's c and s at the current pivot, and whether it turns there;
         # the c and s of a matrix that skips the pivot are stale and masked out.
-        cs, ss, live = [1.0] * b, [0.0] * b, [False] * b
+        cs, ss, live = ([1.0], [0.0], [False]) if one else (np.ones(b), np.zeros(b), np.zeros(b, bool))
         for p in range(n - 1):
-            col_p = view[p]
+            x = cols[p]
             diag_p = diag[p]
             for q in range(p + 1, n):
                 diag_q = diag[q]
                 turned = 0
-                for k, apq in enumerate([item(q, p)] if one else view[q, p].tolist()):
+                for k, apq in enumerate([item(p, q)] if one else view[p, q].tolist()):
                     app, aqq = diag_p[k], diag_q[k]
                     # Pivot already negligible against its diagonal: zero it and move on.
                     guard = 100.0 * abs(apq)
@@ -210,21 +218,23 @@ def _jacobi_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarra
                     diag_p[k] = app - t * apq
                     diag_q[k] = aqq + t * apq
                 if turned:
-                    col_q = view[q]
-                    c, s = (cs[0], ss[0]) if one else (np.array(cs), np.array(ss))
-                    new_p = c * col_p - s * col_q
-                    new_q = s * col_p + c * col_q
+                    y = cols[q]
+                    c, s = (cs[0], ss[0]) if one else (cs, ss)
                     if turned == b:
-                        col_p[:] = new_p
-                        col_q[:] = new_q
+                        mul(x, c, u)
+                        mul(y, s, v)
+                        mul(x, s, x)
+                        mul(y, c, y)
+                        add(x, y, y)
+                        sub(u, v, x)
                     else:
-                        np.copyto(col_p, new_p, where=live)
-                        np.copyto(col_q, new_q, where=live)
-                    view[:, p] = col_p[:n]
-                    view[:, q] = col_q[:n]
-                # Rotation annihilates the pivot pair exactly.
-                view[q, p] = 0.0
+                        new_p, new_q = c * x - s * y, s * x + c * y
+                        np.copyto(x, new_p, where=live)
+                        np.copyto(y, new_q, where=live)
+                    rows[q][...] = tops[q]
+                # Rotation annihilates the pivot exactly; row p's copy zeroes its mirror.
                 view[p, q] = 0.0
+            rows[p][...] = tops[p]
         offs = [_off_diagonal_norm(st[:, :n, k]) for k in range(b)]
     else:
         raise EigenConvergenceError(

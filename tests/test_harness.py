@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 import unittest.mock
@@ -87,6 +88,28 @@ def test_config_rejects_wrongly_typed_fields(tmp_path, capsys):
     path.write_text(json.dumps({"n": "10"}))
     assert cli.main(["run", "--config", str(path)]) == 1
     assert "n must be int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_max_iters_past_the_run_loop_bound_is_a_config_error(source, tmp_path, monkeypatch,
+                                                             capsys):
+    # The run loop takes max_iters + 1 states with islice, whose stop is at
+    # most sys.maxsize; a larger max_iters ended in a raw ValueError. No run
+    # starts here: the CLI must fail before it builds an instance.
+    top = sys.maxsize - 1
+    assert RunConfig(max_iters=top).max_iters == top
+    with pytest.raises(ConfigError, match="max_iters"):
+        RunConfig(max_iters=top + 1)
+    monkeypatch.setattr(harness, "build_instance", _no_instance)
+    if source == "flag":
+        argv = ["run", "--max-iters", str(top + 1)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"max_iters": top + 1}))
+        argv = ["run", "--config", str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "max_iters" in err and "Traceback" not in err
 
 
 def test_run_converges_at_zero_when_started_at_optimum(tmp_path):

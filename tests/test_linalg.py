@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decon import graph, linalg, mixing
+from decon import graph, harness, linalg, mixing, problem
 from decon.linalg import (
     NonFiniteMatrixError,
     NotPositiveSemidefiniteError,
@@ -328,6 +328,21 @@ def _metropolis(n, seed):
     return mixing.metropolis(graph.random_connected(n, 0.4, seed)).a
 
 
+def _certify_large_mixing():
+    # The certify-large benchmark instance's pair: random topology, n = 50, seed 2.
+    config = harness.RunConfig(topology="random", n=50, p=5, mi=1, seed=2)
+    return harness.build_mixing(config, harness.build_graph(config))
+
+
+def _certify_long_grams(count):
+    # The first `count` cold M_i^T M_i of the certify-long benchmark instance
+    # (n = 10, p = 40, m_i = 5, seed 2), drawn as `problem.generate` draws them.
+    rng = np.random.default_rng(2)
+    rng.standard_normal(40)  # x_true
+    sensing = rng.standard_normal((10, 5, 40))
+    return [problem._agent_gram(sensing, i).a for i in range(count)]
+
+
 def _tiny_off_diagonals(diagonal):
     # One O(1) coupling keeps the off-diagonal mass above the stopping target,
     # so the sweep visits every 1e-20 pivot.
@@ -357,8 +372,11 @@ def _near_equal_diagonals():
     # A zero diagonal leaves the pivot negligible only against the gap.
     lambda: _tiny_off_diagonals([1.0, 2.0, 0.0, -2.0, 3.0]),
     _near_equal_diagonals,
+    lambda: _certify_large_mixing().w.a,
+    lambda: _certify_large_mixing().wt.a,
 ], ids=["zero", "scaled-identity", "gram-5x40", "w-12", "w-20", "I-w-12", "I-w-20",
-        "tiny-off-diagonals", "zero-diagonal-gap", "near-equal-diagonals"])
+        "tiny-off-diagonals", "zero-diagonal-gap", "near-equal-diagonals",
+        "certify-large-w", "certify-large-w-tilde"])
 def test_jacobi_matches_unstacked_reference_on_named_families(make):
     _assert_same_bits_as_reference(make())
 
@@ -379,7 +397,9 @@ _KINDS = ("random", "zero", "diagonal", "rank-1", "tiny-pivot")
 _SCALES = (1e-12, 1e-3, 1.0, 1e3, 1e12)
 
 
-def _member(kind: str, n: int, rng) -> np.ndarray:
+def _member(kind: str | np.ndarray, n: int, rng) -> np.ndarray:
+    if isinstance(kind, np.ndarray):  # a fixed matrix, as an @example passes one
+        return kind
     if kind == "zero":
         return np.zeros((n, n))
     if kind == "diagonal" or (kind == "tiny-pivot" and n == 1):
@@ -403,6 +423,8 @@ def _assert_same_bits(got, want) -> None:
 
 
 @example(n=40, seed=7, members=[(kind, scale) for kind in _KINDS for scale in (1e-12, 1e12)][:12])
+# Three of the certify-long benchmark's rank-5 Grams, one stack as `problem` solves them.
+@example(n=40, seed=0, members=[(gram, 1.0) for gram in _certify_long_grams(3)])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        members=st.lists(st.tuples(st.sampled_from(_KINDS), st.sampled_from(_SCALES)),
