@@ -428,14 +428,14 @@ def write_csv(trace: Trace, path: str) -> None:
     by every row is formatted once. A certified row k > 0 has the ratio
     L_k / L_{k-1} (`certify.lyapunov_ratio`), derived a chunk at a time and
     empty where L_{k-1} is not positive, and the slack of the transition into
-    it; row 0 has neither. A certified chunk whose ratio cells all exist is
-    formatted by one `%` over its rows' template, whose '%.17g' gives the text
-    of f'{:.17g}' (the shared run has its '%' escaped); any other chunk is
-    formatted a row at a time. An uncertified trace whose run loop replayed a
-    cycle formats the period's rows once, and each later row that holds the
-    bits of its period row is written from that row's text. A certified trace's
-    columns are checked for matching lengths before the file is opened, so a
-    mismatch leaves no file.
+    it; row 0 has neither. A certified chunk's rows k > 0 are formatted by one
+    `%` over their template, whose '%.17g' gives the text of f'{:.17g}' (the
+    shared run has its '%' escaped) and whose ratio slot takes each cell as
+    text. An uncertified trace whose run loop replayed a cycle formats the
+    period's rows once, and each later row that holds the bits of its period
+    row is written from that row's text. A certified trace's columns are
+    checked for matching lengths before the file is opened, so a mismatch
+    leaves no file.
     """
     lead = f",{trace.algo},{trace.alpha:.17g},"
     res = trace.residuals
@@ -447,21 +447,17 @@ def write_csv(trace: Trace, path: str) -> None:
                              f"lyapunov {len(lyap)}, slack {len(slack)} (one per transition)")
         header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
 
-        # A row whose ratio cell exists, as a % template.
-        row = "%d" + lead.replace("%", "%%") + "%.17g,%.17g,%.17g,%.17g\n"
+        # Row k > 0 as a % template; its ratio cell is text, empty where absent.
+        row = "%d" + lead.replace("%", "%%") + "%.17g,%.17g,%s,%.17g\n"
 
         def rows(a: int, b: int) -> str:
             head = f"0{lead}{res[0]:.17g},{float(lyap[0]):.17g},,\n" if a == 0 else ""
             a = max(a, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 ratio, exists = certify.lyapunov_ratio(lyap[a - 1:b - 1], lyap[a:b])
-            ks, rs, vs, qs, ss = (range(a, b), res[a:b], lyap[a:b].tolist(), ratio.tolist(),
-                                  slack[a - 1:b - 1].tolist())
-            if exists.all():
-                return head + row * (b - a) % tuple(chain.from_iterable(zip(ks, rs, vs, qs, ss)))
-            return head + "".join(
-                f"{k}{lead}{r:.17g},{v:.17g},{f'{q:.17g}' if ok else ''},{s:.17g}\n"
-                for k, r, v, q, ok, s in zip(ks, rs, vs, qs, exists.tolist(), ss))
+            qs = ["%.17g" % q if ok else "" for q, ok in zip(ratio.tolist(), exists.tolist())]
+            cells = zip(range(a, b), res[a:b], lyap[a:b].tolist(), qs, slack[a - 1:b - 1].tolist())
+            return head + row * (b - a) % tuple(chain.from_iterable(cells))
     else:
         header = "k,algo,alpha,residual\n"
         # Rows from `replay` on repeat the period's rows (see `Trace.cycle`).

@@ -198,7 +198,11 @@ def test_eig_cache_hit_equals_a_fresh_solve_and_is_read_only(monkeypatch):
 
 def test_failed_solves_are_not_cached(monkeypatch):
     a = [[0.0, 1.0], [1.0, 0.0]]
-    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+
+    def failing(mats, names):
+        raise linalg.EigenConvergenceError(f"eigensolver did not converge on {names[0]!r}")
+
+    monkeypatch.setattr(linalg, "_jacobi_eigh", failing)
     for name in ("first", "second"):
         with pytest.raises(linalg.EigenConvergenceError, match=f"'{name}'"):
             SymMatrix(a, name=name).eig()
