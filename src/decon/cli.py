@@ -135,6 +135,9 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
     if args.scenario:
+        # Each preset's label names its algorithm, so the CSVs would hide another.
+        if "algo" in overrides:
+            raise ConfigError("--algo cannot be combined with --scenario")
         overrides.pop("out_path", None)
         return [dataclasses.replace(cfg, **overrides)
                 for cfg in harness.resolve_scenario(args.scenario)]
@@ -212,8 +215,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     inst = harness.build_instance(_configs(args)[0])
     print(f"stepsize bounds (L = {inst.prob.lipschitz:g}, mu_fbar = {inst.prob.mu_fbar:.6g}, "
           f"lambda_min(w) = {inst.mp.w.lambda_min:.6g}, theta = {inst.mp.theta:g})")
-    width = max(map(len, inst.stepsizes))
-    for name, value in inst.stepsizes.items():
+    table = algorithms.stepsize_bounds(inst.mp, inst.prob.lipschitz, inst.prob.mu_fbar)
+    width = max(map(len, table))
+    for name, value in table.items():
         print(f"  {name.ljust(width)}  {value:.12g}")
     return 0
 

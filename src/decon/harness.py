@@ -202,12 +202,11 @@ class Instance:
 
     The mixing pair and problem may be shared with other instances of the
     same memo entry (see `build_instance`); they are frozen, with read-only
-    arrays. `stepsizes` is this instance's own copy.
+    arrays. `alpha` is the run's stepsize, resolved by `resolve_alpha`.
     """
 
     mp: mixing.MixingPair
     prob: problems.SensingProblem
-    stepsizes: dict[str, float]
     alpha: float
 
 
@@ -226,19 +225,19 @@ def build_mixing(config: RunConfig, g: graphs.Graph) -> mixing.MixingPair:
     return mixing.validate(w, wt, g, theta=config.theta)
 
 
-def resolve_alpha(config: RunConfig, stepsizes: dict[str, float]) -> float:
-    """Map a named stepsize to its value in this instance's `stepsizes`."""
+def resolve_alpha(config: RunConfig, mp: mixing.MixingPair, prob: problems.SensingProblem) -> float:
+    """A number as given; a name valued on (mp, prob) by its own `STEPSIZES` formula alone."""
     a = config.alpha
     if not isinstance(a, str):
         return float(a)
-    value = stepsizes[a]
+    value = algorithms.STEPSIZES[a](mp, prob.lipschitz, prob.mu_fbar)
     if value <= 0.0:
         raise ConfigError(f"stepsize {a!r} resolved to a non-positive value {value:.6g}")
     return value
 
 
 def _build_parts(config: RunConfig) -> tuple:
-    """The mixing pair, problem and stepsize table of `config`."""
+    """The mixing pair and problem of `config`."""
     g = build_graph(config)
     mp = build_mixing(config, g)
     if config.problem_file:
@@ -249,13 +248,13 @@ def _build_parts(config: RunConfig) -> tuple:
                                  noise_std=config.noise_std, seed=config.seed)
     if prob.n != g.n:
         raise ConfigError(f"problem has {prob.n} agents but the graph has {g.n} nodes")
-    return mp, prob, algorithms.stepsize_bounds(mp, prob.lipschitz, prob.mu_fbar)
+    return mp, prob
 
 
 def build_instance(config: RunConfig) -> Instance:
     """Build the instance of `config`, with its stepsize resolved.
 
-    The graph, mixing pair, problem and stepsize table are a deterministic
+    The graph, mixing pair and problem are a deterministic
     function of the fields outside `_RUN_ONLY_FIELDS`, so they are memoized
     on those fields' reprs (0, 0.0 and -0.0 key apart) and a hit holds the
     bits a fresh build would; the last `_INSTANCE_CACHE_SIZE` are kept. A
@@ -276,9 +275,8 @@ def build_instance(config: RunConfig) -> Instance:
                 _instance_cache.popitem(last=False)
         else:
             _instance_cache.move_to_end(key)
-    mp, prob, stepsizes = parts
-    return Instance(mp=mp, prob=prob, stepsizes=dict(stepsizes),
-                    alpha=resolve_alpha(config, stepsizes))
+    mp, prob = parts
+    return Instance(mp=mp, prob=prob, alpha=resolve_alpha(config, mp, prob))
 
 
 def _same_state(a: algorithms.AlgoState, b: algorithms.AlgoState) -> bool:

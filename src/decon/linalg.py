@@ -29,7 +29,8 @@ w_tilde - w and I - w the basis w, and `certify` its two similarity products;
 each is a polynomial in w when w_tilde is, so V^T a V is diagonal to round-off
 and takes no sweep. The matrices whose eigenvalues set a stepsize or the
 sensing scale (every M_i^T M_i, the averaged Hessian, w, w_tilde, w_bar) have
-no basis and are solved cold, from their own entries, so no iterate moves.
+no basis and are solved cold when first read, from their own entries, so no
+iterate moves.
 
 Solves are memoized by the exact bytes of the symmetrized entries: a
 module-level cache keyed by ``(shape, entries.tobytes(), basis bytes)``, the

@@ -59,7 +59,7 @@ class MixingPair:
     diff and iw carry w as their basis: their Jacobi solves start from w's
     eigenvectors, which diagonalize them whenever w_tilde is a polynomial in w
     (as (I + w)/2 is). w, wt and wbar, whose eigenvalues set the stepsizes,
-    are solved cold from their own entries.
+    are solved cold from their own entries when first read.
 
     diff   = wt - w                          (PSD, zero exactly on the consensus line)
     iw     = I - w                           (PSD, zero exactly on the consensus line)
@@ -230,8 +230,11 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         violations.append(
             f"part 4 (spectral): (I+w)/2 - w_tilde has eigenvalue {g_mat.lambda_min / 2.0:.3e} < 0"
         )
-    lower_gap = wt.lambda_min + 1.0 / 3.0
-    if lower_gap < _PSD_SLACK:
+    # A Cholesky test that w_tilde is positive definite, with a margin over
+    # _NULLSPACE_TOL, settles this check and theta's branch (upper = 1) with no
+    # solve; only a failed one reads lambda_min(w_tilde), as does w_bar's below.
+    wt_pd = wt.lambda_min_at_least(2.0 * _NULLSPACE_TOL)
+    if not wt_pd and (lower_gap := wt.lambda_min + 1.0 / 3.0) < _PSD_SLACK:
         violations.append(
             f"part 4 (spectral): w_tilde + I/3 has eigenvalue {lower_gap:.3e} < 0 "
             f"(lambda_min(w_tilde) = {wt.lambda_min:.6f})"
@@ -242,24 +245,24 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     if violations:
         raise MixingValidationError(violations)
 
-    lam_min_wt = wt.lambda_min
-    upper = theta_default(lam_min_wt)
+    wt_pd = wt_pd or wt.lambda_min > _NULLSPACE_TOL
+    upper = 1.0 if wt_pd else theta_default(wt.lambda_min)
     if theta is None:
         # Strictly inside the interval: with a positive definite w_tilde the
         # closed end 1 is safe, otherwise the midpoint keeps w_bar definite.
-        theta = upper if lam_min_wt > _NULLSPACE_TOL else 0.5 * (THETA_LOWER + upper)
+        theta = upper if wt_pd else 0.5 * (THETA_LOWER + upper)
     else:
         # theta = 3/4 exactly is tolerated when w_tilde is PD (the boundary
         # choice used for stepsize-bound reporting); certificates built from
         # it will report themselves as vacuous.
-        lower_ok = theta > THETA_LOWER or (theta == THETA_LOWER and lam_min_wt > _NULLSPACE_TOL)
+        lower_ok = theta > THETA_LOWER or (theta == THETA_LOWER and wt_pd)
         if not (lower_ok and theta <= upper + 1e-12):
             raise MixingValidationError(
                 [f"theta = {theta} outside the admissible interval (3/4, {upper:.6f}]"]
             )
     theta = float(theta)
     wbar = SymMatrix(theta * wt.a + (1.0 - theta) * eye, name="w_bar")
-    if wbar.lambda_min <= 1e-12:
+    if not wbar.lambda_min_at_least(2e-12) and wbar.lambda_min <= 1e-12:
         raise MixingValidationError(
             [f"w_bar is not positive definite at theta = {theta} "
              f"(lambda_min = {wbar.lambda_min:.3e}); use a smaller theta"]

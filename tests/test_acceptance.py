@@ -173,10 +173,10 @@ def test_criterion_5_stepsize_bound_table(grid):
                                         alpha="extra-special", label="probe",
                                         max_iters=5000, tol=1e-9)
             inst = harness.build_instance(probe)
-            tr_e = harness.run(dataclasses.replace(
-                probe, alpha=0.99 * inst.stepsizes["extra-special"]))
-            tr_n = harness.run(dataclasses.replace(
-                probe, algo="nids", alpha=0.99 * inst.stepsizes["nids"]))
+            nids = harness.resolve_alpha(dataclasses.replace(probe, alpha="nids"),
+                                         inst.mp, inst.prob)
+            tr_e = harness.run(dataclasses.replace(probe, alpha=0.99 * inst.alpha))
+            tr_n = harness.run(dataclasses.replace(probe, algo="nids", alpha=0.99 * nids))
             assert iterations_to(tr_e, 1e-8) is not None, seed
             assert iterations_to(tr_e, 1e-8) <= 5000, seed
             assert iterations_to(tr_n, 1e-8) is not None, seed

@@ -821,7 +821,7 @@ def test_certified_runs_on_random_instances_audit_clean(data, n, p, topology, re
                                relax_factor=relax_factor, algo=algo, certify=True,
                                max_iters=400, tol=1e-300)
     try:
-        alpha = fraction * harness.build_instance(config).stepsizes[bound]
+        alpha = fraction * harness.build_instance(dataclasses.replace(config, alpha=bound)).alpha
     except problem.ProblemError:
         reject()
     trace = harness.run(dataclasses.replace(config, alpha=alpha))

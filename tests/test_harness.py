@@ -130,7 +130,7 @@ def test_run_divergence_detected():
     base = resolve_scenario("fig1")[0]
     cfg = dataclasses.replace(base, algo="extra", alpha="extra-special", label="probe")
     inst = harness.build_instance(cfg)
-    cfg = dataclasses.replace(cfg, alpha=10.0 * inst.stepsizes["extra-special"])
+    cfg = dataclasses.replace(cfg, alpha=10.0 * inst.alpha)
     trace = run(cfg)
     assert trace.status == "diverged"
     assert trace.residuals[-1] > harness.DIVERGENCE_LIMIT or not np.isfinite(trace.residuals[-1])
@@ -908,17 +908,22 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
         trace = run(dataclasses.replace(base, algo=algo, alpha=alpha))
         assert trace.audit.ok and trace.ks[-1] == 50
         counts = {name: seen[mat.tobytes()] for name, mat in watched.items()}
-        # w_bar = w_tilde at theta = 1: one solve serves both.
-        assert counts == {"w_tilde": 1, "w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
-        # The pair's four solves; its sign checks and the certificate's Lyapunov
-        # weights are answered by Cholesky factorizations, never decomposed.
-        assert {"metropolis", "w_tilde", "w_tilde - w", "I - w"} <= set(names), algo
+        # Only EXTRA's certificate reads w_tilde's spectrum, as w_bar's: at
+        # theta = 1 the two have the same entries, and one solve serves both.
+        solved = algo == "extra"
+        assert counts == {"w_tilde": solved, "w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
+        # The pair's three solves, and w_bar's for EXTRA; its sign checks and
+        # the certificate's Lyapunov weights are answered by Cholesky
+        # factorizations, never decomposed.
+        assert {"metropolis", "w_tilde - w", "I - w"} <= set(names), algo
+        assert ("w_bar" in names, "w_tilde" in names) == (solved, False), algo
         assert not {"(I+w)/2 - w_tilde", "g", "p", "q", "pn", "q | Range(I - w)"} & set(names)
         cert = trace.certificate
         weights = (cert.p_mat, cert.q_mat) if algo == "extra" else (cert.pn_mat, cert.q_mat)
         assert all(seen[mat.a.tobytes()] == 0 for mat in weights), algo
-    # The NIDS certificate solves nothing; EXTRA's adds lambda_max(w_bar m) alone.
-    assert in_certificate == {"nids_constants": [], "extra_constants": ["wbar m"]}
+    # The NIDS certificate solves nothing; EXTRA's solves w_bar, its first
+    # reader, and lambda_max(w_bar m).
+    assert in_certificate == {"nids_constants": [], "extra_constants": ["w_bar", "wbar m"]}
 
 
 def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
@@ -948,8 +953,11 @@ _INSTANCES = {
 
 @functools.lru_cache(maxsize=None)
 def _observed_build(name: str):
-    """Build one instance from cold caches. Returns it, the entries' bytes of
-    every matrix `_jacobi_eigh` received, and every matrix whose spectrum was read."""
+    """Build one instance from cold caches and value every named stepsize on
+    it. Returns the instance, the entries' bytes of every matrix
+    `_jacobi_eigh` received, and every matrix whose spectrum was read. Both
+    caches are left empty, as the autouse fixture leaves them, so what a
+    caller solves next does not depend on whether this call hit its cache."""
     received, asked = set(), []
     jacobi, eig = linalg._jacobi_eigh, linalg.SymMatrix.eig
     linalg.clear_eig_cache()
@@ -959,14 +967,18 @@ def _observed_build(name: str):
             a.tobytes() for a in mats) or jacobi(mats, names))
         mp.setattr(linalg.SymMatrix, "eig", lambda self: asked.append(self) or eig(self))
         inst = harness.build_instance(_INSTANCES[name])
+        algorithms.stepsize_bounds(inst.mp, inst.prob.lipschitz, inst.prob.mu_fbar)
+    linalg.clear_eig_cache()
+    harness.clear_instance_cache()
     return inst, frozenset(received), tuple(asked)
 
 
 @pytest.mark.parametrize("name", _INSTANCES)
 def test_spectra_that_set_the_stepsizes_are_solved_cold(name):
-    # These eigenvalues set the sensing scale, mu_fbar and every named stepsize.
-    # Solved from their own entries, with no basis, they keep every iterate,
-    # stepsize and uncertified CSV byte as the cold solver rounds them.
+    # These eigenvalues set the sensing scale, mu_fbar, theta and every named
+    # stepsize. Solved from their own entries, with no basis, whoever reads
+    # them first, they keep every iterate, stepsize and uncertified CSV byte as
+    # the cold solver rounds them.
     inst, received, asked = _observed_build(name)
     grams = [m for m in asked if re.fullmatch(r"M_(\d+)\^T M_\1", m.name)]
     hessian = [m for m in asked if m.name == "averaged hessian"]
@@ -1032,8 +1044,10 @@ def test_warm_started_spectra_match_the_oracle_and_a_cold_solve(name):
 
 
 def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
-    # Of the certified run's 50 x 50 solves, only w's and w_tilde's sweep:
+    # Of the certified runs' 50 x 50 solves, only w's and w_tilde's sweep:
     # w_tilde - w, I - w and w_bar m reach Jacobi already diagonal to its target.
+    # w_tilde is solved once, under the name w_bar: the EXTRA certificate reads
+    # w_bar first, and at theta = 1 the two have the same entries.
     inst = _observed_build("certify-large")[0]
     solves = []
     jacobi = linalg._jacobi_eigh
@@ -1050,9 +1064,36 @@ def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
         trace = run(dataclasses.replace(_INSTANCES["certify-large"], algo=algo, alpha=alpha,
                                         max_iters=5))
         assert trace.audit.ok
-    assert sorted(name for name, swept in solves if swept) == ["metropolis", "w_tilde"]
+    assert sorted(name for name, swept in solves if swept) == ["metropolis", "w_bar"]
     assert sorted(name for name, swept in solves if not swept) == \
         ["I - w", "w_tilde - w", "wbar m"]
+
+
+@pytest.mark.parametrize("call, solves", [("nids", 0), ("dgd", 0), ("extra", 1), ("bounds", 1),
+                                          ("validate-mixing", 1)])
+def test_only_readers_of_its_spectrum_decompose_w_tilde(call, solves, monkeypatch):
+    # validate settles w_tilde's signs by Cholesky tests, and a run values only
+    # its own stepsize: a certified NIDS run and an uncertified DGD run never
+    # solve the 50 x 50 w_tilde. Each of its readers (EXTRA's certificate, as
+    # w_bar's, whose entries are w_tilde's at theta = 1, and the two CLI
+    # commands that print spectra) solves it once, cold: Jacobi gets its own
+    # entries.
+    inst = _observed_build("certify-large")[0]
+    wt = inst.mp.wt.a.tobytes()
+    assert inst.mp.theta == 1.0 and inst.mp.wbar.a.tobytes() == wt
+    received = []
+    jacobi = linalg._jacobi_eigh
+    monkeypatch.setattr(linalg, "_jacobi_eigh", lambda mats, names: received.extend(
+        a.tobytes() for a in mats) or jacobi(mats, names))
+    if call in ("bounds", "validate-mixing"):
+        sizes = ["--p", "5", "--mi", "1"] if call == "bounds" else []
+        assert cli.main([call, "--n", "50", *sizes]) == 0
+    else:
+        alpha = {"nids": 0.19, "dgd": "dgd-slow", "extra": 0.9 * inst.alpha}[call]
+        trace = run(dataclasses.replace(_INSTANCES["certify-large"], algo=call, alpha=alpha,
+                                        certify=call != "dgd", max_iters=5))
+        assert trace.status == "max_iters" and (call == "dgd" or trace.audit.ok)
+    assert received.count(wt) == solves
 
 
 def test_certified_run_evaluates_each_gradient_once(monkeypatch):
@@ -1153,6 +1194,22 @@ def test_cli_config_with_a_scenario_is_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"n": 6}))
     assert cli.main(["run", "--config", str(path), "--scenario", "fig1"]) == 1
     assert capsys.readouterr().err == "error: --config cannot be combined with --scenario\n"
+
+
+def test_cli_algo_with_a_scenario_is_rejected(tmp_path, monkeypatch, capsys):
+    # Each preset curve is labelled by its own algorithm: another algorithm
+    # would run under that label, and no CSV would name the one that ran.
+    out = tmp_path / "d"
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "build_instance", _no_instance)
+        assert cli.main(["run", "--scenario", "fig3", "--algo", "dgd", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: --algo cannot be combined with --scenario\n")
+    assert not out.exists()
+    # --alpha stays allowed: every row records the stepsize it ran.
+    assert cli.main(["run", "--scenario", "fig3", "--alpha", "0.1", "--max-iters", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [c.name for c in resolve_scenario("fig3")]
+    assert all(" alpha=0.1 " in line for line in lines)
 
 
 @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry"])
@@ -1329,9 +1386,9 @@ def test_after_the_cli_a_certified_rerun_takes_few_page_faults(algo, capsys):
     # 4k-6k minor faults per rerun at glibc's default trim threshold).
     import resource
 
-    config = RunConfig(topology="random", n=10, p=40, mi=5, algo=algo, certify=True,
-                       max_iters=2000)
-    alpha = 0.19 if algo == "nids" else 0.9 * harness.build_instance(config).stepsizes["extra-new"]
+    config = RunConfig(topology="random", n=10, p=40, mi=5, algo=algo, alpha="extra-new",
+                       certify=True, max_iters=2000)
+    alpha = 0.19 if algo == "nids" else 0.9 * harness.build_instance(config).alpha
     config = dataclasses.replace(config, alpha=alpha)
     assert cli.main(["run", "--topology", "random", "--n", "10", "--p", "40", "--mi", "5",
                      "--algo", algo, "--alpha", repr(alpha), "--certify",
@@ -1437,8 +1494,8 @@ def test_cli_bounds_prints_every_named_stepsize_and_each_runs(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [name for name, _ in rows] == list(algorithms.STEPSIZES)
     inst = harness.build_instance(resolve_scenario("fig1")[0])
-    assert [float(value) for _, value in rows] == pytest.approx(
-        list(inst.stepsizes.values()), rel=1e-11)
+    table = algorithms.stepsize_bounds(inst.mp, inst.prob.lipschitz, inst.prob.mu_fbar)
+    assert [float(value) for _, value in rows] == pytest.approx(list(table.values()), rel=1e-11)
     for name, _ in rows:
         assert cli.main(["run", "--alpha", name, "--max-iters", "1"]) == 0, name
         assert f"extra_{name}: status=" in capsys.readouterr().out
@@ -1561,12 +1618,8 @@ def test_configs_differing_in_run_only_fields_share_one_build(changed, monkeypat
                                           {changed: _RUN_ONLY[changed]}))
     hit = harness.build_instance(config)
     assert built == [base]
-    assert hit.alpha == harness.resolve_alpha(config, first.stepsizes)
+    assert hit.alpha == harness.resolve_alpha(config, first.mp, first.prob)
     assert (hit.mp, hit.prob) == (first.mp, first.prob)
-    assert hit.stepsizes == first.stepsizes and hit.stepsizes is not first.stepsizes
-    # Each instance owns its table: changing one changes no other build's.
-    hit.stepsizes["nids"] = -1.0
-    assert harness.build_instance(base).stepsizes == first.stepsizes
 
 
 def _instance_changes(tmp_path) -> dict:
@@ -1640,7 +1693,8 @@ def test_a_non_positive_named_stepsize_raises_on_a_memo_hit(monkeypatch):
     monkeypatch.setattr(harness.graphs, "random_connected",
                         lambda n, p, seed: built.append(n) or graphs.from_edge_list_text(k44))
     base = RunConfig(n=8, relax_factor=0.3333333333333333, alpha=0.1)
-    assert harness.build_instance(base).stepsizes["shi-linear"] < 0.0
+    inst = harness.build_instance(base)
+    assert algorithms.STEPSIZES["shi-linear"](inst.mp, inst.prob.lipschitz, inst.prob.mu_fbar) < 0.0
     for _ in range(2):
         with pytest.raises(ConfigError, match="'shi-linear' resolved to a non-positive value"):
             harness.build_instance(dataclasses.replace(base, alpha="shi-linear"))

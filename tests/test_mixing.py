@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -308,6 +309,49 @@ def test_validate_pseudo_inverses_are_moore_penrose(n, edge_prob, seed, relax_fa
     except MixingValidationError:
         return
     _assert_moore_penrose(mp, w)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), topology=st.sampled_from(("random", "line", "complete")),
+       seed=st.integers(0, 2**16), relax_factor=st.sampled_from((0.0, 0.15, 1.0 / 3.0 - 1e-3)),
+       lazy=st.sampled_from((0.5, 0.3, 0.1)), theta=st.sampled_from((None, 0.75, "upper")))
+def test_cholesky_sign_tests_change_no_decision_of_validate(n, topology, seed, relax_factor,
+                                                            lazy, theta):
+    # validate settles w_tilde's and w_bar's signs with Cholesky tests and
+    # reads their spectra only where a test fails. Made to decompose instead,
+    # it reaches the same theta, the same error text and the same bytes in
+    # every derived matrix, both when w_tilde's and w_bar's tests always fail
+    # (so it evaluates the exact expressions on their spectra) and when every
+    # test is answered by its Jacobi eigenvalue. lazy = 0.1 on a relaxed graph
+    # breaks part 4's w_tilde > -I/3; theta at the upper end of a w_tilde that
+    # is not positive definite leaves w_bar singular.
+    g = {"random": lambda: random_connected(n, 0.5, seed), "line": lambda: line(n),
+         "complete": lambda: complete(n)}[topology]()
+    w = relax(metropolis(g), relax_factor)
+    wt = lazy * np.eye(n) + (1.0 - lazy) * w.a
+    lam_min_wt = SymMatrix(wt).lambda_min
+    if theta == "upper":
+        theta = min(1.0, 1.0 / (1.0 - lam_min_wt))
+
+    def outcome():
+        try:
+            mp = validate(SymMatrix(w.a, name=w.name), SymMatrix(wt, name="w_tilde"), g, theta)
+        except MixingValidationError as exc:
+            return str(exc)
+        fields = (getattr(mp, f.name) for f in dataclasses.fields(mp))
+        return mp.theta, [m.a.tobytes() for m in fields if isinstance(m, SymMatrix)]
+
+    shortcut = outcome()
+    for decomposing in (lambda self, floor: self.name == "g" and self.lambda_min >= floor,
+                        lambda self, floor: self.lambda_min >= floor):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SymMatrix, "lambda_min_at_least", decomposing)
+            assert outcome() == shortcut
+    # The default theta is the interval's closed end 1 for a positive definite
+    # w_tilde, else its midpoint.
+    if theta is None and not isinstance(shortcut, str):
+        upper = theta_default(lam_min_wt)
+        assert shortcut[0] == (upper if lam_min_wt > 1e-8 else 0.5 * (0.75 + upper))
 
 
 def _assert_moore_penrose(mp, w):

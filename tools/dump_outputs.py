@@ -25,8 +25,9 @@ import os
 import sys
 
 # `validate-mixing`, `bounds` and `run` calls dumped beside the workloads:
-# every topology, relaxed mixing, an explicit theta, the 50-node instance and
-# a certified run that reaches max_iters. <OUT> stands for OUT/cli.
+# every topology, relaxed mixing, an explicit theta, the 50-node instance, a
+# certified run that reaches max_iters, a run at theta = 3/4 and a certified
+# NIDS run on the 50-node instance. <OUT> stands for OUT/cli.
 CLI_CALLS = (
     ("validate-mixing",),
     ("validate-mixing", "--topology", "line", "--n", "10", "--relax-factor", "0.333"),
@@ -40,6 +41,10 @@ CLI_CALLS = (
     ("bounds", "--topology", "line", "--n", "10", "--relax-factor", "0.3", "--theta", "0.9"),
     ("run", "--algo", "nids", "--alpha", "0.1", "--certify", "--tol", "1e-300",
      "--max-iters", "3000", "--out", "<OUT>/floor.csv"),
+    ("run", "--algo", "nids", "--alpha", "0.19", "--theta", "0.75", "--max-iters", "20",
+     "--out", "<OUT>/theta.csv"),
+    ("run", "--n", "50", "--p", "5", "--mi", "1", "--algo", "nids", "--alpha", "0.19",
+     "--certify", "--max-iters", "50", "--out", "<OUT>/large.csv"),
 )
 
 
