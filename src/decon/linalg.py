@@ -2,26 +2,26 @@
 pseudo-inverse.
 
 Stacked agent iterates are plain float ndarrays of shape (n_agents, dim); only
-square symmetric matrices get a wrapper class (`SymMatrix`) so their
-eigendecompositions can be computed once and cached.
+square symmetric matrices get a wrapper class (`SymMatrix`), whose
+eigendecompositions are cached by their entries' bytes.
 
 `SymMatrix.spectral_map` is the one rebuild of a matrix from its spectrum: `pinv`
 is one call of it, and so is each power of w_bar the EXTRA certificate reads.
 `SymMatrix.lambda_min_at_least` answers a sign check with a LAPACK Cholesky
 factorization and decomposes only when that fails.
 
-Every eigendecomposition goes through `decompose`, which hands its cache
-misses to the cyclic Jacobi solver `_jacobi_eigh`; `SymMatrix.eig` is
-`decompose` of one matrix. Jacobi's rounding defines the saved benchmark
-reference and every CSV the package writes, so it is kept even where LAPACK
-would be faster. The solver takes a (B, n, n) stack: the cyclic pivot order
-is the same for every matrix, so each rotation turns column p and q of every
-matrix and of its eigenvectors at once, in place through two scratch buffers
-with the operations of c x - s y and s x + c y, and copies them into the rows.
-Every matrix reads its own pivots and decides its own rotation, skips and
-stop in Python floats, so a member of a stack gets the bits it gets alone,
-and a single solve is a stack of one. `problem` decomposes all n agent Grams
-M_i^T M_i with one `decompose` call, one stacked run.
+Every eigendecomposition goes through `decompose`, which reads each matrix's
+result from the cache and solves one call's misses as one stack with the
+cyclic Jacobi solver `_jacobi_eigh`; `SymMatrix.eig` is `decompose` of one
+matrix, and `problem` decomposes all n agent Grams M_i^T M_i in one call.
+Jacobi's rounding defines the saved benchmark reference and every CSV the
+package writes, so it is kept even where LAPACK would be faster. The solver
+takes a (B, n, n) stack: the cyclic pivot order is the same for every matrix,
+so each rotation turns column p and q of every matrix and of its eigenvectors
+at once, in place through two scratch buffers with the operations of c x - s y
+and s x + c y, and copies them into the rows. Every matrix reads its own
+pivots and decides its own rotation, skips and stop in Python floats, so a
+member of a stack gets the bits it gets alone.
 
 A `SymMatrix` built with a `basis` is solved warm: Jacobi runs on V^T a V,
 V the basis's eigenvectors, and the vectors map back as V U. `mixing` gives
@@ -37,13 +37,14 @@ module-level cache keyed by ``(shape, entries.tobytes(), basis bytes)``, the
 basis bytes being the basis's entries or None for a cold solve (the bytes
 themselves, never a digest alone, so two matrices share a result only when
 every entry and basis entry is bit-identical). The basis's eigenvectors are
-themselves a cached function of its entries and `_jacobi_eigh` gives each
+themselves a function of its entries alone and `_jacobi_eigh` gives each
 member of a stack a deterministic function of that member alone, so a hit
 returns the bits a fresh solve would, and every CSV, certificate and audit
 verdict is the same with or without the cache. Only results that passed the
-residual check are stored, read-only because several `SymMatrix` objects
-share them; least-recently-used entries are evicted past `_EIG_CACHE_BUDGET`
-bytes. `clear_eig_cache` empties it.
+residual check are stored, read-only since every reader shares them. A solve
+lives only here, never on a `SymMatrix`, so `_EIG_CACHE_BUDGET` bytes bound
+all spectra: past it the least recently used entries are evicted, and a read
+after an eviction solves again. `clear_eig_cache` empties the cache.
 """
 
 from __future__ import annotations
@@ -255,11 +256,11 @@ def _eigenpairs(st: np.ndarray, diag: list[list[float]], k: int) -> tuple[np.nda
 
 
 class SymMatrix:
-    """Dense symmetric matrix with a lazily cached eigendecomposition.
+    """Dense symmetric matrix whose eigendecomposition is read from the cache.
 
     Symmetry is enforced on construction by averaging with the transpose, and
-    non-finite entries are rejected. The entries array is frozen so cached
-    spectral data stays valid.
+    non-finite entries are rejected. The entries array is frozen, so the cache
+    key built from it stays the matrix's own.
 
     An optional `basis` (a `SymMatrix` of the same size) warm-starts the solve:
     `eig` runs Jacobi on V^T a V, V the basis's eigenvectors, instead of on a.
@@ -285,7 +286,6 @@ class SymMatrix:
         self.a = a
         self.name = name
         self.basis = basis
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -295,14 +295,13 @@ class SymMatrix:
         return f"SymMatrix({self.name!r}, dim={self.dim})"
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthogonal eigenvectors, cached.
+        """Eigenvalues (ascending) and orthogonal eigenvectors, read-only.
 
-        `decompose` of this matrix alone: see there for the cache and the
-        checks every result passes.
+        `decompose` of this matrix alone, a stack of one: the solve lives only
+        in the module cache, so a read after its eviction solves again. See
+        `decompose` for the checks every result passes.
         """
-        if self._eig is None:
-            decompose((self,))
-        return self._eig
+        return decompose((self,))[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -355,75 +354,61 @@ class SymMatrix:
             name=f"pinv({self.name})")
 
 
-def decompose(mats: Sequence[SymMatrix]) -> None:
-    """Decompose every matrix of `mats` that is not yet, solving the cache
-    misses of each size as one stacked Jacobi run.
+def decompose(mats: Sequence[SymMatrix]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each matrix's read-only (eigenvalues, eigenvectors), in input order.
 
     A matrix whose entries and basis entries (or lack of a basis) are
-    byte-identical to an earlier solved one gets that solve's arrays
-    (read-only) from the module cache without another Jacobi run, and so does
-    a repeat within `mats`. A warm matrix's basis is decomposed first, and the
-    warm matrix joins its size's stack with its entries rotated into that
-    basis. Each result passes a residual and orthogonality check on its
-    matrix's own entries before it is stored; a failed solve is never stored,
-    so retrying it raises again. Errors are raised in this order: an
-    overflowing norm, naming the first such matrix; a capped Jacobi run,
-    naming the first capped member of its size's stack; a failed check.
+    byte-identical to an earlier solved one gets that solve's arrays from the
+    module cache, and so does a repeat within `mats`. The misses, all of one
+    size, are solved as one stacked Jacobi run, a warm one in its basis's
+    eigenvectors, read where its entries are rotated. Each result passes a
+    residual and orthogonality check on its matrix's own entries before it is
+    stored; a failed solve is never stored, so retrying it raises again.
+    Errors are raised in this order: an overflowing norm, naming the first
+    such miss; a capped Jacobi run, naming its first capped member; a failed
+    check.
     """
+    # Each distinct miss: its entries' norm, its Jacobi input, its basis's
+    # eigenvectors (None for a cold solve) and the first matrix it stands for.
+    keys, found, misses = [], {}, {}
     for mat in mats:
-        if mat._eig is None and mat.basis is not None:
-            mat.basis.eig()
-    # Per size, each distinct miss: its key, its entries' norm, its Jacobi
-    # input, and every matrix of `mats` it stands for.
-    by_size: dict[int, dict[tuple, tuple]] = {}
-    for mat in mats:
-        if mat._eig is not None:
-            continue
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(mat.a))
-        # An infinite scale would switch the residual check below off.
-        if not math.isfinite(norm):
-            raise NonFiniteMatrixError(
-                f"{mat.name!r} has finite entries but its norm overflows float64")
         basis = mat.basis
         key = (mat.a.shape, mat.a.tobytes(), None if basis is None else basis.a.tobytes())
+        keys.append(key)
+        # A hit's arrays are taken now: storing this call's misses may evict it.
         hit = _eig_cache.get(key)
         if hit is not None:
             _eig_cache.move_to_end(key)
-            mat._eig = hit
-            continue
-        misses = by_size.setdefault(mat.dim, {})
-        if key in misses:
-            misses[key][2].append(mat)
-            continue
-        if basis is None:
-            a = mat.a
-        else:
-            vb = basis.eig()[1]
-            rotated = vb.T @ mat.a @ vb
-            # Jacobi copies rotated columns into rows: its input must be
-            # exactly symmetric, which the two products need not leave.
-            a = (rotated + rotated.T) / 2.0
-        misses[key] = (norm, a, [mat])
-    solved = []
-    for misses in by_size.values():
-        inputs = [a for _, a, _ in misses.values()]
-        stack = inputs[0][None] if len(inputs) == 1 else np.stack(inputs)
-        names = [group[0].name for _, _, group in misses.values()]
-        solved += zip(misses.items(), _jacobi_eigh(stack, names))
-    for (key, (norm, _, group)), (w, u) in solved:
-        mat = group[0]
-        v = u if mat.basis is None else mat.basis.eig()[1] @ u
-        scale = max(1.0, norm)
-        recon = float(np.linalg.norm((v * w) @ v.T - mat.a))
-        ortho = float(np.linalg.norm(v.T @ v - np.eye(mat.dim)))
-        if recon > 1e-10 * scale or ortho > 1e-10:
-            raise EigenConvergenceError(
-                f"eigendecomposition of {mat.name!r} failed its residual check: "
-                f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}"
-            )
-        w.setflags(write=False)
-        v.setflags(write=False)
-        _cache_eig(key, w, v)
-        for each in group:
-            each._eig = (w, v)
+            found[key] = hit
+        elif key not in misses:
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(mat.a))
+            # An infinite scale would switch the residual check below off.
+            if not math.isfinite(norm):
+                raise NonFiniteMatrixError(
+                    f"{mat.name!r} has finite entries but its norm overflows float64")
+            if basis is None:
+                a, vb = mat.a, None
+            else:
+                vb = basis.eig()[1]
+                rotated = vb.T @ mat.a @ vb
+                # Jacobi copies rotated columns into rows: its input must be
+                # exactly symmetric, which the two products need not leave.
+                a = (rotated + rotated.T) / 2.0
+            misses[key] = (norm, a, vb, mat)
+    if misses:
+        stack = np.stack([a for _, a, _, _ in misses.values()])
+        solved = _jacobi_eigh(stack, [mat.name for *_, mat in misses.values()])
+        for (key, (norm, _, vb, mat)), (w, u) in zip(misses.items(), solved):
+            v = u if vb is None else vb @ u
+            recon = float(np.linalg.norm((v * w) @ v.T - mat.a))
+            ortho = float(np.linalg.norm(v.T @ v - np.eye(mat.dim)))
+            if recon > 1e-10 * max(1.0, norm) or ortho > 1e-10:
+                raise EigenConvergenceError(
+                    f"eigendecomposition of {mat.name!r} failed its residual check: "
+                    f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}")
+            w.setflags(write=False)
+            v.setflags(write=False)
+            _cache_eig(key, w, v)
+            found[key] = (w, v)
+    return [found[key] for key in keys]

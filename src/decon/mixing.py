@@ -52,10 +52,11 @@ class MixingValidationError(ValueError):
 @dataclass(frozen=True)
 class MixingPair:
     """Validated mixing pair (w, w_tilde) and every matrix the certificates
-    derive from it, each built once per pair (a matrix with the same entries
-    as one decomposed before reuses that solve, see `linalg`). A spectrum is
-    read from the matrix that owns it (`w.lambda_min`, `iw.eigenvalues`, ...),
-    never stored beside it.
+    derive from it, each built once per pair. A spectrum is read from the
+    matrix that owns it (`w.lambda_min`, `iw.eigenvalues`, ...), never stored
+    beside it nor on it: each read looks its solve up in the `linalg` cache,
+    the one place a solve lives, so a matrix with the same entries as one
+    decomposed before reuses that solve while it is cached.
     diff and iw carry w as their basis: their Jacobi solves start from w's
     eigenvectors, which diagonalize them whenever w_tilde is a polynomial in w
     (as (I + w)/2 is). w, wt and wbar, whose eigenvalues set the stepsizes,

@@ -102,11 +102,10 @@ def _agent_gram(sensing: np.ndarray, i: int) -> SymMatrix:
     return SymMatrix(gram, name=f"M_{i}^T M_{i}")
 
 
-def _agent_grams(sensing: np.ndarray) -> list[SymMatrix]:
-    """Every agent's M_i^T M_i in agent order, decomposed as one stacked solve."""
+def _agent_grams(sensing: np.ndarray) -> list[float]:
+    """Every agent's lambda_max(M_i^T M_i) in agent order, from one stacked solve."""
     grams = [_agent_gram(sensing, i) for i in range(len(sensing))]
-    decompose(grams)
-    return grams
+    return [float(w[-1]) for w, _ in decompose(grams)]
 
 
 def _check_rank(n: int, m: int, p: int) -> None:
@@ -163,8 +162,7 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
     x_true = rng.standard_normal(p)
     sensing = rng.standard_normal((n, m_i, p))
     noise = rng.standard_normal((n, m_i)) * noise_std
-    for i, gram in enumerate(_agent_grams(sensing)):
-        top = gram.lambda_max
+    for i, top in enumerate(_agent_grams(sensing)):
         if top <= 0.0:
             raise ProblemError(f"agent {i} drew a zero sensing matrix")
         sensing[i] *= np.sqrt(LIPSCHITZ / top)
@@ -192,7 +190,7 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
         if value is not None and not np.all(np.isfinite(value)):
             raise ProblemError(f"{name} holds non-finite values (NaN or inf)")
     _check_rank(n, m, p)
-    tops = [gram.lambda_max for gram in _agent_grams(sensing)]
+    tops = _agent_grams(sensing)
     i = int(np.argmax(tops))
     if lipschitz is None:
         lipschitz = tops[i]

@@ -696,6 +696,20 @@ def test_cli_single_run_and_csv(tmp_path, capsys):
     assert len(rows) == int(re.search(r"iterations=(\d+)", text).group(1)) + 1
 
 
+def test_cli_prints_the_first_five_audit_violations_and_exits_0(monkeypatch, capsys):
+    # A tolerance no slack meets makes the real audit flag every inequality;
+    # the run still ends as a success, its violations named on stdout.
+    monkeypatch.setattr(certify, "INEQ_TOL", 1.0)
+    code = cli.main(["run", "--n", "10", "--algo", "nids", "--alpha", "0.19", "--certify",
+                     "--max-iters", "20"])
+    assert code == 0
+    text = capsys.readouterr().out
+    count = int(re.search(r"audit violations (\d+)\n", text).group(1))
+    audits = [line for line in text.splitlines() if line.startswith("  AUDIT: ")]
+    assert count > 5 and len(audits) == 5
+    assert all(re.fullmatch(r"  AUDIT: .+ violated at k=\d+: .+", line) for line in audits)
+
+
 def test_cli_certify_rejects_boundary_stepsize(capsys):
     # The certified NIDS range is open at 2/L, so certifying there must fail
     # loudly even though the run itself converges.
@@ -940,6 +954,40 @@ def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
     assert generated == {"random_connected": 1, "generate": 1}
 
 
+def test_no_output_depends_on_what_the_eig_cache_keeps(monkeypatch, tmp_path, capsys):
+    # With no cache budget nothing is stored, so every spectrum read solves
+    # again: each solve must give the bits the first one gave, or a printed
+    # line or a CSV byte moves.
+    def commands(out):
+        certified = ["run", "--n", "10", "--certify", "--max-iters", "300"]
+        return [["run", "--scenario", "fig1", "--max-iters", "300", "--out", str(out / "fig1")],
+                [*certified, "--algo", "nids", "--alpha", "0.19", "--out", str(out / "nids.csv")],
+                [*certified, "--algo", "extra", "--alpha", "0.05", "--out", str(out / "extra.csv")],
+                ["bounds", "--n", "10"], ["validate-mixing", "--n", "10"]]
+
+    jacobi, received = linalg._jacobi_eigh, []
+    monkeypatch.setattr(linalg, "_jacobi_eigh",
+                        lambda mats, names: received.append(len(mats)) or jacobi(mats, names))
+    outputs, solved = [], []
+    for budget in (linalg._EIG_CACHE_BUDGET, 0):
+        monkeypatch.setattr(linalg, "_EIG_CACHE_BUDGET", budget)
+        linalg.clear_eig_cache()
+        harness.clear_instance_cache()
+        received.clear()
+        out = tmp_path / str(budget)
+        out.mkdir()
+        printed = []
+        for argv in commands(out):
+            assert cli.main(argv) == 0, argv
+            printed.append(capsys.readouterr().out.replace(str(out), "<out>"))
+        csvs = {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*.csv")}
+        outputs.append((printed, csvs))
+        solved.append(sum(received))
+    assert len(outputs[0][1]) == 8 and outputs[1] == outputs[0]
+    # The patched budget took effect: Jacobi received more matrices without a cache.
+    assert solved[1] > solved[0]
+
+
 # Every distinct instance of the four scenarios (one per relax factor) and the
 # instances of the two certified benchmark workloads.
 _CERTIFIED = dict(topology="random", seed=2, algo="extra", alpha="extra-new", certify=True)
@@ -959,13 +1007,15 @@ def _observed_build(name: str):
     caches are left empty, as the autouse fixture leaves them, so what a
     caller solves next does not depend on whether this call hit its cache."""
     received, asked = set(), []
-    jacobi, eig = linalg._jacobi_eigh, linalg.SymMatrix.eig
+    jacobi, decompose = linalg._jacobi_eigh, linalg.decompose
     linalg.clear_eig_cache()
     harness.clear_instance_cache()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_jacobi_eigh", lambda mats, names: received.update(
             a.tobytes() for a in mats) or jacobi(mats, names))
-        mp.setattr(linalg.SymMatrix, "eig", lambda self: asked.append(self) or eig(self))
+        # `SymMatrix.eig` and `problem`'s Gram solve both read spectra here.
+        for module in (linalg, problem):
+            mp.setattr(module, "decompose", lambda mats: asked.extend(mats) or decompose(mats))
         inst = harness.build_instance(_INSTANCES[name])
         algorithms.stepsize_bounds(inst.mp, inst.prob.lipschitz, inst.prob.mu_fbar)
     linalg.clear_eig_cache()

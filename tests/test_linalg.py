@@ -228,12 +228,63 @@ def test_decompose_solves_each_distinct_matrix_of_a_list_once_in_one_stack(monke
     solved = _counting_solver(monkeypatch)
     SymMatrix(m, name="cached").eig()
     mats = [SymMatrix(x, name=name) for x, name in
-            ((other, "first"), (m, "hit"), (other.copy(), "repeat"), (np.eye(3), "small"))]
+            ((other, "first"), (m, "hit"), (other.copy(), "repeat"))]
     linalg.decompose(mats)
     # Neither a cache hit nor a repeat within the list is solved again.
-    assert solved == ["cached", "first", "small"]
+    assert solved == ["cached", "first"]
     assert mats[2].eig()[0] is mats[0].eig()[0]
     assert mats[1].eig()[0] is SymMatrix(m.copy(), name="again").eig()[0]
+
+
+def _stacks_solved(monkeypatch) -> list[list[str]]:
+    """Route `_jacobi_eigh` through a hook that records the names of each stack."""
+    stacks = []
+    jacobi = linalg._jacobi_eigh
+    monkeypatch.setattr(linalg, "_jacobi_eigh",
+                        lambda mats, names: stacks.append(list(names)) or jacobi(mats, names))
+    return stacks
+
+
+def test_decompose_returns_each_result_in_input_order_from_one_stack(monkeypatch):
+    rng = np.random.default_rng(12)
+    a, b, c = (rng.standard_normal((6, 6)) for _ in range(3))
+    cached = SymMatrix(b, name="cached").eig()
+    stacks = _stacks_solved(monkeypatch)
+    mats = [SymMatrix(x, name=name) for x, name in
+            ((a, "a"), (b, "hit"), (c, "c"), (a.copy(), "repeat"))]
+    results = linalg.decompose(mats)
+    assert stacks == [["a", "c"]]
+    assert len(results) == len(mats)
+    monkeypatch.undo()
+    for mat, (w, v) in zip(mats, results):
+        solo = linalg._jacobi_eigh(mat.a[None], [mat.name])[0]
+        assert np.array_equal(w, solo[0]) and np.array_equal(v, solo[1]), mat.name
+    # A cache hit and a repeat within the list return the identical arrays.
+    assert all(x is y for x, y in zip(results[1], cached))
+    assert all(x is y for x, y in zip(results[3], results[0]))
+    assert all(x is y for x, y in zip(SymMatrix(c, name="again").eig(), results[2]))
+
+
+def test_decompose_returns_a_hit_its_own_misses_evict(monkeypatch):
+    # Room for one 4 x 4 entry: storing each miss evicts the entry before it,
+    # the hit looked up first included.
+    monkeypatch.setattr(linalg, "_EIG_CACHE_BUDGET", _entry_bytes(4))
+    rng = np.random.default_rng(13)
+    h, x, y = (rng.standard_normal((4, 4)) for _ in range(3))
+    cached = SymMatrix(h, name="cached").eig()
+    stacks = _stacks_solved(monkeypatch)
+    mats = [SymMatrix(h, name="hit"), SymMatrix(x, name="x"), SymMatrix(y, name="y"),
+            SymMatrix(x, name="x again")]
+    results = linalg.decompose(mats)
+    assert stacks == [["x", "y"]]
+    assert all(got is want for got, want in zip(results[0], cached))
+    assert all(got is want for got, want in zip(results[3], results[1]))
+    for mat, (w, v) in zip(mats, results):
+        assert np.linalg.norm((v * w) @ v.T - mat.a) <= 1e-10 * max(1.0, np.linalg.norm(mat.a))
+    # Only y, stored last, is left: h and x are solved again when next read.
+    assert list(linalg._eig_cache) == [((4, 4), SymMatrix(y).a.tobytes(), None)]
+    SymMatrix(h, name="hit evicted").eig()
+    assert stacks[1:] == [["hit evicted"]]
 
 
 def test_eig_cache_stays_within_its_budget_and_evicts_least_recently_used(monkeypatch):
