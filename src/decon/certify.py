@@ -119,7 +119,12 @@ def _lam_max_iwt(mp: MixingPair) -> float:
 
 
 def _admissible(name: str, value: float | None, upper: float) -> float:
-    """`value`, or the midpoint of (0, upper) if None; raise unless 0 < value < upper."""
+    """`value`, or the midpoint of (0, upper) if None; raise unless 0 < value < upper
+    and upper is finite."""
+    if not math.isfinite(upper):
+        raise CertificateError(
+            f"{name}'s admissible interval (0, {upper}) overflows float64; the stepsize is "
+            f"too small to certify")
     if value is None:
         return upper / 2.0
     if not 0.0 < value < upper:
@@ -152,7 +157,7 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     xi and eta default to the midpoints of their admissible open intervals;
     the restricted-strong-convexity modulus is evaluated at the chosen eta.
     The limits theta = 1 (r1 infinite) and g = 0 (r2 infinite) are folded into
-    r3 = 1 / (1 + 1/r1 + 1/r2).
+    r3 = 1 / (1 + 1/r1 + 1/r2), where 1/inf is 0.
     """
     theta = mp.theta
     if theta <= _THETA_BOUNDARY:
@@ -170,21 +175,18 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
         )
 
     # Couplings r1, r2, r3 and lambda_max(w_bar m): r1 from w_tilde's spectrum,
-    # r2 and lambda_max(w_bar m) from one similarity eigensolve each (r2's only
-    # when g != 0).
+    # r2 and lambda_max(w_bar m) from one similarity eigensolve each. At
+    # w_tilde = (I + w)/2, g = 0, so r2's matrix is exactly zero, its
+    # eigenvalues are 0.0 and r2 is infinite.
     lam_iwt = _lam_max_iwt(mp)
     if theta >= 1.0 - 1e-12 or lam_iwt <= 1e-14:
         r1 = math.inf
     else:
         r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
-    # g = 0 whenever w_tilde = (I + w)/2: r2 is infinite at every theta.
-    lam_g = 0.0
-    if mp.g.a.any():
-        isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
-        lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1", mp.w)
+    isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
+    lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1", mp.w)
     r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
-    r3 = 1.0 / (1.0 + (0.0 if math.isinf(r1) else 1.0 / r1)
-                + (0.0 if math.isinf(r2) else 1.0 / r2))
+    r3 = 1.0 / (1.0 + 1.0 / r1 + 1.0 / r2)
     sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
     lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m", mp.w)
     if lam_wbar_m <= 0.0:
@@ -469,17 +471,8 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditRepo
     the gradient of each transition is the `g_prev` its successor carries, and
     the gradient at the optimum is -fp.dstar, evaluated by
     `algorithms.fixed_point`. Violations are reported, never raised.
-
-    When g = w + I - 2 w_tilde is exactly zero, as it is for w_tilde =
-    (I + w)/2, the key inequality's g term is formed only for a block whose
-    h/m distance after the step is somewhere zero or not finite. Elsewhere the
-    term can only be a signed zero: an inf or NaN entry of x+ (which would
-    make it NaN) makes that distance inf or NaN as well, and subtracting a
-    zero moves no slack whose distance is finite and nonzero. So the slacks
-    keep their bits.
     """
     h, m, diff, wbar, g_mat = mp.h.a, mp.m.a, mp.diff.a, mp.wbar.a, mp.g.a
-    g_zero = not g_mat.any()
     p_mat, q_mat = cert.p_mat.a, cert.q_mat.a
     i_minus_wt = np.eye(mp.n) - mp.wt.a
     alpha = cert.alpha
@@ -499,10 +492,8 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditRepo
 
         # Key inequality: the h/m distance decreases by the listed amounts.
         step = cur.x - nxt.x
-        rhs = cur.hm - _wsq(step, wbar) - (theta - THETA_LOWER) * _wsq(step, i_minus_wt)
-        if not (g_zero and np.isfinite(nxt.hm).all() and nxt.hm.all()):
-            rhs = rhs - _wsq(nxt.dx, g_mat)
-        rhs = rhs - 2.0 * alpha * _dot(nxt.dx, nxt.g_prev - gstar)
+        rhs = (cur.hm - _wsq(step, wbar) - (theta - THETA_LOWER) * _wsq(step, i_minus_wt)
+               - _wsq(nxt.dx, g_mat) - 2.0 * alpha * _dot(nxt.dx, nxt.g_prev - gstar))
         return tally.inequality("key_inequality_slack", "key inequality", k0,
                                 (rhs - nxt.hm) / (1.0 + cur.hm))
 
@@ -560,8 +551,12 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp) -> AuditReport
         err = _rel_err(_dot(dx_nxt, step_d), alpha * _wsq(step_d, m_shift))
         tally.equality("equality_b_rel_err", "equality (b)", k0, err)
 
-        # Connection between the d increment and the x defect.
-        err = _rel_err_mat(np.matmul(conn_left, step_d), iw_dx / (2.0 * alpha))
+        # Connection between the d increment and the x defect, read as
+        # (I - w) x+: equal to (I - w)(x+ - x*) in exact arithmetic, since x*
+        # is consensual, but free of (I - w) x*'s round-off, which the
+        # division by 2 alpha would lift past EQ_TOL at small alpha.
+        err = _rel_err_mat(np.matmul(conn_left, step_d),
+                           np.matmul(i_minus_w, nxt.x) / (2.0 * alpha))
         tally.equality("connection_rel_err", "d-x connection", k0, err)
 
         # Key inequality.

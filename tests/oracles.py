@@ -523,8 +523,9 @@ def audit_nids_reference(states, mp, cert, fp) -> ReferenceReport:
         err = _rel_err(float(np.sum(dx_nxt * step_d)), alpha * wnorm_sq(step_d, m_shift))
         tally.equality("equality_b_rel_err", "equality (b)", k, err)
 
-        # Connection between the d increment and the x defect.
-        err = _rel_err_mat(conn_left @ step_d, (i_minus_w @ dx_nxt) / (2.0 * alpha))
+        # Connection between the d increment and the x defect, read as
+        # (I - w) x+ (x* is consensual, so (I - w) x* is round-off only).
+        err = _rel_err_mat(conn_left @ step_d, (i_minus_w @ nxt.x) / (2.0 * alpha))
         tally.equality("connection_rel_err", "d-x connection", k, err)
 
         # Key inequality.

@@ -64,8 +64,7 @@ def test_spectral_rebuilds_match_the_per_eigenvalue_references(monkeypatch, topo
 
 
 def test_spectral_rebuilds_match_the_references_on_a_pair_with_nonzero_g(monkeypatch):
-    # w_tilde = 0.3 I + 0.7 w makes g = 0.4 (I - w) nonzero, the one case
-    # whose certificate reads w_bar^-1/2.
+    # w_tilde = 0.3 I + 0.7 w makes g = 0.4 (I - w) nonzero, so r2 is finite.
     g = random_connected(10, 0.5, 2)
     w = metropolis(g)
     mp = validate(w, SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt"), g, theta=0.85)
@@ -74,7 +73,7 @@ def test_spectral_rebuilds_match_the_references_on_a_pair_with_nonzero_g(monkeyp
 
 def _assert_rebuilds_match_the_references(mp, monkeypatch):
     """Each w_bar power `extra_constants` builds has the bits of its reference,
-    and w_bar^-1/2 is built exactly when g is nonzero, its only reader."""
+    and all three are built, w_bar^-1/2 whether or not g is zero."""
     built = {}
     spectral_map = SymMatrix.spectral_map
 
@@ -86,8 +85,7 @@ def _assert_rebuilds_match_the_references(mp, monkeypatch):
     extra_constants(mp, 1.0, 0.5, mp.wbar.lambda_min)
     references = {"w_bar^-1/2": isqrt_reference, "w_bar^1/2": sqrt_reference,
                   "w_bar^-1": inv_reference}
-    expected = set(references) if mp.g.a.any() else set(references) - {"w_bar^-1/2"}
-    assert set(built) == expected
+    assert set(built) == set(references)
     for name in built:
         assert np.array_equal(built[name].a, references[name](mp.wbar).a), name
 
@@ -649,8 +647,8 @@ def test_blocked_extra_audit_matches_the_oracle_on_non_finite_and_huge_states(pa
     # 600 transitions are three blocks at n * p = 50. The second holds states
     # whose x has +-inf, NaN and +-1e200 entries, the third a state exactly at
     # the fixed point (h/m distance 0), the first neither. On the half pair g
-    # is exactly zero, and the audit forms the key inequality's g term only
-    # for the last two blocks; on the generic pair it forms it for all three.
+    # is exactly zero and on the generic pair it is not; on both the audit
+    # forms the key inequality's g term for all three blocks.
     _, mp = rand10
     if pair == "generic":
         mp = validate(mp.w, SymMatrix(0.3 * np.eye(10) + 0.7 * mp.w.a, name="generic wt"),
@@ -680,8 +678,7 @@ def test_blocked_extra_audit_matches_the_oracle_on_non_finite_and_huge_states(pa
         report = audit_extra(states, mp, cert, fp)
         reference = audit_extra_reference(states, mp, cert, fp)
     block = certify._BLOCK_ELEMENTS // (prob1.n * prob1.p)
-    assert g_terms == ([block, block, 600 - 2 * block] if pair == "generic"
-                       else [block, 600 - 2 * block])
+    assert g_terms == [block, block, 600 - 2 * block]
     assert not report.ok
     assert not any(f"k={k}:" in message for message in report.violations for k in range(290))
     _assert_same_report(report, reference)
@@ -746,6 +743,56 @@ def test_audits_flag_a_non_finite_state(variant, prob1, rand10):
     flagged = {message.split("k=")[1].split(":")[0] for message in report.violations}
     assert flagged == {"2", "3"}, report.violations
     assert report.violations == oracle(states, mp, cert, fp).violations
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-10])
+def test_nids_connection_holds_on_a_clean_run_at_a_small_stepsize(alpha, prob1, rand10):
+    # The d-x connection divides (I - w) x+ by 2 alpha. Read as
+    # (I - w)(x+ - x*) it would also carry (I - w) x*, which is round-off of
+    # about eps |x*| since x* is consensual, and the division lifts that past
+    # EQ_TOL on every transition at these stepsizes.
+    _, mp = rand10
+    cert = nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    states, fp = list(_states("nids_dx", mp, prob1, alpha, 200)), fixed_point(prob1, alpha)
+    report = audit_nids(states, mp, cert, fp)
+    assert report.ok and report.transitions == 200
+    assert report.checks["connection_rel_err"] <= EQ_TOL
+    _assert_same_report(report, audit_nids_reference(states, mp, cert, fp))
+
+
+def _faulted_audit(variant, mp, prob, alpha, fault):
+    """Violations of 3,000 audited transitions from zero, the stepper run with
+    `fault` ("alpha" scales its stepsize by 1 + 1e-6, "w" steps with
+    w + 1e-4 (I - w)) while the certificate and audit keep the true instance."""
+    audit, constants = ((audit_extra, extra_constants) if variant == "extra_xy"
+                        else (audit_nids, nids_constants))
+    cert = constants(mp, prob.lipschitz, prob.mu_fbar, alpha)
+    step_alpha, step_w = alpha, mp.w.a
+    if fault == "alpha":
+        step_alpha = alpha * (1.0 + 1e-6)
+    elif fault == "w":
+        step_w = step_w + 1e-4 * (np.eye(mp.n) - step_w)
+    x0 = np.zeros((prob.n, prob.p))
+    states = islice(iterate(variant, x0, step_alpha, step_w, mp.wt, prob.grad), 3001)
+    return audit(states, mp, cert, fixed_point(prob, alpha)).violations
+
+
+@pytest.mark.parametrize("variant, fault, flagged_by", [
+    ("nids_dx", None, None), ("nids_dx", "alpha", "d-x connection"),
+    ("nids_dx", "w", "d-x connection"),
+    ("extra_xy", None, None), ("extra_xy", "w", "norm equality"),
+])
+def test_audits_flag_a_planted_stepper_fault(variant, fault, flagged_by, prob10, rand10):
+    # The fig3-like instance (n = 10, p = 5, m_i = 10, seed 2): NIDS at
+    # alpha = 0.19, EXTRA at 0.9 x extra-new. The clean run passes, and each
+    # faulted run is flagged, by the named check among others.
+    _, mp = rand10
+    alpha = 0.19 if variant == "nids_dx" else 0.9 * 2.0 * mp.wbar.lambda_min / prob10.lipschitz
+    violations = _faulted_audit(variant, mp, prob10, alpha, fault)
+    if fault is None:
+        assert violations == []
+    else:
+        assert any(message.startswith(f"{flagged_by} violated") for message in violations)
 
 
 @pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])

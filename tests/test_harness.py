@@ -719,6 +719,25 @@ def test_cli_certify_rejects_boundary_stepsize(capsys):
     assert "certified range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, alpha", [("nids", "1e-315"), ("extra", "1e-315"),
+                                         ("nids", "1e-309")])
+def test_cli_certificate_constant_that_overflows_is_a_named_error(algo, alpha, capsys):
+    # At these stepsizes the upper end of eta's admissible interval overflows
+    # to inf; certified, the run would read contraction factor inf and exit 0.
+    code = cli.main(["run", "--algo", algo, "--alpha", alpha, "--certify", "--max-iters", "20"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: eta's admissible interval (0, inf) overflows float64")
+
+
+@pytest.mark.parametrize("algo", ["nids", "extra"])
+def test_cli_certifies_a_stepsize_just_above_the_overflow(algo, capsys):
+    code = cli.main(["run", "--algo", algo, "--alpha", "2e-308", "--certify",
+                     "--max-iters", "20"])
+    assert code == 0
+    assert "contraction factor 1, audit violations 0\n" in capsys.readouterr().out
+
+
 @settings(max_examples=16, deadline=None, derandomize=True)
 @given(topology=st.sampled_from(tuple(harness.TOPOLOGIES)), n=st.integers(2, 80),
        p=st.integers(1, 8), mi=st.integers(1, 4), edge_prob=st.floats(0.05, 1.0),
@@ -936,8 +955,10 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
         weights = (cert.p_mat, cert.q_mat) if algo == "extra" else (cert.pn_mat, cert.q_mat)
         assert all(seen[mat.a.tobytes()] == 0 for mat in weights), algo
     # The NIDS certificate solves nothing; EXTRA's solves w_bar, its first
-    # reader, and lambda_max(w_bar m).
-    assert in_certificate == {"nids_constants": [], "extra_constants": ["w_bar", "wbar m"]}
+    # reader, and the similarity products of r2 (g wbar^-1, zero here) and
+    # lambda_max(w_bar m).
+    assert in_certificate == {"nids_constants": [],
+                              "extra_constants": ["w_bar", "g wbar^-1", "wbar m"]}
 
 
 def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
@@ -1064,7 +1085,7 @@ def _oracle_agrees(entries: bytes, values: bytes, n: int) -> bool:
 
 def _generic_pair():
     """fig1's graph with w_tilde = 0.3 I + 0.7 w: g = 0.4 (I - w) is not zero,
-    so `extra_constants` also builds its `g wbar^-1` similarity matrix."""
+    so neither is the `g wbar^-1` similarity matrix `extra_constants` builds."""
     inst = _observed_build("fig1/nids_a4")[0]
     w = inst.mp.w
     wt = linalg.SymMatrix(0.3 * np.eye(w.dim) + 0.7 * w.a, name="w_tilde")
@@ -1079,23 +1100,27 @@ def test_warm_started_spectra_match_the_oracle_and_a_cold_solve(name):
         inst = _observed_build(name)[0]
         mp, prob = inst.mp, inst.prob
     warm = _warm_solved(mp, prob)
-    names = {"w_tilde - w", "I - w", "wbar m"} | ({"g wbar^-1"} if mp.g.a.any() else set())
-    assert {m.name for m in warm} == names
+    assert {m.name for m in warm} == {"w_tilde - w", "I - w", "g wbar^-1", "wbar m"}
     for mat in warm:
         assert mat.basis is mp.w, mat.name
         values = mat.eigenvalues
         cold = linalg._jacobi_eigh(mat.a[None], [mat.name])[0][0]
         assert np.abs(values - cold).max() <= 1e-9, mat.name
         assert np.abs(values - np.linalg.eigvalsh(mat.a)).max() <= 1e-9, mat.name
+        if mat.name == "g wbar^-1" and not mp.g.a.any():
+            # At g = 0 the product is exactly zero, one n-fold eigenvalue that
+            # the Sturm oracle, which counts distinct ones, does not accept.
+            assert not values.any() and np.array_equal(values, cold), mat.name
         # The exact-arithmetic oracle takes about 0.2 s a matrix at n = 10 and
         # 24 s at n = 20; larger pairs rest on the two comparisons above.
-        if mat.dim <= 10:
+        elif mat.dim <= 10:
             assert _oracle_agrees(mat.a.tobytes(), values.tobytes(), mat.dim), mat.name
 
 
 def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
     # Of the certified runs' 50 x 50 solves, only w's and w_tilde's sweep:
-    # w_tilde - w, I - w and w_bar m reach Jacobi already diagonal to its target.
+    # w_tilde - w, I - w, g wbar^-1 (zero, since g = 0) and w_bar m reach
+    # Jacobi already diagonal to its target.
     # w_tilde is solved once, under the name w_bar: the EXTRA certificate reads
     # w_bar first, and at theta = 1 the two have the same entries.
     inst = _observed_build("certify-large")[0]
@@ -1116,7 +1141,7 @@ def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
         assert trace.audit.ok
     assert sorted(name for name, swept in solves if swept) == ["metropolis", "w_bar"]
     assert sorted(name for name, swept in solves if not swept) == \
-        ["I - w", "w_tilde - w", "wbar m"]
+        ["I - w", "g wbar^-1", "w_tilde - w", "wbar m"]
 
 
 @pytest.mark.parametrize("call, solves", [("nids", 0), ("dgd", 0), ("extra", 1), ("bounds", 1),
