@@ -464,7 +464,8 @@ def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np
 
 
 def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditReport:
-    """Audit a stream of (x, y) states: norm equality, key inequality, contraction.
+    """Audit a stream of (x, y) states: x-update, norm equality, key inequality,
+    contraction.
 
     `states` are consecutive extra_xy AlgoStates (as `algorithms.iterate`
     yields them) at the certificate's stepsize, consumed in one blocked pass;
@@ -472,13 +473,14 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditRepo
     the gradient at the optimum is -fp.dstar, evaluated by
     `algorithms.fixed_point`. Violations are reported, never raised.
     """
-    h, m, diff, wbar, g_mat = mp.h.a, mp.m.a, mp.diff.a, mp.wbar.a, mp.g.a
+    h, m, diff, wbar, g_mat, wt = mp.h.a, mp.m.a, mp.diff.a, mp.wbar.a, mp.g.a, mp.wt.a
     p_mat, q_mat = cert.p_mat.a, cert.q_mat.a
-    i_minus_wt = np.eye(mp.n) - mp.wt.a
+    i_minus_wt = np.eye(mp.n) - wt
     alpha = cert.alpha
     theta = mp.theta
     gstar = -fp.dstar
-    tally = _Tally(("norm_equality_rel_err",), ("key_inequality_slack", "contraction_slack"))
+    tally = _Tally(("x_update_rel_err", "norm_equality_rel_err"),
+                   ("key_inequality_slack", "contraction_slack"))
 
     def per_state(dx, dy):
         # The h/m distance ends one key inequality and starts the next.
@@ -486,6 +488,13 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditRepo
                 "hm": _wsq(dx, h) + _wsq(dy, m)}
 
     def transition(k0, cur, nxt):
+        # The x-update x+ = wt x + y - alpha g, the one check that reads alpha,
+        # formed in place: the out-of-place sum's bits, two temporaries fewer.
+        update = np.matmul(wt, cur.x)
+        update += cur.y
+        update -= alpha * nxt.g_prev
+        tally.equality("x_update_rel_err", "x-update", k0, _rel_err_mat(nxt.x, update))
+
         # Norm equality between the consensus defect of x+ and the y decrement.
         err = _rel_err(_wsq(nxt.dx, diff), _wsq(cur.y - nxt.y, m))
         tally.equality("norm_equality_rel_err", "norm equality", k0, err)

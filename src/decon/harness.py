@@ -157,7 +157,9 @@ class Trace:
     keeps the residuals packed as float64, 8 bytes a row (`array('d')`); any
     sequence of floats writes the same CSV. `cycle` is (start, period) when
     the run ended in an exact cycle whose rows the run loop replayed: states
-    from `start` on repeat with that period."""
+    from `start` on repeat with that period. It is the run's record;
+    `write_csv` reads from it only where the replayed rows start,
+    `start + period + 1`."""
 
     algo: str
     alpha: float
@@ -429,11 +431,11 @@ def write_csv(trace: Trace, path: str) -> None:
     it; row 0 has neither. A certified chunk's rows k > 0 are formatted by one
     `%` over their template, whose '%.17g' gives the text of f'{:.17g}' (the
     shared run has its '%' escaped) and whose ratio slot takes each cell as
-    text. An uncertified trace whose run loop replayed a cycle formats the
-    period's rows once, and each later row that holds the bits of its period
-    row is written from that row's text. A certified trace's columns are
-    checked for matching lengths before the file is opened, so a mismatch
-    leaves no file.
+    text. An uncertified chunk that reaches the rows a replayed cycle repeats
+    (row `sum(trace.cycle) + 1` on) formats each distinct residual once, told
+    apart by its bits, and writes each row as its index followed by that
+    text. A certified trace's columns are checked for matching lengths before
+    the file is opened, so a mismatch leaves no file.
     """
     lead = f",{trace.algo},{trace.alpha:.17g},"
     res = trace.residuals
@@ -458,28 +460,18 @@ def write_csv(trace: Trace, path: str) -> None:
             return head + row * (b - a) % tuple(chain.from_iterable(cells))
     else:
         header = "k,algo,alpha,residual\n"
-        # Rows from `replay` on repeat the period's rows (see `Trace.cycle`).
-        # One is written from its period row's text only if it holds that
-        # row's bits (so -0.0 never passes for 0.0), and the bytes never rest
-        # on `cycle` being right for a hand-built trace.
-        replay, bodies, tiled = n, [], None
-        if trace.cycle is not None:
-            start, period = trace.cycle
-            replay = min(n, start + period + 1)
-            bodies = [f"{lead}{r:.17g}\n" for r in res[start + 1:replay]]
-            # The period's bits repeated, so a chunk's slice starts at any phase.
-            tiled = np.resize(_bits(res[start + 1:replay]), _CSV_CHUNK_ROWS + len(bodies))
+        # Rows from `replay` on repeat earlier rows (see `Trace.cycle`). A
+        # chunk that reaches them formats each distinct residual once, told
+        # apart by its bits (so -0.0 never passes for 0.0); the bytes never
+        # rest on `cycle` being right for a hand-built trace.
+        replay = n if trace.cycle is None else sum(trace.cycle) + 1
 
         def rows(a: int, b: int) -> str:
-            mid = min(max(a, replay), b)
-            out = [f"{k}{lead}{r:.17g}\n" for k, r in zip(range(a, mid), res[a:mid])]
-            if mid < b:
-                j = (mid - replay) % len(bodies)
-                same = (_bits(res[mid:b]) == tiled[j:j + b - mid]).tolist()
-                out += [f"{k}{body}" if hit else f"{k}{lead}{res[k]:.17g}\n"
-                        for k, hit, body in zip(range(mid, b), same,
-                                                cycle(bodies[j:] + bodies[:j]))]
-            return "".join(out)
+            if b <= replay:
+                return "".join([f"{k}{lead}{r:.17g}\n" for k, r in zip(range(a, b), res[a:b])])
+            bits, which = np.unique(_bits(res[a:b]), return_inverse=True)
+            bodies = [f"{lead}{r:.17g}\n" for r in bits.view(np.float64).tolist()]
+            return "".join([f"{k}{bodies[i]}" for k, i in zip(range(a, b), which.tolist())])
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)

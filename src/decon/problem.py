@@ -161,12 +161,19 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(p)
     sensing = rng.standard_normal((n, m_i, p))
-    noise = rng.standard_normal((n, m_i)) * noise_std
     for i, top in enumerate(_agent_grams(sensing)):
         if top <= 0.0:
             raise ProblemError(f"agent {i} drew a zero sensing matrix")
         sensing[i] *= np.sqrt(LIPSCHITZ / top)
-    measurements = np.einsum("imp,p->im", sensing, x_true) + noise
+    # A huge noise_std overflows the measurements: a named error, not a warning.
+    with np.errstate(over="ignore"):
+        noise = rng.standard_normal((n, m_i)) * noise_std
+        measurements = np.einsum("imp,p->im", sensing, x_true) + noise
+    finite = np.isfinite(measurements)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ProblemError(f"the measurement of agent {i} row {j} overflows float64 "
+                           f"at noise_std {noise_std:.3e}")
     return _finalize(n, p, m_i, sensing, measurements, noise_std, seed, LIPSCHITZ, x_true)
 
 

@@ -437,8 +437,8 @@ def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
 
 
 def audit_extra_reference(states, mp, cert, fp) -> ReferenceReport:
-    """Reference for `certify.audit_extra`, one transition at a time: norm
-    equality, key inequality, contraction.
+    """Reference for `certify.audit_extra`, one transition at a time:
+    x-update, norm equality, key inequality, contraction.
 
     `states` are consecutive extra_xy AlgoStates (as `algorithms.iterate`
     yields them) at the certificate's stepsize, consumed in one pass; the
@@ -449,13 +449,18 @@ def audit_extra_reference(states, mp, cert, fp) -> ReferenceReport:
     alpha = cert.alpha
     theta = mp.theta
     gstar = -fp.dstar
-    tally = _Tally(("norm_equality_rel_err",), ("key_inequality_slack", "contraction_slack"))
+    tally = _Tally(("x_update_rel_err", "norm_equality_rel_err"),
+                   ("key_inequality_slack", "contraction_slack"))
 
     def lyapunov(state) -> float:
         return wnorm_sq(state.x - fp.xstar, cert.p_mat) + wnorm_sq(state.y - fp.ystar, cert.q_mat)
 
     def transition(k: int, cur, nxt) -> float:
         dx_nxt = nxt.x - fp.xstar
+
+        # The x-update x+ = wt x + y - alpha g.
+        update = mp.wt.a @ cur.x + cur.y - alpha * nxt.g_prev
+        tally.equality("x_update_rel_err", "x-update", k, _rel_err_mat(nxt.x, update))
 
         # Norm equality between the consensus defect of x+ and the y decrement.
         a = wnorm_sq(dx_nxt, mp.diff)

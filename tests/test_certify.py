@@ -780,7 +780,8 @@ def _faulted_audit(variant, mp, prob, alpha, fault):
 @pytest.mark.parametrize("variant, fault, flagged_by", [
     ("nids_dx", None, None), ("nids_dx", "alpha", "d-x connection"),
     ("nids_dx", "w", "d-x connection"),
-    ("extra_xy", None, None), ("extra_xy", "w", "norm equality"),
+    ("extra_xy", None, None), ("extra_xy", "alpha", "x-update"),
+    ("extra_xy", "w", "norm equality"),
 ])
 def test_audits_flag_a_planted_stepper_fault(variant, fault, flagged_by, prob10, rand10):
     # The fig3-like instance (n = 10, p = 5, m_i = 10, seed 2): NIDS at

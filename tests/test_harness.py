@@ -324,18 +324,32 @@ def test_write_csv_of_a_replayed_cycle_matches_the_per_row_writer(start, period,
     _assert_writes_the_reference_bytes(_cycled(stepped, start, period, rows))
 
 
-def test_write_csv_formats_a_replayed_cycle_s_rows_once(tmp_path):
-    formatted = []
+def test_write_csv_formats_a_replayed_cycle_s_rows_once(tmp_path, monkeypatch):
+    # Replayed rows start at row _CHUNK + 14, in the second of four chunks.
+    formatted, distinct = [], []
+    unique = np.unique
 
     class Counted(float):
         def __format__(self, spec):
             formatted.append(self)
             return super().__format__(spec)
 
-    stepped = [Counted(v) for v in np.random.default_rng(0).random(10 + 3 + 1)]
-    write_csv(_cycled(stepped, 10, 3, 3 * _CHUNK), str(tmp_path / "t.csv"))
-    # Each stepped row once, then each of the period's three rows once more.
-    assert len(formatted) == len(stepped) + 3
+    def spy(*args, **kwargs):
+        out = unique(*args, **kwargs)
+        distinct.append(len(out[0]))
+        return out
+
+    stepped = [Counted(v) for v in np.random.default_rng(0).random(_CHUNK + 10 + 3 + 1)]
+    trace = _cycled(stepped, _CHUNK + 10, 3, 4 * _CHUNK)
+    monkeypatch.setattr(np, "unique", spy)
+    write_csv(trace, str(tmp_path / "t.csv"))
+    monkeypatch.undo()
+    # The first chunk ends before the replayed rows and formats each of its
+    # rows; each later chunk formats its distinct residuals once: the second's
+    # 14 stepped rows, then the period's three.
+    assert len(formatted) == _CHUNK
+    assert distinct == [14, 3, 3]
+    _assert_writes_the_reference_bytes(trace)
 
 
 def test_write_csv_formats_rows_that_are_not_the_cycle_s_objects():
@@ -744,15 +758,17 @@ def test_cli_certifies_a_stepsize_just_above_the_overflow(algo, capsys):
        relax_factor=st.floats(0.0, 1.0 / 3.0), theta=st.none() | st.floats(0.75, 1.0),
        algo=st.sampled_from(algorithms.VARIANTS),
        alpha=st.sampled_from(tuple(algorithms.STEPSIZES)) | st.floats(0.0, 1e308).map(repr),
-       certify=st.booleans(), max_iters=st.integers(1, 200))
+       certify=st.booleans(), max_iters=st.integers(1, 200), noise_std=st.floats(0.0, 1e308),
+       seed=st.integers(0, 2**32 - 1))
 def test_cli_run_ends_in_an_exit_code_for_any_setting(topology, n, p, mi, edge_prob,
                                                       relax_factor, theta, algo, alpha,
-                                                      certify, max_iters):
+                                                      certify, max_iters, noise_std, seed):
     # Whatever the settings, `decon run` ends as success (0), a named error
     # (1) or a divergence (2): never a traceback, never a warning.
     argv = ["run", "--topology", topology, "--n", str(n), "--p", str(p), "--mi", str(mi),
             "--edge-prob", repr(edge_prob), "--relax-factor", repr(relax_factor),
-            "--algo", algo, "--alpha", alpha, "--max-iters", str(max_iters)]
+            "--algo", algo, "--alpha", alpha, "--max-iters", str(max_iters),
+            "--noise-std", repr(noise_std), "--seed", str(seed)]
     if theta is not None:
         argv += ["--theta", repr(theta)]
     if certify:
@@ -763,6 +779,25 @@ def test_cli_run_ends_in_an_exit_code_for_any_setting(topology, n, p, mi, edge_p
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", [["run", "--max-iters", "5"], ["bounds"]])
+@pytest.mark.parametrize("noise_std, message", [
+    # The noise overflows float64: the error names the measurement and the
+    # noise level, and no warning leaks.
+    ("1e308", "the measurement of agent 1 row 0 overflows float64 at noise_std 1.000e+308"),
+    ("1.7976931348623157e308",
+     "the measurement of agent 1 row 0 overflows float64 at noise_std 1.798e+308"),
+    # Finite measurements whose optimum overflows.
+    ("1e200", "the optimum overflows float64 (largest measurement 2.375e+200, agent 1 row 0)"),
+])
+def test_cli_noise_that_overflows_is_a_named_error(command, noise_std, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([*command, "--noise-std", noise_std])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, names", [
