@@ -132,6 +132,21 @@ def _admissible(name: str, value: float | None, upper: float) -> float:
     return value
 
 
+def _check_certified(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
+                     stepsize: str, form: str) -> None:
+    """Raise unless theta clears the certificates' margin 3/4 + 1e-12 and alpha
+    lies in (0, bound), bound being the named stepsize `stepsize` (written out
+    as `form` in the message)."""
+    if mp.theta <= _THETA_BOUNDARY:
+        raise CertificateError(
+            f"vacuous certificate: theta = {mp.theta} outside the certified range "
+            f"theta > 3/4 + 1e-12")
+    bound = algorithms.STEPSIZES[stepsize](mp, lipschitz, mu_fbar)
+    if not 0.0 < alpha < bound:
+        raise CertificateError(
+            f"stepsize {alpha} outside the certified range (0, {bound:.6g}) = {form}")
+
+
 def _require_pd(mat: SymMatrix) -> None:
     """Raise unless lambda_min(mat) >= PD_SLACK, naming mat and its Jacobi lambda_min."""
     if not mat.lambda_min_at_least(PD_SLACK):
@@ -154,25 +169,18 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
                     xi: float | None = None, eta: float | None = None) -> ExtraCertificate:
     """Full certificate for the (x, y) iteration at stepsize alpha.
 
+    theta and alpha are checked first, as in `nids_constants` (`_check_certified`).
     xi and eta default to the midpoints of their admissible open intervals;
     the restricted-strong-convexity modulus is evaluated at the chosen eta.
     The limits theta = 1 (r1 infinite) and g = 0 (r2 infinite) are folded into
     r3 = 1 / (1 + 1/r1 + 1/r2), where 1/inf is 0.
     """
+    _check_certified(mp, lipschitz, mu_fbar, alpha, "extra-new",
+                     "(0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; "
+                     "extra-special, its theta -> 3/4 limit when w_tilde = (I + w)/2, is never "
+                     "certified")
     theta = mp.theta
-    if theta <= _THETA_BOUNDARY:
-        raise CertificateError(
-            f"vacuous certificate: theta = {theta} leaves r1 <= 0; pick theta > 3/4"
-        )
     lam_min_wbar = mp.wbar.lambda_min
-    bound = algorithms.STEPSIZES["extra-new"](mp, lipschitz, mu_fbar)
-    if not 0.0 < alpha < bound:
-        raise CertificateError(
-            f"stepsize {alpha} outside the certified range (0, {bound:.6g}) "
-            f"= (0, 2 lambda_min(w_bar)/L), open at the bound named extra-new; "
-            f"extra-special, its theta -> 3/4 limit when w_tilde = (I + w)/2, is never "
-            f"certified"
-        )
 
     # Couplings r1, r2, r3 and lambda_max(w_bar m): r1 from w_tilde's spectrum,
     # r2 and lambda_max(w_bar m) from one similarity eigensolve each. At
@@ -218,17 +226,12 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
 
 def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: float,
                    r4: float | None = None, eta: float | None = None) -> NidsCertificate:
-    """Full certificate for the (d, x) iteration at stepsize alpha in (0, 2/L)."""
-    bound = algorithms.STEPSIZES["nids"](mp, lipschitz, mu_fbar)
-    if not 0.0 < alpha < bound:
-        raise CertificateError(
-            f"stepsize {alpha} outside the certified range (0, {bound:.6g}) = (0, 2/L)"
-        )
+    """Full certificate for the (d, x) iteration at stepsize alpha in (0, 2/L).
+
+    theta and alpha are checked first, as in `extra_constants` (`_check_certified`).
+    """
+    _check_certified(mp, lipschitz, mu_fbar, alpha, "nids", "(0, 2/L)")
     theta = mp.theta
-    if theta <= _THETA_BOUNDARY:
-        raise CertificateError(
-            f"vacuous certificate: the r4 interval (0, theta - 3/4) is empty at theta = {theta}"
-        )
     lam_iw = mp.iw.lambda_max
     if theta * lam_iw >= 2.0 - 1e-12:
         raise CertificateError(
@@ -240,12 +243,12 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     # Denominator > 0: 3/4 + r4 < theta and theta lambda_max(I - w) < 2, both checked above.
     r5 = max(2.0, (lam_iw - 2.0) ** 2 / (2.0 - (THETA_LOWER + r4) * lam_iw))
 
-    eta = _admissible("eta", eta, 1.0 / (alpha * (2.0 - alpha * lipschitz) * r5))
+    decay = alpha * (2.0 - alpha * lipschitz)
+    eta = _admissible("eta", eta, 1.0 / (decay * r5))
 
     lam_min_pos_iw = float(mp.iw.eigenvalues[1])  # as in extra_constants
     mu_g = mu_g_value(mu_fbar, lipschitz, lam_min_pos_iw, eta)
     lam_iw_pinv = 1.0 / lam_min_pos_iw
-    decay = alpha * (2.0 - alpha * lipschitz)
     b1 = 1.0 - decay * mu_g
     b2 = decay * eta * r5
     b3 = 1.0 - 4.0 * r4 / (2.0 * lam_iw_pinv - 0.5 + 2.0 * r4)
@@ -363,14 +366,8 @@ class _Tally:
     transition runs them; `close_block` files the block's messages by
     transition with a stable sort, which keeps that order within one.
 
-    The worst margin is always the NaN-skipping `fmax`/`fmin` reduction. A
-    block is accepted whole, without looking for entries to flag, when a
-    second reduction shows every entry finite and within tolerance: an
-    equality's `min` above -inf with its worst at most `EQ_TOL`, an
-    inequality's worst at least `INEQ_TOL` with its `max` below inf. `min`
-    and `max` return NaN if any entry is NaN, and NaN fails both tests, so a
-    block that would file a message always reaches `_flag`, and the worst
-    margins and messages keep their bits.
+    The worst margin is the NaN-skipping `fmax`/`fmin` reduction; `_flag`
+    looks at every entry of every block, so NaN and +-inf are flagged too.
     """
 
     def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
@@ -381,16 +378,12 @@ class _Tally:
 
     def equality(self, name: str, what: str, k0: int, err: np.ndarray) -> None:
         # fmax/fmin skip NaN in the worst margin; _flag still flags it.
-        top = float(np.fmax.reduce(err, initial=-math.inf))
-        self.worst[name] = max(self.worst[name], top)
-        if not (top <= EQ_TOL and err.min(initial=math.inf) > -math.inf):
-            self._flag(what, "relative error", k0, err, err > EQ_TOL)
+        self.worst[name] = max(self.worst[name], float(np.fmax.reduce(err, initial=-math.inf)))
+        self._flag(what, "relative error", k0, err, err > EQ_TOL)
 
     def inequality(self, name: str, what: str, k0: int, slack: np.ndarray) -> np.ndarray:
-        low = float(np.fmin.reduce(slack, initial=math.inf))
-        self.worst[name] = min(self.worst[name], low)
-        if not (low >= INEQ_TOL and slack.max(initial=-math.inf) < math.inf):
-            self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
+        self.worst[name] = min(self.worst[name], float(np.fmin.reduce(slack, initial=math.inf)))
+        self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
         return slack
 
     def _flag(self, what: str, margin: str, k0: int, values: np.ndarray,

@@ -157,8 +157,9 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     """Check all four parts of the mixing assumption, build the derived
     matrices at theta, and package the pair.
 
-    Raises MixingValidationError listing every violated part, or naming a theta
-    outside its interval or leaving w_bar singular. The null-space conditions
+    Raises MixingValidationError listing every violated part (an asymmetric
+    matrix ends the check at part 2), or naming a theta outside its interval
+    or leaving w_bar singular. The null-space conditions
     are checked spectrally: wt - w and I - w must kill the all-ones vector and
     nothing else. Part 4's (I+w)/2 >= wt is checked on g = 2((I+w)/2 - wt).
     """
@@ -184,10 +185,13 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
             )
 
     # Part 2: symmetry (SymMatrix construction symmetrizes, so this is a guard
-    # against bypassing the wrapper).
-    for name, mat in (("w", w.a), ("w_tilde", wt.a)):
-        if not np.array_equal(mat, mat.T):
-            violations.append(f"part 2 (symmetry): {name} is not symmetric")
+    # against bypassing the wrapper). Parts 3 and 4 assume it, so an asymmetric
+    # matrix ends the check here, before any eigensolve.
+    asymmetric = [name for name, mat in (("w", w.a), ("w_tilde", wt.a))
+                  if not np.array_equal(mat, mat.T)]
+    if asymmetric:
+        raise MixingValidationError(
+            violations + [f"part 2 (symmetry): {name} is not symmetric" for name in asymmetric])
 
     eye = np.eye(n)
     ones = np.ones((n, 1))

@@ -343,11 +343,17 @@ def test_r1_closed_form_matches_the_similarity_eigensolve(prob1, monkeypatch):
 
 
 def test_vacuous_at_theta_boundary():
-    mp = _half_pair(random_connected(10, 0.5, 2), theta=0.75)
-    with pytest.raises(CertificateError, match="vacuous"):
-        extra_constants(mp, 10.0, 1.0, 0.01)
-    with pytest.raises(CertificateError, match="vacuous"):
-        nids_constants(mp, 10.0, 1.0, 0.1)
+    # Both certificates need theta above the margin 3/4 + 1e-12 and name it,
+    # with alpha in their range or outside it (1.0): theta is checked first.
+    for theta in (0.75, math.nextafter(0.75, 1.0), 0.75 + 1e-12):
+        mp = _half_pair(random_connected(10, 0.5, 2), theta=theta)
+        for constants, alpha in ((extra_constants, 0.01), (nids_constants, 0.1)):
+            for stepsize in (alpha, 1.0):
+                with pytest.raises(CertificateError, match="vacuous") as err:
+                    constants(mp, 10.0, 1.0, stepsize)
+                message = str(err.value)
+                assert "3/4 + 1e-12" in message
+                assert "pick theta > 3/4" not in message and "is empty" not in message
 
 
 def _states(variant, mp, prob, alpha, steps):
@@ -694,9 +700,9 @@ _tally_values = st.one_of(st.sampled_from(_TALLY_EDGES), st.floats())
 @given(blocks=st.lists(st.lists(st.tuples(_tally_values, _tally_values), min_size=1,
                                 max_size=6), min_size=1, max_size=4))
 def test_tally_keeps_the_per_transition_oracle_s_margins_and_messages(blocks):
-    # Each block is (relative error, slack) per transition. A block with
-    # nothing to flag must skip `_flag`, and either way the worst margins and
-    # the messages must be the oracle's, fed one transition at a time.
+    # Each block is (relative error, slack) per transition. `_flag` runs for
+    # each check of every block, and the worst margins and the messages must
+    # be the oracle's, fed one transition at a time.
     tally, reference = certify._Tally(("eq",), ("ineq",)), TallyReference(("eq",), ("ineq",))
     flagged, flag = [], tally._flag
 
@@ -714,9 +720,7 @@ def test_tally_keeps_the_per_transition_oracle_s_margins_and_messages(blocks):
         for k, (e, s) in enumerate(block, start=k0):
             reference.equality("eq", "equality", k, e)
             reference.inequality("ineq", "inequality", k, s)
-        expected += ["equality"] * any(not e <= EQ_TOL or not math.isfinite(e) for e, _ in block)
-        expected += ["inequality"] * any(not s >= INEQ_TOL or not math.isfinite(s)
-                                         for _, s in block)
+        expected += ["equality", "inequality"]
         k0 += len(block)
     assert flagged == expected
     assert tally.worst == reference.worst

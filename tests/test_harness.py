@@ -733,6 +733,18 @@ def test_cli_certify_rejects_boundary_stepsize(capsys):
     assert "certified range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, alpha", [("extra", "0.01"), ("nids", "0.1")])
+def test_cli_certify_names_the_theta_margin(algo, alpha, capsys):
+    # Just above 3/4, theta is still inside the mixing interval but not above
+    # the certificates' margin 3/4 + 1e-12.
+    code = cli.main(["run", "--certify", "--algo", algo, "--alpha", alpha,
+                     "--theta", "0.7500000000000001", "--max-iters", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: vacuous certificate: theta = 0.7500000000000001 outside the certified range "
+        "theta > 3/4 + 1e-12\n")
+
+
 @pytest.mark.parametrize("algo, alpha", [("nids", "1e-315"), ("extra", "1e-315"),
                                          ("nids", "1e-309")])
 def test_cli_certificate_constant_that_overflows_is_a_named_error(algo, alpha, capsys):

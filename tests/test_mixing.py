@@ -405,3 +405,20 @@ def test_relax_rejects_what_it_cannot_map_into_the_relaxed_range(w, factor, mess
     with pytest.raises(MixingValidationError, match=f"^{re.escape(message)}$") as info:
         relax(w, factor)
     assert info.value.violations == [message]
+
+
+@pytest.mark.parametrize("name", ["w", "w_tilde"])
+def test_validate_reports_an_asymmetric_matrix_before_any_eigensolve(name):
+    # SymMatrix symmetrizes its input, so only a matrix written after it was
+    # built can be asymmetric. Parts 3 and 4 assume symmetry: validate must
+    # name part 2 rather than fail inside an eigensolve.
+    g = random_connected(10, 0.5, 2)
+    w = metropolis(g)
+    wt = _half(w)
+    mat = {"w": w, "w_tilde": wt}[name].a
+    i, j = g.edges[0]
+    mat.setflags(write=True)
+    mat[i, j] += 1e-3
+    with pytest.raises(MixingValidationError) as err:
+        validate(w, wt, g)
+    assert err.value.violations == [f"part 2 (symmetry): {name} is not symmetric"]

@@ -26,8 +26,10 @@ import sys
 
 # `validate-mixing`, `bounds` and `run` calls dumped beside the workloads:
 # every topology, relaxed mixing, an explicit theta, the 50-node instance, a
-# certified run that reaches max_iters, a run at theta = 3/4 and a certified
-# NIDS run on the 50-node instance. <OUT> stands for OUT/cli.
+# certified run that reaches max_iters, a run at theta = 3/4, a certified
+# NIDS run on the 50-node instance, a certified EXTRA run at theta = 0.9 (r1
+# finite) and both certificates refusing a theta just above 3/4. <OUT> stands
+# for OUT/cli.
 CLI_CALLS = (
     ("validate-mixing",),
     ("validate-mixing", "--topology", "line", "--n", "10", "--relax-factor", "0.333"),
@@ -45,6 +47,12 @@ CLI_CALLS = (
      "--out", "<OUT>/theta.csv"),
     ("run", "--n", "50", "--p", "5", "--mi", "1", "--algo", "nids", "--alpha", "0.19",
      "--certify", "--max-iters", "50", "--out", "<OUT>/large.csv"),
+    ("run", "--algo", "extra", "--alpha", "0.01", "--theta", "0.9", "--certify",
+     "--max-iters", "200", "--out", "<OUT>/extra_theta.csv"),
+    ("run", "--certify", "--algo", "extra", "--alpha", "0.01", "--theta", "0.7500000000000001",
+     "--max-iters", "3"),
+    ("run", "--certify", "--algo", "nids", "--alpha", "0.1", "--theta", "0.7500000000000001",
+     "--max-iters", "3"),
 )
 
 
