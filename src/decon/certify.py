@@ -147,6 +147,16 @@ def _check_certified(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: fl
             f"stepsize {alpha} outside the certified range (0, {bound:.6g}) = {form}")
 
 
+def _require_rate(rho: float, alpha: float) -> None:
+    """Raise unless the contraction factor rho is below 1: at a tiny stepsize
+    the first branch, 1 - (its stepsize term) * mu_g, rounds to 1, and a
+    factor of 1 certifies no rate."""
+    if not rho < 1.0:
+        raise CertificateError(
+            f"vacuous certificate: contraction factor rho = {rho:.17g} is not below 1, so it "
+            f"certifies no linear rate at stepsize {alpha}")
+
+
 def _require_pd(mat: SymMatrix) -> None:
     """Raise unless lambda_min(mat) >= PD_SLACK, naming mat and its Jacobi lambda_min."""
     if not mat.lambda_min_at_least(PD_SLACK):
@@ -218,6 +228,7 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     q_mat = SymMatrix(mp.m.a + (r3 - 2.0 * xi * lam_wbar_m) * wbar_inv, name="q")
     _require_pd(p_mat)
     _require_pd(q_mat)
+    _require_rate(rho, alpha)
     return ExtraCertificate(
         r1=r1, r2=r2, r3=r3, xi=xi, eta=eta, mu_g=mu_g, rho=rho, branches=branches,
         p_mat=p_mat, q_mat=q_mat, alpha=alpha, lam_max_wbar_m=lam_wbar_m,
@@ -265,6 +276,7 @@ def nids_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: floa
     _require_pd(deflated)
     pn_mat = SymMatrix(eye + mp.iw.a / r5, name="pn")
     _require_pd(pn_mat)
+    _require_rate(rho, alpha)
     return NidsCertificate(
         r4=r4, r5=r5, eta=eta, mu_g=mu_g, rho=rho, branches=(b1, b2, b3),
         q_mat=q_mat, pn_mat=pn_mat, alpha=alpha,
@@ -340,6 +352,20 @@ def _fro(v: np.ndarray) -> np.ndarray:
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / (1.0 + np.abs(a) + np.abs(b))
+
+
+def _cross_rel_err(x: np.ndarray, y: np.ndarray, alpha: float, u: np.ndarray,
+                   v: np.ndarray) -> np.ndarray:
+    """|x.y - alpha u.v| / (1 + |x|.|y| + alpha |u|.|v|) of each slice.
+
+    Each side sums products that cancel, so its round-off scales with the sum
+    of the products' magnitudes, |x|^T |y| (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), not with the sum itself. The sides
+    keep the bits of `_dot(x, y)` and `alpha * _dot(u, v)`."""
+    xy, uv = x * y, u * v
+    err = np.abs(xy.sum(axis=(-2, -1)) - alpha * uv.sum(axis=(-2, -1)))
+    return err / (1.0 + np.abs(xy, out=xy).sum(axis=(-2, -1))
+                  + alpha * np.abs(uv, out=uv).sum(axis=(-2, -1)))
 
 
 def _rel_err_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -545,12 +571,13 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp) -> AuditReport
         step_d = nxt.d - cur.d
         iw_dx = np.matmul(i_minus_w, dx_nxt)
 
-        # Equality (a): x-distance/d-distance cross term.
-        err = _rel_err(_dot(dx_nxt, nxt.dd), alpha * _dot(step_d, np.matmul(m_shift, nxt.dd)))
+        # Equality (a): x-distance/d-distance cross term, scaled by the
+        # products both sides sum.
+        err = _cross_rel_err(dx_nxt, nxt.dd, alpha, step_d, np.matmul(m_shift, nxt.dd))
         tally.equality("equality_a_rel_err", "equality (a)", k0, err)
 
         # Equality (b): same with the d increment.
-        err = _rel_err(_dot(dx_nxt, step_d), alpha * _wsq(step_d, m_shift))
+        err = _cross_rel_err(dx_nxt, step_d, alpha, step_d, np.matmul(m_shift, step_d))
         tally.equality("equality_b_rel_err", "equality (b)", k0, err)
 
         # Connection between the d increment and the x defect, read as

@@ -157,9 +157,8 @@ class Trace:
     keeps the residuals packed as float64, 8 bytes a row (`array('d')`); any
     sequence of floats writes the same CSV. `cycle` is (start, period) when
     the run ended in an exact cycle whose rows the run loop replayed: states
-    from `start` on repeat with that period. It is the run's record;
-    `write_csv` reads from it only where the replayed rows start,
-    `start + period + 1`."""
+    from `start` on repeat with that period. It is only the run's record:
+    `write_csv` writes the same bytes whatever it holds."""
 
     algo: str
     alpha: float
@@ -425,53 +424,42 @@ def write_csv(trace: Trace, path: str) -> None:
     The header goes first, then the rows `_CSV_CHUNK_ROWS` at a time, each
     chunk formatted, joined and written before the next is built, so writing
     holds one chunk whatever the trace's length. The ",algo,alpha," run shared
-    by every row is formatted once. A certified row k > 0 has the ratio
-    L_k / L_{k-1} (`certify.lyapunov_ratio`), derived a chunk at a time and
-    empty where L_{k-1} is not positive, and the slack of the transition into
-    it; row 0 has neither. A certified chunk's rows k > 0 are formatted by one
-    `%` over their template, whose '%.17g' gives the text of f'{:.17g}' (the
-    shared run has its '%' escaped) and whose ratio slot takes each cell as
-    text. An uncertified chunk that reaches the rows a replayed cycle repeats
-    (row `sum(trace.cycle) + 1` on) formats each distinct residual once, told
-    apart by its bits, and writes each row as its index followed by that
-    text. A certified trace's columns are checked for matching lengths before
-    the file is opened, so a mismatch leaves no file.
+    by every row is formatted once. Each chunk formats each distinct residual
+    once, told apart by its bits (so -0.0 never passes for 0.0), and writes
+    its rows by one `%` over one row template, certified or not: the shared
+    run has its '%' escaped, the residual slot takes each row's text, and a
+    certified row's '%.17g' gives the text of f'{:.17g}'. A certified row
+    k > 0 has the ratio L_k / L_{k-1} (`certify.lyapunov_ratio`), derived a
+    chunk at a time and written as text, empty where L_{k-1} is not positive,
+    and the slack of the transition into it; row 0 has neither and is
+    formatted on its own. A certified trace's columns are checked for
+    matching lengths before the file is opened, so a mismatch leaves no file.
     """
     lead = f",{trace.algo},{trace.alpha:.17g},"
     res = trace.residuals
     n = len(res)
+    header, tail = "k,algo,alpha,residual\n", ""
     if trace.certified:
         lyap, slack = trace.audit.lyapunov, trace.audit.slack
         if len(lyap) != n or len(slack) != max(n - 1, 0):
             raise ValueError(f"certified trace columns differ in length: residuals {n}, "
                              f"lyapunov {len(lyap)}, slack {len(slack)} (one per transition)")
-        header = "k,algo,alpha,residual,lyapunov,ratio,slack\n"
+        header, tail = "k,algo,alpha,residual,lyapunov,ratio,slack\n", ",%.17g,%s,%.17g"
+    row = "%d" + lead.replace("%", "%%") + "%s" + tail + "\n"
 
-        # Row k > 0 as a % template; its ratio cell is text, empty where absent.
-        row = "%d" + lead.replace("%", "%%") + "%.17g,%.17g,%s,%.17g\n"
-
-        def rows(a: int, b: int) -> str:
-            head = f"0{lead}{res[0]:.17g},{float(lyap[0]):.17g},,\n" if a == 0 else ""
-            a = max(a, 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio, exists = certify.lyapunov_ratio(lyap[a - 1:b - 1], lyap[a:b])
-            qs = ["%.17g" % q if ok else "" for q, ok in zip(ratio.tolist(), exists.tolist())]
-            cells = zip(range(a, b), res[a:b], lyap[a:b].tolist(), qs, slack[a - 1:b - 1].tolist())
-            return head + row * (b - a) % tuple(chain.from_iterable(cells))
-    else:
-        header = "k,algo,alpha,residual\n"
-        # Rows from `replay` on repeat earlier rows (see `Trace.cycle`). A
-        # chunk that reaches them formats each distinct residual once, told
-        # apart by its bits (so -0.0 never passes for 0.0); the bytes never
-        # rest on `cycle` being right for a hand-built trace.
-        replay = n if trace.cycle is None else sum(trace.cycle) + 1
-
-        def rows(a: int, b: int) -> str:
-            if b <= replay:
-                return "".join([f"{k}{lead}{r:.17g}\n" for k, r in zip(range(a, b), res[a:b])])
-            bits, which = np.unique(_bits(res[a:b]), return_inverse=True)
-            bodies = [f"{lead}{r:.17g}\n" for r in bits.view(np.float64).tolist()]
-            return "".join([f"{k}{bodies[i]}" for k, i in zip(range(a, b), which.tolist())])
+    def rows(a: int, b: int) -> str:
+        bits, which = np.unique(_bits(res[a:b]), return_inverse=True)
+        texts = ["%.17g" % r for r in bits.view(np.float64).tolist()]
+        cells = [texts[i] for i in which.tolist()]
+        if not trace.certified:
+            return row * (b - a) % tuple(chain.from_iterable(zip(range(a, b), cells)))
+        head = f"0{lead}{cells[0]},{float(lyap[0]):.17g},,\n" if a == 0 else ""
+        c = max(a, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio, exists = certify.lyapunov_ratio(lyap[c - 1:b - 1], lyap[c:b])
+        qs = ["%.17g" % q if ok else "" for q, ok in zip(ratio.tolist(), exists.tolist())]
+        fields = zip(range(c, b), cells[c - a:], lyap[c:b].tolist(), qs, slack[c - 1:b - 1].tolist())
+        return head + row * (b - c) % tuple(chain.from_iterable(fields))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)

@@ -360,6 +360,15 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + abs(a) + abs(b))
 
 
+def _cross_rel_err(x: np.ndarray, y: np.ndarray, alpha: float, u: np.ndarray,
+                   v: np.ndarray) -> float:
+    """|x.y - alpha u.v| relative to 1 + |x|.|y| + alpha |u|.|v|, the scale
+    of the round-off of two sums of products."""
+    xy, uv = x * y, u * v
+    err = abs(float(np.sum(xy)) - alpha * float(np.sum(uv)))
+    return err / (1.0 + float(np.sum(np.abs(xy))) + alpha * float(np.sum(np.abs(uv))))
+
+
 def _rel_err_mat(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a) + np.linalg.norm(b)))
 
@@ -521,11 +530,11 @@ def audit_nids_reference(states, mp, cert, fp) -> ReferenceReport:
         step_d = nxt.d - cur.d
 
         # Equality (a): x-distance/d-distance cross term.
-        err = _rel_err(float(np.sum(dx_nxt * dd_nxt)), alpha * wdot(step_d, dd_nxt, m_shift))
+        err = _cross_rel_err(dx_nxt, dd_nxt, alpha, step_d, m_shift @ dd_nxt)
         tally.equality("equality_a_rel_err", "equality (a)", k, err)
 
         # Equality (b): same with the d increment.
-        err = _rel_err(float(np.sum(dx_nxt * step_d)), alpha * wnorm_sq(step_d, m_shift))
+        err = _cross_rel_err(dx_nxt, step_d, alpha, step_d, m_shift @ step_d)
         tally.equality("equality_b_rel_err", "equality (b)", k, err)
 
         # Connection between the d increment and the x defect, read as

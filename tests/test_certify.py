@@ -24,7 +24,7 @@ from oracles import (
     wnorm_sq,
 )
 
-from decon import certify, harness, linalg, problem
+from decon import algorithms, certify, harness, linalg, problem
 from decon.algorithms import AlgoState, fixed_point, iterate
 from decon.certify import (
     EQ_TOL,
@@ -356,6 +356,22 @@ def test_vacuous_at_theta_boundary():
                 assert "pick theta > 3/4" not in message and "is empty" not in message
 
 
+def test_a_unit_contraction_factor_is_refused(prob1):
+    # Just above the theta margin, at half the extra-new bound, EXTRA's first
+    # branch rounds to 1 and its third sits a hair below: the factor is 1.0.
+    mp = _half_pair(random_connected(10, 0.5, 2), theta=math.nextafter(0.75 + 1e-12, 1.0))
+    alpha = 0.5 * algorithms.STEPSIZES["extra-new"](mp, prob1.lipschitz, prob1.mu_fbar)
+    with pytest.raises(CertificateError) as err:
+        extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
+    assert str(err.value) == (f"vacuous certificate: contraction factor rho = 1 is not below 1, "
+                              f"so it certifies no linear rate at stepsize {alpha}")
+    # NIDS at the default pair: b1 = 1 - decay * mu_g rounds to 1 at 1e-16, not at 1e-15.
+    mp = _half_pair(random_connected(10, 0.5, 2))
+    with pytest.raises(CertificateError, match="contraction factor rho = 1 is not below 1"):
+        nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 1e-16)
+    assert nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 1e-15).rho == 0.9999999999999996
+
+
 def _states(variant, mp, prob, alpha, steps):
     """The first steps + 1 states of the reformulated iteration from zero."""
     x0 = np.zeros((prob.n, prob.p))
@@ -435,6 +451,19 @@ def test_certified_nids_run_on_a_long_line_graph_audits_clean():
                                           certify=True, max_iters=100))
     assert trace.audit.transitions == 100
     assert trace.audit.violations == []
+
+
+@pytest.mark.parametrize("relax_factor", [0.0, harness.RELAX_AGGRESSIVE])
+def test_nids_equalities_hold_on_an_ill_conditioned_line_at_a_small_stepsize(relax_factor):
+    # Each side of equalities (a) and (b) is a sum of large products that
+    # cancel. Measured against 1 + |a| + |b|, their round-off flagged 1,235
+    # (plain) and 2,718 (relaxed) of these 3,000 clean transitions.
+    trace = harness.run(harness.RunConfig(topology="line", n=30, p=5, mi=1, seed=2, algo="nids",
+                                          alpha=2e-4, tol=1e-300, max_iters=3000, certify=True,
+                                          relax_factor=relax_factor))
+    assert trace.audit.transitions == 3000
+    assert trace.audit.violations == []
+    assert trace.audit.checks["equality_a_rel_err"] <= EQ_TOL
 
 
 def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):

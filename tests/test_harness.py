@@ -326,29 +326,22 @@ def test_write_csv_of_a_replayed_cycle_matches_the_per_row_writer(start, period,
 
 def test_write_csv_formats_a_replayed_cycle_s_rows_once(tmp_path, monkeypatch):
     # Replayed rows start at row _CHUNK + 14, in the second of four chunks.
-    formatted, distinct = [], []
+    distinct = []
     unique = np.unique
-
-    class Counted(float):
-        def __format__(self, spec):
-            formatted.append(self)
-            return super().__format__(spec)
 
     def spy(*args, **kwargs):
         out = unique(*args, **kwargs)
         distinct.append(len(out[0]))
         return out
 
-    stepped = [Counted(v) for v in np.random.default_rng(0).random(_CHUNK + 10 + 3 + 1)]
+    stepped = np.random.default_rng(0).random(_CHUNK + 10 + 3 + 1).tolist()
     trace = _cycled(stepped, _CHUNK + 10, 3, 4 * _CHUNK)
     monkeypatch.setattr(np, "unique", spy)
     write_csv(trace, str(tmp_path / "t.csv"))
     monkeypatch.undo()
-    # The first chunk ends before the replayed rows and formats each of its
-    # rows; each later chunk formats its distinct residuals once: the second's
-    # 14 stepped rows, then the period's three.
-    assert len(formatted) == _CHUNK
-    assert distinct == [14, 3, 3]
+    # Every chunk formats its distinct residuals once: the first chunk's
+    # _CHUNK stepped rows, the second's 14, then the period's three.
+    assert distinct == [_CHUNK, 14, 3, 3]
     _assert_writes_the_reference_bytes(trace)
 
 
@@ -756,10 +749,21 @@ def test_cli_certificate_constant_that_overflows_is_a_named_error(algo, alpha, c
         "error: eta's admissible interval (0, inf) overflows float64")
 
 
+@pytest.mark.parametrize("alpha", ["2e-308", "1e-16"])
 @pytest.mark.parametrize("algo", ["nids", "extra"])
-def test_cli_certifies_a_stepsize_just_above_the_overflow(algo, capsys):
-    code = cli.main(["run", "--algo", algo, "--alpha", "2e-308", "--certify",
-                     "--max-iters", "20"])
+def test_cli_refuses_a_unit_contraction_factor(algo, alpha, capsys):
+    # From just above the stepsizes whose eta interval overflows up to 1e-16,
+    # b1 = 1 - decay * mu_g rounds to 1: a factor of 1 certifies no rate.
+    code = cli.main(["run", "--algo", algo, "--alpha", alpha, "--certify", "--max-iters", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: vacuous certificate: contraction factor rho = 1 is not below 1, so it certifies "
+        f"no linear rate at stepsize {alpha}\n")
+
+
+@pytest.mark.parametrize("algo", ["nids", "extra"])
+def test_cli_certifies_a_stepsize_whose_factor_is_below_one(algo, capsys):
+    code = cli.main(["run", "--algo", algo, "--alpha", "1e-15", "--certify", "--max-iters", "20"])
     assert code == 0
     assert "contraction factor 1, audit violations 0\n" in capsys.readouterr().out
 
