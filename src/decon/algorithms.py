@@ -79,9 +79,8 @@ def _dgd(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
 
 def _extra(s: AlgoState, g: np.ndarray, op: Operators) -> AlgoState:
     if s.x_prev is None:
-        x = op.w.dot(s.x) - op.alpha * g
-    else:
-        x = (s.x + op.w.dot(s.x)) - op.wt.dot(s.x_prev) - op.alpha * (g - s.g_prev)
+        return _dgd(s, g, op)
+    x = (s.x + op.w.dot(s.x)) - op.wt.dot(s.x_prev) - op.alpha * (g - s.g_prev)
     return AlgoState(x, s.x, g)
 
 

@@ -100,13 +100,6 @@ class NidsCertificate:
     alpha: float
 
 
-def _lam_max_similar(left: np.ndarray, middle: np.ndarray, name: str,
-                     basis: SymMatrix) -> float:
-    """lambda_max(left @ middle @ left) for symmetric factors (similarity trick),
-    solved from `basis`'s eigenvectors."""
-    return SymMatrix(left @ middle @ left, name=name, basis=basis).lambda_max
-
-
 def _lam_max_iwt(mp: MixingPair) -> float:
     """lambda_max(w_bar^-1/2 (I - w_tilde) w_bar^-1/2) from w_tilde's spectrum.
 
@@ -202,11 +195,11 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     else:
         r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
     isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
-    lam_g = _lam_max_similar(isq, mp.g.a, "g wbar^-1", mp.w)
+    lam_g = SymMatrix(isq @ mp.g.a @ isq, name="g wbar^-1", basis=mp.w).lambda_max
     r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
     r3 = 1.0 / (1.0 + 1.0 / r1 + 1.0 / r2)
     sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
-    lam_wbar_m = _lam_max_similar(sq, mp.m.a, "wbar m", mp.w)
+    lam_wbar_m = SymMatrix(sq @ mp.m.a @ sq, name="wbar m", basis=mp.w).lambda_max
     if lam_wbar_m <= 0.0:
         raise CertificateError(
             "lambda_max(w_bar m) is not positive; mixing pair is degenerate")
@@ -304,7 +297,6 @@ class AuditReport:
     `slack`; neither is stored.
     """
 
-    algorithm: str
     lyapunov: np.ndarray
     slack: np.ndarray
     checks: dict[str, float]
@@ -390,25 +382,28 @@ class _Tally:
 
     Checks arrive a block at a time, one call per check in the order a single
     transition runs them; `close_block` files the block's messages by
-    transition with a stable sort, which keeps that order within one.
+    transition with a stable sort, which keeps that order within one. A check
+    is named only by the call that runs it: it enters `worst`, in run order,
+    when it first reports, from 0.0 for an equality and inf for an inequality.
 
     The worst margin is the NaN-skipping `fmax`/`fmin` reduction; `_flag`
     looks at every entry of every block, so NaN and +-inf are flagged too.
     """
 
-    def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
-        self.worst = {name: 0.0 for name in equalities}
-        self.worst.update({name: math.inf for name in inequalities})
+    def __init__(self):
+        self.worst: dict[str, float] = {}
         self.violations: list[str] = []
         self._flagged: list[tuple[int, str]] = []
 
     def equality(self, name: str, what: str, k0: int, err: np.ndarray) -> None:
         # fmax/fmin skip NaN in the worst margin; _flag still flags it.
-        self.worst[name] = max(self.worst[name], float(np.fmax.reduce(err, initial=-math.inf)))
+        self.worst[name] = max(self.worst.get(name, 0.0),
+                               float(np.fmax.reduce(err, initial=-math.inf)))
         self._flag(what, "relative error", k0, err, err > EQ_TOL)
 
     def inequality(self, name: str, what: str, k0: int, slack: np.ndarray) -> np.ndarray:
-        self.worst[name] = min(self.worst[name], float(np.fmin.reduce(slack, initial=math.inf)))
+        self.worst[name] = min(self.worst.get(name, math.inf),
+                               float(np.fmin.reduce(slack, initial=math.inf)))
         self._flag(what, "normalized slack", k0, slack, slack < INEQ_TOL)
         return slack
 
@@ -425,7 +420,7 @@ class _Tally:
         self._flagged.clear()
 
 
-def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np.ndarray],
+def _audit_stream(states, aux: str, origin: tuple[np.ndarray, np.ndarray],
                   per_state, transition, rho: float, tally: _Tally) -> AuditReport:
     """One blocked pass over consecutive states, the one driver of both audits.
 
@@ -476,7 +471,7 @@ def _audit_stream(algorithm: str, states, aux: str, origin: tuple[np.ndarray, np
         del x, a, g_prev, dx, da, cols, cur, nxt
     # Export the buffers only now: an array('d') cannot grow while one is live.
     return AuditReport(
-        algorithm=algorithm, lyapunov=np.frombuffer(lyap, dtype=np.float64),
+        lyapunov=np.frombuffer(lyap, dtype=np.float64),
         slack=np.frombuffer(slack_col, dtype=np.float64), checks=tally.worst,
         violations=tally.violations,
     )
@@ -498,8 +493,7 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditRepo
     alpha = cert.alpha
     theta = mp.theta
     gstar = -fp.dstar
-    tally = _Tally(("x_update_rel_err", "norm_equality_rel_err"),
-                   ("key_inequality_slack", "contraction_slack"))
+    tally = _Tally()
 
     def per_state(dx, dy):
         # The h/m distance ends one key inequality and starts the next.
@@ -525,8 +519,8 @@ def audit_extra(states, mp: MixingPair, cert: ExtraCertificate, fp) -> AuditRepo
         return tally.inequality("key_inequality_slack", "key inequality", k0,
                                 (rhs - nxt.hm) / (1.0 + cur.hm))
 
-    return _audit_stream("extra_xy", states, "y", (fp.xstar, fp.ystar), per_state, transition,
-                         cert.rho, tally)
+    return _audit_stream(states, "y", (fp.xstar, fp.ystar), per_state, transition, cert.rho,
+                         tally)
 
 
 def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp) -> AuditReport:
@@ -552,10 +546,7 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp) -> AuditReport
     m_dec = mp.mtilde.a + (theta - THETA_LOWER - r4) * eye
     chain_weight = 4.0 * iw_pinv - 4.0 * eye + i_minus_w
     two_minus_iw = 2.0 * eye - i_minus_w
-    tally = _Tally(
-        ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err", "chain_rel_err"),
-        ("key_inequality_slack", "chain_slack", "contraction_slack"),
-    )
+    tally = _Tally()
 
     def per_state(dx, dd):
         sq = _dot(dx, dx)
@@ -612,5 +603,5 @@ def audit_nids(states, mp: MixingPair, cert: NidsCertificate, fp) -> AuditReport
                                    (bound - t3) / (1.0 + cur.base))
         return _min(s, s_chain)
 
-    return _audit_stream("nids_dx", states, "d", (fp.xstar, fp.dstar), per_state, transition,
-                         cert.rho, tally)
+    return _audit_stream(states, "d", (fp.xstar, fp.dstar), per_state, transition, cert.rho,
+                         tally)

@@ -130,7 +130,7 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
     if args.config:
         if args.scenario:
             raise ConfigError("--config cannot be combined with --scenario")
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config} must hold a JSON object of RunConfig fields")
@@ -147,13 +147,14 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
 def _check_file_path(path: str, what: str) -> None:
     """Raise, before any instance is built, the error writing the `what` file
     would meet after the run: the path is a directory, or its directory is
-    missing."""
+    missing or not a directory."""
+    parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(path) or "."):
-        code = errno.ENOENT
-    else:
+    elif os.path.isdir(parent):
         return
+    else:
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     raise OSError(f"cannot write {what} to {path}: {OSError(code, os.strerror(code), path)}")
 
 

@@ -31,8 +31,10 @@ class Graph:
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphError(f"need at least one node, got n={self.n}")
+        # I - w on one node has no positive eigenvalue for the certificates to
+        # read, so a network needs two agents.
+        if self.n < 2:
+            raise GraphError(f"need n >= 2, got {self.n}")
         canon = []
         for i, j in self.edges:
             if i == j:
@@ -75,6 +77,8 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
 
     Deterministic for a fixed (n, edge_prob, seed) triple.
     """
+    # Graph states the two-node floor, but the bound below reads lgamma(n),
+    # which has no value at n <= 0, before any Graph exists.
     if n < 2:
         raise GraphError(f"need n >= 2, got {n}")
     if not (0.0 < edge_prob <= 1.0):
@@ -102,15 +106,11 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
 
 def line(n: int) -> Graph:
     """Path graph 0-1-2-...-(n-1)."""
-    if n < 2:
-        raise GraphError(f"need n >= 2, got {n}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n nodes (test fixture)."""
-    if n < 2:
-        raise GraphError(f"need n >= 2, got {n}")
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 

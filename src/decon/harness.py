@@ -213,7 +213,7 @@ class Instance:
 
 def build_graph(config: RunConfig) -> graphs.Graph:
     if config.graph_file:
-        with open(config.graph_file, encoding="utf-8") as fh:
+        with open(config.graph_file, encoding="utf-8-sig") as fh:
             return graphs.from_edge_list_text(fh.read())
     return TOPOLOGIES[config.topology](config)
 

@@ -169,8 +169,6 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
         raise MixingValidationError(
             [f"dimension mismatch: graph has {n} nodes, matrices are {w.dim} and {wt.dim}"]
         )
-    if n < 2:
-        raise MixingValidationError([f"a mixing pair needs at least 2 agents, got {n}"])
 
     # Part 1: zero weight between non-neighbors. Agents are numbered from 1 in
     # messages (node indices stay 0-based internally).

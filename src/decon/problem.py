@@ -64,14 +64,11 @@ class SensingProblem:
     lipschitz: float
     mu_fbar: float
     xstar: np.ndarray
-    x_true: np.ndarray | None = None
     Xstar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.sensing, self.measurements, self.xstar):
             arr.setflags(write=False)
-        if self.x_true is not None:
-            self.x_true.setflags(write=False)
         stacked = np.tile(self.xstar, (self.n, 1))
         stacked.setflags(write=False)
         object.__setattr__(self, "Xstar", stacked)
@@ -116,7 +113,7 @@ def _check_rank(n: int, m: int, p: int) -> None:
                            f"rank at most n*m = {n * m} < p = {p}")
 
 
-def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true) -> SensingProblem:
+def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz) -> SensingProblem:
     # Finite: `_agent_gram` rejects Gram entries above ~1.34e154, so n such terms cannot overflow.
     gram = np.einsum("imp,imq->pq", sensing, sensing)
     bar = SymMatrix(gram / n, name="averaged hessian")
@@ -143,7 +140,7 @@ def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, x_true
     return SensingProblem(
         n=n, p=p, m=m, sensing=sensing, measurements=measurements,
         noise_std=noise_std, seed=seed, lipschitz=lipschitz,
-        mu_fbar=mu_fbar, xstar=xstar, x_true=x_true,
+        mu_fbar=mu_fbar, xstar=xstar,
     )
 
 
@@ -174,7 +171,7 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
         i, j = np.unravel_index(np.argmin(finite), finite.shape)
         raise ProblemError(f"the measurement of agent {i} row {j} overflows float64 "
                            f"at noise_std {noise_std:.3e}")
-    return _finalize(n, p, m_i, sensing, measurements, noise_std, seed, LIPSCHITZ, x_true)
+    return _finalize(n, p, m_i, sensing, measurements, noise_std, seed, LIPSCHITZ)
 
 
 def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 0.0,
@@ -205,7 +202,7 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
         # An understated L would certify stepsizes beyond the true 2/L.
         raise ProblemError(f"lipschitz {lipschitz!r} is below agent {i}'s "
                            f"lambda_max(M_{i}^T M_{i}) = {tops[i]!r}")
-    return _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz, None)
+    return _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz)
 
 
 def grad(prob: SensingProblem, x: np.ndarray) -> np.ndarray:
@@ -229,24 +226,21 @@ def mu_g_value(mu_fbar: float, lipschitz: float, lam_min_pos_iw: float, eta: flo
 
 
 def save_problem(prob: SensingProblem, path: str) -> None:
-    """JSON dump with enough digits for exact replay."""
+    """JSON dump with enough digits for exact replay: the data `load_problem`
+    reads, whose shapes give n, m and p, and the generation parameters."""
     payload = {
-        "n": prob.n,
-        "p": prob.p,
-        "m": prob.m,
         "noise_std": prob.noise_std,
         "seed": prob.seed,
         "lipschitz": prob.lipschitz,
         "sensing": prob.sensing.tolist(),
         "measurements": prob.measurements.tolist(),
-        "x_true": None if prob.x_true is None else prob.x_true.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
 def load_problem(path: str) -> SensingProblem:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     keys = ("sensing", "measurements", "noise_std", "seed", "lipschitz")
     missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
@@ -270,19 +264,10 @@ def load_problem(path: str) -> SensingProblem:
         value = payload[key]
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ProblemError(f"{path}: {key} must be {what}, got {value!r}")
-    prob = from_data(
+    return from_data(
         arrays["sensing"],
         arrays["measurements"],
         noise_std=payload["noise_std"],
         seed=payload["seed"],
         lipschitz=payload["lipschitz"],
     )
-    x_true = payload.get("x_true")
-    if x_true is not None:
-        if not (isinstance(x_true, list) and len(x_true) == prob.p and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                for v in x_true)):
-            raise ProblemError(f"{path}: x_true must be null or {prob.p} finite numbers")
-        object.__setattr__(prob, "x_true", np.array(x_true, dtype=float))
-        prob.x_true.setflags(write=False)
-    return prob

@@ -374,20 +374,22 @@ def _rel_err_mat(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Tally:
-    """Worst margin per named check of one audit, plus one message per violation."""
+    """Worst margin per named check of one audit, plus one message per violation.
 
-    def __init__(self, equalities: tuple[str, ...], inequalities: tuple[str, ...]):
-        self.worst = {name: 0.0 for name in equalities}
-        self.worst.update({name: math.inf for name in inequalities})
+    A check enters `worst` when it first reports, from 0.0 for an equality and
+    inf for an inequality."""
+
+    def __init__(self):
+        self.worst: dict[str, float] = {}
         self.violations: list[str] = []
 
     def equality(self, name: str, what: str, k: int, err: float) -> None:
-        self.worst[name] = max(self.worst[name], err)
+        self.worst[name] = max(self.worst.get(name, 0.0), err)
         if err > EQ_TOL or not math.isfinite(err):
             self.violations.append(f"{what} violated at k={k}: relative error {err:.3e}")
 
     def inequality(self, name: str, what: str, k: int, slack: float) -> float:
-        self.worst[name] = min(self.worst[name], slack)
+        self.worst[name] = min(self.worst.get(name, math.inf), slack)
         if slack < INEQ_TOL or not math.isfinite(slack):
             self.violations.append(f"{what} violated at k={k}: normalized slack {slack:.3e}")
         return slack
@@ -399,7 +401,6 @@ class ReferenceReport:
     each row as lists (None on row 0, and None where L_{k-1} <= 0 or is NaN
     for the ratio)."""
 
-    algorithm: str
     transitions: int
     lyapunov: np.ndarray
     ratio: list[float | None]
@@ -417,7 +418,7 @@ def ratio_column(report) -> list[float | None]:
     return [None] + [r if ok else None for r, ok in zip(ratio.tolist(), exists.tolist())]
 
 
-def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
+def _audit_stream(states, lyapunov, transition, rho: float,
                   tally: _Tally) -> ReferenceReport:
     """One pass over consecutive states, holding only the previous one.
 
@@ -440,7 +441,7 @@ def _audit_stream(algorithm: str, states, lyapunov, transition, rho: float,
             slack_col.append(min(s, cs))
         prev = state
     return ReferenceReport(
-        algorithm=algorithm, transitions=len(ratio) - 1, lyapunov=np.array(lyap),
+        transitions=len(ratio) - 1, lyapunov=np.array(lyap),
         ratio=ratio, slack=slack_col, checks=tally.worst, violations=tally.violations,
     )
 
@@ -458,8 +459,7 @@ def audit_extra_reference(states, mp, cert, fp) -> ReferenceReport:
     alpha = cert.alpha
     theta = mp.theta
     gstar = -fp.dstar
-    tally = _Tally(("x_update_rel_err", "norm_equality_rel_err"),
-                   ("key_inequality_slack", "contraction_slack"))
+    tally = _Tally()
 
     def lyapunov(state) -> float:
         return wnorm_sq(state.x - fp.xstar, cert.p_mat) + wnorm_sq(state.y - fp.ystar, cert.q_mat)
@@ -489,7 +489,7 @@ def audit_extra_reference(states, mp, cert, fp) -> ReferenceReport:
         return tally.inequality("key_inequality_slack", "key inequality", k,
                                 (rhs - lhs) / (1.0 + base_prev))
 
-    return _audit_stream("extra_xy", states, lyapunov, transition, cert.rho, tally)
+    return _audit_stream(states, lyapunov, transition, cert.rho, tally)
 
 
 def audit_nids_reference(states, mp, cert, fp) -> ReferenceReport:
@@ -514,10 +514,7 @@ def audit_nids_reference(states, mp, cert, fp) -> ReferenceReport:
     m_minus = mp.mtilde.a + (theta - 0.5 - 2.0 * r4) * eye
     m_dec = mp.mtilde.a + (theta - 0.75 - r4) * eye
     chain_weight = 4.0 * iw_pinv - 4.0 * eye + i_minus_w
-    tally = _Tally(
-        ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err", "chain_rel_err"),
-        ("key_inequality_slack", "chain_slack", "contraction_slack"),
-    )
+    tally = _Tally()
 
     def lyapunov(state) -> float:
         return wnorm_sq(state.x - fp.xstar, cert.pn_mat) \
@@ -567,7 +564,7 @@ def audit_nids_reference(states, mp, cert, fp) -> ReferenceReport:
                                    (bound - t3) / (1.0 + base_prev))
         return min(s, s_chain)
 
-    return _audit_stream("nids_dx", states, lyapunov, transition, cert.rho, tally)
+    return _audit_stream(states, lyapunov, transition, cert.rho, tally)
 
 
 # -- trace CSV writer oracle -------------------------------------------------

@@ -135,7 +135,8 @@ def test_edge_list_id_gap_rejected_before_allocation():
     (lambda: line(1), "need n >= 2, got 1"),
     (lambda: complete(1), "need n >= 2, got 1"),
     (lambda: random_connected(1, 0.5, 0), "need n >= 2, got 1"),
-    (lambda: Graph(0, ()), "need at least one node, got n=0"),
+    (lambda: Graph(0, ()), "need n >= 2, got 0"),
+    (lambda: Graph(1, ()), "need n >= 2, got 1"),
     (lambda: Graph(2, ((0, 2),)), "edge (0, 2) out of range for n=2"),
     (lambda: Graph(2, ((1, -1),)), "edge (1, -1) out of range for n=2"),
 ])

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import collections
 import contextlib
 import dataclasses
@@ -234,7 +235,7 @@ def _traces(draw):
 def _audit(lyapunov, slack) -> certify.AuditReport:
     """An audit report holding the two stored columns a certified trace
     writes: L_k per row and the slack per transition."""
-    return certify.AuditReport(algorithm="probe", lyapunov=np.array(lyapunov, dtype=float),
+    return certify.AuditReport(lyapunov=np.array(lyapunov, dtype=float),
                                slack=np.array(slack, dtype=float), checks={}, violations=[])
 
 
@@ -873,8 +874,6 @@ def test_cli_negative_setting_is_a_named_error(flag, message, monkeypatch, capsy
     (lambda d: d["sensing"][0][0].__setitem__(0, "0.5"), "sensing holds a str"),
     (lambda d: d["measurements"][0].__setitem__(0, True), "measurements holds a bool"),
     (lambda d: d.update(lipschitz="ten"), "lipschitz must be a number or null, got 'ten'"),
-    (lambda d: d.update(x_true=["a", "b"]), "x_true must be null or 2 finite numbers"),
-    (lambda d: d["x_true"].pop(), "x_true must be null or 2 finite numbers"),
     (lambda d: d["sensing"][0][0].__setitem__(0, 10**400),
      "sensing holds an integer beyond float64"),
     (lambda d: d.update(sensing=d["sensing"][:-1], measurements=d["measurements"][:-1]),
@@ -1404,8 +1403,23 @@ def test_cli_unwritable_output_is_a_named_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write trace to {tmp_path}")
 
 
+def _unwritable(tmp_path, where: str) -> tuple[str, str, list[str]]:
+    """The path `where` names, the refusal the OS gives for writing it, and
+    what tmp_path holds. `where` is "" or "a directory" for tmp_path itself,
+    or a path under it whose parent is missing or, under "afile", a regular
+    file made here."""
+    path = tmp_path if where == "a directory" else tmp_path / where
+    if where.startswith("afile/"):
+        (tmp_path / "afile").write_text("")
+    held = os.listdir(tmp_path)
+    with pytest.raises(OSError) as exc:
+        open(path, "w").close()
+    return str(path), f"[Errno {exc.value.errno}] {exc.value.strerror}", held
+
+
 @pytest.mark.parametrize("flags, out", [
     ([], "missing/x.csv"), (["--certify"], "missing/x.csv"), (["--certify"], ""),
+    ([], "afile/x.csv"),
 ])
 def test_cli_unwritable_output_fails_before_any_step(flags, out, tmp_path, monkeypatch, capsys):
     def never(*args):
@@ -1413,24 +1427,25 @@ def test_cli_unwritable_output_fails_before_any_step(flags, out, tmp_path, monke
 
     monkeypatch.setattr(algorithms, "step", never)
     monkeypatch.setattr(harness, "build_instance", never)
-    path = str(tmp_path / out)
+    path, refusal, held = _unwritable(tmp_path, out)
     assert cli.main(["run", *flags, "--max-iters", "5", "--out", path]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write trace to {path}")
-    assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write trace to {path}: {refusal}")
+    assert os.listdir(tmp_path) == held
 
 
-@pytest.mark.parametrize("where", ["a directory", "missing/p.json"])
+@pytest.mark.parametrize("where", ["a directory", "missing/p.json", "afile/p.json"])
 def test_cli_unwritable_save_problem_fails_before_any_step(where, tmp_path, monkeypatch,
                                                            capsys):
     steps = []
     step = algorithms.step
     monkeypatch.setattr(algorithms, "step", lambda *a: steps.append(1) or step(*a))
-    path = str(tmp_path if where == "a directory" else tmp_path / where)
+    path, refusal, held = _unwritable(tmp_path, where)
     assert cli.main(["run", "--max-iters", "50", "--tol", "1e-300",
                      "--save-problem", path]) == 1
     assert steps == []
-    assert capsys.readouterr().err.startswith(f"error: cannot write problem to {path}")
-    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err.startswith(f"error: cannot write problem to {path}: {refusal}")
+    assert os.listdir(tmp_path) == held
 
 
 def test_cli_save_problem_is_a_run_flag_only(tmp_path, capsys):
@@ -1463,19 +1478,19 @@ def test_cli_bounds_flags_are_the_fields_that_key_the_instance_memo():
     assert dests & fields == set(harness._INSTANCE_FIELDS)
 
 
-@pytest.mark.parametrize("where", ["a directory", "missing/w.txt"])
+@pytest.mark.parametrize("where", ["a directory", "missing/w.txt", "afile/w.txt"])
 def test_cli_unwritable_dump_mixing_fails_before_any_build(where, tmp_path, monkeypatch,
                                                            capsys):
     def never(*args):
         raise AssertionError("built before the dump path was checked")
 
     monkeypatch.setattr(harness, "build_graph", never)
-    path = str(tmp_path if where == "a directory" else tmp_path / where)
+    path, refusal, held = _unwritable(tmp_path, where)
     assert cli.main(["validate-mixing", "--dump-mixing", path]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: cannot write mixing matrix to {path}")
-    assert os.listdir(tmp_path) == []
+    assert err.startswith(f"error: cannot write mixing matrix to {path}: {refusal}")
+    assert os.listdir(tmp_path) == held
 
 
 @pytest.mark.parametrize("text", ['{"n": 10,', "[1, 2]"])
@@ -1484,6 +1499,24 @@ def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--graph-file", "--config", "--load-problem"])
+def test_cli_input_file_with_a_byte_order_mark_reads_as_without_one(flag, tmp_path, capsys):
+    # Some editors open a UTF-8 file with the mark U+FEFF.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    if flag == "--graph-file":
+        plain.write_text("".join(f"{i} {i + 1}\n" for i in range(5)))
+    elif flag == "--config":
+        plain.write_text(json.dumps({"topology": "line", "n": 6, "seed": 4}))
+    else:
+        problem.save_problem(problem.generate(10, 5, 1, seed=5), str(plain))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        assert cli.main(["run", "--max-iters", "3", flag, str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == "" and outputs[1] == outputs[0]
 
 
 def test_cli_eigensolver_failure_is_a_named_error(monkeypatch, capsys):

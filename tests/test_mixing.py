@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decon import mixing
-from decon.graph import Graph, complete, line, random_connected
+from decon.graph import Graph, GraphError, complete, line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import (
     MixingValidationError,
@@ -204,11 +204,10 @@ def test_validate_rejects_off_graph_weight():
 
 
 def test_validate_rejects_a_single_agent():
-    # I - w has no nonzero eigenvalue on one node, so no smallest positive one.
-    g = Graph(1, ())
-    w = metropolis(g)
-    with pytest.raises(MixingValidationError, match="at least 2 agents, got 1"):
-        validate(w, _half(w), g)
+    # I - w has no nonzero eigenvalue on one node, so no smallest positive one;
+    # no one-node graph reaches validate, since Graph refuses it.
+    with pytest.raises(GraphError, match=r"^need n >= 2, got 1$"):
+        Graph(1, ())
 
 
 def test_theta_default_values():
@@ -231,7 +230,7 @@ def test_theta_boundary_three_quarters_needs_pd():
             validate(relaxed, wt, g, theta=0.75)
 
 
-def test_build_derived_two_node_hand_case():
+def test_validate_two_node_hand_case():
     g = line(2)
     w = metropolis(g)
     mp = validate(w, _half(w), g, theta=0.8)
@@ -239,14 +238,14 @@ def test_build_derived_two_node_hand_case():
     assert mp.wbar.lambda_min > 0
 
 
-def test_build_derived_g_zero_for_half_pair():
+def test_validate_g_zero_for_half_pair():
     g = random_connected(10, 0.5, 3)
     w = metropolis(g)
     mp = validate(w, _half(w), g)
     assert np.abs(mp.g.a).max() <= 1e-14
 
 
-def test_build_derived_wbar_identity_and_mtilde():
+def test_validate_wbar_identity_and_mtilde():
     g = random_connected(10, 0.5, 5)
     w = metropolis(g)
     wt = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic")

@@ -225,7 +225,7 @@ def _bits(a) -> bytes | None:
 def test_save_load_round_trip_is_bit_exact(n, p, m, noise_std, seed, replay):
     assume(n * m >= p)
     prob = generate(n, p, m, noise_std=noise_std, seed=seed)
-    if replay:  # explicit data: no x_true, lipschitz taken from the data
+    if replay:  # explicit data: lipschitz taken from the data
         prob = from_data(prob.sensing, prob.measurements, seed=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "prob.json")
@@ -234,11 +234,31 @@ def test_save_load_round_trip_is_bit_exact(n, p, m, noise_std, seed, replay):
         again = os.path.join(tmp, "again.json")
         problem.save_problem(back, again)
         with open(path, "rb") as a, open(again, "rb") as b:
-            assert a.read() == b.read()
-    for name in ("sensing", "measurements", "xstar", "Xstar", "x_true"):
+            saved = a.read()
+            assert saved == b.read()
+    # What replay reads, plus the generation parameters; the shapes give n, m, p.
+    assert list(json.loads(saved)) == ["noise_std", "seed", "lipschitz", "sensing",
+                                       "measurements"]
+    for name in ("sensing", "measurements", "xstar", "Xstar"):
         assert _bits(getattr(back, name)) == _bits(getattr(prob, name)), name
     for name in ("n", "p", "m", "noise_std", "seed", "lipschitz", "mu_fbar"):
         assert getattr(back, name) == getattr(prob, name), name
+
+
+def test_a_problem_saved_with_its_shapes_and_x_true_loads_to_the_same_bits(tmp_path):
+    # The earlier format also wrote n, p, m and the generating x_true; loading
+    # ignores keys it does not read.
+    prob = generate(6, 3, 2, noise_std=0.1, seed=4)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    problem.save_problem(prob, str(new))
+    payload = {"n": 6, "p": 3, "m": 2, **json.loads(new.read_text()),
+               "x_true": np.random.default_rng(4).standard_normal(3).tolist()}
+    old.write_text(json.dumps(payload))
+    a, b = problem.load_problem(str(new)), problem.load_problem(str(old))
+    for name in ("sensing", "measurements", "xstar", "Xstar"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("n", "p", "m", "noise_std", "seed", "lipschitz", "mu_fbar"):
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def test_from_data_rejects_malformed_arrays():

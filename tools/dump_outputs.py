@@ -11,8 +11,8 @@ OUT must be missing or empty. For each workload W, OUT/W/NN.out holds call
 NN of W: its argv, its stdout, its stderr if any, and `exit=<code>`, with the
 call's output directory written as <OUT>. The CSVs the calls write land
 under OUT/W as well. OUT/cli/NN.out holds the same for fixed `validate-mixing`,
-`bounds` and `run` calls, and the CSV the `run` call writes lands under
-OUT/cli. Two dumps at one seed compare with `diff -r`.
+`bounds` and `run` calls, and the CSVs and the problem file the `run` calls
+write land under OUT/cli. Two dumps at one seed compare with `diff -r`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import sys
 # every topology, relaxed mixing, an explicit theta, the 50-node instance, a
 # certified run that reaches max_iters, a run at theta = 3/4, a certified
 # NIDS run on the 50-node instance, a certified EXTRA run at theta = 0.9 (r1
-# finite) and both certificates refusing a theta just above 3/4. <OUT> stands
-# for OUT/cli.
+# finite), both certificates refusing a theta just above 3/4, and a run that
+# saves its problem then one that replays it. <OUT> stands for OUT/cli.
 CLI_CALLS = (
     ("validate-mixing",),
     ("validate-mixing", "--topology", "line", "--n", "10", "--relax-factor", "0.333"),
@@ -53,6 +53,8 @@ CLI_CALLS = (
      "--max-iters", "3"),
     ("run", "--certify", "--algo", "nids", "--alpha", "0.1", "--theta", "0.7500000000000001",
      "--max-iters", "3"),
+    ("run", "--max-iters", "3", "--save-problem", "<OUT>/problem.json"),
+    ("run", "--max-iters", "3", "--load-problem", "<OUT>/problem.json"),
 )
 
 
