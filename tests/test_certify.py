@@ -437,8 +437,7 @@ def test_audit_nids_zero_violations(prob1, rand10):
     fp = fixed_point(prob1, 0.1)
     report = audit_nids(_states("nids_dx", mp, prob1, 0.1, 500), mp, cert, fp)
     assert report.ok, report.violations[:3]
-    for name in ("equality_a_rel_err", "equality_b_rel_err", "connection_rel_err",
-                 "chain_rel_err"):
+    for name in ("equality_a_rel_err", "connection_rel_err"):
         assert report.checks[name] <= 1e-9
     for name in ("key_inequality_slack", "chain_slack", "contraction_slack"):
         assert report.checks[name] >= -1e-8
@@ -632,8 +631,8 @@ def test_blocked_audits_match_the_oracle_on_hundreds_of_violations(prob1, rand10
 _CHECKS_IN_RUN_ORDER = {
     audit_extra: ["x_update_rel_err", "norm_equality_rel_err", "key_inequality_slack",
                   "contraction_slack"],
-    audit_nids: ["equality_a_rel_err", "equality_b_rel_err", "connection_rel_err",
-                 "key_inequality_slack", "chain_rel_err", "chain_slack", "contraction_slack"],
+    audit_nids: ["equality_a_rel_err", "connection_rel_err", "key_inequality_slack",
+                 "chain_slack", "contraction_slack"],
 }
 
 
@@ -806,40 +805,115 @@ def test_nids_connection_holds_on_a_clean_run_at_a_small_stepsize(alpha, prob1, 
     _assert_same_report(report, audit_nids_reference(states, mp, cert, fp))
 
 
-def _faulted_audit(variant, mp, prob, alpha, fault):
-    """Violations of 3,000 audited transitions from zero, the stepper run with
-    `fault` ("alpha" scales its stepsize by 1 + 1e-6, "w" steps with
-    w + 1e-4 (I - w)) while the certificate and audit keep the true instance."""
-    audit, constants = ((audit_extra, extra_constants) if variant == "extra_xy"
-                        else (audit_nids, nids_constants))
-    cert = constants(mp, prob.lipschitz, prob.mu_fbar, alpha)
+class _RecordingTally(certify._Tally):
+    """`certify._Tally` that also records, for each flagged transition, the
+    names of the checks that flag it."""
+
+    def __init__(self):
+        super().__init__()
+        self.flagged_by = collections.defaultdict(set)
+
+    def equality(self, name, *args):
+        before = len(self._flagged)
+        super().equality(name, *args)
+        self._record(name, before)
+
+    def inequality(self, name, *args):
+        before = len(self._flagged)
+        slack = super().inequality(name, *args)
+        self._record(name, before)
+        return slack
+
+    def _record(self, name, before):
+        for k, _ in self._flagged[before:]:
+            self.flagged_by[k].add(name)
+
+
+def _faulted_audit(variant, mp, prob, fault, monkeypatch):
+    """The checks the audit registers, and {transition: names of the checks
+    that flag it}, over 3,000 audited transitions from zero: NIDS at
+    alpha = 0.19, EXTRA at 0.9 x extra-new. `fault` is None or one planted
+    (kind, size): in the stepper ("alpha": its stepsize x (1 + size); "w": it
+    steps with w + size (I - w)), in the certificate ("r4", "r5": that
+    constant x size; "1-rho": the claimed 1 - rho x size), or in the fixed
+    point ("xstar": x* + size, with d* and y* from it; "xstar0": x* + size on
+    agent 0 alone, d* and y* kept). Everything else is the true instance."""
+    extra = variant == "extra_xy"
+    audit, constants = (audit_extra, extra_constants) if extra else (audit_nids, nids_constants)
+    alpha = 0.9 * 2.0 * mp.wbar.lambda_min / prob.lipschitz if extra else 0.19
+    cert, fp = constants(mp, prob.lipschitz, prob.mu_fbar, alpha), fixed_point(prob, alpha)
+    kind, size = fault or (None, None)
     step_alpha, step_w = alpha, mp.w.a
-    if fault == "alpha":
-        step_alpha = alpha * (1.0 + 1e-6)
-    elif fault == "w":
-        step_w = step_w + 1e-4 * (np.eye(mp.n) - step_w)
+    if kind == "alpha":
+        step_alpha = alpha * (1.0 + size)
+    elif kind == "w":
+        step_w = step_w + size * (np.eye(mp.n) - step_w)
+    elif kind in ("r4", "r5"):
+        cert = dataclasses.replace(cert, **{kind: getattr(cert, kind) * size})
+    elif kind == "1-rho":
+        cert = dataclasses.replace(cert, rho=1.0 - (1.0 - cert.rho) * size)
+    elif kind == "xstar":
+        xstar = fp.xstar + size
+        gstar = prob.grad(xstar)
+        fp = algorithms.FixedPoint(xstar=xstar, ystar=alpha * gstar, dstar=-gstar)
+    elif kind == "xstar0":
+        xstar = fp.xstar.copy()
+        xstar[0] += size
+        fp = dataclasses.replace(fp, xstar=xstar)
     x0 = np.zeros((prob.n, prob.p))
     states = islice(iterate(variant, x0, step_alpha, step_w, mp.wt, prob.grad), 3001)
-    return audit(states, mp, cert, fixed_point(prob, alpha)).violations
+    tally = _RecordingTally()
+    monkeypatch.setattr(certify, "_Tally", lambda: tally)
+    report = audit(states, mp, cert, fp)
+    return list(report.checks), tally.flagged_by
 
 
-@pytest.mark.parametrize("variant, fault, flagged_by", [
-    ("nids_dx", None, None), ("nids_dx", "alpha", "d-x connection"),
-    ("nids_dx", "w", "d-x connection"),
-    ("extra_xy", None, None), ("extra_xy", "alpha", "x-update"),
-    ("extra_xy", "w", "norm equality"),
-])
-def test_audits_flag_a_planted_stepper_fault(variant, fault, flagged_by, prob10, rand10):
-    # The fig3-like instance (n = 10, p = 5, m_i = 10, seed 2): NIDS at
-    # alpha = 0.19, EXTRA at 0.9 x extra-new. The clean run passes, and each
-    # faulted run is flagged, by the named check among others.
-    _, mp = rand10
-    alpha = 0.19 if variant == "nids_dx" else 0.9 * 2.0 * mp.wbar.lambda_min / prob10.lipschitz
-    violations = _faulted_audit(variant, mp, prob10, alpha, fault)
+# (variant, instance, planted fault, the check that flags some transition
+# no other check flags under it). The clean rows plant none and must flag
+# nothing.
+_COVERAGE = [
+    ("nids_dx", "fig3-like", None, None),
+    ("nids_dx", "line30", None, None),
+    ("nids_dx", "line30", ("alpha", 1e-6), "equality_a_rel_err"),
+    ("nids_dx", "fig3-like", ("xstar", 1e-3), "equality_a_rel_err"),
+    ("nids_dx", "fig3-like", ("alpha", 1e-6), "connection_rel_err"),
+    ("nids_dx", "fig3-like", ("w", 1e-4), "connection_rel_err"),
+    ("nids_dx", "fig3-like", ("r4", 4.0), "key_inequality_slack"),
+    ("nids_dx", "fig3-like", ("r5", 0.5), "chain_slack"),
+    ("nids_dx", "fig3-like", ("1-rho", 1e4), "contraction_slack"),
+    # An x* that is not consensual, which `fixed_point` never returns.
+    ("nids_dx", "fig3-like", ("xstar0", 1e-3), "equality_a_rel_err"),
+    ("extra_xy", "fig3-like", None, None),
+    ("extra_xy", "fig3-like", ("alpha", 1e-6), "x_update_rel_err"),
+    ("extra_xy", "fig3-like", ("w", 1e-4), "norm_equality_rel_err"),
+    ("extra_xy", "fig3-like", ("xstar", 1e-3), "key_inequality_slack"),
+    ("extra_xy", "fig3-like", ("1-rho", 1e5), "contraction_slack"),
+]
+
+
+@pytest.fixture(scope="module")
+def line30():
+    """The 30-agent line with p = 5, m_i = 1, seed 2: (mp, prob)."""
+    return _half_pair(line(30)), problem.generate(30, 5, 1, seed=2)
+
+
+@pytest.mark.parametrize("variant, instance, fault, check", _COVERAGE, ids=[
+    f"{variant}-{instance}-" + (f"{fault[0]} {fault[1]:g}-{check}" if fault else "clean")
+    for variant, instance, fault, check in _COVERAGE])
+def test_each_audit_check_flags_a_transition_no_other_check_flags(
+        variant, instance, fault, check, prob10, rand10, line30, monkeypatch):
+    # The coverage matrix of both audits: a check that flags only what other
+    # checks flag costs time and code for nothing. A clean run flags nothing,
+    # and every check the audit registers is named by a row of _COVERAGE.
+    mp, prob = {"fig3-like": (rand10[1], prob10), "line30": line30}[instance]
+    checks, flagged_by = _faulted_audit(variant, mp, prob, fault, monkeypatch)
     if fault is None:
-        assert violations == []
+        assert flagged_by == {}
+        assert set(checks) == {row[3] for row in _COVERAGE if row[0] == variant and row[3]}
     else:
-        assert any(message.startswith(f"{flagged_by} violated") for message in violations)
+        alone = collections.Counter(next(iter(names)) for names in flagged_by.values()
+                                    if len(names) == 1)
+        assert alone[check] > 0, dict(alone)
 
 
 @pytest.mark.parametrize("variant", ["extra_xy", "nids_dx"])

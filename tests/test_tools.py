@@ -33,6 +33,6 @@ def test_dump_outputs_is_the_same_with_warm_caches(tmp_path):
                              "certify-large/extra.csv", "certify-large/nids.csv",
                              *(f"cli/{i:02d}.out" for i in range(len(tool.CLI_CALLS))),
                              "cli/extra_theta.csv", "cli/floor.csv", "cli/large.csv",
-                             "cli/problem.json", "cli/theta.csv"]
+                             "cli/line30.csv", "cli/problem.json", "cli/theta.csv"]
     assert first["certify-large/00.out"].startswith(b"$ decon run ")
     assert first["certify-large/00.out"].endswith(b"  wrote <OUT>/nids.csv\nexit=0\n")

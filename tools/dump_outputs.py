@@ -28,8 +28,10 @@ import sys
 # every topology, relaxed mixing, an explicit theta, the 50-node instance, a
 # certified run that reaches max_iters, a run at theta = 3/4, a certified
 # NIDS run on the 50-node instance, a certified EXTRA run at theta = 0.9 (r1
-# finite), both certificates refusing a theta just above 3/4, and a run that
-# saves its problem then one that replays it. <OUT> stands for OUT/cli.
+# finite), a certified NIDS run at a small stepsize on the relaxed 30-agent
+# line (where the NIDS audit's numerics are most fragile), both certificates
+# refusing a theta just above 3/4, and a run that saves its problem then one
+# that replays it. <OUT> stands for OUT/cli.
 CLI_CALLS = (
     ("validate-mixing",),
     ("validate-mixing", "--topology", "line", "--n", "10", "--relax-factor", "0.333"),
@@ -49,6 +51,9 @@ CLI_CALLS = (
      "--certify", "--max-iters", "50", "--out", "<OUT>/large.csv"),
     ("run", "--algo", "extra", "--alpha", "0.01", "--theta", "0.9", "--certify",
      "--max-iters", "200", "--out", "<OUT>/extra_theta.csv"),
+    ("run", "--topology", "line", "--n", "30", "--p", "5", "--mi", "1", "--relax-factor",
+     "0.33233333333333337", "--algo", "nids", "--alpha", "2e-4", "--tol", "1e-300",
+     "--max-iters", "3000", "--certify", "--out", "<OUT>/line30.csv"),
     ("run", "--certify", "--algo", "extra", "--alpha", "0.01", "--theta", "0.7500000000000001",
      "--max-iters", "3"),
     ("run", "--certify", "--algo", "nids", "--alpha", "0.1", "--theta", "0.7500000000000001",
