@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SymMatrix
 from .mixing import MixingPair
 
 __all__ = [
@@ -108,20 +107,18 @@ _UPDATES = {"dgd": _dgd, "extra": _extra, "extra_xy": _extra_xy, "nids": _nids,
 VARIANTS = ("dgd", "extra", "nids")
 
 
-def _mat(w) -> np.ndarray:
-    return w.a if isinstance(w, SymMatrix) else np.asarray(w, dtype=float)
-
-
 def operators(variant: str, alpha: float, w, wt, grad) -> Operators:
-    """Build one run's operators; w and wt are SymMatrix or array-like."""
+    """Build one run's operators; w and wt are SymMatrix or arrays, taken in
+    their own dtype: float64 for a run, or object arrays of `Fraction`s (with
+    a `Fraction` alpha and gradient) for stepping in exact arithmetic."""
     if variant not in _UPDATES:
         raise ValueError(f"unknown variant {variant!r}; choose from {tuple(_UPDATES)}")
     if alpha <= 0.0:
         raise ValueError(f"stepsize must be positive, got {alpha}")
-    wa, wta = _mat(w), _mat(wt)
-    eye = np.eye(wa.shape[0])
+    wa, wta = (np.asarray(getattr(m, "a", m)) for m in (w, wt))
+    eye = np.eye(len(wa), dtype=wa.dtype)
     return Operators(_UPDATES[variant], alpha, grad, wa, wta, wta - wa,
-                     (eye + wa) / 2.0, (eye - wa) / 2.0)
+                     (eye + wa) / 2, (eye - wa) / 2)
 
 
 def step(state: AlgoState, ops: Operators) -> AlgoState:
@@ -133,7 +130,7 @@ def iterate(variant: str, x0: np.ndarray, alpha: float, w, wt, grad) -> Iterator
     """Yield the initial state, then each successive state, for as long as the
     caller keeps asking: a state is computed only when it is requested."""
     ops = operators(variant, alpha, w, wt, grad)
-    x0 = np.array(x0, dtype=float)
+    x0 = np.array(x0)
     state = AlgoState(x0, y=-ops.diff @ x0 if variant == "extra_xy" else None,
                       d=np.zeros_like(x0) if variant == "nids_dx" else None)
     while True:

@@ -346,10 +346,12 @@ def run(config: RunConfig) -> Trace:
     states fall into an exact cycle reaches max_iters by replaying the cycle's
     residual rows (`_until_stop`): the rows and the status are those of
     stepping all the way, and `trace.cycle` records the cycle. Certified runs
-    execute the reformulated iteration, whose x-sequence is identical to the
-    original's, and step every state; their certificate is built before the
-    first step and their audit consumes the states as they are produced, so
-    memory does not grow with the steps.
+    execute the reformulated iteration and step every state. Its x-sequence is
+    the original's in exact arithmetic only: in floating point the two round
+    apart, so a certified run's residuals may differ from an uncertified
+    run's (ROADMAP item 11 makes the two one). Their certificate is built
+    before the first step and their audit consumes the states as they are
+    produced, so memory does not grow with the steps.
     """
     inst = build_instance(config)
     prob, mp = inst.prob, inst.mp

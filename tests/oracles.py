@@ -70,6 +70,11 @@ terms of the spectral gap, which `certify.extra_rho` is checked against.
 searches for the certificate with the smallest contraction factor; they look
 `certify`'s constants up when called, so a test that patches them there
 patches the searches.
+`exact_contraction` decides a certificate's claim V(T e) <= rho V(e) on the
+whole invariant subspace, in exact arithmetic: it steps `Fraction` copies of
+the run's operands through the package's own `operators` and `step`, and
+`positive_definite` (an exact LDL^T) decides the Gram matrices it forms.
+`exact` makes the `Fraction` copies and `disagreement_basis` spans 1-perp.
 `to_edge_list_text` and `parse_matrix_text` are the inverses of what the CLI
 reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
 """
@@ -77,13 +82,13 @@ reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 
-from decon import certify, harness
+from decon import algorithms, certify, harness
 from decon.algorithms import AlgoState, iterate
 from decon.certify import EQ_TOL, INEQ_TOL, CertificateError
 from decon import linalg
@@ -782,6 +787,109 @@ def search_nids_certificate(mp: MixingPair, lipschitz: float, mu_fbar: float, al
     if best is None:
         raise CertificateError("no admissible certificate found in the search grid")
     return best
+
+
+# -- exact-arithmetic certificate oracle ---------------------------------------
+
+def exact(a) -> np.ndarray:
+    """An object array of the `Fraction`s equal to the doubles of `a`."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
+
+
+def positive_definite(a) -> bool:
+    """Whether the symmetric matrix `a`, of exact entries, is positive definite:
+    whether every pivot of its LDL^T factorization, without pivoting, is
+    positive. Only the lower triangle is read."""
+    a = [list(row) for row in a]
+    for k in range(len(a)):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / pivot
+            if f:
+                row = a[i]
+                for j in range(k + 1, i + 1):
+                    row[j] -= f * a[j][k]
+    return True
+
+
+def disagreement_basis(n: int) -> np.ndarray:
+    """The (n, n - 1) integer object array Q = [e_1 - e_n, ..., e_{n-1} - e_n],
+    a basis of the disagreement space 1-perp."""
+    return np.vstack([np.eye(n - 1, dtype=int), -np.ones((1, n - 1), dtype=int)]).astype(object)
+
+
+@dataclass(frozen=True)
+class ExactContraction:
+    """A certificate's claim V(T e) <= rho V(e) on S in exact arithmetic: the
+    V-Gram matrices of a basis B of S, G0 = B^T P_V B, and of its images,
+    G1 = (T B)^T P_V (T B). Their entries are huge fractions, so the repr
+    leaves them out."""
+
+    g0: np.ndarray = field(repr=False)
+    g1: np.ndarray = field(repr=False)
+
+    def norm(self) -> bool:
+        """Whether V is a norm on S: G0 > 0."""
+        return positive_definite(self.g0)
+
+    def holds(self, rho: float) -> bool:
+        """Whether V(T e) <= rho V(e) for every e in S, by rho G0 - G1 > 0."""
+        return positive_definite(Fraction(rho) * self.g0 - self.g1)
+
+
+def exact_contraction(variant: str, mp: MixingPair, prob: SensingProblem,
+                      cert) -> ExactContraction:
+    """`cert`'s claim on S = R^{np} x (1-perp (x) R^p), with V's weights those
+    of `cert`, built exactly and without a trajectory; `.norm()` and
+    `.holds(cert.rho)` decide it.
+
+    `variant` is extra or nids; its certified form (`certify.certify`) is
+    stepped by the public `algorithms.operators` and `algorithms.step` on
+    `Fraction` copies of w, w_tilde, alpha and the sensing data. For least
+    squares the error of one step is a linear map T of the error before it,
+    stepped with the homogeneous gradient x -> blockdiag(M_i^T M_i) x, so T
+    is exact over the rationals. B has x free and the auxiliary variable (y
+    or d) spanned by (e_i - e_n) e_j^T.
+    """
+    form, _, _ = certify.certify(variant)
+    aux = {"extra_xy": "y", "nids_dx": "d"}[form]
+    n, p = prob.n, prob.p
+    alpha = Fraction(cert.alpha)
+    if form == "nids_dx":
+        weights = exact(cert.pn_mat.a), alpha**2 * exact(cert.q_mat.a)
+    else:
+        weights = exact(cert.p_mat.a), exact(cert.q_mat.a)
+    sensing = exact(prob.sensing)
+    hessian = np.matmul(sensing.transpose(0, 2, 1), sensing)
+    ops = algorithms.operators(form, alpha, exact(mp.w.a), exact(mp.wt.a),
+                               lambda x: np.matmul(hessian, x[:, :, None])[:, :, 0])
+
+    zero = np.zeros((n, p), dtype=object)
+    basis = []
+    for i, j in np.ndindex(n, p):
+        x = zero.copy()
+        x[i, j] = 1
+        basis.append((x, zero))
+    for i, j in np.ndindex(n - 1, p):
+        a = zero.copy()
+        a[i, j], a[n - 1, j] = 1, -1
+        basis.append((zero, a))
+    images = []
+    for x, a in basis:
+        nxt = algorithms.step(AlgoState(x, **{aux: a}), ops)
+        images.append((nxt.x, getattr(nxt, aux)))
+
+    def gram(vectors):
+        # The sum, over x and the auxiliary, of the parts' weighted Gram matrices.
+        g = 0
+        for part, weight in zip(zip(*vectors), weights):
+            u = np.array(part)
+            g = g + u.reshape(len(u), -1) @ np.matmul(weight, u).reshape(len(u), -1).T
+        return g
+
+    return ExactContraction(gram(basis), gram(images))
 
 
 def to_edge_list_text(g) -> str:

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import weakref
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -12,10 +13,14 @@ from oracles import (
     _Tally as TallyReference,
     audit_extra_reference,
     audit_nids_reference,
+    disagreement_basis,
+    exact,
+    exact_contraction,
     inv_reference,
     isqrt_reference,
     lam_iwt_reference,
     lambda_min_pos_reference,
+    positive_definite,
     ratio_column,
     rho_special,
     search_extra_certificate,
@@ -38,7 +43,7 @@ from decon.certify import (
 )
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
-from decon.mixing import metropolis, validate
+from decon.mixing import THETA_LOWER, metropolis, validate
 from decon.problem import mu_g_value
 
 
@@ -995,3 +1000,68 @@ def test_certified_runs_on_random_instances_audit_clean(data, n, p, topology, re
     trace = harness.run(dataclasses.replace(config, alpha=alpha))
     assert trace.audit.transitions == len(trace.residuals) - 1
     assert trace.audit.violations == []
+
+
+# The small random instances (edge probability 0.6, seed 2) on which each
+# certificate is proved in exact arithmetic: (n, p, m_i), and the first factor
+# f in _PLANTED by which a claimed 1 - rho, made f times larger, no longer holds.
+_EXACT_CELLS = {(4, 1, 1): {"nids": 30, "extra": 1e3},
+                (5, 2, 2): {"nids": 1e3, "extra": 1e4},
+                (6, 2, 1): {"nids": 1e3, "extra": 1e4}}
+_PLANTED = (3, 30, 1e3, 1e4)
+
+
+@pytest.fixture(scope="module")
+def exact_cells():
+    """Per cell of _EXACT_CELLS, (mp, {variant: (cert, exact claim)}), NIDS at
+    1.9/L and EXTRA at 0.9 x extra-new."""
+    cells = {}
+    for n, p, mi in _EXACT_CELLS:
+        mp = _half_pair(random_connected(n, 0.6, 2))
+        prob = problem.generate(n, p, mi, seed=2)
+        lip, mu = prob.lipschitz, prob.mu_fbar
+        certs = {"nids": nids_constants(mp, lip, mu, 1.9 / lip),
+                 "extra": extra_constants(mp, lip, mu,
+                                          0.9 * algorithms.STEPSIZES["extra-new"](mp, lip, mu))}
+        cells[n, p, mi] = mp, {variant: (cert, exact_contraction(variant, mp, prob, cert))
+                               for variant, cert in certs.items()}
+    return cells
+
+
+def test_exact_arithmetic_proves_both_certificates_on_small_instances(exact_cells):
+    # V is a norm on the invariant subspace S, and V(T e) <= rho V(e) for every
+    # e in S, not only for the states a run visits: proved with Fractions,
+    # through the public operators and step.
+    for where, (_, claims) in exact_cells.items():
+        for variant, (cert, claim) in claims.items():
+            assert claim.norm(), (where, variant)
+            assert claim.holds(cert.rho), (where, variant)
+
+
+def test_exact_check_fails_at_the_break_even_factor(exact_cells):
+    # The exact check can fail: a claimed 1 - rho made f times larger fails at
+    # the first f of _PLANTED above the cell's break-even factor
+    # (1 - |T|_V^2)/(1 - rho_cert), and holds at the f before it. Since G0 > 0
+    # (proved above), a claim that holds at f holds at every smaller f, so
+    # every cell holds at f = 3.
+    for where, (_, claims) in exact_cells.items():
+        for variant, (cert, claim) in claims.items():
+            first = _EXACT_CELLS[where][variant]
+            last = _PLANTED[_PLANTED.index(first) - 1]
+            assert claim.holds(1.0 - last * (1.0 - cert.rho)), (where, variant, last)
+            assert not claim.holds(1.0 - first * (1.0 - cert.rho)), (where, variant, first)
+
+
+def test_nids_chain_bound_holds_exactly_on_the_disagreement_space(exact_cells):
+    # The state-independent half of the NIDS audit's chain_slack, from the
+    # float matrices audit_nids builds: Q^T (r5 m_dec - chain_weight) Q > 0
+    # exactly, with Q the basis e_i - e_n of 1-perp, and not at half of r5.
+    for where, (mp, claims) in exact_cells.items():
+        cert = claims["nids"][0]
+        eye = np.eye(mp.n)
+        m_dec = exact(mp.mtilde.a + (mp.theta - THETA_LOWER - cert.r4) * eye)
+        chain_weight = exact(4.0 * mp.iw_pinv.a - 4.0 * eye + mp.iw.a)
+        q = disagreement_basis(mp.n)
+        for r5, holds in ((cert.r5, True), (0.5 * cert.r5, False)):
+            bound = q.T @ (Fraction(r5) * m_dec - chain_weight) @ q
+            assert positive_definite(bound) is holds, (where, r5)
