@@ -3,13 +3,21 @@
 For each algorithm this module computes every constant appearing in its
 Q-linear convergence guarantee (coupling coefficients r1..r5, the small
 parameters xi / eta / r4, the contraction factor, and the Lyapunov weight
-matrices), then audits trajectories in one pass, a block of states at a time:
-the checked equalities must hold to relative 1e-9 and the checked inequalities,
-including the Lyapunov contraction itself, must hold with slack no worse than
--1e-8 scaled by the current Lyapunov value. An audit checks a proved statement
-only if no other of its checks implies it: under some planted fault, each
-check flags a transition that no other check flags (the coverage matrix in
-tests/test_certify.py).
+matrices), then audits trajectories in one pass, a block of states at a time.
+
+A checked equality a = b must hold to |a - b| / (1 + |a| + |b|) <= `EQ_TOL`
+(1e-9; NIDS's equality (a) has its own scale, `_cross_rel_err`): while
+|a| + |b| is below about 1 that bounds the absolute error, not the relative
+one. A checked inequality, the Lyapunov contraction included, must hold with
+its slack divided by 1 + V_k, V_k the Lyapunov value (or the key inequality's
+base) before the step, no worse than `INEQ_TOL` (-1e-8). The contraction's
+slack (rho V_k - V_{k+1}) / (1 + V_k) is therefore at least -V_{k+1}: once the
+Lyapunov value is below about 1e-8 that check cannot fail, which on long
+certified runs is about half of the transitions.
+
+An audit checks a proved statement only if no other of its checks implies it:
+under some planted fault, each check flags a transition that no other check
+flags (the coverage matrix in tests/test_certify.py).
 """
 
 from __future__ import annotations
@@ -42,9 +50,9 @@ __all__ = [
     "lyapunov_ratio",
 ]
 
-# Relative tolerance for proved equalities along a trajectory.
+# Tolerance for proved equalities along a trajectory, on |a - b| / (1 + |a| + |b|).
 EQ_TOL = 1e-9
-# Normalized slack floor for proved inequalities (scaled by 1 + Lyapunov).
+# Floor for proved inequalities, on the slack divided by 1 + the value before the step.
 INEQ_TOL = -1e-8
 # Eigenvalue slack accepted when asserting the Lyapunov weights are PD.
 PD_SLACK = -1e-10

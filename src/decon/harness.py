@@ -319,12 +319,8 @@ def _until_stop(states, config: RunConfig, xstar: np.ndarray, trace: Trace):
         else:
             res = 0.0
         add_residual(res)
-        if res > limit:
-            trace.status = "diverged"
-            yield state
-            return
-        if res <= tol:
-            trace.status = "converged"
+        if res > limit or res <= tol:
+            trace.status = "diverged" if res > limit else "converged"
             yield state
             return
         yield state
@@ -413,11 +409,6 @@ def resolve_scenario(name: str) -> list[RunConfig]:
     ]
 
 
-def _bits(values: Sequence[float]) -> np.ndarray:
-    """The IEEE bits of each float, as int64: equal only for the same double."""
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
 def write_csv(trace: Trace, path: str) -> None:
     """Write the trace rows, numbered from 0, with a certified run's lyapunov,
     ratio and slack columns read from its audit; 17 significant digits keep
@@ -450,7 +441,9 @@ def write_csv(trace: Trace, path: str) -> None:
     row = "%d" + lead.replace("%", "%%") + "%s" + tail + "\n"
 
     def rows(a: int, b: int) -> str:
-        bits, which = np.unique(_bits(res[a:b]), return_inverse=True)
+        # The IEEE bits of each residual, as int64: equal only for the same double.
+        bits, which = np.unique(np.asarray(res[a:b], dtype=np.float64).view(np.int64),
+                                return_inverse=True)
         texts = ["%.17g" % r for r in bits.view(np.float64).tolist()]
         cells = [texts[i] for i in which.tolist()]
         if not trace.certified:

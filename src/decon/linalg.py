@@ -1,50 +1,16 @@
-"""Dense symmetric linear algebra: Jacobi eigendecomposition and the PSD
-pseudo-inverse.
+"""Dense symmetric linear algebra: a cached Jacobi eigensolver.
 
 Stacked agent iterates are plain float ndarrays of shape (n_agents, dim); only
-square symmetric matrices get a wrapper class (`SymMatrix`), whose
-eigendecompositions are cached by their entries' bytes.
+square symmetric matrices get a class, `SymMatrix`, which also rebuilds a
+matrix from its spectrum (`spectral_map`, `pinv`) and answers sign checks by
+Cholesky (`lambda_min_at_least`). Every eigendecomposition goes through
+`decompose`, which reads each result from a module cache and solves the misses
+as one stack with the cyclic Jacobi solver `_jacobi_eigh`.
 
-`SymMatrix.spectral_map` is the one rebuild of a matrix from its spectrum: `pinv`
-is one call of it, and so is each power of w_bar the EXTRA certificate reads.
-`SymMatrix.lambda_min_at_least` answers a sign check with a LAPACK Cholesky
-factorization and decomposes only when that fails.
-
-Every eigendecomposition goes through `decompose`, which reads each matrix's
-result from the cache and solves one call's misses as one stack with the
-cyclic Jacobi solver `_jacobi_eigh`; `SymMatrix.eig` is `decompose` of one
-matrix, and `problem` decomposes all n agent Grams M_i^T M_i in one call.
-Jacobi's rounding defines the saved benchmark reference and every CSV the
-package writes, so it is kept even where LAPACK would be faster. The solver
-takes a (B, n, n) stack: the cyclic pivot order is the same for every matrix,
-so each rotation turns column p and q of every matrix and of its eigenvectors
-at once, in place through two scratch buffers with the operations of c x - s y
-and s x + c y, and copies them into the rows. Every matrix reads its own
-pivots and decides its own rotation, skips and stop in Python floats, so a
-member of a stack gets the bits it gets alone.
-
-A `SymMatrix` built with a `basis` is solved warm: Jacobi runs on V^T a V,
-V the basis's eigenvectors, and the vectors map back as V U. `mixing` gives
-w_tilde - w and I - w the basis w, and `certify` its two similarity products;
-each is a polynomial in w when w_tilde is, so V^T a V is diagonal to round-off
-and takes no sweep. The matrices whose eigenvalues set a stepsize or the
-sensing scale (every M_i^T M_i, the averaged Hessian, w, w_tilde, w_bar) have
-no basis and are solved cold when first read, from their own entries, so no
-iterate moves.
-
-Solves are memoized by the exact bytes of the symmetrized entries: a
-module-level cache keyed by ``(shape, entries.tobytes(), basis bytes)``, the
-basis bytes being the basis's entries or None for a cold solve (the bytes
-themselves, never a digest alone, so two matrices share a result only when
-every entry and basis entry is bit-identical). The basis's eigenvectors are
-themselves a function of its entries alone and `_jacobi_eigh` gives each
-member of a stack a deterministic function of that member alone, so a hit
-returns the bits a fresh solve would, and every CSV, certificate and audit
-verdict is the same with or without the cache. Only results that passed the
-residual check are stored, read-only since every reader shares them. A solve
-lives only here, never on a `SymMatrix`, so `_EIG_CACHE_BUDGET` bytes bound
-all spectra: past it the least recently used entries are evicted, and a read
-after an eviction solves again. `clear_eig_cache` empties the cache.
+Jacobi stays, though LAPACK's `eigh` is faster, because the saved benchmark
+reference and every CSV the package writes are defined by its rounding:
+swapping it moves EXTRA stepsizes in their last bits and with them iteration
+counts.
 """
 
 from __future__ import annotations
@@ -266,6 +232,10 @@ class SymMatrix:
     `eig` runs Jacobi on V^T a V, V the basis's eigenvectors, instead of on a.
     When a is a polynomial in the basis, V^T a V is diagonal to round-off and
     the sweeps stop at once; any other basis only costs the sweeps it needs.
+    A warm solve rounds apart from a cold one, so only matrices whose
+    eigenvalues set no stepsize or sensing scale get a basis (`mixing`'s
+    w_tilde - w and I - w, `certify`'s similarity products): no iterate
+    depends on a warm start, only certificate constants, at round-off.
     """
 
     def __init__(self, entries, name: str = "matrix", basis: "SymMatrix | None" = None):
@@ -357,16 +327,24 @@ class SymMatrix:
 def decompose(mats: Sequence[SymMatrix]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each matrix's read-only (eigenvalues, eigenvectors), in input order.
 
-    A matrix whose entries and basis entries (or lack of a basis) are
-    byte-identical to an earlier solved one gets that solve's arrays from the
-    module cache, and so does a repeat within `mats`. The misses, all of one
-    size, are solved as one stacked Jacobi run, a warm one in its basis's
-    eigenvectors, read where its entries are rotated. Each result passes a
-    residual and orthogonality check on its matrix's own entries before it is
-    stored; a failed solve is never stored, so retrying it raises again.
-    Errors are raised in this order: an overflowing norm, naming the first
-    such miss; a capped Jacobi run, naming its first capped member; a failed
-    check.
+    The module cache is keyed by (shape, entries' bytes, basis entries' bytes
+    or None): the bytes themselves, never a digest, so a matrix gets an
+    earlier solve's arrays only when every entry and basis entry is
+    bit-identical, and so does a repeat within `mats`. Since the solver gives
+    each member of a stack a deterministic function of that member alone, a
+    hit holds the bits of a fresh solve, and no CSV, certificate or audit
+    verdict depends on the cache. A solve lives only there, never on a
+    `SymMatrix`, so `_EIG_CACHE_BUDGET` bounds the memory of every spectrum:
+    past it the least recently used entries are evicted, and a read after an
+    eviction solves again. `clear_eig_cache` empties it.
+
+    The misses, all of one size, are solved as one stacked Jacobi run, a warm
+    one in its basis's eigenvectors, read where its entries are rotated. Each
+    result passes a residual and orthogonality check on its matrix's own
+    entries before it is stored, read-only since every reader shares it; a
+    failed solve is never stored, so retrying it raises again. Errors are
+    raised in this order: an overflowing norm, naming the first such miss; a
+    capped Jacobi run, naming its first capped member; a failed check.
     """
     # Each distinct miss: its entries' norm, its Jacobi input, its basis's
     # eigenvectors (None for a cold solve) and the first matrix it stands for.

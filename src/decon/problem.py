@@ -56,7 +56,6 @@ class SensingProblem:
 
     n: int
     p: int
-    m: int
     sensing: np.ndarray
     measurements: np.ndarray
     noise_std: float
@@ -113,7 +112,7 @@ def _check_rank(n: int, m: int, p: int) -> None:
                            f"rank at most n*m = {n * m} < p = {p}")
 
 
-def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz) -> SensingProblem:
+def _finalize(n, p, sensing, measurements, noise_std, seed, lipschitz) -> SensingProblem:
     # Finite: `_agent_gram` rejects Gram entries above ~1.34e154, so n such terms cannot overflow.
     gram = np.einsum("imp,imq->pq", sensing, sensing)
     bar = SymMatrix(gram / n, name="averaged hessian")
@@ -121,7 +120,7 @@ def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz) -> Sen
     if mu_fbar <= _SINGULAR_TOL * max(1.0, bar.lambda_max):
         raise ProblemError(
             f"averaged objective is not strongly convex: lambda_min of the "
-            f"averaged hessian is {mu_fbar:.3e} (n*m = {n * m} vs p = {p})"
+            f"averaged hessian is {mu_fbar:.3e} (n*m = {n * sensing.shape[1]} vs p = {p})"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.einsum("imp,im->p", sensing, measurements)
@@ -138,7 +137,7 @@ def _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz) -> Sen
     if resid > 1e-9 * scale:
         raise ProblemError(f"normal equations solve residual too large: {resid:.3e}")
     return SensingProblem(
-        n=n, p=p, m=m, sensing=sensing, measurements=measurements,
+        n=n, p=p, sensing=sensing, measurements=measurements,
         noise_std=noise_std, seed=seed, lipschitz=lipschitz,
         mu_fbar=mu_fbar, xstar=xstar,
     )
@@ -171,7 +170,7 @@ def generate(n: int, p: int, m_i: int, noise_std: float = 0.1,
         i, j = np.unravel_index(np.argmin(finite), finite.shape)
         raise ProblemError(f"the measurement of agent {i} row {j} overflows float64 "
                            f"at noise_std {noise_std:.3e}")
-    return _finalize(n, p, m_i, sensing, measurements, noise_std, seed, LIPSCHITZ)
+    return _finalize(n, p, sensing, measurements, noise_std, seed, LIPSCHITZ)
 
 
 def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 0.0,
@@ -202,7 +201,7 @@ def from_data(sensing: np.ndarray, measurements: np.ndarray, noise_std: float = 
         # An understated L would certify stepsizes beyond the true 2/L.
         raise ProblemError(f"lipschitz {lipschitz!r} is below agent {i}'s "
                            f"lambda_max(M_{i}^T M_{i}) = {tops[i]!r}")
-    return _finalize(n, p, m, sensing, measurements, noise_std, seed, lipschitz)
+    return _finalize(n, p, sensing, measurements, noise_std, seed, lipschitz)
 
 
 def grad(prob: SensingProblem, x: np.ndarray) -> np.ndarray:

@@ -70,11 +70,14 @@ terms of the spectral gap, which `certify.extra_rho` is checked against.
 searches for the certificate with the smallest contraction factor; they look
 `certify`'s constants up when called, so a test that patches them there
 patches the searches.
-`exact_contraction` decides a certificate's claim V(T e) <= rho V(e) on the
-whole invariant subspace, in exact arithmetic: it steps `Fraction` copies of
-the run's operands through the package's own `operators` and `step`, and
-`positive_definite` (an exact LDL^T) decides the Gram matrices it forms.
-`exact` makes the `Fraction` copies and `disagreement_basis` spans 1-perp.
+`linear_model` builds a certified step's error map T on the whole invariant
+subspace by stepping a basis through the package's own `operators` and
+`step`, on `Fraction` copies of the run's operands or on the floats
+themselves, and `lyapunov_weights` gives V's weights in the same arithmetic.
+`exact_contraction` decides a certificate's claim V(T e) <= rho V(e) from the
+exact T, with `positive_definite` (an exact LDL^T) deciding the Gram matrices
+it forms; `float_rates` reads rho(T)^2 and |T|_V^2 from the float T. `exact`
+makes the `Fraction` copies and `disagreement_basis` spans 1-perp.
 `to_edge_list_text` and `parse_matrix_text` are the inverses of what the CLI
 reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
 """
@@ -599,8 +602,8 @@ def write_csv_reference(trace, path: str) -> None:
 def bare_problem(sensing: np.ndarray, measurements: np.ndarray):
     """A SensingProblem around raw (n, m, p) data, without `from_data`'s checks
     or normal-equation solve: all the gradient reads is the data."""
-    n, m, p = sensing.shape
-    return SensingProblem(n=n, p=p, m=m, sensing=sensing, measurements=measurements,
+    n, _, p = sensing.shape
+    return SensingProblem(n=n, p=p, sensing=sensing, measurements=measurements,
                           noise_std=0.0, seed=None, lipschitz=1.0, mu_fbar=1.0,
                           xstar=np.zeros(p))
 
@@ -821,6 +824,78 @@ def disagreement_basis(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class LinearModel:
+    """The error map T of one step of a certified form on the invariant
+    subspace S = R^{np} x (1-perp (x) R^p): a basis B of S, with x free and the
+    auxiliary variable (y or d) spanned by (e_i - e_n) e_j^T, and its images
+    T B. Each is a pair of (D, n, p) stacks, of x and of the auxiliary, with
+    D = (2n - 1) p. A vector's coordinates in B are its x entries followed by
+    its auxiliary's first n - 1 rows, so B's own coordinates are the identity."""
+
+    basis: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    images: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    def spectral_radius(self) -> float:
+        """rho(T), the largest eigenvalue modulus of T in the coordinates of B,
+        whose column k holds the coordinates of T b_k."""
+        x, a = self.images
+        t = np.concatenate([x.reshape(len(x), -1), a[:, :-1].reshape(len(a), -1)], axis=1).T
+        return float(np.abs(np.linalg.eigvals(t.astype(float))).max())
+
+    def grams(self, weights) -> tuple[np.ndarray, np.ndarray]:
+        """The V-Gram matrices G0 = B^T P_V B and G1 = (T B)^T P_V (T B), V's
+        weights on x and on the auxiliary given: each the sum, over both
+        parts, of u_k^T W u_l with W that part's weight."""
+        def gram(vectors):
+            return sum(u.reshape(len(u), -1) @ np.matmul(w, u).reshape(len(u), -1).T
+                       for u, w in zip(vectors, weights))
+        return gram(self.basis), gram(self.images)
+
+
+def linear_model(variant: str, mp: MixingPair, prob: SensingProblem, alpha: float,
+                 exact_arithmetic: bool) -> LinearModel:
+    """T of `variant`'s certified form (`certify.certify`) at stepsize alpha,
+    built without a trajectory, in exact or in float arithmetic.
+
+    The public `algorithms.operators` and `algorithms.step` step each basis
+    vector of S, on `Fraction` copies of w, w_tilde, alpha and the sensing data
+    when `exact_arithmetic` is set and on the floats themselves otherwise. For
+    least squares the error of one step is a linear map of the error before
+    it, stepped with the homogeneous gradient x -> blockdiag(M_i^T M_i) x, so
+    in exact arithmetic T is exact over the rationals.
+    """
+    form, _, _ = certify.certify(variant)
+    aux = {"extra_xy": "y", "nids_dx": "d"}[form]
+    n, p = prob.n, prob.p
+    number, dtype = (exact, object) if exact_arithmetic else (np.asarray, float)
+    alpha = Fraction(alpha) if exact_arithmetic else float(alpha)
+    sensing = number(prob.sensing)
+    hessian = np.matmul(sensing.transpose(0, 2, 1), sensing)
+    ops = algorithms.operators(form, alpha, number(mp.w.a), number(mp.wt.a),
+                               lambda x: np.matmul(hessian, x[:, :, None])[:, :, 0])
+
+    x = np.zeros(((2 * n - 1) * p, n, p), dtype=dtype)
+    a = np.zeros_like(x)
+    for k, (i, j) in enumerate(np.ndindex(n, p)):
+        x[k, i, j] = 1
+    q = disagreement_basis(n)
+    for k, (i, j) in enumerate(np.ndindex(n - 1, p), start=n * p):
+        a[k, :, j] = q[:, i]
+    images = [algorithms.step(AlgoState(u, **{aux: v}), ops) for u, v in zip(x, a)]
+    return LinearModel((x, a), (np.array([s.x for s in images]),
+                                np.array([getattr(s, aux) for s in images])))
+
+
+def lyapunov_weights(variant: str, cert, exact_arithmetic: bool) -> tuple:
+    """V's weights on x and on the auxiliary: p_mat and q_mat for EXTRA, pn_mat
+    and alpha^2 q_mat for NIDS, as `Fraction`s or as floats."""
+    number, scalar = (exact, Fraction) if exact_arithmetic else (np.asarray, float)
+    if certify.certify(variant)[0] == "nids_dx":
+        return number(cert.pn_mat.a), scalar(cert.alpha) ** 2 * number(cert.q_mat.a)
+    return number(cert.p_mat.a), number(cert.q_mat.a)
+
+
+@dataclass(frozen=True)
 class ExactContraction:
     """A certificate's claim V(T e) <= rho V(e) on S in exact arithmetic: the
     V-Gram matrices of a basis B of S, G0 = B^T P_V B, and of its images,
@@ -841,55 +916,22 @@ class ExactContraction:
 
 def exact_contraction(variant: str, mp: MixingPair, prob: SensingProblem,
                       cert) -> ExactContraction:
-    """`cert`'s claim on S = R^{np} x (1-perp (x) R^p), with V's weights those
-    of `cert`, built exactly and without a trajectory; `.norm()` and
-    `.holds(cert.rho)` decide it.
+    """`cert`'s claim on S, with V's weights those of `cert` and T the exact
+    `linear_model` at the certificate's stepsize; `.norm()` and
+    `.holds(cert.rho)` decide it."""
+    model = linear_model(variant, mp, prob, cert.alpha, exact_arithmetic=True)
+    return ExactContraction(*model.grams(lyapunov_weights(variant, cert, exact_arithmetic=True)))
 
-    `variant` is extra or nids; its certified form (`certify.certify`) is
-    stepped by the public `algorithms.operators` and `algorithms.step` on
-    `Fraction` copies of w, w_tilde, alpha and the sensing data. For least
-    squares the error of one step is a linear map T of the error before it,
-    stepped with the homogeneous gradient x -> blockdiag(M_i^T M_i) x, so T
-    is exact over the rationals. B has x free and the auxiliary variable (y
-    or d) spanned by (e_i - e_n) e_j^T.
-    """
-    form, _, _ = certify.certify(variant)
-    aux = {"extra_xy": "y", "nids_dx": "d"}[form]
-    n, p = prob.n, prob.p
-    alpha = Fraction(cert.alpha)
-    if form == "nids_dx":
-        weights = exact(cert.pn_mat.a), alpha**2 * exact(cert.q_mat.a)
-    else:
-        weights = exact(cert.p_mat.a), exact(cert.q_mat.a)
-    sensing = exact(prob.sensing)
-    hessian = np.matmul(sensing.transpose(0, 2, 1), sensing)
-    ops = algorithms.operators(form, alpha, exact(mp.w.a), exact(mp.wt.a),
-                               lambda x: np.matmul(hessian, x[:, :, None])[:, :, 0])
 
-    zero = np.zeros((n, p), dtype=object)
-    basis = []
-    for i, j in np.ndindex(n, p):
-        x = zero.copy()
-        x[i, j] = 1
-        basis.append((x, zero))
-    for i, j in np.ndindex(n - 1, p):
-        a = zero.copy()
-        a[i, j], a[n - 1, j] = 1, -1
-        basis.append((zero, a))
-    images = []
-    for x, a in basis:
-        nxt = algorithms.step(AlgoState(x, **{aux: a}), ops)
-        images.append((nxt.x, getattr(nxt, aux)))
-
-    def gram(vectors):
-        # The sum, over x and the auxiliary, of the parts' weighted Gram matrices.
-        g = 0
-        for part, weight in zip(zip(*vectors), weights):
-            u = np.array(part)
-            g = g + u.reshape(len(u), -1) @ np.matmul(weight, u).reshape(len(u), -1).T
-        return g
-
-    return ExactContraction(gram(basis), gram(images))
+def float_rates(variant: str, mp: MixingPair, prob: SensingProblem, cert) -> tuple[float, float]:
+    """(rho(T)^2, |T|_V^2) in float arithmetic at the certificate's stepsize:
+    the squared spectral radius of the float `linear_model`, and the largest
+    eigenvalue of G0^-1 G1, the worst one-step ratio V(T e) / V(e) on S."""
+    model = linear_model(variant, mp, prob, cert.alpha, exact_arithmetic=False)
+    g0, g1 = model.grams(lyapunov_weights(variant, cert, exact_arithmetic=False))
+    c = np.linalg.cholesky(g0)
+    half = np.linalg.solve(c, np.linalg.solve(c, g1).T)  # C^-1 G1 C^-T
+    return model.spectral_radius() ** 2, float(np.linalg.eigvalsh((half + half.T) / 2.0)[-1])
 
 
 def to_edge_list_text(g) -> str:

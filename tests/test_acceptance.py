@@ -19,8 +19,8 @@ from decon.certify import audit_extra, audit_nids, extra_constants, nids_constan
 from decon.linalg import SymMatrix
 
 from oracles import (
-    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, iterations_to, ratio_column,
-    trajectory,
+    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, float_rates, iterations_to,
+    linear_model, ratio_column, trajectory,
 )
 
 SEEDS = tuple(range(10))
@@ -173,6 +173,25 @@ def test_nids_chain_bound_holds_on_the_disagreement_space(audited):
         np.linalg.cholesky(basis.T @ (cert_n.r5 * m_dec - chain_weight) @ basis)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(basis.T @ (0.5 * cert_n.r5 * m_dec - chain_weight) @ basis)
+
+
+def test_linear_model_chain_holds_and_is_stable_below_the_bounds(audited):
+    # The certificate's chain on the whole invariant subspace, in float: the
+    # step's error map T has rho(T)^2 <= |T|_V^2 (linear algebra, to rounding)
+    # and |T|_V^2 <= rho_cert (the theorem) at the audited stepsizes, and
+    # rho(T) < 1 just below each certified bound.
+    for cell, cert_e, _, cert_n, _ in audited:
+        where = (cell.seed, cell.mi, cell.relaxed)
+        lipschitz, mu = cell.prob.lipschitz, cell.prob.mu_fbar
+        bounds = {"extra": stepsize_bounds(cell.mp, lipschitz, mu)["extra-new"],
+                  "nids": 2.0 / lipschitz}
+        for variant, cert in (("extra", cert_e), ("nids", cert_n)):
+            rate, lyapunov_rate = float_rates(variant, cell.mp, cell.prob, cert)
+            assert rate <= lyapunov_rate * (1.0 + 1e-12), (where, variant)
+            assert lyapunov_rate <= cert.rho, (where, variant)
+            near = linear_model(variant, cell.mp, cell.prob, (1.0 - 1e-6) * bounds[variant],
+                                exact_arithmetic=False)
+            assert near.spectral_radius() < 1.0, (where, variant)
 
 
 def test_criterion_5_stepsize_bound_table(grid):

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from oracles import (
     _Tally as TallyReference,
@@ -1065,3 +1065,31 @@ def test_nids_chain_bound_holds_exactly_on_the_disagreement_space(exact_cells):
         for r5, holds in ((cert.r5, True), (0.5 * cert.r5, False)):
             bound = q.T @ (Fraction(r5) * m_dec - chain_weight) @ q
             assert positive_definite(bound) is holds, (where, r5)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.integers(1, 4),
+       topology=st.sampled_from(("random", "line", "complete")),
+       relax_factor=st.sampled_from((0.0, 0.1, 0.3, harness.RELAX_AGGRESSIVE)),
+       algo_bound=st.sampled_from((("nids", "nids"), ("extra", "extra-new"))),
+       fraction=st.floats(0.05, 0.999), seed=st.integers(0, 2**16))
+def test_exact_arithmetic_proves_both_certificates_on_random_small_instances(
+        data, p, topology, relax_factor, algo_bound, fraction, seed):
+    # The certified-run families above, cut to dim S = (2n - 1) p <= 22: every
+    # certificate that can be built is proved on all of S in exact arithmetic.
+    n = data.draw(st.integers(3, (22 // p + 1) // 2), label="n")
+    mi = data.draw(st.integers(1, p + 2), label="mi")
+    assume(n * mi >= p)
+    algo, bound = algo_bound
+    inst = harness.build_instance(harness.RunConfig(
+        topology=topology, n=n, p=p, mi=mi, seed=seed, relax_factor=relax_factor, algo=algo,
+        alpha=bound))
+    prob = inst.prob
+    try:
+        cert = certify.certify(algo)[1](inst.mp, prob.lipschitz, prob.mu_fbar,
+                                        fraction * inst.alpha)
+    except CertificateError:
+        assume(False)
+    claim = exact_contraction(algo, inst.mp, prob, cert)
+    assert claim.norm()
+    assert claim.holds(cert.rho)
