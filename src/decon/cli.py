@@ -122,9 +122,29 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
+# The fields a loaded problem file's data fix, each with the name its errors use.
+_PROBLEM_FILE_FIELDS = {"p": "p", "mi": "m_i", "noise_std": "noise_std"}
+
+
+def _check_problem_file(config: RunConfig, given) -> None:
+    """Raise if a field of `given` that a problem file fixes (p, m_i or noise_std)
+    differs from `config.problem_file`'s; the file is read only if one is given."""
+    fields = [f for f in _PROBLEM_FILE_FIELDS if f in given]
+    if not (config.problem_file and fields):
+        return
+    prob = problems.load_problem(config.problem_file)
+    held = {"p": prob.p, "mi": prob.sensing.shape[1], "noise_std": prob.noise_std}
+    clashes = [f"{_PROBLEM_FILE_FIELDS[f]} = {getattr(config, f)!r} (file: {held[f]!r})"
+               for f in fields if getattr(config, f) != held[f]]
+    if clashes:
+        raise ConfigError(f"problem file {config.problem_file} contradicts the given "
+                          + ", ".join(clashes))
+
+
 def _configs(args: argparse.Namespace) -> list[RunConfig]:
     """The runs the flags ask for: a scenario's presets or one config file (or
-    neither), with every flag given overriding its field."""
+    neither), with every flag given overriding its field. A p, m_i or noise_std
+    given as a flag or config key beside a problem file must match the file's."""
     overrides = _flag_overrides(args)
     base: dict = {}
     if args.config:
@@ -139,9 +159,12 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
         if "algo" in overrides:
             raise ConfigError("--algo cannot be combined with --scenario")
         overrides.pop("out_path", None)
-        return [dataclasses.replace(cfg, **overrides)
-                for cfg in harness.resolve_scenario(args.scenario)]
-    return [harness.config_from_dict({**base, **overrides})]
+        configs = [dataclasses.replace(cfg, **overrides)
+                   for cfg in harness.resolve_scenario(args.scenario)]
+    else:
+        configs = [harness.config_from_dict({**base, **overrides})]
+    _check_problem_file(configs[0], {**base, **overrides})
+    return configs
 
 
 def _check_file_path(path: str, what: str) -> None:

@@ -1,12 +1,13 @@
 import os
 import sys
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from decon import graph, harness, linalg, mixing, problem
+from decon import algorithms, cli, graph, harness, linalg, problem
+
+from oracles import half_pair
 
 
 @pytest.fixture(autouse=True)
@@ -22,10 +23,28 @@ def cold_eig_cache():
 def rand10():
     """Random 10-node instance pieces shared across tests: (graph, mp)."""
     g = graph.random_connected(10, 0.5, 2)
-    w = mixing.metropolis(g)
-    wt = mixing.SymMatrix((np.eye(10) + w.a) / 2.0, name="w_tilde")
-    mp = mixing.validate(w, wt, g)
-    return g, mp
+    return g, half_pair(g)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A list that gains one entry per `algorithms.step` call in the test."""
+    calls = []
+    step = algorithms.step
+    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
+    return calls
+
+
+@pytest.fixture
+def named_error(capsys):
+    """Run `cli.main(argv)`, assert exit code 1, no output and a single
+    `error:` line on stderr, and return that line's message."""
+    def check(argv) -> str:
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+        return err[len("error: "):-1]
+    return check
 
 
 @pytest.fixture(scope="session")

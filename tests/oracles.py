@@ -80,10 +80,15 @@ it forms; `float_rates` reads rho(T)^2 and |T|_V^2 from the float T. `exact`
 makes the `Fraction` copies and `disagreement_basis` spans 1-perp.
 `to_edge_list_text` and `parse_matrix_text` are the inverses of what the CLI
 reads (`graph.from_edge_list_text`) and writes (`mixing.dump_matrix_text`).
+
+`half_pair` is the validated mixing pair with w_tilde = (I + w)/2 that most
+tests run on, and `edited_problem` writes a saved problem file with its JSON
+edited, as a hand-edited file would reach `--load-problem`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -98,7 +103,7 @@ from decon import linalg
 from decon.linalg import NotPositiveSemidefiniteError, SymMatrix
 from decon.mixing import (THETA_LOWER, MixingPair, MixingValidationError, theta_default,
                           validate)
-from decon.problem import SensingProblem, grad, mu_g_value
+from decon.problem import SensingProblem, grad, mu_g_value, save_problem
 
 
 def _mat_mul(a, b):
@@ -932,6 +937,28 @@ def float_rates(variant: str, mp: MixingPair, prob: SensingProblem, cert) -> tup
     c = np.linalg.cholesky(g0)
     half = np.linalg.solve(c, np.linalg.solve(c, g1).T)  # C^-1 G1 C^-T
     return model.spectral_radius() ** 2, float(np.linalg.eigvalsh((half + half.T) / 2.0)[-1])
+
+
+def half_pair(g, w: SymMatrix | None = None, theta: float | None = None) -> MixingPair:
+    """The pair (w, (I + w)/2) on `g`, validated at `theta`; with no `w`, the
+    one `harness.build_mixing` builds on g's Metropolis matrix."""
+    if w is None:
+        return harness.build_mixing(harness.RunConfig(theta=theta), g)
+    return validate(w, SymMatrix((np.eye(w.dim) + w.a) / 2.0, name="w_tilde"), g, theta=theta)
+
+
+def edited_problem(path, prob: SensingProblem, edit=None, **keys) -> str:
+    """Save `prob` to `path`, apply `edit` to its JSON object in place, set
+    `keys` in it and write it back; return the path as a string."""
+    save_problem(prob, str(path))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if edit is not None:
+        edit(payload)
+    payload.update(keys)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return str(path)
 
 
 def to_edge_list_text(g) -> str:

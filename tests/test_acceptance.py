@@ -19,8 +19,8 @@ from decon.certify import audit_extra, audit_nids, extra_constants, nids_constan
 from decon.linalg import SymMatrix
 
 from oracles import (
-    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, float_rates, iterations_to,
-    linear_model, ratio_column, trajectory,
+    agent_grad, agent_value, check_rsc, eigenvalues_by_bisection, float_rates, half_pair,
+    iterations_to, linear_model, ratio_column, trajectory,
 )
 
 SEEDS = tuple(range(10))
@@ -54,9 +54,7 @@ def grid():
         w_plain = mixing.metropolis(g)
         probs = {mi: problem.generate(N, P, mi, seed=seed) for mi in (1, 10)}
         for relaxed in (False, True):
-            w = mixing.relax(w_plain, 1.0 / 3.0) if relaxed else w_plain
-            wt = SymMatrix((np.eye(N) + w.a) / 2.0, name="w_tilde")
-            mp = mixing.validate(w, wt, g)
+            mp = half_pair(g, mixing.relax(w_plain, 1.0 / 3.0) if relaxed else w_plain)
             for mi in (1, 10):
                 cells.append(Cell(seed, mi, relaxed, mp, probs[mi]))
     return cells
@@ -253,8 +251,7 @@ def test_criterion_7_relaxed_mixing_scenario():
         w = mixing.metropolis(g)
         w_new = mixing.relax(w, harness.RELAX_AGGRESSIVE)
         assert -5.0 / 3.0 < w_new.lambda_min < w.lambda_min
-        wt = SymMatrix((np.eye(10) + w_new.a) / 2.0, name="w_tilde")
-        mixing.validate(w_new, wt, g)  # raises on any violated assumption part
+        half_pair(g, w_new)  # raises on any violated assumption part
         by_label = {c.label: c for c in harness.resolve_scenario("relaxed-line")}
         plain = harness.run(by_label["nids_plain"])
         relaxed = harness.run(by_label["nids_relaxed"])

@@ -18,9 +18,9 @@ from decon.algorithms import (
 )
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
-from decon.mixing import metropolis, relax, validate
+from decon.mixing import metropolis, relax
 
-from oracles import bare_problem, step_reference, trajectory
+from oracles import bare_problem, half_pair, step_reference, trajectory
 
 # Every update `step` can run: the algorithms of VARIANTS and their two
 # reformulated forms.
@@ -36,16 +36,9 @@ def _identical_quadratics(n=6, p=3, minimizer=None):
     return problem.from_data(sensing, measurements)
 
 
-def _pair(seed=2, n=10):
-    g = random_connected(n, 0.5, seed)
-    w = metropolis(g)
-    wt = SymMatrix((np.eye(n) + w.a) / 2.0, name="wt")
-    return g, validate(w, wt, g)
-
-
 def test_dgd_consensual_zero_gradient_is_fixed():
     prob = _identical_quadratics(minimizer=np.array([1.0, -2.0, 0.5]))
-    _, mp = _pair(n=6)
+    mp = half_pair(random_connected(6, 0.5, 2))
     _, nxt = islice(iterate("dgd", prob.Xstar, 0.05, mp.w, mp.wt, prob.grad), 2)
     assert np.abs(nxt.x - prob.Xstar).max() <= 1e-12
 
@@ -75,7 +68,7 @@ def test_states_are_immutable():
 def test_two_step_forms_stationary_at_consensual_optimum():
     v = np.array([0.3, -1.2, 2.0])
     prob = _identical_quadratics(minimizer=v)
-    _, mp = _pair(n=6)
+    mp = half_pair(random_connected(6, 0.5, 2))
     x0 = prob.Xstar
     for variant in ("extra", "nids"):
         xs, _ = trajectory(variant, x0, 0.05, mp.w, mp.wt, prob.grad, 10)
@@ -99,7 +92,7 @@ def test_nids_zero_stepsize_reduction(rand10):
     x0 = rng.standard_normal((10, 5))
     grad = lambda x: np.zeros_like(x)
     _, s1, s2 = islice(iterate("nids", x0, 1e-300, mp.w, mp.wt, grad), 3)
-    half = (np.eye(10) + mp.w.a) / 2.0
+    half = mp.wt.a  # (I + w)/2
     assert np.abs(s1.x - half @ x0).max() <= 1e-12
     assert np.abs(s2.x - half @ (2 * s1.x - x0)).max() <= 1e-12
 
@@ -205,10 +198,7 @@ def test_residual_eventually_decreasing(prob1, rand10):
 
 
 def test_stepsize_bounds_plugins(prob1):
-    g = line(10)
-    w = metropolis(g)
-    wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
-    mp = validate(w, wt, g, theta=0.75)
+    mp = half_pair(line(10), theta=0.75)
     b = stepsize_bounds(mp, 10.0, prob1.mu_fbar)
     assert b["nids"] == pytest.approx(0.2, abs=0)
     assert b["extra-special"] == pytest.approx((5.0 + 3.0 * mp.w.lambda_min) / 40.0, rel=1e-15)
@@ -226,9 +216,7 @@ def test_stepsize_bound_special_value():
 
 def test_equivalences_on_relaxed_pair(prob1):
     g = random_connected(10, 0.5, 2)
-    w = relax(metropolis(g), 1.0 / 3.0)
-    wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
-    mp = validate(w, wt, g)
+    mp = half_pair(g, relax(metropolis(g), 1.0 / 3.0))
     alpha = (5.0 + 3.0 * mp.w.lambda_min) / 40.0
     x0 = np.zeros((10, 5))
     xs1, _ = trajectory("extra", x0, alpha, mp.w, mp.wt, prob1.grad, 300)

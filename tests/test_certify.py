@@ -16,6 +16,7 @@ from oracles import (
     disagreement_basis,
     exact,
     exact_contraction,
+    half_pair,
     inv_reference,
     isqrt_reference,
     lam_iwt_reference,
@@ -45,12 +46,6 @@ from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
 from decon.mixing import THETA_LOWER, metropolis, validate
 from decon.problem import mu_g_value
-
-
-def _half_pair(g, theta=None):
-    w = metropolis(g)
-    wt = SymMatrix((np.eye(g.n) + w.a) / 2.0, name="wt")
-    return validate(w, wt, g, theta=theta)
 
 
 @pytest.mark.parametrize("topology, n, relax_factor", [
@@ -98,7 +93,7 @@ def _assert_rebuilds_match_the_references(mp, monkeypatch):
 def test_extra_golden_two_node_theta_08():
     # Smallest end-to-end instance, constants reproduced by direct arithmetic:
     # w eigenvalues {0, 1}, wt = (I+w)/2, theta = 0.8, L = 10, mu_fbar = 1.
-    mp = _half_pair(line(2), theta=0.8)
+    mp = half_pair(line(2), theta=0.8)
     alpha = 0.06  # half of 2 * 0.6 / 10
     cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r2)  # g = 0 on this pair
@@ -119,7 +114,7 @@ def test_extra_golden_two_node_theta_08():
 
 
 def test_nids_golden_two_node_theta_09():
-    mp = _half_pair(line(2), theta=0.9)
+    mp = half_pair(line(2), theta=0.9)
     cert = nids_constants(mp, 10.0, 1.0, 0.19)
     assert cert.r4 == pytest.approx(0.075, rel=1e-12)
     assert cert.r5 == pytest.approx(2.0, rel=0)  # lambda_max(I - w) = 1 < 2
@@ -149,7 +144,7 @@ def test_r5_boundary_value():
 def test_rho3_degrades_as_alpha_vanishes():
     # At fixed eta the first branch 1 - a (2 - a L) mu_g climbs to 1 as the
     # stepsize vanishes (the default eta rescales with alpha, hiding this).
-    mp = _half_pair(line(2), theta=0.9)
+    mp = half_pair(line(2), theta=0.9)
     rhos = [nids_constants(mp, 10.0, 1.0, a, eta=2.0).rho
             for a in (0.1, 0.02, 0.002, 0.0002)]
     assert all(np.diff(rhos) > 0)
@@ -157,7 +152,7 @@ def test_rho3_degrades_as_alpha_vanishes():
 
 
 def test_xi_third_branch_monotone_and_limit():
-    mp = _half_pair(random_connected(10, 0.5, 2))
+    mp = half_pair(random_connected(10, 0.5, 2))
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / 10.0
     base = extra_constants(mp, 10.0, 1.0, alpha)
     xi_upper = min(base.r3 / (4.0 * base.lam_max_wbar_m), 1.0)
@@ -175,7 +170,7 @@ def test_xi_third_branch_monotone_and_limit():
 def test_special_case_consistency_with_large_r2():
     # Forcing r2 = 1e9 in the generic three-branch factor must agree with the
     # spectral-gap form of the limit case to 1e-6.
-    mp = _half_pair(random_connected(10, 0.5, 2), theta=0.9)
+    mp = half_pair(random_connected(10, 0.5, 2), theta=0.9)
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / 10.0
     cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r2) and not math.isinf(cert.r1)
@@ -192,7 +187,7 @@ def test_special_case_consistency_with_large_r2():
 
 
 def test_double_limit_r3_is_one():
-    mp = _half_pair(random_connected(10, 0.5, 2), theta=1.0)
+    mp = half_pair(random_connected(10, 0.5, 2), theta=1.0)
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / 10.0
     cert = extra_constants(mp, 10.0, 1.0, alpha)
     assert math.isinf(cert.r1) and math.isinf(cert.r2)
@@ -216,7 +211,7 @@ def test_norm_over_range_space_bounds():
 
 
 def test_certificate_errors_name_the_constant():
-    mp = _half_pair(random_connected(10, 0.5, 2))
+    mp = half_pair(random_connected(10, 0.5, 2))
     bound = 2.0 * mp.wbar.lambda_min / 10.0
     with pytest.raises(CertificateError, match="stepsize"):
         extra_constants(mp, 10.0, 1.0, bound * 1.01)
@@ -269,7 +264,7 @@ def test_extra_eta_interval_empty_by_rounding_is_a_named_error():
     # can round to <= 0: named, not a division by zero. Which pairs round so
     # rests on the eigensolver's bits of lambda_min, so the test searches for one.
     for seed in range(10):
-        mp = _half_pair(random_connected(10, 0.5, seed))
+        mp = half_pair(random_connected(10, 0.5, seed))
         lam = mp.wbar.lambda_min
         alpha = float(np.nextafter(2.0 * lam / 10.0, 0.0))
         if 4.0 * alpha * lam - 2.0 * alpha**2 * 10.0 <= 0.0:
@@ -329,7 +324,7 @@ def _theta_below_one_pairs():
     generic = SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="generic wt")
     cfg = harness.RunConfig(topology="line", n=10, relax_factor=harness.RELAX_AGGRESSIVE)
     line_mp = harness.build_mixing(cfg, harness.build_graph(cfg))
-    return [validate(w, generic, g, theta=0.85), _half_pair(g, theta=0.9),
+    return [validate(w, generic, g, theta=0.85), half_pair(g, theta=0.9),
             validate(line_mp.w, line_mp.wt, line_mp.graph, theta=0.8)]
 
 
@@ -351,7 +346,7 @@ def test_vacuous_at_theta_boundary():
     # Both certificates need theta above the margin 3/4 + 1e-12 and name it,
     # with alpha in their range or outside it (1.0): theta is checked first.
     for theta in (0.75, math.nextafter(0.75, 1.0), 0.75 + 1e-12):
-        mp = _half_pair(random_connected(10, 0.5, 2), theta=theta)
+        mp = half_pair(random_connected(10, 0.5, 2), theta=theta)
         for constants, alpha in ((extra_constants, 0.01), (nids_constants, 0.1)):
             for stepsize in (alpha, 1.0):
                 with pytest.raises(CertificateError, match="vacuous") as err:
@@ -364,14 +359,14 @@ def test_vacuous_at_theta_boundary():
 def test_a_unit_contraction_factor_is_refused(prob1):
     # Just above the theta margin, at half the extra-new bound, EXTRA's first
     # branch rounds to 1 and its third sits a hair below: the factor is 1.0.
-    mp = _half_pair(random_connected(10, 0.5, 2), theta=math.nextafter(0.75 + 1e-12, 1.0))
+    mp = half_pair(random_connected(10, 0.5, 2), theta=math.nextafter(0.75 + 1e-12, 1.0))
     alpha = 0.5 * algorithms.STEPSIZES["extra-new"](mp, prob1.lipschitz, prob1.mu_fbar)
     with pytest.raises(CertificateError) as err:
         extra_constants(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     assert str(err.value) == (f"vacuous certificate: contraction factor rho = 1 is not below 1, "
                               f"so it certifies no linear rate at stepsize {alpha}")
     # NIDS at the default pair: b1 = 1 - decay * mu_g rounds to 1 at 1e-16, not at 1e-15.
-    mp = _half_pair(random_connected(10, 0.5, 2))
+    mp = half_pair(random_connected(10, 0.5, 2))
     with pytest.raises(CertificateError, match="contraction factor rho = 1 is not below 1"):
         nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 1e-16)
     assert nids_constants(mp, prob1.lipschitz, prob1.mu_fbar, 1e-15).rho == 0.9999999999999996
@@ -484,9 +479,7 @@ def test_audit_nids_fixed_point_trajectory_is_null(prob1, rand10):
 def _beyond_classical_pair():
     """Two-node mixing matrix with lambda_min = -1.6, inside (-5/3, -1)."""
     a = -0.3
-    w = SymMatrix([[a, 1.0 - a], [1.0 - a, a]], name="wide w")
-    wt = SymMatrix((np.eye(2) + w.a) / 2.0, name="wt")
-    return validate(w, wt, line(2))
+    return half_pair(line(2), SymMatrix([[a, 1.0 - a], [1.0 - a, a]], name="wide w"))
 
 
 def test_beyond_classical_spectrum_nids_certifies_and_converges():
@@ -519,10 +512,7 @@ def test_beyond_classical_spectrum_extra_certifies():
 def test_audit_near_boundary_stepsize(prob1):
     # theta just above 3/4 pushes the certified range within ~1% of the widest
     # proved stepsize; the contraction must still hold at 0.99x the bound.
-    g = random_connected(10, 0.5, 2)
-    w = metropolis(g)
-    wt = SymMatrix((np.eye(10) + w.a) / 2.0, name="wt")
-    mp = validate(w, wt, g, theta=0.76)
+    mp = half_pair(random_connected(10, 0.5, 2), theta=0.76)
     bound = 2.0 * mp.wbar.lambda_min / prob1.lipschitz
     widest = (5.0 + 3.0 * mp.w.lambda_min) / (4.0 * prob1.lipschitz)
     assert bound > 0.98 * widest
@@ -899,7 +889,7 @@ _COVERAGE = [
 @pytest.fixture(scope="module")
 def line30():
     """The 30-agent line with p = 5, m_i = 1, seed 2: (mp, prob)."""
-    return _half_pair(line(30)), problem.generate(30, 5, 1, seed=2)
+    return half_pair(line(30)), problem.generate(30, 5, 1, seed=2)
 
 
 @pytest.mark.parametrize("variant, instance, fault, check", _COVERAGE, ids=[
@@ -959,8 +949,8 @@ def test_ratio_and_slack_cells_match_the_oracle_at_zero_and_nan_lyapunov(variant
 def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
     g = random_connected(10, 0.5, 2)
     w = metropolis(g)
-    wt = 0.3 * np.eye(10) + 0.7 * w.a if generic else (np.eye(10) + w.a) / 2.0
-    mp = validate(w, SymMatrix(wt, name="wt"), g)
+    mp = (validate(w, SymMatrix(0.3 * np.eye(10) + 0.7 * w.a, name="wt"), g) if generic
+          else half_pair(g))
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
     seen = collections.Counter()
     jacobi = linalg._jacobi_eigh
@@ -1017,7 +1007,7 @@ def exact_cells():
     1.9/L and EXTRA at 0.9 x extra-new."""
     cells = {}
     for n, p, mi in _EXACT_CELLS:
-        mp = _half_pair(random_connected(n, 0.6, 2))
+        mp = half_pair(random_connected(n, 0.6, 2))
         prob = problem.generate(n, p, mi, seed=2)
         lip, mu = prob.lipschitz, prob.mu_fbar
         certs = {"nids": nids_constants(mp, lip, mu, 1.9 / lip),

@@ -29,8 +29,8 @@ from decon.harness import (
     ConfigError, RunConfig, Trace, resolve_scenario, run, write_csv,
 )
 from oracles import (
-    eigenvalues_within, iterations_to, ratio_column, step_reference, until_stop_reference,
-    write_csv_reference,
+    edited_problem, eigenvalues_within, iterations_to, ratio_column, step_reference,
+    until_stop_reference, write_csv_reference,
 )
 
 
@@ -79,7 +79,7 @@ def test_config_takes_an_algorithm_not_its_reformulated_stepper(stepper):
     assert certify.certify(stepper) is None
 
 
-def test_config_rejects_wrongly_typed_fields(tmp_path, capsys):
+def test_config_rejects_wrongly_typed_fields(tmp_path, named_error):
     for fields in ({"n": "10"}, {"n": 10.0}, {"tol": True}, {"certify": 1},
                    {"alpha": [0.1]}, {"theta": "0.9"}):
         with pytest.raises(ConfigError, match=next(iter(fields))):
@@ -87,13 +87,12 @@ def test_config_rejects_wrongly_typed_fields(tmp_path, capsys):
     assert RunConfig(tol=1, edge_prob=1, alpha=1, theta=1).tol == 1  # ints where floats are due
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": "10"}))
-    assert cli.main(["run", "--config", str(path)]) == 1
-    assert "n must be int" in capsys.readouterr().err
+    assert "n must be int" in named_error(["run", "--config", str(path)])
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_max_iters_past_the_run_loop_bound_is_a_config_error(source, tmp_path, monkeypatch,
-                                                             capsys):
+                                                             named_error):
     # The run loop takes max_iters + 1 states with islice, whose stop is at
     # most sys.maxsize; a larger max_iters ended in a raw ValueError. No run
     # starts here: the CLI must fail before it builds an instance.
@@ -108,9 +107,7 @@ def test_max_iters_past_the_run_loop_bound_is_a_config_error(source, tmp_path, m
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"max_iters": top + 1}))
         argv = ["run", "--config", str(path)]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert "max_iters" in err and "Traceback" not in err
+    assert "max_iters" in named_error(argv)
 
 
 def test_run_converges_at_zero_when_started_at_optimum(tmp_path):
@@ -680,12 +677,10 @@ def test_certify_dgd_rejected(monkeypatch):
         run(RunConfig(algo="dgd", alpha=0.01, certify=True))
 
 
-def test_cli_rejects_an_uncertifiable_algorithm_before_building(monkeypatch, capsys):
+def test_cli_rejects_an_uncertifiable_algorithm_before_building(monkeypatch, named_error):
     monkeypatch.setattr(harness, "build_instance", _no_instance)
-    code = cli.main(["run", "--certify", "--algo", "dgd", "--topology", "line", "--n", "80",
-                     "--alpha", "0.01"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: no contraction certificate exists for 'dgd'\n"
+    assert named_error(["run", "--certify", "--algo", "dgd", "--topology", "line", "--n", "80",
+                        "--alpha", "0.01"]) == "no contraction certificate exists for 'dgd'"
 
 
 def test_cli_single_run_and_csv(tmp_path, capsys):
@@ -718,48 +713,43 @@ def test_cli_prints_the_first_five_audit_violations_and_exits_0(monkeypatch, cap
     assert all(re.fullmatch(r"  AUDIT: .+ violated at k=\d+: .+", line) for line in audits)
 
 
-def test_cli_certify_rejects_boundary_stepsize(capsys):
+def test_cli_certify_rejects_boundary_stepsize(named_error):
     # The certified NIDS range is open at 2/L, so certifying there must fail
     # loudly even though the run itself converges.
-    code = cli.main(["run", "--topology", "line", "--n", "10", "--p", "5", "--mi", "1",
-                     "--seed", "2", "--algo", "nids", "--alpha", "nids", "--certify"])
-    assert code == 1
-    assert "certified range" in capsys.readouterr().err
+    assert "certified range" in named_error([
+        "run", "--topology", "line", "--n", "10", "--p", "5", "--mi", "1",
+        "--seed", "2", "--algo", "nids", "--alpha", "nids", "--certify"])
 
 
 @pytest.mark.parametrize("algo, alpha", [("extra", "0.01"), ("nids", "0.1")])
-def test_cli_certify_names_the_theta_margin(algo, alpha, capsys):
+def test_cli_certify_names_the_theta_margin(algo, alpha, named_error):
     # Just above 3/4, theta is still inside the mixing interval but not above
     # the certificates' margin 3/4 + 1e-12.
-    code = cli.main(["run", "--certify", "--algo", algo, "--alpha", alpha,
-                     "--theta", "0.7500000000000001", "--max-iters", "3"])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: vacuous certificate: theta = 0.7500000000000001 outside the certified range "
-        "theta > 3/4 + 1e-12\n")
+    assert named_error(["run", "--certify", "--algo", algo, "--alpha", alpha,
+                        "--theta", "0.7500000000000001", "--max-iters", "3"]) == (
+        "vacuous certificate: theta = 0.7500000000000001 outside the certified range "
+        "theta > 3/4 + 1e-12")
 
 
 @pytest.mark.parametrize("algo, alpha", [("nids", "1e-315"), ("extra", "1e-315"),
                                          ("nids", "1e-309")])
-def test_cli_certificate_constant_that_overflows_is_a_named_error(algo, alpha, capsys):
+def test_cli_certificate_constant_that_overflows_is_a_named_error(algo, alpha, named_error):
     # At these stepsizes the upper end of eta's admissible interval overflows
     # to inf; certified, the run would read contraction factor inf and exit 0.
-    code = cli.main(["run", "--algo", algo, "--alpha", alpha, "--certify", "--max-iters", "20"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "error: eta's admissible interval (0, inf) overflows float64")
+    assert named_error(["run", "--algo", algo, "--alpha", alpha, "--certify",
+                        "--max-iters", "20"]).startswith(
+        "eta's admissible interval (0, inf) overflows float64")
 
 
 @pytest.mark.parametrize("alpha", ["2e-308", "1e-16"])
 @pytest.mark.parametrize("algo", ["nids", "extra"])
-def test_cli_refuses_a_unit_contraction_factor(algo, alpha, capsys):
+def test_cli_refuses_a_unit_contraction_factor(algo, alpha, named_error):
     # From just above the stepsizes whose eta interval overflows up to 1e-16,
     # b1 = 1 - decay * mu_g rounds to 1: a factor of 1 certifies no rate.
-    code = cli.main(["run", "--algo", algo, "--alpha", alpha, "--certify", "--max-iters", "3"])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        f"error: vacuous certificate: contraction factor rho = 1 is not below 1, so it certifies "
-        f"no linear rate at stepsize {alpha}\n")
+    assert named_error(["run", "--algo", algo, "--alpha", alpha, "--certify",
+                        "--max-iters", "3"]) == (
+        f"vacuous certificate: contraction factor rho = 1 is not below 1, so it certifies "
+        f"no linear rate at stepsize {alpha}")
 
 
 @pytest.mark.parametrize("algo", ["nids", "extra"])
@@ -808,13 +798,11 @@ def test_cli_run_ends_in_an_exit_code_for_any_setting(topology, n, p, mi, edge_p
     # Finite measurements whose optimum overflows.
     ("1e200", "the optimum overflows float64 (largest measurement 2.375e+200, agent 1 row 0)"),
 ])
-def test_cli_noise_that_overflows_is_a_named_error(command, noise_std, message, capsys):
+def test_cli_noise_that_overflows_is_a_named_error(command, noise_std, message, named_error):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main([*command, "--noise-std", noise_std])
-    assert code == 1
+        assert named_error([*command, "--noise-std", noise_std]) == message
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -823,14 +811,10 @@ def test_cli_noise_that_overflows_is_a_named_error(command, noise_std, message, 
     (["run", "--algo", "nids", "--alpha", "0.2", "--certify", "--tol", "1e-300",
       "--max-iters", "20000"], "certified range"),
 ])
-def test_cli_uncertifiable_stepsize_fails_before_the_first_step(argv, names, monkeypatch,
-                                                                 capsys):
-    calls = []
-    step = algorithms.step
-    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
-    assert cli.main(argv) == 1
-    assert names in capsys.readouterr().err
-    assert calls == []
+def test_cli_uncertifiable_stepsize_fails_before_the_first_step(argv, names, step_calls,
+                                                                 named_error):
+    assert names in named_error(argv)
+    assert step_calls == []
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -838,14 +822,11 @@ def test_cli_uncertifiable_stepsize_fails_before_the_first_step(argv, names, mon
     ("--tol", "nan", "tol"), ("--tol", "inf", "tol"),
     ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
 ])
-def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, monkeypatch,
-                                                             capsys):
-    calls = []
-    step = algorithms.step
-    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
-    assert cli.main(["run", "--max-iters", "50", flag, value]) == 1
-    assert f"error: {field} must be finite" in capsys.readouterr().err
-    assert calls == []
+def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, step_calls,
+                                                             named_error):
+    assert named_error(["run", "--max-iters", "50", flag, value]).startswith(
+        f"{field} must be finite")
+    assert step_calls == []
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -857,13 +838,9 @@ def test_cli_non_finite_setting_fails_before_the_first_step(flag, value, field, 
     ("--n", "need n >= 2, got -1"),
     ("--edge-prob", "edge_prob must be in (0, 1], got -1.0"),
 ])
-def test_cli_negative_setting_is_a_named_error(flag, message, monkeypatch, capsys):
-    calls = []
-    step = algorithms.step
-    monkeypatch.setattr(algorithms, "step", lambda *a: calls.append(1) or step(*a))
-    assert cli.main(["run", "--max-iters", "3", flag, "-1"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert calls == []
+def test_cli_negative_setting_is_a_named_error(flag, message, step_calls, named_error):
+    assert named_error(["run", "--max-iters", "3", flag, "-1"]) == message
+    assert step_calls == []
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -879,72 +856,45 @@ def test_cli_negative_setting_is_a_named_error(flag, message, monkeypatch, capsy
     (lambda d: d.update(sensing=d["sensing"][:-1], measurements=d["measurements"][:-1]),
      "problem has 5 agents but the graph has 6 nodes"),
 ])
-def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, capsys):
-    path = tmp_path / "prob.json"
-    problem.save_problem(problem.generate(6, 2, 2, seed=4), str(path))
-    payload = json.loads(path.read_text())
-    corrupt(payload)
-    path.write_text(json.dumps(payload))
-    code = cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
-                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
-                     "--load-problem", str(path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+def test_cli_bad_problem_file_is_a_named_error(corrupt, message, tmp_path, named_error):
+    path = edited_problem(tmp_path / "prob.json", problem.generate(6, 2, 2, seed=4), corrupt)
+    assert message in named_error(["run", "--topology", "line", "--n", "6", "--p", "2",
+                                   "--mi", "2", "--algo", "nids", "--alpha", "0.1",
+                                   "--max-iters", "5", "--load-problem", path])
 
 
 @pytest.mark.parametrize("lipschitz", [None, 10.0])
-def test_cli_overflowing_problem_file_names_the_agent(lipschitz, tmp_path, capsys):
-    path = tmp_path / "prob.json"
-    problem.save_problem(problem.generate(6, 2, 2, seed=4), str(path))
-    payload = json.loads(path.read_text())
-    payload["sensing"][0][0][0] = 1e200
-    payload["lipschitz"] = lipschitz
-    path.write_text(json.dumps(payload))
-    code = cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
-                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
-                     "--load-problem", str(path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: agent 0: M_0^T M_0 overflows float64")
-    assert "RuntimeWarning" not in err
+def test_cli_overflowing_problem_file_names_the_agent(lipschitz, tmp_path, named_error):
+    path = edited_problem(tmp_path / "prob.json", problem.generate(6, 2, 2, seed=4),
+                          lambda d: d["sensing"][0][0].__setitem__(0, 1e200), lipschitz=lipschitz)
+    assert named_error(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                        "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
+                        "--load-problem", path]).startswith(
+        "agent 0: M_0^T M_0 overflows float64")
 
 
-def test_cli_understated_lipschitz_is_a_named_error(tmp_path, capsys):
+def test_cli_understated_lipschitz_is_a_named_error(tmp_path, named_error):
     # Accepted as stated, L = 2 would certify alpha = 0.9, beyond the true 2/L = 0.2.
-    path = tmp_path / "prob.json"
-    problem.save_problem(problem.generate(10, 5, 10, seed=2), str(path))
-    payload = json.loads(path.read_text())
-    payload["lipschitz"] = 2.0
-    path.write_text(json.dumps(payload))
-    code = cli.main(["run", "--load-problem", str(path), "--n", "10", "--p", "5", "--mi", "10",
-                     "--algo", "nids", "--alpha", "0.9", "--certify"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: lipschitz 2.0 is below agent ") and "= 10." in err
+    path = edited_problem(tmp_path / "prob.json", problem.generate(10, 5, 10, seed=2),
+                          lipschitz=2.0)
+    message = named_error(["run", "--load-problem", path, "--n", "10", "--p", "5", "--mi", "10",
+                           "--algo", "nids", "--alpha", "0.9", "--certify"])
+    assert message.startswith("lipschitz 2.0 is below agent ") and "= 10." in message
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda d: d["measurements"][0].__setitem__(0, 1e200),
-     "error: the optimum overflows float64 (largest measurement 1.000e+200, agent 0 row 0)"),
+     "the optimum overflows float64 (largest measurement 1.000e+200, agent 0 row 0)"),
     (lambda d: d["sensing"][0][0].__setitem__(0, 1e150) or d.update(lipschitz=None),
-     "error: agent 0: M_0^T M_0 overflows float64 (largest sensing entry 1.000e+150)"),
+     "agent 0: M_0^T M_0 overflows float64 (largest sensing entry 1.000e+150)"),
 ], ids=["optimum", "gram_norm"])
-def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, capsys):
+def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, named_error):
     # Every entry is finite and only a norm overflows: left unchecked, that is a
     # diverged run at iteration 0 or a misleading "not strongly convex" error.
-    path = tmp_path / "prob.json"
-    problem.save_problem(problem.generate(6, 2, 2, seed=4), str(path))
-    payload = json.loads(path.read_text())
-    corrupt(payload)
-    path.write_text(json.dumps(payload))
-    code = cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
-                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "50",
-                     "--load-problem", str(path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(message)
-    assert "RuntimeWarning" not in err
+    path = edited_problem(tmp_path / "prob.json", problem.generate(6, 2, 2, seed=4), corrupt)
+    assert named_error(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                        "--algo", "nids", "--alpha", "0.1", "--max-iters", "50",
+                        "--load-problem", path]).startswith(message)
 
 
 def _count_solves(monkeypatch) -> collections.Counter:
@@ -1299,36 +1249,33 @@ def test_cli_divergence_exit_code():
     assert code == 2
 
 
-def test_cli_validation_error_exit_code(capsys):
-    code = cli.main(["run", "--scenario", "fig1", "--alpha", "frobnicate"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+def test_cli_validation_error_exit_code(named_error):
+    named_error(["run", "--scenario", "fig1", "--alpha", "frobnicate"])
 
 
-def test_cli_config_file_naming_a_scenario_is_rejected(tmp_path, capsys):
+def test_cli_config_file_naming_a_scenario_is_rejected(tmp_path, named_error):
     # A preset is chosen with --scenario only; a config file naming one used to
     # run a single default curve instead.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "fig1"}))
-    assert cli.main(["run", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == "error: unknown config keys: ['scenario']\n"
+    assert named_error(["run", "--config", str(path)]) == "unknown config keys: ['scenario']"
 
 
-def test_cli_config_with_a_scenario_is_rejected(tmp_path, capsys):
+def test_cli_config_with_a_scenario_is_rejected(tmp_path, named_error):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 6}))
-    assert cli.main(["run", "--config", str(path), "--scenario", "fig1"]) == 1
-    assert capsys.readouterr().err == "error: --config cannot be combined with --scenario\n"
+    assert named_error(["run", "--config", str(path), "--scenario", "fig1"]) == (
+        "--config cannot be combined with --scenario")
 
 
-def test_cli_algo_with_a_scenario_is_rejected(tmp_path, monkeypatch, capsys):
+def test_cli_algo_with_a_scenario_is_rejected(tmp_path, monkeypatch, capsys, named_error):
     # Each preset curve is labelled by its own algorithm: another algorithm
     # would run under that label, and no CSV would name the one that ran.
     out = tmp_path / "d"
     with monkeypatch.context() as patch:
         patch.setattr(harness, "build_instance", _no_instance)
-        assert cli.main(["run", "--scenario", "fig3", "--algo", "dgd", "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", "error: --algo cannot be combined with --scenario\n")
+        assert named_error(["run", "--scenario", "fig3", "--algo", "dgd", "--out", str(out)]) == (
+            "--algo cannot be combined with --scenario")
     assert not out.exists()
     # --alpha stays allowed: every row records the stepsize it ran.
     assert cli.main(["run", "--scenario", "fig3", "--alpha", "0.1", "--max-iters", "2"]) == 0
@@ -1339,18 +1286,15 @@ def test_cli_algo_with_a_scenario_is_rejected(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry"])
 def test_cli_label_that_would_split_a_csv_row_is_a_named_error(label, tmp_path, monkeypatch,
-                                                                capsys):
+                                                                named_error):
     # The label is a CSV cell and part of the summary line: a comma added a
     # field under the 4-column header, a line break split every row in two.
     monkeypatch.setattr(harness, "build_instance", _no_instance)
     path = tmp_path / "cfg.json"
     out = tmp_path / "t.csv"
     path.write_text(json.dumps({"label": label, "max_iters": 5, "out_path": str(out)}))
-    assert cli.main(["run", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: label must not contain ',', '\\n' or '\\r', "
-                            f"got {label!r}\n")
+    assert named_error(["run", "--config", str(path)]) == (
+        f"label must not contain ',', '\\n' or '\\r', got {label!r}")
     assert not out.exists()
 
 
@@ -1369,38 +1313,32 @@ def test_cli_graph_file_sets_the_agent_count(command, tmp_path, capsys):
     assert harness.build_instance(RunConfig(graph_file=path)).prob.n == 6
 
 
-def test_cli_graph_file_with_a_self_loop_is_a_named_error(tmp_path, capsys):
+def test_cli_graph_file_with_a_self_loop_is_a_named_error(tmp_path, named_error):
     path = _graph_file(tmp_path, [(0, 0), (0, 1)])
-    assert cli.main(["run", "--graph-file", path]) == 1
-    assert capsys.readouterr().err == "error: self-loop at node 0\n"
+    assert named_error(["run", "--graph-file", path]) == "self-loop at node 0"
 
 
-def test_cli_non_positive_named_stepsize_is_a_named_error(tmp_path, capsys):
+def test_cli_non_positive_named_stepsize_is_a_named_error(tmp_path, named_error):
     # Metropolis on K_{4,4} has lambda_min(w) = -3/5; the maximal relaxation
     # sends it below -1, where shi-linear's formula is negative.
     path = _graph_file(tmp_path, [(i, j) for i in range(4) for j in range(4, 8)])
-    code = cli.main(["run", "--graph-file", path, "--relax-factor", "0.3333333333333333",
-                     "--alpha", "shi-linear", "--max-iters", "3"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: stepsize 'shi-linear' resolved to a non-positive value")
-    assert err.count("\n") == 1
+    assert named_error(["run", "--graph-file", path, "--relax-factor", "0.3333333333333333",
+                        "--alpha", "shi-linear", "--max-iters", "3"]).startswith(
+        "stepsize 'shi-linear' resolved to a non-positive value")
 
 
-def test_cli_instance_too_large_to_allocate_is_a_named_error(monkeypatch, capsys):
+def test_cli_instance_too_large_to_allocate_is_a_named_error(monkeypatch, named_error):
     def too_large(n, edge_prob, seed):
         raise MemoryError(f"Unable to allocate an adjacency matrix for {n} nodes")
 
     monkeypatch.setattr(harness.graphs, "random_connected", too_large)
-    assert cli.main(["run", "--max-iters", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: Unable to allocate an adjacency matrix for 10 nodes\n"
+    assert named_error(["run", "--max-iters", "3"]) == (
+        "Unable to allocate an adjacency matrix for 10 nodes")
 
 
-def test_cli_unwritable_output_is_a_named_error(tmp_path, capsys):
-    code = cli.main(["run", "--max-iters", "5", "--out", str(tmp_path)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write trace to {tmp_path}")
+def test_cli_unwritable_output_is_a_named_error(tmp_path, named_error):
+    assert named_error(["run", "--max-iters", "5", "--out", str(tmp_path)]).startswith(
+        f"cannot write trace to {tmp_path}")
 
 
 def _unwritable(tmp_path, where: str) -> tuple[str, str, list[str]]:
@@ -1421,30 +1359,27 @@ def _unwritable(tmp_path, where: str) -> tuple[str, str, list[str]]:
     ([], "missing/x.csv"), (["--certify"], "missing/x.csv"), (["--certify"], ""),
     ([], "afile/x.csv"),
 ])
-def test_cli_unwritable_output_fails_before_any_step(flags, out, tmp_path, monkeypatch, capsys):
+def test_cli_unwritable_output_fails_before_any_step(flags, out, tmp_path, monkeypatch,
+                                                     named_error):
     def never(*args):
         raise AssertionError("ran before the output path was checked")
 
     monkeypatch.setattr(algorithms, "step", never)
     monkeypatch.setattr(harness, "build_instance", never)
     path, refusal, held = _unwritable(tmp_path, out)
-    assert cli.main(["run", *flags, "--max-iters", "5", "--out", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write trace to {path}: {refusal}")
+    assert named_error(["run", *flags, "--max-iters", "5", "--out", path]).startswith(
+        f"cannot write trace to {path}: {refusal}")
     assert os.listdir(tmp_path) == held
 
 
 @pytest.mark.parametrize("where", ["a directory", "missing/p.json", "afile/p.json"])
-def test_cli_unwritable_save_problem_fails_before_any_step(where, tmp_path, monkeypatch,
-                                                           capsys):
-    steps = []
-    step = algorithms.step
-    monkeypatch.setattr(algorithms, "step", lambda *a: steps.append(1) or step(*a))
+def test_cli_unwritable_save_problem_fails_before_any_step(where, tmp_path, step_calls,
+                                                           named_error):
     path, refusal, held = _unwritable(tmp_path, where)
-    assert cli.main(["run", "--max-iters", "50", "--tol", "1e-300",
-                     "--save-problem", path]) == 1
-    assert steps == []
-    assert capsys.readouterr().err.startswith(f"error: cannot write problem to {path}: {refusal}")
+    assert named_error(["run", "--max-iters", "50", "--tol", "1e-300",
+                        "--save-problem", path]).startswith(
+        f"cannot write problem to {path}: {refusal}")
+    assert step_calls == []
     assert os.listdir(tmp_path) == held
 
 
@@ -1480,25 +1415,22 @@ def test_cli_bounds_flags_are_the_fields_that_key_the_instance_memo():
 
 @pytest.mark.parametrize("where", ["a directory", "missing/w.txt", "afile/w.txt"])
 def test_cli_unwritable_dump_mixing_fails_before_any_build(where, tmp_path, monkeypatch,
-                                                           capsys):
+                                                           named_error):
     def never(*args):
         raise AssertionError("built before the dump path was checked")
 
     monkeypatch.setattr(harness, "build_graph", never)
     path, refusal, held = _unwritable(tmp_path, where)
-    assert cli.main(["validate-mixing", "--dump-mixing", path]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: cannot write mixing matrix to {path}: {refusal}")
+    assert named_error(["validate-mixing", "--dump-mixing", path]).startswith(
+        f"cannot write mixing matrix to {path}: {refusal}")
     assert os.listdir(tmp_path) == held
 
 
 @pytest.mark.parametrize("text", ['{"n": 10,', "[1, 2]"])
-def test_cli_malformed_config_is_a_named_error(text, tmp_path, capsys):
+def test_cli_malformed_config_is_a_named_error(text, tmp_path, named_error):
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    assert cli.main(["run", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    named_error(["run", "--config", str(path)])
 
 
 @pytest.mark.parametrize("flag", ["--graph-file", "--config", "--load-problem"])
@@ -1519,13 +1451,12 @@ def test_cli_input_file_with_a_byte_order_mark_reads_as_without_one(flag, tmp_pa
     assert outputs[0].err == "" and outputs[1] == outputs[0]
 
 
-def test_cli_eigensolver_failure_is_a_named_error(monkeypatch, capsys):
+def test_cli_eigensolver_failure_is_a_named_error(monkeypatch, named_error):
     def fail(mats, names):
         raise linalg.EigenConvergenceError(f"Jacobi eigensolver did not converge on {names[0]!r}")
 
     monkeypatch.setattr(linalg, "_jacobi_eigh", fail)
-    assert cli.main(["run", "--max-iters", "5"]) == 1
-    assert "did not converge" in capsys.readouterr().err
+    assert "did not converge" in named_error(["run", "--max-iters", "5"])
 
 
 def test_cli_keeps_the_traceback_of_a_defect(monkeypatch):
@@ -1596,10 +1527,10 @@ def test_cli_runs_the_same_where_mallopt_cannot_be_found(target, attr, replaceme
     assert capsys.readouterr() == want
 
 
-def test_cli_validate_mixing_checks_the_relax_factor_range(capsys):
-    assert cli.main(["validate-mixing", "--relax-factor", "0.34"]) == 1
-    assert "relax_factor must lie in [0, 1/3]" in capsys.readouterr().err
-    assert cli.main(["run", "--relax-factor", "0.34", "--max-iters", "5"]) == 1
+def test_cli_validate_mixing_checks_the_relax_factor_range(named_error):
+    assert "relax_factor must lie in [0, 1/3]" in named_error(
+        ["validate-mixing", "--relax-factor", "0.34"])
+    named_error(["run", "--relax-factor", "0.34", "--max-iters", "5"])
 
 
 def test_cli_validate_mixing_and_dump(tmp_path, capsys):
@@ -1617,11 +1548,10 @@ def test_cli_validate_mixing_and_dump(tmp_path, capsys):
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-def test_cli_validate_mixing_failure_exit_code(tmp_path, capsys):
+def test_cli_validate_mixing_failure_exit_code(tmp_path, named_error):
     gfile = tmp_path / "g.txt"
     gfile.write_text("0 1\n")
-    code = cli.main(["validate-mixing", "--graph-file", str(gfile), "--theta", "0.2"])
-    assert code == 1
+    named_error(["validate-mixing", "--graph-file", str(gfile), "--theta", "0.2"])
 
 
 def test_cli_validate_mixing_takes_a_topology(capsys):
@@ -1752,6 +1682,43 @@ def test_cli_save_and_load_problem(tmp_path):
                      "--seed", "4", "--algo", "nids", "--alpha", "0.1",
                      "--max-iters", "50", "--load-problem", str(saved), "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("field, value, clash", [
+    ("p", 40, "p = 40 (file: 5)"), ("mi", 7, "m_i = 7 (file: 1)"),
+    # Given, even the default noise_std 0.1 contradicts the file's 0.5.
+    ("noise_std", 0.1, "noise_std = 0.1 (file: 0.5)"),
+], ids=["p", "mi", "noise_std"])
+def test_cli_setting_that_contradicts_a_loaded_problem_is_a_named_error(
+        source, field, value, clash, tmp_path, step_calls, named_error):
+    path = edited_problem(tmp_path / "prob.json", problem.generate(10, 5, 1, seed=2),
+                          noise_std=0.5)
+    argv = ["run", "--max-iters", "3", "--load-problem", path]
+    if source == "flag":
+        argv += [f"--{field.replace('_', '-')}", str(value)]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({field: value}))
+        argv += ["--config", str(config)]
+    assert named_error(argv) == f"problem file {path} contradicts the given {clash}"
+    assert step_calls == []
+
+
+def test_cli_settings_beside_a_loaded_problem_must_match_it(tmp_path, step_calls, named_error,
+                                                            capsys):
+    path = str(tmp_path / "p.json")
+    assert cli.main(["run", "--max-iters", "3", "--save-problem", path]) == 0
+    capsys.readouterr()
+    steps = len(step_calls)
+    for command in (["run", "--max-iters", "3"], ["bounds"]):
+        assert named_error([*command, "--load-problem", path, "--p", "40", "--mi", "7",
+                            "--noise-std", "5"]) == (
+            f"problem file {path} contradicts the given p = 40 (file: 5), m_i = 7 (file: 1), "
+            f"noise_std = 5.0 (file: 0.1)")
+    assert len(step_calls) == steps
+    assert cli.main(["run", "--max-iters", "3", "--load-problem", path, "--p", "5",
+                     "--mi", "1"]) == 0
 
 
 # The instance memo of `build_instance`.

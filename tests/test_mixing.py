@@ -19,11 +19,7 @@ from decon.mixing import (
     validate,
 )
 
-from oracles import eigenvalues_by_bisection, parse_matrix_text
-
-
-def _half(w: SymMatrix) -> SymMatrix:
-    return SymMatrix((np.eye(w.dim) + w.a) / 2.0, name="w_tilde")
+from oracles import eigenvalues_by_bisection, half_pair, parse_matrix_text
 
 
 def test_metropolis_complete_triangle():
@@ -92,9 +88,7 @@ def test_relax_rejects_too_wide():
 
 def test_validate_passes_for_metropolis_pairs():
     for seed in range(8):
-        g = random_connected(10, 0.5, seed)
-        w = metropolis(g)
-        mp = validate(w, _half(w), g)
+        mp = half_pair(random_connected(10, 0.5, seed))
         assert 0.75 < mp.theta <= 1.0
         assert mp.w.lambda_max == pytest.approx(1.0, abs=1e-12)
 
@@ -147,10 +141,9 @@ def test_validate_checks_the_half_combination_ordering_on_g(push, accepted):
 
 
 def test_validate_rejects_a_dimension_mismatch():
-    w = metropolis(line(3))
     with pytest.raises(MixingValidationError,
                        match="dimension mismatch: graph has 4 nodes, matrices are 3 and 3"):
-        validate(w, _half(w), line(4))
+        half_pair(line(4), metropolis(line(3)))
 
 
 def test_validate_names_every_row_sum_residual():
@@ -159,7 +152,7 @@ def test_validate_names_every_row_sum_residual():
     g = random_connected(6, 0.6, 1)
     w = SymMatrix(0.9 * metropolis(g).a, name="shrunk")
     with pytest.raises(MixingValidationError) as err:
-        validate(w, _half(w), g)
+        half_pair(g, w)
     residuals = [v for v in err.value.violations if "1 has residual" in v]
     assert residuals == [
         "part 3 (null space): (w_tilde - w) 1 has residual 5.000e-02",
@@ -188,18 +181,15 @@ def test_validate_rejects_block_averaging_null_space():
         [0.0, 0.0, 0.5, 0.5],
         [0.0, 0.0, 0.5, 0.5],
     ])
-    w = SymMatrix(block, name="block averaging")
-    wt = SymMatrix((np.eye(4) + block) / 2.0, name="wt")
     with pytest.raises(MixingValidationError) as err:
-        validate(w, wt, g)
+        half_pair(g, SymMatrix(block, name="block averaging"))
     assert any("larger than span(1)" in v for v in err.value.violations)
 
 
 def test_validate_rejects_off_graph_weight():
     g = line(3)
-    w = metropolis(complete(3))
     with pytest.raises(MixingValidationError) as err:
-        validate(w, _half(w), g)
+        half_pair(g, metropolis(complete(3)))
     assert any("part 1" in v for v in err.value.violations)
 
 
@@ -220,28 +210,22 @@ def test_theta_default_values():
 
 def test_theta_boundary_three_quarters_needs_pd():
     g = random_connected(10, 0.5, 2)
-    w = metropolis(g)
-    mp = validate(w, _half(w), g, theta=0.75)
+    mp = half_pair(g, theta=0.75)
     assert mp.theta == 0.75
-    relaxed = relax(w, 1.0 / 3.0 - 1e-3)
-    wt = _half(relaxed)
-    if wt.lambda_min <= 0:
+    relaxed = relax(mp.w, 1.0 / 3.0 - 1e-3)
+    if relaxed.lambda_min <= -1.0:  # (I + relaxed)/2 is not positive definite
         with pytest.raises(MixingValidationError):
-            validate(relaxed, wt, g, theta=0.75)
+            half_pair(g, relaxed, theta=0.75)
 
 
 def test_validate_two_node_hand_case():
-    g = line(2)
-    w = metropolis(g)
-    mp = validate(w, _half(w), g, theta=0.8)
+    mp = half_pair(line(2), theta=0.8)
     assert np.allclose(mp.wbar.a, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
     assert mp.wbar.lambda_min > 0
 
 
 def test_validate_g_zero_for_half_pair():
-    g = random_connected(10, 0.5, 3)
-    w = metropolis(g)
-    mp = validate(w, _half(w), g)
+    mp = half_pair(random_connected(10, 0.5, 3))
     assert np.abs(mp.g.a).max() <= 1e-14
 
 
@@ -371,10 +355,8 @@ def _assert_moore_penrose(mp, w):
 def test_validate_passes_on_long_line_graphs(n):
     # The eigensolver's null vector of I - w is 1/sqrt(n) only to round-off;
     # unprojected, pinv(I - w) 1 grew past the 1e-10 m_tilde check from n = 55.
-    g = line(n)
-    w = metropolis(g)
-    mp = validate(w, _half(w), g)
-    _assert_moore_penrose(mp, w)
+    mp = half_pair(line(n))
+    _assert_moore_penrose(mp, mp.w)
     ones = np.ones(n)
     for pinv in (mp.m, mp.iw_pinv):
         assert np.abs(pinv.a @ ones).max() <= 1e-12
@@ -385,10 +367,8 @@ def test_validate_rejects_a_projection_that_leaves_the_ones_direction(monkeypatc
     # direction; one that leaves 1e-9 in every entry is caught.
     project = mixing._project
     monkeypatch.setattr(mixing, "_project", lambda a: project(a) + 1e-9)
-    g = line(4)
-    w = metropolis(g)
     with pytest.raises(AssertionError, match=r"^m_tilde 1 != -theta 1 \(residual 8\.0\d\de-09\)$"):
-        validate(w, _half(w), g)
+        half_pair(line(4))
 
 
 @pytest.mark.parametrize("w, factor, message", [
@@ -413,7 +393,7 @@ def test_validate_reports_an_asymmetric_matrix_before_any_eigensolve(name):
     # name part 2 rather than fail inside an eigensolve.
     g = random_connected(10, 0.5, 2)
     w = metropolis(g)
-    wt = _half(w)
+    wt = SymMatrix(half_pair(g).wt.a, name="w_tilde")  # a fresh copy to write into
     mat = {"w": w, "w_tilde": wt}[name].a
     i, j = g.edges[0]
     mat.setflags(write=True)

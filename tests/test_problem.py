@@ -8,13 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from decon import cli, linalg, problem
+from decon import linalg, problem
 from decon.graph import line, random_connected
 from decon.linalg import SymMatrix
-from decon.mixing import metropolis, validate
+from decon.mixing import metropolis
 from decon.problem import ProblemError, from_data, generate, grad, mu_g_value
 
-from oracles import agent_grad, agent_value, bare_problem, check_rsc, grad_reference, mu_g
+from oracles import (
+    agent_grad, agent_value, bare_problem, check_rsc, edited_problem, grad_reference, half_pair,
+    mu_g,
+)
 
 
 def test_generate_normalizes_local_curvature(prob1):
@@ -59,14 +62,14 @@ def _recording_decompose(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n, p, mi", [(3, 200, 1), (2, 100, 40)])
 def test_cli_fewer_measurements_than_unknowns_exit_1_before_any_p_by_p_solve(
-        n, p, mi, monkeypatch, capsys):
+        n, p, mi, monkeypatch, named_error):
     # A hessian summing n * m_i rank-one terms has rank at most n * m_i < p:
     # the verdict is known before the p x p Gram and Hessian solves.
     sizes = _recording_decompose(monkeypatch)
-    code = cli.main(["run", "--n", str(n), "--p", str(p), "--mi", str(mi), "--max-iters", "2"])
-    assert code == 1
-    assert capsys.readouterr().err == (f"error: averaged objective is not strongly convex: its "
-                                       f"hessian has rank at most n*m = {n * mi} < p = {p}\n")
+    assert named_error(["run", "--n", str(n), "--p", str(p), "--mi", str(mi),
+                        "--max-iters", "2"]) == (
+        f"averaged objective is not strongly convex: its "
+        f"hessian has rank at most n*m = {n * mi} < p = {p}")
     assert sizes and p not in sizes  # the n x n mixing solves still ran
 
 
@@ -156,9 +159,7 @@ def test_mu_g_formula_branches():
 
 
 def test_mu_g_against_pair(prob1):
-    w = SymMatrix([[0.75, 0.25], [0.25, 0.75]], name="w")
-    g2 = line(2)
-    mp = validate(w, SymMatrix((np.eye(2) + w.a) / 2.0, name="wt"), g2)
+    mp = half_pair(line(2), SymMatrix([[0.75, 0.25], [0.25, 0.75]], name="w"))
     assert float(mp.iw.eigenvalues[1]) == pytest.approx(0.5)
     prob = generate(2, 1, 3, seed=5)
     expected = mu_g_value(prob.mu_fbar, prob.lipschitz, 0.5, 0.7)
@@ -166,21 +167,17 @@ def test_mu_g_against_pair(prob1):
 
 
 def test_check_rsc_zero_violations(prob1):
-    g = random_connected(10, 0.5, 2)
-    w = metropolis(g)
-    mp = validate(w, SymMatrix((np.eye(10) + w.a) / 2.0, name="wt"), g)
+    mp = half_pair(random_connected(10, 0.5, 2))
     report = check_rsc(prob1, mp, eta=0.5, samples=1000, seed=0)
     assert report.violations == 0
     assert report.min_slack >= -1e-9
 
 
 def test_check_rsc_consensual_points_reduce_to_average(prob1):
-    g = random_connected(10, 0.5, 2)
-    w = metropolis(g)
-    mp = validate(w, SymMatrix((np.eye(10) + w.a) / 2.0, name="wt"), g)
+    mp = half_pair(random_connected(10, 0.5, 2))
     mg = mu_g(prob1, mp, 0.5)
     rng = np.random.default_rng(4)
-    i_minus_w = np.eye(10) - w.a
+    i_minus_w = np.eye(10) - mp.w.a
     for _ in range(20):
         v = rng.standard_normal(prob1.p)
         x = prob1.Xstar + np.tile(v, (10, 1))
@@ -252,9 +249,8 @@ def test_a_problem_saved_with_its_shapes_and_x_true_loads_to_the_same_bits(tmp_p
     prob = generate(6, 3, 2, noise_std=0.1, seed=4)
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     problem.save_problem(prob, str(new))
-    payload = {"n": 6, "p": 3, "m": 2, **json.loads(new.read_text()),
-               "x_true": np.random.default_rng(4).standard_normal(3).tolist()}
-    old.write_text(json.dumps(payload))
+    edited_problem(old, prob, n=6, p=3, m=2,
+                   x_true=np.random.default_rng(4).standard_normal(3).tolist())
     a, b = problem.load_problem(str(new)), problem.load_problem(str(old))
     for name in ("sensing", "measurements", "xstar", "Xstar"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -344,7 +340,7 @@ def test_normal_equations_fall_back_to_the_pseudo_inverse(n, p, m_i, monkeypatch
 
 
 def test_cli_an_agent_drawing_a_zero_sensing_matrix_exits_1_without_a_traceback(monkeypatch,
-                                                                               capsys):
+                                                                               named_error):
     default_rng = np.random.default_rng
 
     class ZeroAgent3:
@@ -365,9 +361,8 @@ def test_cli_an_agent_drawing_a_zero_sensing_matrix_exits_1_without_a_traceback(
     monkeypatch.setattr(np.random, "default_rng", ZeroAgent3)
     with pytest.raises(ProblemError, match="agent 3 drew a zero sensing matrix"):
         generate(10, 5, 1, seed=2)
-    assert cli.main(["run", "--max-iters", "5"]) == 1
-    err = capsys.readouterr().err
-    assert "error: agent 3 drew a zero sensing matrix" in err and "Traceback" not in err
+    assert named_error(["run", "--max-iters", "5"]).startswith(
+        "agent 3 drew a zero sensing matrix")
 
 
 def _recording_solver(monkeypatch) -> list:
@@ -429,30 +424,22 @@ class _BadAgents:
     (1e200, "agent 3: M_3^T M_3 overflows float64 (largest sensing entry 1.000e+200)"),
 ], ids=["zero", "overflow"])
 def test_generate_names_the_first_bad_agent_and_the_cli_exits_1(fill, message, monkeypatch,
-                                                                capsys):
+                                                                named_error):
     monkeypatch.setattr(_BadAgents, "FILL", fill)
     monkeypatch.setattr(np.random, "default_rng", _BadAgents)
     with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
         generate(10, 5, 1, seed=2)
-    assert cli.main(["run", "--max-iters", "5"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert named_error(["run", "--max-iters", "5"]).startswith(message)
 
 
-def test_from_data_names_the_first_overflowing_agent_and_the_cli_exits_1(tmp_path, capsys):
+def test_from_data_names_the_first_overflowing_agent_and_the_cli_exits_1(tmp_path, named_error):
     prob = generate(6, 2, 2, seed=4)
     sensing = prob.sensing.copy()
     sensing[[2, 5], 0, 0] = 1e200
     message = "agent 2: M_2^T M_2 overflows float64 (largest sensing entry 1.000e+200)"
     with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
         from_data(sensing, prob.measurements)
-    path = tmp_path / "prob.json"
-    problem.save_problem(prob, str(path))
-    payload = json.loads(path.read_text())
-    payload["sensing"] = sensing.tolist()
-    path.write_text(json.dumps(payload))
-    assert cli.main(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
-                     "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
-                     "--load-problem", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    path = edited_problem(tmp_path / "prob.json", prob, sensing=sensing.tolist())
+    assert named_error(["run", "--topology", "line", "--n", "6", "--p", "2", "--mi", "2",
+                        "--algo", "nids", "--alpha", "0.1", "--max-iters", "5",
+                        "--load-problem", path]).startswith(message)
