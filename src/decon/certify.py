@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import algorithms
-from .linalg import SymMatrix
+from .linalg import SymMatrix, decompose
 from .mixing import THETA_LOWER, MixingPair
 from .problem import mu_g_value
 
@@ -197,7 +197,8 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     lam_min_wbar = mp.wbar.lambda_min
 
     # Couplings r1, r2, r3 and lambda_max(w_bar m): r1 from w_tilde's spectrum,
-    # r2 and lambda_max(w_bar m) from one similarity eigensolve each. At
+    # r2 and lambda_max(w_bar m) from two similarity products, solved together
+    # by LAPACK since no stepsize reads them (see `linalg`). At
     # w_tilde = (I + w)/2, g = 0, so r2's matrix is exactly zero, its
     # eigenvalues are 0.0 and r2 is infinite.
     lam_iwt = _lam_max_iwt(mp)
@@ -206,11 +207,12 @@ def extra_constants(mp: MixingPair, lipschitz: float, mu_fbar: float, alpha: flo
     else:
         r1 = (4.0 * theta - 3.0) / (4.0 * (1.0 - theta) ** 2 * lam_iwt)
     isq = mp.wbar.spectral_map(lambda w: 1.0 / np.sqrt(w), "w_bar^-1/2").a
-    lam_g = SymMatrix(isq @ mp.g.a @ isq, name="g wbar^-1", basis=mp.w).lambda_max
+    sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
+    similar = (SymMatrix(isq @ mp.g.a @ isq, name="g wbar^-1", lapack=True),
+               SymMatrix(sq @ mp.m.a @ sq, name="wbar m", lapack=True))
+    lam_g, lam_wbar_m = (float(w[-1]) for w, _ in decompose(similar))
     r2 = math.inf if lam_g <= 1e-12 else 1.0 / (2.0 * lam_g)
     r3 = 1.0 / (1.0 + 1.0 / r1 + 1.0 / r2)
-    sq = mp.wbar.spectral_map(np.sqrt, "w_bar^1/2").a
-    lam_wbar_m = SymMatrix(sq @ mp.m.a @ sq, name="wbar m", basis=mp.w).lambda_max
     if lam_wbar_m <= 0.0:
         raise CertificateError(
             "lambda_max(w_bar m) is not positive; mixing pair is degenerate")

@@ -144,7 +144,8 @@ def _check_problem_file(config: RunConfig, given) -> None:
 def _configs(args: argparse.Namespace) -> list[RunConfig]:
     """The runs the flags ask for: a scenario's presets or one config file (or
     neither), with every flag given overriding its field. A p, m_i or noise_std
-    given as a flag or config key beside a problem file must match the file's."""
+    given as a flag or config key beside a problem file must match the file's,
+    and so must the p and m_i a scenario's presets name."""
     overrides = _flag_overrides(args)
     base: dict = {}
     if args.config:
@@ -161,9 +162,12 @@ def _configs(args: argparse.Namespace) -> list[RunConfig]:
         overrides.pop("out_path", None)
         configs = [dataclasses.replace(cfg, **overrides)
                    for cfg in harness.resolve_scenario(args.scenario)]
+        # Every preset of a scenario names the same p and m_i.
+        given = {*overrides, "p", "mi"}
     else:
         configs = [harness.config_from_dict({**base, **overrides})]
-    _check_problem_file(configs[0], {**base, **overrides})
+        given = {*base, *overrides}
+    _check_problem_file(configs[0], given)
     return configs
 
 

@@ -1,16 +1,21 @@
-"""Dense symmetric linear algebra: a cached Jacobi eigensolver.
+"""Dense symmetric linear algebra: a cached eigensolver with two solvers.
 
 Stacked agent iterates are plain float ndarrays of shape (n_agents, dim); only
 square symmetric matrices get a class, `SymMatrix`, which also rebuilds a
 matrix from its spectrum (`spectral_map`, `pinv`) and answers sign checks by
 Cholesky (`lambda_min_at_least`). Every eigendecomposition goes through
 `decompose`, which reads each result from a module cache and solves the misses
-as one stack with the cyclic Jacobi solver `_jacobi_eigh`.
+as stacks: with the cyclic Jacobi solver `_jacobi_eigh`, or, for a matrix built
+with `lapack=True`, with LAPACK's `eigh` (`_lapack_eigh`).
 
-Jacobi stays, though LAPACK's `eigh` is faster, because the saved benchmark
-reference and every CSV the package writes are defined by its rounding:
-swapping it moves EXTRA stepsizes in their last bits and with them iteration
-counts.
+Jacobi solves every spectrum that sets a stepsize, the sensing scale or
+mu_fbar (w, w_tilde, w_bar, the agents' Grams, the averaged Hessian and the
+normal equations), though `eigh` is faster, because the saved benchmark
+reference and every uncertified CSV are defined by its rounding: swapping it
+moves EXTRA stepsizes in their last bits and with them iteration counts.
+LAPACK solves the spectra only certificates read (`mixing`'s w_tilde - w and
+I - w, `certify`'s two similarity products), whose rounding reaches no
+iterate, only certificate constants.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ def clear_eig_cache() -> None:
 
 
 def _entry_bytes(key: tuple, w: np.ndarray, v: np.ndarray) -> int:
-    return len(key[1]) + len(key[2] or b"") + w.nbytes + v.nbytes
+    return len(key[1]) + w.nbytes + v.nbytes
 
 
 def _cache_eig(key: tuple, w: np.ndarray, v: np.ndarray) -> None:
@@ -70,7 +75,8 @@ def _cache_eig(key: tuple, w: np.ndarray, v: np.ndarray) -> None:
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the iteration cap before reducing the off-diagonal mass."""
+    """An eigensolve did not converge: Jacobi sweeps hit their cap, LAPACK's
+    `eigh` gave up, or a result failed `decompose`'s residual check."""
 
 
 class NonFiniteMatrixError(ValueError):
@@ -213,6 +219,23 @@ def _jacobi_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarra
     return results
 
 
+def _lapack_eigh(mats: np.ndarray, names: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """LAPACK's `eigh` on a (B, n, n) stack of symmetric matrices, returning
+    what `_jacobi_eigh` does; each member's bits depend on that member alone.
+    A stack LAPACK cannot solve is retried member by member, so the error
+    names the first member that fails alone."""
+    try:
+        return list(zip(*np.linalg.eigh(mats)))
+    except np.linalg.LinAlgError:
+        for a, name in zip(mats, names):
+            try:
+                np.linalg.eigh(a)
+            except np.linalg.LinAlgError as exc:
+                raise EigenConvergenceError(
+                    f"LAPACK eigh did not converge on {name!r}: {exc}") from None
+        raise
+
+
 def _eigenpairs(st: np.ndarray, diag: list[list[float]], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Matrix k of the stack: its sorted diagonal and the matching eigenvectors."""
     n = st.shape[0]
@@ -228,17 +251,14 @@ class SymMatrix:
     non-finite entries are rejected. The entries array is frozen, so the cache
     key built from it stays the matrix's own.
 
-    An optional `basis` (a `SymMatrix` of the same size) warm-starts the solve:
-    `eig` runs Jacobi on V^T a V, V the basis's eigenvectors, instead of on a.
-    When a is a polynomial in the basis, V^T a V is diagonal to round-off and
-    the sweeps stop at once; any other basis only costs the sweeps it needs.
-    A warm solve rounds apart from a cold one, so only matrices whose
-    eigenvalues set no stepsize or sensing scale get a basis (`mixing`'s
-    w_tilde - w and I - w, `certify`'s similarity products): no iterate
-    depends on a warm start, only certificate constants, at round-off.
+    `lapack=True` has `decompose` solve the matrix with LAPACK's `eigh`
+    instead of Jacobi. The two round apart, so only matrices whose eigenvalues
+    set no stepsize or sensing scale take it (`mixing`'s w_tilde - w and
+    I - w, `certify`'s similarity products): no iterate depends on it, only
+    certificate constants, at round-off.
     """
 
-    def __init__(self, entries, name: str = "matrix", basis: "SymMatrix | None" = None):
+    def __init__(self, entries, name: str = "matrix", lapack: bool = False):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"{name!r} must be square, got shape {a.shape}")
@@ -248,14 +268,10 @@ class SymMatrix:
             a = (a + a.T) / 2.0
         if not np.all(np.isfinite(a)):
             raise NonFiniteMatrixError(f"{name!r} holds non-finite entries (NaN or inf)")
-        if basis is not None and basis.a.shape != a.shape:
-            raise ValueError(
-                f"{name!r} has shape {a.shape} but its basis {basis.name!r} has shape "
-                f"{basis.a.shape}")
         a.setflags(write=False)
         self.a = a
         self.name = name
-        self.basis = basis
+        self.lapack = bool(lapack)
 
     @property
     def dim(self) -> int:
@@ -289,9 +305,9 @@ class SymMatrix:
         """Whether lambda_min >= floor, decomposing only when the answer may be no.
 
         A Cholesky factorization of a - floor*I exists only when that matrix
-        is positive definite, so a successful one answers yes without a
-        Jacobi solve. A failed one falls back to `lambda_min`, so a caller
-        that reports a no reads the exact Jacobi eigenvalue. The two tests
+        is positive definite, so a successful one answers yes without an
+        eigensolve. A failed one falls back to `lambda_min`, so a caller
+        that reports a no reads the solved eigenvalue. The two tests
         can disagree only within round-off of the floor.
         """
         try:
@@ -327,31 +343,32 @@ class SymMatrix:
 def decompose(mats: Sequence[SymMatrix]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each matrix's read-only (eigenvalues, eigenvectors), in input order.
 
-    The module cache is keyed by (shape, entries' bytes, basis entries' bytes
-    or None): the bytes themselves, never a digest, so a matrix gets an
-    earlier solve's arrays only when every entry and basis entry is
-    bit-identical, and so does a repeat within `mats`. Since the solver gives
-    each member of a stack a deterministic function of that member alone, a
-    hit holds the bits of a fresh solve, and no CSV, certificate or audit
-    verdict depends on the cache. A solve lives only there, never on a
-    `SymMatrix`, so `_EIG_CACHE_BUDGET` bounds the memory of every spectrum:
-    past it the least recently used entries are evicted, and a read after an
-    eviction solves again. `clear_eig_cache` empties it.
+    The module cache is keyed by (shape, entries' bytes, solver): the bytes
+    themselves, never a digest, so a matrix gets an earlier solve's arrays
+    only when every entry is bit-identical and the same solver is asked for,
+    and so does a repeat within `mats`. Since each solver gives each member of
+    a stack a deterministic function of that member alone, a hit holds the
+    bits of a fresh solve, and no CSV, certificate or audit verdict depends on
+    the cache. A solve lives only there, never on a `SymMatrix`, so
+    `_EIG_CACHE_BUDGET` bounds the memory of every spectrum: past it the least
+    recently used entries are evicted, and a read after an eviction solves
+    again. `clear_eig_cache` empties it.
 
-    The misses, all of one size, are solved as one stacked Jacobi run, a warm
-    one in its basis's eigenvectors, read where its entries are rotated. Each
-    result passes a residual and orthogonality check on its matrix's own
-    entries before it is stored, read-only since every reader shares it; a
-    failed solve is never stored, so retrying it raises again. Errors are
-    raised in this order: an overflowing norm, naming the first such miss; a
-    capped Jacobi run, naming its first capped member; a failed check.
+    The misses, all of one size, are solved as one stack per solver: a Jacobi
+    run, then one LAPACK `eigh` call for the `lapack=True` matrices, the
+    spectra only certificates read (Jacobi keeps the rest, whose bits the
+    saved reference holds; see the module docstring). Each result passes a residual and
+    orthogonality check on its matrix's entries before it is stored,
+    read-only since every reader shares it; a failed solve is never stored,
+    so retrying it raises again. Errors are raised in this order: an
+    overflowing norm, naming the first such miss; a capped Jacobi run, naming
+    its first capped member; an `eigh` that fails, naming the first member
+    that fails alone; a failed check.
     """
-    # Each distinct miss: its entries' norm, its Jacobi input, its basis's
-    # eigenvectors (None for a cold solve) and the first matrix it stands for.
+    # Each distinct miss: its entries' norm and the first matrix it stands for.
     keys, found, misses = [], {}, {}
     for mat in mats:
-        basis = mat.basis
-        key = (mat.a.shape, mat.a.tobytes(), None if basis is None else basis.a.tobytes())
+        key = (mat.a.shape, mat.a.tobytes(), mat.lapack)
         keys.append(key)
         # A hit's arrays are taken now: storing this call's misses may evict it.
         hit = _eig_cache.get(key)
@@ -365,28 +382,23 @@ def decompose(mats: Sequence[SymMatrix]) -> list[tuple[np.ndarray, np.ndarray]]:
             if not math.isfinite(norm):
                 raise NonFiniteMatrixError(
                     f"{mat.name!r} has finite entries but its norm overflows float64")
-            if basis is None:
-                a, vb = mat.a, None
-            else:
-                vb = basis.eig()[1]
-                rotated = vb.T @ mat.a @ vb
-                # Jacobi copies rotated columns into rows: its input must be
-                # exactly symmetric, which the two products need not leave.
-                a = (rotated + rotated.T) / 2.0
-            misses[key] = (norm, a, vb, mat)
-    if misses:
-        stack = np.stack([a for _, a, _, _ in misses.values()])
-        solved = _jacobi_eigh(stack, [mat.name for *_, mat in misses.values()])
-        for (key, (norm, _, vb, mat)), (w, u) in zip(misses.items(), solved):
-            v = u if vb is None else vb @ u
-            recon = float(np.linalg.norm((v * w) @ v.T - mat.a))
-            ortho = float(np.linalg.norm(v.T @ v - np.eye(mat.dim)))
-            if recon > 1e-10 * max(1.0, norm) or ortho > 1e-10:
-                raise EigenConvergenceError(
-                    f"eigendecomposition of {mat.name!r} failed its residual check: "
-                    f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}")
-            w.setflags(write=False)
-            v.setflags(write=False)
-            _cache_eig(key, w, v)
-            found[key] = (w, v)
+            misses[key] = (norm, mat)
+    solved = {}
+    for lapack, solver in ((False, _jacobi_eigh), (True, _lapack_eigh)):
+        group = [key for key in misses if key[2] == lapack]
+        if group:
+            stack = np.stack([misses[key][1].a for key in group])
+            solved.update(zip(group, solver(stack, [misses[key][1].name for key in group])))
+    for key, (norm, mat) in misses.items():
+        w, v = solved[key]
+        recon = float(np.linalg.norm((v * w) @ v.T - mat.a))
+        ortho = float(np.linalg.norm(v.T @ v - np.eye(mat.dim)))
+        if recon > 1e-10 * max(1.0, norm) or ortho > 1e-10:
+            raise EigenConvergenceError(
+                f"eigendecomposition of {mat.name!r} failed its residual check: "
+                f"reconstruction {recon:.3e}, orthogonality {ortho:.3e}")
+        w.setflags(write=False)
+        v.setflags(write=False)
+        _cache_eig(key, w, v)
+        found[key] = (w, v)
     return [found[key] for key in keys]

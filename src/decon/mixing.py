@@ -10,12 +10,13 @@ from `linalg`'s cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .linalg import SymMatrix
+from .linalg import SymMatrix, decompose
 
 __all__ = [
     "THETA_LOWER",
@@ -57,10 +58,11 @@ class MixingPair:
     beside it nor on it: each read looks its solve up in the `linalg` cache,
     the one place a solve lives, so a matrix with the same entries as one
     decomposed before reuses that solve while it is cached.
-    diff and iw carry w as their basis: their Jacobi solves start from w's
-    eigenvectors, which diagonalize them whenever w_tilde is a polynomial in w
-    (as (I + w)/2 is). w, wt and wbar, whose eigenvalues set the stepsizes,
-    are solved cold from their own entries when first read.
+    diff and iw, whose spectra only certificates read, are solved together by
+    LAPACK's `eigh` (`lapack=True`) as `validate` builds them. w, wt and wbar,
+    whose eigenvalues set the stepsizes, are solved by Jacobi, which keeps
+    every stepsize's bits, and only when first read: a run that reads no
+    spectrum of w never solves it.
 
     diff   = wt - w                          (PSD, zero exactly on the consensus line)
     iw     = I - w                           (PSD, zero exactly on the consensus line)
@@ -70,12 +72,14 @@ class MixingPair:
     iw_pinv = pinv(I - w)                    (PSD, zero on the consensus line)
     g      = w + I - 2*wt                    (= 2((I+w)/2 - wt), PSD: part 4 checks
                                               (I+w)/2 >= wt on g; zero when wt = (I+w)/2)
-    mtilde = 2 pinv(I - w) - theta*I         (= pinv((I - w)/2) - theta*I, bit for bit;
-                                              the norm over the disagreement space)
+    mtilde = 2 pinv(I - w) - theta*I         (= pinv((I - w)/2) - theta*I; the norm
+                                              over the disagreement space)
 
     Both pseudo-inverses are projected as P pinv(.) P with P = I - 11^T/n: the
     eigensolver's null vector is 1/sqrt(n) only to round-off, and on long line
     graphs the leftover, scaled by 1/lambda_min_pos(I - w), passes 1e-10.
+    The projection is a double centering (`_project`), so every row and
+    column sums to zero to a few roundings of its entries.
 
     theta in (3/4, min{1/(1 - lambda_min(wt)), 1}] parametrizes wbar.
     """
@@ -147,10 +151,13 @@ def theta_default(lam_min_wt: float) -> float:
 
 
 def _project(a: np.ndarray) -> np.ndarray:
-    """P a P with P = I - 11^T/n, the projection onto the disagreement space."""
+    """P a P with P = I - 11^T/n, the projection onto the disagreement space,
+    as a double centering: each row's mean subtracted, then each column's,
+    every mean a correctly rounded `math.fsum`. A matrix product would leave
+    each row sum at about machine epsilon times the entries' size."""
     n = len(a)
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    return proj @ a @ proj
+    a = a - np.array([math.fsum(row) / n for row in a.tolist()])[:, None]
+    return a - np.array([math.fsum(col) / n for col in a.T.tolist()])
 
 
 def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) -> MixingPair:
@@ -193,11 +200,10 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
 
     eye = np.eye(n)
     ones = np.ones((n, 1))
-    # wt - w and I - w start their solves from w's eigenvectors (see `linalg`).
-    # w is decomposed first, on its own, so its solve is not timed inside theirs.
-    w.eig()
-    diff = SymMatrix(wt.a - w.a, name="w_tilde - w", basis=w)
-    i_minus_w = SymMatrix(eye - w.a, name="I - w", basis=w)
+    # Only certificates read these two spectra: one LAPACK solve (see `linalg`).
+    diff = SymMatrix(wt.a - w.a, name="w_tilde - w", lapack=True)
+    i_minus_w = SymMatrix(eye - w.a, name="I - w", lapack=True)
+    decompose((diff, i_minus_w))
 
     # Part 3: Null(w - w_tilde) = span(1) and (I - w_tilde) 1 = 0.
     resid = float(np.abs(diff.a @ ones).max())
@@ -273,9 +279,7 @@ def validate(w: SymMatrix, wt: SymMatrix, g: Graph, theta: float | None = None) 
     # Project both pseudo-inverses onto the disagreement space (see MixingPair).
     m = SymMatrix(_project(diff.pinv().a), name="pinv(w_tilde - w)")
     iw_pinv = SymMatrix(_project(i_minus_w.pinv().a), name="pinv(I - w)")
-    # Halving commutes exactly with the rotation into w's basis, with every
-    # Jacobi step, with pinv and with the projection, so this equals
-    # pinv((I - w)/2) - theta I without a third decomposition.
+    # pinv((I - w)/2) = 2 pinv(I - w): m_tilde needs no third decomposition.
     mtilde = SymMatrix(2.0 * iw_pinv.a - theta * eye, name="m_tilde")
     # mtilde maps the all-ones vector to -theta * 1.
     resid = float(np.abs(mtilde.a @ ones + theta * ones).max())

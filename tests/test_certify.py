@@ -953,13 +953,12 @@ def test_extra_search_decomposes_each_matrix_once(generic, prob1, monkeypatch):
           else half_pair(g))
     alpha = 0.5 * 2.0 * mp.wbar.lambda_min / prob1.lipschitz
     seen = collections.Counter()
-    jacobi = linalg._jacobi_eigh
+    for solver in ("_jacobi_eigh", "_lapack_eigh"):
+        def hashing(mats, names, _solve=getattr(linalg, solver)):
+            seen.update(a.tobytes() for a in mats)
+            return _solve(mats, names)
 
-    def hashing(mats, names):
-        seen.update(a.tobytes() for a in mats)
-        return jacobi(mats, names)
-
-    monkeypatch.setattr(linalg, "_jacobi_eigh", hashing)
+        monkeypatch.setattr(linalg, solver, hashing)
     pair, best = search_extra_certificate(mp, prob1.lipschitz, prob1.mu_fbar, alpha)
     assert seen and max(seen.values()) == 1
     monkeypatch.undo()

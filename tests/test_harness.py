@@ -900,9 +900,8 @@ def test_cli_overflowing_norm_is_a_named_error(corrupt, message, tmp_path, named
 def _count_solves(monkeypatch) -> collections.Counter:
     """Count the solves of each matrix, keyed by its own entries' bytes.
 
-    The count is taken where `linalg.decompose` stores a checked miss, not at
-    `_jacobi_eigh`: a solve started from a basis hands Jacobi the rotated
-    entries, not the matrix's own.
+    The count is taken where `linalg.decompose` stores a checked miss, so it
+    covers both solvers.
     """
     seen = collections.Counter()
     cache_eig = linalg._cache_eig
@@ -915,27 +914,41 @@ def _count_solves(monkeypatch) -> collections.Counter:
     return seen
 
 
+def _solver_stacks(monkeypatch, dim: int | None = None) -> list[tuple[str, list[str]]]:
+    """Record each stack `linalg.decompose` hands a solver, of size `dim` if
+    given: the solver ("jacobi" or "lapack") and the names of its matrices."""
+    stacks = []
+    for solver in ("jacobi", "lapack"):
+        solve = getattr(linalg, f"_{solver}_eigh")
+
+        def recording(mats, names, _solver=solver, _solve=solve):
+            if dim in (None, mats.shape[1]):
+                stacks.append((_solver, list(names)))
+            return _solve(mats, names)
+
+        monkeypatch.setattr(linalg, f"_{solver}_eigh", recording)
+    return stacks
+
+
 def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
     base = RunConfig(topology="random", n=10, p=5, mi=1, seed=2, certify=True, max_iters=50)
     inst = harness.build_instance(dataclasses.replace(base, algo="extra", alpha="extra-new"))
     w, wt, eye = inst.mp.w.a, inst.mp.wt.a, np.eye(10)
-    watched = {"w_tilde": wt, "w_tilde - w": wt - w, "I - w": eye - w,
+    watched = {"w": w, "w_tilde": wt, "w_tilde - w": wt - w, "I - w": eye - w,
                "(I - w)/2": (eye - w) / 2.0}
     seen = _count_solves(monkeypatch)
-    hashing, names = linalg._jacobi_eigh, []
-    monkeypatch.setattr(linalg, "_jacobi_eigh",
-                        lambda mats, solved: names.extend(solved) or hashing(mats, solved))
+    stacks = _solver_stacks(monkeypatch)
     in_certificate = {}
     for constants in ("nids_constants", "extra_constants"):
         def spy(*args, _name=constants, _constants=getattr(certify, constants), **kwargs):
-            start = len(names)
+            start = len(stacks)
             cert = _constants(*args, **kwargs)
-            in_certificate[_name] = names[start:]
+            in_certificate[_name] = stacks[start:]
             return cert
         monkeypatch.setattr(certify, constants, spy)
     for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
         seen.clear()
-        names.clear()
+        stacks.clear()
         linalg.clear_eig_cache()
         harness.clear_instance_cache()
         trace = run(dataclasses.replace(base, algo=algo, alpha=alpha))
@@ -943,22 +956,29 @@ def test_certified_run_decomposes_each_mixing_matrix_once(monkeypatch):
         counts = {name: seen[mat.tobytes()] for name, mat in watched.items()}
         # Only EXTRA's certificate reads w_tilde's spectrum, as w_bar's: at
         # theta = 1 the two have the same entries, and one solve serves both.
+        # No stepsize here reads w's, so w is never solved.
         solved = algo == "extra"
-        assert counts == {"w_tilde": solved, "w_tilde - w": 1, "I - w": 1, "(I - w)/2": 0}, algo
-        # The pair's three solves, and w_bar's for EXTRA; its sign checks and
-        # the certificate's Lyapunov weights are answered by Cholesky
+        assert counts == {"w": 0, "w_tilde": solved, "w_tilde - w": 1, "I - w": 1,
+                          "(I - w)/2": 0}, algo
+        # The pair's two certificate-only spectra in one LAPACK stack, and
+        # w_bar's Jacobi solve for EXTRA; its sign checks and the
+        # certificate's Lyapunov weights are answered by Cholesky
         # factorizations, never decomposed.
-        assert {"metropolis", "w_tilde - w", "I - w"} <= set(names), algo
-        assert ("w_bar" in names, "w_tilde" in names) == (solved, False), algo
-        assert not {"(I+w)/2 - w_tilde", "g", "p", "q", "pn", "q | Range(I - w)"} & set(names)
+        assert ("lapack", ["w_tilde - w", "I - w"]) in stacks, algo
+        jacobi = {name for solver, names in stacks if solver == "jacobi" for name in names}
+        assert ("w_bar" in jacobi, "w_tilde" in jacobi, "metropolis" in jacobi) == \
+            (solved, False, False), algo
+        named = {name for _, names in stacks for name in names}
+        assert not {"(I+w)/2 - w_tilde", "g", "p", "q", "pn", "q | Range(I - w)"} & named
         cert = trace.certificate
         weights = (cert.p_mat, cert.q_mat) if algo == "extra" else (cert.pn_mat, cert.q_mat)
         assert all(seen[mat.a.tobytes()] == 0 for mat in weights), algo
     # The NIDS certificate solves nothing; EXTRA's solves w_bar, its first
-    # reader, and the similarity products of r2 (g wbar^-1, zero here) and
-    # lambda_max(w_bar m).
-    assert in_certificate == {"nids_constants": [],
-                              "extra_constants": ["w_bar", "g wbar^-1", "wbar m"]}
+    # reader, with Jacobi, then the similarity products of r2 (g wbar^-1, zero
+    # here) and lambda_max(w_bar m) in one LAPACK stack.
+    assert in_certificate == {
+        "nids_constants": [],
+        "extra_constants": [("jacobi", ["w_bar"]), ("lapack", ["g wbar^-1", "wbar m"])]}
 
 
 def test_scenario_decomposes_each_distinct_matrix_once(monkeypatch, tmp_path):
@@ -1047,22 +1067,22 @@ def _observed_build(name: str):
 @pytest.mark.parametrize("name", _INSTANCES)
 def test_spectra_that_set_the_stepsizes_are_solved_cold(name):
     # These eigenvalues set the sensing scale, mu_fbar, theta and every named
-    # stepsize. Solved from their own entries, with no basis, whoever reads
-    # them first, they keep every iterate, stepsize and uncertified CSV byte as
-    # the cold solver rounds them.
+    # stepsize. Solved by Jacobi from their own entries, whoever reads them
+    # first, they keep every iterate, stepsize and uncertified CSV byte as
+    # Jacobi rounds them.
     inst, received, asked = _observed_build(name)
     grams = [m for m in asked if re.fullmatch(r"M_(\d+)\^T M_\1", m.name)]
     hessian = [m for m in asked if m.name == "averaged hessian"]
     assert len({m.name for m in grams}) == inst.prob.n and hessian
     pair = [inst.mp.w, inst.mp.wt, inst.mp.wbar, mixing.metropolis(inst.mp.graph)]
     for mat in grams + hessian + pair:
-        assert mat.basis is None, (name, mat.name)
+        assert not mat.lapack, (name, mat.name)
         assert mat.a.tobytes() in received, (name, mat.name)
 
 
-def _warm_solved(mp, prob) -> list[linalg.SymMatrix]:
-    """The pair's matrices with a basis and those `certify.extra_constants`
-    builds with one, each already decomposed."""
+def _lapack_solved(mp, prob) -> list[linalg.SymMatrix]:
+    """The pair's matrices LAPACK solves and those `certify.extra_constants`
+    builds for it, each already decomposed."""
     made = []
 
     def recording(*args, **kwargs):
@@ -1073,7 +1093,7 @@ def _warm_solved(mp, prob) -> list[linalg.SymMatrix]:
         patch.setattr(certify, "SymMatrix", recording)
         bound = algorithms.STEPSIZES["extra-new"](mp, prob.lipschitz, prob.mu_fbar)
         certify.extra_constants(mp, prob.lipschitz, prob.mu_fbar, 0.5 * bound)
-    return [mp.diff, mp.iw] + [m for m in made if m.basis is not None]
+    return [mp.diff, mp.iw] + [m for m in made if m.lapack]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1093,55 +1113,73 @@ def _generic_pair():
 
 
 @pytest.mark.parametrize("name", [*_INSTANCES, "generic w_tilde"])
-def test_warm_started_spectra_match_the_oracle_and_a_cold_solve(name):
+def test_lapack_solved_spectra_match_the_oracle_and_a_jacobi_solve(name):
     if name == "generic w_tilde":
         mp, prob = _generic_pair()
     else:
         inst = _observed_build(name)[0]
         mp, prob = inst.mp, inst.prob
-    warm = _warm_solved(mp, prob)
-    assert {m.name for m in warm} == {"w_tilde - w", "I - w", "g wbar^-1", "wbar m"}
-    for mat in warm:
-        assert mat.basis is mp.w, mat.name
+    solved = _lapack_solved(mp, prob)
+    assert {m.name for m in solved} == {"w_tilde - w", "I - w", "g wbar^-1", "wbar m"}
+    for mat in solved:
+        assert mat.lapack, mat.name
         values = mat.eigenvalues
-        cold = linalg._jacobi_eigh(mat.a[None], [mat.name])[0][0]
-        assert np.abs(values - cold).max() <= 1e-9, mat.name
+        jacobi = linalg._jacobi_eigh(mat.a[None], [mat.name])[0][0]
+        assert np.abs(values - jacobi).max() <= 1e-9, mat.name
         assert np.abs(values - np.linalg.eigvalsh(mat.a)).max() <= 1e-9, mat.name
         if mat.name == "g wbar^-1" and not mp.g.a.any():
             # At g = 0 the product is exactly zero, one n-fold eigenvalue that
             # the Sturm oracle, which counts distinct ones, does not accept.
-            assert not values.any() and np.array_equal(values, cold), mat.name
+            assert not values.any() and np.array_equal(values, jacobi), mat.name
         # The exact-arithmetic oracle takes about 0.2 s a matrix at n = 10 and
         # 24 s at n = 20; larger pairs rest on the two comparisons above.
         elif mat.dim <= 10:
             assert _oracle_agrees(mat.a.tobytes(), values.tobytes(), mat.dim), mat.name
 
 
-def test_certify_large_solves_only_w_and_w_tilde_cold(monkeypatch):
-    # Of the certified runs' 50 x 50 solves, only w's and w_tilde's sweep:
-    # w_tilde - w, I - w, g wbar^-1 (zero, since g = 0) and w_bar m reach
-    # Jacobi already diagonal to its target.
-    # w_tilde is solved once, under the name w_bar: the EXTRA certificate reads
-    # w_bar first, and at theta = 1 the two have the same entries.
+def test_certify_large_sweeps_only_w_bar_and_never_solves_w(monkeypatch):
+    # Of the certified runs' 50 x 50 solves, Jacobi does only w_bar's: the
+    # EXTRA certificate reads w_bar first, and at theta = 1 it has w_tilde's
+    # entries, so one solve serves both. LAPACK solves w_tilde - w and I - w
+    # in one stack, and g wbar^-1 (zero, since g = 0) and w_bar m in another.
+    # No stepsize of these runs reads w's spectrum, so w is never solved.
     inst = _observed_build("certify-large")[0]
-    solves = []
-    jacobi = linalg._jacobi_eigh
-
-    def sweeping(mats, names):
-        for a, name in zip(mats, names):
-            if a.shape[0] == inst.mp.n:
-                target = linalg._JACOBI_TOL * np.linalg.norm(a)
-                solves.append((name, linalg._off_diagonal_norm(a) > target))
-        return jacobi(mats, names)
-
-    monkeypatch.setattr(linalg, "_jacobi_eigh", sweeping)
+    seen = _count_solves(monkeypatch)
+    stacks = _solver_stacks(monkeypatch, dim=inst.mp.n)
     for algo, alpha in (("nids", 0.19), ("extra", 0.9 * inst.alpha)):
         trace = run(dataclasses.replace(_INSTANCES["certify-large"], algo=algo, alpha=alpha,
                                         max_iters=5))
         assert trace.audit.ok
-    assert sorted(name for name, swept in solves if swept) == ["metropolis", "w_bar"]
-    assert sorted(name for name, swept in solves if not swept) == \
-        ["I - w", "g wbar^-1", "w_tilde - w", "wbar m"]
+    assert stacks == [("lapack", ["w_tilde - w", "I - w"]), ("jacobi", ["w_bar"]),
+                      ("lapack", ["g wbar^-1", "wbar m"])]
+    assert seen[inst.mp.w.a.tobytes()] == 0
+
+
+def test_perturbed_lapack_spectra_move_no_stepsize_or_sensing_bit(monkeypatch):
+    # Every spectrum LAPACK solves reaches only certificate constants: moving
+    # each of its eigenvalues by a relative 1e-12 leaves every named stepsize,
+    # L, mu_fbar and the sensing matrices of each preset bit-identical, while
+    # the pseudo-inverse it builds does move.
+    def observed():
+        facts = {}
+        for name, config in _INSTANCES.items():
+            linalg.clear_eig_cache()
+            harness.clear_instance_cache()
+            inst = harness.build_instance(config)
+            prob = inst.prob
+            bounds = algorithms.stepsize_bounds(inst.mp, prob.lipschitz, prob.mu_fbar)
+            facts[name] = (np.array([*bounds.values(), prob.lipschitz, prob.mu_fbar]).tobytes(),
+                           prob.sensing.tobytes(), inst.mp.m.a.tobytes())
+        return facts
+
+    clean = observed()
+    lapack = linalg._lapack_eigh
+    monkeypatch.setattr(linalg, "_lapack_eigh", lambda mats, names: [
+        (w * (1.0 + 1e-12), v) for w, v in lapack(mats, names)])
+    perturbed = observed()
+    for name in _INSTANCES:
+        assert perturbed[name][:2] == clean[name][:2], name
+        assert perturbed[name][2] != clean[name][2], name
 
 
 @pytest.mark.parametrize("call, solves", [("nids", 0), ("dgd", 0), ("extra", 1), ("bounds", 1),
@@ -1459,6 +1497,15 @@ def test_cli_eigensolver_failure_is_a_named_error(monkeypatch, named_error):
     assert "did not converge" in named_error(["run", "--max-iters", "5"])
 
 
+def test_cli_lapack_failure_is_a_named_error(monkeypatch, named_error):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert named_error(["run", "--max-iters", "5"]) == (
+        "LAPACK eigh did not converge on 'w_tilde - w': Eigenvalues did not converge")
+
+
 def test_cli_keeps_the_traceback_of_a_defect(monkeypatch):
     def defect(config):
         raise ValueError("a defect, not a bad input")
@@ -1719,6 +1766,22 @@ def test_cli_settings_beside_a_loaded_problem_must_match_it(tmp_path, step_calls
     assert len(step_calls) == steps
     assert cli.main(["run", "--max-iters", "3", "--load-problem", path, "--p", "5",
                      "--mi", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_scenario_presets_that_contradict_a_loaded_problem_are_a_named_error(
+        command, tmp_path, step_calls, named_error, capsys):
+    # fig3's presets name m_i = 10: a file saved with m_i = 1 contradicts
+    # them, though no flag names m_i.
+    path = str(tmp_path / "p.json")
+    problem.save_problem(problem.generate(10, 5, 1, seed=2), path)
+    assert named_error([command, "--scenario", "fig3", "--load-problem", path]) == (
+        f"problem file {path} contradicts the given m_i = 10 (file: 1)")
+    assert step_calls == []
+    # fig1's presets name the file's p = 5 and m_i = 1, so they run on it.
+    assert cli.main([command, "--scenario", "fig1", "--load-problem", path,
+                     *(["--max-iters", "3"] if command == "run" else [])]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # The instance memo of `build_instance`.

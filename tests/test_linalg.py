@@ -282,7 +282,7 @@ def test_decompose_returns_a_hit_its_own_misses_evict(monkeypatch):
     for mat, (w, v) in zip(mats, results):
         assert np.linalg.norm((v * w) @ v.T - mat.a) <= 1e-10 * max(1.0, np.linalg.norm(mat.a))
     # Only y, stored last, is left: h and x are solved again when next read.
-    assert list(linalg._eig_cache) == [((4, 4), SymMatrix(y).a.tobytes(), None)]
+    assert list(linalg._eig_cache) == [((4, 4), SymMatrix(y).a.tobytes(), False)]
     SymMatrix(h, name="hit evicted").eig()
     assert stacks[1:] == [["hit evicted"]]
 
@@ -322,41 +322,72 @@ def test_eig_cache_skips_a_result_larger_than_its_budget(monkeypatch):
     assert linalg._eig_cache_bytes == _entry_bytes(2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 30])
-def test_a_basis_that_does_not_commute_still_passes_the_residual_check(n):
-    # A random symmetric matrix's eigenvectors leave V^T a V far from diagonal:
-    # Jacobi does the sweeps a cold solve would, and V U must still decompose a.
-    rng = np.random.default_rng(n)
-    a = SymMatrix(rng.standard_normal((n, n)), name="a",
-                  basis=SymMatrix(rng.standard_normal((n, n)), name="unrelated"))
-    w, v = a.eig()
-    scale = max(1.0, float(np.linalg.norm(a.a)))
-    assert np.linalg.norm((v * w) @ v.T - a.a) <= 1e-10 * scale
-    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
-    assert np.abs(w - linalg._jacobi_eigh(a.a[None], ["cold"])[0][0]).max() <= 1e-9 * scale
-
-
-def test_basis_entries_join_the_cache_key(monkeypatch):
-    rng = np.random.default_rng(3)
-    m, b1, b2 = (rng.standard_normal((6, 6)) for _ in range(3))
+def test_the_solver_joins_the_cache_key(monkeypatch):
+    m = np.random.default_rng(3).standard_normal((6, 6))
     solved = _counting_solver(monkeypatch)
-    cold = SymMatrix(m, name="cold").eig()
-    first = SymMatrix(m, name="warm 1", basis=SymMatrix(b1, name="b1")).eig()
-    SymMatrix(m, name="warm 2", basis=SymMatrix(b2, name="b2")).eig()
-    # Neither a cold entry nor another basis's entry serves a solve.
-    assert solved == ["cold", "b1", "warm 1", "b2", "warm 2"]
-    # Five entries; the two warm ones also hold their basis's 6 x 6 entries.
-    assert linalg._eig_cache_bytes == 5 * _entry_bytes(6) + 2 * 8 * 6 * 6
-    # The same entries and basis entries are a hit, and that hit holds the
-    # bits of a fresh solve; the cold entry is a hit only without a basis.
-    hit = SymMatrix(m.copy(), name="again", basis=SymMatrix(b1.copy(), name="b1 again")).eig()
-    assert all(x is y for x, y in zip(SymMatrix(m.copy(), name="cold again").eig(), cold))
-    assert solved == ["cold", "b1", "warm 1", "b2", "warm 2"]
+    lapack_solved = []
+    lapack = linalg._lapack_eigh
+    monkeypatch.setattr(linalg, "_lapack_eigh",
+                        lambda mats, names: lapack_solved.extend(names) or lapack(mats, names))
+    jacobi = SymMatrix(m, name="jacobi").eig()
+    first = SymMatrix(m, name="lapack 1", lapack=True).eig()
+    # Neither solver's entry serves the other's solve.
+    assert (solved, lapack_solved) == (["jacobi"], ["lapack 1"])
+    assert linalg._eig_cache_bytes == 2 * _entry_bytes(6)
+    # The same entries and solver are a hit, and that hit holds the bits of a
+    # fresh solve; the Jacobi entry is a hit only for a Jacobi read.
+    hit = SymMatrix(m.copy(), name="lapack again", lapack=True).eig()
+    assert all(x is y for x, y in zip(SymMatrix(m.copy(), name="jacobi again").eig(), jacobi))
+    assert (solved, lapack_solved) == (["jacobi"], ["lapack 1"])
     linalg.clear_eig_cache()
-    fresh = SymMatrix(m, name="fresh", basis=SymMatrix(b1, name="b1 fresh")).eig()
+    fresh = SymMatrix(m, name="fresh", lapack=True).eig()
     for got, want in zip(hit + first, fresh + fresh):
         assert np.array_equal(got, want)
-    assert not np.array_equal(cold[1], first[1])
+    assert not np.array_equal(jacobi[1], first[1])
+    assert np.abs(jacobi[0] - first[0]).max() <= 1e-12 * np.abs(jacobi[0]).max()
+
+
+def test_decompose_solves_the_misses_in_one_stack_per_solver(monkeypatch):
+    rng = np.random.default_rng(14)
+    a, b, c = (rng.standard_normal((5, 5)) for _ in range(3))
+    stacks = []
+    for solver in ("_jacobi_eigh", "_lapack_eigh"):
+        solve = getattr(linalg, solver)
+        monkeypatch.setattr(linalg, solver, lambda mats, names, _solver=solver, _solve=solve:
+                            stacks.append((_solver, list(names))) or _solve(mats, names))
+    mats = [SymMatrix(a, name="a", lapack=True), SymMatrix(b, name="b"),
+            SymMatrix(c, name="c", lapack=True), SymMatrix(a, name="a by jacobi")]
+    results = linalg.decompose(mats)
+    assert stacks == [("_jacobi_eigh", ["b", "a by jacobi"]), ("_lapack_eigh", ["a", "c"])]
+    monkeypatch.undo()
+    # Each LAPACK member holds the bits of its solve alone.
+    for mat, (w, v) in zip(mats[::2], results[::2]):
+        solo_w, solo_v = np.linalg.eigh(mat.a)
+        assert np.array_equal(w, solo_w) and np.array_equal(v, solo_v), mat.name
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
+
+def test_a_lapack_failure_names_the_first_matrix_that_fails_alone(monkeypatch):
+    rng = np.random.default_rng(15)
+    good, bad = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    bad_bytes = SymMatrix(bad).a.tobytes()
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if any(m.tobytes() == bad_bytes for m in np.reshape(a, (-1, 4, 4))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    mats = [SymMatrix(good, name="good", lapack=True), SymMatrix(bad, name="stubborn", lapack=True)]
+    for _ in range(2):
+        with pytest.raises(linalg.EigenConvergenceError,
+                           match=r"^LAPACK eigh did not converge on 'stubborn': Eigenvalues"):
+            linalg.decompose(mats)
+    # A failed stack stores nothing; its other member solves alone.
+    assert not linalg._eig_cache
+    assert mats[0].eig()[0].shape == (4,)
 
 
 def _assert_same_bits_as_reference(a: np.ndarray) -> None:
@@ -589,8 +620,6 @@ def test_lambda_min_at_least_matches_the_jacobi_decision(n, seed, kind, floor):
     (lambda: SymMatrix(np.ones((2, 3)), name="m"), "'m' must be square, got shape (2, 3)"),
     (lambda: SymMatrix(np.ones(3), name="m"), "'m' must be square, got shape (3,)"),
     (lambda: SymMatrix(np.zeros((0, 0)), name="m"), "'m' must have dimension >= 1"),
-    (lambda: SymMatrix(np.eye(3), name="m", basis=SymMatrix(np.eye(2), name="b")),
-     "'m' has shape (3, 3) but its basis 'b' has shape (2, 2)"),
     (lambda: wdot(np.ones((3, 2)), np.ones((3, 2)), np.eye(2)),
      "dimension mismatch: x has 3 rows, H is 2x2"),
 ])

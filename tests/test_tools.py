@@ -36,3 +36,32 @@ def test_dump_outputs_is_the_same_with_warm_caches(tmp_path):
                              "cli/line30.csv", "cli/problem.json", "cli/theta.csv"]
     assert first["certify-large/00.out"].startswith(b"$ decon run ")
     assert first["certify-large/00.out"].endswith(b"  wrote <OUT>/nids.csv\nexit=0\n")
+
+
+def _compare_dumps():
+    path = ROOT / "tools" / "compare_dumps.py"
+    spec = importlib.util.spec_from_file_location("compare_dumps", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_dumps_names_each_moved_column_and_its_largest_change(tmp_path, capsys):
+    tool = _compare_dumps()
+    base, head = tmp_path / "base", tmp_path / "head"
+    for root, lyapunov, ratio, out in ((base, "2", "0.5", "exit=0\n"),
+                                       (head, "2.0000000000000004", "", "exit=1\n")):
+        (root / "w").mkdir(parents=True)
+        (root / "w" / "run.csv").write_text(f"k,residual,lyapunov,ratio\n0,1,4,\n1,0.5,{lyapunov},{ratio}\n")
+        (root / "w" / "00.out").write_text(out)
+        (root / "same.csv").write_text("k\n0\n")
+    (head / "new.out").write_text("")
+    assert tool.main([str(base), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "- `new.out`: only in the head",
+        "- `w/00.out`: differs",
+        "- `w/run.csv`: `lyapunov` 1/2 cells, max relative change 2.2e-16; "
+        "`ratio` 1/2 cells, max relative change inf",
+    ]
+    assert tool.compare(str(base), str(base)) == ["- no file differs"]
+    assert tool.main([str(base), str(tmp_path / "missing")]) == 2
